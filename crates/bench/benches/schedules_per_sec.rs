@@ -94,7 +94,6 @@ fn bench_schedules_per_sec(c: &mut Criterion) {
                     max_failures: 100,
                     shrink_failures: false,
                     use_pool: true,
-                    threads_budget: 0,
                 };
                 // Wrap the 64-seed window inside the validated space.
                 next_start = (next_start + SWEEP_BATCH) % (SEED_SPACE - SWEEP_BATCH);

@@ -228,7 +228,6 @@ fn main() {
                         max_failures: 100,
                         shrink_failures: false,
                         use_pool,
-                        threads_budget: 0,
                     };
                     let report = sweep(&sweep_cfg, &cfg).expect("valid sweep");
                     assert_eq!(report.failing, 0, "hardened corpus must stay green");

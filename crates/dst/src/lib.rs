@@ -2,8 +2,8 @@
 //!
 //! A FoundationDB-style simulation harness over the `ftmpi` runtime.
 //! Instead of letting the OS scheduler pick an arbitrary interleaving
-//! per run, a [`sched::Scheduler`] serializes every rank through the
-//! runtime's `SchedHook` instrumentation and draws all decisions —
+//! per run, the runtime runs every rank as a coroutine on one thread
+//! and a [`sched::Scheduler`] draws all decisions —
 //! which rank runs, which receive matches, which messages are delayed —
 //! from a single `u64` seed. One seed therefore names one complete
 //! execution:
@@ -51,7 +51,7 @@ pub use scenario::{
     Retention, ScenarioCfg, Schedule, SeedRunner,
 };
 pub use faultsim::{CoverageStats, HandoffStats, RunStats};
-pub use sched::{SchedEvent, SchedTuning, Scheduler, SplitMix64};
+pub use sched::{SchedEvent, Scheduler, SplitMix64};
 pub use shrink::{shrink, Ev, Shrunk};
 pub use sweep::{sweep, CorpusWrite, FailureSummary, SweepCfg, SweepError, SweepReport};
 pub use triage::{triage, triage_trace, TriageReport, WaitEdge, WaitKind};
@@ -79,8 +79,8 @@ pub fn explore(start: u64, count: u64, cfg: &ScenarioCfg) -> Result<Vec<SeedResu
         .checked_add(count)
         .ok_or(SweepError::SeedRangeOverflow { start, count })?;
     // One persistent executor pool for the whole range: seeds run
-    // back-to-back on the same rank threads (observations are identical
-    // to spawn-per-run; the golden-log suite pins this).
+    // back-to-back on the same rank stacks (observations are identical
+    // to a fresh universe per seed; the golden-log suite pins this).
     let mut runner = SeedRunner::new(cfg.ranks);
     Ok((start..end)
         .map(|seed| {

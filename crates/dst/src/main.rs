@@ -3,7 +3,7 @@
 //! ```text
 //! dst explore --seeds 1000 [--start 0] [--jobs N] [--corpus PATH]
 //!             [--shrink-failures] [--max-failures N] [--no-pool]
-//!             [--stats] [--threads-budget N]
+//!             [--stats]
 //!             [--shape <name|all>] [--buggy] [--ranks 4] [--iters 3]
 //! dst fuzz    --budget 20000 [--seed S] [--corpus PATH] [--stats]
 //!             [--max-failures N] [--ranks 4] [--iters 3]
@@ -17,14 +17,14 @@
 //! because determinism lives inside each seed's self-contained
 //! simulation. Failing seeds can be written to a `--corpus` file as
 //! one-line repros, ddmin-minimized first with `--shrink-failures`.
-//! Each worker runs its seeds on a persistent rank-executor pool;
-//! `--no-pool` falls back to spawning fresh rank threads per schedule
+//! A worker is one thread — its simulated ranks are coroutines on it
+//! — and runs its seeds on a persistent executor pool; `--no-pool`
+//! falls back to a fresh universe (stacks and state) per schedule
 //! (identical verdicts, for A/B comparison and benchmarking).
 //!
-//! `--stats` appends the scheduler's handoff counters (steps, grants,
-//! elided handoffs, parks, spin iterations) to the explore summary;
-//! `--threads-budget N` overrides the auto-sized rank-thread budget
-//! (`max(12 × cores, 48)`) that `workers × ranks` is kept under.
+//! `--stats` appends the scheduler's counters (steps, grants,
+//! self-grants), allocations per schedule and coverage to the explore
+//! summary.
 //!
 //! `--shape` selects a kill-shape family from the DESIGN.md §8.8
 //! taxonomy (`pair`, `triple`, `root-chain`, `cascade`, `validate`,
@@ -51,17 +51,15 @@ use dst::{
     SweepCfg,
 };
 
-/// Largest world size the CLI accepts: every rank is a live executor
-/// thread, so values beyond this are typos, not experiments.
-const MAX_RANKS: u64 = 256;
+/// Largest world size the CLI accepts. A simulated rank costs a
+/// 256 KiB coroutine stack, not a thread, so this is a sanity cap on
+/// typos rather than a resource limit.
+const MAX_RANKS: u64 = 1024;
 /// Worker-thread cap; sweeps beyond per-core parallelism only add
 /// contention.
 const MAX_JOBS: u64 = 1024;
 /// Retained-failure cap; the map is O(max-failures) memory.
 const MAX_MAX_FAILURES: u64 = 1_000_000;
-/// Rank-thread-budget cap; the budget bounds `workers × ranks`, so
-/// anything beyond this is a typo, not a bigger machine.
-const MAX_THREADS_BUDGET: u64 = 65_536;
 
 fn parse_u64(s: &str) -> Result<u64, String> {
     let r = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
@@ -116,8 +114,6 @@ struct Args {
     shrink_failures: bool,
     no_pool: bool,
     stats: bool,
-    /// `None`: auto (`max(12 × cores, 48)` rank threads).
-    threads_budget: Option<usize>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -142,7 +138,6 @@ fn parse_args() -> Result<Args, String> {
         shrink_failures: false,
         no_pool: false,
         stats: false,
-        threads_budget: None,
     };
     while let Some(flag) = argv.next() {
         let mut value = |name: &str| -> Result<String, String> {
@@ -186,13 +181,6 @@ fn parse_args() -> Result<Args, String> {
             "--shrink-failures" => args.shrink_failures = true,
             "--no-pool" => args.no_pool = true,
             "--stats" => args.stats = true,
-            "--threads-budget" => {
-                args.threads_budget = Some(parse_capped_usize(
-                    &value("--threads-budget")?,
-                    "--threads-budget",
-                    MAX_THREADS_BUDGET,
-                )?)
-            }
             "--buggy" => args.buggy = true,
             "--log" => args.show_log = true,
             "--triage" => args.triage = true,
@@ -261,9 +249,6 @@ fn validate(args: &Args) -> Result<(), String> {
         if args.max_failures == 0 {
             return Err(format!("--max-failures must be at least 1\n{}", usage()));
         }
-        if args.threads_budget == Some(0) {
-            return Err(format!("--threads-budget must be at least 1\n{}", usage()));
-        }
     } else if args.cmd == "fuzz" {
         if args.shape_given {
             // The seeding phase derives through all seven shapes and
@@ -291,7 +276,6 @@ fn validate(args: &Args) -> Result<(), String> {
             (args.jobs.is_some(), "--jobs"),
             (args.no_pool, "--no-pool"),
             (args.shrink_failures, "--shrink-failures"),
-            (args.threads_budget.is_some(), "--threads-budget"),
         ] {
             if on {
                 // The campaign is a single sequential chain — each
@@ -311,11 +295,6 @@ fn validate(args: &Args) -> Result<(), String> {
             // Only the sweep and fuzz engines aggregate run stats.
             return Err(format!("--stats only applies to explore and fuzz\n{}", usage()));
         }
-        if args.threads_budget.is_some() {
-            // replay/shrink/determinism run one universe; there is no
-            // worker fan-out for the budget to size.
-            return Err(format!("--threads-budget only applies to explore\n{}", usage()));
-        }
     }
     if args.triage && args.cmd != "replay" {
         // Explore prints triage on its failure lines unconditionally;
@@ -331,7 +310,7 @@ fn usage() -> String {
      [--seed S] [--seeds N] [--start S] [--budget N] [--jobs N] \
      [--corpus PATH] \
      [--shrink-failures] [--max-failures N] [--no-pool] \
-     [--stats] [--threads-budget N] \
+     [--stats] \
      [--shape <pair|triple|root-chain|cascade|validate|spaced|masked|all>] \
      [--buggy] [--ranks N] [--iters N] [--log] [--triage]"
         .to_string()
@@ -341,9 +320,20 @@ fn usage() -> String {
 /// the CLI inherits the library's single validation site
 /// (`ScenarioCfg::validate`) instead of re-checking flag by flag.
 fn cfg_of(args: &Args, shape: KillShape) -> Result<ScenarioCfg, String> {
+    // Every rank waits at a step point while the token travels, and a
+    // grant picks among all of them, so a hop costs O(ranks) grants and
+    // a kill-free schedule about 2.3 × ranks² × iters of them (measured
+    // at 4 to 256 ranks). The hang budget keeps an order of magnitude
+    // above that; the library default already does up to 45 ranks at
+    // the default 3 iterations.
+    let ranks = args.ranks as u64;
+    let budget = ScenarioCfg::default()
+        .step_budget
+        .max(ranks.saturating_mul(ranks).saturating_mul(args.iters).saturating_mul(32));
     ScenarioCfg::builder()
         .ranks(args.ranks)
         .max_iter(args.iters)
+        .step_budget(budget)
         .buggy_dedup(args.buggy)
         .shape(shape)
         .build()
@@ -374,7 +364,6 @@ fn cmd_explore(args: &Args) -> Result<ExitCode, String> {
         .max_failures(args.max_failures)
         .shrink_failures(args.shrink_failures)
         .use_pool(!args.no_pool)
-        .threads_budget(args.threads_budget.unwrap_or(0))
         .build()
         .map_err(|e| e.to_string())?;
 
@@ -456,19 +445,8 @@ fn cmd_explore(args: &Args) -> Result<ExitCode, String> {
 fn print_stats(stats: &dst::RunStats, runs: u64, tag: &str) {
     let h = &stats.handoff;
     println!(
-        "stats {tag}: {} steps, {} grants \
-         ({} elided: {} self, {} spin; {} pre-park), \
-         {} parks, {} unparks, {} spin iters, {} park-safety timeouts",
-        h.steps,
-        h.grants,
-        h.elided(),
-        h.self_grants,
-        h.spin_grants,
-        h.prepark_grants,
-        h.parks,
-        h.unparks,
-        h.spin_iters,
-        h.park_safety_timeouts
+        "stats {tag}: {} steps, {} grants ({} self-grants), {} park-safety timeouts",
+        h.steps, h.grants, h.self_grants, h.park_safety_timeouts
     );
     let a = &stats.alloc;
     println!(

@@ -21,7 +21,7 @@ use ftmpi::{run, RankOutcome, TimedEvent, UniverseConfig, UniversePool, WORLD};
 use ftring::{run_ring, RingConfig, RingStats};
 
 use crate::coverage::CoverageSet;
-use crate::sched::{SchedTuning, Scheduler, SplitMix64};
+use crate::sched::{Scheduler, SplitMix64};
 
 /// Stream salt so kill derivation never collides with the scheduler's
 /// decision stream for the same seed.
@@ -153,12 +153,6 @@ pub struct ScenarioCfg {
     /// (hardened ring only; the buggy configuration keeps its own
     /// Fig. 8 derivation).
     pub shape: KillShape,
-    /// Scheduler handoff tuning (self-grant fast path, spin budget).
-    /// Schedule-invisible: any tuning executes the identical decision
-    /// sequence; only the park/wake mechanics differ. The sweep engine
-    /// overrides the spin policy when its worker count saturates the
-    /// machine.
-    pub tuning: SchedTuning,
 }
 
 impl Default for ScenarioCfg {
@@ -169,7 +163,6 @@ impl Default for ScenarioCfg {
             buggy_dedup: false,
             step_budget: 200_000,
             shape: KillShape::Pair,
-            tuning: SchedTuning::default(),
         }
     }
 }
@@ -255,12 +248,6 @@ impl ScenarioBuilder {
     /// Kill-shape family (`--shape`).
     pub fn shape(mut self, s: KillShape) -> Self {
         self.cfg.shape = s;
-        self
-    }
-
-    /// Scheduler handoff tuning (schedule-invisible).
-    pub fn tuning(mut self, t: SchedTuning) -> Self {
-        self.cfg.tuning = t;
         self
     }
 
@@ -605,12 +592,12 @@ pub struct Observation {
     /// Drain calls that delayed delivery during this run.
     pub delay_calls: Vec<u64>,
     /// Every per-run statistic on one surface ([`faultsim::RunStats`]):
-    /// handoff counters, the coverage summary, and heap-allocation
-    /// counters for the whole schedule — the rank job bodies
-    /// ([`ftmpi::RunReport::stats`]) plus the harness's own work on the
-    /// calling thread (schedule derivation, scheduler construction,
-    /// observation assembly), counted by the
-    /// [`allocstats::StatsAlloc`] global allocator this crate installs.
+    /// scheduling counters, the coverage summary, and heap-allocation
+    /// counters for the whole schedule — the rank bodies and the
+    /// harness's own work (schedule derivation, scheduler construction,
+    /// observation assembly), all on the calling thread and each
+    /// allocation counted once by the [`allocstats::StatsAlloc`] global
+    /// allocator this crate installs.
     pub stats: RunStats,
     /// The run's full coverage-edge set (summarized by
     /// `stats.coverage`), harvested from the scheduler — the fuzzer's
@@ -660,13 +647,13 @@ pub fn run_schedule_with(
 
 /// A reusable schedule executor: one persistent [`UniversePool`] at a
 /// fixed rank count, running schedules back-to-back without per-run
-/// thread spawns or universe-state reallocation.
+/// stack mappings or universe-state reallocation.
 ///
 /// The observation for any schedule is **byte-identical** to the
-/// spawn-per-run [`run_schedule_with`] path — the scheduler's dispatch
-/// barrier serializes ranks regardless of how their threads came to
-/// life, and the pool's reset protocol rewinds all shared state (the
-/// golden-log suite pins this in both modes). The sweep engine holds
+/// one-shot [`run_schedule_with`] path — both start the ranks in rank
+/// order on fresh coroutine frames, and the pool's reset protocol
+/// rewinds all shared state (the golden-log suite pins this in both
+/// modes). The sweep engine holds
 /// one runner per worker; `dst explore --no-pool` falls back to
 /// spawn-per-run.
 pub struct SeedRunner {
@@ -767,8 +754,8 @@ fn derive_measured(seed: u64, cfg: &ScenarioCfg) -> (Schedule, AllocStats) {
     (schedule, allocstats::snapshot().since(&before))
 }
 
-/// The one execution path behind both the pooled and spawn-per-run
-/// entry points; they differ only in who provides the rank threads.
+/// The one execution path behind both the pooled and one-shot entry
+/// points; they differ only in who owns the rank stacks.
 /// `spare` is an optional recycled schedule whose buffers become the
 /// observation's schedule copy (no fresh clone allocation).
 fn execute(
@@ -778,9 +765,11 @@ fn execute(
     retention: Retention,
     spare: Option<Schedule>,
 ) -> Observation {
-    // Measure the harness's own heap traffic on this thread (scheduler
-    // construction, plan fold, outcome flattening); the rank bodies'
-    // traffic arrives separately via `RunReport::alloc`.
+    // Everything a schedule allocates happens on this thread — the
+    // harness's own work (scheduler construction, plan fold, outcome
+    // flattening) and, since simulated ranks are coroutines driven from
+    // here, the rank bodies too — so one snapshot pair counts each
+    // allocation exactly once.
     let alloc_before = allocstats::snapshot();
     let sched = match (&schedule.delay_mask, retention) {
         (Some(mask), Retention::Full) => {
@@ -793,7 +782,7 @@ fn execute(
         (None, Retention::Full) => Scheduler::new(cfg.ranks, schedule.seed, cfg.step_budget),
         (None, Retention::Quiet) => Scheduler::quiet(cfg.ranks, schedule.seed, cfg.step_budget),
     };
-    let sched = Arc::new(sched.tuned(cfg.tuning));
+    let sched = Arc::new(sched);
     let plan = schedule
         .kills
         .iter()
@@ -850,14 +839,16 @@ fn execute(
         trace: report.trace,
         log: sched.log_text(),
         delay_calls: sched.delay_calls(),
-        // Handoff + coverage summary + rank-body alloc, via the one
-        // RunStats surface the pool assembled.
+        // Handoff + coverage summary, via the one RunStats surface the
+        // pool assembled; `alloc` is overwritten below.
         stats: report.stats,
         coverage: sched.take_coverage(),
     };
     // Snapshot *after* assembly so the observation's own work counts.
-    let harness = allocstats::snapshot().since(&alloc_before);
-    obs.stats.alloc.add(&harness);
+    // This interval contains the one `report.stats.alloc` covers (the
+    // pool's drive loop), so it replaces that figure instead of adding
+    // to it.
+    obs.stats.alloc = allocstats::snapshot().since(&alloc_before);
     obs
 }
 

@@ -1,48 +1,37 @@
-//! The serializing, seeded scheduler (the heart of the harness).
+//! The seeded scheduler (the heart of the harness).
 //!
-//! One [`Scheduler`] drives one `ftmpi` universe through the
-//! [`SchedHook`] instrumentation: every rank thread blocks inside
-//! [`SchedHook::step`] until the scheduler grants it the token, so at
-//! most one rank executes runtime actions at any instant and the whole
-//! interleaving collapses to a *sequence of decisions*. Each decision
-//! (which rank runs next, which ready request completes, which sender
-//! matches, how many queued envelopes are delivered) is drawn from a
-//! splitmix64 PRNG seeded with a single `u64` — so one seed names one
-//! complete schedule, reproducible forever, and the decision log it
-//! leaves behind is byte-identical across runs.
+//! One [`Scheduler`] decides one `ftmpi` universe through the
+//! [`SchedHook`] instrumentation. Under a hook the runtime runs every
+//! rank as a coroutine on one thread: a rank *arrives* at a scheduling
+//! point and suspends, and with every live rank suspended the
+//! runtime's driver asks [`SchedHook::next`] which one resumes. The
+//! whole interleaving is therefore a *sequence of decisions*, and each
+//! decision (which rank runs next, which ready request completes,
+//! which sender matches, how many queued envelopes are delivered) is
+//! drawn from a splitmix64 PRNG seeded with a single `u64` — so one
+//! seed names one complete schedule, reproducible forever, and the
+//! decision log it leaves behind is byte-identical across runs.
 //!
-//! ### Dispatch protocol (self-grant fast path + spin-then-park)
+//! The scheduler is a plain decision structure — the waiting set,
+//! three PRNG streams, the log, coverage and the budget. It owns no
+//! thread handle and never blocks; the mutex around it exists only
+//! because the harness reads the log from outside the run.
 //!
-//! * `n` ranks start registered; a rank leaves on
-//!   [`SchedHook::on_exit`].
-//! * A rank arriving at a step point parks in `waiting`. When *every*
-//!   registered rank is parked (nobody is running), the scheduler picks
-//!   one at random and logs `grant`.
-//! * **Self-grant fast path**: the stepping rank runs `try_dispatch`
-//!   itself, while it still holds the lock and is still on-CPU. If the
-//!   PRNG draws *that same rank* — always, when it is the sole waiter,
-//!   which is the common case for the paper's one-token-in-flight ring
-//!   — the grant is returned inline from `step` and the park/wake
-//!   context-switch pair is elided entirely. The PRNG stream and the
-//!   logged decision are unchanged; only the handoff is skipped.
-//! * Otherwise the handoff goes through a per-rank slot: a word-sized
-//!   state machine (`ARMED → PARKED → GRANTED`, or `ABORT`) plus
-//!   `thread::park`/`Thread::unpark`. The granter flips the slot to
-//!   `GRANTED` with one atomic swap and unparks the waiter only if it
-//!   had already parked; the waiter optionally *spins* a bounded number
-//!   of iterations before parking so a grant that arrives within the
-//!   spin window is consumed without sleeping. Spinning auto-disables
-//!   when the machine has no spare cores for it (see [`SchedTuning`]).
-//!   Compared to the previous per-rank condition variables this removes
-//!   the futex-wait + mutex-reacquisition cost from every handoff
-//!   (measured ~2.5 µs per condvar round trip vs ~1 µs for a raw
-//!   park/unpark pair on the reference box, DESIGN.md §8.9).
-//! * All elisions are counted ([`SchedHook::run_stats`]) and
-//!   surfaced per run through `RunReport` and `dst explore --stats`.
+//! ### Dispatch
+//!
+//! * [`SchedHook::arrive`] puts a rank into `waiting`;
+//!   [`SchedHook::on_exit`] logs its departure.
+//! * [`SchedHook::next`] picks one waiting rank at random and logs
+//!   `grant`. When the draw is the rank that arrived last — always,
+//!   when it is the sole waiter, which is the common case for the
+//!   paper's one-token-in-flight ring — it is counted as a
+//!   *self-grant* ([`SchedHook::run_stats`]).
 //! * The number of grants is the **logical clock**. When it exceeds the
 //!   step budget the run is aborted — the deterministic replacement for
 //!   a wall-clock hang watchdog: a distributed hang is just a schedule
-//!   that keeps granting without anyone exiting.
+//!   that keeps granting without anyone exiting. From then on `next`
+//!   hands every waiting rank `StepOutcome::Abort`, lowest rank first
+//!   and without touching the PRNG, until all of them have left.
 //!
 //! ### Pick-index stability
 //!
@@ -83,16 +72,14 @@
 //!
 //! ### Limitation
 //!
-//! Serialization requires every blocking path to funnel through a
-//! scheduling point. All `ftmpi` library blocking does (`wait_loop`);
+//! A simulated rank gives up the thread only at a scheduling point.
+//! All `ftmpi` library blocking funnels through one (`wait_loop`);
 //! application closures that spin on `yield_now` without calling the
 //! runtime would wedge the simulation and must not be used under it.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::thread::Thread;
 
 use crate::coverage::{CoverageSet, EdgeKind, PHASE_CAP};
 use faultsim::{ChoiceKind, HandoffStats, Rank, RunStats, SchedHook, SchedPoint, StepOutcome};
@@ -151,7 +138,7 @@ pub enum SchedEvent {
         /// The killed rank.
         victim: Rank,
     },
-    /// `rank`'s thread left the universe.
+    /// `rank` left the universe.
     Exit {
         /// The departing rank.
         rank: Rank,
@@ -186,83 +173,17 @@ impl std::fmt::Display for SchedEvent {
 /// Out of 16: how often a drain call delays in exploration mode.
 const DELAY_WEIGHT: u64 = 4;
 
-/// Spin iterations a waiter burns before parking, when spinning is
-/// enabled at all. Sized so the spin window (~a few hundred ns of
-/// `spin_loop` hints) covers a granter that is already running on
-/// another core, without approaching the ~1 µs cost of the park it
-/// replaces.
-const DEFAULT_SPIN: u32 = 100;
-
-/// Handoff-path tuning knobs. The defaults enable every elision that
-/// is sound on the current machine; the explicit setters exist for A/B
-/// measurement and for the counter tests (elided counters must be
-/// structurally zero when the fast paths are off).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedTuning {
-    /// Grant inline when the PRNG draws the stepping rank (no park, no
-    /// wake). Schedule-invisible: only the handoff is elided.
-    pub self_grant: bool,
-    /// Spin budget before parking. `None` = auto: spin
-    /// [`DEFAULT_SPIN`] iterations iff the machine has more cores than
-    /// rank threads (a waiter burning a core another runnable thread
-    /// needs makes everything slower); `Some(0)` = never spin;
-    /// `Some(k)` = always spin up to `k` iterations.
-    pub spin: Option<u32>,
-}
-
-impl Default for SchedTuning {
-    fn default() -> Self {
-        SchedTuning { self_grant: true, spin: None }
-    }
-}
-
-impl SchedTuning {
-    /// Tuning with every handoff elision disabled — the PR-3 behaviour
-    /// (park/wake on every grant), for A/B runs and counter tests.
-    pub fn disabled() -> Self {
-        SchedTuning { self_grant: false, spin: Some(0) }
-    }
-}
-
-/// Resolve the auto spin policy for `n` rank threads.
-fn auto_spin(n: usize) -> u32 {
-    let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-    if cores > n {
-        DEFAULT_SPIN
-    } else {
-        0
-    }
-}
-
-// Per-rank handoff slot states. A slot belongs to exactly one waiter
-// (its rank) and is written by granters only via the `GRANTED`/`ABORT`
-// swaps below.
-/// Waiter is awake (running, or about to check the slot).
-const ARMED: u32 = 0;
-/// Waiter has committed to `thread::park` (granter must unpark).
-const PARKED: u32 = 1;
-/// Grant delivered; waiter consumes it and re-arms.
-const GRANTED: u32 = 2;
-/// Budget exhausted; waiter must abort. Terminal for the run.
-const ABORT: u32 = 3;
-
-/// One per-rank handoff slot: the word the grant travels through.
-struct HandoffSlot {
-    state: AtomicU32,
-}
-
 struct Inner {
-    /// Ranks whose threads are still inside the universe. A count
-    /// suffices: `waiting ⊆ registered` (an exited rank never steps
-    /// again), and dispatch only compares sizes.
-    registered: usize,
-    /// Registered ranks currently parked at a step point, in ascending
-    /// rank order. `waiting[idx]` is the idx-th smallest — exactly what
+    /// Ranks suspended at a step point, in ascending rank order.
+    /// `waiting[idx]` is the idx-th smallest — exactly what
     /// `BTreeSet::iter().nth(idx)` returned — so grants stay
     /// pick-index-stable while indexing is O(1).
     waiting: Vec<Rank>,
-    /// The rank holding the execution token, if any.
-    running: Option<Rank>,
+    /// The rank whose arrival is the latest event, until the next
+    /// decision consumes it: a grant drawing this rank is a self-grant.
+    /// An exit is not an arrival, so it leaves this alone and the
+    /// grant after it is never one.
+    stepped: Option<Rank>,
     /// Grant and waitany/anysource decisions. Kept separate from the
     /// delay streams so installing a delay mask (which suppresses the
     /// delay-decision draws) cannot shift scheduling decisions — masked
@@ -286,16 +207,10 @@ struct Inner {
     delays: Vec<u64>,
     /// Shrink mode: exactly these drain calls may delay.
     delay_mask: Option<BTreeSet<u64>>,
-    /// Thread handle per rank, registered at the rank's first `step`
-    /// (under this mutex, before the rank can ever be granted), so a
-    /// granter can unpark it. `None` until the rank first steps.
-    threads: Vec<Option<Thread>>,
     /// Grants actually issued (excludes the budget-exhausting draw).
     grants: u64,
-    /// Grants returned inline to the stepping rank (fast path).
+    /// Grants that drew the rank that had just stepped.
     self_grants: u64,
-    /// `Thread::unpark` wakeups issued by granters.
-    unparks: u64,
     /// Coverage-edge set for this run (always collected; quiet mode
     /// only suppresses the *log*, not the coverage signal).
     coverage: CoverageSet,
@@ -304,33 +219,19 @@ struct Inner {
     kills_seen: u8,
 }
 
-/// The serializing scheduler. Construct, wrap in an `Arc`, and pass to
+/// The seeded scheduler. Construct, wrap in an `Arc`, and pass to
 /// [`ftmpi::UniverseConfig::sim`].
 pub struct Scheduler {
     inner: Mutex<Inner>,
-    /// One handoff slot per rank: a grant travels to exactly the
-    /// granted rank through its slot word.
-    slots: Vec<HandoffSlot>,
     budget: u64,
-    /// [`SchedTuning::self_grant`], resolved.
-    self_grant: bool,
-    /// [`SchedTuning::spin`], resolved against the core count.
-    spin_limit: u32,
-    // Waiter-side counters. These are bumped outside the inner mutex
-    // (on the park/spin path), so they are atomics on the scheduler.
-    spin_grants: AtomicU64,
-    prepark_grants: AtomicU64,
-    parks: AtomicU64,
-    spin_iters: AtomicU64,
 }
 
 impl Scheduler {
     fn build(n: usize, seed: u64, budget: u64, record: bool) -> Self {
         Scheduler {
             inner: Mutex::new(Inner {
-                registered: n,
                 waiting: Vec::with_capacity(n),
-                running: None,
+                stepped: None,
                 rng: SplitMix64::new(seed),
                 rng_delay: SplitMix64::new(seed ^ 0x64656C_61797321),
                 rng_amount: SplitMix64::new(seed ^ 0x616D6F_756E7421),
@@ -341,31 +242,13 @@ impl Scheduler {
                 drain_calls: 0,
                 delays: Vec::new(),
                 delay_mask: None,
-                threads: vec![None; n],
                 grants: 0,
                 self_grants: 0,
-                unparks: 0,
                 coverage: CoverageSet::new(),
                 kills_seen: 0,
             }),
-            slots: (0..n).map(|_| HandoffSlot { state: AtomicU32::new(ARMED) }).collect(),
             budget,
-            self_grant: true,
-            spin_limit: auto_spin(n),
-            spin_grants: AtomicU64::new(0),
-            prepark_grants: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
-            spin_iters: AtomicU64::new(0),
         }
-    }
-
-    /// Apply explicit handoff tuning (builder style, before the
-    /// scheduler is shared). Schedule-invisible: any tuning runs the
-    /// identical decision sequence, only the handoff mechanics differ.
-    pub fn tuned(mut self, t: SchedTuning) -> Self {
-        self.self_grant = t.self_grant;
-        self.spin_limit = t.spin.unwrap_or_else(|| auto_spin(self.slots.len()));
-        self
     }
 
     /// Exploration-mode scheduler for `n` ranks: every decision drawn
@@ -449,189 +332,50 @@ impl Scheduler {
         let mut inner = self.inner.lock().unwrap();
         std::mem::replace(&mut inner.coverage, CoverageSet::empty())
     }
+}
 
-    /// Grant the token to a random parked rank if everyone registered
-    /// is parked. Must be called with the lock held. `current` is the
-    /// stepping rank when the caller is eligible for the self-grant
-    /// fast path; returns `true` iff the grant went to `current`
-    /// inline (no slot traffic at all).
-    fn try_dispatch(&self, inner: &mut Inner, current: Option<Rank>) -> bool {
-        if inner.aborted || inner.running.is_some() || inner.waiting.is_empty() {
-            return false;
+impl SchedHook for Scheduler {
+    fn arrive(&self, rank: Rank, _point: SchedPoint) {
+        let mut inner = self.inner.lock().unwrap();
+        // Never already present: a rank arrives only while running,
+        // and `next` removed it from the list when it was granted.
+        let pos = inner.waiting.binary_search(&rank).unwrap_err();
+        inner.waiting.insert(pos, rank);
+        inner.stepped = Some(rank);
+    }
+
+    fn next(&self) -> Option<(Rank, StepOutcome)> {
+        let mut inner = self.inner.lock().unwrap();
+        let stepped = inner.stepped.take();
+        if inner.waiting.is_empty() {
+            return None;
         }
-        if inner.waiting.len() != inner.registered {
-            return false; // somebody is still running toward a step point
-        }
-        inner.steps += 1;
-        if inner.steps > self.budget {
-            inner.aborted = true;
-            let phase = inner.kills_seen;
-            inner.coverage.record(0, EdgeKind::Budget, phase);
-            if inner.record {
-                inner.log.push(SchedEvent::Budget);
-            }
-            // Teardown is the one event every parked rank must see. No
-            // grant can be in flight here (`running` blocks dispatch
-            // until the grantee consumed it), so `ABORT` never
-            // overwrites a pending `GRANTED`.
-            for (rank, slot) in self.slots.iter().enumerate() {
-                if slot.state.swap(ABORT, Ordering::AcqRel) == PARKED {
-                    if let Some(t) = &inner.threads[rank] {
-                        t.unpark();
-                    }
+        let phase = inner.kills_seen;
+        if !inner.aborted {
+            inner.steps += 1;
+            if inner.steps > self.budget {
+                inner.aborted = true;
+                inner.coverage.record(0, EdgeKind::Budget, phase);
+                if inner.record {
+                    inner.log.push(SchedEvent::Budget);
                 }
             }
-            return false;
         }
-        let idx = inner.rng.below(inner.waiting.len());
+        if inner.aborted {
+            return Some((inner.waiting.remove(0), StepOutcome::Abort));
+        }
+        let waiting = inner.waiting.len();
+        let idx = inner.rng.below(waiting);
         let rank = inner.waiting.remove(idx);
-        inner.running = Some(rank);
         inner.grants += 1;
-        let phase = inner.kills_seen;
         inner.coverage.record(rank, EdgeKind::Grant, phase);
         if inner.record {
             inner.log.push(SchedEvent::Grant { rank });
         }
-        if current == Some(rank) {
-            // Self-grant fast path: the stepping rank drew itself —
-            // certain whenever it is the sole waiter. Return the grant
-            // inline; the park/wake pair is elided.
+        if stepped == Some(rank) {
             inner.self_grants += 1;
-            return true;
         }
-        // Direct handoff: flip the grantee's slot word. Unpark only if
-        // the waiter already committed to parking; if it is still in
-        // its spin/pre-park window it consumes the grant without ever
-        // sleeping.
-        let prev = self.slots[rank].state.swap(GRANTED, Ordering::AcqRel);
-        if prev == PARKED {
-            inner.unparks += 1;
-            inner.threads[rank]
-                .as_ref()
-                .expect("a waiting rank has stepped, so its thread is registered")
-                .unpark();
-        }
-        false
-    }
-
-    /// Wait on `rank`'s slot until granted or aborted. Called without
-    /// the inner lock; the grant signal travels through the slot word
-    /// (`Release` swap by the granter, `Acquire` loads here).
-    fn await_grant(&self, rank: Rank) -> StepOutcome {
-        let slot = &self.slots[rank];
-        // Phase 1: bounded spin (only when cores are spare; 0 on a
-        // saturated machine). A grant caught here never sleeps.
-        if self.spin_limit > 0 {
-            let mut iters: u64 = 0;
-            loop {
-                match slot.state.load(Ordering::Acquire) {
-                    GRANTED => {
-                        slot.state.store(ARMED, Ordering::Relaxed);
-                        self.spin_grants.fetch_add(1, Ordering::Relaxed);
-                        self.spin_iters.fetch_add(iters, Ordering::Relaxed);
-                        return StepOutcome::Run;
-                    }
-                    ABORT => {
-                        self.spin_iters.fetch_add(iters, Ordering::Relaxed);
-                        return self.abort_wait(rank);
-                    }
-                    _ => {
-                        if iters >= u64::from(self.spin_limit) {
-                            break;
-                        }
-                        std::hint::spin_loop();
-                        iters += 1;
-                    }
-                }
-            }
-            self.spin_iters.fetch_add(iters, Ordering::Relaxed);
-        }
-        // Phase 2: park. Announce PARKED first so the granter knows an
-        // unpark is needed, re-check, then sleep. A stale unpark token
-        // (granter saw PARKED but we consumed the grant en route) only
-        // makes one later park return early — `thread::park` tolerates
-        // spurious returns by contract, and the loop re-checks.
-        let mut parked = false;
-        loop {
-            match slot.state.load(Ordering::Acquire) {
-                GRANTED => {
-                    slot.state.store(ARMED, Ordering::Relaxed);
-                    if !parked {
-                        // Raced the granter without spinning — not an
-                        // engineered elision, so counted separately.
-                        self.prepark_grants.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return StepOutcome::Run;
-                }
-                ABORT => return self.abort_wait(rank),
-                ARMED => {
-                    let _ = slot.state.compare_exchange(
-                        ARMED,
-                        PARKED,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    );
-                }
-                _ => {
-                    // PARKED (by us): sleep until a granter unparks.
-                    self.parks.fetch_add(1, Ordering::Relaxed);
-                    parked = true;
-                    std::thread::park();
-                }
-            }
-        }
-    }
-
-    /// Budget fired while `rank` waited: leave the waiting set so a
-    /// concurrent accounting pass never sees a phantom parked rank.
-    fn abort_wait(&self, rank: Rank) -> StepOutcome {
-        let mut inner = self.inner.lock().unwrap();
-        Scheduler::unpark(&mut inner, rank);
-        StepOutcome::Abort
-    }
-
-    /// Insert `rank` into the sorted waiting list (it is never already
-    /// present: a rank parks only while it holds no token).
-    fn park(inner: &mut Inner, rank: Rank) {
-        let pos = inner.waiting.binary_search(&rank).unwrap_err();
-        inner.waiting.insert(pos, rank);
-    }
-
-    /// Remove `rank` from the waiting list if present.
-    fn unpark(inner: &mut Inner, rank: Rank) {
-        if let Ok(pos) = inner.waiting.binary_search(&rank) {
-            inner.waiting.remove(pos);
-        }
-    }
-}
-
-impl SchedHook for Scheduler {
-    fn step(&self, rank: Rank, _point: SchedPoint) -> StepOutcome {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.threads[rank].is_none() {
-            // First step of this rank's thread: register the handle a
-            // granter will unpark. Happens under the mutex before the
-            // rank can ever appear in `waiting`, so every grant
-            // targets a registered thread.
-            inner.threads[rank] = Some(std::thread::current());
-        }
-        if inner.running == Some(rank) {
-            inner.running = None;
-        }
-        if inner.aborted {
-            return StepOutcome::Abort;
-        }
-        Scheduler::park(&mut inner, rank);
-        let current = if self.self_grant { Some(rank) } else { None };
-        if self.try_dispatch(&mut inner, current) {
-            return StepOutcome::Run;
-        }
-        if inner.aborted {
-            Scheduler::unpark(&mut inner, rank);
-            return StepOutcome::Abort;
-        }
-        drop(inner);
-        self.await_grant(rank)
+        Some((rank, StepOutcome::Run))
     }
 
     fn choose(&self, rank: Rank, kind: ChoiceKind, n: usize) -> usize {
@@ -673,21 +417,11 @@ impl SchedHook for Scheduler {
 
     fn on_exit(&self, rank: Rank) {
         let mut inner = self.inner.lock().unwrap();
-        inner.registered = inner.registered.saturating_sub(1);
-        Scheduler::unpark(&mut inner, rank);
-        if inner.running == Some(rank) {
-            inner.running = None;
-        }
         let phase = inner.kills_seen;
         inner.coverage.record(rank, EdgeKind::Exit, phase);
         if inner.record {
             inner.log.push(SchedEvent::Exit { rank });
         }
-        // The exit may have completed the "everyone parked" condition;
-        // dispatch wakes whoever is granted. No other rank's wake
-        // condition changes, so no broadcast is needed. The exiting
-        // rank is not stepping, so no self-grant candidate here.
-        self.try_dispatch(&mut inner, None);
     }
 
     fn on_kill(&self, victim: Rank) {
@@ -714,13 +448,9 @@ impl SchedHook for Scheduler {
                 steps: inner.steps,
                 grants: inner.grants,
                 self_grants: inner.self_grants,
-                spin_grants: self.spin_grants.load(Ordering::Relaxed),
-                prepark_grants: self.prepark_grants.load(Ordering::Relaxed),
-                parks: self.parks.load(Ordering::Relaxed),
-                unparks: inner.unparks,
-                spin_iters: self.spin_iters.load(Ordering::Relaxed),
-                // Wall-clock transport counter; the pool fills this in.
-                park_safety_timeouts: 0,
+                // No thread is handed anything, and the transport
+                // counter is the pool's to fill in.
+                ..HandoffStats::default()
             },
             coverage: inner.coverage.stats(),
             // Attributed by the executor, not the scheduler.
@@ -732,7 +462,25 @@ impl SchedHook for Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+
+    /// Drive `n` ranks the way the runtime's driver does: every rank
+    /// arrives once, then each granted rank "runs" by arriving again
+    /// until it has taken `laps` steps (`None`: until aborted) and
+    /// exits.
+    fn drive(sched: &Scheduler, n: usize, laps: Option<usize>) {
+        let mut taken = vec![0usize; n];
+        for rank in 0..n {
+            sched.arrive(rank, SchedPoint::Enter);
+        }
+        while let Some((rank, outcome)) = sched.next() {
+            taken[rank] += 1;
+            if outcome == StepOutcome::Abort || Some(taken[rank]) == laps {
+                sched.on_exit(rank);
+            } else {
+                sched.arrive(rank, SchedPoint::Tick);
+            }
+        }
+    }
 
     #[test]
     fn splitmix_is_deterministic() {
@@ -745,47 +493,33 @@ mod tests {
     }
 
     #[test]
-    fn serializes_two_threads_and_logs_grants() {
-        let sched = Arc::new(Scheduler::new(2, 42, 1000));
-        let mut handles = Vec::new();
-        for me in 0..2 {
-            let s = Arc::clone(&sched);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..10 {
-                    assert_eq!(s.step(me, SchedPoint::Tick), StepOutcome::Run);
-                }
-                s.on_exit(me);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let grants = sched
-            .events()
-            .iter()
-            .filter(|e| matches!(e, SchedEvent::Grant { .. }))
-            .count();
-        assert_eq!(grants, 20);
+    fn grants_every_step_and_logs_them() {
+        let sched = Scheduler::new(2, 42, 1000);
+        drive(&sched, 2, Some(10));
+        let events = sched.events();
+        let grants = events.iter().filter(|e| matches!(e, SchedEvent::Grant { .. })).count();
+        let exits = events.iter().filter(|e| matches!(e, SchedEvent::Exit { .. })).count();
+        assert_eq!((grants, exits), (20, 2));
         assert!(!sched.budget_exhausted());
+        assert_eq!(sched.next(), None, "nobody is waiting after the last exit");
     }
 
+    /// Once the budget fires every waiting rank is handed `Abort`,
+    /// lowest first, with no further draws or steps.
     #[test]
     fn budget_exhaustion_aborts_every_rank() {
-        let sched = Arc::new(Scheduler::new(2, 1, 25));
-        let mut handles = Vec::new();
-        for me in 0..2 {
-            let s = Arc::clone(&sched);
-            handles.push(std::thread::spawn(move || {
-                // Spin until the budget fires, like a hung wait loop.
-                while s.step(me, SchedPoint::Tick) == StepOutcome::Run {}
-                s.on_exit(me);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        let sched = Scheduler::new(3, 1, 25);
+        drive(&sched, 3, None);
         assert!(sched.budget_exhausted());
-        assert!(sched.steps() > 25);
+        assert_eq!(sched.steps(), 26);
+        let events = sched.events();
+        let budget_at = events.iter().position(|e| *e == SchedEvent::Budget).unwrap();
+        assert_eq!(
+            events[budget_at + 1..],
+            [0, 1, 2].map(|rank| SchedEvent::Exit { rank }),
+            "after the budget event the ranks leave in rank order"
+        );
+        assert_eq!(sched.run_stats().handoff.grants, 25);
     }
 
     #[test]
@@ -809,23 +543,12 @@ mod tests {
         assert!(quiet.events().is_empty());
         assert!(quiet.log_text().is_empty());
         assert!(quiet.delay_calls().is_empty());
-        assert!(!recorded.delay_calls().is_empty() || recorded.delay_calls().is_empty());
     }
 
     #[test]
     fn quiet_budget_exhaustion_is_still_visible() {
-        let sched = Arc::new(Scheduler::quiet(2, 1, 25));
-        let mut handles = Vec::new();
-        for me in 0..2 {
-            let s = Arc::clone(&sched);
-            handles.push(std::thread::spawn(move || {
-                while s.step(me, SchedPoint::Tick) == StepOutcome::Run {}
-                s.on_exit(me);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        let sched = Scheduler::quiet(2, 1, 25);
+        drive(&sched, 2, None);
         assert!(sched.budget_exhausted(), "aborted flag works without the log");
         assert!(sched.events().is_empty());
     }
@@ -842,56 +565,13 @@ mod tests {
         assert_eq!(sched.delay_calls(), vec![1]);
     }
 
-    /// A sole-waiter rank always draws itself: every grant must take
-    /// the self-grant fast path, with zero parks and zero unparks.
+    /// A sole waiter always draws itself: every grant is a self-grant.
     #[test]
-    fn sole_waiter_grants_are_all_elided() {
+    fn sole_waiter_grants_are_all_self_grants() {
         let sched = Scheduler::new(1, 5, 1000);
-        for _ in 0..50 {
-            assert_eq!(sched.step(0, SchedPoint::Tick), StepOutcome::Run);
-        }
-        sched.on_exit(0);
+        drive(&sched, 1, Some(50));
         let stats = sched.run_stats().handoff;
-        assert_eq!(stats.grants, 50);
-        assert_eq!(stats.self_grants, 50);
-        assert_eq!(stats.elided(), 50);
-        assert_eq!(stats.parks, 0);
-        assert_eq!(stats.unparks, 0);
-    }
-
-    /// With the fast paths off ([`SchedTuning::disabled`]) the elided
-    /// counters are structurally zero — and the decision log is
-    /// byte-identical to the tuned run, because tuning only changes
-    /// handoff mechanics, never the schedule.
-    #[test]
-    fn disabled_tuning_elides_nothing_and_keeps_the_log() {
-        let run = |tuning: SchedTuning| {
-            let sched = Arc::new(Scheduler::new(2, 42, 1000).tuned(tuning));
-            let mut handles = Vec::new();
-            for me in 0..2 {
-                let s = Arc::clone(&sched);
-                handles.push(std::thread::spawn(move || {
-                    for _ in 0..10 {
-                        assert_eq!(s.step(me, SchedPoint::Tick), StepOutcome::Run);
-                    }
-                    s.on_exit(me);
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            (sched.log_text(), sched.run_stats().handoff)
-        };
-        let (log_on, stats_on) = run(SchedTuning::default());
-        let (log_off, stats_off) = run(SchedTuning::disabled());
-        assert_eq!(log_on, log_off, "tuning changed the schedule");
-        assert_eq!(stats_off.elided(), 0, "disabled tuning still elided handoffs");
-        assert_eq!(stats_off.self_grants, 0);
-        assert_eq!(stats_off.spin_grants, 0);
-        assert_eq!(stats_on.grants, stats_off.grants);
-        // Two ranks ping-ponging: the PRNG draws the stepping rank
-        // about half the time, so the tuned run must elide some.
-        assert!(stats_on.self_grants > 0, "no self-grants on a 2-rank ping-pong");
+        assert_eq!((stats.steps, stats.grants, stats.self_grants), (50, 50, 50));
     }
 
     #[test]

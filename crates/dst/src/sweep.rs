@@ -58,21 +58,13 @@ pub struct SweepCfg {
     /// lines carry a minimal event set.
     pub shrink_failures: bool,
     /// Run each worker's seeds on a persistent [`SeedRunner`] (reused
-    /// rank threads and universe state) instead of spawn-per-run.
+    /// rank stacks and universe state) instead of a fresh universe per
+    /// seed.
     /// Verdicts are identical either way — the pool's reset protocol is
     /// pinned byte-identical by the golden-log suite — so `false`
     /// exists for A/B comparison (`dst explore --no-pool`, the bench
     /// baselines), not correctness.
     pub use_pool: bool,
-    /// Total rank-thread budget for the sweep (`workers × ranks` stays
-    /// at or under it); `0` means auto: `max(12 × cores, 48)`. Each
-    /// worker universe has at most one runnable rank at a time (the
-    /// scheduler serializes it), so the budget bounds *runnable*
-    /// oversubscription at ~12 threads per core — inside the measured
-    /// plateau — rather than naively one worker per core, which
-    /// under-fills the machine whenever ranks spend time blocked in
-    /// handoff. Override with `dst explore --threads-budget N`.
-    pub threads_budget: usize,
 }
 
 impl Default for SweepCfg {
@@ -84,7 +76,6 @@ impl Default for SweepCfg {
             max_failures: 100,
             shrink_failures: false,
             use_pool: true,
-            threads_budget: 0,
         }
     }
 }
@@ -151,12 +142,6 @@ impl SweepBuilder {
     /// Persistent per-worker executor pools (`--no-pool` turns off).
     pub fn use_pool(mut self, on: bool) -> Self {
         self.cfg.use_pool = on;
-        self
-    }
-
-    /// Total rank-thread budget; 0 = auto (`--threads-budget`).
-    pub fn threads_budget(mut self, n: usize) -> Self {
-        self.cfg.threads_budget = n;
         self
     }
 
@@ -540,29 +525,15 @@ pub fn sweep(cfg: &SweepCfg, scenario: &ScenarioCfg) -> Result<SweepReport, Swee
     scenario.validate().map_err(SweepError::InvalidConfig)?;
     cfg.validate()?;
 
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    // Size workers against the total rank-thread budget rather than the
-    // core count: each worker universe contributes `ranks` threads but
-    // at most one of them is runnable at a time (the scheduler
-    // serializes it), so cores alone wildly under-fill the machine.
-    let budget = if cfg.threads_budget == 0 { (12 * cores).max(48) } else { cfg.threads_budget };
-    let cap = (budget / scenario.ranks.max(1)).max(1);
+    // A worker is one thread whatever the rank count (its ranks are
+    // coroutines on it) and it never blocks, so one per core fills the
+    // machine.
     let jobs = match cfg.jobs {
-        0 => cap,
-        n => n.min(cap),
+        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        n => n,
     };
     // More workers than seeds just park on an empty cursor.
     let jobs = jobs.min(cfg.count.min(usize::MAX as u64) as usize).max(1);
-
-    // When the sweep oversubscribes the cores — the normal case under
-    // the budget — spinning in the handoff paths only burns cycles
-    // another worker's runnable rank could use. Force it off unless the
-    // caller pinned an explicit spin limit.
-    let mut scenario = *scenario;
-    if scenario.tuning.spin.is_none() && jobs.saturating_mul(scenario.ranks) >= cores {
-        scenario.tuning.spin = Some(0);
-    }
-    let scenario = &scenario;
 
     let begun = Instant::now();
     // The cursor hands out *offsets* in `0..count`, never absolute
@@ -575,8 +546,8 @@ pub fn sweep(cfg: &SweepCfg, scenario: &ScenarioCfg) -> Result<SweepReport, Swee
         for _ in 0..jobs {
             scope.spawn(|| {
                 // One persistent executor pool per worker: every seed
-                // this worker claims reuses the same rank threads and
-                // universe state instead of spawning a fresh set.
+                // this worker claims reuses the same rank stacks and
+                // universe state instead of building a fresh set.
                 let mut runner = cfg.use_pool.then(|| SeedRunner::new(scenario.ranks));
                 loop {
                     let claim = cursor.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {

@@ -26,7 +26,7 @@ fn stdout(out: &Output) -> String {
 #[test]
 fn absurd_numeric_flags_are_usage_errors() {
     for args in [
-        ["explore", "--seeds", "1", "--ranks", "257"],
+        ["explore", "--seeds", "1", "--ranks", "1025"],
         ["explore", "--seeds", "1", "--ranks", "0x100000001"],
         ["explore", "--seeds", "1", "--jobs", "1025"],
         ["explore", "--seeds", "1", "--max-failures", "1000001"],
@@ -40,9 +40,7 @@ fn absurd_numeric_flags_are_usage_errors() {
             "{args:?} produced unexpected stderr: {err}"
         );
     }
-    // The caps themselves are accepted (jobs/max-failures don't need a
-    // run to validate; ranks=256 would be slow, so validate via replay
-    // parse path with a tiny world instead).
+    // In-range values are accepted.
     let out = dst(&["explore", "--seeds", "1", "--jobs", "4", "--max-failures", "10"]);
     assert!(out.status.success(), "in-range flags rejected: {}", stderr(&out));
 }
@@ -127,7 +125,6 @@ fn fuzz_flag_gating() {
         (vec!["fuzz", "--jobs", "2"], "--jobs only applies to explore"),
         (vec!["fuzz", "--no-pool"], "--no-pool only applies to explore"),
         (vec!["fuzz", "--shrink-failures"], "--shrink-failures only applies to explore"),
-        (vec!["fuzz", "--threads-budget", "8"], "--threads-budget only applies to explore"),
         (vec!["explore", "--seeds", "1", "--budget", "10"], "--budget only applies to fuzz"),
         (vec!["replay", "--seed", "3", "--stats"], "--stats only applies to explore and fuzz"),
     ] {
@@ -136,6 +133,64 @@ fn fuzz_flag_gating() {
         let err = stderr(&out);
         assert!(err.contains(needle), "{args:?} produced unexpected stderr: {err}");
     }
+}
+
+/// `--threads-budget` sized a pool of rank threads that no longer
+/// exists; it is gone, not ignored.
+#[test]
+fn the_rank_thread_budget_flag_is_gone() {
+    for cmd in ["explore", "fuzz"] {
+        let out = dst(&[cmd, "--threads-budget", "8"]);
+        assert!(!out.status.success(), "{cmd} --threads-budget was accepted");
+        let err = stderr(&out);
+        assert!(
+            err.contains("unknown flag: --threads-budget") && err.contains("usage:"),
+            "{cmd} --threads-budget produced unexpected stderr: {err}"
+        );
+    }
+}
+
+/// Simulated ranks are coroutines on their worker's thread: a 64-rank
+/// sweep ends with a verdict for every seed and never has more threads
+/// than its workers, the main thread and one to spare.
+#[cfg(target_os = "linux")]
+#[test]
+fn large_world_sweep_is_green_on_a_bounded_thread_count() {
+    const JOBS: usize = 2;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dst"))
+        .args(["explore", "--ranks", "64", "--seeds", "50", "--jobs", "2"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("dst binary runs");
+    let status_path = format!("/proc/{}/status", child.id());
+    let (mut peak, mut samples) = (0usize, 0usize);
+    while child.try_wait().expect("child is waitable").is_none() {
+        // The file vanishes when the child exits between the two calls.
+        if let Ok(status) = std::fs::read_to_string(&status_path) {
+            if let Some(threads) = status
+                .lines()
+                .find_map(|l| l.strip_prefix("Threads:"))
+                .and_then(|v| v.trim().parse::<usize>().ok())
+            {
+                peak = peak.max(threads);
+                samples += 1;
+            }
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let out = child.wait_with_output().expect("child output");
+    assert!(out.status.success(), "64-rank sweep failed: {}{}", stdout(&out), stderr(&out));
+    assert!(
+        stdout(&out).contains("explored 50 seeds") && stdout(&out).contains("50 green, 0 failing"),
+        "no verdict per seed: {}",
+        stdout(&out)
+    );
+    assert!(samples > 0, "the sweep finished before its thread count could be read");
+    assert!(
+        peak <= JOBS + 2,
+        "a {JOBS}-worker sweep of 64-rank universes peaked at {peak} threads"
+    );
 }
 
 /// A small fuzz campaign on the hardened ring: exit 0, a summary line

@@ -1,46 +1,51 @@
 //! Scheduler instrumentation for deterministic simulation testing.
 //!
-//! The `ftmpi` runtime runs each rank on an OS thread; which rank makes
-//! progress next is normally decided by the kernel scheduler, so a
-//! buggy interleaving reproduces only by luck. A [`SchedHook`] turns
-//! those decisions into explicit calls the runtime makes at every
-//! *scheduling point*, letting a harness (the `dst` crate) serialize
-//! the ranks and drive every decision from a seeded PRNG — the
+//! In wall-clock mode the `ftmpi` runtime runs each rank on an OS
+//! thread; which rank makes progress next is decided by the kernel
+//! scheduler, so a buggy interleaving reproduces only by luck. A
+//! [`SchedHook`] turns those decisions into explicit calls the runtime
+//! makes at every *scheduling point*, letting a harness (the `dst`
+//! crate) drive every decision from a seeded PRNG — the
 //! FoundationDB-style simulation approach: one `u64` seed names one
 //! complete interleaving, reproducible forever.
 //!
-//! The runtime's side of the contract:
+//! Under a hook the runtime runs every rank as a coroutine on the
+//! caller's thread, so at most one rank executes at any instant by
+//! construction and the hook is a plain decision structure: it never
+//! blocks and never touches a thread. The runtime's side of the
+//! contract:
 //!
-//! * Every rank calls [`SchedHook::step`] when it enters the universe
-//!   ([`SchedPoint::Enter`]), at the top of every wait-loop pass
-//!   ([`SchedPoint::Tick`]), and before every send
-//!   ([`SchedPoint::Send`]). The call may **block** — that is the
-//!   mechanism by which a serializing scheduler admits one rank at a
-//!   time. A [`StepOutcome::Abort`] return tells the rank the logical
-//!   step budget is exhausted (the deterministic replacement for a
-//!   wall-clock hang watchdog) and it must abort the job.
+//! * Every rank calls [`SchedHook::arrive`] when it enters the
+//!   universe ([`SchedPoint::Enter`]), at the top of every wait-loop
+//!   pass ([`SchedPoint::Tick`]), and before every send
+//!   ([`SchedPoint::Send`]), then suspends.
+//! * With every live rank suspended, the runtime's driver asks
+//!   [`SchedHook::next`] which one resumes, and with what verdict: a
+//!   [`StepOutcome::Abort`] tells the rank the logical step budget is
+//!   exhausted (the deterministic replacement for a wall-clock hang
+//!   watchdog) and it must abort the job. `None` means no rank is
+//!   waiting — the run is over.
 //! * Every nondeterministic *choice* with `n` alternatives is routed
 //!   through [`SchedHook::choose`]: which ready request `waitany`
 //!   picks, which sender an `ANY_SOURCE` receive matches, and how many
 //!   queued envelopes a mailbox drain delivers (delaying the rest).
-//! * [`SchedHook::on_exit`] is called exactly once per rank thread when
-//!   it leaves the universe (normal return, failure, or panic), so the
-//!   scheduler never waits for a rank that is gone.
+//! * [`SchedHook::on_exit`] is called exactly once per rank when it
+//!   leaves the universe (normal return, failure, or panic).
 //! * [`SchedHook::on_kill`] reports fail-stop transitions for the
 //!   harness's event log.
 //! * [`SchedHook::now`] is a logical clock; the runtime uses it to
 //!   timestamp trace events so two runs of the same schedule produce
 //!   byte-identical logs.
 //!
-//! When no hook is installed the runtime behaves exactly as before:
-//! every instrumentation site is a no-op on the `None` path.
+//! When no hook is installed every instrumentation site is a no-op on
+//! the `None` path.
 
 use crate::{Rank, Tag};
 
-/// Where in the runtime a blocking scheduling point sits.
+/// Where in the runtime a scheduling point sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedPoint {
-    /// Rank thread entered the universe, before user code runs.
+    /// Rank entered the universe, before user code runs.
     Enter,
     /// Top of a wait-loop pass (the single blocking funnel).
     Tick,
@@ -66,7 +71,7 @@ pub enum ChoiceKind {
     Drain,
 }
 
-/// Verdict of a [`SchedHook::step`] call.
+/// Verdict a rank resumes with after [`SchedHook::arrive`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOutcome {
     /// Proceed.
@@ -76,18 +81,18 @@ pub enum StepOutcome {
     Abort,
 }
 
-/// Handoff-path performance counters reported by a [`SchedHook`].
+/// Scheduling counters reported by a [`SchedHook`].
 ///
-/// A serializing scheduler hands the CPU from rank to rank at every
-/// [`SchedHook::step`]; each handoff normally costs a park/unpark pair
-/// of OS context switches. Implementations that elide handoffs (grant
-/// the stepping rank inline, or catch a grant by spinning before
-/// parking) expose the accounting here so harnesses can report the
-/// win per run instead of inferring it from throughput.
+/// `steps`, `grants` and `self_grants` are logical properties of the
+/// schedule. The thread-handoff counters (`spin_grants`,
+/// `prepark_grants`, `parks`, `unparks`, `spin_iters`) date from when
+/// every rank was an OS thread; simulated ranks are coroutines now, so
+/// a scheduler reports them as 0. The fields stay because the
+/// repository's frozen benchmark reads them.
 ///
-/// All counters are cumulative since the hook was constructed (or
-/// reset), and travel as the `handoff` field of [`RunStats`] (the
-/// default [`SchedHook::run_stats`] returns zeros).
+/// All counters are cumulative since the hook was constructed, and
+/// travel as the `handoff` field of [`RunStats`] (the default
+/// [`SchedHook::run_stats`] returns zeros).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HandoffStats {
     /// Logical steps taken (grant attempts, including the one that
@@ -95,8 +100,9 @@ pub struct HandoffStats {
     pub steps: u64,
     /// Grants actually issued.
     pub grants: u64,
-    /// Grants returned inline to the stepping rank (self-grant fast
-    /// path): no park, no unpark, no context switch.
+    /// Grants where the PRNG drew the rank that had just stepped —
+    /// always, when it is the sole waiter, which is the common case for
+    /// the paper's one-token-in-flight ring.
     pub self_grants: u64,
     /// Grants consumed during the bounded spin phase, before the
     /// waiter ever parked.
@@ -117,12 +123,6 @@ pub struct HandoffStats {
 }
 
 impl HandoffStats {
-    /// Handoffs that skipped the park/unpark context-switch pair
-    /// thanks to an explicit fast path.
-    pub fn elided(&self) -> u64 {
-        self.self_grants + self.spin_grants
-    }
-
     /// Accumulate another run's counters (sweep aggregation).
     pub fn add(&mut self, other: &HandoffStats) {
         self.steps += other.steps;
@@ -185,7 +185,7 @@ impl CoverageStats {
 /// call wherever runs are summed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
-    /// Handoff-path performance counters (context-switch elision).
+    /// Scheduling counters (steps, grants, self-grants).
     pub handoff: HandoffStats,
     /// Schedule-coverage summary (distinct decision edges + digest).
     pub coverage: CoverageStats,
@@ -211,16 +211,23 @@ impl RunStats {
 /// Scheduling decisions driven by a test harness. See the module docs
 /// for the runtime's calling contract.
 pub trait SchedHook: Send + Sync {
-    /// Blocking scheduling point; returns when `rank` may proceed.
-    fn step(&self, rank: Rank, point: SchedPoint) -> StepOutcome;
+    /// `rank` reached a scheduling point and is about to suspend.
+    /// Never blocks.
+    fn arrive(&self, rank: Rank, point: SchedPoint);
+
+    /// Driver side, called with every live rank suspended: the rank to
+    /// resume next and the verdict it resumes with, or `None` when no
+    /// rank is waiting. A rank named here stops waiting until its next
+    /// [`SchedHook::arrive`].
+    fn next(&self) -> Option<(Rank, StepOutcome)>;
 
     /// Resolve an `n`-way choice (`n >= 1` for [`ChoiceKind::WaitAny`]
     /// and [`ChoiceKind::AnySource`], `n >= 2` for
     /// [`ChoiceKind::Drain`]). Must return a value in `0..n`.
     fn choose(&self, rank: Rank, kind: ChoiceKind, n: usize) -> usize;
 
-    /// `rank`'s thread is leaving the universe; it will make no further
-    /// `step`/`choose` calls.
+    /// `rank` is leaving the universe; it will make no further
+    /// `arrive`/`choose` calls.
     fn on_exit(&self, rank: Rank);
 
     /// `victim` was fail-stopped (for the harness event log).
@@ -231,7 +238,7 @@ pub trait SchedHook: Send + Sync {
         0
     }
 
-    /// Per-run statistics accumulated so far (handoff counters +
+    /// Per-run statistics accumulated so far (scheduling counters +
     /// coverage summary; the `alloc` field is filled in by the
     /// executor, not the scheduler). Hooks without instrumentation
     /// report zeros.
@@ -243,17 +250,19 @@ pub trait SchedHook: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
-    /// A trivially conforming hook: everything proceeds, choice 0.
-    struct PassThrough {
-        steps: AtomicUsize,
+    /// A trivially conforming hook: first come, first served, choice 0.
+    struct Fifo {
+        waiting: Mutex<std::collections::VecDeque<Rank>>,
     }
 
-    impl SchedHook for PassThrough {
-        fn step(&self, _rank: Rank, _point: SchedPoint) -> StepOutcome {
-            self.steps.fetch_add(1, Ordering::Relaxed);
-            StepOutcome::Run
+    impl SchedHook for Fifo {
+        fn arrive(&self, rank: Rank, _point: SchedPoint) {
+            self.waiting.lock().unwrap().push_back(rank);
+        }
+        fn next(&self) -> Option<(Rank, StepOutcome)> {
+            self.waiting.lock().unwrap().pop_front().map(|r| (r, StepOutcome::Run))
         }
         fn choose(&self, _rank: Rank, _kind: ChoiceKind, n: usize) -> usize {
             assert!(n >= 1);
@@ -265,15 +274,17 @@ mod tests {
     #[test]
     fn object_safety_and_defaults() {
         let hook: std::sync::Arc<dyn SchedHook> =
-            std::sync::Arc::new(PassThrough { steps: AtomicUsize::new(0) });
-        assert_eq!(hook.step(0, SchedPoint::Tick), StepOutcome::Run);
-        assert_eq!(hook.step(1, SchedPoint::Send { dst: 0, tag: 7 }), StepOutcome::Run);
+            std::sync::Arc::new(Fifo { waiting: Mutex::default() });
+        hook.arrive(0, SchedPoint::Tick);
+        hook.arrive(1, SchedPoint::Send { dst: 0, tag: 7 });
+        assert_eq!(hook.next(), Some((0, StepOutcome::Run)));
+        assert_eq!(hook.next(), Some((1, StepOutcome::Run)));
+        assert_eq!(hook.next(), None);
         assert_eq!(hook.choose(0, ChoiceKind::Drain, 3), 0);
         hook.on_kill(2);
         assert_eq!(hook.now(), 0);
         let stats = hook.run_stats();
         assert_eq!(stats, RunStats::default());
-        assert_eq!(stats.handoff.elided(), 0);
         assert_eq!(stats.coverage.edges, 0);
     }
 
@@ -294,7 +305,7 @@ mod tests {
         total.add(&one);
         total.add(&one);
         assert_eq!(total.grants, 18);
-        assert_eq!(total.elided(), 10);
+        assert_eq!(total.self_grants, 6);
         assert_eq!(total.park_safety_timeouts, 2);
     }
 

@@ -1,0 +1,477 @@
+//! Stackful coroutines: the simulated ranks of one universe, all on
+//! the calling thread (DESIGN.md §8.5).
+//!
+//! A [`Group`] runs `body(0) .. body(n - 1)` each on its own
+//! [`Coroutine`] stack. The driver ([`crate::pool`]) resumes one with
+//! [`Group::resume`]; it runs until it calls [`suspend`] (from
+//! `Process::sched_step`) or returns. That round trip is two
+//! user-space [`switch`]es where the thread-per-rank executor paid two
+//! kernel context switches. This file holds the simulation's only
+//! `unsafe` — the switch, the stack mappings, the raw control-block
+//! pointers — behind a safe API.
+//!
+//! `switch` saves what the C ABI makes a callee preserve: on `x86_64`
+//! (System V) `rbx`, `rbp`, `r12`–`r15` and `rsp`; on `aarch64`
+//! (AAPCS64) `x19`–`x30`, `d8`–`d15` and `sp`. (`mxcsr`/x87 control
+//! bits are callee-saved too; nothing here changes them, so all
+//! coroutines share the thread's.) Any other target is a compile error.
+//!
+//! ```text
+//! base              base + GUARD                       base + GUARD + STACK
+//!  | PROT_NONE guard  | <----------- stack grows down ----------- | top
+//! ```
+//!
+//! An overflow hits the guard and the process dies with SIGSEGV instead
+//! of corrupting a neighbour. A fresh stack holds one hand-built
+//! `switch` frame returning into [`entry`], 16-byte aligned as at any
+//! call boundary, with zeros above so a backtrace taken in a rank ends
+//! there; `entry` runs the body under `catch_unwind`, so no unwind
+//! reaches an assembly frame.
+//!
+//! **Never drop a suspended coroutine.** Its stack holds live frames
+//! (destructors, `Arc` clones, borrows of the driver's frame) that
+//! nothing can unwind from outside. The driver resumes every rank until
+//! it has *finished* — after budget exhaustion with
+//! `StepOutcome::Abort`, so each returns `Err(Aborted)` through its own
+//! frames. A [`Group`] dropped earlier (the driver itself panicked)
+//! forgets those frames: a leak, not undefined behaviour.
+
+use std::cell::{Cell, UnsafeCell};
+use std::ffi::{c_int, c_void};
+use std::marker::PhantomData;
+use std::panic::AssertUnwindSafe;
+
+use faultsim::StepOutcome;
+
+#[cfg(not(all(unix, any(target_arch = "x86_64", target_arch = "aarch64"))))]
+compile_error!(
+    "ftmpi's simulation core switches stacks in assembly and supports \
+     x86_64 and aarch64 on unix only"
+);
+
+/// Usable bytes of one rank's stack — the one sizing constant of the
+/// simulation core. Rank bodies are protocol code (the ring, the
+/// collectives) a few KiB deep; 256 KiB leaves room for debug-profile
+/// frames plus a panic with a symbolised backtrace. Pages are
+/// committed on first touch, so a 1024-rank universe maps 256 MiB but
+/// keeps resident only what its ranks actually used.
+const STACK_BYTES: usize = 256 * 1024;
+
+/// Inaccessible bytes below each stack. 64 KiB is a whole number of
+/// pages at every page size the two targets use (4, 16 and 64 KiB).
+const GUARD_BYTES: usize = 64 * 1024;
+
+const PROT_NONE: c_int = 0;
+const PROT_READ: c_int = 1;
+const PROT_WRITE: c_int = 2;
+const MAP_PRIVATE: c_int = 0x02;
+#[cfg(any(target_os = "linux", target_os = "android"))]
+const MAP_ANONYMOUS: c_int = 0x20;
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+const MAP_ANONYMOUS: c_int = 0x1000;
+
+extern "C" {
+    fn mmap(
+        addr: *mut c_void,
+        len: usize,
+        prot: c_int,
+        flags: c_int,
+        fd: c_int,
+        offset: i64,
+    ) -> *mut c_void;
+    fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
+    fn munmap(addr: *mut c_void, len: usize) -> c_int;
+}
+
+/// Save the callee-saved registers on the current stack, store the
+/// stack pointer to `*from`, load the stack pointer `*to` and restore
+/// the registers found there. Returns on the *other* stack; the call
+/// "returns" here when something later switches back to `*from`.
+///
+/// # Safety
+///
+/// `from` must be writable and `*to` must be a stack pointer stored by
+/// an earlier `switch` (or built by [`Coroutine::arm`]) on a stack
+/// that is still mapped and not currently running.
+#[cfg(target_arch = "x86_64")]
+#[unsafe(naked)]
+unsafe extern "C" fn switch(from: *mut *mut u8, to: *const *mut u8) {
+    core::arch::naked_asm!(
+        "push rbp",
+        "push rbx",
+        "push r12",
+        "push r13",
+        "push r14",
+        "push r15",
+        "mov [rdi], rsp",
+        "mov rsp, [rsi]",
+        "pop r15",
+        "pop r14",
+        "pop r13",
+        "pop r12",
+        "pop rbx",
+        "pop rbp",
+        "ret",
+    )
+}
+
+#[cfg(target_arch = "aarch64")]
+#[unsafe(naked)]
+unsafe extern "C" fn switch(from: *mut *mut u8, to: *const *mut u8) {
+    core::arch::naked_asm!(
+        "sub sp, sp, #160",
+        "stp x19, x20, [sp, #0]",
+        "stp x21, x22, [sp, #16]",
+        "stp x23, x24, [sp, #32]",
+        "stp x25, x26, [sp, #48]",
+        "stp x27, x28, [sp, #64]",
+        "stp x29, x30, [sp, #80]",
+        "stp d8, d9, [sp, #96]",
+        "stp d10, d11, [sp, #112]",
+        "stp d12, d13, [sp, #128]",
+        "stp d14, d15, [sp, #144]",
+        "mov x9, sp",
+        "str x9, [x0]",
+        "ldr x9, [x1]",
+        "mov sp, x9",
+        "ldp x19, x20, [sp, #0]",
+        "ldp x21, x22, [sp, #16]",
+        "ldp x23, x24, [sp, #32]",
+        "ldp x25, x26, [sp, #48]",
+        "ldp x27, x28, [sp, #64]",
+        "ldp x29, x30, [sp, #80]",
+        "ldp d8, d9, [sp, #96]",
+        "ldp d10, d11, [sp, #112]",
+        "ldp d12, d13, [sp, #128]",
+        "ldp d14, d15, [sp, #144]",
+        "add sp, sp, #160",
+        "ret",
+    )
+}
+
+/// Words in the frame `switch` pops when it lands on a stack.
+#[cfg(target_arch = "x86_64")]
+const FRAME_WORDS: usize = 8; // six registers, return address, zero caller slot
+#[cfg(target_arch = "aarch64")]
+const FRAME_WORDS: usize = 20; // 160 bytes of saved registers
+
+/// Index of the word `switch`'s `ret` jumps through.
+#[cfg(target_arch = "x86_64")]
+const RETURN_WORD: usize = 6;
+#[cfg(target_arch = "aarch64")]
+const RETURN_WORD: usize = 11; // the x30 slot
+
+/// First instruction a fresh coroutine executes. On x86_64 `switch`'s
+/// `ret` lands directly on [`entry`] with a zero return address above
+/// it; aarch64 returns through `x30`, which would otherwise still name
+/// `start` and send a backtrace in circles, so clear it first.
+#[cfg(target_arch = "x86_64")]
+use entry as start;
+
+#[cfg(target_arch = "aarch64")]
+#[unsafe(naked)]
+unsafe extern "C" fn start() -> ! {
+    core::arch::naked_asm!("mov x30, xzr", "b {entry}", entry = sym entry)
+}
+
+thread_local! {
+    /// Control block of the coroutine running on this thread (null on
+    /// a plain thread stack); saved and restored around a resume.
+    static CURRENT: Cell<*mut Control> = const { Cell::new(std::ptr::null_mut()) };
+}
+
+/// What the two sides of a coroutine share. Reached through raw
+/// pointers only: while the coroutine runs, both its own frames
+/// ([`suspend`], [`entry`]) and the suspended resumer refer to it.
+struct Control {
+    /// The coroutine's stack pointer while it is suspended.
+    coro_sp: *mut u8,
+    /// The resumer's stack pointer while the coroutine runs.
+    resumer_sp: *mut u8,
+    /// The value the next [`suspend`] return hands to the rank.
+    msg: StepOutcome,
+    /// Started and not finished: live frames on the stack.
+    live: bool,
+    /// The group's body and this coroutine's argument to it. The
+    /// lifetime is erased; [`Group`] keeps the borrow alive.
+    body: *const (dyn Fn(usize) + 'static),
+    arg: usize,
+}
+
+/// One mapped stack plus its control block, reusable across runs.
+pub(crate) struct Coroutine {
+    base: *mut u8,
+    ctl: UnsafeCell<Control>,
+}
+
+// SAFETY: a `Coroutine` that can be moved is not borrowed by a
+// `Group`, so nothing on its stack is live; what remains is an owned
+// anonymous mapping and plain words, which any thread may own.
+unsafe impl Send for Coroutine {}
+
+impl Coroutine {
+    /// Map a fresh stack with its guard page.
+    ///
+    /// Panics when the kernel refuses the mapping — the same failure a
+    /// refused thread spawn was.
+    pub(crate) fn new() -> Coroutine {
+        let len = GUARD_BYTES + STACK_BYTES;
+        // SAFETY: an anonymous private mapping at a kernel-chosen
+        // address aliases nothing.
+        let base = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                len,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        assert!(
+            base as isize != -1,
+            "cannot map a {len}-byte coroutine stack: {}",
+            std::io::Error::last_os_error()
+        );
+        // SAFETY: the range is the low end of the mapping just made.
+        let rc = unsafe { mprotect(base, GUARD_BYTES, PROT_NONE) };
+        assert!(
+            rc == 0,
+            "cannot protect the coroutine stack guard: {}",
+            std::io::Error::last_os_error()
+        );
+        Coroutine {
+            base: base.cast(),
+            ctl: UnsafeCell::new(Control {
+                coro_sp: std::ptr::null_mut(),
+                resumer_sp: std::ptr::null_mut(),
+                msg: StepOutcome::Run,
+                live: false,
+                body: std::ptr::null::<fn(usize)>() as *const (dyn Fn(usize) + 'static),
+                arg: 0,
+            }),
+        }
+    }
+
+    /// Build the initial `switch` frame so the first resume starts
+    /// `body(arg)` at the top of this stack.
+    fn arm(&mut self, body: *const (dyn Fn(usize) + 'static), arg: usize) {
+        let top = self.base.wrapping_add(GUARD_BYTES + STACK_BYTES);
+        let frame = top.wrapping_sub(FRAME_WORDS * 8).cast::<usize>();
+        // SAFETY: the frame lies inside the writable part of this
+        // coroutine's own mapping (FRAME_WORDS * 8 < STACK_BYTES),
+        // word-aligned because the mapping is page-aligned; `&mut
+        // self` means no group is running on it.
+        unsafe {
+            std::ptr::write_bytes(frame, 0, FRAME_WORDS);
+            frame.add(RETURN_WORD).write(start as *const () as usize);
+        }
+        let ctl = self.ctl.get_mut();
+        ctl.coro_sp = frame.cast();
+        ctl.msg = StepOutcome::Run;
+        ctl.live = true;
+        ctl.body = body;
+        ctl.arg = arg;
+    }
+}
+
+impl Drop for Coroutine {
+    fn drop(&mut self) {
+        // SAFETY: `base` is the mapping `new` made, of this length; no
+        // group borrows a coroutine being dropped, so nothing runs on
+        // it. A failure would only leak the mapping.
+        unsafe { munmap(self.base.cast(), GUARD_BYTES + STACK_BYTES) };
+    }
+}
+
+/// Where a fresh coroutine begins: run the body, mark the coroutine
+/// finished, switch back for good.
+extern "C" fn entry() -> ! {
+    let ctl = CURRENT.get();
+    // SAFETY: only a resume reaches this function, and it set CURRENT
+    // to the control block of the coroutine it switched to; `body`
+    // outlives the group that is resuming us.
+    let (body, arg) = unsafe { (&*(*ctl).body, (*ctl).arg) };
+    // An unwind must not reach the hand-built frame above us. The
+    // payload is dropped here: the pool's rank body already turned a
+    // panicking rank into an outcome, what is left is its bookkeeping.
+    let _ = std::panic::catch_unwind(AssertUnwindSafe(|| body(arg)));
+    // SAFETY: as above; the resumer's stack pointer was stored by the
+    // `switch` that brought us here (or a later one) and its stack is
+    // suspended in that call.
+    unsafe {
+        (*ctl).live = false;
+        switch(&raw mut (*ctl).coro_sp, &raw const (*ctl).resumer_sp);
+    }
+    unreachable!("a finished coroutine was resumed");
+}
+
+/// Suspend the calling coroutine until its driver resumes it, and
+/// return the verdict the driver passed.
+///
+/// Panics when the caller is not running on a coroutine — a simulation
+/// scheduler installed on a universe that nobody drives.
+pub(crate) fn suspend() -> StepOutcome {
+    let ctl = CURRENT.get();
+    assert!(!ctl.is_null(), "scheduling point reached outside a simulated rank");
+    // SAFETY: CURRENT is non-null only between a resume's two
+    // `CURRENT` stores, i.e. while we run on that coroutine's stack;
+    // the resumer is suspended inside `switch` with its stack pointer
+    // in `resumer_sp`.
+    unsafe {
+        switch(&raw mut (*ctl).coro_sp, &raw const (*ctl).resumer_sp);
+        (*ctl).msg
+    }
+}
+
+/// `body(0) .. body(n - 1)`, each armed on its own coroutine.
+pub(crate) struct Group<'a> {
+    coros: &'a mut [Coroutine],
+    /// Coroutines started and not yet finished.
+    live: usize,
+    /// Keeps `body` borrowed for as long as a coroutine may call it.
+    _body: PhantomData<&'a (dyn Fn(usize) + 'a)>,
+}
+
+impl<'a> Group<'a> {
+    /// Arm `coros[i]` to run `body(i)`. Nothing runs until the first
+    /// [`Group::resume`].
+    pub(crate) fn new(coros: &'a mut [Coroutine], body: &'a (dyn Fn(usize) + 'a)) -> Group<'a> {
+        // SAFETY: erases the lifetime of a fat reference; the pointer
+        // is only dereferenced by `entry` during a `resume` of this
+        // group, which `_body` confines to 'a.
+        let body: *const (dyn Fn(usize) + 'static) = unsafe {
+            std::mem::transmute::<*const (dyn Fn(usize) + 'a), *const (dyn Fn(usize) + 'static)>(
+                body,
+            )
+        };
+        for (i, c) in coros.iter_mut().enumerate() {
+            c.arm(body, i);
+        }
+        let live = coros.len();
+        Group { coros, live, _body: PhantomData }
+    }
+
+    /// Run coroutine `i` until it suspends or finishes; `msg` is what
+    /// its pending [`suspend`] returns (ignored by the first resume,
+    /// which starts the body). Returns `true` once `i` has finished.
+    ///
+    /// Panics if `i` already finished.
+    pub(crate) fn resume(&mut self, i: usize, msg: StepOutcome) -> bool {
+        let ctl = self.coros[i].ctl.get();
+        // SAFETY: `ctl` points into `self.coros[i]`, exclusively
+        // borrowed for 'a, so only coroutine `i`'s own frames alias it
+        // — and they run strictly inside the `switch` below. `coro_sp`
+        // is the armed frame or what its last `suspend` stored, on a
+        // stack that stays mapped while `self` borrows the coroutine.
+        unsafe {
+            assert!((*ctl).live, "coroutine {i} resumed after it finished");
+            (*ctl).msg = msg;
+            let outer = CURRENT.replace(ctl);
+            switch(&raw mut (*ctl).resumer_sp, &raw const (*ctl).coro_sp);
+            CURRENT.set(outer);
+            self.live -= usize::from(!(*ctl).live);
+            !(*ctl).live
+        }
+    }
+
+    /// Coroutines that have not finished.
+    pub(crate) fn live(&self) -> usize {
+        self.live
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::RefCell;
+
+    /// Drive every coroutine round-robin until all have finished.
+    fn round_robin(mut group: Group<'_>, n: usize) {
+        let mut done = vec![false; n];
+        while group.live() > 0 {
+            for (i, d) in done.iter_mut().enumerate() {
+                if !*d {
+                    *d = group.resume(i, StepOutcome::Run);
+                }
+            }
+        }
+    }
+
+    /// More live integer and floating-point values than there are
+    /// callee-saved registers, updated across `pause` calls and then
+    /// formatted (`f64` formatting spills through SSE/NEON: a
+    /// misaligned coroutine stack faults there).
+    fn churn(i: usize, pause: impl Fn()) -> String {
+        let mut ints: [u64; 8] = std::array::from_fn(|k| std::hint::black_box((i * 100 + k) as u64));
+        let mut floats: [f64; 10] =
+            std::array::from_fn(|k| std::hint::black_box(i as f64 + k as f64 / 16.0));
+        for round in 0..50u64 {
+            for v in ints.iter_mut() {
+                *v = v.wrapping_mul(6364136223846793005).wrapping_add(round);
+            }
+            for v in floats.iter_mut() {
+                *v = *v * 1.0000001 + 0.5;
+            }
+            pause();
+        }
+        format!("{ints:?} {floats:.9?}")
+    }
+
+    /// N-way interleaving leaves every coroutine's integer and
+    /// floating-point state intact — `switch` preserves the
+    /// callee-saved registers — and the stacks are reusable: a second
+    /// group on the same coroutines starts from clean frames.
+    #[test]
+    fn round_robin_preserves_integer_and_float_state() {
+        const N: usize = 7;
+        let out = RefCell::new(vec![String::new(); N]);
+        let body = |i: usize| {
+            let text = churn(i, || assert_eq!(suspend(), StepOutcome::Run));
+            out.borrow_mut()[i] = text;
+        };
+        let mut coros: Vec<Coroutine> = (0..N).map(|_| Coroutine::new()).collect();
+        for _ in 0..2 {
+            out.borrow_mut().fill(String::new());
+            round_robin(Group::new(&mut coros, &body), N);
+            for (i, got) in out.borrow().iter().enumerate() {
+                assert_eq!(*got, churn(i, || ()), "coroutine {i}");
+            }
+        }
+    }
+
+    /// A panicking body is caught on its own stack: the coroutine
+    /// counts as finished, its locals were dropped by the unwind, its
+    /// sibling keeps running, and `Abort` reaches the pending `suspend`.
+    #[test]
+    fn a_panicking_body_finishes_its_coroutine_only() {
+        struct Flag<'a>(&'a Cell<bool>);
+        impl Drop for Flag<'_> {
+            fn drop(&mut self) {
+                self.0.set(true);
+            }
+        }
+        let (dropped, sibling_done) = (Cell::new(false), Cell::new(false));
+        let body = |i: usize| {
+            let _flag = (i == 0).then(|| Flag(&dropped));
+            let verdict = suspend();
+            if i == 0 {
+                panic!("rank body panics on a coroutine stack, told {verdict:?}");
+            }
+            sibling_done.set(verdict == StepOutcome::Abort);
+        };
+        let mut coros = vec![Coroutine::new(), Coroutine::new()];
+        let mut group = Group::new(&mut coros, &body);
+        assert!(!group.resume(0, StepOutcome::Run) && !group.resume(1, StepOutcome::Run));
+        assert!(group.resume(0, StepOutcome::Run), "the panic finishes coroutine 0");
+        assert!(dropped.get(), "the unwind must run the panicking body's destructors");
+        assert!(group.resume(1, StepOutcome::Abort) && sibling_done.get());
+        assert_eq!(group.live(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a simulated rank")]
+    fn suspend_on_a_plain_thread_panics() {
+        suspend();
+    }
+}

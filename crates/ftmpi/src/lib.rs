@@ -50,6 +50,7 @@
 mod collective;
 mod comm;
 mod coord;
+mod coro;
 mod datatype;
 mod detector;
 mod error;

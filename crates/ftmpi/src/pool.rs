@@ -5,27 +5,36 @@
 //! failure registry, coordination boards, trace sink). For a single
 //! run that cost is noise; for a deterministic-simulation sweep
 //! executing thousands of schedules per second it is the dominant
-//! overhead — at ~2600 schedules/sec × 4 ranks, more than ten thousand
-//! thread creations per second of pure churn.
+//! overhead.
 //!
-//! [`UniversePool::new(n)`](UniversePool::new) owns `n` long-lived
-//! worker threads (named `rank-{i}`); [`UniversePool::run`] resets the
-//! shared universe state in place (`Shared::reset` — queues cleared
-//! with capacity retained, counters rewound, boards emptied) and hands
-//! each worker the closure for one run. [`crate::run`] remains the
-//! spawn-per-run path as a thin wrapper over a one-shot pool.
+//! A [`UniversePool`] keeps two executors warm across runs, each built
+//! by the first run that needs it, and resets the shared universe
+//! state in place (`Shared::reset` — queues cleared with capacity
+//! retained, counters rewound, boards emptied):
+//!
+//! * **wall-clock** (`cfg.sched == None`): `n` long-lived worker
+//!   threads named `rank-{i}`, each handed the closure for one run;
+//! * **simulation** (`UniverseConfig::sim`): `n` coroutine stacks
+//!   ([`crate::coro`]) and a driver loop on the *calling* thread. A
+//!   rank's `sched_step` tells the scheduler it arrived and suspends;
+//!   the driver asks the scheduler for the next grant and resumes that
+//!   rank's stack. One simulated step is two user-space stack
+//!   switches, and a pool that only simulates never spawns a thread.
+//!
+//! [`crate::run`] remains the spawn-per-run path as a thin wrapper
+//! over a one-shot pool.
 //!
 //! ### Determinism
 //!
 //! Pooled execution must keep the seed → schedule mapping of the `dst`
-//! harness **byte-identical** to spawn-per-run (the golden-log tests
-//! are the referee). Two properties make that structural rather than
-//! lucky:
+//! harness **byte-identical** to a fresh universe (the golden-log
+//! tests are the referee). Two properties make that structural rather
+//! than lucky:
 //!
-//! * a pooled worker re-enters `SchedPoint::Enter` exactly as a fresh
-//!   thread did — the job body is the old spawn body, and the DST
-//!   scheduler's dispatch barrier (no grant until every registered
-//!   rank is parked) erases submission-order races;
+//! * the driver starts the ranks in rank order and each stops at its
+//!   `SchedPoint::Enter` arrival, so the scheduler's first decision
+//!   always sees the same waiting set; from then on exactly one rank
+//!   runs between two decisions;
 //! * `Shared::reset` rewinds every observable counter and container to
 //!   its freshly-constructed value, so the simulation cannot read any
 //!   state bled from the previous schedule.
@@ -33,13 +42,14 @@
 //! ### Reset safety
 //!
 //! `Shared::reset` needs `&mut Shared`, obtained via `Arc::get_mut`:
-//! it succeeds exactly when no worker still holds a clone. Workers
-//! guarantee that by construction — a job's captured `Arc<Shared>` is
-//! dropped when the job closure returns, strictly *before* the worker
-//! bumps the completion counter — and the async kill schedule's clone
-//! is released by joining its thread before `run` returns. If some
-//! future caller nevertheless retains a handle, `run` falls back to
-//! building fresh state instead of corrupting a live universe.
+//! it succeeds exactly when no rank still holds a clone. Ranks
+//! guarantee that by construction — a rank body's `Arc<Shared>` is
+//! dropped when the body returns, strictly *before* its worker bumps
+//! the completion counter (or its coroutine finishes) — and the async
+//! kill schedule's clone is released by joining its thread before
+//! `run` returns. If some future caller nevertheless retains a handle,
+//! `run` falls back to building fresh state instead of corrupting a
+//! live universe.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -52,8 +62,9 @@ use std::time::{Duration, Instant};
 use allocstats::AllocStats;
 use parking_lot::Mutex;
 
-use faultsim::{KillHandle, SchedPoint, StepOutcome};
+use faultsim::{KillHandle, SchedHook, SchedPoint, StepOutcome};
 
+use crate::coro::{Coroutine, Group};
 use crate::error::{Error, RankOutcome, Result};
 use crate::process::{Process, RankScratch};
 use crate::universe::{RunReport, Shared, UniverseConfig, WATCHDOG_ABORT_CODE};
@@ -80,7 +91,7 @@ const POOL_SPIN: u32 = 64;
 /// pays one atomic load (and an unpark only when the worker actually
 /// sleeps) instead of an unconditional notify through the condvar
 /// machinery — measured ~150 ns per empty `notify_one` on the
-/// reference box, paid once per job submission (DESIGN.md §8.9).
+/// reference box, paid once per job submission.
 struct WorkerSlot {
     queue: Mutex<VecDeque<Job>>,
     /// True while the worker has committed to parking; tells a
@@ -114,6 +125,10 @@ struct PoolCore {
     /// each worker's thread-local counters (see [`AllocTally`]).
     alloc: AllocTally,
 }
+
+/// One rank incarnation of one run: `(rank, generation, scratch)`.
+/// Both executors run this same body.
+type RankBody<'a> = dyn Fn(usize, u32, &mut RankScratch) + Sync + 'a;
 
 /// Run-scoped allocation tally. Workers snapshot their thread-local
 /// `allocstats` counters around each job body and fold the delta in
@@ -275,32 +290,14 @@ fn worker_loop(core: Arc<PoolCore>, idx: usize) {
     }
 }
 
-/// A persistent rank-executor pool: `n` long-lived worker threads plus
-/// recycled universe state, executing whole universe runs back-to-back
-/// without per-run thread spawns or state reallocation.
-///
-/// ```
-/// use ftmpi::{UniverseConfig, UniversePool};
-///
-/// let mut pool = UniversePool::new(2);
-/// for _ in 0..3 {
-///     let report = pool.run(UniverseConfig::default(), |p| Ok(p.world_rank()));
-///     assert!(report.all_ok());
-/// }
-/// ```
-pub struct UniversePool {
-    size: usize,
-    /// Warm universe state from the previous run, reset in place at the
-    /// start of the next one.
-    shared: Option<Arc<Shared>>,
+/// The wall-clock executor: `n` worker threads and their queues.
+struct Workers {
     core: Arc<PoolCore>,
-    workers: Vec<JoinHandle<()>>,
+    handles: Vec<JoinHandle<()>>,
 }
 
-impl UniversePool {
-    /// A pool of `n` rank-executor threads, named `rank-0 .. rank-{n-1}`.
-    pub fn new(n: usize) -> Self {
-        assert!(n >= 1, "universe needs at least one rank");
+impl Workers {
+    fn spawn(n: usize) -> Workers {
         // Spin only when the machine has cores to spare beyond the
         // rank workers themselves; on a saturated box a spinning
         // worker would steal the CPU the running rank needs.
@@ -320,7 +317,7 @@ impl UniversePool {
             spin: if cores > n { POOL_SPIN } else { 0 },
             alloc: AllocTally::default(),
         });
-        let workers = (0..n)
+        let handles = (0..n)
             .map(|i| {
                 let core = Arc::clone(&core);
                 std::thread::Builder::new()
@@ -329,15 +326,80 @@ impl UniversePool {
                     .expect("spawn pool worker thread")
             })
             .collect();
-        UniversePool { size: n, shared: None, core, workers }
+        Workers { core, handles }
+    }
+}
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        self.core.shutdown.store(true, Ordering::Release);
+        for slot in &self.core.slots {
+            // Lock to serialize with a worker's pre-park re-check
+            // (which reads `shutdown` inside the queue critical
+            // section): after this critical section the worker either
+            // saw the flag and will not park, or it is parked and the
+            // unconditional unpark below wakes it. The `parked` flag
+            // alone would race store-vs-load here.
+            drop(slot.queue.lock());
+            if let Some(t) = slot.thread.get() {
+                t.unpark();
+            }
+        }
+        for h in self.handles.drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
+/// The simulation executor: per rank, a coroutine stack and the warm
+/// [`RankScratch`] a worker thread would own. Reused across runs, so a
+/// steady-state simulated run maps and allocates nothing.
+struct SimRanks {
+    coros: Vec<Coroutine>,
+    /// `Cell`: the rank body takes its scratch out and puts it back
+    /// through a shared reference, and every rank runs on one thread.
+    scratch: Vec<Cell<RankScratch>>,
+}
+
+/// A persistent rank-executor pool: recycled universe state plus a
+/// warm executor — worker threads in wall-clock mode, coroutine stacks
+/// under a simulation scheduler — running whole universes back-to-back
+/// without per-run thread spawns, stack mappings or state reallocation.
+///
+/// ```
+/// use ftmpi::{UniverseConfig, UniversePool};
+///
+/// let mut pool = UniversePool::new(2);
+/// for _ in 0..3 {
+///     let report = pool.run(UniverseConfig::default(), |p| Ok(p.world_rank()));
+///     assert!(report.all_ok());
+/// }
+/// ```
+pub struct UniversePool {
+    size: usize,
+    /// Warm universe state from the previous run, reset in place at the
+    /// start of the next one.
+    shared: Option<Arc<Shared>>,
+    /// Spawned by the first wall-clock run.
+    workers: Option<Workers>,
+    /// Mapped by the first simulated run.
+    sim: Option<SimRanks>,
+}
+
+impl UniversePool {
+    /// A pool for universes of `n` ranks. Creates no thread and maps no
+    /// stack: each executor is built by the first run that uses it.
+    pub fn new(n: usize) -> Self {
+        assert!(n >= 1, "universe needs at least one rank");
+        UniversePool { size: n, shared: None, workers: None, sim: None }
     }
 
-    /// Number of ranks (and worker threads) in this pool.
+    /// Number of ranks in this pool's universes.
     pub fn size(&self) -> usize {
         self.size
     }
 
-    /// Run `f` on every rank under `cfg`, reusing this pool's threads
+    /// Run `f` on every rank under `cfg`, reusing this pool's executor
     /// and universe state. Semantics are identical to [`crate::run`]
     /// with the same arguments.
     pub fn run<T, F>(&mut self, cfg: UniverseConfig, f: F) -> RunReport<T>
@@ -374,9 +436,159 @@ impl UniversePool {
             shared.trace.set_clock(Arc::new(move || clock.now()));
         }
 
+        let outcomes: Mutex<Vec<Option<RankOutcome<T>>>> =
+            Mutex::new((0..n).map(|_| None).collect());
+        let rank_body = |me: usize, gen: u32, scratch: &mut RankScratch| {
+            // Dropped when this body returns — before the rank counts
+            // as finished, which the next run's reset relies on.
+            let shared = Arc::clone(&shared);
+            if let Some(s) = &shared.sched {
+                // First scheduling point: every rank stops here before
+                // any user code runs, so the schedule's first decision
+                // picks among all of them.
+                s.arrive(me, SchedPoint::Enter);
+                if crate::coro::suspend() == StepOutcome::Abort {
+                    shared.abort(WATCHDOG_ABORT_CODE);
+                }
+            }
+            let sched = shared.sched.clone();
+            let buf = std::mem::take(scratch);
+            let mut proc = Process::with_scratch(me, gen, shared, buf);
+            let res = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut proc)));
+            *scratch = proc.recycle_scratch();
+            if let Some(s) = &sched {
+                // The rank is done scheduling-wise whatever the
+                // outcome (including panics).
+                s.on_exit(me);
+            }
+            let outcome = match res {
+                Ok(Ok(v)) => RankOutcome::Ok(v),
+                Ok(Err(Error::SelfFailed)) => RankOutcome::Failed,
+                Ok(Err(Error::Aborted { code })) => RankOutcome::Aborted { code },
+                Ok(Err(e)) => RankOutcome::Err(e),
+                Err(p) => {
+                    let msg = p
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| p.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "opaque panic".to_string());
+                    RankOutcome::Panicked(msg)
+                }
+            };
+            // Later incarnations overwrite: the rank's reported
+            // outcome is its final incarnation's (incarnations of one
+            // rank run in order on its worker).
+            outcomes.lock()[me] = Some(outcome);
+        };
+
+        let start = Instant::now();
+        let (mut hung, alloc) = match &shared.sched {
+            Some(sched) => self.drive_sim(&shared, &**sched, watchdog, start, &rank_body),
+            None => self.run_threads(&shared, schedule, watchdog, respawn, start, &rank_body),
+        };
+
+        // A logical-step watchdog (simulation scheduler budget) aborts
+        // with the same code as the wall-clock one; report it as a
+        // hang too.
+        if shared.registry.aborted() == Some(WATCHDOG_ABORT_CODE) {
+            hung = true;
+        }
+        let generations = (0..n).map(|r| shared.registry.generation(r)).collect();
+        let park_timeouts = shared.fabric.park_timeouts();
+        let mut stats =
+            shared.sched.as_ref().map(|s| s.run_stats()).unwrap_or_default();
+        stats.handoff.park_safety_timeouts = park_timeouts;
+        stats.alloc = alloc;
+        let outcomes = outcomes
+            .into_inner()
+            .into_iter()
+            .map(|o| o.expect("every rank records an outcome"))
+            .collect();
+        let report = RunReport {
+            outcomes,
+            hung,
+            trace: shared.trace.events(),
+            duration: start.elapsed(),
+            generations,
+            park_timeouts,
+            stats,
+        };
+        // Keep the universe state warm for the next run.
+        self.shared = Some(shared);
+        report
+    }
+
+    /// The simulation executor: every rank a coroutine on this thread,
+    /// resumed in the order `sched` decides. Returns whether the
+    /// wall-clock watchdog fired, and this thread's heap traffic over
+    /// the whole drive (which is all of the rank bodies').
+    fn drive_sim(
+        &mut self,
+        shared: &Shared,
+        sched: &dyn SchedHook,
+        watchdog: Option<Duration>,
+        start: Instant,
+        rank_body: &RankBody<'_>,
+    ) -> (bool, AllocStats) {
+        let n = self.size;
+        let sim = self.sim.get_or_insert_with(|| SimRanks {
+            coros: (0..n).map(|_| Coroutine::new()).collect(),
+            scratch: (0..n).map(|_| Cell::default()).collect(),
+        });
+        let before = allocstats::snapshot();
+        let scratch = &sim.scratch;
+        let body = |me: usize| {
+            let mut buf = scratch[me].take();
+            rank_body(me, 0, &mut buf);
+            scratch[me].set(buf);
+        };
+        let mut group = Group::new(&mut sim.coros, &body);
+        // Each rank runs up to its `Enter` arrival and suspends there.
+        for me in 0..n {
+            group.resume(me, StepOutcome::Run);
+        }
+        // The driver loop. Every live rank is suspended at a step
+        // point whenever the scheduler is asked, so a decision always
+        // sees the complete waiting set. The loop ends only when
+        // nobody is waiting, i.e. every rank has returned through its
+        // own frames — after the budget runs out the scheduler hands
+        // each of them `Abort`, so no suspended stack is ever dropped.
+        let mut limit = watchdog;
+        let mut hung = false;
+        while let Some((me, outcome)) = sched.next() {
+            if limit.is_some_and(|l| start.elapsed() > l) {
+                // The wall-clock backstop, checked here because this
+                // thread is the only one there is: abort the job once
+                // and keep driving until every rank has noticed.
+                limit = None;
+                hung = true;
+                shared.abort(WATCHDOG_ABORT_CODE);
+            }
+            group.resume(me, outcome);
+        }
+        assert_eq!(group.live(), 0, "the scheduler stopped granting with ranks still suspended");
+        (hung, allocstats::snapshot().since(&before))
+    }
+
+    /// The wall-clock executor: one job per rank incarnation on the
+    /// worker threads, supervised for the watchdog and the respawn
+    /// extension. Returns whether the watchdog fired, and the job
+    /// bodies' heap traffic summed over the workers.
+    fn run_threads(
+        &mut self,
+        shared: &Arc<Shared>,
+        schedule: Option<faultsim::AsyncSchedule>,
+        watchdog: Option<Duration>,
+        respawn: Option<crate::universe::RespawnPolicy>,
+        start: Instant,
+        rank_body: &RankBody<'_>,
+    ) -> (bool, AllocStats) {
+        let n = self.size;
+        let core = &*self.workers.get_or_insert_with(|| Workers::spawn(n)).core;
+
         // Asynchronous kill schedule, if any.
         let schedule_handle = schedule.map(|s| {
-            let shared = Arc::clone(&shared);
+            let shared = Arc::clone(shared);
             let kill: KillHandle = Arc::new(move |r| {
                 if r < shared.size {
                     shared.kill(r);
@@ -385,15 +597,12 @@ impl UniversePool {
             s.start(kill)
         });
 
-        let outcomes: Mutex<Vec<Option<RankOutcome<T>>>> =
-            Mutex::new((0..n).map(|_| None).collect());
         // Only the caller's thread submits jobs, so a plain Cell counts
         // them.
         let spawned = Cell::new(0usize);
-        self.core.done.store(0, Ordering::Release);
-        self.core.target.store(0, Ordering::Release);
-        self.core.alloc.reset();
-        let start = Instant::now();
+        core.done.store(0, Ordering::Release);
+        core.target.store(0, Ordering::Release);
+        core.alloc.reset();
         let mut hung = false;
 
         let submit_incarnation = |me: usize, gen: u32, kick: bool| {
@@ -401,67 +610,24 @@ impl UniversePool {
             // Raise the completion target before the job exists: a
             // worker can then never observe `done >= target` with this
             // job outstanding.
-            self.core.target.store(spawned.get(), Ordering::Release);
-            let shared = Arc::clone(&shared);
-            let f = &f;
-            let outcomes = &outcomes;
-            // This job body is the old spawn-per-run thread body: in
-            // particular the `SchedPoint::Enter` step comes first, so a
-            // pooled worker enters the schedule exactly as a fresh
-            // thread did.
+            core.target.store(spawned.get(), Ordering::Release);
             let job: Box<dyn FnOnce(&mut RankScratch) + Send + '_> =
-                Box::new(move |scratch: &mut RankScratch| {
-                    if let Some(s) = &shared.sched {
-                        // First scheduling point: ranks start
-                        // serialized, not in racy submission order.
-                        if s.step(me, SchedPoint::Enter) == StepOutcome::Abort {
-                            shared.abort(WATCHDOG_ABORT_CODE);
-                        }
-                    }
-                    let sched = shared.sched.clone();
-                    let buf = std::mem::take(scratch);
-                    let mut proc = Process::with_scratch(me, gen, shared, buf);
-                    let res = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut proc)));
-                    *scratch = proc.recycle_scratch();
-                    if let Some(s) = &sched {
-                        // The thread is done scheduling-wise whatever
-                        // the outcome (including panics): release the
-                        // scheduler.
-                        s.on_exit(me);
-                    }
-                    let outcome = match res {
-                        Ok(Ok(v)) => RankOutcome::Ok(v),
-                        Ok(Err(Error::SelfFailed)) => RankOutcome::Failed,
-                        Ok(Err(Error::Aborted { code })) => RankOutcome::Aborted { code },
-                        Ok(Err(e)) => RankOutcome::Err(e),
-                        Err(p) => {
-                            let msg = p
-                                .downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| p.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "opaque panic".to_string());
-                            RankOutcome::Panicked(msg)
-                        }
-                    };
-                    // Later incarnations overwrite: the rank's reported
-                    // outcome is its final incarnation's (incarnations
-                    // of one rank run in order on its worker).
-                    outcomes.lock()[me] = Some(outcome);
-                });
-            // SAFETY: the job borrows `f`, `outcomes` and the stack
-            // frame of `run`, which the 'static `Job` type erases.
-            // Sound because `run` does not return (or unwind past the
-            // borrows — nothing below panics before the wait) until
-            // `wait_done` has observed every submitted job complete,
-            // and a worker only counts a job complete after the job
-            // closure (and thus every use of those borrows) returned.
+                Box::new(move |scratch: &mut RankScratch| rank_body(me, gen, scratch));
+            // SAFETY: the job borrows `rank_body` (and through it `f`,
+            // `outcomes` and the stack frame of `run`), which the
+            // 'static `Job` type erases. Sound because `run` does not
+            // return (or unwind past the borrows — nothing below
+            // panics before the wait) until `wait_done` has observed
+            // every submitted job complete, and a worker only counts a
+            // job complete after the job closure (and thus every use
+            // of those borrows) returned.
             let job: Job = unsafe {
                 std::mem::transmute::<Box<dyn FnOnce(&mut RankScratch) + Send + '_>, Job>(job)
             };
             if kick {
-                self.core.submit(me, job);
+                core.submit(me, job);
             } else {
-                self.core.push(me, job);
+                core.push(me, job);
             }
         };
 
@@ -471,7 +637,7 @@ impl UniversePool {
         for me in 0..n {
             submit_incarnation(me, 0, false);
         }
-        self.core.kick_all();
+        core.kick_all();
 
         // Supervisor loop: watchdog + recovery, polling at 1ms exactly
         // like the spawn-per-run path did. Skipped entirely when
@@ -480,7 +646,7 @@ impl UniversePool {
             let mut budget: Vec<u32> = vec![respawn.map(|p| p.max_per_rank).unwrap_or(0); n];
             let mut death_seen: Vec<Option<Instant>> = vec![None; n];
             loop {
-                let all_done = self.core.done_count() == spawned.get();
+                let all_done = core.done_count() == spawned.get();
                 // A respawn is only pending while some incarnation is
                 // still running: reviving a rank after everyone else
                 // finished would strand it (nobody left to talk to).
@@ -525,62 +691,12 @@ impl UniversePool {
         // Every submitted job must finish before the borrows (and the
         // workers' `Arc<Shared>` clones) can be considered released —
         // including post-abort unwinds after a watchdog break above.
-        self.core.wait_done(spawned.get());
+        core.wait_done(spawned.get());
 
         if let Some(h) = schedule_handle {
             h.join();
         }
-
-        // A logical-step watchdog (simulation scheduler budget) aborts
-        // with the same code as the wall-clock one; report it as a
-        // hang too.
-        if shared.registry.aborted() == Some(WATCHDOG_ABORT_CODE) {
-            hung = true;
-        }
-        let generations = (0..n).map(|r| shared.registry.generation(r)).collect();
-        let park_timeouts = shared.fabric.park_timeouts();
-        let mut stats =
-            shared.sched.as_ref().map(|s| s.run_stats()).unwrap_or_default();
-        stats.handoff.park_safety_timeouts = park_timeouts;
-        stats.alloc = self.core.alloc.harvest();
-        let outcomes = outcomes
-            .into_inner()
-            .into_iter()
-            .map(|o| o.expect("every rank records an outcome"))
-            .collect();
-        let report = RunReport {
-            outcomes,
-            hung,
-            trace: shared.trace.events(),
-            duration: start.elapsed(),
-            generations,
-            park_timeouts,
-            stats,
-        };
-        // Keep the universe state warm for the next run.
-        self.shared = Some(shared);
-        report
-    }
-}
-
-impl Drop for UniversePool {
-    fn drop(&mut self) {
-        self.core.shutdown.store(true, Ordering::Release);
-        for slot in &self.core.slots {
-            // Lock to serialize with a worker's pre-park re-check
-            // (which reads `shutdown` inside the queue critical
-            // section): after this critical section the worker either
-            // saw the flag and will not park, or it is parked and the
-            // unconditional unpark below wakes it. The `parked` flag
-            // alone would race store-vs-load here.
-            drop(slot.queue.lock());
-            if let Some(t) = slot.thread.get() {
-                t.unpark();
-            }
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        (hung, core.alloc.harvest())
     }
 }
 

@@ -79,9 +79,9 @@ pub struct WaitAny {
     pub result: Result<Completion>,
 }
 
-/// Worker-owned per-rank scratch: every growable container a
-/// [`Process`] needs, kept warm across incarnations and runs on the
-/// same pool worker (DESIGN.md §8.10). Constructing a process from a
+/// Pool-owned per-rank scratch: every growable container a
+/// [`Process`] needs, kept warm across incarnations and runs of the
+/// same pool rank. Constructing a process from a
 /// scratch that has seen one run allocates nothing: each container is
 /// cleared in place, capacity retained.
 #[derive(Default)]
@@ -95,7 +95,8 @@ pub(crate) struct RankScratch {
     ctx_map: HashMap<ContextId, usize>,
 }
 
-/// Per-rank process handle. Not `Sync`: owned by its rank's thread.
+/// Per-rank process handle. Not `Sync`: owned by its rank's thread (or
+/// coroutine).
 pub struct Process {
     me: WorldRank,
     gen: u32,
@@ -168,7 +169,7 @@ impl Process {
     }
 
     /// Hand every reusable container back for the next incarnation or
-    /// run on this worker thread.
+    /// run of this rank.
     pub(crate) fn recycle_scratch(&mut self) -> RankScratch {
         RankScratch {
             drain_buf: std::mem::take(&mut self.drain_buf),
@@ -247,16 +248,18 @@ impl Process {
         self.shared.registry.check_alive(self.me, self.gen)
     }
 
-    /// Blocking scheduling point for deterministic simulation. A no-op
-    /// without a scheduler; with one, may block until this rank is
-    /// granted, and converts a exhausted step budget into a job abort
-    /// (the logical-step replacement for the wall-clock watchdog).
+    /// Scheduling point for deterministic simulation. A no-op without
+    /// a scheduler; with one, this rank is a coroutine: it tells the
+    /// scheduler it arrived and suspends to the pool's driver until it
+    /// is granted again. An exhausted step budget comes back as a job
+    /// abort (the logical-step replacement for the wall-clock
+    /// watchdog).
     fn sched_step(&mut self, point: SchedPoint) -> Result<()> {
-        let aborted = match &self.shared.sched {
-            Some(s) => s.step(self.me, point) == StepOutcome::Abort,
+        match &self.shared.sched {
+            Some(s) => s.arrive(self.me, point),
             None => return Ok(()),
-        };
-        if aborted {
+        }
+        if crate::coro::suspend() == StepOutcome::Abort {
             if !self.blocked_dumped {
                 self.blocked_dumped = true;
                 self.record_blocked_requests();
@@ -534,9 +537,9 @@ impl Process {
             if let Some(r) = check(self)? {
                 return Ok(r);
             }
-            // Under a simulation scheduler, blocking happens inside
-            // sched_step (the scheduler runs us only when runnable), so
-            // parking here would deadlock the serialized schedule.
+            // Under a simulation scheduler this rank yields inside
+            // sched_step (the driver resumes it when granted); parking
+            // the one thread every rank shares would stop them all.
             if self.shared.sched.is_none() {
                 let shared = Arc::clone(&self.shared);
                 shared.fabric.park(self.me, token, || shared.registry.epoch());

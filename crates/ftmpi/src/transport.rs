@@ -22,7 +22,7 @@
 //!   one possible waiter, or nobody, and never pays a broadcast.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
@@ -59,10 +59,6 @@ pub struct Fabric {
     slots: Vec<Slot>,
     /// Global notify generation: bumped by [`Fabric::wake_all`].
     notify_gen: AtomicU64,
-    /// Simulation mode: a DST scheduler drives the run, so every wake
-    /// is explicit and [`Fabric::park`] waits untimed — the run can
-    /// never secretly make progress off the safety backstop.
-    sim: AtomicBool,
     /// How often the wall-clock safety timeout cut a park short.
     /// Nonzero is expected when a run is legitimately idle (async kill
     /// schedules, respawn delays, hangs waiting for the watchdog); a
@@ -95,7 +91,6 @@ impl Fabric {
                 })
                 .collect(),
             notify_gen: AtomicU64::new(0),
-            sim: AtomicBool::new(false),
             park_timeouts: AtomicU64::new(0),
             spin: {
                 let cores =
@@ -109,13 +104,6 @@ impl Fabric {
         }
     }
 
-    /// Switch between wall-clock parking (timed safety net) and
-    /// simulation parking (untimed; all wakes are explicit). Set by the
-    /// universe according to whether a DST scheduler drives the run.
-    pub fn set_sim_mode(&self, sim: bool) {
-        self.sim.store(sim, Ordering::Release);
-    }
-
     /// How often the safety timeout fired since construction or the
     /// last [`Fabric::reset`].
     pub fn park_timeouts(&self) -> u64 {
@@ -126,7 +114,7 @@ impl Fabric {
     /// observable state of a fresh `Fabric::new(n)` while retaining
     /// every queue allocation. Must only be called between runs, when
     /// no rank thread can be delivering or parking.
-    pub fn reset(&self, sim: bool) {
+    pub fn reset(&self) {
         for slot in &self.slots {
             let mut mb = slot.mb.lock();
             mb.queue.clear();
@@ -134,7 +122,6 @@ impl Fabric {
         }
         self.notify_gen.store(0, Ordering::Release);
         self.park_timeouts.store(0, Ordering::Release);
-        self.sim.store(sim, Ordering::Release);
     }
 
     /// Number of ranks.
@@ -224,14 +211,14 @@ impl Fabric {
     /// Block `me` until something plausibly happened since `token` was
     /// taken: a delivery to `me`, a global wake, or a failure-epoch
     /// change. Returns immediately if any is already the case.
+    /// Wall-clock mode only: a simulated rank suspends at its
+    /// scheduling point instead (`Process::wait_loop`).
     pub fn park(&self, me: WorldRank, token: ParkToken, current_epoch: impl Fn() -> u64) {
         let slot = &self.slots[me];
         // Spin-then-park: with spare cores, briefly re-check the
         // predicate lock-free-ish (lock per probe, released between
-        // probes) before committing to the condvar sleep. Skipped in
-        // simulation mode — there the scheduler serializes ranks and a
-        // spinning waiter would burn the core the running rank needs.
-        if self.spin > 0 && !self.sim.load(Ordering::Acquire) {
+        // probes) before committing to the condvar sleep.
+        if self.spin > 0 {
             for _ in 0..self.spin {
                 {
                     let mb = slot.mb.lock();
@@ -252,13 +239,7 @@ impl Fabric {
         {
             return;
         }
-        if self.sim.load(Ordering::Acquire) {
-            // Under a DST scheduler every wake is explicit (and ranks
-            // normally never park here at all — the wait loop blocks in
-            // the scheduler instead), so the timed backstop would only
-            // let a simulated run secretly progress off a timeout.
-            slot.cv.wait(&mut mb);
-        } else if slot.cv.wait_for(&mut mb, PARK_SAFETY).timed_out() {
+        if slot.cv.wait_for(&mut mb, PARK_SAFETY).timed_out() {
             // Bounded wait as a safety net; all real wake paths notify.
             // Count firings so callers can tell backstop-driven
             // progress from explicit wakes.
@@ -384,7 +365,7 @@ mod tests {
         f.park(0, token, || 0);
         assert_eq!(f.park_timeouts(), 1);
 
-        f.reset(false);
+        f.reset();
         assert_eq!(f.park_timeouts(), 0, "reset clears the timeout count");
         let (msgs, version) = f.drain(1);
         assert!(msgs.is_empty(), "reset clears queued envelopes");
@@ -392,26 +373,6 @@ mod tests {
         let t = f.token(0, 0);
         assert_eq!(t.mailbox_version, 0);
         assert_eq!(t.notify_gen, 0, "reset rewinds the notify generation");
-    }
-
-    #[test]
-    fn sim_mode_park_waits_untimed_until_explicit_wake() {
-        use std::sync::Arc;
-        let f = Arc::new(Fabric::new(1));
-        f.set_sim_mode(true);
-        let f2 = Arc::clone(&f);
-        let h = std::thread::spawn(move || {
-            let token = f2.token(0, 0);
-            let t0 = std::time::Instant::now();
-            f2.park(0, token, || 0);
-            t0.elapsed()
-        });
-        // Well past PARK_SAFETY: a timed wait would have returned.
-        std::thread::sleep(Duration::from_millis(120));
-        f.deliver(0, env(0, 0));
-        let waited = h.join().unwrap();
-        assert!(waited >= Duration::from_millis(100), "park returned early: {waited:?}");
-        assert_eq!(f.park_timeouts(), 0, "untimed wait never fires the backstop");
     }
 
     mod properties {

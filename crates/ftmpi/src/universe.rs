@@ -1,6 +1,8 @@
 //! The universe: spawn N ranks, run a closure on each, harvest results.
 //!
-//! Each rank is an OS thread holding a [`Process`]; the universe wires
+//! Each rank holds a [`Process`] and runs on an OS thread — or, under a
+//! simulation scheduler, as a coroutine on the caller's thread (see
+//! [`crate::UniversePool`]); the universe wires
 //! the shared fabric, failure registry, fault injector, coordination
 //! boards and trace together, runs an optional asynchronous kill
 //! schedule, and — crucially for reproducing the paper's Fig. 6 — a
@@ -68,11 +70,9 @@ impl Shared {
         trace: bool,
         sched: Option<Arc<dyn SchedHook>>,
     ) -> Shared {
-        let fabric = crate::transport::Fabric::new(n);
-        fabric.set_sim_mode(sched.is_some());
         Shared {
             size: n,
-            fabric,
+            fabric: crate::transport::Fabric::new(n),
             registry: FailureRegistry::new(n),
             injector: Arc::new(Injector::new(plan)),
             board: CommBoard::new(WORLD_CTX + 1),
@@ -112,7 +112,7 @@ impl Shared {
         trace: bool,
         sched: Option<Arc<dyn SchedHook>>,
     ) {
-        self.fabric.reset(sched.is_some());
+        self.fabric.reset();
         self.registry.reset();
         self.injector = Arc::new(Injector::new(plan));
         self.board.reset(WORLD_CTX + 1);
@@ -135,9 +135,9 @@ impl Shared {
 
     /// Wake every rank parked on the fabric — unless this universe is
     /// scheduler-driven, in which case ranks never park there (the
-    /// `wait_loop` skips `Fabric::park` under simulation and blocks in
-    /// the scheduler instead), so the per-slot lock sweep would be pure
-    /// overhead on the simulation hot path.
+    /// `wait_loop` skips `Fabric::park` under simulation; a waiting
+    /// rank is a suspended coroutine), so the per-slot lock sweep would
+    /// be pure overhead on the simulation hot path.
     pub(crate) fn wake_all(&self) {
         if self.sched.is_none() {
             self.fabric.wake_all();
@@ -263,8 +263,8 @@ pub struct RunReport<T> {
     /// extension).
     pub generations: Vec<u32>,
     /// How often the transport's safety-net park timeout fired during
-    /// the run. Under a DST scheduler the wait is untimed (and ranks
-    /// never park on the fabric), so this is always 0 there. In
+    /// the run. Under a DST scheduler ranks never park on the fabric,
+    /// so this is always 0 there. In
     /// wall-clock mode a nonzero count during steady message flow would
     /// mean a rank made progress only because of the backstop — a
     /// missed-notification bug; idle waits (async kill schedules,
@@ -274,12 +274,13 @@ pub struct RunReport<T> {
     /// surface: `handoff` and `coverage` come from the simulation
     /// scheduler (zeros in wall-clock mode) with
     /// `handoff.park_safety_timeouts` mirrored from the transport;
-    /// `alloc` is the heap traffic of the rank workers' job bodies,
-    /// summed across ranks (the caller thread's share — schedule
-    /// derivation, report assembly — is the caller's to measure), all
-    /// zeros unless the final binary installs
-    /// [`allocstats::StatsAlloc`] as its global allocator; the `dst`
-    /// harness does (DESIGN.md §8.10).
+    /// `alloc` is the heap traffic of the rank bodies: in wall-clock
+    /// mode summed over the worker threads (the caller thread's share
+    /// is the caller's to measure), under a simulation scheduler the
+    /// calling thread's traffic over the drive loop — an interval a
+    /// caller measuring its own thread must not count again. All zeros
+    /// unless the final binary installs [`allocstats::StatsAlloc`] as
+    /// its global allocator; the `dst` harness does.
     pub stats: RunStats,
 }
 
@@ -315,12 +316,12 @@ impl<T> RunReport<T> {
 /// returning `Err(Error::SelfFailed)` (which every runtime call does
 /// once the rank is killed) records the rank as [`RankOutcome::Failed`].
 ///
-/// This is the spawn-per-run path: a thin wrapper that builds a
-/// one-shot [`crate::UniversePool`], runs the universe on it, and
-/// tears it down. Callers executing many universes back-to-back at a
-/// fixed rank count should hold a pool and call
-/// [`crate::UniversePool::run`] instead, which reuses the worker
-/// threads and the universe state allocations across runs.
+/// This is the one-shot path: a thin wrapper that builds a
+/// [`crate::UniversePool`], runs the universe on it, and tears it
+/// down. Callers executing many universes back-to-back at a fixed rank
+/// count should hold a pool and call [`crate::UniversePool::run`]
+/// instead, which reuses the executor (worker threads or coroutine
+/// stacks) and the universe state allocations across runs.
 pub fn run<T, F>(n: usize, cfg: UniverseConfig, f: F) -> RunReport<T>
 where
     T: Send,
