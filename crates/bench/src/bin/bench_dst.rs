@@ -1,20 +1,17 @@
 //! Measure DST harness throughput and record it as `BENCH_dst.json`.
 //!
-//! Where the criterion bench (`benches/schedules_per_sec.rs`) prints
-//! human-readable timings, this binary emits a machine-readable record
-//! of schedules/sec for the series the roadmap tracks — `explore/{4,8}`
-//! (serial per-seed cost), `explore_shape/<shape>` (per-kill-shape cost
-//! of the taxonomy sweeps, DESIGN.md §8.8) and `sweep_jobs/{1,8}` (the
-//! parallel engine) — so the perf trajectory is a committed artifact,
-//! not folklore in PR descriptions. The `allocs_per_schedule/{4,8}`
-//! series records steady-state heap allocations per schedule
-//! (DESIGN.md §8.10) — deterministic and lower-is-better, gated
-//! tightly by `scripts/bench_gate.py`.
+//! This binary emits a machine-readable record of schedules/sec for
+//! the series the roadmap tracks — `explore/{4,8}` (serial per-seed
+//! cost), `explore_shape/<shape>` (per-kill-shape cost of the taxonomy
+//! sweeps, DESIGN.md §8.8) and `sweep_jobs/{1,8}` (the parallel
+//! engine) — so the perf trajectory is a committed artifact, not
+//! folklore in PR descriptions. The `allocs_per_schedule/{4,8}` series
+//! records steady-state heap allocations per schedule (DESIGN.md
+//! §8.10) — deterministic and lower-is-better, gated tightly by
+//! `scripts/bench_gate.py`.
 //!
-//! The tracked ids measure the default (pooled) executor: each series
-//! reuses one persistent rank-executor pool across schedules. The
-//! `*_nopool` twins measure the spawn-per-run fallback (`--no-pool`),
-//! so the pool's win stays a committed, comparable number.
+//! Every series runs the way sweeps do: one `SeedRunner` reused across
+//! schedules (per worker, for `sweep_jobs`).
 //!
 //! Usage:
 //!
@@ -29,7 +26,7 @@
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
-use dst::{check_all, run_seed_quiet, sweep, KillShape, ScenarioCfg, SeedRunner, SweepCfg};
+use dst::{check_all, sweep, KillShape, ScenarioCfg, SeedRunner, SweepCfg};
 
 /// One measured series.
 struct Entry {
@@ -96,10 +93,8 @@ fn main() {
     const SEED_SPACE: u64 = 10_000;
 
     // Serial per-seed cost: one full schedule (sim + oracles) per item,
-    // exactly the sweep engine's inner loop (zero-retention run). The
-    // tracked `explore/{ranks}` id is the pooled path (one SeedRunner
-    // reused across every schedule); `explore_nopool/{ranks}` is the
-    // spawn-per-run baseline.
+    // exactly the sweep engine's inner loop (zero-retention run on one
+    // SeedRunner reused across every schedule).
     const EXPLORE_BATCH: u64 = 10;
     for ranks in [4usize, 8] {
         let cfg = ScenarioCfg { ranks, ..ScenarioCfg::default() };
@@ -116,30 +111,10 @@ fn main() {
             });
         eprintln!("explore/{ranks}: {rate:.1} schedules/sec ({schedules} in {elapsed:?})");
         entries.push(Entry { id: format!("explore/{ranks}"), rate, batches, schedules, elapsed });
-
-        let (rate, batches, schedules, elapsed) =
-            measure(EXPLORE_BATCH, window, |round| {
-                let base = round * EXPLORE_BATCH;
-                for s in (base..base + EXPLORE_BATCH).map(|s| s % SEED_SPACE) {
-                    let obs = run_seed_quiet(s, &cfg);
-                    let violations = check_all(&obs);
-                    assert!(violations.is_empty(), "seed {s:#x} violated: {violations:?}");
-                }
-            });
-        eprintln!(
-            "explore_nopool/{ranks}: {rate:.1} schedules/sec ({schedules} in {elapsed:?})"
-        );
-        entries.push(Entry {
-            id: format!("explore_nopool/{ranks}"),
-            rate,
-            batches,
-            schedules,
-            elapsed,
-        });
     }
 
     // Per-shape serial cost at 4 ranks (kill-shape taxonomy, DESIGN.md
-    // §8.8): the pooled inner loop of `dst explore --shape <name>`.
+    // §8.8): the inner loop of `dst explore --shape <name>`.
     // Shapes derive different kill counts (pair 0–2 kills, the triple
     // family 3), so per-shape rates are expected to differ — the point
     // of the series is that each shape's cost is tracked, not equal.
@@ -169,8 +144,8 @@ fn main() {
     }
 
     // Steady-state allocation cost (DESIGN.md §8.10): mean heap
-    // allocations per schedule on the pooled quiet path — rank job
-    // bodies plus harness work, as counted by the `allocstats` global
+    // allocations per schedule on the quiet path — rank bodies plus
+    // harness work, as counted by the `allocstats` global
     // allocator — after a full warm-up pass over the same window. The
     // number is deterministic (the same seeds always allocate the same
     // amount), so unlike the timing series it carries no noise;
@@ -212,34 +187,26 @@ fn main() {
         });
     }
 
-    // The parallel engine at the tracked worker counts, pooled
-    // (default) and spawn-per-run.
+    // The parallel engine at the tracked worker counts.
     const SWEEP_BATCH: u64 = 64;
     let cfg = ScenarioCfg::default();
-    for use_pool in [true, false] {
-        for jobs in [1usize, 8] {
-            let (rate, batches, schedules, elapsed) =
-                measure(SWEEP_BATCH, window, |round| {
-                    let sweep_cfg = SweepCfg {
-                        // Wrap the 64-seed window inside the validated space.
-                        start: (round % (SEED_SPACE / SWEEP_BATCH)) * SWEEP_BATCH,
-                        count: SWEEP_BATCH,
-                        jobs,
-                        max_failures: 100,
-                        shrink_failures: false,
-                        use_pool,
-                    };
-                    let report = sweep(&sweep_cfg, &cfg).expect("valid sweep");
-                    assert_eq!(report.failing, 0, "hardened corpus must stay green");
-                });
-            let id = if use_pool {
-                format!("sweep_jobs/{jobs}")
-            } else {
-                format!("sweep_jobs_nopool/{jobs}")
-            };
-            eprintln!("{id}: {rate:.1} schedules/sec ({schedules} in {elapsed:?})");
-            entries.push(Entry { id, rate, batches, schedules, elapsed });
-        }
+    for jobs in [1usize, 8] {
+        let (rate, batches, schedules, elapsed) =
+            measure(SWEEP_BATCH, window, |round| {
+                let sweep_cfg = SweepCfg {
+                    // Wrap the 64-seed window inside the validated space.
+                    start: (round % (SEED_SPACE / SWEEP_BATCH)) * SWEEP_BATCH,
+                    count: SWEEP_BATCH,
+                    jobs,
+                    max_failures: 100,
+                    shrink_failures: false,
+                };
+                let report = sweep(&sweep_cfg, &cfg).expect("valid sweep");
+                assert_eq!(report.failing, 0, "hardened corpus must stay green");
+            });
+        let id = format!("sweep_jobs/{jobs}");
+        eprintln!("{id}: {rate:.1} schedules/sec ({schedules} in {elapsed:?})");
+        entries.push(Entry { id, rate, batches, schedules, elapsed });
     }
 
     // Hand-rolled JSON (no serde in this workspace); the format is flat

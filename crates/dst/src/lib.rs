@@ -25,7 +25,7 @@
 
 /// The counting global allocator (DESIGN.md §8.10): every binary and
 /// test linking `dst` counts heap traffic per thread, which is what
-/// makes [`scenario::Observation::alloc`], `dst explore --stats`
+/// makes [`scenario::Observation::stats`]`.alloc`, `dst explore --stats`
 /// allocs/schedule, and the tier-1 allocation-ceiling test live
 /// numbers instead of zeros. `allocstats::StatsAlloc` delegates
 /// straight to `std::alloc::System` plus four thread-local counter
@@ -47,8 +47,8 @@ pub use coverage::{CoverageSet, EdgeKind};
 pub use fuzz::{fuzz, FuzzCfg, FuzzError, FuzzReport};
 pub use oracle::{all_oracles, check_all, Oracle, Violation};
 pub use scenario::{
-    run_schedule, run_schedule_with, run_seed, run_seed_quiet, Kill, KillShape, Observation,
-    Retention, ScenarioCfg, Schedule, SeedRunner,
+    run_schedule, run_seed, Kill, KillShape, Observation, Retention, ScenarioCfg, Schedule,
+    SeedRunner,
 };
 pub use faultsim::{CoverageStats, HandoffStats, RunStats};
 pub use sched::{SchedEvent, Scheduler, SplitMix64};
@@ -78,9 +78,9 @@ pub fn explore(start: u64, count: u64, cfg: &ScenarioCfg) -> Result<Vec<SeedResu
     let end = start
         .checked_add(count)
         .ok_or(SweepError::SeedRangeOverflow { start, count })?;
-    // One persistent executor pool for the whole range: seeds run
-    // back-to-back on the same rank stacks (observations are identical
-    // to a fresh universe per seed; the golden-log suite pins this).
+    // One runner for the whole range: seeds run back-to-back on the
+    // same rank stacks (observations are identical to a fresh runner
+    // per seed; the golden-log suite pins this).
     let mut runner = SeedRunner::new(cfg.ranks);
     Ok((start..end)
         .map(|seed| {
@@ -97,13 +97,18 @@ mod tests {
 
     /// The deliberately injected bug — dedup disabled, i.e. the
     /// iteration-marker check of Fig. 10 reverted — is caught by the
-    /// no-duplicate oracle at a pinned seed, shrinks to a minimal
-    /// schedule of at most two events, and the shrunk schedule still
+    /// no-duplicate oracle at a pinned seed, shrinks to the pinned
+    /// one-event schedule in the pinned number of runs (the shrinker
+    /// reuses one runner across its ddmin candidates; state bleeding
+    /// between them would move either), and the shrunk schedule still
     /// reproduces the violation on replay.
     #[test]
     fn injected_dedup_bug_is_caught_and_shrinks() {
         let cfg = ScenarioCfg { buggy_dedup: true, ..ScenarioCfg::default() };
-        for seed in [0x2du64, 0x2f] {
+        for (seed, expected, runs) in [
+            (0x2du64, "kill 2 at AfterSend#2", 7),
+            (0x2f, "kill 2 at AfterSend#1", 5),
+        ] {
             let obs = run_seed(seed, &cfg);
             let violations = check_all(&obs);
             assert!(
@@ -112,12 +117,8 @@ mod tests {
             );
 
             let s = shrink(seed, &cfg, None).expect("failing schedule must shrink");
-            assert!(
-                s.events.len() <= 2,
-                "seed {seed:#x} shrank to {} events: {:?}",
-                s.events.len(),
-                s.events
-            );
+            let events: Vec<String> = s.events.iter().map(|e| e.to_string()).collect();
+            assert_eq!((events, s.runs), (vec![expected.to_string()], runs), "seed {seed:#x}");
             assert!(s.violations.iter().any(|v| v.oracle == "no-duplicate"));
 
             // The minimal schedule replays to the same violation.
@@ -199,7 +200,7 @@ mod tests {
             let cfg = ScenarioCfg { buggy_dedup, ..ScenarioCfg::default() };
             for seed in [0x2du64, 0x2f, 3, 11] {
                 let full = run_seed(seed, &cfg);
-                let quiet = run_seed_quiet(seed, &cfg);
+                let quiet = SeedRunner::new(cfg.ranks).run_seed_quiet(seed, &cfg);
                 assert!(quiet.log.is_empty(), "quiet run retained a log");
                 assert!(quiet.delay_calls.is_empty(), "quiet run retained delays");
                 assert_eq!(full.outcomes, quiet.outcomes, "seed {seed:#x}");

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! dst explore --seeds 1000 [--start 0] [--jobs N] [--corpus PATH]
-//!             [--shrink-failures] [--max-failures N] [--no-pool]
-//!             [--stats]
+//!             [--shrink-failures] [--max-failures N] [--stats]
 //!             [--shape <name|all>] [--buggy] [--ranks 4] [--iters 3]
 //! dst fuzz    --budget 20000 [--seed S] [--corpus PATH] [--stats]
 //!             [--max-failures N] [--ranks 4] [--iters 3]
@@ -18,9 +17,9 @@
 //! simulation. Failing seeds can be written to a `--corpus` file as
 //! one-line repros, ddmin-minimized first with `--shrink-failures`.
 //! A worker is one thread — its simulated ranks are coroutines on it
-//! — and runs its seeds on a persistent executor pool; `--no-pool`
-//! falls back to a fresh universe (stacks and state) per schedule
-//! (identical verdicts, for A/B comparison and benchmarking).
+//! — and runs all its seeds on one `dst::SeedRunner`, the only schedule
+//! executor there is: `replay`, `shrink` and `determinism` build one
+//! for their handful of runs.
 //!
 //! `--stats` appends the scheduler's counters (steps, grants,
 //! self-grants), allocations per schedule and coverage to the explore
@@ -112,7 +111,6 @@ struct Args {
     max_failures: usize,
     corpus: Option<PathBuf>,
     shrink_failures: bool,
-    no_pool: bool,
     stats: bool,
 }
 
@@ -136,7 +134,6 @@ fn parse_args() -> Result<Args, String> {
         max_failures: 100,
         corpus: None,
         shrink_failures: false,
-        no_pool: false,
         stats: false,
     };
     while let Some(flag) = argv.next() {
@@ -179,7 +176,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--corpus" => args.corpus = Some(PathBuf::from(value("--corpus")?)),
             "--shrink-failures" => args.shrink_failures = true,
-            "--no-pool" => args.no_pool = true,
             "--stats" => args.stats = true,
             "--buggy" => args.buggy = true,
             "--log" => args.show_log = true,
@@ -231,6 +227,21 @@ fn validate(args: &Args) -> Result<(), String> {
         // sweep self-truncates.
         return Err(format!("--budget only applies to fuzz\n{}", usage()));
     }
+    if args.cmd != "explore" {
+        for (on, flag) in [
+            (args.jobs.is_some(), "--jobs"),
+            (args.shrink_failures, "--shrink-failures"),
+        ] {
+            if on {
+                // Only the sweep engine fans out over workers and
+                // shrinks what it retains: a fuzz campaign is a single
+                // sequential chain (each mutation depends on every
+                // prior run's coverage), and replay/shrink/determinism
+                // run one seed.
+                return Err(format!("{flag} only applies to explore\n{}", usage()));
+            }
+        }
+    }
     if args.cmd == "explore" {
         if args.seeds == 0 {
             return Err(format!("--seeds must be at least 1\n{}", usage()));
@@ -272,29 +283,9 @@ fn validate(args: &Args) -> Result<(), String> {
         if args.max_failures == 0 {
             return Err(format!("--max-failures must be at least 1\n{}", usage()));
         }
-        for (on, flag) in [
-            (args.jobs.is_some(), "--jobs"),
-            (args.no_pool, "--no-pool"),
-            (args.shrink_failures, "--shrink-failures"),
-        ] {
-            if on {
-                // The campaign is a single sequential chain — each
-                // mutation depends on every prior run's coverage — so
-                // the sweep engine's fan-out knobs have no meaning.
-                return Err(format!("{flag} only applies to explore\n{}", usage()));
-            }
-        }
-    } else {
-        if args.no_pool {
-            // replay/shrink/determinism always run spawn-per-run;
-            // accepting the flag there would imply it changes
-            // something.
-            return Err(format!("--no-pool only applies to explore\n{}", usage()));
-        }
-        if args.stats {
-            // Only the sweep and fuzz engines aggregate run stats.
-            return Err(format!("--stats only applies to explore and fuzz\n{}", usage()));
-        }
+    } else if args.stats {
+        // Only the sweep and fuzz engines aggregate run stats.
+        return Err(format!("--stats only applies to explore and fuzz\n{}", usage()));
     }
     if args.triage && args.cmd != "replay" {
         // Explore prints triage on its failure lines unconditionally;
@@ -309,8 +300,7 @@ fn usage() -> String {
     "usage: dst <explore|fuzz|replay|shrink|determinism> \
      [--seed S] [--seeds N] [--start S] [--budget N] [--jobs N] \
      [--corpus PATH] \
-     [--shrink-failures] [--max-failures N] [--no-pool] \
-     [--stats] \
+     [--shrink-failures] [--max-failures N] [--stats] \
      [--shape <pair|triple|root-chain|cascade|validate|spaced|masked|all>] \
      [--buggy] [--ranks N] [--iters N] [--log] [--triage]"
         .to_string()
@@ -363,7 +353,6 @@ fn cmd_explore(args: &Args) -> Result<ExitCode, String> {
         .jobs(args.jobs.unwrap_or(0))
         .max_failures(args.max_failures)
         .shrink_failures(args.shrink_failures)
-        .use_pool(!args.no_pool)
         .build()
         .map_err(|e| e.to_string())?;
 

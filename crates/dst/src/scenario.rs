@@ -4,9 +4,11 @@
 //! from another: the PRNG seed (which fixes every scheduler decision),
 //! the kill-set (which ranks are fail-stopped, where in the protocol),
 //! and optionally an explicit delay-mask (which mailbox drains hold
-//! messages back). [`run_schedule`] executes one schedule over the
-//! fault-tolerant ring and returns an [`Observation`] — the flattened
-//! facts the [`crate::oracle`] checkers judge.
+//! messages back). A [`SeedRunner`] executes schedules over the
+//! fault-tolerant ring, one [`Observation`] each — the flattened facts
+//! the [`crate::oracle`] checkers judge. It is the only executor:
+//! sweeps, fuzz campaigns and shrinks hold one and reuse it, and the
+//! free [`run_seed`] / [`run_schedule`] build one for a single call.
 //!
 //! Kill-sets are themselves derived from the seed
 //! ([`Schedule::from_seed`]), so the whole explored space is indexed by
@@ -15,9 +17,8 @@
 
 use std::sync::Arc;
 
-use allocstats::AllocStats;
 use faultsim::{FaultPlan, HookKind, RunStats};
-use ftmpi::{run, RankOutcome, TimedEvent, UniverseConfig, UniversePool, WORLD};
+use ftmpi::{RankOutcome, TimedEvent, UniverseConfig, UniversePool, WORLD};
 use ftring::{run_ring, RingConfig, RingStats};
 
 use crate::coverage::CoverageSet;
@@ -277,7 +278,7 @@ impl std::fmt::Display for Kill {
 
 /// A complete named execution: seed plus derived (or shrunk) kill-set
 /// and delay-mask.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Schedule {
     /// Seed for every scheduler decision.
     pub seed: u64,
@@ -297,7 +298,7 @@ impl Schedule {
     /// explicit delay-mask from the same stream (after its kills, so
     /// the kill draws stay independent of the mask width).
     pub fn from_seed(seed: u64, cfg: &ScenarioCfg) -> Self {
-        let mut s = Schedule { seed, kills: Vec::new(), delay_mask: None };
+        let mut s = Schedule::default();
         Schedule::from_seed_into(seed, cfg, &mut s);
         s
     }
@@ -631,31 +632,18 @@ pub enum Retention {
     Quiet,
 }
 
-/// Execute one schedule deterministically and observe the result.
-pub fn run_schedule(schedule: &Schedule, cfg: &ScenarioCfg) -> Observation {
-    run_schedule_with(schedule, cfg, Retention::Full)
-}
-
-/// [`run_schedule`] with an explicit retention policy.
-pub fn run_schedule_with(
-    schedule: &Schedule,
-    cfg: &ScenarioCfg,
-    retention: Retention,
-) -> Observation {
-    execute(None, schedule, cfg, retention, None)
-}
-
-/// A reusable schedule executor: one persistent [`UniversePool`] at a
-/// fixed rank count, running schedules back-to-back without per-run
-/// stack mappings or universe-state reallocation.
+/// The one schedule executor: a persistent [`UniversePool`] at a fixed
+/// rank count, running schedules back-to-back without per-run stack
+/// mappings or universe-state reallocation.
 ///
-/// The observation for any schedule is **byte-identical** to the
-/// one-shot [`run_schedule_with`] path — both start the ranks in rank
-/// order on fresh coroutine frames, and the pool's reset protocol
-/// rewinds all shared state (the golden-log suite pins this in both
-/// modes). The sweep engine holds
-/// one runner per worker; `dst explore --no-pool` falls back to
-/// spawn-per-run.
+/// A schedule's observation does not depend on what the runner ran
+/// before it: the pool starts the ranks in rank order on their
+/// coroutine stacks and its reset protocol rewinds all shared state
+/// (the golden-log suite renders every pinned seed both on a fresh
+/// runner and through ONE runner, against the same goldens). The sweep
+/// engine holds one runner per worker, a fuzz campaign and a shrink
+/// one each; [`run_seed`] and [`run_schedule`] build one for a single
+/// call.
 pub struct SeedRunner {
     pool: UniversePool,
     /// Scratch schedule reused across [`SeedRunner::run_seed`] calls:
@@ -676,7 +664,7 @@ impl SeedRunner {
     pub fn new(ranks: usize) -> Self {
         SeedRunner {
             pool: UniversePool::new(ranks),
-            derive: Schedule { seed: 0, kills: Vec::new(), delay_mask: None },
+            derive: Schedule::default(),
             spares: Vec::new(),
         }
     }
@@ -695,7 +683,8 @@ impl SeedRunner {
         }
     }
 
-    /// [`run_schedule_with`], on the persistent pool.
+    /// Execute one schedule deterministically and observe the result —
+    /// the single execution path every entry point funnels into.
     pub fn run_schedule_with(
         &mut self,
         schedule: &Schedule,
@@ -707,166 +696,127 @@ impl SeedRunner {
             self.pool.size(),
             "scenario rank count does not match this runner's pool"
         );
-        let spare = self.spares.pop();
-        execute(Some(&mut self.pool), schedule, cfg, retention, spare)
+        // Everything a schedule allocates happens on this thread — the
+        // harness's own work (scheduler construction, plan fold, outcome
+        // flattening) and, since simulated ranks are coroutines driven
+        // from here, the rank bodies too — so one snapshot pair counts
+        // each allocation exactly once.
+        let alloc_before = allocstats::snapshot();
+        let mut sched = Scheduler::new(cfg.ranks, schedule.seed, cfg.step_budget);
+        if retention == Retention::Quiet {
+            sched = sched.quiet();
+        }
+        if let Some(mask) = &schedule.delay_mask {
+            sched = sched.delay_mask(mask);
+        }
+        let sched = Arc::new(sched);
+        let plan = schedule
+            .kills
+            .iter()
+            .fold(FaultPlan::none(), |p, k| p.kill_at(k.victim, k.hook, k.occurrence));
+        let ucfg = UniverseConfig::with_plan(plan).traced().sim(sched.clone());
+        let ring = cfg.ring_config();
+        let report = self.pool.run(ucfg, move |p: &mut ftmpi::Process| run_ring(p, WORLD, &ring));
+
+        let mut outcomes = Vec::with_capacity(report.outcomes.len());
+        let mut ring_stats = Vec::with_capacity(report.outcomes.len());
+        for o in report.outcomes {
+            match o {
+                RankOutcome::Ok(s) => {
+                    outcomes.push(Outcome::Ok);
+                    ring_stats.push(Some(s));
+                }
+                RankOutcome::Failed => {
+                    outcomes.push(Outcome::Failed);
+                    ring_stats.push(None);
+                }
+                RankOutcome::Aborted { code } => {
+                    outcomes.push(Outcome::Aborted(code));
+                    ring_stats.push(None);
+                }
+                RankOutcome::Err(e) => {
+                    outcomes.push(Outcome::Err(e.to_string()));
+                    ring_stats.push(None);
+                }
+                RankOutcome::Panicked(m) => {
+                    outcomes.push(Outcome::Panicked(m));
+                    ring_stats.push(None);
+                }
+            }
+        }
+
+        // The observation's schedule copy reuses a recycled buffer when
+        // there is one (§8.10: retention must not cost a fresh clone
+        // per run).
+        let mut own_schedule = self.spares.pop().unwrap_or_default();
+        own_schedule.clone_from_pooled(schedule);
+
+        let mut obs = Observation {
+            schedule: own_schedule,
+            cfg: *cfg,
+            outcomes,
+            ring_stats,
+            hung: report.hung,
+            budget_exhausted: sched.budget_exhausted(),
+            trace: report.trace,
+            log: sched.log_text(),
+            delay_calls: sched.delay_calls(),
+            // Handoff + coverage summary, via the one RunStats surface
+            // the pool assembled; `alloc` is overwritten below.
+            stats: report.stats,
+            coverage: sched.take_coverage(),
+        };
+        // Snapshot *after* assembly so the observation's own work
+        // counts. This interval contains the one `report.stats.alloc`
+        // covers (the pool's drive loop), so it replaces that figure
+        // instead of adding to it.
+        obs.stats.alloc = allocstats::snapshot().since(&alloc_before);
+        obs
     }
 
-    /// [`run_seed`], on the persistent pool.
+    /// Derive the schedule for `seed` and run it with the full decision
+    /// log ([`Retention::Full`]).
     pub fn run_seed(&mut self, seed: u64, cfg: &ScenarioCfg) -> Observation {
         self.run_seed_with(seed, cfg, Retention::Full)
     }
 
-    /// [`run_seed_quiet`], on the persistent pool.
+    /// [`SeedRunner::run_seed`] without log retention
+    /// ([`Retention::Quiet`]) — the sweep engine's per-seed workhorse.
     pub fn run_seed_quiet(&mut self, seed: u64, cfg: &ScenarioCfg) -> Observation {
         self.run_seed_with(seed, cfg, Retention::Quiet)
     }
 
     /// Derive into the runner's scratch schedule (no per-seed
     /// allocation once the vectors are warm) and execute it, counting
-    /// the derivation's heap traffic into the observation.
+    /// the derivation's heap traffic into the observation so seed-level
+    /// entry points report whole-schedule numbers.
     fn run_seed_with(
         &mut self,
         seed: u64,
         cfg: &ScenarioCfg,
         retention: Retention,
     ) -> Observation {
-        assert_eq!(
-            cfg.ranks,
-            self.pool.size(),
-            "scenario rank count does not match this runner's pool"
-        );
         let before = allocstats::snapshot();
-        Schedule::from_seed_into(seed, cfg, &mut self.derive);
+        let mut schedule = std::mem::take(&mut self.derive);
+        Schedule::from_seed_into(seed, cfg, &mut schedule);
         let derive = allocstats::snapshot().since(&before);
-        let spare = self.spares.pop();
-        let mut obs = execute(Some(&mut self.pool), &self.derive, cfg, retention, spare);
+        let mut obs = self.run_schedule_with(&schedule, cfg, retention);
+        self.derive = schedule;
         obs.stats.alloc.add(&derive);
         obs
     }
 }
 
-/// Derive the schedule for `seed` while counting the derivation's own
-/// heap traffic, so seed-level entry points attribute it to the
-/// observation (`dst explore --stats` reports whole-schedule numbers).
-fn derive_measured(seed: u64, cfg: &ScenarioCfg) -> (Schedule, AllocStats) {
-    let before = allocstats::snapshot();
-    let schedule = Schedule::from_seed(seed, cfg);
-    (schedule, allocstats::snapshot().since(&before))
+/// Convenience: run one schedule, full log, on a runner built for this
+/// call.
+pub fn run_schedule(schedule: &Schedule, cfg: &ScenarioCfg) -> Observation {
+    SeedRunner::new(cfg.ranks).run_schedule_with(schedule, cfg, Retention::Full)
 }
 
-/// The one execution path behind both the pooled and one-shot entry
-/// points; they differ only in who owns the rank stacks.
-/// `spare` is an optional recycled schedule whose buffers become the
-/// observation's schedule copy (no fresh clone allocation).
-fn execute(
-    pool: Option<&mut UniversePool>,
-    schedule: &Schedule,
-    cfg: &ScenarioCfg,
-    retention: Retention,
-    spare: Option<Schedule>,
-) -> Observation {
-    // Everything a schedule allocates happens on this thread — the
-    // harness's own work (scheduler construction, plan fold, outcome
-    // flattening) and, since simulated ranks are coroutines driven from
-    // here, the rank bodies too — so one snapshot pair counts each
-    // allocation exactly once.
-    let alloc_before = allocstats::snapshot();
-    let sched = match (&schedule.delay_mask, retention) {
-        (Some(mask), Retention::Full) => {
-            Scheduler::with_delay_mask(cfg.ranks, schedule.seed, cfg.step_budget, mask)
-        }
-        (Some(mask), Retention::Quiet) => {
-            // The masked kill shape sweeps explicit masks at volume.
-            Scheduler::with_delay_mask_quiet(cfg.ranks, schedule.seed, cfg.step_budget, mask)
-        }
-        (None, Retention::Full) => Scheduler::new(cfg.ranks, schedule.seed, cfg.step_budget),
-        (None, Retention::Quiet) => Scheduler::quiet(cfg.ranks, schedule.seed, cfg.step_budget),
-    };
-    let sched = Arc::new(sched);
-    let plan = schedule
-        .kills
-        .iter()
-        .fold(FaultPlan::none(), |p, k| p.kill_at(k.victim, k.hook, k.occurrence));
-    let ucfg = UniverseConfig::with_plan(plan).traced().sim(sched.clone());
-    let ring = cfg.ring_config();
-    let f = move |p: &mut ftmpi::Process| run_ring(p, WORLD, &ring);
-    let report = match pool {
-        Some(pool) => pool.run(ucfg, f),
-        None => run(cfg.ranks, ucfg, f),
-    };
-
-    let mut outcomes = Vec::with_capacity(report.outcomes.len());
-    let mut ring_stats = Vec::with_capacity(report.outcomes.len());
-    for o in report.outcomes {
-        match o {
-            RankOutcome::Ok(s) => {
-                outcomes.push(Outcome::Ok);
-                ring_stats.push(Some(s));
-            }
-            RankOutcome::Failed => {
-                outcomes.push(Outcome::Failed);
-                ring_stats.push(None);
-            }
-            RankOutcome::Aborted { code } => {
-                outcomes.push(Outcome::Aborted(code));
-                ring_stats.push(None);
-            }
-            RankOutcome::Err(e) => {
-                outcomes.push(Outcome::Err(e.to_string()));
-                ring_stats.push(None);
-            }
-            RankOutcome::Panicked(m) => {
-                outcomes.push(Outcome::Panicked(m));
-                ring_stats.push(None);
-            }
-        }
-    }
-
-    // The observation's schedule copy reuses a recycled buffer when
-    // the caller provided one (§8.10: retention must not cost a fresh
-    // clone per run).
-    let mut own_schedule =
-        spare.unwrap_or(Schedule { seed: 0, kills: Vec::new(), delay_mask: None });
-    own_schedule.clone_from_pooled(schedule);
-
-    let mut obs = Observation {
-        schedule: own_schedule,
-        cfg: *cfg,
-        outcomes,
-        ring_stats,
-        hung: report.hung,
-        budget_exhausted: sched.budget_exhausted(),
-        trace: report.trace,
-        log: sched.log_text(),
-        delay_calls: sched.delay_calls(),
-        // Handoff + coverage summary, via the one RunStats surface the
-        // pool assembled; `alloc` is overwritten below.
-        stats: report.stats,
-        coverage: sched.take_coverage(),
-    };
-    // Snapshot *after* assembly so the observation's own work counts.
-    // This interval contains the one `report.stats.alloc` covers (the
-    // pool's drive loop), so it replaces that figure instead of adding
-    // to it.
-    obs.stats.alloc = allocstats::snapshot().since(&alloc_before);
-    obs
-}
-
-/// Convenience: derive the schedule for `seed` and run it.
+/// Convenience: derive the schedule for `seed` and run it, full log,
+/// on a runner built for this call.
 pub fn run_seed(seed: u64, cfg: &ScenarioCfg) -> Observation {
-    let (schedule, derive) = derive_measured(seed, cfg);
-    let mut obs = run_schedule(&schedule, cfg);
-    obs.stats.alloc.add(&derive);
-    obs
-}
-
-/// [`run_seed`] without log retention ([`Retention::Quiet`]) — the
-/// sweep engine's per-seed workhorse.
-pub fn run_seed_quiet(seed: u64, cfg: &ScenarioCfg) -> Observation {
-    let (schedule, derive) = derive_measured(seed, cfg);
-    let mut obs = run_schedule_with(&schedule, cfg, Retention::Quiet);
-    obs.stats.alloc.add(&derive);
-    obs
+    SeedRunner::new(cfg.ranks).run_seed(seed, cfg)
 }
 
 #[cfg(test)]

@@ -44,22 +44,23 @@
 //!
 //! ### Recording toggle (zero-retention exploration)
 //!
-//! [`Scheduler::new`] records every decision into the log (replay,
-//! shrinking, tests). [`Scheduler::quiet`] runs the *same* schedule —
-//! every PRNG stream advances identically — but retains nothing: no
-//! `SchedEvent` allocation per step, no delay list. Exploration sweeps
-//! run quiet; a failing seed is simply re-run recorded (same seed, same
-//! schedule, by determinism) when its log is wanted.
+//! [`Scheduler::new`] is the one constructor and records every
+//! decision into the log (replay, shrinking, tests). The
+//! [`Scheduler::quiet`] modifier runs the *same* schedule — every PRNG
+//! stream advances identically — but retains nothing: no `SchedEvent`
+//! allocation per step, no delay list. Exploration sweeps run quiet; a
+//! failing seed is simply re-run recorded (same seed, same schedule, by
+//! determinism) when its log is wanted.
 //!
 //! ### Delays
 //!
 //! A mailbox drain with `q` queued envelopes asks for a choice among
 //! `q + 1` alternatives; answering `k < q` delivers only the first `k`
 //! and *delays* the rest (per-pair FIFO is preserved because only a
-//! prefix is taken). In exploration mode delays fire randomly; in
-//! shrink mode an explicit [`Scheduler::with_delay_mask`] pins exactly
-//! which drain calls may delay, which is what makes the delay-set a
-//! first-class, minimizable part of a failure schedule.
+//! prefix is taken). By default delays fire randomly; the
+//! [`Scheduler::delay_mask`] modifier pins exactly which drain calls
+//! delay, which is what makes the delay-set a first-class, minimizable
+//! part of a failure schedule. The two modifiers compose.
 //!
 //! ### Coverage
 //!
@@ -196,7 +197,7 @@ struct Inner {
     rng_amount: SplitMix64,
     steps: u64,
     aborted: bool,
-    /// When false (`Scheduler::quiet`), no event or delay-call history
+    /// When false ([`Scheduler::quiet`]), no event or delay-call history
     /// is retained — the PRNG streams still advance identically, so the
     /// schedule is the same, only log-free.
     record: bool,
@@ -205,7 +206,8 @@ struct Inner {
     drain_calls: u64,
     /// Drain calls that delayed (pick < queue length).
     delays: Vec<u64>,
-    /// Shrink mode: exactly these drain calls may delay.
+    /// When set ([`Scheduler::delay_mask`]): exactly these drain calls
+    /// delay.
     delay_mask: Option<BTreeSet<u64>>,
     /// Grants actually issued (excludes the budget-exhausting draw).
     grants: u64,
@@ -227,7 +229,11 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    fn build(n: usize, seed: u64, budget: u64, record: bool) -> Self {
+    /// Scheduler for `n` ranks: every decision drawn from `seed`, hang
+    /// declared after `budget` grants, delays fired at random from the
+    /// seed, and the full decision log recorded. The one constructor;
+    /// [`Scheduler::quiet`] and [`Scheduler::delay_mask`] modify it.
+    pub fn new(n: usize, seed: u64, budget: u64) -> Self {
         Scheduler {
             inner: Mutex::new(Inner {
                 waiting: Vec::with_capacity(n),
@@ -237,7 +243,7 @@ impl Scheduler {
                 rng_amount: SplitMix64::new(seed ^ 0x616D6F_756E7421),
                 steps: 0,
                 aborted: false,
-                record,
+                record: true,
                 log: Vec::new(),
                 drain_calls: 0,
                 delays: Vec::new(),
@@ -251,38 +257,24 @@ impl Scheduler {
         }
     }
 
-    /// Exploration-mode scheduler for `n` ranks: every decision drawn
-    /// from `seed`, hang declared after `budget` grants. Records the
-    /// full decision log.
-    pub fn new(n: usize, seed: u64, budget: u64) -> Self {
-        Scheduler::build(n, seed, budget, true)
+    /// Zero retention: the identical schedule (every PRNG stream
+    /// advances the same way) with no decision log and no delay list.
+    /// Sweeps run quiet; a failing seed is re-run recorded to recover
+    /// its log deterministically.
+    pub fn quiet(mut self) -> Self {
+        self.inner.get_mut().expect("poisoned before any run").record = false;
+        self
     }
 
-    /// Zero-retention variant of [`Scheduler::new`]: the identical
-    /// schedule (every PRNG stream advances the same way) with no
-    /// decision log and no delay list. Sweeps run quiet; a failing seed
-    /// is re-run recorded to recover its log deterministically.
-    pub fn quiet(n: usize, seed: u64, budget: u64) -> Self {
-        Scheduler::build(n, seed, budget, false)
-    }
-
-    /// Shrink-mode scheduler: drain calls whose index is in `mask` are
-    /// forced to delay, every other drain delivers in full. Grant and
-    /// waitany/anysource decisions still come from `seed`.
-    pub fn with_delay_mask(n: usize, seed: u64, budget: u64, mask: &[u64]) -> Self {
-        let s = Scheduler::new(n, seed, budget);
-        s.inner.lock().unwrap().delay_mask = Some(mask.iter().copied().collect());
-        s
-    }
-
-    /// Zero-retention variant of [`Scheduler::with_delay_mask`]: the
-    /// identical masked schedule with no decision log and no delay
-    /// list. The `masked` kill shape sweeps seed-derived masks at
-    /// volume; recording every run would defeat quiet sweeps.
-    pub fn with_delay_mask_quiet(n: usize, seed: u64, budget: u64, mask: &[u64]) -> Self {
-        let s = Scheduler::quiet(n, seed, budget);
-        s.inner.lock().unwrap().delay_mask = Some(mask.iter().copied().collect());
-        s
+    /// Pin the delays: drain calls whose index is in `mask` are forced
+    /// to delay, every other drain delivers in full. Grant and
+    /// waitany/anysource decisions still come from the seed. Shrinking
+    /// replays masks it minimizes; the `masked` kill shape sweeps
+    /// seed-derived ones (quiet, at volume).
+    pub fn delay_mask(mut self, mask: &[u64]) -> Self {
+        self.inner.get_mut().expect("poisoned before any run").delay_mask =
+            Some(mask.iter().copied().collect());
+        self
     }
 
     /// The decision log so far, one event per line — byte-identical for
@@ -448,8 +440,8 @@ impl SchedHook for Scheduler {
                 steps: inner.steps,
                 grants: inner.grants,
                 self_grants: inner.self_grants,
-                // No thread is handed anything, and the transport
-                // counter is the pool's to fill in.
+                // No thread parks, and the transport counter is the
+                // pool's to fill in.
                 ..HandoffStats::default()
             },
             coverage: inner.coverage.stats(),
@@ -526,28 +518,39 @@ mod tests {
     fn quiet_scheduler_runs_the_same_schedule_logfree() {
         // Drive recorded and quiet schedulers through an identical call
         // sequence: picks must match draw for draw, while the quiet one
-        // retains nothing.
-        let recorded = Scheduler::new(1, 77, 1000);
-        let quiet = Scheduler::quiet(1, 77, 1000);
-        for n in [4usize, 2, 7, 3, 5] {
-            assert_eq!(
-                recorded.choose(0, ChoiceKind::Drain, n),
-                quiet.choose(0, ChoiceKind::Drain, n)
-            );
-            assert_eq!(
-                recorded.choose(0, ChoiceKind::WaitAny, n),
-                quiet.choose(0, ChoiceKind::WaitAny, n)
-            );
+        // retains nothing — with random delays and with a pinned mask.
+        for mask in [None, Some([1u64, 3])] {
+            let build = || {
+                let sched = Scheduler::new(1, 77, 1000);
+                match &mask {
+                    Some(m) => sched.delay_mask(m),
+                    None => sched,
+                }
+            };
+            let (recorded, quiet) = (build(), build().quiet());
+            for n in [4usize, 2, 7, 3, 5] {
+                assert_eq!(
+                    recorded.choose(0, ChoiceKind::Drain, n),
+                    quiet.choose(0, ChoiceKind::Drain, n)
+                );
+                assert_eq!(
+                    recorded.choose(0, ChoiceKind::WaitAny, n),
+                    quiet.choose(0, ChoiceKind::WaitAny, n)
+                );
+            }
+            assert!(!recorded.events().is_empty());
+            if let Some(m) = mask {
+                assert_eq!(recorded.delay_calls(), m, "exactly the masked drains delay");
+            }
+            assert!(quiet.events().is_empty());
+            assert!(quiet.log_text().is_empty());
+            assert!(quiet.delay_calls().is_empty());
         }
-        assert!(!recorded.events().is_empty());
-        assert!(quiet.events().is_empty());
-        assert!(quiet.log_text().is_empty());
-        assert!(quiet.delay_calls().is_empty());
     }
 
     #[test]
     fn quiet_budget_exhaustion_is_still_visible() {
-        let sched = Scheduler::quiet(2, 1, 25);
+        let sched = Scheduler::new(2, 1, 25).quiet();
         drive(&sched, 2, None);
         assert!(sched.budget_exhausted(), "aborted flag works without the log");
         assert!(sched.events().is_empty());
@@ -555,7 +558,7 @@ mod tests {
 
     #[test]
     fn delay_mask_forces_exact_delays() {
-        let sched = Scheduler::with_delay_mask(1, 9, 100, &[1]);
+        let sched = Scheduler::new(1, 9, 100).delay_mask(&[1]);
         // Drain call 0: full delivery of a 3-long queue (4 options).
         assert_eq!(sched.choose(0, ChoiceKind::Drain, 4), 3);
         // Drain call 1: masked in, must delay (pick < 3).
@@ -597,7 +600,7 @@ mod tests {
             sched.on_exit(0);
         };
         let recorded = Scheduler::new(2, 11, 100);
-        let quiet = Scheduler::quiet(2, 11, 100);
+        let quiet = Scheduler::new(2, 11, 100).quiet();
         drive(&recorded);
         drive(&quiet);
         let (r, q) = (recorded.run_stats().coverage, quiet.run_stats().coverage);

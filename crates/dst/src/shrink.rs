@@ -16,7 +16,7 @@
 //! Fig. 8 scenario, rediscovered and minimized automatically.
 
 use crate::oracle::{check_all, Violation};
-use crate::scenario::{run_schedule, Kill, Observation, ScenarioCfg, Schedule};
+use crate::scenario::{Kill, Observation, Retention, ScenarioCfg, Schedule, SeedRunner};
 
 /// One removable schedule event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,18 +75,21 @@ pub fn shrink(
         None => &default_pred,
     };
 
-    let mut runs = 0usize;
-    let mut test = |events: &[Ev]| -> (bool, Observation) {
-        runs += 1;
-        let obs = run_schedule(&schedule_of(seed, events), cfg);
-        (pred(&obs), obs)
-    };
+    // One runner for the exploration run and every ddmin candidate.
+    let mut runner = SeedRunner::new(cfg.ranks);
 
     // The starting event set: the seed's derived kills plus the delays
     // actually observed on its exploration run. Replaying with that
     // explicit mask must still fail, otherwise the failure depends on
     // unmasked randomness and cannot be shrunk soundly.
-    let first = run_schedule(&Schedule::from_seed(seed, cfg), cfg);
+    let first = runner.run_seed(seed, cfg);
+
+    let mut runs = 0usize;
+    let mut test = |events: &[Ev]| -> (bool, Observation) {
+        runs += 1;
+        let obs = runner.run_schedule_with(&schedule_of(seed, events), cfg, Retention::Full);
+        (pred(&obs), obs)
+    };
     let mut events: Vec<Ev> = first
         .schedule
         .kills

@@ -4,11 +4,12 @@
 //! time: a pool of worker threads (default
 //! `std::thread::available_parallelism()`) pulls seed chunks from a
 //! shared atomic cursor, runs each seed's fully self-contained
-//! simulation ([`run_seed`] plus the oracles), and streams a compact
-//! per-seed verdict into an aggregator. Determinism lives entirely
-//! inside `run_seed` — every universe owns its scheduler, fabric,
-//! injector, boards and trace, and nothing is process-global — so the
-//! per-seed verdicts are identical whatever the worker count; only
+//! simulation on its own [`SeedRunner`] (plus the oracles), and streams
+//! a compact per-seed verdict into an aggregator. Determinism lives
+//! entirely inside the run of one seed — every universe owns its
+//! scheduler, fabric, injector, boards and trace, nothing is
+//! process-global, and a runner's state is rewound between seeds — so
+//! the per-seed verdicts are identical whatever the worker count; only
 //! wall-clock time changes.
 //!
 //! The aggregator keeps **streaming summaries**, not observations: a
@@ -34,7 +35,7 @@ use faultsim::{CoverageStats, RunStats};
 
 use crate::coverage::CoverageSet;
 use crate::oracle::check_all;
-use crate::scenario::{run_seed_quiet, Observation, ScenarioCfg, SeedRunner};
+use crate::scenario::{Observation, ScenarioCfg, SeedRunner};
 use crate::shrink::shrink;
 
 /// Seeds claimed per cursor pull. Small enough that workers stay
@@ -57,14 +58,6 @@ pub struct SweepCfg {
     /// ddmin-minimize each retained failure after the sweep, so corpus
     /// lines carry a minimal event set.
     pub shrink_failures: bool,
-    /// Run each worker's seeds on a persistent [`SeedRunner`] (reused
-    /// rank stacks and universe state) instead of a fresh universe per
-    /// seed.
-    /// Verdicts are identical either way — the pool's reset protocol is
-    /// pinned byte-identical by the golden-log suite — so `false`
-    /// exists for A/B comparison (`dst explore --no-pool`, the bench
-    /// baselines), not correctness.
-    pub use_pool: bool,
 }
 
 impl Default for SweepCfg {
@@ -75,7 +68,6 @@ impl Default for SweepCfg {
             jobs: 0,
             max_failures: 100,
             shrink_failures: false,
-            use_pool: true,
         }
     }
 }
@@ -136,12 +128,6 @@ impl SweepBuilder {
     /// ddmin-minimize retained failures (`--shrink-failures`).
     pub fn shrink_failures(mut self, on: bool) -> Self {
         self.cfg.shrink_failures = on;
-        self
-    }
-
-    /// Persistent per-worker executor pools (`--no-pool` turns off).
-    pub fn use_pool(mut self, on: bool) -> Self {
-        self.cfg.use_pool = on;
         self
     }
 
@@ -341,7 +327,7 @@ pub fn write_lines(path: &Path, lines: &[String]) -> std::io::Result<()> {
     f.flush()
 }
 
-///// One line per failure: seed, verdict, schedule, and a paste-able
+/// One line per failure: seed, verdict, schedule, and a paste-able
 /// repro command. Non-default kill shapes are carried both as a field
 /// (`shape=…`) and inside the repro command, so a corpus line from a
 /// `--shape all` sweep replays the exact same schedule family.
@@ -460,28 +446,20 @@ pub(crate) struct SeedVerdict {
 
 /// Run one seed and fold it into a verdict.
 ///
-/// Seeds run **zero-retention** ([`run_seed_quiet`]): the scheduler
-/// never accumulates a decision log or delay list, because the oracles
-/// judge only the trace, outcomes, stats and hang flags. Nothing is
-/// lost: the summary carries the seed, and replay/shrinking re-run it
-/// with full recording — determinism makes the re-run the identical
-/// schedule, so the log is recoverable on demand instead of being paid
-/// for on every green seed.
-fn verdict_of(seed: u64, scenario: &ScenarioCfg, runner: Option<&mut SeedRunner>) -> SeedVerdict {
-    match runner {
-        Some(r) => {
-            let mut obs = r.run_seed_quiet(seed, scenario);
-            let verdict = fold_verdict(seed, &mut obs);
-            // The observation's buffers go back to the runner: the
-            // next seed's schedule copy reuses them (§8.10).
-            r.recycle(obs);
-            verdict
-        }
-        None => {
-            let mut obs = run_seed_quiet(seed, scenario);
-            fold_verdict(seed, &mut obs)
-        }
-    }
+/// Seeds run **zero-retention** ([`SeedRunner::run_seed_quiet`]): the
+/// scheduler never accumulates a decision log or delay list, because
+/// the oracles judge only the trace, outcomes, stats and hang flags.
+/// Nothing is lost: the summary carries the seed, and replay/shrinking
+/// re-run it with full recording — determinism makes the re-run the
+/// identical schedule, so the log is recoverable on demand instead of
+/// being paid for on every green seed.
+fn verdict_of(seed: u64, scenario: &ScenarioCfg, runner: &mut SeedRunner) -> SeedVerdict {
+    let mut obs = runner.run_seed_quiet(seed, scenario);
+    let verdict = fold_verdict(seed, &mut obs);
+    // The observation's buffers go back to the runner: the next seed's
+    // schedule copy reuses them (§8.10).
+    runner.recycle(obs);
+    verdict
 }
 
 /// Judge one observation and compress it to the streaming verdict.
@@ -545,10 +523,9 @@ pub fn sweep(cfg: &SweepCfg, scenario: &ScenarioCfg) -> Result<SweepReport, Swee
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| {
-                // One persistent executor pool per worker: every seed
-                // this worker claims reuses the same rank stacks and
-                // universe state instead of building a fresh set.
-                let mut runner = cfg.use_pool.then(|| SeedRunner::new(scenario.ranks));
+                // One runner per worker: every seed this worker claims
+                // reuses the same rank stacks and universe state.
+                let mut runner = SeedRunner::new(scenario.ranks);
                 loop {
                     let claim = cursor.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
                         if c >= cfg.count {
@@ -563,7 +540,7 @@ pub fn sweep(cfg: &SweepCfg, scenario: &ScenarioCfg) -> Result<SweepReport, Swee
                     };
                     let end = begin.saturating_add(CHUNK).min(cfg.count);
                     for off in begin..end {
-                        let verdict = verdict_of(cfg.start + off, scenario, runner.as_mut());
+                        let verdict = verdict_of(cfg.start + off, scenario, &mut runner);
                         agg.lock().unwrap().record(verdict);
                     }
                 }

@@ -114,8 +114,10 @@ fn explore_all_shapes_prints_per_shape_summaries() {
 }
 
 /// `fuzz` gates its flags like every other subcommand: no shape (it
-/// seeds across all of them), no buggy mode, no sweep fan-out knobs,
-/// and `--budget` belongs to fuzz alone.
+/// seeds across all of them), no buggy mode, and `--budget` belongs to
+/// fuzz alone. The sweep engine's knobs (`--jobs`, `--shrink-failures`)
+/// belong to explore alone — replay/shrink/determinism used to accept
+/// them silently.
 #[test]
 fn fuzz_flag_gating() {
     for (args, needle) in [
@@ -123,8 +125,17 @@ fn fuzz_flag_gating() {
         (vec!["fuzz", "--buggy"], "--buggy does not apply to fuzz"),
         (vec!["fuzz", "--budget", "0"], "--budget must be at least 1"),
         (vec!["fuzz", "--jobs", "2"], "--jobs only applies to explore"),
-        (vec!["fuzz", "--no-pool"], "--no-pool only applies to explore"),
         (vec!["fuzz", "--shrink-failures"], "--shrink-failures only applies to explore"),
+        (vec!["replay", "--seed", "3", "--jobs", "4"], "--jobs only applies to explore"),
+        (
+            vec!["replay", "--seed", "3", "--shrink-failures"],
+            "--shrink-failures only applies to explore",
+        ),
+        (vec!["shrink", "--seed", "0x2d", "--buggy", "--jobs", "4"], "--jobs only applies to explore"),
+        (
+            vec!["determinism", "--seed", "3", "--shrink-failures"],
+            "--shrink-failures only applies to explore",
+        ),
         (vec!["explore", "--seeds", "1", "--budget", "10"], "--budget only applies to fuzz"),
         (vec!["replay", "--seed", "3", "--stats"], "--stats only applies to explore and fuzz"),
     ] {
@@ -136,17 +147,20 @@ fn fuzz_flag_gating() {
 }
 
 /// `--threads-budget` sized a pool of rank threads that no longer
-/// exists; it is gone, not ignored.
+/// exists, and `--no-pool` selected a second executor that no longer
+/// exists; both are gone, not ignored.
 #[test]
 fn the_rank_thread_budget_flag_is_gone() {
-    for cmd in ["explore", "fuzz"] {
-        let out = dst(&[cmd, "--threads-budget", "8"]);
-        assert!(!out.status.success(), "{cmd} --threads-budget was accepted");
-        let err = stderr(&out);
-        assert!(
-            err.contains("unknown flag: --threads-budget") && err.contains("usage:"),
-            "{cmd} --threads-budget produced unexpected stderr: {err}"
-        );
+    for flag in ["--threads-budget", "--no-pool"] {
+        for cmd in ["explore", "fuzz"] {
+            let out = dst(&[cmd, flag, "8"]);
+            assert!(!out.status.success(), "{cmd} {flag} was accepted");
+            let err = stderr(&out);
+            assert!(
+                err.contains(&format!("unknown flag: {flag}")) && err.contains("usage:"),
+                "{cmd} {flag} produced unexpected stderr: {err}"
+            );
+        }
     }
 }
 

@@ -90,11 +90,13 @@ fn render(ranks: usize) -> String {
     out
 }
 
-/// `render`, but every seed runs back-to-back on ONE persistent
-/// executor pool — the reused-state path the sweep engine takes. The
-/// same goldens judge both renderings, so a reset-protocol bug that
-/// let one schedule's state bleed into the next shows up as a byte
-/// divergence here.
+/// `render` builds a fresh runner per seed (`run_seed`); here every
+/// seed runs back-to-back through ONE runner — the reused-state path
+/// sweeps, fuzz campaigns and shrinks take. The same goldens judge both
+/// renderings: the standing proof that `Shared::reset` leaves exactly
+/// what `Shared::fresh` builds, so a reset-protocol bug that let one
+/// schedule's state bleed into the next shows up as a byte divergence
+/// here.
 fn render_pooled(ranks: usize) -> String {
     let cfg = ScenarioCfg { ranks, ..ScenarioCfg::default() };
     let mut runner = SeedRunner::new(ranks);
@@ -117,16 +119,16 @@ fn check(ranks: usize) {
     check_rendering(ranks, render(ranks));
 }
 
-/// Pooled rendering judged against the identical goldens. Under
-/// `GOLDEN_REGEN` the spawn-mode rendering stays the one that is
-/// written; the pooled rendering is compared against it in memory, so
-/// regeneration can never pin a reset-protocol bug into the goldens.
+/// One-runner rendering judged against the identical goldens. Under
+/// `GOLDEN_REGEN` the fresh-runner rendering stays the one that is
+/// written; the one-runner rendering is compared against it in memory,
+/// so regeneration can never pin a reset-protocol bug into the goldens.
 fn check_pooled(ranks: usize) {
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         assert_eq!(
             render(ranks),
             render_pooled(ranks),
-            "pooled rendering diverged from spawn-per-run at {ranks} ranks during regeneration"
+            "one-runner rendering diverged from fresh-runner at {ranks} ranks during regeneration"
         );
         return;
     }

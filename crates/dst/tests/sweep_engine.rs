@@ -130,7 +130,6 @@ fn shrink_failures_attaches_minimal_events() {
         jobs: 2,
         max_failures: 10,
         shrink_failures: true,
-        ..SweepCfg::default()
     };
     let report = sweep(&cfg, &scenario).unwrap();
     assert!(!report.failures.is_empty());

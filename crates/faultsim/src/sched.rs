@@ -84,11 +84,9 @@ pub enum StepOutcome {
 /// Scheduling counters reported by a [`SchedHook`].
 ///
 /// `steps`, `grants` and `self_grants` are logical properties of the
-/// schedule. The thread-handoff counters (`spin_grants`,
-/// `prepark_grants`, `parks`, `unparks`, `spin_iters`) date from when
-/// every rank was an OS thread; simulated ranks are coroutines now, so
-/// a scheduler reports them as 0. The fields stay because the
-/// repository's frozen benchmark reads them.
+/// schedule. `parks` counts OS-thread parks by waiting ranks: simulated
+/// ranks are coroutines that never park, so a scheduler reports 0; the
+/// field stays because the repository's frozen benchmark reads it.
 ///
 /// All counters are cumulative since the hook was constructed, and
 /// travel as the `handoff` field of [`RunStats`] (the default
@@ -104,19 +102,8 @@ pub struct HandoffStats {
     /// always, when it is the sole waiter, which is the common case for
     /// the paper's one-token-in-flight ring.
     pub self_grants: u64,
-    /// Grants consumed during the bounded spin phase, before the
-    /// waiter ever parked.
-    pub spin_grants: u64,
-    /// Grants consumed at a pre-park state check without spinning —
-    /// the waiter raced the granter and never slept. Not counted as
-    /// an elision: this window exists even with all fast paths off.
-    pub prepark_grants: u64,
     /// `thread::park` calls made by waiting ranks.
     pub parks: u64,
-    /// `Thread::unpark` wakeups issued by granters.
-    pub unparks: u64,
-    /// Total spin-loop iterations spent across all waits.
-    pub spin_iters: u64,
     /// Wall-clock park-safety timeouts observed by the transport
     /// (filled in by the runtime, not the scheduler).
     pub park_safety_timeouts: u64,
@@ -128,11 +115,7 @@ impl HandoffStats {
         self.steps += other.steps;
         self.grants += other.grants;
         self.self_grants += other.self_grants;
-        self.spin_grants += other.spin_grants;
-        self.prepark_grants += other.prepark_grants;
         self.parks += other.parks;
-        self.unparks += other.unparks;
-        self.spin_iters += other.spin_iters;
         self.park_safety_timeouts += other.park_safety_timeouts;
     }
 }
@@ -175,14 +158,13 @@ impl CoverageStats {
 
 /// Every per-run statistic the harness chain carries, as one value.
 ///
-/// Before this struct existed, `RunReport`, the `dst` `Observation`,
-/// and the sweep aggregator each threaded `HandoffStats` and an
-/// allocation tally as separate parameters, and every new counter
-/// family meant touching the whole chain again. `RunStats` is the
-/// single extensible surface: the scheduler contributes `handoff` and
-/// `coverage` (via [`SchedHook::run_stats`]), the executor pool
-/// contributes `alloc`, and aggregation is one [`RunStats::merge`]
-/// call wherever runs are summed.
+/// `RunReport`, the `dst` `Observation` and the sweep and fuzz
+/// aggregators all carry this one value, so a new counter family is
+/// added here and nowhere else: the scheduler contributes `handoff`
+/// and `coverage` (via [`SchedHook::run_stats`]), the executor pool
+/// contributes `alloc` and the transport's safety-timeout count, and
+/// aggregation is one [`RunStats::merge`] call wherever runs are
+/// summed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Scheduling counters (steps, grants, self-grants).
@@ -295,11 +277,7 @@ mod tests {
             steps: 10,
             grants: 9,
             self_grants: 3,
-            spin_grants: 2,
-            prepark_grants: 1,
             parks: 4,
-            unparks: 4,
-            spin_iters: 128,
             park_safety_timeouts: 1,
         };
         total.add(&one);

@@ -43,7 +43,7 @@ use faultsim::{Hook, HookKind};
 use crate::comm::Comm;
 use crate::error::{Error, Result};
 use crate::process::Process;
-use crate::rank::{CommRank, RankState};
+use crate::rank::CommRank;
 use crate::request::Completion;
 use crate::tag::{system_tag, Tag};
 use crate::trace::Event;
@@ -185,14 +185,6 @@ impl Process {
             .iter()
             .position(|&r| r == root)
             .ok_or(Error::RankFailStop { rank: root })
-    }
-
-    /// Quick state check used by algorithms to fail fast on a peer that
-    /// is already known dead.
-    #[allow(dead_code)]
-    pub(crate) fn coll_peer_ok(&self, cctx: &CollCtx, v: usize) -> Result<bool> {
-        let c = self.comm_data(cctx.comm)?;
-        Ok(c.state_of(cctx.rank_at(v), &self.shared.registry) == RankState::Ok)
     }
 }
 

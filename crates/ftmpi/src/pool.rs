@@ -1,16 +1,14 @@
 //! The persistent rank-executor pool.
 //!
-//! [`crate::run`] used to pay, per universe: `n` OS-thread spawns, `n`
-//! joins, and a full reallocation of the shared state (fabric slots,
-//! failure registry, coordination boards, trace sink). For a single
-//! run that cost is noise; for a deterministic-simulation sweep
-//! executing thousands of schedules per second it is the dominant
-//! overhead.
-//!
-//! A [`UniversePool`] keeps two executors warm across runs, each built
-//! by the first run that needs it, and resets the shared universe
-//! state in place (`Shared::reset` — queues cleared with capacity
-//! retained, counters rewound, boards emptied):
+//! Every universe runs on a [`UniversePool`]. Building one costs
+//! nothing; what a run needs — an executor and the shared state (fabric
+//! slots, failure registry, coordination boards, trace sink) — is built
+//! by the first run that needs it and kept warm for the next, which
+//! resets the shared state in place (`Shared::reset` — queues cleared
+//! with capacity retained, counters rewound, boards emptied). For a
+//! single run that saving is noise; for a deterministic-simulation
+//! sweep executing thousands of schedules per second it is the
+//! difference between simulating and allocating. The two executors:
 //!
 //! * **wall-clock** (`cfg.sched == None`): `n` long-lived worker
 //!   threads named `rank-{i}`, each handed the closure for one run;
@@ -21,14 +19,13 @@
 //!   rank's stack. One simulated step is two user-space stack
 //!   switches, and a pool that only simulates never spawns a thread.
 //!
-//! [`crate::run`] remains the spawn-per-run path as a thin wrapper
-//! over a one-shot pool.
+//! [`crate::run`] is a one-shot pool: build, run once, drop.
 //!
 //! ### Determinism
 //!
-//! Pooled execution must keep the seed → schedule mapping of the `dst`
-//! harness **byte-identical** to a fresh universe (the golden-log
-//! tests are the referee). Two properties make that structural rather
+//! A reused pool must keep the seed → schedule mapping of the `dst`
+//! harness **byte-identical** to a fresh one (the golden-log tests are
+//! the referee). Two properties make that structural rather
 //! than lucky:
 //!
 //! * the driver starts the ranks in rank order and each stops at its
@@ -47,9 +44,9 @@
 //! dropped when the body returns, strictly *before* its worker bumps
 //! the completion counter (or its coroutine finishes) — and the async
 //! kill schedule's clone is released by joining its thread before
-//! `run` returns. If some future caller nevertheless retains a handle,
-//! `run` falls back to building fresh state instead of corrupting a
-//! live universe.
+//! `run` returns. `Shared` is crate-private, so no caller can retain a
+//! handle; `run` treats a failed `Arc::get_mut` as a broken invariant
+//! and panics rather than corrupt a live universe.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -74,12 +71,6 @@ use crate::universe::{RunReport, Shared, UniverseConfig, WATCHDOG_ABORT_CODE};
 /// request table, communicator table, encode scratch), kept warm
 /// across runs.
 type Job = Box<dyn FnOnce(&mut RankScratch) + Send>;
-
-/// Spin iterations a worker burns before parking, when the machine has
-/// spare cores. Each iteration re-checks the queue under its lock, so
-/// this is a handful of microseconds at most; on a saturated machine
-/// the pool sets it to 0 and workers park immediately.
-const POOL_SPIN: u32 = 64;
 
 /// Per-worker job queue. A queue, not a slot: the respawn extension
 /// can enqueue a rank's next incarnation while the previous one is
@@ -119,8 +110,6 @@ struct PoolCore {
     /// that bumps `done` past the target either sees the registration
     /// (and unparks) or the caller's re-check sees the bump.
     waiter: Mutex<Option<Thread>>,
-    /// Bounded spin before a worker parks (0 on a saturated machine).
-    spin: u32,
     /// Heap traffic of the current run's job bodies, accumulated from
     /// each worker's thread-local counters (see [`AllocTally`]).
     alloc: AllocTally,
@@ -242,15 +231,6 @@ fn worker_loop(core: Arc<PoolCore>, idx: usize) {
             if core.shutdown.load(Ordering::Acquire) {
                 break 'outer;
             }
-            // Bounded spin (only when cores are spare): during a
-            // sweep's steady state the next job lands within the
-            // window and the park/unpark round trip is elided.
-            for _ in 0..core.spin {
-                std::hint::spin_loop();
-                if let Some(j) = slot.queue.lock().pop_front() {
-                    break 'take j;
-                }
-            }
             // Commit to parking, then re-check the queue *under the
             // lock*: a submitter that pushed before our re-check is
             // seen here; one that pushes after is ordered behind our
@@ -298,10 +278,6 @@ struct Workers {
 
 impl Workers {
     fn spawn(n: usize) -> Workers {
-        // Spin only when the machine has cores to spare beyond the
-        // rank workers themselves; on a saturated box a spinning
-        // worker would steal the CPU the running rank needs.
-        let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
         let core = Arc::new(PoolCore {
             slots: (0..n)
                 .map(|_| WorkerSlot {
@@ -314,7 +290,6 @@ impl Workers {
             done: AtomicUsize::new(0),
             target: AtomicUsize::new(0),
             waiter: Mutex::new(None),
-            spin: if cores > n { POOL_SPIN } else { 0 },
             alloc: AllocTally::default(),
         });
         let handles = (0..n)
@@ -417,16 +392,14 @@ impl UniversePool {
         }
         let UniverseConfig { plan, schedule, watchdog, trace, respawn, sched } = cfg;
 
-        // Reset-or-build: reuse the previous run's allocations when we
-        // have exclusive access (the normal case), else start fresh.
+        // Build on the first run, reset in place on every later one.
         let shared = match self.shared.take() {
-            Some(mut arc) => match Arc::get_mut(&mut arc) {
-                Some(s) => {
-                    s.reset(plan, trace, sched);
-                    arc
-                }
-                None => Arc::new(Shared::fresh(n, plan, trace, sched)),
-            },
+            Some(mut arc) => {
+                Arc::get_mut(&mut arc)
+                    .expect("every rank dropped its Arc<Shared> before the last run returned")
+                    .reset(plan, trace, sched);
+                arc
+            }
             None => Arc::new(Shared::fresh(n, plan, trace, sched)),
         };
         if let Some(s) = &shared.sched {
@@ -494,10 +467,9 @@ impl UniversePool {
             hung = true;
         }
         let generations = (0..n).map(|r| shared.registry.generation(r)).collect();
-        let park_timeouts = shared.fabric.park_timeouts();
         let mut stats =
             shared.sched.as_ref().map(|s| s.run_stats()).unwrap_or_default();
-        stats.handoff.park_safety_timeouts = park_timeouts;
+        stats.handoff.park_safety_timeouts = shared.fabric.park_timeouts();
         stats.alloc = alloc;
         let outcomes = outcomes
             .into_inner()
@@ -510,7 +482,6 @@ impl UniversePool {
             trace: shared.trace.events(),
             duration: start.elapsed(),
             generations,
-            park_timeouts,
             stats,
         };
         // Keep the universe state warm for the next run.
@@ -639,8 +610,8 @@ impl UniversePool {
         }
         core.kick_all();
 
-        // Supervisor loop: watchdog + recovery, polling at 1ms exactly
-        // like the spawn-per-run path did. Skipped entirely when
+        // Supervisor loop: watchdog + recovery, polling at 1ms. Skipped
+        // entirely when
         // neither is configured (the completion wait below suffices).
         if watchdog.is_some() || respawn.is_some() {
             let mut budget: Vec<u32> = vec![respawn.map(|p| p.max_per_rank).unwrap_or(0); n];

@@ -34,13 +34,6 @@ use crate::rank::WorldRank;
 /// bounds the damage of a hypothetical missed notification.
 const PARK_SAFETY: Duration = Duration::from_millis(50);
 
-/// Spin iterations [`Fabric::park`] burns re-checking its predicate
-/// before committing to the condvar sleep, when the machine has spare
-/// cores. In the steady token-pass pattern the expected message is
-/// usually already in flight from the neighbour, so a short spin window
-/// elides the full sleep/wake round trip. 0 on a saturated machine.
-const FABRIC_SPIN: u32 = 64;
-
 struct Mailbox {
     /// Ring buffer so draining a prefix shifts head indices, not
     /// envelopes.
@@ -63,12 +56,9 @@ pub struct Fabric {
     /// Nonzero is expected when a run is legitimately idle (async kill
     /// schedules, respawn delays, hangs waiting for the watchdog); a
     /// count growing during steady message flow would indicate a
-    /// missed-notification bug. Surfaced in `RunReport::park_timeouts`.
+    /// missed-notification bug. Surfaced as
+    /// `RunReport::stats.handoff.park_safety_timeouts`.
     park_timeouts: AtomicU64,
-    /// Bounded pre-sleep spin in [`Fabric::park`]: [`FABRIC_SPIN`] when
-    /// the machine has more cores than ranks, else 0. Fixed at
-    /// construction — it depends only on the rank count.
-    spin: u32,
 }
 
 /// Snapshot taken at the start of a progress pass, consumed by
@@ -92,15 +82,6 @@ impl Fabric {
                 .collect(),
             notify_gen: AtomicU64::new(0),
             park_timeouts: AtomicU64::new(0),
-            spin: {
-                let cores =
-                    std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-                if cores > n {
-                    FABRIC_SPIN
-                } else {
-                    0
-                }
-            },
         }
     }
 
@@ -122,12 +103,6 @@ impl Fabric {
         }
         self.notify_gen.store(0, Ordering::Release);
         self.park_timeouts.store(0, Ordering::Release);
-    }
-
-    /// Number of ranks.
-    #[allow(dead_code)]
-    pub fn size(&self) -> usize {
-        self.slots.len()
     }
 
     /// Deliver `env` to `dst`'s mailbox and wake it.
@@ -215,23 +190,6 @@ impl Fabric {
     /// scheduling point instead (`Process::wait_loop`).
     pub fn park(&self, me: WorldRank, token: ParkToken, current_epoch: impl Fn() -> u64) {
         let slot = &self.slots[me];
-        // Spin-then-park: with spare cores, briefly re-check the
-        // predicate lock-free-ish (lock per probe, released between
-        // probes) before committing to the condvar sleep.
-        if self.spin > 0 {
-            for _ in 0..self.spin {
-                {
-                    let mb = slot.mb.lock();
-                    if mb.version != token.mailbox_version
-                        || self.notify_gen.load(Ordering::Acquire) != token.notify_gen
-                        || current_epoch() != token.failure_epoch
-                    {
-                        return;
-                    }
-                }
-                std::hint::spin_loop();
-            }
-        }
         let mut mb = slot.mb.lock();
         if mb.version != token.mailbox_version
             || self.notify_gen.load(Ordering::Acquire) != token.notify_gen
@@ -266,14 +224,6 @@ impl Fabric {
         let mut mb = self.slots[rank].mb.lock();
         mb.queue.clear();
         mb.version += 1;
-    }
-
-    /// Wake a single rank (its own thread is the only possible waiter).
-    #[allow(dead_code)]
-    pub fn wake(&self, rank: WorldRank) {
-        let slot = &self.slots[rank];
-        let _guard = slot.mb.lock();
-        slot.cv.notify_one();
     }
 }
 

@@ -22,7 +22,6 @@ use std::time::Duration;
 
 use faultsim::{AsyncSchedule, FaultPlan, Injector, RunStats, SchedHook};
 
-
 use crate::coord::CommBoard;
 use crate::detector::FailureRegistry;
 use crate::error::{RankOutcome, Result};
@@ -49,7 +48,7 @@ pub(crate) struct Shared {
     pub board: CommBoard,
     pub vboard: ValidateBoard,
     pub bboard: BarrierBoard,
-    pub trace: Arc<Trace>,
+    pub trace: Trace,
     /// Deterministic-simulation scheduler, if this universe is driven
     /// by one (see `faultsim::sched` and the `dst` crate).
     pub sched: Option<Arc<dyn SchedHook>>,
@@ -78,7 +77,7 @@ impl Shared {
             board: CommBoard::new(WORLD_CTX + 1),
             vboard: ValidateBoard::new(),
             bboard: BarrierBoard::new(),
-            trace: Arc::new(Trace::new(trace)),
+            trace: Trace::new(trace),
             sched,
             paypool: PayloadPool::new(),
             world_group: Group::world(n),
@@ -118,13 +117,7 @@ impl Shared {
         self.board.reset(WORLD_CTX + 1);
         self.vboard.reset();
         self.bboard.reset();
-        match Arc::get_mut(&mut self.trace) {
-            Some(t) => t.reset(trace),
-            // Someone outside the run still holds the trace (nothing in
-            // the runtime does); fall back to a fresh sink rather than
-            // mutate under them.
-            None => self.trace = Arc::new(Trace::new(trace)),
-        }
+        self.trace.reset(trace);
         self.sched = sched;
         // `paypool` and `world_group` deliberately survive the reset:
         // recycled payload buffers and the shared membership Vec carry
@@ -262,18 +255,16 @@ pub struct RunReport<T> {
     /// Final incarnation number per rank (all 0 without the recovery
     /// extension).
     pub generations: Vec<u32>,
-    /// How often the transport's safety-net park timeout fired during
-    /// the run. Under a DST scheduler ranks never park on the fabric,
-    /// so this is always 0 there. In
-    /// wall-clock mode a nonzero count during steady message flow would
-    /// mean a rank made progress only because of the backstop — a
-    /// missed-notification bug; idle waits (async kill schedules,
-    /// respawn delays, watchdog hangs) fire it benignly.
-    pub park_timeouts: u64,
     /// Every per-run statistic, on the one [`faultsim::RunStats`]
     /// surface: `handoff` and `coverage` come from the simulation
-    /// scheduler (zeros in wall-clock mode) with
-    /// `handoff.park_safety_timeouts` mirrored from the transport;
+    /// scheduler (zeros in wall-clock mode), except
+    /// `handoff.park_safety_timeouts` — how often the transport's
+    /// safety-net park timeout fired. Ranks never park on the fabric
+    /// under a scheduler, so it is 0 there; in wall-clock mode a
+    /// nonzero count during steady message flow would mean a rank made
+    /// progress only because of the backstop — a missed-notification
+    /// bug; idle waits (async kill schedules, respawn delays, watchdog
+    /// hangs) fire it benignly.
     /// `alloc` is the heap traffic of the rank bodies: in wall-clock
     /// mode summed over the worker threads (the caller thread's share
     /// is the caller's to measure), under a simulation scheduler the
@@ -316,9 +307,8 @@ impl<T> RunReport<T> {
 /// returning `Err(Error::SelfFailed)` (which every runtime call does
 /// once the rank is killed) records the rank as [`RankOutcome::Failed`].
 ///
-/// This is the one-shot path: a thin wrapper that builds a
-/// [`crate::UniversePool`], runs the universe on it, and tears it
-/// down. Callers executing many universes back-to-back at a fixed rank
+/// This is the one-shot form: it builds a [`crate::UniversePool`],
+/// runs the universe on it, and drops it. Callers executing many universes back-to-back at a fixed rank
 /// count should hold a pool and call [`crate::UniversePool::run`]
 /// instead, which reuses the executor (worker threads or coroutine
 /// stacks) and the universe state allocations across runs.

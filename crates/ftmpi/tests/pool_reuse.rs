@@ -1,13 +1,14 @@
 //! Pool-reuse equivalence in wall-clock mode: a [`UniversePool`]
 //! recycled across a failing run and then a clean run must report
-//! exactly what fresh spawn-per-run universes report for the same
-//! configurations. This is the reset protocol's contract outside the
+//! exactly what fresh one-shot universes (`ftmpi::run`) report for the
+//! same configurations. This is the reset protocol's contract outside the
 //! deterministic simulator (where the golden-log suite already pins it
 //! byte-for-byte).
 //!
 //! Compared fields are `outcomes`, `hung` and `generations` — the
-//! run's logical result. `duration` and `park_timeouts` are wall-clock
-//! measurements and legitimately vary run to run.
+//! run's logical result. `duration` and
+//! `stats.handoff.park_safety_timeouts` are wall-clock measurements and
+//! legitimately vary run to run.
 
 use std::time::Duration;
 
@@ -53,7 +54,7 @@ fn logical<T: std::fmt::Debug + PartialEq>(
 }
 
 /// The satellite's core scenario: failing run, then clean run, through
-/// ONE pool — each must match its spawn-per-run twin, and in
+/// ONE pool — each must match its one-shot twin, and in
 /// particular no failure state may leak into the clean run.
 #[test]
 fn reused_pool_matches_spawn_per_run_across_failing_then_clean() {
