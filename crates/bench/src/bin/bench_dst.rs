@@ -86,10 +86,8 @@ fn main() {
     // schedules that genuinely hang (first at seed 0x7f3, ~0.07% of
     // seeds ≤ 10000); the root-failover provenance fix (DESIGN.md
     // §8.7) closed them, and sweeps now pin 0..10000 green at both
-    // rank counts. The bound still matters: a future hang would both
-    // panic the assert and burn the full 200k-grant budget on that
-    // seed, wrecking the rate — so keep the window at what sweeps
-    // actually validate.
+    // rank counts. The bound still matters: a future hang would panic
+    // the assert — so keep the window at what sweeps actually validate.
     const SEED_SPACE: u64 = 10_000;
 
     // Serial per-seed cost: one full schedule (sim + oracles) per item,

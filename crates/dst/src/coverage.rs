@@ -12,10 +12,10 @@
 //!
 //! * `rank` — who the decision concerned (granted rank, choosing rank,
 //!   kill victim, exiting rank).
-//! * `decision-kind` — one of the eight [`EdgeKind`]s: token grants,
+//! * `decision-kind` — one of the nine [`EdgeKind`]s: token grants,
 //!   the three choice funnels (with drains split into full-delivery
 //!   vs delaying, since a delay is the semantically interesting case),
-//!   kills, exits, and budget exhaustion.
+//!   kills, exits, and the two hang verdicts (deadlock, budget).
 //! * `protocol-phase` — how many fail-stops had been delivered when
 //!   the decision was made, saturated at [`PHASE_CAP`]. The same
 //!   decision before any failure, during first repair, and during
@@ -59,8 +59,10 @@ pub enum EdgeKind {
     Kill = 5,
     /// Rank thread left the universe.
     Exit = 6,
-    /// Logical step budget exhausted (hang watchdog).
+    /// Logical step budget exhausted (livelock backstop).
     Budget = 7,
+    /// No suspended rank enabled (deadlock verdict).
+    Deadlock = 8,
 }
 
 /// splitmix64 finalizer: a cheap, high-quality 64-bit mixer.
@@ -90,8 +92,8 @@ pub fn edge(rank: usize, kind: EdgeKind, phase: u8) -> u64 {
     }
 }
 
-/// Initial slot count. Sized so a typical run (≤ 8 ranks × 8 kinds ×
-/// 4 phases = 256 possible edges, a few dozen realized) never rehashes:
+/// Initial slot count. Sized so a typical run (≤ 8 ranks × 9 kinds ×
+/// 4 phases = 288 possible edges, a few dozen realized) never rehashes:
 /// one allocation per scheduler, zero growth in the steady state.
 const INITIAL_SLOTS: usize = 512;
 
@@ -228,6 +230,7 @@ mod tests {
             EdgeKind::Kill,
             EdgeKind::Exit,
             EdgeKind::Budget,
+            EdgeKind::Deadlock,
         ];
         let mut seen = std::collections::BTreeSet::new();
         for rank in 0..16 {

@@ -156,9 +156,10 @@ pub struct FuzzFailure {
     pub oracles: Vec<String>,
     /// Full violation messages.
     pub violations: Vec<String>,
-    /// Whether the run hung (logical-step budget exhausted).
+    /// Whether the run hung (deadlock or livelock verdict).
     pub hung: bool,
-    /// One-line wait-for graph for hung runs (see `dst replay --triage`).
+    /// Verdict and one-line wait-for graph for hung runs (see `dst
+    /// replay --triage`).
     pub triage: String,
 }
 

@@ -15,8 +15,11 @@
 //!   log and all (`dst replay --seed 0xBEEF`);
 //! * **shrink** — delta-debug a failing schedule down to a locally
 //!   minimal kill-set + delay-set ([`shrink::shrink`]);
-//! * hangs are caught by a **logical-step watchdog** (a grant budget),
-//!   not wall-clock time, so a hang reproduces identically too.
+//! * a blocked rank is not runnable, so a **deadlock is a verdict** —
+//!   "ranks suspended, none enabled", reported at the step it happens
+//!   with the live wait-for graph — and a logical step budget backstops
+//!   livelock; neither involves wall-clock time, so a hang reproduces
+//!   identically too.
 //!
 //! See DESIGN.md §8 for the architecture and the instrumentation-point
 //! inventory.
@@ -54,7 +57,7 @@ pub use faultsim::{CoverageStats, HandoffStats, RunStats};
 pub use sched::{SchedEvent, Scheduler, SplitMix64};
 pub use shrink::{shrink, Ev, Shrunk};
 pub use sweep::{sweep, CorpusWrite, FailureSummary, SweepCfg, SweepError, SweepReport};
-pub use triage::{triage, triage_trace, TriageReport, WaitEdge, WaitKind};
+pub use triage::{triage, triage_trace, Hang, TriageReport, WaitEdge, WaitKind};
 
 /// Result of exploring one seed.
 #[derive(Debug)]
@@ -206,6 +209,7 @@ mod tests {
                 assert_eq!(full.outcomes, quiet.outcomes, "seed {seed:#x}");
                 assert_eq!(full.hung, quiet.hung, "seed {seed:#x}");
                 assert_eq!(full.budget_exhausted, quiet.budget_exhausted);
+                assert_eq!(full.deadlock_at, quiet.deadlock_at);
                 assert_eq!(
                     format!("{:?}", check_all(&full)),
                     format!("{:?}", check_all(&quiet)),

@@ -22,8 +22,8 @@
 //! for their handful of runs.
 //!
 //! `--stats` appends the scheduler's counters (steps, grants,
-//! self-grants), allocations per schedule and coverage to the explore
-//! summary.
+//! self-grants, steps per schedule, mean enabled-set size per grant),
+//! allocations per schedule and coverage to the explore summary.
 //!
 //! `--shape` selects a kill-shape family from the DESIGN.md §8.8
 //! taxonomy (`pair`, `triple`, `root-chain`, `cascade`, `validate`,
@@ -310,20 +310,9 @@ fn usage() -> String {
 /// the CLI inherits the library's single validation site
 /// (`ScenarioCfg::validate`) instead of re-checking flag by flag.
 fn cfg_of(args: &Args, shape: KillShape) -> Result<ScenarioCfg, String> {
-    // Every rank waits at a step point while the token travels, and a
-    // grant picks among all of them, so a hop costs O(ranks) grants and
-    // a kill-free schedule about 2.3 × ranks² × iters of them (measured
-    // at 4 to 256 ranks). The hang budget keeps an order of magnitude
-    // above that; the library default already does up to 45 ranks at
-    // the default 3 iterations.
-    let ranks = args.ranks as u64;
-    let budget = ScenarioCfg::default()
-        .step_budget
-        .max(ranks.saturating_mul(ranks).saturating_mul(args.iters).saturating_mul(32));
     ScenarioCfg::builder()
         .ranks(args.ranks)
         .max_iter(args.iters)
-        .step_budget(budget)
         .buggy_dedup(args.buggy)
         .shape(shape)
         .build()
@@ -436,6 +425,11 @@ fn print_stats(stats: &dst::RunStats, runs: u64, tag: &str) {
     println!(
         "stats {tag}: {} steps, {} grants ({} self-grants), {} park-safety timeouts",
         h.steps, h.grants, h.self_grants, h.park_safety_timeouts
+    );
+    println!(
+        "sched {tag}: {:.1} steps/schedule, {:.2} enabled ranks/grant",
+        h.steps as f64 / runs as f64,
+        h.enabled as f64 / h.grants.max(1) as f64
     );
     let a = &stats.alloc;
     println!(

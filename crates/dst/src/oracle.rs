@@ -25,6 +25,7 @@ use std::collections::BTreeMap;
 use ftmpi::Event;
 
 use crate::scenario::{Observation, Outcome};
+use crate::triage::Hang;
 
 /// A violated invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,7 +119,11 @@ impl Oracle for RingCompletion {
 
     fn check(&self, obs: &Observation) -> Result<(), Violation> {
         if obs.hung {
-            return Err(violation(self.name(), "run hung (step budget exhausted)"));
+            let how = match Hang::of(obs) {
+                Some(hang) => format!("run hung: {hang}"),
+                None => "run hung".to_string(),
+            };
+            return Err(violation(self.name(), how));
         }
         let killed = obs.killed();
         // Fig. 4/5: a rank that finds itself alone in the communicator
@@ -301,9 +306,10 @@ impl Oracle for DetectorCompleteness {
     }
 
     fn check(&self, obs: &Observation) -> Result<(), Violation> {
-        if obs.hung || obs.budget_exhausted {
-            return Err(violation(self.name(), 
-                "logical watchdog fired: some rank waited forever on a failed peer",
+        if obs.hung || Hang::of(obs).is_some() {
+            return Err(violation(
+                self.name(),
+                "the scheduler ended a hang: some rank waited forever on a failed peer",
             ));
         }
         Ok(())

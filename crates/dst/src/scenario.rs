@@ -148,7 +148,10 @@ pub struct ScenarioCfg {
     /// paper's Fig. 8 double-completion bug) instead of the hardened
     /// ring. Oracles that assume a correct ring are gated off.
     pub buggy_dedup: bool,
-    /// Logical-step budget before the run is declared hung.
+    /// Logical-step budget: the livelock backstop. A deadlock is
+    /// detected where it happens and never waits for it; a schedule
+    /// costs steps in proportion to its messages, so the default
+    /// covers every world size the CLI accepts.
     pub step_budget: u64,
     /// Kill-shape family the seed-derived schedules draw from
     /// (hardened ring only; the buggy configuration keeps its own
@@ -174,7 +177,7 @@ impl ScenarioCfg {
     /// `ranks < 2` has no ring to pass a token around (and kill
     /// derivation draws from `ranks - 1` buckets), `max_iter == 0`
     /// silently does nothing, and `step_budget == 0` declares every
-    /// run hung before its first grant.
+    /// run a livelock before its first grant.
     pub fn validate(&self) -> Result<(), String> {
         if self.ranks < 2 {
             return Err(format!("ranks must be at least 2 (got {})", self.ranks));
@@ -237,12 +240,6 @@ impl ScenarioBuilder {
     /// Run the deliberately broken dedup configuration (`--buggy-dedup`).
     pub fn buggy_dedup(mut self, on: bool) -> Self {
         self.cfg.buggy_dedup = on;
-        self
-    }
-
-    /// Logical-step budget (`--budget`).
-    pub fn step_budget(mut self, n: u64) -> Self {
-        self.cfg.step_budget = n;
         self
     }
 
@@ -581,10 +578,13 @@ pub struct Observation {
     pub outcomes: Vec<Outcome>,
     /// Per-rank ring stats for ranks that completed.
     pub ring_stats: Vec<Option<RingStats>>,
-    /// Whether the run hung (logical-step budget exhausted).
+    /// Whether the run hung: the scheduler ended it with a deadlock or
+    /// a livelock verdict and every rank aborted.
     pub hung: bool,
-    /// Whether the scheduler's own budget event fired (should track
-    /// `hung`; kept separate for cross-checking).
+    /// The step at which no suspended rank was enabled any more — the
+    /// deadlock, reported where it happened.
+    pub deadlock_at: Option<u64>,
+    /// Whether the step budget (the livelock backstop) ran out.
     pub budget_exhausted: bool,
     /// The protocol trace with logical-step timestamps.
     pub trace: Vec<TimedEvent>,
@@ -757,6 +757,7 @@ impl SeedRunner {
             outcomes,
             ring_stats,
             hung: report.hung,
+            deadlock_at: sched.deadlock_at(),
             budget_exhausted: sched.budget_exhausted(),
             trace: report.trace,
             log: sched.log_text(),

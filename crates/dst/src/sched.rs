@@ -12,35 +12,39 @@
 //! seed names one complete schedule, reproducible forever, and the
 //! decision log it leaves behind is byte-identical across runs.
 //!
-//! The scheduler is a plain decision structure — the waiting set,
-//! three PRNG streams, the log, coverage and the budget. It owns no
-//! thread handle and never blocks; the mutex around it exists only
-//! because the harness reads the log from outside the run.
+//! The scheduler is a plain decision structure — the enabled and the
+//! blocked ranks, three PRNG streams, the log, coverage and the budget.
+//! It owns no thread handle and never blocks; the mutex around it
+//! exists only because the harness reads the log from outside the run.
 //!
 //! ### Dispatch
 //!
-//! * [`SchedHook::arrive`] puts a rank into `waiting`;
-//!   [`SchedHook::on_exit`] logs its departure.
-//! * [`SchedHook::next`] picks one waiting rank at random and logs
-//!   `grant`. When the draw is the rank that arrived last — always,
-//!   when it is the sole waiter, which is the common case for the
-//!   paper's one-token-in-flight ring — it is counted as a
-//!   *self-grant* ([`SchedHook::run_stats`]).
-//! * The number of grants is the **logical clock**. When it exceeds the
-//!   step budget the run is aborted — the deterministic replacement for
-//!   a wall-clock hang watchdog: a distributed hang is just a schedule
-//!   that keeps granting without anyone exiting. From then on `next`
-//!   hands every waiting rank `StepOutcome::Abort`, lowest rank first
-//!   and without touching the PRNG, until all of them have left.
-//!
-//! ### Pick-index stability
-//!
-//! `waiting` is a sorted `Vec<Rank>`, not a `BTreeSet`: granting is
-//! `waiting.remove(rng.below(len))`, an O(1) index into ascending rank
-//! order instead of the old O(ranks) `iter().nth(idx)` tree walk. The
-//! idx-th smallest waiting rank is the same rank the tree walk
-//! returned, so the seed → schedule mapping is frozen — pinned by the
-//! golden-log tests (`tests/golden_logs.rs`).
+//! * [`SchedHook::arrive`] files a suspended rank under `waiting`
+//!   (enabled) or, at [`SchedPoint::Blocked`], under `blocked`: the
+//!   runtime found nothing for it to do and the transport would have
+//!   put its thread to sleep. [`SchedHook::wake`] (a delivery to that
+//!   rank) and [`SchedHook::wake_all`] (kill, abort, validate / barrier
+//!   / split decision) move ranks back to `waiting`;
+//!   [`SchedHook::on_exit`] logs a departure.
+//! * [`SchedHook::next`] picks one *enabled* rank at random and logs
+//!   `grant`, so a schedule costs steps in proportion to the messages
+//!   it moves, not to ranks × messages. When the draw is the rank that
+//!   arrived last it is counted as a *self-grant*
+//!   ([`SchedHook::run_stats`]).
+//! * The number of draws is the **logical clock**.
+//! * **Deadlock is a verdict.** `waiting` empty with `blocked`
+//!   non-empty means every suspended rank waits for an event only
+//!   another suspended rank could cause: the scheduler logs `deadlock`
+//!   at that step ([`Scheduler::deadlock_at`]) and ends the run.
+//! * The step budget is the **livelock** backstop: a schedule that
+//!   keeps granting without anyone exiting (poll-only loops, endless
+//!   traffic) is ended when the clock passes it, logged as
+//!   `budget-exhausted`.
+//! * Either way `next` then hands every suspended rank
+//!   `StepOutcome::Abort`, lowest rank first and without touching the
+//!   PRNG, until all of them have left; each dumps the requests it is
+//!   parked on as it goes, which for a deadlock is the wait-for graph
+//!   at the step it formed.
 //!
 //! ### Recording toggle (zero-retention exploration)
 //!
@@ -77,6 +81,9 @@
 //! All `ftmpi` library blocking funnels through one (`wait_loop`);
 //! application closures that spin on `yield_now` without calling the
 //! runtime would wedge the simulation and must not be used under it.
+//! A loop around `test` / `iprobe` that also sends is always enabled
+//! and never blocks: if it cannot finish it is a livelock, and the
+//! budget is what ends it.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -144,7 +151,9 @@ pub enum SchedEvent {
         /// The departing rank.
         rank: Rank,
     },
-    /// The step budget ran out: logical hang watchdog fired.
+    /// No suspended rank is enabled: the run deadlocked at this step.
+    Deadlock,
+    /// The step budget ran out: the livelock backstop fired.
     Budget,
 }
 
@@ -166,6 +175,7 @@ impl std::fmt::Display for SchedEvent {
             }
             SchedEvent::Kill { victim } => write!(f, "kill {victim}"),
             SchedEvent::Exit { rank } => write!(f, "exit {rank}"),
+            SchedEvent::Deadlock => write!(f, "deadlock"),
             SchedEvent::Budget => write!(f, "budget-exhausted"),
         }
     }
@@ -175,11 +185,13 @@ impl std::fmt::Display for SchedEvent {
 const DELAY_WEIGHT: u64 = 4;
 
 struct Inner {
-    /// Ranks suspended at a step point, in ascending rank order.
-    /// `waiting[idx]` is the idx-th smallest — exactly what
-    /// `BTreeSet::iter().nth(idx)` returned — so grants stay
-    /// pick-index-stable while indexing is O(1).
+    /// Enabled ranks suspended at a step point, in ascending rank
+    /// order: a grant is an O(1) index by the PRNG's pick.
     waiting: Vec<Rank>,
+    /// Ranks suspended at [`SchedPoint::Blocked`], ascending: not
+    /// drawn until `wake` / `wake_all` moves them to `waiting`. Sized
+    /// for every rank up front, so blocking never allocates.
+    blocked: Vec<Rank>,
     /// The rank whose arrival is the latest event, until the next
     /// decision consumes it: a grant drawing this rank is a self-grant.
     /// An exit is not an arrival, so it leaves this alone and the
@@ -196,7 +208,12 @@ struct Inner {
     /// "How much of the queue to withhold" draws for delaying drains.
     rng_amount: SplitMix64,
     steps: u64,
+    /// The run is over (deadlock or budget): every suspended rank is
+    /// in `waiting` and is handed `Abort`.
     aborted: bool,
+    /// The step at which no suspended rank was enabled, if that is how
+    /// the run ended.
+    deadlock_at: Option<u64>,
     /// When false ([`Scheduler::quiet`]), no event or delay-call history
     /// is retained — the PRNG streams still advance identically, so the
     /// schedule is the same, only log-free.
@@ -213,6 +230,8 @@ struct Inner {
     grants: u64,
     /// Grants that drew the rank that had just stepped.
     self_grants: u64,
+    /// `waiting.len()` summed over the grants.
+    enabled: u64,
     /// Coverage-edge set for this run (always collected; quiet mode
     /// only suppresses the *log*, not the coverage signal).
     coverage: CoverageSet,
@@ -229,20 +248,22 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Scheduler for `n` ranks: every decision drawn from `seed`, hang
-    /// declared after `budget` grants, delays fired at random from the
-    /// seed, and the full decision log recorded. The one constructor;
+    /// Scheduler for `n` ranks: every decision drawn from `seed`,
+    /// livelock declared after `budget` steps, delays fired at random
+    /// from the seed, and the full decision log recorded. The one constructor;
     /// [`Scheduler::quiet`] and [`Scheduler::delay_mask`] modify it.
     pub fn new(n: usize, seed: u64, budget: u64) -> Self {
         Scheduler {
             inner: Mutex::new(Inner {
                 waiting: Vec::with_capacity(n),
+                blocked: Vec::with_capacity(n),
                 stepped: None,
                 rng: SplitMix64::new(seed),
                 rng_delay: SplitMix64::new(seed ^ 0x64656C_61797321),
                 rng_amount: SplitMix64::new(seed ^ 0x616D6F_756E7421),
                 steps: 0,
                 aborted: false,
+                deadlock_at: None,
                 record: true,
                 log: Vec::new(),
                 drain_calls: 0,
@@ -250,6 +271,7 @@ impl Scheduler {
                 delay_mask: None,
                 grants: 0,
                 self_grants: 0,
+                enabled: 0,
                 coverage: CoverageSet::new(),
                 kills_seen: 0,
             }),
@@ -303,15 +325,21 @@ impl Scheduler {
         self.inner.lock().unwrap().delays.clone()
     }
 
-    /// Whether the logical-step watchdog fired.
+    /// Whether the step budget — the livelock backstop — ended the run.
+    /// Recording-independent.
     pub fn budget_exhausted(&self) -> bool {
-        // The `aborted` flag is set exactly when the Budget event is
-        // (would be) logged, so this is O(1) and recording-independent
-        // — the old implementation scanned the whole log.
-        self.inner.lock().unwrap().aborted
+        let inner = self.inner.lock().unwrap();
+        inner.aborted && inner.deadlock_at.is_none()
     }
 
-    /// Grants issued so far (the logical clock).
+    /// The step at which the run deadlocked — ranks suspended, none of
+    /// them enabled — or `None` if it did not. Recording-independent.
+    pub fn deadlock_at(&self) -> Option<u64> {
+        self.inner.lock().unwrap().deadlock_at
+    }
+
+    /// Steps taken so far (the logical clock): one per grant, plus the
+    /// draw that exhausted the budget if one did.
     pub fn steps(&self) -> u64 {
         self.inner.lock().unwrap().steps
     }
@@ -326,41 +354,87 @@ impl Scheduler {
     }
 }
 
+impl Inner {
+    /// Insert `rank` into an ascending list it is not already in (a
+    /// rank arrives only while running, and `next` took it off
+    /// `waiting` when it was granted).
+    fn file(list: &mut Vec<Rank>, rank: Rank) {
+        let pos = list.binary_search(&rank).unwrap_err();
+        list.insert(pos, rank);
+    }
+
+    /// Re-enable every blocked rank.
+    fn enable_all(&mut self) {
+        if !self.blocked.is_empty() {
+            self.waiting.append(&mut self.blocked);
+            self.waiting.sort_unstable();
+        }
+    }
+
+    /// End the run: from here on every suspended rank is handed
+    /// `Abort`, so all of them count as enabled.
+    fn end_run(&mut self, verdict: SchedEvent, edge: EdgeKind) {
+        self.aborted = true;
+        self.enable_all();
+        self.coverage.record(0, edge, self.kills_seen);
+        if self.record {
+            self.log.push(verdict);
+        }
+    }
+}
+
 impl SchedHook for Scheduler {
-    fn arrive(&self, rank: Rank, _point: SchedPoint) {
+    fn arrive(&self, rank: Rank, point: SchedPoint) {
         let mut inner = self.inner.lock().unwrap();
-        // Never already present: a rank arrives only while running,
-        // and `next` removed it from the list when it was granted.
-        let pos = inner.waiting.binary_search(&rank).unwrap_err();
-        inner.waiting.insert(pos, rank);
+        if point == SchedPoint::Blocked && !inner.aborted {
+            Inner::file(&mut inner.blocked, rank);
+        } else {
+            Inner::file(&mut inner.waiting, rank);
+        }
         inner.stepped = Some(rank);
+    }
+
+    fn wake(&self, rank: Rank) {
+        let mut inner = self.inner.lock().unwrap();
+        // Most deliveries find the receiver running, enabled or gone.
+        if let Ok(pos) = inner.blocked.binary_search(&rank) {
+            inner.blocked.remove(pos);
+            Inner::file(&mut inner.waiting, rank);
+        }
+    }
+
+    fn wake_all(&self) {
+        self.inner.lock().unwrap().enable_all();
     }
 
     fn next(&self) -> Option<(Rank, StepOutcome)> {
         let mut inner = self.inner.lock().unwrap();
+        let inner = &mut *inner;
         let stepped = inner.stepped.take();
         if inner.waiting.is_empty() {
-            return None;
+            if inner.blocked.is_empty() {
+                return None;
+            }
+            // Every suspended rank waits for an event only a running
+            // rank could cause, and none can run.
+            inner.deadlock_at = Some(inner.steps);
+            inner.end_run(SchedEvent::Deadlock, EdgeKind::Deadlock);
         }
-        let phase = inner.kills_seen;
         if !inner.aborted {
             inner.steps += 1;
             if inner.steps > self.budget {
-                inner.aborted = true;
-                inner.coverage.record(0, EdgeKind::Budget, phase);
-                if inner.record {
-                    inner.log.push(SchedEvent::Budget);
-                }
+                inner.end_run(SchedEvent::Budget, EdgeKind::Budget);
             }
         }
         if inner.aborted {
             return Some((inner.waiting.remove(0), StepOutcome::Abort));
         }
-        let waiting = inner.waiting.len();
-        let idx = inner.rng.below(waiting);
+        let enabled = inner.waiting.len();
+        let idx = inner.rng.below(enabled);
         let rank = inner.waiting.remove(idx);
         inner.grants += 1;
-        inner.coverage.record(rank, EdgeKind::Grant, phase);
+        inner.enabled += enabled as u64;
+        inner.coverage.record(rank, EdgeKind::Grant, inner.kills_seen);
         if inner.record {
             inner.log.push(SchedEvent::Grant { rank });
         }
@@ -440,6 +514,7 @@ impl SchedHook for Scheduler {
                 steps: inner.steps,
                 grants: inner.grants,
                 self_grants: inner.self_grants,
+                enabled: inner.enabled,
                 // No thread parks, and the transport counter is the
                 // pool's to fill in.
                 ..HandoffStats::default()
@@ -512,6 +587,96 @@ mod tests {
             "after the budget event the ranks leave in rank order"
         );
         assert_eq!(sched.run_stats().handoff.grants, 25);
+    }
+
+    /// A rank that arrived blocked is never drawn; `wake` re-enables
+    /// exactly the rank it names, `wake_all` everyone, and a wake for
+    /// a rank that is not blocked is a no-op.
+    #[test]
+    fn blocked_ranks_are_not_drawn_until_woken() {
+        let sched = Scheduler::new(3, 9, 1000);
+        sched.arrive(0, SchedPoint::Blocked);
+        sched.arrive(1, SchedPoint::Tick);
+        sched.arrive(2, SchedPoint::Blocked);
+        for _ in 0..20 {
+            assert_eq!(sched.next(), Some((1, StepOutcome::Run)), "the only enabled rank");
+            sched.arrive(1, SchedPoint::Tick);
+        }
+        sched.wake(1); // enabled already
+        sched.wake(2);
+        let mut seen = [0usize; 3];
+        for _ in 0..40 {
+            let (rank, _) = sched.next().unwrap();
+            seen[rank] += 1;
+            sched.arrive(rank, SchedPoint::Tick);
+        }
+        assert!(seen[0] == 0 && seen[1] > 0 && seen[2] > 0, "{seen:?}");
+        sched.wake_all();
+        let (mut drew_zero, mut grants) = (false, 60u64);
+        while !drew_zero {
+            let (rank, _) = sched.next().unwrap();
+            drew_zero = rank == 0;
+            grants += 1;
+            sched.arrive(rank, SchedPoint::Tick);
+        }
+        let stats = sched.run_stats().handoff;
+        assert_eq!((stats.steps, stats.grants), (grants, grants));
+        // One enabled rank for 20 grants, two for 40, three since.
+        assert_eq!(stats.enabled, 20 + 2 * 40 + 3 * (grants - 60));
+        assert_eq!(sched.deadlock_at(), None);
+    }
+
+    /// Suspended ranks with none enabled is the deadlock: logged at
+    /// the step it happens, no PRNG draw, no step taken, and every
+    /// rank is handed `Abort` lowest first.
+    #[test]
+    fn no_enabled_rank_is_a_deadlock_verdict() {
+        for quiet in [false, true] {
+            let sched = Scheduler::new(3, 4, 1000);
+            let sched = if quiet { sched.quiet() } else { sched };
+            for rank in 0..3 {
+                sched.arrive(rank, SchedPoint::Enter);
+            }
+            // Each rank runs once, then blocks.
+            for _ in 0..3 {
+                let (rank, outcome) = sched.next().unwrap();
+                assert_eq!(outcome, StepOutcome::Run);
+                sched.arrive(rank, SchedPoint::Blocked);
+            }
+            for rank in 0..3 {
+                assert_eq!(sched.next(), Some((rank, StepOutcome::Abort)));
+                sched.on_exit(rank);
+            }
+            assert_eq!(sched.next(), None);
+            assert_eq!(sched.deadlock_at(), Some(3));
+            assert!(!sched.budget_exhausted(), "a deadlock is not a livelock");
+            assert_eq!(sched.steps(), 3, "the verdict takes no step");
+            if !quiet {
+                let events = sched.events();
+                let at = events.iter().position(|e| *e == SchedEvent::Deadlock).unwrap();
+                assert_eq!(events[at + 1..], [0, 1, 2].map(|rank| SchedEvent::Exit { rank }));
+                assert!(sched.log_text().contains(" deadlock\n"));
+            }
+        }
+    }
+
+    /// The budget aborts blocked ranks too, and a rank arriving
+    /// blocked after the verdict is still handed its `Abort`.
+    #[test]
+    fn budget_exhaustion_reaches_blocked_ranks() {
+        let sched = Scheduler::new(3, 1, 10);
+        sched.arrive(0, SchedPoint::Tick);
+        sched.arrive(1, SchedPoint::Blocked);
+        while let Some((0, StepOutcome::Run)) = sched.next() {
+            sched.arrive(0, SchedPoint::Tick);
+        }
+        // Rank 0 took the first `Abort`; rank 2 shows up blocked.
+        assert!(sched.budget_exhausted());
+        assert_eq!(sched.deadlock_at(), None);
+        sched.arrive(2, SchedPoint::Blocked);
+        assert_eq!(sched.next(), Some((1, StepOutcome::Abort)));
+        assert_eq!(sched.next(), Some((2, StepOutcome::Abort)));
+        assert_eq!(sched.next(), None);
     }
 
     #[test]

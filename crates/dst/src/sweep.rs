@@ -180,10 +180,11 @@ pub struct FailureSummary {
     pub violations: Vec<String>,
     /// The seed-derived kill-set, rendered.
     pub kills: Vec<String>,
-    /// Whether the run hung (logical-step budget exhausted).
+    /// Whether the run hung (deadlock or livelock verdict).
     pub hung: bool,
-    /// One-line wait-for graph for hung runs (who waits on whom), from
-    /// the hang triager; empty for non-hang failures. Computed from
+    /// One line for hung runs — `deadlock at step N` or `livelock
+    /// (budget)`, then who waits on whom — from the hang triager;
+    /// empty for non-hang failures. Computed from
     /// the quiet observation's trace — no re-run.
     pub triage: String,
     /// Minimal event set from ddmin, when `shrink_failures` ran.

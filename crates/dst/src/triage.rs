@@ -1,16 +1,18 @@
 //! Hang triager: wait-for graphs from hung schedules.
 //!
-//! A logical-watchdog abort says *that* a schedule hung, not *why*. The
-//! runtime helps: at the moment a rank observes the abort it snapshots
-//! every request it is still parked on into the trace as
-//! [`Event::Blocked`] records (the live request table, not an inference
-//! — see `ftmpi::process`). This module folds those records, plus the
-//! kill and progress events around them, into a [`TriageReport`]: one
-//! [`WaitEdge`] per parked request, annotated with whether the awaited
-//! peer is dead and what the rank last did before parking. Rendered by
-//! `dst replay --seed S --triage` and appended to explore failure
-//! lines, it turns "budget exhaustion" into
-//! "rank 2 waits on T_N from rank 1 (DEAD)".
+//! The scheduler says *that* a schedule hung and how — a [`Hang`]: a
+//! deadlock at the step no suspended rank was enabled any more, or a
+//! livelock the step budget ended — not *why*. The runtime helps: every
+//! rank the scheduler aborts snapshots the requests it is still parked
+//! on into the trace as [`Event::Blocked`] records (the live request
+//! table, not an inference — see `ftmpi::process`); for a deadlock that
+//! happens at the very step it formed. This module folds those
+//! records, plus the kill and progress events before them, into a
+//! [`TriageReport`]: one [`WaitEdge`] per parked request, annotated
+//! with whether the awaited peer is dead and what the rank last did
+//! before parking. Rendered by `dst replay --seed S --triage` and
+//! appended to explore failure lines, it turns "hung" into "deadlock at
+//! step 212: rank 2 waits on T_N from rank 1 (DEAD)".
 //!
 //! The triager is a pure function of an [`Observation`], and the trace
 //! survives [`Retention::Quiet`](crate::Retention), so sweep workers
@@ -20,6 +22,40 @@ use ftmpi::{BlockedOn, Event, Tag, TimedEvent};
 use ftring::{T_D, T_N, T_R};
 
 use crate::scenario::Observation;
+
+/// How the scheduler ended a hung schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Hang {
+    /// Ranks were suspended and none was enabled; `step` is the
+    /// logical time at which the last of them blocked.
+    Deadlock {
+        /// The scheduler's step count at the verdict.
+        step: u64,
+    },
+    /// Ranks kept being granted without the run ending, until the step
+    /// budget ran out.
+    Livelock,
+}
+
+impl Hang {
+    /// The scheduler's verdict on `obs`, if it ended the run.
+    pub fn of(obs: &Observation) -> Option<Hang> {
+        match obs.deadlock_at {
+            Some(step) => Some(Hang::Deadlock { step }),
+            None if obs.budget_exhausted => Some(Hang::Livelock),
+            None => None,
+        }
+    }
+}
+
+impl std::fmt::Display for Hang {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Hang::Deadlock { step } => write!(f, "deadlock at step {step}"),
+            Hang::Livelock => write!(f, "livelock (budget)"),
+        }
+    }
+}
 
 /// What a parked rank was waiting on, with liveness annotation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,6 +99,9 @@ pub struct WaitEdge {
 /// The reconstructed wait-for graph of one hung schedule.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TriageReport {
+    /// How the run ended, when the scheduler ended it ([`triage`] fills
+    /// this in from the observation; a bare trace does not say).
+    pub hang: Option<Hang>,
     /// One edge per parked request, in rank order (then record order).
     pub edges: Vec<WaitEdge>,
     /// Ranks fail-stopped during the run, in kill order.
@@ -83,9 +122,15 @@ impl TriageReport {
         })
     }
 
-    /// One-line rendering for sweep failure output.
+    /// One-line rendering for sweep failure output: the verdict, then
+    /// the edges.
     pub fn one_line(&self) -> String {
-        self.edges.iter().map(render_edge).collect::<Vec<_>>().join("; ")
+        let edges = self.edges.iter().map(render_edge).collect::<Vec<_>>().join("; ");
+        match self.hang {
+            Some(hang) if edges.is_empty() => hang.to_string(),
+            Some(hang) => format!("{hang}: {edges}"),
+            None => edges,
+        }
     }
 }
 
@@ -133,13 +178,17 @@ fn render_edge(e: &WaitEdge) -> String {
 
 impl std::fmt::Display for TriageReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let title = match self.hang {
+            Some(hang) => format!("wait-for graph ({hang})"),
+            None => "wait-for graph".to_string(),
+        };
         if self.is_empty() {
             return writeln!(
                 f,
-                "wait-for graph: empty — no pending operations (no rank parked at abort)"
+                "{title}: empty — no pending operations (no rank parked at abort)"
             );
         }
-        writeln!(f, "wait-for graph at watchdog abort:")?;
+        writeln!(f, "{title}:")?;
         if !self.killed.is_empty() {
             writeln!(f, "  dead: {:?}", self.killed)?;
         }
@@ -159,7 +208,7 @@ impl std::fmt::Display for TriageReport {
 /// records and triage to an empty graph — and on hand-built traces
 /// (see the unit tests), so it needs no live universe.
 pub fn triage(obs: &Observation) -> TriageReport {
-    triage_trace(&obs.trace)
+    TriageReport { hang: Hang::of(obs), ..triage_trace(&obs.trace) }
 }
 
 /// [`triage`] on a bare event stream.
@@ -226,14 +275,12 @@ pub fn triage_trace(trace: &[TimedEvent]) -> TriageReport {
             _ => {}
         }
     }
-    // Rank order first, record order second: ranks dump their requests
-    // in whatever order the scheduler broke them out of the hang, which
-    // is seed-dependent noise for a reader. Identical edges collapse —
+    // The scheduler aborts the suspended ranks lowest first, so the
+    // records already come in rank order. Identical edges collapse —
     // the ring's detector receive often names the same peer and tag as
     // the normal receive (two-survivor case: left == right).
-    edges.sort_by_key(|e| e.rank);
     edges.dedup();
-    TriageReport { edges, killed }
+    TriageReport { hang: None, edges, killed }
 }
 
 #[cfg(test)]
@@ -257,22 +304,23 @@ mod tests {
             at(5, Event::RecvFailure { rank: 2, peer: 3 }),
             at(6, Event::Aborted { code: -9999 }),
             at(
-                7,
+                6,
+                Event::Blocked { rank: 0, on: BlockedOn::Validate { round: 2 } },
+            ),
+            at(
+                6,
                 Event::Blocked {
                     rank: 2,
                     on: BlockedOn::Recv { context: 0, src: Some(1), tag: Some(T_N) },
                 },
-            ),
-            at(
-                8,
-                Event::Blocked { rank: 0, on: BlockedOn::Validate { round: 2 } },
             ),
         ];
         let report = triage_trace(&trace);
         assert_eq!(report.killed, vec![1, 3]);
         assert_eq!(report.edges.len(), 2);
 
-        // Sorted by rank: rank 0's validate edge first.
+        // In abort order, which is rank order: rank 0's validate edge
+        // first.
         assert_eq!(report.edges[0].rank, 0);
         assert_eq!(report.edges[0].on, WaitKind::Validate { round: 2 });
         assert_eq!(
@@ -294,6 +342,36 @@ mod tests {
         let rendered = report.to_string();
         assert!(rendered.contains("rank 2 waits on T_N from rank 1 (DEAD)"), "{rendered}");
         assert!(rendered.contains("rank 0 waits on validate round 2"), "{rendered}");
+
+        // The verdict leads both renderings once the observation
+        // supplies it.
+        let report = TriageReport { hang: Some(Hang::Deadlock { step: 6 }), ..report };
+        assert!(report.to_string().starts_with("wait-for graph (deadlock at step 6):\n"));
+        assert!(report.one_line().starts_with("deadlock at step 6: rank 0 waits on validate"));
+        let nobody_parked = TriageReport { hang: Some(Hang::Livelock), ..Default::default() };
+        assert_eq!(nobody_parked.one_line(), "livelock (budget)");
+    }
+
+    /// The two verdicts end to end. A budget too small for the ring is
+    /// a livelock: ranks were still being granted. The default budget
+    /// on the same seed is green, with nothing to triage.
+    #[test]
+    fn a_spent_budget_is_a_livelock_not_a_deadlock() {
+        let cfg = crate::ScenarioCfg { step_budget: 20, ..Default::default() };
+        let obs = crate::run_seed(3, &cfg);
+        assert!(obs.hung && obs.budget_exhausted && obs.deadlock_at.is_none());
+        let report = triage(&obs);
+        assert_eq!(report.hang, Some(Hang::Livelock));
+        assert!(report.one_line().starts_with("livelock (budget)"), "{}", report.one_line());
+        let violations = crate::check_all(&obs);
+        assert!(
+            violations.iter().any(|v| v.detail == "run hung: livelock (budget)"),
+            "{violations:?}"
+        );
+
+        let green = crate::run_seed(3, &crate::ScenarioCfg::default());
+        assert!(!green.hung);
+        assert_eq!(triage(&green).hang, None);
     }
 
     /// A completed run records no `Blocked` events, so the graph is

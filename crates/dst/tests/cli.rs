@@ -77,6 +77,44 @@ fn triage_on_green_run_is_explicit() {
     );
 }
 
+/// A hang is reported where it happens: the buggy ring's seed 0x3d
+/// loses its token to a dead rank, and both `replay --triage` and the
+/// explore failure line say at which step the last enabled rank
+/// blocked, not that a budget ran out.
+#[test]
+fn a_deadlock_is_reported_at_its_step() {
+    let out = dst(&["replay", "--seed", "0x3d", "--buggy", "--triage"]);
+    assert!(!out.status.success(), "buggy seed 0x3d no longer fails");
+    let text = stdout(&out);
+    assert!(text.contains("hung: true"), "{text}");
+    assert!(text.contains("wait-for graph (deadlock at step 41):"), "{text}");
+    assert!(text.contains("rank 0 waits on T_N from rank 2"), "{text}");
+
+    let out = dst(&["explore", "--start", "0x3d", "--seeds", "1", "--buggy"]);
+    assert!(!out.status.success());
+    let text = stdout(&out);
+    assert!(text.contains("triage: deadlock at step 41: rank 0 waits on T_N from rank 2"), "{text}");
+    assert!(!text.contains("budget"), "{text}");
+}
+
+/// No budget is derived from the world size any more: a schedule costs
+/// steps in proportion to its messages, and 256 ranks run green on the
+/// library default.
+#[test]
+fn large_world_runs_on_the_default_budget() {
+    let out = dst(&["explore", "--ranks", "256", "--seeds", "2", "--stats"]);
+    assert!(out.status.success(), "256-rank sweep failed: {}{}", stdout(&out), stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("2 green, 0 failing, 0 hung"), "{text}");
+    // The per-schedule step count `ci.yml` gates on: about 13 per rank
+    // at three laps, nowhere near the 200 000 default.
+    let steps: f64 = text
+        .lines()
+        .find_map(|l| l.strip_prefix("sched [shape pair]: ")?.split(' ').next()?.parse().ok())
+        .unwrap_or_else(|| panic!("no steps/schedule in: {text}"));
+    assert!(steps < 256.0 * 20.0, "{steps} steps per 256-rank schedule");
+}
+
 /// `--shape` accepts every taxonomy name on single-schedule commands,
 /// rejects unknown names, and gates `all` to explore.
 #[test]
@@ -209,8 +247,8 @@ fn large_world_sweep_is_green_on_a_bounded_thread_count() {
 
 /// A small fuzz campaign on the hardened ring: exit 0, a summary line
 /// with coverage numbers, and `--stats` adds the full RunStats surface
-/// (handoff, alloc, coverage) — the same three families explore
-/// reports.
+/// (handoff with its per-schedule and per-grant means, alloc,
+/// coverage) — the same three families explore reports.
 #[test]
 fn fuzz_runs_green_and_reports_coverage() {
     let out = dst(&["fuzz", "--budget", "80", "--seed", "7", "--stats"]);
@@ -219,6 +257,10 @@ fn fuzz_runs_green_and_reports_coverage() {
     assert!(text.contains("fuzzed 80 schedules"), "summary missing: {text}");
     assert!(text.contains("distinct coverage edges"), "coverage missing: {text}");
     assert!(text.contains("stats [fuzz]:"), "handoff stats missing: {text}");
+    assert!(
+        text.contains("sched [fuzz]:") && text.contains("enabled ranks/grant"),
+        "per-schedule scheduler stats missing: {text}"
+    );
     assert!(text.contains("alloc [fuzz]:"), "alloc stats missing: {text}");
     assert!(text.contains("coverage [fuzz]:"), "coverage stats missing: {text}");
 }

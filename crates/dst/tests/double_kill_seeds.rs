@@ -15,7 +15,17 @@
 //! when applied explicitly. The second half keeps the regression alive
 //! even if the seed→schedule mapping is ever remapped (which would
 //! silently repoint the seeds at different, likely-benign schedules).
+//!
+//! The seed→*interleaving* map did move once since: the scheduler now
+//! draws only among enabled ranks (blocked ranks are not runnable), so
+//! a seed names the same kill-set in a different order of grants. The
+//! seed-keyed half was re-derived then: every seed below still lands
+//! both of its kills — the double-kill regime, root included — and
+//! [`FAILED_RANKS`] pins exactly which ranks die, so a later remap that
+//! lets a kill slip past the end of the run is caught here rather than
+//! leaving a green test that no longer kills anyone.
 
+use dst::scenario::Outcome;
 use dst::{check_all, run_schedule, run_seed, Kill, ScenarioCfg, Schedule};
 use faultsim::HookKind::{AfterRecvComplete, AfterSend, Tick};
 
@@ -80,15 +90,25 @@ const HANG_SEEDS: [(u64, [Kill; 2]); 8] = [
     ),
 ];
 
+/// The ranks each seed fail-stops under the current seed→interleaving
+/// map, in `HANG_SEEDS` order: both planned victims, every time.
+const FAILED_RANKS: [[usize; 2]; 8] =
+    [[0, 1], [0, 3], [0, 1], [0, 1], [0, 3], [0, 2], [0, 2], [0, 1]];
+
 /// Every formerly-hanging seed replays green at 4 ranks: no hang, no
-/// oracle violation, and a non-empty survivor set that terminated.
+/// oracle violation, both kills delivered, and a non-empty survivor set
+/// that terminated.
 #[test]
 fn formerly_hanging_seeds_replay_green() {
     let cfg = ScenarioCfg::default();
-    for (seed, _) in HANG_SEEDS {
+    for ((seed, _), failed) in HANG_SEEDS.into_iter().zip(FAILED_RANKS) {
         let obs = run_seed(seed, &cfg);
         assert!(!obs.hung, "seed {seed:#x} still hangs");
+        assert!(obs.deadlock_at.is_none(), "seed {seed:#x} deadlocked");
         assert!(!obs.budget_exhausted, "seed {seed:#x} exhausted its step budget");
+        let died: Vec<usize> =
+            (0..cfg.ranks).filter(|&r| obs.outcomes[r] == Outcome::Failed).collect();
+        assert_eq!(died, failed, "seed {seed:#x} no longer lands both kills");
         let violations = check_all(&obs);
         assert!(
             violations.is_empty(),

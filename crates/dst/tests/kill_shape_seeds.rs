@@ -40,7 +40,11 @@
 //! replay green under its shape, and each seed's *pre-fix kill
 //! schedule* — recorded verbatim below — must complete when applied
 //! explicitly, so the regression survives any seed→schedule remap.
+//! The seed-keyed half was re-derived when the scheduler stopped
+//! drawing blocked ranks (same kill-sets, different grant order):
+//! [`FAILED_RANKS`] pins which planned victims each seed still lands.
 
+use dst::scenario::Outcome;
 use dst::{check_all, run_schedule, run_seed, Kill, KillShape, ScenarioCfg, Schedule};
 use faultsim::HookKind::{AfterRecvComplete, AfterSend, Tick};
 
@@ -117,17 +121,28 @@ fn cfg_for(shape: KillShape, ranks: usize) -> ScenarioCfg {
     ScenarioCfg { shape, ranks, ..ScenarioCfg::default() }
 }
 
-/// Every formerly-failing seed replays green at 4 ranks under its
-/// shape: no hang, no budget exhaustion, no oracle violation.
+/// The ranks each seed fail-stops under the current seed→interleaving
+/// map, in `SHAPE_SEEDS` order. Root-chain `0x1d1` plans rank 1 at
+/// `AfterSend#8`, which a three-lap ring never reaches; every other
+/// planned kill lands.
+const FAILED_RANKS: [&[usize]; 5] = [&[0, 2], &[0, 1, 2], &[0, 1, 2], &[1, 2, 3], &[0, 1, 6]];
+
+/// Every formerly-failing seed replays green under its shape: no
+/// deadlock, no budget exhaustion, no oracle violation, and the kills
+/// that make it the schedule it is are delivered.
 #[test]
 fn formerly_failing_shape_seeds_replay_green() {
-    for (shape, ranks, seed, _) in SHAPE_SEEDS {
+    for ((shape, ranks, seed, _), failed) in SHAPE_SEEDS.into_iter().zip(FAILED_RANKS) {
         let obs = run_seed(seed, &cfg_for(shape, ranks));
         assert!(!obs.hung, "shape {shape} seed {seed:#x} still hangs");
+        assert!(obs.deadlock_at.is_none(), "shape {shape} seed {seed:#x} deadlocked");
         assert!(
             !obs.budget_exhausted,
             "shape {shape} seed {seed:#x} exhausted its step budget"
         );
+        let died: Vec<usize> =
+            (0..ranks).filter(|&r| obs.outcomes[r] == Outcome::Failed).collect();
+        assert_eq!(died, failed, "shape {shape} seed {seed:#x} lands different kills");
         let violations = check_all(&obs);
         assert!(
             violations.is_empty(),

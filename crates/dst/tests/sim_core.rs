@@ -2,19 +2,21 @@
 //! coroutines on the caller's thread (`ftmpi`'s `coro.rs` + the pool's
 //! driver loop), and that must be invisible to everything above it.
 //!
-//! * no suspended rank is ever abandoned — on budget exhaustion and on
-//!   a wall-clock watchdog abort every rank body returns through its
-//!   own frames before `pool.run` does;
+//! * no suspended rank is ever abandoned — on a deadlock verdict, on
+//!   budget exhaustion and on a wall-clock watchdog abort every rank
+//!   body returns through its own frames before `pool.run` does;
+//! * a deadlock is reported at the step it forms, with the wait-for
+//!   cycle, not when a budget runs out;
 //! * a panicking rank body is an outcome, not a crash, and leaves the
 //!   pool usable;
 //! * the logical counters of a schedule (`steps`, `grants`,
-//!   `self_grants`) are the ones the thread-per-rank executor produced.
+//!   `self_grants`, `enabled`) are exact and pinned.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use dst::{ScenarioCfg, Scheduler, SeedRunner};
+use dst::{triage_trace, ScenarioCfg, Scheduler, SeedRunner, WaitKind};
 use ftmpi::{
     ErrorHandler, Process, RankOutcome, Src, UniverseConfig, UniversePool, WATCHDOG_ABORT_CODE,
     WORLD,
@@ -33,12 +35,27 @@ impl Drop for Bump<'_> {
 }
 
 /// Every rank receives from its predecessor and nobody ever sends: a
-/// distributed hang.
+/// deadlock.
 fn everyone_waits(p: &mut Process) -> ftmpi::Result<u64> {
     p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-    let prev = (p.world_rank() + N - 1) % N;
+    let n = p.world_size();
+    let prev = (p.world_rank() + n - 1) % n;
     let (v, _) = p.recv::<u64>(WORLD, Src::Rank(prev), 0)?;
     Ok(v)
+}
+
+/// The token goes round and round and no rank ever leaves: a livelock.
+/// Some rank is always enabled, so only a budget or a clock ends it.
+fn token_forever(p: &mut Process) -> ftmpi::Result<u64> {
+    p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+    let (next, prev) = ((p.world_rank() + 1) % N, (p.world_rank() + N - 1) % N);
+    if p.world_rank() == 0 {
+        p.send(WORLD, next, 0, &0u64)?;
+    }
+    loop {
+        let (v, _) = p.recv::<u64>(WORLD, Src::Rank(prev), 0)?;
+        p.send(WORLD, next, 0, &(v + 1))?;
+    }
 }
 
 /// One token lap; the clean schedule the pool must still run after a
@@ -64,17 +81,21 @@ fn assert_clean_lap(pool: &mut UniversePool, seed: u64) {
     assert!(!sched.budget_exhausted());
 }
 
-/// Run the hang under `cfg` with a drop guard local to every rank body
-/// and check what both ways of ending it must guarantee: every rank —
-/// all of them suspended mid-receive — was resumed with the abort
-/// verdict and returned `Err(Aborted)` through its own frames before
-/// `run` returned, and the pool is fit for a clean schedule afterwards.
-fn assert_hang_is_unwound(cfg: UniverseConfig) -> ftmpi::RunReport<u64> {
+/// Run the hang `body` under `cfg` with a drop guard local to every
+/// rank body and check what every way of ending it must guarantee:
+/// every rank — suspended mid-receive or mid-send — was resumed with
+/// the abort verdict and returned `Err(Aborted)` through its own frames
+/// before `run` returned, and the pool is fit for a clean schedule
+/// afterwards.
+fn assert_hang_is_unwound(
+    cfg: UniverseConfig,
+    body: fn(&mut Process) -> ftmpi::Result<u64>,
+) -> ftmpi::RunReport<u64> {
     let dropped = AtomicUsize::new(0);
     let mut pool = UniversePool::new(N);
     let report = pool.run(cfg, |p| {
         let _guard = Bump(&dropped);
-        everyone_waits(p)
+        body(p)
     });
     assert_eq!(dropped.load(Ordering::Relaxed), N, "a rank body was left suspended");
     assert!(report.hung);
@@ -85,35 +106,78 @@ fn assert_hang_is_unwound(cfg: UniverseConfig) -> ftmpi::RunReport<u64> {
     report
 }
 
+/// Blocked ranks are not runnable, so "everyone waits" is over as soon
+/// as the last rank blocks — two grants per rank, its entry and the
+/// first pass of its wait — and the budget is never consulted.
+#[test]
+fn deadlock_verdict_unwinds_every_rank_body() {
+    let sched = Arc::new(Scheduler::new(N, 7, u64::MAX));
+    assert_hang_is_unwound(UniverseConfig::default().sim(sched.clone()), everyone_waits);
+    assert_eq!(sched.deadlock_at(), Some(2 * N as u64));
+    assert!(!sched.budget_exhausted());
+}
+
+/// Two ranks that each receive from the other before sending: the
+/// textbook cycle. Reported as hung at the step it forms, and the
+/// requests dumped at that step are the two edges of the cycle.
+#[test]
+fn mutual_receive_is_a_two_edge_cycle_found_where_it_forms() {
+    let sched = Arc::new(Scheduler::new(2, 11, u64::MAX));
+    let cfg = UniverseConfig::default().traced().sim(sched.clone());
+    let report = ftmpi::run(2, cfg, |p| {
+        let v = everyone_waits(p)?;
+        p.send(WORLD, 1 - p.world_rank(), 0, &v)?;
+        Ok(v)
+    });
+    assert!(report.hung);
+    let at = sched.deadlock_at().expect("a deadlock, not a budget");
+    assert!(at <= 2 * 2 + 2, "found at step {at}");
+    assert_eq!(sched.steps(), at, "nothing ran after the verdict");
+    let graph = triage_trace(&report.trace);
+    let waits_on: Vec<(usize, Option<usize>)> = graph
+        .edges
+        .iter()
+        .map(|e| match e.on {
+            WaitKind::Recv { src, peer_dead: false, .. } => (e.rank, src),
+            ref other => panic!("rank {} parked on {other:?}", e.rank),
+        })
+        .collect();
+    assert_eq!(waits_on, [(0, Some(1)), (1, Some(0))]);
+}
+
 #[test]
 fn budget_exhaustion_unwinds_every_rank_body() {
     let sched = Arc::new(Scheduler::new(N, 7, 500));
-    assert_hang_is_unwound(UniverseConfig::default().sim(sched.clone()));
+    assert_hang_is_unwound(UniverseConfig::default().sim(sched.clone()), token_forever);
     assert!(sched.budget_exhausted());
+    assert_eq!(sched.deadlock_at(), None);
 }
 
 /// `.sim()` + `.watchdog()`: the thread that would have supervised the
 /// run is the one driving it, so the driver checks the wall clock
 /// between resumes. With a budget that never fires, the wall-clock
-/// limit ends the same hang through the same abort path.
+/// limit ends the same livelock through the same abort path.
 #[test]
 fn wall_clock_watchdog_fires_under_simulation() {
     let sched = Arc::new(Scheduler::new(N, 7, u64::MAX).quiet());
     let limit = Duration::from_millis(50);
-    let report = assert_hang_is_unwound(UniverseConfig::default().sim(sched.clone()).watchdog(limit));
+    let cfg = UniverseConfig::default().sim(sched.clone()).watchdog(limit);
+    let report = assert_hang_is_unwound(cfg, token_forever);
     assert!(!sched.budget_exhausted(), "the logical budget cannot have fired");
+    assert_eq!(sched.deadlock_at(), None);
     assert!(report.duration >= limit);
 }
 
 /// A rank body that panics on its coroutine stack is reported as
-/// `Panicked` — its peers, starved of the token it held, are ended by
-/// the step budget — and the same pool runs a clean schedule next.
+/// `Panicked` — its peers, starved of the token it held, deadlock and
+/// are ended by that verdict — and the same pool runs a clean schedule
+/// next.
 #[test]
 fn a_panicking_rank_is_an_outcome_and_the_pool_survives() {
     let dropped = AtomicUsize::new(0);
     let mut pool = UniversePool::new(N);
     let sched = Arc::new(Scheduler::new(N, 3, 2_000));
-    let report = pool.run(UniverseConfig::default().sim(sched), |p| {
+    let report = pool.run(UniverseConfig::default().sim(sched.clone()), |p| {
         let _guard = Bump(&dropped);
         if p.world_rank() == 2 {
             // After at least one scheduling point, so the panic unwinds
@@ -125,22 +189,21 @@ fn a_panicking_rank_is_an_outcome_and_the_pool_survives() {
         ring_once(p)
     });
     assert_eq!(report.outcomes[2], RankOutcome::Panicked("rank 2 gives up".to_string()));
+    assert!(sched.deadlock_at().is_some() && !sched.budget_exhausted());
     assert_eq!(dropped.load(Ordering::Relaxed), N);
     assert_clean_lap(&mut pool, 4);
 }
 
-/// Seeds `0..32` on one runner: the schedule's logical
-/// counters, summed. `steps` and `grants` are the values the
-/// thread-per-rank executor produced at the parent commit (measured
-/// there, ten runs, always these). `self_grants` — the PRNG drew the
-/// rank that had just stepped — was 890–892 and 1807–1809 there: the
-/// *first* grant of a schedule followed whichever rank thread reached
-/// its entry point last, which the OS decided. The coroutine driver
-/// starts ranks in rank order, so the count is now exact and sits
-/// inside the old range.
+/// Seeds `0..32` on one runner: the schedule's logical counters,
+/// summed. Exact: the driver starts ranks in rank order and the
+/// scheduler draws only among enabled ranks, so nothing here depends
+/// on the machine. (Drawing among *all* suspended ranks cost 3680 and
+/// 14429 steps for the same seeds.)
 #[test]
-fn logical_counters_match_the_threaded_executor() {
-    for (ranks, steps, self_grants) in [(4usize, 3680u64, 890u64), (8, 14429, 1808)] {
+fn logical_counters_are_pinned() {
+    for (ranks, steps, self_grants, enabled) in
+        [(4usize, 1634u64, 527u64, 3419u64), (8, 3373, 1123, 9253)]
+    {
         let cfg = ScenarioCfg { ranks, ..ScenarioCfg::default() };
         let mut runner = SeedRunner::new(ranks);
         let mut total = dst::HandoffStats::default();
@@ -150,8 +213,8 @@ fn logical_counters_match_the_threaded_executor() {
             runner.recycle(obs);
         }
         assert_eq!(
-            (total.steps, total.grants, total.self_grants),
-            (steps, steps, self_grants),
+            (total.steps, total.grants, total.self_grants, total.enabled),
+            (steps, steps, self_grants, enabled),
             "{ranks} ranks"
         );
         assert_eq!(total.parks, 0, "no thread is parked under simulation");

@@ -117,6 +117,19 @@ impl Injector {
         }
     }
 
+    /// Whether some rule observing `rank`'s `kind` hooks has yet to
+    /// fire. A simulated rank with an unfired [`HookKind::Tick`] rule
+    /// must keep taking wait-loop passes even when it has nothing to
+    /// wait for, or the rule's occurrence count would never be reached.
+    ///
+    /// [`HookKind::Tick`]: crate::trigger::HookKind::Tick
+    pub fn pending(&self, rank: Rank, kind: crate::trigger::HookKind) -> bool {
+        !self.empty
+            && self.rules.iter().any(|r| {
+                r.observer == rank && r.trigger.kind == kind && !r.fired.load(Ordering::Acquire)
+            })
+    }
+
     /// Whether the injector has no rules (nothing can ever fire).
     pub fn is_disarmed(&self) -> bool {
         self.empty
@@ -178,6 +191,20 @@ mod tests {
         assert_eq!(inj.observe(2, &hook), Decision::Continue);
         assert!(inj.exhausted());
         assert_eq!(inj.fired_count(), 1);
+    }
+
+    #[test]
+    fn pending_names_the_observer_and_kind_until_the_rule_fires() {
+        let inj = Injector::new(FaultPlan::none().kill_at(1, HookKind::Tick, 2));
+        assert!(inj.pending(1, HookKind::Tick));
+        assert!(!inj.pending(0, HookKind::Tick), "another rank's rule");
+        assert!(!inj.pending(1, HookKind::AfterSend), "another kind");
+        let tick = Hook::bare(HookKind::Tick);
+        assert_eq!(inj.observe(1, &tick), Decision::Continue);
+        assert!(inj.pending(1, HookKind::Tick), "counted once, fires on the second");
+        assert_eq!(inj.observe(1, &tick), Decision::KillSelf);
+        assert!(!inj.pending(1, HookKind::Tick));
+        assert!(!Injector::disarmed().pending(0, HookKind::Tick));
     }
 
     #[test]

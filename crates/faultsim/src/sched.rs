@@ -17,14 +17,27 @@
 //!
 //! * Every rank calls [`SchedHook::arrive`] when it enters the
 //!   universe ([`SchedPoint::Enter`]), at the top of every wait-loop
-//!   pass ([`SchedPoint::Tick`]), and before every send
-//!   ([`SchedPoint::Send`]), then suspends.
+//!   pass ([`SchedPoint::Tick`] or [`SchedPoint::Blocked`]), and before
+//!   every send ([`SchedPoint::Send`]), then suspends.
+//! * **Enabledness.** A rank that arrives at [`SchedPoint::Blocked`]
+//!   is *disabled*: its last wait-loop pass completed nothing and the
+//!   transport would have put its thread to sleep in wall-clock mode
+//!   (mailbox empty and unchanged, no global wake, no failure-epoch
+//!   change since the pass began). The hook must not resume it until
+//!   the runtime reports one of the events that wake a sleeping
+//!   thread: [`SchedHook::wake`] after a delivery to that rank's
+//!   mailbox, [`SchedHook::wake_all`] after a kill, an abort, or a
+//!   validate / barrier / split decision. Every other arrival is
+//!   enabled. The runtime keeps a rank enabled on the first pass of a
+//!   wait, while its mailbox holds a delayed suffix, and while the
+//!   fault plan still holds an unfired `Tick` kill for it.
 //! * With every live rank suspended, the runtime's driver asks
-//!   [`SchedHook::next`] which one resumes, and with what verdict: a
-//!   [`StepOutcome::Abort`] tells the rank the logical step budget is
-//!   exhausted (the deterministic replacement for a wall-clock hang
-//!   watchdog) and it must abort the job. `None` means no rank is
-//!   waiting — the run is over.
+//!   [`SchedHook::next`] which enabled rank resumes, and with what
+//!   verdict: a [`StepOutcome::Abort`] tells the rank that the run is
+//!   over — no rank is enabled although some are suspended (a
+//!   deadlock), or the logical step budget is exhausted (a livelock) —
+//!   and it must abort the job. `None` means no rank is suspended:
+//!   the run is over.
 //! * Every nondeterministic *choice* with `n` alternatives is routed
 //!   through [`SchedHook::choose`]: which ready request `waitany`
 //!   picks, which sender an `ANY_SOURCE` receive matches, and how many
@@ -47,8 +60,13 @@ use crate::{Rank, Tag};
 pub enum SchedPoint {
     /// Rank entered the universe, before user code runs.
     Enter,
-    /// Top of a wait-loop pass (the single blocking funnel).
+    /// Top of a wait-loop pass (the single blocking funnel); the rank
+    /// is runnable.
     Tick,
+    /// Top of a wait-loop pass of a rank the transport would have put
+    /// to sleep: not runnable until [`SchedHook::wake`] names it or
+    /// [`SchedHook::wake_all`] is called.
+    Blocked,
     /// Immediately before handing a message to the transport.
     Send {
         /// Destination world rank.
@@ -76,15 +94,16 @@ pub enum ChoiceKind {
 pub enum StepOutcome {
     /// Proceed.
     Run,
-    /// Logical step budget exhausted: abort the job (deterministic
-    /// hang detection).
+    /// The run cannot or may not continue — every suspended rank is
+    /// disabled (deadlock), or the logical step budget is exhausted
+    /// (livelock): abort the job (deterministic hang detection).
     Abort,
 }
 
 /// Scheduling counters reported by a [`SchedHook`].
 ///
-/// `steps`, `grants` and `self_grants` are logical properties of the
-/// schedule. `parks` counts OS-thread parks by waiting ranks: simulated
+/// `steps`, `grants`, `self_grants` and `enabled` are logical
+/// properties of the schedule. `parks` counts OS-thread parks by waiting ranks: simulated
 /// ranks are coroutines that never park, so a scheduler reports 0; the
 /// field stays because the repository's frozen benchmark reads it.
 ///
@@ -102,6 +121,9 @@ pub struct HandoffStats {
     /// always, when it is the sole waiter, which is the common case for
     /// the paper's one-token-in-flight ring.
     pub self_grants: u64,
+    /// Enabled-set size summed over the grants: `enabled / grants` is
+    /// how many ranks a grant chose among, on average.
+    pub enabled: u64,
     /// `thread::park` calls made by waiting ranks.
     pub parks: u64,
     /// Wall-clock park-safety timeouts observed by the transport
@@ -115,6 +137,7 @@ impl HandoffStats {
         self.steps += other.steps;
         self.grants += other.grants;
         self.self_grants += other.self_grants;
+        self.enabled += other.enabled;
         self.parks += other.parks;
         self.park_safety_timeouts += other.park_safety_timeouts;
     }
@@ -197,11 +220,20 @@ pub trait SchedHook: Send + Sync {
     /// Never blocks.
     fn arrive(&self, rank: Rank, point: SchedPoint);
 
-    /// Driver side, called with every live rank suspended: the rank to
-    /// resume next and the verdict it resumes with, or `None` when no
-    /// rank is waiting. A rank named here stops waiting until its next
-    /// [`SchedHook::arrive`].
+    /// Driver side, called with every live rank suspended: the enabled
+    /// rank to resume next and the verdict it resumes with, or `None`
+    /// when no rank is suspended. A rank named here stops waiting until
+    /// its next [`SchedHook::arrive`].
     fn next(&self) -> Option<(Rank, StepOutcome)>;
+
+    /// An envelope was delivered to `rank`'s mailbox: if it arrived at
+    /// [`SchedPoint::Blocked`] it is enabled again.
+    fn wake(&self, rank: Rank);
+
+    /// Something every waiting rank may depend on changed (a kill, an
+    /// abort, a validate / barrier / split decision): every rank that
+    /// arrived at [`SchedPoint::Blocked`] is enabled again.
+    fn wake_all(&self);
 
     /// Resolve an `n`-way choice (`n >= 1` for [`ChoiceKind::WaitAny`]
     /// and [`ChoiceKind::AnySource`], `n >= 2` for
@@ -246,6 +278,9 @@ mod tests {
         fn next(&self) -> Option<(Rank, StepOutcome)> {
             self.waiting.lock().unwrap().pop_front().map(|r| (r, StepOutcome::Run))
         }
+        // Treats every arrival as runnable, so there is nobody to wake.
+        fn wake(&self, _rank: Rank) {}
+        fn wake_all(&self) {}
         fn choose(&self, _rank: Rank, _kind: ChoiceKind, n: usize) -> usize {
             assert!(n >= 1);
             0
@@ -277,6 +312,7 @@ mod tests {
             steps: 10,
             grants: 9,
             self_grants: 3,
+            enabled: 12,
             parks: 4,
             park_safety_timeouts: 1,
         };
@@ -284,6 +320,7 @@ mod tests {
         total.add(&one);
         assert_eq!(total.grants, 18);
         assert_eq!(total.self_grants, 6);
+        assert_eq!(total.enabled, 24);
         assert_eq!(total.park_safety_timeouts, 2);
     }
 

@@ -14,10 +14,12 @@
 //!   threads named `rank-{i}`, each handed the closure for one run;
 //! * **simulation** (`UniverseConfig::sim`): `n` coroutine stacks
 //!   ([`crate::coro`]) and a driver loop on the *calling* thread. A
-//!   rank's `sched_step` tells the scheduler it arrived and suspends;
-//!   the driver asks the scheduler for the next grant and resumes that
-//!   rank's stack. One simulated step is two user-space stack
-//!   switches, and a pool that only simulates never spawns a thread.
+//!   rank's `sched_step` tells the scheduler it arrived — runnable, or
+//!   blocked until a delivery or a global wake — and suspends; the
+//!   driver asks the scheduler for the next grant among the runnable
+//!   ranks and resumes that rank's stack. One simulated step is two
+//!   user-space stack switches, and a pool that only simulates never
+//!   spawns a thread.
 //!
 //! [`crate::run`] is a one-shot pool: build, run once, drop.
 //!
@@ -460,9 +462,9 @@ impl UniversePool {
             None => self.run_threads(&shared, schedule, watchdog, respawn, start, &rank_body),
         };
 
-        // A logical-step watchdog (simulation scheduler budget) aborts
-        // with the same code as the wall-clock one; report it as a
-        // hang too.
+        // A simulation scheduler's hang verdict (deadlock, or its step
+        // budget) aborts with the same code as the wall-clock
+        // watchdog; report it as a hang too.
         if shared.registry.aborted() == Some(WATCHDOG_ABORT_CODE) {
             hung = true;
         }
@@ -520,10 +522,12 @@ impl UniversePool {
         }
         // The driver loop. Every live rank is suspended at a step
         // point whenever the scheduler is asked, so a decision always
-        // sees the complete waiting set. The loop ends only when
-        // nobody is waiting, i.e. every rank has returned through its
-        // own frames — after the budget runs out the scheduler hands
-        // each of them `Abort`, so no suspended stack is ever dropped.
+        // sees the complete enabled set — and an empty one with ranks
+        // still suspended is a deadlock the scheduler can call on the
+        // spot. The loop ends only when nobody is suspended, i.e. every
+        // rank has returned through its own frames: on a deadlock or a
+        // spent budget the scheduler hands each of them `Abort`, so no
+        // suspended stack is ever dropped.
         let mut limit = watchdog;
         let mut hung = false;
         while let Some((me, outcome)) = sched.next() {

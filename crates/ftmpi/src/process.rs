@@ -251,9 +251,10 @@ impl Process {
     /// Scheduling point for deterministic simulation. A no-op without
     /// a scheduler; with one, this rank is a coroutine: it tells the
     /// scheduler it arrived and suspends to the pool's driver until it
-    /// is granted again. An exhausted step budget comes back as a job
-    /// abort (the logical-step replacement for the wall-clock
-    /// watchdog).
+    /// is granted again — at `SchedPoint::Blocked`, not before
+    /// something wakes it. The scheduler's hang verdict (deadlock, or
+    /// the step budget against livelock) comes back as a job abort,
+    /// the logical replacement for the wall-clock watchdog.
     fn sched_step(&mut self, point: SchedPoint) -> Result<()> {
         match &self.shared.sched {
             Some(s) => s.arrive(self.me, point),
@@ -271,8 +272,8 @@ impl Process {
     }
 
     /// One-shot dump of every request this rank is still parked on,
-    /// taken at the moment the logical watchdog breaks a simulated
-    /// hang. Each pending receive, validate and barrier becomes an
+    /// taken when the scheduler ends a simulated hang — for a deadlock
+    /// that is the step at which the last enabled rank blocked. Each pending receive, validate and barrier becomes an
     /// [`Event::Blocked`] trace event; the `dst` hang triager rebuilds
     /// the per-rank wait-for graph from them. Exact by construction:
     /// this is the live request table, not an inference from the event
@@ -524,12 +525,24 @@ impl Process {
 
     /// Block until `check` yields a value, making progress and parking
     /// between scans. All runtime blocking funnels through here.
+    ///
+    /// One rule decides whether this rank sleeps after a fruitless
+    /// pass, whatever executes it: nothing its [`ParkToken`] watches
+    /// moved since the pass began. A thread then sleeps in
+    /// [`Fabric::park`]; a simulated rank arrives at its next
+    /// scheduling point as `SchedPoint::Blocked` and is not granted
+    /// until a delivery or a `Shared::wake_all` re-enables it.
+    ///
+    /// [`ParkToken`]: crate::transport::ParkToken
+    /// [`Fabric::park`]: crate::transport::Fabric::park
     pub(crate) fn wait_loop<R>(
         &mut self,
         mut check: impl FnMut(&mut Self) -> Result<Option<R>>,
     ) -> Result<R> {
+        // Nothing has been polled yet: the first pass is runnable.
+        let mut point = SchedPoint::Tick;
         loop {
-            self.sched_step(SchedPoint::Tick)?;
+            self.sched_step(point)?;
             self.hook(Hook::bare(HookKind::Tick))?;
             let epoch = self.shared.registry.epoch();
             let token = self.shared.fabric.token(self.me, epoch);
@@ -537,12 +550,18 @@ impl Process {
             if let Some(r) = check(self)? {
                 return Ok(r);
             }
-            // Under a simulation scheduler this rank yields inside
-            // sched_step (the driver resumes it when granted); parking
-            // the one thread every rank shares would stop them all.
             if self.shared.sched.is_none() {
                 let shared = Arc::clone(&self.shared);
                 shared.fabric.park(self.me, token, || shared.registry.epoch());
+            } else {
+                // Parking the one thread every rank shares would stop
+                // them all; this rank suspends in `sched_step` instead.
+                // A rank the fault plan still owes a `Tick` kill keeps
+                // ticking, or the occurrence would never come up.
+                let shared = &self.shared;
+                let sleeps = shared.fabric.would_park(self.me, token, shared.registry.epoch())
+                    && !shared.injector.pending(self.me, HookKind::Tick);
+                point = if sleeps { SchedPoint::Blocked } else { SchedPoint::Tick };
             }
         }
     }
@@ -589,7 +608,7 @@ impl Process {
                 len: payload.len(),
             });
         }
-        self.shared.fabric.deliver(
+        self.shared.deliver(
             world_dst,
             Envelope { src_world: self.me, src_comm: my_rank, context: ctx, tag, payload, seq, poison },
         );

@@ -5,7 +5,10 @@
 //! destination mailbox and notifies; a blocked rank parks on its own
 //! condvar until either its mailbox version changes, the global notify
 //! generation changes (failures, aborts, validate decisions), or a
-//! short safety timeout elapses.
+//! short safety timeout elapses. A simulated rank has no thread to
+//! park: the same [`ParkToken`] comparison ([`Fabric::would_park`])
+//! decides whether it suspends *disabled* under the scheduler, and the
+//! same events re-enable it.
 //!
 //! Properties the rest of the system relies on:
 //!
@@ -183,18 +186,26 @@ impl Fabric {
         }
     }
 
+    /// Whether nothing `token` watches has moved: no delivery to the
+    /// mailbox, no global wake, no failure-epoch change. The one
+    /// sleep-or-rescan rule, shared by [`Fabric::park`] and
+    /// [`Fabric::would_park`].
+    fn unchanged(&self, mb: &Mailbox, token: ParkToken, epoch: u64) -> bool {
+        mb.version == token.mailbox_version
+            && self.notify_gen.load(Ordering::Acquire) == token.notify_gen
+            && epoch == token.failure_epoch
+    }
+
     /// Block `me` until something plausibly happened since `token` was
     /// taken: a delivery to `me`, a global wake, or a failure-epoch
     /// change. Returns immediately if any is already the case.
-    /// Wall-clock mode only: a simulated rank suspends at its
-    /// scheduling point instead (`Process::wait_loop`).
+    /// Wall-clock mode only: a simulated rank asks
+    /// [`Fabric::would_park`] and suspends at its scheduling point
+    /// instead (`Process::wait_loop`).
     pub fn park(&self, me: WorldRank, token: ParkToken, current_epoch: impl Fn() -> u64) {
         let slot = &self.slots[me];
         let mut mb = slot.mb.lock();
-        if mb.version != token.mailbox_version
-            || self.notify_gen.load(Ordering::Acquire) != token.notify_gen
-            || current_epoch() != token.failure_epoch
-        {
+        if !self.unchanged(&mb, token, current_epoch()) {
             return;
         }
         if slot.cv.wait_for(&mut mb, PARK_SAFETY).timed_out() {
@@ -205,10 +216,26 @@ impl Fabric {
         }
     }
 
+    /// Simulation's form of [`Fabric::park`]: whether `me` would have
+    /// gone to sleep there. On top of the token comparison the mailbox
+    /// must be empty — a scheduler-delayed drain leaves a suffix queued
+    /// without moving the version, and a rank with mail to read is
+    /// runnable.
+    pub fn would_park(&self, me: WorldRank, token: ParkToken, epoch: u64) -> bool {
+        let mb = self.slots[me].mb.lock();
+        mb.queue.is_empty() && self.unchanged(&mb, token, epoch)
+    }
+
+    /// Move the notify generation, so a wait-loop pass in flight sees
+    /// that a global wake happened since its token was taken.
+    pub fn note_wake(&self) {
+        self.notify_gen.fetch_add(1, Ordering::AcqRel);
+    }
+
     /// Wake every rank (used for failures, aborts, and shared-state
     /// decisions such as `validate_all` completion).
     pub fn wake_all(&self) {
-        self.notify_gen.fetch_add(1, Ordering::AcqRel);
+        self.note_wake();
         for slot in &self.slots {
             // Take the lock to serialize with parkers' predicate checks,
             // eliminating the notify-before-wait race. notify_one is
@@ -275,6 +302,31 @@ mod tests {
         let t0 = std::time::Instant::now();
         f.park(0, token, || 1); // epoch moved under us
         assert!(t0.elapsed() < Duration::from_millis(40));
+    }
+
+    /// `would_park` is `park`'s predicate plus "no mail": each of the
+    /// three token fields moving, and a delayed suffix left in the
+    /// queue, keeps the rank runnable.
+    #[test]
+    fn would_park_follows_the_token_and_the_queue() {
+        let f = Fabric::new(2);
+        let token = f.token(0, 0);
+        assert!(f.would_park(0, token, 0));
+        assert!(!f.would_park(0, token, 1), "failure epoch moved");
+        f.note_wake();
+        assert!(!f.would_park(0, token, 0), "global wake");
+        let token = f.token(0, 0);
+        f.deliver(0, env(1, 0));
+        f.deliver(0, env(1, 1));
+        assert!(!f.would_park(0, token, 0), "delivery moved the version");
+        // A delayed drain: one of two envelopes taken, version as the
+        // new token saw it.
+        let token = f.token(0, 0);
+        let (taken, _) = f.drain_with(0, |_| 1);
+        assert_eq!(taken.len(), 1);
+        assert!(!f.would_park(0, token, 0), "a suffix is still queued");
+        f.drain(0);
+        assert!(f.would_park(0, token, 0));
     }
 
     #[test]

@@ -126,14 +126,30 @@ impl Shared {
         // is the point of pooling.
     }
 
-    /// Wake every rank parked on the fabric — unless this universe is
-    /// scheduler-driven, in which case ranks never park there (the
-    /// `wait_loop` skips `Fabric::park` under simulation; a waiting
-    /// rank is a suspended coroutine), so the per-slot lock sweep would
-    /// be pure overhead on the simulation hot path.
+    /// Hand `env` to `dst`'s mailbox and make `dst` runnable: the
+    /// fabric notifies a parked thread, the scheduler re-enables a
+    /// rank suspended at `SchedPoint::Blocked`.
+    pub(crate) fn deliver(&self, dst: WorldRank, env: crate::message::Envelope) {
+        self.fabric.deliver(dst, env);
+        if let Some(s) = &self.sched {
+            s.wake(dst);
+        }
+    }
+
+    /// Make every waiting rank look again. In wall-clock mode that is
+    /// the fabric's sweep over the parked threads. A simulated rank is
+    /// a suspended coroutine, not a sleeper on a condvar: the notify
+    /// generation still moves (a pass in flight must see the event,
+    /// exactly as `Fabric::park` would) and the scheduler re-enables
+    /// every rank it holds as blocked — a wake missed here is a false
+    /// deadlock verdict, not a slow run.
     pub(crate) fn wake_all(&self) {
-        if self.sched.is_none() {
-            self.fabric.wake_all();
+        match &self.sched {
+            Some(s) => {
+                self.fabric.note_wake();
+                s.wake_all();
+            }
+            None => self.fabric.wake_all(),
         }
     }
 
@@ -189,8 +205,9 @@ pub struct UniverseConfig {
     /// Deterministic-simulation scheduler. When set, the runtime
     /// serializes every rank through the hook's scheduling points and
     /// routes every nondeterministic choice through it; the wall-clock
-    /// `watchdog` is normally replaced by the hook's logical step
-    /// budget. Incompatible with `schedule` (wall-clock kills) and
+    /// `watchdog` is normally replaced by the hook's own verdicts
+    /// (deadlock when no suspended rank is enabled, a logical step
+    /// budget against livelock). Incompatible with `schedule` (wall-clock kills) and
     /// `respawn`.
     pub sched: Option<Arc<dyn SchedHook>>,
 }
@@ -246,7 +263,9 @@ impl UniverseConfig {
 pub struct RunReport<T> {
     /// Per-rank outcomes, indexed by world rank.
     pub outcomes: Vec<RankOutcome<T>>,
-    /// Whether the watchdog had to break a distributed hang.
+    /// Whether a distributed hang had to be broken: by the wall-clock
+    /// watchdog, or by a simulation scheduler's deadlock / step-budget
+    /// verdict.
     pub hung: bool,
     /// The recorded protocol trace (empty unless tracing was enabled).
     pub trace: Vec<TimedEvent>,

@@ -27,11 +27,12 @@ fn watchdog() -> Duration {
 /// Fig. 6: P2 fails after receiving from P1, before sending to P3;
 /// with the naive receive the program hangs.
 ///
-/// The hang is detected by a *logical-step* watchdog: the run executes
-/// under the `dst` serializing scheduler and is declared hung when its
-/// grant budget runs out, instead of waiting on a wall-clock timer.
-/// Same seed ⇒ same interleaving ⇒ the hang (and its detection point)
-/// reproduces exactly, however loaded the machine is.
+/// The hang is a *verdict*, not a timeout: the run executes under the
+/// `dst` scheduler, which knows which ranks are blocked, and is
+/// declared hung at the step no suspended rank is enabled any more:
+/// every survivor waits for the token that died with P2. Same seed ⇒ same
+/// interleaving ⇒ the hang (and the step it is found at) reproduces
+/// exactly, however loaded the machine is.
 #[test]
 fn fig6_naive_recv_hangs_when_token_dies_with_rank() {
     // Kill rank 2 after its 2nd token receive (mid-iteration 1).
@@ -42,16 +43,16 @@ fn fig6_naive_recv_hangs_when_token_dies_with_rank() {
         4,
         UniverseConfig::with_plan(plan)
             .sim(sched.clone())
-            // Generous wall-clock backstop only; the logical budget is
-            // what fires.
+            // Generous wall-clock backstop only; the scheduler's
+            // deadlock verdict is what fires.
             .watchdog(watchdog()),
         move |p| run_ring(p, WORLD, &cfg),
     );
     let s = summarize(&report);
     assert!(s.hung, "the naive receive must hang exactly as Fig. 6 describes");
     assert!(
-        sched.budget_exhausted(),
-        "the hang must be caught by the logical-step budget, not wall clock"
+        sched.deadlock_at().is_some() && !sched.budget_exhausted(),
+        "the hang must be found as a deadlock, not by the step budget or the wall clock"
     );
     assert_eq!(s.failed, vec![2]);
     assert!(
