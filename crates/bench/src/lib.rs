@@ -1,6 +1,6 @@
-//! Shared helpers for the criterion benches and the experiment
-//! binaries that regenerate the paper's figures.
+//! Shared helpers for `all_experiments`, the binary that regenerates
+//! the paper's behavioural figures.
 
 pub mod harness;
 
-pub use harness::{ring_once, ring_report, ring_traced, ExperimentRow};
+pub use harness::{ring_once, ExperimentRow};

@@ -32,7 +32,6 @@ mod allgather;
 mod barrier;
 mod bcast;
 mod gather;
-mod linear;
 mod reduce;
 mod scan;
 

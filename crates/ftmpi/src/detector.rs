@@ -59,12 +59,6 @@ impl FailureRegistry {
         }
     }
 
-    /// Number of ranks in the universe.
-    #[allow(dead_code)]
-    pub fn size(&self) -> usize {
-        self.states.len()
-    }
-
     /// Reset protocol (see `Shared::reset`): everyone alive at
     /// generation 0, epoch 0, no abort — the observable state of a
     /// fresh `FailureRegistry::new(n)`. Must only be called between
@@ -133,24 +127,6 @@ impl FailureRegistry {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// World ranks currently failed, ascending.
-    #[allow(dead_code)]
-    pub fn failed_set(&self) -> Vec<WorldRank> {
-        (0..self.size()).filter(|&r| self.is_failed(r)).collect()
-    }
-
-    /// Number of currently-alive ranks.
-    #[allow(dead_code)]
-    pub fn alive_count(&self) -> usize {
-        (0..self.size()).filter(|&r| !self.is_failed(r)).count()
-    }
-
-    /// Number of currently-failed ranks.
-    #[allow(dead_code)]
-    pub fn failed_count(&self) -> usize {
-        self.size() - self.alive_count()
-    }
-
     /// Mark the job aborted with `code`. Returns `true` on transition.
     /// The caller is responsible for waking blocked ranks afterwards.
     pub fn abort(&self, code: i32) -> bool {
@@ -203,12 +179,14 @@ impl FailureRegistry {
 mod tests {
     use super::*;
 
+    fn failed_set(r: &FailureRegistry) -> Vec<WorldRank> {
+        (0..r.states.len()).filter(|&w| r.is_failed(w)).collect()
+    }
+
     #[test]
     fn fresh_registry_is_all_alive_gen0() {
         let r = FailureRegistry::new(4);
-        assert_eq!(r.alive_count(), 4);
-        assert_eq!(r.failed_count(), 0);
-        assert!(r.failed_set().is_empty());
+        assert!(failed_set(&r).is_empty());
         assert_eq!(r.epoch(), 0);
         assert_eq!(r.generation(0), 0);
         assert!(r.check_alive(0, 0).is_ok());
@@ -222,7 +200,7 @@ mod tests {
         r.respawn(2);
         r.abort(5);
         r.reset();
-        assert_eq!(r.alive_count(), 3);
+        assert!(failed_set(&r).is_empty());
         assert_eq!(r.epoch(), 0);
         assert_eq!(r.aborted(), None);
         for rank in 0..3 {
@@ -238,8 +216,7 @@ mod tests {
         assert!(!r.kill(1));
         assert_eq!(r.epoch(), 1);
         assert!(r.is_failed(1));
-        assert_eq!(r.failed_set(), vec![1]);
-        assert_eq!(r.alive_count(), 2);
+        assert_eq!(failed_set(&r), vec![1]);
         assert_eq!(r.generation(1), 0, "death does not change the generation");
     }
 
@@ -319,7 +296,7 @@ mod tests {
         for h in hs {
             h.join().unwrap();
         }
-        assert_eq!(r.failed_count(), 64);
+        assert_eq!(failed_set(&r).len(), 64);
         assert_eq!(r.epoch(), 64);
     }
 }

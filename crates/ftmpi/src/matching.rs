@@ -92,11 +92,6 @@ pub(crate) struct MatchEngine {
 }
 
 impl MatchEngine {
-    #[allow(dead_code)] // unit tests construct engines directly
-    pub(crate) fn new() -> Self {
-        MatchEngine::default()
-    }
-
     /// Empty every queue while keeping their capacity: the reuse hook
     /// for pooled workers, whose `RankScratch` carries one engine
     /// across incarnations and runs (steady-state matching then runs
@@ -108,23 +103,8 @@ impl MatchEngine {
         self.scratch_seen.clear();
     }
 
-    /// Number of unexpected messages currently queued.
-    #[allow(dead_code)]
-    pub(crate) fn unexpected_len(&self) -> usize {
-        self.unexpected.len()
-    }
-
-    /// Number of posted (pending) receives.
-    #[allow(dead_code)]
-    pub(crate) fn posted_len(&self) -> usize {
-        self.posted.len()
-    }
-
-    /// Try to satisfy a new receive from the unexpected queue. If a
-    /// message matches, it is removed and the completion returned;
-    /// otherwise the caller must insert a pending request and register
-    /// it via [`MatchEngine::register`].
-    #[allow(dead_code)] // convenience form, exercised by unit tests
+    /// [`MatchEngine::take_unexpected_with`] taking the first candidate.
+    #[cfg(test)]
     pub(crate) fn take_unexpected(
         &mut self,
         spec: &MatchSpec,
@@ -132,8 +112,12 @@ impl MatchEngine {
         self.take_unexpected_with(spec, |_| 0).map(|(result, _)| result)
     }
 
-    /// [`MatchEngine::take_unexpected`] with the sender choice exposed:
-    /// when several senders have a matching message queued, `pick(n)`
+    /// Try to satisfy a new receive from the unexpected queue. If a
+    /// message matches, it is removed and the completion returned;
+    /// otherwise the caller must insert a pending request and register
+    /// it via [`MatchEngine::register`].
+    ///
+    /// When several senders have a matching message queued, `pick(n)`
     /// selects among the *earliest matching envelope of each sender*.
     /// Restricting candidates to per-sender heads is what keeps the
     /// choice MPI-legal — `ANY_SOURCE` may pick any sender, but within
@@ -264,7 +248,6 @@ mod tests {
 
     fn env(src: CommRank, ctx: ContextId, tag: i32, payload: &'static [u8]) -> Envelope {
         Envelope {
-            src_world: src,
             src_comm: src,
             context: ctx,
             tag,
@@ -280,11 +263,11 @@ mod tests {
 
     #[test]
     fn unexpected_then_post_matches_in_arrival_order() {
-        let mut eng = MatchEngine::new();
-        let mut table = ReqTable::new();
+        let mut eng = MatchEngine::default();
+        let mut table = ReqTable::default();
         eng.ingest(&mut table, env(1, 0, 5, b"first"));
         eng.ingest(&mut table, env(1, 0, 5, b"second"));
-        assert_eq!(eng.unexpected_len(), 2);
+        assert_eq!(eng.unexpected.len(), 2);
 
         let s = spec(0, SrcSel::Exact(1), TagSel::Exact(5));
         let c = eng.take_unexpected(&s).unwrap().unwrap();
@@ -296,8 +279,8 @@ mod tests {
 
     #[test]
     fn post_then_arrival_completes_in_post_order() {
-        let mut eng = MatchEngine::new();
-        let mut table = ReqTable::new();
+        let mut eng = MatchEngine::default();
+        let mut table = ReqTable::default();
         let s = spec(0, SrcSel::Exact(2), TagSel::Exact(1));
         let r1 = table.insert(ReqBody::Recv(s), ReqState::Pending);
         eng.register(r1);
@@ -314,20 +297,20 @@ mod tests {
 
     #[test]
     fn context_isolates_matching() {
-        let mut eng = MatchEngine::new();
-        let mut table = ReqTable::new();
+        let mut eng = MatchEngine::default();
+        let mut table = ReqTable::default();
         let s = spec(7, SrcSel::Any, TagSel::Any);
         let r = table.insert(ReqBody::Recv(s), ReqState::Pending);
         eng.register(r);
         assert!(eng.ingest(&mut table, env(0, 8, 0, b"x")).is_none());
-        assert_eq!(eng.unexpected_len(), 1);
+        assert_eq!(eng.unexpected.len(), 1);
         assert!(eng.ingest(&mut table, env(0, 7, 0, b"y")).is_some());
     }
 
     #[test]
     fn any_source_any_tag_matches_everything_in_context() {
-        let mut eng = MatchEngine::new();
-        let mut table = ReqTable::new();
+        let mut eng = MatchEngine::default();
+        let mut table = ReqTable::default();
         let s = spec(0, SrcSel::Any, TagSel::Any);
         let r = table.insert(ReqBody::Recv(s), ReqState::Pending);
         eng.register(r);
@@ -339,8 +322,8 @@ mod tests {
 
     #[test]
     fn poison_completes_with_rank_fail_stop() {
-        let mut eng = MatchEngine::new();
-        let mut table = ReqTable::new();
+        let mut eng = MatchEngine::default();
+        let mut table = ReqTable::default();
         let s = spec(0, SrcSel::Exact(3), TagSel::Exact(0));
         let r = table.insert(ReqBody::Recv(s), ReqState::Pending);
         eng.register(r);
@@ -355,8 +338,8 @@ mod tests {
 
     #[test]
     fn purge_system_drops_only_stale_negative_tags_in_context() {
-        let mut eng = MatchEngine::new();
-        let mut table = ReqTable::new();
+        let mut eng = MatchEngine::default();
+        let mut table = ReqTable::default();
         let old_tag = crate::tag::system_tag(0, 0); // instance 0
         let new_tag = crate::tag::system_tag(0, 5); // instance 5
         eng.ingest(&mut table, env(0, 1, old_tag, b""));
@@ -364,7 +347,7 @@ mod tests {
         eng.ingest(&mut table, env(0, 1, 3, b""));
         eng.ingest(&mut table, env(0, 2, old_tag, b""));
         eng.purge_system(1, 5);
-        assert_eq!(eng.unexpected_len(), 3);
+        assert_eq!(eng.unexpected.len(), 3);
         // User message and current-instance system message survive;
         // other contexts untouched.
         assert!(eng.peek(&spec(1, SrcSel::Any, TagSel::Exact(3))).is_some());
@@ -377,8 +360,8 @@ mod tests {
     fn non_overtaking_same_pair_same_tag() {
         // Messages a,b sent in order from the same source with the same
         // tag must be received in order even with interleaved posts.
-        let mut eng = MatchEngine::new();
-        let mut table = ReqTable::new();
+        let mut eng = MatchEngine::default();
+        let mut table = ReqTable::default();
         eng.ingest(&mut table, env(1, 0, 0, b"a"));
         let s = spec(0, SrcSel::Exact(1), TagSel::Exact(0));
         let c = eng.take_unexpected(&s).unwrap().unwrap();
@@ -503,8 +486,8 @@ mod tests {
             fn optimized_matching_equals_linear_scan_reference(
                 ops in prop::collection::vec(op_strategy(), 0usize..64),
             ) {
-                let mut eng = MatchEngine::new();
-                let mut table = ReqTable::new();
+                let mut eng = MatchEngine::default();
+                let mut table = ReqTable::default();
                 let mut ref_posted: Vec<(Request, MatchSpec)> = Vec::new();
                 let mut ref_unexpected: Vec<RefEnv> = Vec::new();
                 let mut seq = 0u64;
@@ -564,13 +547,13 @@ mod tests {
 
     #[test]
     fn prune_removes_non_pending() {
-        let mut eng = MatchEngine::new();
-        let mut table = ReqTable::new();
+        let mut eng = MatchEngine::default();
+        let mut table = ReqTable::default();
         let s = spec(0, SrcSel::Any, TagSel::Any);
         let r = table.insert(ReqBody::Recv(s), ReqState::Pending);
         eng.register(r);
         table.complete(r, Ok(Completion::send()));
         eng.prune(&table);
-        assert_eq!(eng.posted_len(), 0);
+        assert_eq!(eng.posted.len(), 0);
     }
 }

@@ -2,7 +2,7 @@
 
 use bytes::Bytes;
 
-use crate::rank::{CommRank, WorldRank};
+use crate::rank::CommRank;
 use crate::tag::Tag;
 
 /// Identifies a communication context (one per communicator).
@@ -16,9 +16,6 @@ pub type ContextId = u64;
 /// One message as carried by the transport.
 #[derive(Debug, Clone)]
 pub struct Envelope {
-    /// Sender's world rank (used by the failure machinery and tracing).
-    #[allow(dead_code)]
-    pub src_world: WorldRank,
     /// Sender's rank within the communicator `context` belongs to —
     /// the rank receivers match against.
     pub src_comm: CommRank,
@@ -30,7 +27,6 @@ pub struct Envelope {
     pub payload: Bytes,
     /// Per (sender, receiver) sequence number; diagnostic only (FIFO is
     /// provided by the transport, this lets tests assert it).
-    #[allow(dead_code)]
     pub seq: u64,
     /// Poison marker: this envelope is not data but an error
     /// notification from a peer abandoning a collective (see

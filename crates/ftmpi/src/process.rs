@@ -40,6 +40,7 @@ use faultsim::{ChoiceKind, Decision, Hook, HookKind, SchedPoint, StepOutcome};
 
 use crate::comm::{Comm, CommData, WORLD};
 use crate::datatype::Datatype;
+use crate::detector::FailureRegistry;
 use crate::error::{Error, ErrorHandler, Result};
 use crate::group::Group;
 use crate::matching::{MatchEngine, MatchSpec, SrcSel};
@@ -117,6 +118,29 @@ pub struct Process {
     /// once-per-rank dump, but every subsequent `sched_step` observes
     /// the abort too).
     blocked_dumped: bool,
+}
+
+/// What the failure detector says about a receive or probe from `src`
+/// that no message has matched: `None` while the peer is alive, a
+/// PROC_NULL status once it is a recognized failure, `RankFailStop`
+/// while it is an unrecognized one. `ANY_SOURCE` names the lowest
+/// unrecognized failure in the communicator.
+#[inline]
+fn unmatched_verdict(
+    comm: &CommData,
+    src: SrcSel,
+    registry: &FailureRegistry,
+) -> Option<Result<Status>> {
+    match src {
+        SrcSel::Exact(s) => match comm.state_of(s, registry) {
+            RankState::Ok => None,
+            RankState::Null => Some(Ok(Status::proc_null())),
+            RankState::Failed => Some(Err(Error::RankFailStop { rank: s })),
+        },
+        SrcSel::Any => comm
+            .lowest_unrecognized_failure(registry)
+            .map(|rank| Err(Error::RankFailStop { rank })),
+    }
 }
 
 impl Process {
@@ -421,37 +445,18 @@ impl Process {
             };
             let Some(&ci) = self.ctx_map.get(&spec.context) else { continue };
             let comm = &self.comms[ci];
-            match spec.src {
-                SrcSel::Exact(s) => match comm.state_of(s, &self.shared.registry) {
-                    RankState::Ok => {}
-                    RankState::Null => {
-                        dirty |= self.reqs.complete_if_pending(
-                            req,
-                            Ok(Completion { status: Status::proc_null(), data: Bytes::new() }),
-                        );
-                    }
-                    RankState::Failed => {
-                        if self.reqs.complete_if_pending(req, Err(Error::RankFailStop { rank: s }))
-                        {
-                            dirty = true;
-                            self.shared
-                                .trace
-                                .record(Event::RecvFailure { rank: self.me, peer: s });
-                        }
-                    }
-                },
-                SrcSel::Any => {
-                    if let Some(r) = comm.lowest_unrecognized_failure(&self.shared.registry) {
-                        if self
-                            .reqs
-                            .complete_if_pending(req, Err(Error::RankFailStop { rank: r }))
-                        {
-                            dirty = true;
-                            self.shared
-                                .trace
-                                .record(Event::RecvFailure { rank: self.me, peer: r });
-                        }
-                    }
+            let Some(verdict) = unmatched_verdict(comm, spec.src, &self.shared.registry) else {
+                continue;
+            };
+            let failed_peer = match verdict {
+                Err(Error::RankFailStop { rank }) => Some(rank),
+                _ => None,
+            };
+            let result = verdict.map(|status| Completion { status, data: Bytes::new() });
+            if self.reqs.complete_if_pending(req, result) {
+                dirty = true;
+                if let Some(peer) = failed_peer {
+                    self.shared.trace.record(Event::RecvFailure { rank: self.me, peer });
                 }
             }
         }
@@ -610,7 +615,7 @@ impl Process {
         }
         self.shared.deliver(
             world_dst,
-            Envelope { src_world: self.me, src_comm: my_rank, context: ctx, tag, payload, seq, poison },
+            Envelope { src_comm: my_rank, context: ctx, tag, payload, seq, poison },
         );
         self.hook(Hook::send(HookKind::AfterSend, world_dst, tag))?;
         Ok(())
@@ -666,6 +671,28 @@ impl Process {
         self.send_impl(comm, dst, tag, payload, poison, true)
     }
 
+    /// Resolve what a receive or probe on `comm` names into the
+    /// matcher's terms. A named source must be a member of `comm`; its
+    /// world rank comes back too (`None` for [`Src::Any`]) for the
+    /// injector's receive hooks.
+    fn match_spec(
+        &self,
+        comm: Comm,
+        src: Src,
+        tag: TagSel,
+    ) -> Result<(MatchSpec, Option<WorldRank>)> {
+        let c = self.comm_data(comm)?;
+        let (src, world) = match src {
+            Src::Rank(s) => {
+                let world =
+                    c.group.world_rank(s).ok_or(Error::InvalidRank { rank: s as isize })?;
+                (SrcSel::Exact(s), Some(world))
+            }
+            Src::Any => (SrcSel::Any, None),
+        };
+        Ok((MatchSpec { context: c.ctx, src, tag }, world))
+    }
+
     fn post_recv(&mut self, spec: MatchSpec) -> Request {
         let sched = self.shared.sched.clone();
         let me = self.me;
@@ -702,43 +729,19 @@ impl Process {
         if let TagSel::Exact(t) = tag {
             check_user_tag(t).map_err(|e| self.fail_op(Some(comm.0), e))?;
         }
-        let (ctx, world_src) = {
-            let c = self.comm_data(comm)?;
-            let world = match src {
-                Src::Rank(s) => Some(
-                    c.group
-                        .world_rank(s)
-                        .ok_or(Error::InvalidRank { rank: s as isize })?,
-                ),
-                Src::Any => None,
-            };
-            (c.ctx, world)
-        };
+        let (spec, world_src) = self.match_spec(comm, src, tag)?;
         let hook_tag = match tag {
             TagSel::Exact(t) => t,
             TagSel::Any => -1,
         };
         self.hook(Hook::recv(HookKind::BeforeRecvPost, world_src, hook_tag))?;
-        let spec = MatchSpec {
-            context: ctx,
-            src: match src {
-                Src::Rank(s) => SrcSel::Exact(s),
-                Src::Any => SrcSel::Any,
-            },
-            tag,
-        };
         Ok(self.post_recv(spec))
     }
 
     /// Internal receive-post for collective algorithms (system tags).
     pub(crate) fn sys_irecv(&mut self, comm: Comm, src: CommRank, tag: Tag) -> Result<Request> {
         self.ensure_alive()?;
-        let c = self.comm_data(comm)?;
-        let _ = c
-            .group
-            .world_rank(src)
-            .ok_or(Error::InvalidRank { rank: src as isize })?;
-        let spec = MatchSpec { context: c.ctx, src: SrcSel::Exact(src), tag: TagSel::Exact(tag) };
+        let (spec, _) = self.match_spec(comm, Src::Rank(src), TagSel::Exact(tag))?;
         Ok(self.post_recv(spec))
     }
 
@@ -859,6 +862,27 @@ impl Process {
         }
     }
 
+    /// [`Process::consume`] for the multi-request waits: a terminal
+    /// error (self-failure, abort) ends the whole wait, a per-operation
+    /// error is that request's result.
+    fn consume_op(&mut self, req: Request) -> Result<Result<Completion>> {
+        match self.consume(req) {
+            Err(e) if e.is_terminal() => Err(e),
+            other => Ok(other),
+        }
+    }
+
+    /// Indices of the completed requests in `reqs`, ascending.
+    fn ready_indices(&self, reqs: &[Request]) -> Result<Vec<usize>> {
+        let mut ready = Vec::new();
+        for (i, r) in reqs.iter().enumerate() {
+            if self.reqs.is_done(*r)? {
+                ready.push(i);
+            }
+        }
+        Ok(ready)
+    }
+
     /// Block until `req` completes and consume it.
     pub fn wait(&mut self, req: Request) -> Result<Completion> {
         self.wait_loop(move |p| Ok(if p.reqs.is_done(req)? { Some(()) } else { None }))?;
@@ -874,12 +898,7 @@ impl Process {
     pub fn waitany(&mut self, reqs: &[Request]) -> Result<WaitAny> {
         assert!(!reqs.is_empty(), "waitany needs at least one request");
         let index = self.wait_loop(move |p| {
-            let mut ready = Vec::new();
-            for (i, r) in reqs.iter().enumerate() {
-                if p.reqs.is_done(*r)? {
-                    ready.push(i);
-                }
-            }
+            let ready = p.ready_indices(reqs)?;
             Ok(match ready.len() {
                 0 => None,
                 1 => Some(ready[0]),
@@ -895,11 +914,8 @@ impl Process {
                 }
             })
         })?;
-        let result = self.consume(reqs[index]);
-        match result {
-            Err(e) if e.is_terminal() => Err(e),
-            other => Ok(WaitAny { index, result: other }),
-        }
+        let result = self.consume_op(reqs[index])?;
+        Ok(WaitAny { index, result })
     }
 
     /// Block until every request completes; results in input order.
@@ -914,13 +930,7 @@ impl Process {
         })?;
         let mut out = Vec::with_capacity(reqs.len());
         for r in reqs {
-            let res = self.consume(*r);
-            if let Err(e) = &res {
-                if e.is_terminal() {
-                    return Err(e.clone());
-                }
-            }
-            out.push(res);
+            out.push(self.consume_op(*r)?);
         }
         Ok(out)
     }
@@ -930,23 +940,12 @@ impl Process {
     pub fn waitsome(&mut self, reqs: &[Request]) -> Result<Vec<(usize, Result<Completion>)>> {
         assert!(!reqs.is_empty(), "waitsome needs at least one request");
         let ready = self.wait_loop(move |p| {
-            let mut ready = Vec::new();
-            for (i, r) in reqs.iter().enumerate() {
-                if p.reqs.is_done(*r)? {
-                    ready.push(i);
-                }
-            }
+            let ready = p.ready_indices(reqs)?;
             Ok(if ready.is_empty() { None } else { Some(ready) })
         })?;
         let mut out = Vec::with_capacity(ready.len());
         for i in ready {
-            let res = self.consume(reqs[i]);
-            if let Err(e) = &res {
-                if e.is_terminal() {
-                    return Err(e.clone());
-                }
-            }
-            out.push((i, res));
+            out.push((i, self.consume_op(reqs[i])?));
         }
         Ok(out)
     }
@@ -970,59 +969,25 @@ impl Process {
     /// Blocking probe: status of the next matching message without
     /// receiving it. Fails with `RankFailStop` like a receive would.
     pub fn probe(&mut self, comm: Comm, src: Src, tag: impl Into<TagSel>) -> Result<Status> {
-        let tag = tag.into();
-        let (ctx, spec_src) = {
-            let c = self.comm_data(comm)?;
-            let s = match src {
-                Src::Rank(s) => {
-                    let _ = c
-                        .group
-                        .world_rank(s)
-                        .ok_or(Error::InvalidRank { rank: s as isize })?;
-                    SrcSel::Exact(s)
-                }
-                Src::Any => SrcSel::Any,
-            };
-            (c.ctx, s)
-        };
-        let spec = MatchSpec { context: ctx, src: spec_src, tag };
+        let (spec, _) = self.match_spec(comm, src, tag.into())?;
         self.wait_loop(move |p| {
             if let Some(env) = p.engine.peek(&spec) {
                 return Ok(Some(Status::new(env.src_comm, env.tag, env.payload.len())));
             }
-            // Failure semantics mirror a posted receive.
-            let ci = *p.ctx_map.get(&ctx).expect("comm exists");
-            let comm_data = &p.comms[ci];
-            match spec.src {
-                SrcSel::Exact(s) => match comm_data.state_of(s, &p.shared.registry) {
-                    RankState::Ok => Ok(None),
-                    RankState::Null => Ok(Some(Status::proc_null())),
-                    RankState::Failed => Err(Error::RankFailStop { rank: s }),
-                },
-                SrcSel::Any => {
-                    match comm_data.lowest_unrecognized_failure(&p.shared.registry) {
-                        Some(r) => Err(Error::RankFailStop { rank: r }),
-                        None => Ok(None),
-                    }
-                }
-            }
+            unmatched_verdict(&p.comms[comm.0], spec.src, &p.shared.registry).transpose()
         })
         .map_err(|e| self.fail_op(Some(comm.0), e))
     }
 
-    /// Nonblocking probe.
+    /// Nonblocking probe. Unlike [`Process::probe`] it does **not**
+    /// fail like a receive would: with nothing queued it answers
+    /// `Ok(None)` whether the named peer is alive, failed or
+    /// recognized, so a caller may poll a possibly-dead neighbour
+    /// (`apps::diskless` does) and learn of the failure from its
+    /// receives instead.
     pub fn iprobe(&mut self, comm: Comm, src: Src, tag: impl Into<TagSel>) -> Result<Option<Status>> {
         self.progress()?;
-        let tag = tag.into();
-        let c = self.comm_data(comm)?;
-        let spec = MatchSpec {
-            context: c.ctx,
-            src: match src {
-                Src::Rank(s) => SrcSel::Exact(s),
-                Src::Any => SrcSel::Any,
-            },
-            tag,
-        };
+        let (spec, _) = self.match_spec(comm, src, tag.into())?;
         Ok(self.engine.peek(&spec).map(|env| Status::new(env.src_comm, env.tag, env.payload.len())))
     }
 
@@ -1556,6 +1521,10 @@ mod tests {
                 Err(Error::InvalidRank { rank: 5 })
             ));
             assert!(matches!(p.send(WORLD, 0, -3, &0i32), Err(Error::InvalidTag { tag: -3 })));
+            assert!(matches!(
+                p.iprobe(WORLD, Src::Rank(5), TAG),
+                Err(Error::InvalidRank { rank: 5 })
+            ));
             assert!(matches!(
                 p.comm_validate_rank(WORLD, 9),
                 Err(Error::InvalidRank { .. })

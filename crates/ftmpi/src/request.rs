@@ -91,11 +91,6 @@ pub(crate) struct ReqTable {
 }
 
 impl ReqTable {
-    #[allow(dead_code)] // unit tests construct engines directly
-    pub(crate) fn new() -> Self {
-        ReqTable::default()
-    }
-
     /// Drop every slot while keeping the table's capacity — the reuse
     /// hook for pooled workers recycling one table across incarnations
     /// and runs. `gen` deliberately keeps counting: a `Request` handle
@@ -142,11 +137,6 @@ impl ReqTable {
 
     pub(crate) fn body(&self, req: Request) -> Result<&ReqBody> {
         Ok(&self.slot(req)?.body)
-    }
-
-    #[allow(dead_code)]
-    pub(crate) fn is_valid(&self, req: Request) -> bool {
-        self.slot(req).is_ok()
     }
 
     pub(crate) fn is_done(&self, req: Request) -> Result<bool> {
@@ -258,7 +248,7 @@ mod tests {
 
     #[test]
     fn insert_take_roundtrip() {
-        let mut t = ReqTable::new();
+        let mut t = ReqTable::default();
         let r = t.insert(ReqBody::Send, ReqState::Done(Ok(Completion::send())));
         assert!(t.is_done(r).unwrap());
         let c = t.take(r).unwrap().unwrap();
@@ -270,18 +260,18 @@ mod tests {
 
     #[test]
     fn stale_generation_detected_after_reuse() {
-        let mut t = ReqTable::new();
+        let mut t = ReqTable::default();
         let r1 = t.insert(ReqBody::Send, ReqState::Done(Ok(Completion::send())));
         t.take(r1).unwrap().unwrap();
         let r2 = t.insert(ReqBody::Send, ReqState::Done(Ok(Completion::send())));
         assert_eq!(r1.idx, r2.idx, "slot should be reused");
-        assert!(!t.is_valid(r1));
-        assert!(t.is_valid(r2));
+        assert!(t.slot(r1).is_err());
+        assert!(t.slot(r2).is_ok());
     }
 
     #[test]
     fn pending_cannot_be_taken() {
-        let mut t = ReqTable::new();
+        let mut t = ReqTable::default();
         let r = t.insert(ReqBody::Recv(spec()), ReqState::Pending);
         assert!(t.is_pending(r));
         assert!(matches!(t.take(r), Err(Error::InvalidState(_))));
@@ -292,7 +282,7 @@ mod tests {
 
     #[test]
     fn complete_if_pending_only_fires_once() {
-        let mut t = ReqTable::new();
+        let mut t = ReqTable::default();
         let r = t.insert(ReqBody::Recv(spec()), ReqState::Pending);
         assert!(t.complete_if_pending(r, Ok(Completion::send())));
         assert!(!t.complete_if_pending(r, Err(Error::SelfFailed)));
@@ -307,10 +297,10 @@ mod tests {
 
     #[test]
     fn remove_cancels_pending() {
-        let mut t = ReqTable::new();
+        let mut t = ReqTable::default();
         let r = t.insert(ReqBody::Recv(spec()), ReqState::Pending);
         t.remove(r).unwrap();
-        assert!(!t.is_valid(r));
+        assert!(t.slot(r).is_err());
         assert_eq!(t.live(), 0);
     }
 }

@@ -126,15 +126,14 @@ impl Fabric {
 
     /// Drain every queued envelope for `me`, in arrival order, together
     /// with the mailbox version at drain time.
-    #[allow(dead_code)] // convenience form, exercised by unit tests
+    #[cfg(test)]
     pub fn drain(&self, me: WorldRank) -> (Vec<Envelope>, u64) {
         self.drain_with(me, |n| n)
     }
 
-    /// [`Fabric::drain_into`], allocating a fresh Vec. Convenience for
-    /// tests and one-shot callers; the progress hot path reuses a
-    /// buffer instead.
-    #[allow(dead_code)] // convenience form, exercised by unit tests
+    /// [`Fabric::drain_into`], allocating a fresh Vec; the progress hot
+    /// path reuses a buffer instead.
+    #[cfg(test)]
     pub fn drain_with(
         &self,
         me: WorldRank,
@@ -261,7 +260,6 @@ mod tests {
 
     fn env(src: WorldRank, seq: u64) -> Envelope {
         Envelope {
-            src_world: src,
             src_comm: src,
             context: 0,
             tag: 0,
@@ -429,7 +427,7 @@ mod tests {
                 for (s, &count) in counts.iter().enumerate() {
                     let seqs: Vec<u64> = got
                         .iter()
-                        .filter(|e| e.src_world == s)
+                        .filter(|e| e.src_comm == s)
                         .map(|e| e.seq)
                         .collect();
                     prop_assert_eq!(seqs, (0..count as u64).collect::<Vec<_>>());
@@ -459,7 +457,7 @@ mod tests {
         // Per-sender FIFO holds even under interleaving.
         for src in 0..2 {
             let seqs: Vec<u64> =
-                msgs.iter().filter(|e| e.src_world == src).map(|e| e.seq).collect();
+                msgs.iter().filter(|e| e.src_comm == src).map(|e| e.seq).collect();
             assert_eq!(seqs, (0..100).collect::<Vec<_>>());
         }
     }

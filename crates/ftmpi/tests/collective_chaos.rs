@@ -19,9 +19,7 @@ use ftmpi::{run, Error, ErrorHandler, UniverseConfig, WORLD};
 enum Op {
     Barrier,
     Bcast,
-    BcastLinear,
     Reduce,
-    ReduceLinear,
     Allreduce,
     Gather,
     Scatter,
@@ -30,12 +28,10 @@ enum Op {
     Scan,
 }
 
-const OPS: [Op; 11] = [
+const OPS: [Op; 9] = [
     Op::Barrier,
     Op::Bcast,
-    Op::BcastLinear,
     Op::Reduce,
-    Op::ReduceLinear,
     Op::Allreduce,
     Op::Gather,
     Op::Scatter,
@@ -82,14 +78,7 @@ fn run_op(p: &mut ftmpi::Process, op: Op) -> ftmpi::Result<()> {
             let v = (me == 0).then_some(7i64);
             p.bcast(WORLD, 0, v.as_ref()).map(|_| ())
         }
-        Op::BcastLinear => {
-            let v = (me == 0).then_some(9i64);
-            p.bcast_linear(WORLD, 0, v.as_ref()).map(|_| ())
-        }
         Op::Reduce => p.reduce(WORLD, 0, &(me as u64), |a, b| a + b).map(|_| ()),
-        Op::ReduceLinear => {
-            p.reduce_linear(WORLD, 0, &(me as u64), |a, b| a.max(b)).map(|_| ())
-        }
         Op::Allreduce => p.allreduce(WORLD, &1u64, |a, b| a + b).map(|_| ()),
         Op::Gather => p.gather(WORLD, 0, &(me as u32)).map(|_| ()),
         Op::Scatter => {

@@ -136,6 +136,40 @@ fn iprobe_and_probe_report_without_consuming() {
     assert_eq!(report.outcomes[0].as_ok(), Some(&99));
 }
 
+/// One failure verdict for a posted receive and a blocking probe: the
+/// same `RankFailStop` against a dead peer, the same PROC_NULL status
+/// once it is recognized, the same lowest unrecognized failure under
+/// `ANY_SOURCE`.
+#[test]
+fn probe_and_posted_receive_agree_on_a_dead_peer() {
+    let report = run(3, UniverseConfig::default().watchdog(wd()), |p| {
+        p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+        if p.world_rank() != 0 {
+            return Err(p.fail_now());
+        }
+        let recv = |p: &mut ftmpi::Process, src: Src| {
+            let req = p.irecv(WORLD, src, 5)?;
+            p.wait(req).map(|c| c.status)
+        };
+        // Block until both peers are dead, highest first.
+        assert_eq!(recv(p, Src::Rank(2)), Err(Error::RankFailStop { rank: 2 }));
+        assert_eq!(recv(p, Src::Rank(1)), Err(Error::RankFailStop { rank: 1 }));
+        assert_eq!(p.probe(WORLD, Src::Rank(1), 5), Err(Error::RankFailStop { rank: 1 }));
+        assert_eq!(recv(p, Src::Any), Err(Error::RankFailStop { rank: 1 }));
+        assert_eq!(p.probe(WORLD, Src::Any, 5), Err(Error::RankFailStop { rank: 1 }));
+
+        assert_eq!(p.comm_validate_clear(WORLD, &[1])?, 1);
+        assert!(recv(p, Src::Rank(1))?.is_proc_null());
+        assert!(p.probe(WORLD, Src::Rank(1), 5)?.is_proc_null());
+        assert_eq!(recv(p, Src::Any), Err(Error::RankFailStop { rank: 2 }));
+        assert_eq!(p.probe(WORLD, Src::Any, 5), Err(Error::RankFailStop { rank: 2 }));
+        // The nonblocking probe reports none of this.
+        assert_eq!(p.iprobe(WORLD, Src::Rank(2), 5)?, None);
+        Ok(())
+    });
+    assert_eq!(report.outcomes[0], RankOutcome::Ok(()));
+}
+
 #[test]
 fn isend_completes_eagerly() {
     let report = run_default(2, |p| {
