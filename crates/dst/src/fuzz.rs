@@ -34,20 +34,23 @@
 //! inputs produce byte-identical decision logs, corpus files, and
 //! coverage signatures — `tests/fuzz_determinism.rs` referees.
 //!
-//! Mutated schedules are no longer derivable from a single seed, so a
-//! failure record carries the *full* schedule (kills + mask) and the
-//! repro is the fuzz invocation itself.
+//! Mutated schedules are not derivable from a single seed, so a
+//! failure record carries the *full* schedule (kills + mask) in its
+//! one-line text form: it parses back with `str::parse::<Schedule>`
+//! for [`crate::run_schedule`] and [`crate::shrink_schedule`], and a
+//! corpus file holding the line replays it first
+//! (`dst fuzz --corpus FILE --budget 1`).
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use faultsim::{CoverageStats, HookKind, RunStats};
+use faultsim::{HookKind, RunStats};
 
-use crate::oracle::check_all;
 use crate::scenario::{Kill, KillShape, Retention, ScenarioCfg, Schedule, SeedRunner};
 use crate::sched::SplitMix64;
 use crate::sweep::CorpusWrite;
+use crate::verdict::Tally;
 
 /// Stream salt: the fuzzer's master PRNG never collides with the
 /// scheduler or kill-derivation streams of any seed it runs.
@@ -103,8 +106,7 @@ impl Default for FuzzCfg {
 }
 
 impl FuzzCfg {
-    /// Reject degenerate fuzz configurations (single validation site,
-    /// used by the CLI and the library entry point).
+    /// Reject degenerate fuzz configurations.
     pub fn validate(&self) -> Result<(), FuzzError> {
         if self.budget == 0 {
             return Err(FuzzError::InvalidConfig("fuzz budget must be at least 1".into()));
@@ -146,50 +148,16 @@ pub struct CorpusEntry {
     pub last_novel: u64,
 }
 
-/// A failure found by the fuzzer. Mutated schedules are not
-/// seed-derivable, so the full schedule is retained.
-#[derive(Debug, Clone)]
-pub struct FuzzFailure {
-    /// The failing schedule (seed + explicit kills + mask).
-    pub schedule: Schedule,
-    /// Violated oracle names, deduplicated, in oracle order.
-    pub oracles: Vec<String>,
-    /// Full violation messages.
-    pub violations: Vec<String>,
-    /// Whether the run hung (deadlock or livelock verdict).
-    pub hung: bool,
-    /// Verdict and one-line wait-for graph for hung runs (see `dst
-    /// replay --triage`).
-    pub triage: String,
-}
+/// A failure found by the fuzzer: the one [`crate::Failure`] record.
+pub use crate::verdict::Failure as FuzzFailure;
 
 impl FuzzFailure {
-    /// One-line record: schedule + verdict + repro note.
+    /// The failure as one corpus line, with the campaign that found it.
     pub fn line(&self, cfg: &FuzzCfg, scenario: &ScenarioCfg) -> String {
-        let mut line = format!(
-            "schedule {} oracles={}",
-            render_schedule(&self.schedule),
-            self.oracles.join(",")
-        );
-        if self.hung {
-            line.push_str(" hung");
-        }
-        if !self.triage.is_empty() {
-            line.push_str(&format!(" triage=[{}]", self.triage));
-        }
-        line.push_str(&format!(
-            " repro=\"dst fuzz --seed {:#x} --budget {} --ranks {} --iters {}{}\"",
-            cfg.seed,
-            cfg.budget,
-            scenario.ranks,
-            scenario.max_iter,
-            if scenario.shape != KillShape::Pair {
-                format!(" --shape {}", scenario.shape)
-            } else {
-                String::new()
-            },
-        ));
-        line
+        format!(
+            "{self} repro=\"dst fuzz --seed {:#x} --budget {} --ranks {} --iters {}\"",
+            cfg.seed, cfg.budget, scenario.ranks, scenario.max_iter
+        )
     }
 }
 
@@ -200,6 +168,8 @@ pub struct FuzzReport {
     pub seed: u64,
     /// Schedule executions performed.
     pub executed: u64,
+    /// Schedules the corpus file held; they run first, budget allowing.
+    pub loaded: u64,
     /// Executions spent in the seeding phase (shape-derived seeds).
     pub seeded: u64,
     /// Executions that contributed at least one novel coverage edge.
@@ -245,7 +215,7 @@ impl FuzzReport {
         lines.extend(
             self.corpus
                 .iter()
-                .map(|e| format!("schedule {} novel={}", render_schedule(&e.schedule), e.novel_edges)),
+                .map(|e| format!("schedule {} novel={}", e.schedule, e.novel_edges)),
         );
         lines
     }
@@ -261,109 +231,13 @@ impl FuzzReport {
     }
 }
 
-/// `v:Hook:occ` triples, `,`-separated — stable and parseable.
-fn render_kills(kills: &[Kill]) -> String {
-    let mut out = String::new();
-    for (i, k) in kills.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{}:{}:{}", k.victim, hook_name(k.hook), k.occurrence));
-    }
-    out
-}
-
-/// Full schedule rendering: `seed=0x… kills=[…] mask=[…]`.
-fn render_schedule(s: &Schedule) -> String {
-    let mut out = format!("seed={:#x} kills=[{}]", s.seed, render_kills(&s.kills));
-    if let Some(mask) = &s.delay_mask {
-        let rendered: Vec<String> = mask.iter().map(|m| m.to_string()).collect();
-        out.push_str(&format!(" mask=[{}]", rendered.join(",")));
-    }
-    out
-}
-
-/// Stable hook name for corpus serialization.
-fn hook_name(h: HookKind) -> &'static str {
-    match h {
-        HookKind::BeforeSend => "BeforeSend",
-        HookKind::AfterSend => "AfterSend",
-        HookKind::BeforeRecvPost => "BeforeRecvPost",
-        HookKind::AfterRecvComplete => "AfterRecvComplete",
-        HookKind::BeforeCollective => "BeforeCollective",
-        HookKind::AfterCollective => "AfterCollective",
-        HookKind::BeforeValidate => "BeforeValidate",
-        HookKind::AfterValidate => "AfterValidate",
-        HookKind::Tick => "Tick",
-    }
-}
-
-/// Inverse of [`hook_name`].
-fn hook_from_name(s: &str) -> Option<HookKind> {
-    Some(match s {
-        "BeforeSend" => HookKind::BeforeSend,
-        "AfterSend" => HookKind::AfterSend,
-        "BeforeRecvPost" => HookKind::BeforeRecvPost,
-        "AfterRecvComplete" => HookKind::AfterRecvComplete,
-        "BeforeCollective" => HookKind::BeforeCollective,
-        "AfterCollective" => HookKind::AfterCollective,
-        "BeforeValidate" => HookKind::BeforeValidate,
-        "AfterValidate" => HookKind::AfterValidate,
-        "Tick" => HookKind::Tick,
-        _ => return None,
-    })
-}
-
-/// Parse one `schedule seed=… kills=[…] [mask=[…]] …` line back into a
-/// schedule. Lines not starting with `schedule ` (comments, blanks)
-/// return `Ok(None)`.
-fn parse_schedule_line(line: &str) -> Result<Option<Schedule>, String> {
-    let line = line.trim();
-    let Some(rest) = line.strip_prefix("schedule ") else {
-        return Ok(None);
-    };
-    let mut seed = None;
-    let mut kills = Vec::new();
-    let mut mask = None;
-    for tok in rest.split_whitespace() {
-        if let Some(v) = tok.strip_prefix("seed=") {
-            let v = v.strip_prefix("0x").ok_or_else(|| format!("seed not hex: {tok}"))?;
-            seed = Some(u64::from_str_radix(v, 16).map_err(|e| format!("bad seed {tok}: {e}"))?);
-        } else if let Some(v) = tok.strip_prefix("kills=[") {
-            let v = v.strip_suffix(']').ok_or_else(|| format!("unterminated kills: {tok}"))?;
-            for trip in v.split(',').filter(|t| !t.is_empty()) {
-                let mut parts = trip.split(':');
-                let victim = parts
-                    .next()
-                    .and_then(|p| p.parse::<usize>().ok())
-                    .ok_or_else(|| format!("bad victim in {trip}"))?;
-                let hook = parts
-                    .next()
-                    .and_then(hook_from_name)
-                    .ok_or_else(|| format!("bad hook in {trip}"))?;
-                let occurrence = parts
-                    .next()
-                    .and_then(|p| p.parse::<u64>().ok())
-                    .ok_or_else(|| format!("bad occurrence in {trip}"))?;
-                kills.push(Kill { victim, hook, occurrence });
-            }
-        } else if let Some(v) = tok.strip_prefix("mask=[") {
-            let v = v.strip_suffix(']').ok_or_else(|| format!("unterminated mask: {tok}"))?;
-            let mut m = Vec::new();
-            for idx in v.split(',').filter(|t| !t.is_empty()) {
-                m.push(idx.parse::<u64>().map_err(|e| format!("bad mask index {idx}: {e}"))?);
-            }
-            mask = Some(m);
-        }
-        // Unknown tokens (novel=…, future fields) are ignored.
-    }
-    let seed = seed.ok_or_else(|| format!("schedule line without seed: {line}"))?;
-    Ok(Some(Schedule { seed, kills, delay_mask: mask }))
-}
-
-/// Load an evolved corpus file. Missing file = empty corpus (first
-/// campaign); unparseable content is an error, not a silent skip.
-fn load_corpus(path: &Path) -> Result<Vec<Schedule>, FuzzError> {
+/// Load a corpus file written by either engine as seed schedules
+/// for a `ranks`-rank scenario. Every line is blank, a `#` comment, or
+/// `schedule <schedule> key=value…` (DESIGN.md §8.7); anything else —
+/// and a kill naming a rank the scenario does not have — is an error
+/// naming the line, not a silent skip. A missing file is an empty
+/// corpus (first campaign).
+fn load_corpus(path: &Path, ranks: usize) -> Result<Vec<Schedule>, FuzzError> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
@@ -371,17 +245,27 @@ fn load_corpus(path: &Path) -> Result<Vec<Schedule>, FuzzError> {
     };
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
-        match parse_schedule_line(line) {
-            Ok(Some(s)) => out.push(s),
-            Ok(None) => {}
-            Err(e) => {
-                return Err(FuzzError::Corpus(format!(
-                    "{}:{}: {e}",
-                    path.display(),
-                    i + 1
-                )))
-            }
+        let at = |e: String| FuzzError::Corpus(format!("{}:{}: {e}", path.display(), i + 1));
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
         }
+        let rest = line
+            .strip_prefix("schedule ")
+            .ok_or_else(|| at(format!("not a `schedule …` line or a `#` comment: {line}")))?;
+        // The schedule is the leading `seed= kills=[…]` and, when it
+        // follows directly, `mask=[…]`; engine fields come after.
+        let toks: Vec<&str> = rest.split_whitespace().collect();
+        let len = if toks.get(2).is_some_and(|t| t.starts_with("mask=")) { 3 } else { 2 };
+        let schedule: Schedule = toks[..len.min(toks.len())].join(" ").parse().map_err(at)?;
+        if let Some(k) = schedule.kills.iter().find(|k| k.victim >= ranks) {
+            return Err(at(format!(
+                "kills rank {} but the scenario has {ranks} ranks \
+                 (was this corpus evolved at a different --ranks?)",
+                k.victim
+            )));
+        }
+        out.push(schedule);
     }
     Ok(out)
 }
@@ -504,6 +388,41 @@ fn add_kill(s: &mut Schedule, scenario: &ScenarioCfg, rng: &mut SplitMix64) {
     });
 }
 
+/// The state one campaign execution reads and updates.
+struct Campaign<'a> {
+    scenario: &'a ScenarioCfg,
+    runner: SeedRunner,
+    /// Verdicts keyed by execution index, so the retained failures are
+    /// the first `max_failures` found.
+    tally: Tally,
+    corpus: Vec<CorpusEntry>,
+    executed: u64,
+    novel: u64,
+}
+
+impl Campaign<'_> {
+    /// Run `schedule`, judge it, and keep it in the corpus when it
+    /// touched an edge no earlier run did (crediting `parent`, the
+    /// corpus entry it was mutated from).
+    fn run(&mut self, schedule: &Schedule, parent: Option<usize>) {
+        let obs = self.runner.run_schedule_with(schedule, self.scenario, Retention::Quiet);
+        self.executed += 1;
+        let fresh = self.tally.record(self.executed, &obs);
+        if fresh > 0 {
+            self.novel += 1;
+            if let Some(p) = parent {
+                self.corpus[p].last_novel = self.executed;
+            }
+            self.corpus.push(CorpusEntry {
+                schedule: schedule.clone(),
+                novel_edges: fresh,
+                last_novel: self.executed,
+            });
+        }
+        self.runner.recycle(obs);
+    }
+}
+
 /// Run a coverage-guided fuzzing campaign.
 ///
 /// Phase 1 (seeding) derives schedules through all seven kill shapes
@@ -523,165 +442,73 @@ pub fn fuzz(cfg: &FuzzCfg, scenario: &ScenarioCfg) -> Result<FuzzReport, FuzzErr
     }
 
     let loaded = match &cfg.corpus {
-        Some(p) => load_corpus(p)?,
+        Some(p) => load_corpus(p, scenario.ranks)?,
         None => Vec::new(),
     };
-    // A corpus evolved at a larger world size names victims this
-    // scenario has no rank for; reject it up front instead of letting
-    // an out-of-range kill fail deep inside the executor.
-    for (i, s) in loaded.iter().enumerate() {
-        if let Some(k) = s.kills.iter().find(|k| k.victim >= scenario.ranks) {
-            return Err(FuzzError::Corpus(format!(
-                "corpus entry {} kills rank {} but the scenario has {} ranks \
-                 (was this corpus evolved at a different --ranks?)",
-                i + 1,
-                k.victim,
-                scenario.ranks
-            )));
-        }
-    }
 
     let begun = Instant::now();
     let mut rng = SplitMix64::new(cfg.seed ^ FUZZ_SALT);
-    let mut runner = SeedRunner::new(scenario.ranks);
-    let mut global: BTreeSet<u64> = BTreeSet::new();
-    let mut corpus: Vec<CorpusEntry> = Vec::new();
-    let mut failures: Vec<FuzzFailure> = Vec::new();
-    let mut report = FuzzReport {
-        seed: cfg.seed,
-        executed: 0,
-        seeded: 0,
-        novel: 0,
-        green: 0,
-        failing: 0,
-        hung: 0,
+    let mut c = Campaign {
+        scenario,
+        runner: SeedRunner::new(scenario.ranks),
+        tally: Tally::new(cfg.max_failures),
         corpus: Vec::new(),
-        discovered: BTreeSet::new(),
-        failures: Vec::new(),
-        dropped_failures: 0,
-        stats: RunStats::default(),
-        elapsed: Duration::ZERO,
+        executed: 0,
+        novel: 0,
     };
 
     // Scratch buffers reused across the whole campaign.
-    let mut scratch = Schedule { seed: 0, kills: Vec::new(), delay_mask: None };
+    let mut scratch = Schedule::default();
     let mut derive_cfg = *scenario;
-
-    // One closure-free run step (borrow-splitting keeps it a fn).
-    macro_rules! run_one {
-        ($schedule:expr, $parent:expr) => {{
-            let schedule: &Schedule = $schedule;
-            let obs = runner.run_schedule_with(schedule, scenario, Retention::Quiet);
-            report.executed += 1;
-            report.stats.merge(&obs.stats);
-            if obs.hung {
-                report.hung += 1;
-            }
-            let mut fresh = 0u64;
-            for e in obs.coverage.iter() {
-                if global.insert(e) {
-                    fresh += 1;
-                }
-            }
-            if fresh > 0 {
-                report.novel += 1;
-                let parent: Option<usize> = $parent;
-                if let Some(p) = parent {
-                    corpus[p].last_novel = report.executed;
-                }
-                corpus.push(CorpusEntry {
-                    schedule: schedule.clone(),
-                    novel_edges: fresh,
-                    last_novel: report.executed,
-                });
-            }
-            let violations = check_all(&obs);
-            if violations.is_empty() {
-                report.green += 1;
-            } else {
-                report.failing += 1;
-                if failures.len() < cfg.max_failures.max(1) {
-                    let mut oracles: Vec<String> = Vec::new();
-                    for v in &violations {
-                        if !oracles.iter().any(|o| o.as_str() == v.oracle) {
-                            oracles.push(v.oracle.to_string());
-                        }
-                    }
-                    failures.push(FuzzFailure {
-                        schedule: schedule.clone(),
-                        oracles,
-                        violations: violations.iter().map(|v| v.to_string()).collect(),
-                        hung: obs.hung,
-                        triage: if obs.hung {
-                            crate::triage::triage(&obs).one_line()
-                        } else {
-                            String::new()
-                        },
-                    });
-                } else {
-                    report.dropped_failures += 1;
-                }
-            }
-            runner.recycle(obs);
-        }};
-    }
 
     // Phase 0: replay the loaded corpus — its entries are the prior
     // campaigns' knowledge and claim their edges first.
-    for schedule in &loaded {
-        if report.executed >= cfg.budget {
-            break;
-        }
-        run_one!(schedule, None);
+    for schedule in loaded.iter().take(cfg.budget.min(usize::MAX as u64) as usize) {
+        c.run(schedule, None);
     }
 
     // Phase 1: seeding across all seven shapes, round-robin. An eighth
     // of the budget (at least 64 runs, at most half) buys breadth; the
-    // rest goes to the frontier.
+    // rest goes to the frontier — and, while the corpus is still empty
+    // (tiny budget), to more seeding.
     let seed_budget = (cfg.budget / 8).max(64).min(cfg.budget / 2).max(1);
+    let mut seeded = 0u64;
     let mut shape_i = 0usize;
-    while report.executed < cfg.budget && report.seeded < seed_budget {
-        derive_cfg.shape = KillShape::ALL[shape_i % KillShape::ALL.len()];
-        shape_i += 1;
-        let seed = rng.next_u64();
-        Schedule::from_seed_into(seed, &derive_cfg, &mut scratch);
-        report.seeded += 1;
-        run_one!(&scratch, None);
-    }
-
-    // Phase 2: mutation at the frontier.
-    while report.executed < cfg.budget {
-        if corpus.is_empty() {
-            // Degenerate (tiny budget): keep seeding.
+    while c.executed < cfg.budget {
+        if seeded < seed_budget || c.corpus.is_empty() {
             derive_cfg.shape = KillShape::ALL[shape_i % KillShape::ALL.len()];
             shape_i += 1;
-            let seed = rng.next_u64();
-            Schedule::from_seed_into(seed, &derive_cfg, &mut scratch);
-            run_one!(&scratch, None);
+            Schedule::from_seed_into(rng.next_u64(), &derive_cfg, &mut scratch);
+            seeded += u64::from(seeded < seed_budget);
+            c.run(&scratch, None);
             continue;
         }
-        let p = pick_parent(&corpus, report.executed, &mut rng);
-        let partner = if corpus.len() > 1 {
-            // Uniform splice mate (may equal the parent; harmless).
-            Some(rng.below(corpus.len()))
-        } else {
-            None
-        };
-        scratch.clone_from_pooled(&corpus[p].schedule);
-        let partner_schedule = partner.map(|q| corpus[q].schedule.clone());
+        // Phase 2: mutation at the frontier.
+        let p = pick_parent(&c.corpus, c.executed, &mut rng);
+        // Uniform splice mate (may equal the parent; harmless).
+        let partner = (c.corpus.len() > 1).then(|| rng.below(c.corpus.len()));
+        scratch.clone_from_pooled(&c.corpus[p].schedule);
+        let partner_schedule = partner.map(|q| c.corpus[q].schedule.clone());
         mutate(&mut scratch, partner_schedule.as_ref(), scenario, &mut rng);
-        run_one!(&scratch, Some(p));
+        c.run(&scratch, Some(p));
     }
 
-    report.stats.coverage = CoverageStats {
-        edges: global.len() as u64,
-        signature: global.iter().fold(0, |d, e| d ^ e),
-    };
-    report.discovered = global;
-    report.corpus = corpus;
-    report.failures = failures;
-    report.elapsed = begun.elapsed();
-    Ok(report)
+    Ok(FuzzReport {
+        seed: cfg.seed,
+        executed: c.executed,
+        loaded: loaded.len() as u64,
+        seeded,
+        novel: c.novel,
+        green: c.tally.green,
+        failing: c.tally.failing,
+        hung: c.tally.hung,
+        corpus: c.corpus,
+        stats: c.tally.stats(),
+        dropped_failures: c.tally.dropped,
+        failures: c.tally.failures.into_values().collect(),
+        discovered: c.tally.edges,
+        elapsed: begun.elapsed(),
+    })
 }
 
 #[cfg(test)]
@@ -690,7 +517,7 @@ mod tests {
 
     #[test]
     fn schedule_lines_round_trip() {
-        let s = Schedule {
+        let masked = Schedule {
             seed: 0xBEEF,
             kills: vec![
                 Kill { victim: 2, hook: HookKind::AfterSend, occurrence: 3 },
@@ -698,24 +525,70 @@ mod tests {
             ],
             delay_mask: Some(vec![1, 5, 299]),
         };
-        let line = format!("schedule {} novel=7", render_schedule(&s));
-        let parsed = parse_schedule_line(&line).unwrap().unwrap();
-        assert_eq!(parsed.seed, s.seed);
-        assert_eq!(parsed.kills, s.kills);
-        assert_eq!(parsed.delay_mask, s.delay_mask);
-        // No mask: stays None through the round trip.
+        assert_eq!(
+            masked.to_string(),
+            "seed=0xbeef kills=[2:AfterSend:3,0:BeforeValidate:1] mask=[1,5,299]"
+        );
+        // No mask stays `None`, an empty one stays `Some`.
         let bare = Schedule { seed: 1, kills: Vec::new(), delay_mask: None };
-        let parsed = parse_schedule_line(&format!("schedule {}", render_schedule(&bare)))
-            .unwrap()
-            .unwrap();
-        assert_eq!(parsed.delay_mask, None);
-        assert!(parsed.kills.is_empty());
-        // Comments and blanks are skipped.
-        assert!(parse_schedule_line("# comment").unwrap().is_none());
-        assert!(parse_schedule_line("").unwrap().is_none());
-        // Garbage is an error, not a skip.
-        assert!(parse_schedule_line("schedule seed=12").is_err());
-        assert!(parse_schedule_line("schedule kills=[]").is_err());
+        let pinned = Schedule { delay_mask: Some(Vec::new()), ..bare.clone() };
+        for s in [&masked, &bare, &pinned] {
+            assert_eq!(&s.to_string().parse::<Schedule>().unwrap(), s);
+        }
+        for bad in [
+            "",
+            "seed=12 kills=[]",
+            "kills=[]",
+            "seed=0x1",
+            "seed=0x1 kills=[1:Tick:2",
+            "seed=0x1 kills=[1:Tock:2]",
+            "seed=0x1 kills=[1:Tick]",
+            "seed=0x1 kills=[] mask=[x]",
+            "seed=0x1 kills=[] novel=3",
+            "seed=0x1 kills=[] mask=[] novel=3",
+        ] {
+            assert!(bad.parse::<Schedule>().is_err(), "{bad:?} parsed");
+        }
+    }
+
+    /// A corpus file is blank lines, `#` comments and `schedule …`
+    /// lines of either engine; everything else is an error naming the
+    /// line, so nothing unread is ever overwritten.
+    #[test]
+    fn corpus_loader_reads_both_engines_and_rejects_the_rest() {
+        let dir = std::env::temp_dir().join(format!("dst-fuzz-corpus-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("corpus");
+        let load = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            load_corpus(&path, 4)
+        };
+        let loaded = load(
+            b"# dst fuzz corpus v1 edges=0x1\n\n\
+              schedule seed=0x2 kills=[1:Tick:4] mask=[7] novel=3\n\
+              schedule seed=0x2d kills=[2:AfterSend:2] oracles=no-duplicate hung \
+              triage=[rank 0 waits] repro=\"dst replay --seed 0x2d --buggy\"\n",
+        )
+        .unwrap();
+        assert_eq!(
+            loaded.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+            ["seed=0x2 kills=[1:Tick:4] mask=[7]", "seed=0x2d kills=[2:AfterSend:2]"]
+        );
+        assert!(load(b"").unwrap().is_empty());
+        for (bytes, needle) in [
+            (&b"# ok\ngarbage line\n"[..], "corpus:2: not a `schedule"),
+            (b"schedule seed=0x1 kills=[1:Tick:2\n", "corpus:1: unterminated kills"),
+            (b"schedule seed=0x1\n", "corpus:1: expected kills=["),
+            (b"schedule seed=0x1 kills=[4:Tick:2]\n", "corpus:1: kills rank 4"),
+            (b"schedule seed=0x1 kills=[] \xff\n", "valid UTF-8"),
+        ] {
+            match load(bytes) {
+                Err(FuzzError::Corpus(m)) => assert!(m.contains(needle), "{m}"),
+                other => panic!("{:?} loaded as {other:?}", String::from_utf8_lossy(bytes)),
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(load_corpus(&path, 4).unwrap().is_empty(), "a missing file is an empty corpus");
     }
 
     #[test]

@@ -46,8 +46,8 @@ use std::process::ExitCode;
 
 use dst::sweep::write_lines;
 use dst::{
-    check_all, fuzz, run_seed, shrink, sweep, CorpusWrite, FuzzCfg, KillShape, ScenarioCfg,
-    SweepCfg,
+    fuzz, judge, run_seed, shrink, sweep, CorpusWrite, Failure, FuzzCfg, KillShape, ScenarioCfg,
+    Shrunk, SweepCfg,
 };
 
 /// Largest world size the CLI accepts. A simulated rank costs a
@@ -68,12 +68,10 @@ fn parse_u64(s: &str) -> Result<u64, String> {
     r.map_err(|_| format!("not a number: {s}"))
 }
 
-/// Parse `flag`'s value as a `usize` with an explicit upper bound.
-///
-/// The former `parse_u64(..)? as usize` silently truncated on 32-bit
-/// targets (`--ranks 0x1_0000_0004` became 4); a checked conversion
-/// plus a sanity cap turns both the wrap and the absurd-but-
-/// representable value into usage errors.
+/// Parse `flag`'s value as a `usize` with an explicit upper bound: a
+/// checked conversion plus a sanity cap turns both a 32-bit wrap
+/// (`--ranks 0x1_0000_0004` is not 4) and an absurd-but-representable
+/// value into usage errors.
 fn parse_capped_usize(s: &str, flag: &str, cap: u64) -> Result<usize, String> {
     let v = parse_u64(s)?;
     if v > cap {
@@ -83,11 +81,36 @@ fn parse_capped_usize(s: &str, flag: &str, cap: u64) -> Result<usize, String> {
         .map_err(|_| format!("{flag} {v} does not fit this platform's usize\n{}", usage()))
 }
 
-/// `--shape` argument: one concrete shape, or every shape in turn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ShapeArg {
-    One(KillShape),
-    All,
+/// The flags only some commands take (`--shape all` being one value of
+/// `--shape`), consulted as each flag is parsed; any other flag is
+/// accepted everywhere. Only `replay` has the one observation `--log`
+/// and `--triage` render; only the sweep engine fans out over workers
+/// and shrinks what it retains (a campaign is one sequential chain);
+/// `fuzz` is sized by `--budget`, seeds across every shape itself and
+/// targets the hardened ring, whose known dedup defect would dominate
+/// its corpus.
+const FLAG_COMMANDS: [(&str, &[&str]); 9] = [
+    ("--log", &["replay"]),
+    ("--triage", &["replay"]),
+    ("--budget", &["fuzz"]),
+    ("--jobs", &["explore"]),
+    ("--shrink-failures", &["explore"]),
+    ("--stats", &["explore", "fuzz"]),
+    ("--shape", &["explore", "replay", "shrink", "determinism"]),
+    ("--buggy", &["explore", "replay", "shrink", "determinism"]),
+    ("--shape all", &["explore"]),
+];
+
+/// Reject `flag` on a command [`FLAG_COMMANDS`] does not list for it.
+fn gate(flag: &str, cmd: &str) -> Result<(), String> {
+    match FLAG_COMMANDS.iter().find(|(f, _)| *f == flag) {
+        Some((_, cmds)) if !cmds.contains(&cmd) => Err(format!(
+            "{flag} does not apply to {cmd} ({flag} only applies to {})\n{}",
+            cmds.join(" and "),
+            usage()
+        )),
+        _ => Ok(()),
+    }
 }
 
 struct Args {
@@ -100,10 +123,8 @@ struct Args {
     iters: u64,
     show_log: bool,
     triage: bool,
-    shape: ShapeArg,
-    /// Whether `--shape` appeared on the command line (fuzz rejects
-    /// it — the fuzzer seeds across every shape itself).
-    shape_given: bool,
+    /// `--shape`: one concrete shape, or every shape in turn for `all`.
+    shapes: Vec<KillShape>,
     /// `None`: the flag was not given (only fuzz has a default).
     budget: Option<u64>,
     /// `None`: auto (one worker per core). `Some(n)`: exactly `n`.
@@ -127,8 +148,7 @@ fn parse_args() -> Result<Args, String> {
         iters: 3,
         show_log: false,
         triage: false,
-        shape: ShapeArg::One(KillShape::Pair),
-        shape_given: false,
+        shapes: vec![KillShape::Pair],
         budget: None,
         jobs: None,
         max_failures: 100,
@@ -137,6 +157,7 @@ fn parse_args() -> Result<Args, String> {
         stats: false,
     };
     while let Some(flag) = argv.next() {
+        gate(&flag, &args.cmd)?;
         let mut value = |name: &str| -> Result<String, String> {
             argv.next().ok_or_else(|| format!("{name} needs a value"))
         };
@@ -161,17 +182,17 @@ fn parse_args() -> Result<Args, String> {
             }
             "--shape" => {
                 let v = value("--shape")?;
-                args.shape_given = true;
-                args.shape = if v == "all" {
-                    ShapeArg::All
+                args.shapes = if v == "all" {
+                    gate("--shape all", &args.cmd)?;
+                    KillShape::ALL.to_vec()
                 } else {
-                    ShapeArg::One(KillShape::from_name(&v).ok_or_else(|| {
+                    vec![KillShape::from_name(&v).ok_or_else(|| {
                         format!(
                             "unknown kill shape: {v} (expected one of {}, or all)\n{}",
                             KillShape::ALL.map(|s| s.name()).join(", "),
                             usage()
                         )
-                    })?)
+                    })?]
                 };
             }
             "--corpus" => args.corpus = Some(PathBuf::from(value("--corpus")?)),
@@ -188,110 +209,36 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Reject degenerate configurations at the CLI boundary: a clean usage
-/// error beats a panic (`--ranks 0` used to divide by zero in kill
-/// derivation) or a silent no-op (`--seeds 0`, `--iters 0`).
+/// error beats a panic (`--ranks 0`) or a silent no-op (`--seeds 0`,
+/// `--iters 0`).
 fn validate(args: &Args) -> Result<(), String> {
-    match args.shape {
-        ShapeArg::All => {
-            if args.cmd != "explore" {
-                // replay/shrink/determinism run ONE schedule; "all"
-                // would leave the actual shape unspecified (and fuzz
-                // seeds across every shape by construction).
-                return Err(format!(
-                    "--shape all only applies to explore; \
-                     pick one shape for {}\n{}",
-                    args.cmd,
-                    usage()
-                ));
-            }
-            if args.buggy {
-                return Err(format!(
-                    "--buggy only applies to the pair shape \
-                     (the injected dedup bug predates the taxonomy)\n{}",
-                    usage()
-                ));
-            }
-            cfg_of(args, KillShape::Pair).map_err(|e| format!("{e}\n{}", usage()))?;
-        }
-        ShapeArg::One(shape) => {
-            cfg_of(args, shape).map_err(|e| format!("{e}\n{}", usage()))?;
-        }
+    if args.shapes.len() > 1 && args.buggy {
+        return Err(format!(
+            "--buggy only applies to the pair shape \
+             (the injected dedup bug predates the taxonomy)\n{}",
+            usage()
+        ));
     }
-    if args.show_log && args.cmd != "replay" {
-        // Every subcommand used to swallow --log silently; only replay
-        // has a decision log in hand to print.
-        return Err(format!("--log only applies to replay\n{}", usage()));
+    cfg_of(args, args.shapes[0]).map_err(|e| format!("{e}\n{}", usage()))?;
+    if args.seeds == 0 {
+        return Err(format!("--seeds must be at least 1\n{}", usage()));
     }
-    if args.budget.is_some() && args.cmd != "fuzz" {
-        // Explore's size is --seeds; a budget here would imply the
-        // sweep self-truncates.
-        return Err(format!("--budget only applies to fuzz\n{}", usage()));
-    }
-    if args.cmd != "explore" {
-        for (on, flag) in [
-            (args.jobs.is_some(), "--jobs"),
-            (args.shrink_failures, "--shrink-failures"),
-        ] {
-            if on {
-                // Only the sweep engine fans out over workers and
-                // shrinks what it retains: a fuzz campaign is a single
-                // sequential chain (each mutation depends on every
-                // prior run's coverage), and replay/shrink/determinism
-                // run one seed.
-                return Err(format!("{flag} only applies to explore\n{}", usage()));
-            }
+    args.start.checked_add(args.seeds).ok_or_else(|| {
+        format!(
+            "--start {:#x} + --seeds {} overflows the u64 seed space\n{}",
+            args.start,
+            args.seeds,
+            usage()
+        )
+    })?;
+    for (flag, value) in [
+        ("--jobs", args.jobs.map(|j| j as u64)),
+        ("--budget", args.budget),
+        ("--max-failures", Some(args.max_failures as u64)),
+    ] {
+        if value == Some(0) {
+            return Err(format!("{flag} must be at least 1\n{}", usage()));
         }
-    }
-    if args.cmd == "explore" {
-        if args.seeds == 0 {
-            return Err(format!("--seeds must be at least 1\n{}", usage()));
-        }
-        args.start.checked_add(args.seeds).ok_or_else(|| {
-            format!(
-                "--start {:#x} + --seeds {} overflows the u64 seed space\n{}",
-                args.start,
-                args.seeds,
-                usage()
-            )
-        })?;
-        if args.jobs == Some(0) {
-            return Err(format!("--jobs must be at least 1\n{}", usage()));
-        }
-        if args.max_failures == 0 {
-            return Err(format!("--max-failures must be at least 1\n{}", usage()));
-        }
-    } else if args.cmd == "fuzz" {
-        if args.shape_given {
-            // The seeding phase derives through all seven shapes and
-            // mutation composes across them; a single shape would be
-            // silently ignored.
-            return Err(format!(
-                "--shape does not apply to fuzz (it seeds across every shape)\n{}",
-                usage()
-            ));
-        }
-        if args.buggy {
-            return Err(format!(
-                "--buggy does not apply to fuzz: the known dedup defect \
-                 would dominate the corpus; fuzz targets the hardened ring\n{}",
-                usage()
-            ));
-        }
-        if args.budget == Some(0) {
-            return Err(format!("--budget must be at least 1\n{}", usage()));
-        }
-        if args.max_failures == 0 {
-            return Err(format!("--max-failures must be at least 1\n{}", usage()));
-        }
-    } else if args.stats {
-        // Only the sweep and fuzz engines aggregate run stats.
-        return Err(format!("--stats only applies to explore and fuzz\n{}", usage()));
-    }
-    if args.triage && args.cmd != "replay" {
-        // Explore prints triage on its failure lines unconditionally;
-        // the flag selects the full graph rendering, which only replay
-        // has an observation in hand for.
-        return Err(format!("--triage only applies to replay\n{}", usage()));
     }
     Ok(())
 }
@@ -322,20 +269,24 @@ fn need_seed(args: &Args) -> Result<u64, String> {
     args.seed.ok_or_else(|| format!("--seed is required\n{}", usage()))
 }
 
-/// The single concrete shape for replay/shrink/determinism. `validate`
-/// already rejected `--shape all` for these commands.
-fn one_shape(args: &Args) -> KillShape {
-    match args.shape {
-        ShapeArg::One(s) => s,
-        ShapeArg::All => unreachable!("--shape all rejected by validate for {}", args.cmd),
+/// The one rendering of a failure, whichever engine found it: the
+/// schedule in its replayable text form, what it violated, the hang
+/// triage, and the ddmin result when there is one.
+fn print_failure(what: &str, f: &Failure, shrunk: Option<&Shrunk>) {
+    println!("{what}: FAIL");
+    println!("  schedule {}", f.schedule);
+    for v in &f.violations {
+        println!("  violation: {v}");
+    }
+    if !f.triage.is_empty() {
+        println!("  triage: {}", f.triage);
+    }
+    if let Some(s) = shrunk {
+        println!("  shrunk ({} runs): {}", s.runs, s.events_text());
     }
 }
 
 fn cmd_explore(args: &Args) -> Result<ExitCode, String> {
-    let shapes: Vec<KillShape> = match args.shape {
-        ShapeArg::All => KillShape::ALL.to_vec(),
-        ShapeArg::One(s) => vec![s],
-    };
     let sweep_cfg = SweepCfg::builder()
         .start(args.start)
         .count(args.seeds)
@@ -349,24 +300,12 @@ fn cmd_explore(args: &Args) -> Result<ExitCode, String> {
     let mut total_dropped = 0u64;
     let mut corpus: Vec<String> = Vec::new();
     let mut corpus_repros = 0usize;
-    for &shape in &shapes {
+    for &shape in &args.shapes {
         let cfg = cfg_of(args, shape)?;
         let report = sweep(&sweep_cfg, &cfg).map_err(|e| e.to_string())?;
 
-        for f in report.failures.values() {
-            println!("seed {:#x} [shape {shape}]: FAIL", f.seed);
-            for k in &f.kills {
-                println!("  schedule: {k}");
-            }
-            for v in &f.violations {
-                println!("  violation: {v}");
-            }
-            if !f.triage.is_empty() {
-                println!("  triage: {}", f.triage);
-            }
-            if let Some(s) = &f.shrunk {
-                println!("  shrunk ({} runs): {}", s.runs, s.events.join("; "));
-            }
+        for (seed, f) in &report.failures {
+            print_failure(&format!("seed {seed:#x} [shape {shape}]"), f, report.shrunk.get(seed));
         }
         if report.dropped_failures > 0 {
             println!(
@@ -449,7 +388,7 @@ fn print_stats(stats: &dst::RunStats, runs: u64, tag: &str) {
 
 fn cmd_fuzz(args: &Args) -> Result<ExitCode, String> {
     // The shape here only names the scenario; the campaign's seeding
-    // phase walks all seven shapes itself (validate rejected --shape).
+    // phase walks all seven shapes itself (--shape is gated off fuzz).
     let scenario = cfg_of(args, KillShape::Pair)?;
     let fuzz_cfg = FuzzCfg {
         seed: args.seed.unwrap_or(0),
@@ -459,8 +398,11 @@ fn cmd_fuzz(args: &Args) -> Result<ExitCode, String> {
     };
     let report = fuzz(&fuzz_cfg, &scenario).map_err(|e| e.to_string())?;
 
-    for f in &report.failures {
-        println!("FAIL {}", f.line(&fuzz_cfg, &scenario));
+    if let Some(path) = &args.corpus {
+        println!("loaded {} schedule(s) from {}", report.loaded, path.display());
+    }
+    for (i, f) in report.failures.iter().enumerate() {
+        print_failure(&format!("failure {} [fuzz]", i + 1), f, None);
     }
     if report.dropped_failures > 0 {
         println!(
@@ -499,7 +441,7 @@ fn cmd_fuzz(args: &Args) -> Result<ExitCode, String> {
 
 fn cmd_replay(args: &Args) -> Result<ExitCode, String> {
     let seed = need_seed(args)?;
-    let cfg = cfg_of(args, one_shape(args))?;
+    let cfg = cfg_of(args, args.shapes[0])?;
     let obs = run_seed(seed, &cfg);
     println!(
         "seed {seed:#x} ({} ranks, {} iters, shape {})",
@@ -513,8 +455,8 @@ fn cmd_replay(args: &Args) -> Result<ExitCode, String> {
     for (rank, o) in obs.outcomes.iter().enumerate() {
         println!("rank {rank}: {o:?}");
     }
-    let violations = check_all(&obs);
-    for v in &violations {
+    let failure = judge(&obs);
+    for v in failure.iter().flat_map(|f| &f.violations) {
         println!("violation: {v}");
     }
     if args.triage {
@@ -524,7 +466,7 @@ fn cmd_replay(args: &Args) -> Result<ExitCode, String> {
         println!("--- decision log ---");
         print!("{}", obs.log);
     }
-    if violations.is_empty() {
+    if failure.is_none() {
         println!("all applicable oracles green");
         Ok(ExitCode::SUCCESS)
     } else {
@@ -534,7 +476,7 @@ fn cmd_replay(args: &Args) -> Result<ExitCode, String> {
 
 fn cmd_shrink(args: &Args) -> Result<ExitCode, String> {
     let seed = need_seed(args)?;
-    let cfg = cfg_of(args, one_shape(args))?;
+    let cfg = cfg_of(args, args.shapes[0])?;
     match shrink(seed, &cfg, None) {
         Some(s) => {
             println!(
@@ -559,7 +501,7 @@ fn cmd_shrink(args: &Args) -> Result<ExitCode, String> {
 
 fn cmd_determinism(args: &Args) -> Result<ExitCode, String> {
     let seed = need_seed(args)?;
-    let cfg = cfg_of(args, one_shape(args))?;
+    let cfg = cfg_of(args, args.shapes[0])?;
     let a = run_seed(seed, &cfg);
     let b = run_seed(seed, &cfg);
     if a.log == b.log {

@@ -275,7 +275,7 @@ impl std::fmt::Display for Kill {
 
 /// A complete named execution: seed plus derived (or shrunk) kill-set
 /// and delay-mask.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Schedule {
     /// Seed for every scheduler decision.
     pub seed: u64,
@@ -350,6 +350,82 @@ impl Schedule {
                 mask.extend_from_slice(m);
             }
             None => self.delay_mask = None,
+        }
+    }
+}
+
+/// The one text form of a schedule (DESIGN.md §8.7):
+/// `seed=0x… kills=[v:Hook:occ,…]`, then ` mask=[i,…]` when the delay
+/// mask is explicit. Hooks are spelled as their `Debug` names.
+impl std::fmt::Display for Schedule {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let kill = |k: &Kill| format!("{}:{:?}:{}", k.victim, k.hook, k.occurrence);
+        let kills: Vec<String> = self.kills.iter().map(kill).collect();
+        write!(f, "seed={:#x} kills=[{}]", self.seed, kills.join(","))?;
+        if let Some(mask) = &self.delay_mask {
+            let mask: Vec<String> = mask.iter().map(u64::to_string).collect();
+            write!(f, " mask=[{}]", mask.join(","))?;
+        }
+        Ok(())
+    }
+}
+
+/// The comma-separated items of a `key=[…]` token.
+fn bracketed<'a>(tok: &'a str, key: &str) -> Result<impl Iterator<Item = &'a str>, String> {
+    let inner = tok
+        .strip_prefix(key)
+        .and_then(|t| t.strip_prefix("=["))
+        .ok_or_else(|| format!("expected {key}=[…], got {tok:?}"))?;
+    let inner = inner.strip_suffix(']').ok_or_else(|| format!("unterminated {key}: {tok}"))?;
+    Ok(inner.split(',').filter(|t| !t.is_empty()))
+}
+
+/// One `victim:Hook:occurrence` triple.
+fn parse_kill(trip: &str) -> Result<Kill, String> {
+    use HookKind::*;
+    const HOOKS: [HookKind; 9] = [
+        BeforeSend, AfterSend, BeforeRecvPost, AfterRecvComplete, BeforeCollective,
+        AfterCollective, BeforeValidate, AfterValidate, Tick,
+    ];
+    let bad = || format!("expected victim:Hook:occurrence, got {trip:?}");
+    let mut parts = trip.split(':');
+    let (Some(victim), Some(hook), Some(occurrence), None) =
+        (parts.next(), parts.next(), parts.next(), parts.next())
+    else {
+        return Err(bad());
+    };
+    Ok(Kill {
+        victim: victim.parse().map_err(|_| bad())?,
+        hook: HOOKS.into_iter().find(|h| format!("{h:?}") == hook).ok_or_else(bad)?,
+        occurrence: occurrence.parse().map_err(|_| bad())?,
+    })
+}
+
+/// Inverse of the `Display` form; anything after the mask is an error.
+impl std::str::FromStr for Schedule {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let mut toks = s.split_whitespace();
+        let seed = toks.next().unwrap_or_default();
+        let seed = seed
+            .strip_prefix("seed=0x")
+            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+            .ok_or_else(|| format!("expected seed=0x<hex>, got {seed:?}"))?;
+        let kills = bracketed(toks.next().unwrap_or_default(), "kills")?
+            .map(parse_kill)
+            .collect::<Result<_, _>>()?;
+        let delay_mask = match toks.next() {
+            None => None,
+            Some(tok) => Some(
+                bracketed(tok, "mask")?
+                    .map(|i| i.parse().map_err(|_| format!("bad mask index {i:?}")))
+                    .collect::<Result<_, _>>()?,
+            ),
+        };
+        match toks.next() {
+            Some(extra) => Err(format!("unexpected {extra:?} after the schedule")),
+            None => Ok(Schedule { seed, kills, delay_mask }),
         }
     }
 }

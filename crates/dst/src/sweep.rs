@@ -4,39 +4,35 @@
 //! time: a pool of worker threads (default
 //! `std::thread::available_parallelism()`) pulls seed chunks from a
 //! shared atomic cursor, runs each seed's fully self-contained
-//! simulation on its own [`SeedRunner`] (plus the oracles), and streams
-//! a compact per-seed verdict into an aggregator. Determinism lives
-//! entirely inside the run of one seed — every universe owns its
-//! scheduler, fabric, injector, boards and trace, nothing is
-//! process-global, and a runner's state is rewound between seeds — so
-//! the per-seed verdicts are identical whatever the worker count; only
-//! wall-clock time changes.
+//! simulation on its own [`SeedRunner`], and folds it into a
+//! worker-local [`Tally`]; the tallies merge when the workers join.
+//! Determinism lives entirely inside the run of one seed — every
+//! universe owns its scheduler, fabric, injector, boards and trace,
+//! nothing is process-global, and a runner's state is rewound between
+//! seeds — and the tally's retained set is the lowest failing seeds
+//! whatever the arrival order, so the report is identical whatever the
+//! worker count; only wall-clock time changes.
 //!
-//! The aggregator keeps **streaming summaries**, not observations: a
-//! green seed costs three counter bumps, and a failing seed is folded
-//! into a bounded [`FailureSummary`] map that retains the *lowest*
-//! failing seeds (eviction by largest key, so the retained set is also
-//! independent of arrival order). A million-seed sweep therefore runs
-//! in O(max_failures) memory instead of O(seeds) observations-plus-logs.
+//! A tally keeps **streaming summaries**, not observations, so a
+//! million-seed sweep runs in O(max_failures) memory instead of
+//! O(seeds) observations-plus-logs.
 //!
 //! Failing seeds can be persisted as a corpus file
 //! ([`SweepReport::write_corpus`]) of one-line repros, optionally
 //! ddmin-minimized first (`shrink_failures`), so a red CI run hands the
 //! developer `dst replay --seed 0x2d --buggy` instead of a log dump.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use faultsim::{CoverageStats, RunStats};
+use faultsim::RunStats;
 
-use crate::coverage::CoverageSet;
-use crate::oracle::check_all;
-use crate::scenario::{Observation, ScenarioCfg, SeedRunner};
-use crate::shrink::shrink;
+use crate::scenario::{KillShape, ScenarioCfg, SeedRunner};
+use crate::shrink::{shrink_schedule, Shrunk};
+use crate::verdict::{Failure, Tally};
 
 /// Seeds claimed per cursor pull. Small enough that workers stay
 /// balanced at the tail of a sweep, large enough that the cursor is not
@@ -167,39 +163,6 @@ impl std::fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
-/// Compact record of one failing seed — everything needed to report
-/// and reproduce it, nothing that grows with the run (no observation,
-/// no decision log).
-#[derive(Debug, Clone)]
-pub struct FailureSummary {
-    /// The failing seed.
-    pub seed: u64,
-    /// Violated oracle names, deduplicated, in oracle order.
-    pub oracles: Vec<String>,
-    /// Full violation messages.
-    pub violations: Vec<String>,
-    /// The seed-derived kill-set, rendered.
-    pub kills: Vec<String>,
-    /// Whether the run hung (deadlock or livelock verdict).
-    pub hung: bool,
-    /// One line for hung runs — `deadlock at step N` or `livelock
-    /// (budget)`, then who waits on whom — from the hang triager;
-    /// empty for non-hang failures. Computed from
-    /// the quiet observation's trace — no re-run.
-    pub triage: String,
-    /// Minimal event set from ddmin, when `shrink_failures` ran.
-    pub shrunk: Option<ShrunkSummary>,
-}
-
-/// Rendered result of shrinking one failing seed.
-#[derive(Debug, Clone)]
-pub struct ShrunkSummary {
-    /// The locally minimal events, rendered one per entry.
-    pub events: Vec<String>,
-    /// Schedules the shrinker executed to get there.
-    pub runs: usize,
-}
-
 /// What a sweep found, in aggregate.
 #[derive(Debug)]
 pub struct SweepReport {
@@ -218,20 +181,19 @@ pub struct SweepReport {
     pub hung: u64,
     /// Bounded failure map, keyed by seed: the lowest
     /// `SweepCfg::max_failures` failing seeds.
-    pub failures: BTreeMap<u64, FailureSummary>,
+    pub failures: BTreeMap<u64, Failure>,
+    /// The ddmin result for each retained failure that shrank, when
+    /// `SweepCfg::shrink_failures` ran.
+    pub shrunk: BTreeMap<u64, Shrunk>,
     /// Failing seeds beyond the cap — counted so the bound is never a
     /// silent truncation.
     pub dropped_failures: u64,
     /// Wall-clock duration of the sweep (excludes corpus writing).
     pub elapsed: Duration,
-    /// Every statistic family on the one [`RunStats`] surface:
-    /// `handoff` and `alloc` are summed over every seed run (`dst
-    /// explore --stats` divides by `count` for per-schedule numbers;
-    /// alloc is zeros unless the binary installs
-    /// [`allocstats::StatsAlloc`] — the `dst` binary does), and
-    /// `coverage` is the **true union** over all runs: distinct
-    /// `(rank, decision-kind, phase)` edges the whole sweep touched,
-    /// with its order-independent signature.
+    /// [`Tally::stats`]: `handoff` and `alloc` summed over every seed
+    /// run (`dst explore --stats` divides by `count`), `coverage` the
+    /// exact union of `(rank, decision-kind, phase)` edges the whole
+    /// sweep touched, with its order-independent signature.
     pub stats: RunStats,
 }
 
@@ -242,12 +204,28 @@ impl SweepReport {
         if secs > 0.0 { self.count as f64 / secs } else { f64::INFINITY }
     }
 
-    /// Render the retained failures as one-line repros (plus a counted
+    /// Render the retained failures as corpus lines (plus a counted
     /// overflow marker), ready for corpus writing or aggregation
-    /// across shapes.
+    /// across shapes: the failure record, then the shape when it is not
+    /// the default pair (so a line from a `--shape all` sweep names its
+    /// schedule family), the shrunk events, and a paste-able replay
+    /// command.
     pub fn corpus_lines(&self, scenario: &ScenarioCfg) -> Vec<String> {
-        let mut lines: Vec<String> =
-            self.failures.values().map(|f| corpus_line(f, scenario)).collect();
+        let (field, flag) = match scenario.shape {
+            KillShape::Pair => Default::default(),
+            shape => (format!(" shape={shape}"), format!(" --shape {shape}")),
+        };
+        let buggy = if scenario.buggy_dedup { " --buggy" } else { "" };
+        let mut lines: Vec<String> = Vec::new();
+        for (seed, fail) in &self.failures {
+            let shrunk = self.shrunk.get(seed).map(|s| format!(" shrunk=[{}]", s.events_text()));
+            lines.push(format!(
+                "{fail}{field}{} repro=\"dst replay --seed {seed:#x} --ranks {} --iters {}{flag}{buggy}\"",
+                shrunk.unwrap_or_default(),
+                scenario.ranks,
+                scenario.max_iter
+            ));
+        }
         if self.dropped_failures > 0 {
             lines.push(format!(
                 "# +{} more failing seed(s) beyond --max-failures {}",
@@ -328,171 +306,6 @@ pub fn write_lines(path: &Path, lines: &[String]) -> std::io::Result<()> {
     f.flush()
 }
 
-/// One line per failure: seed, verdict, schedule, and a paste-able
-/// repro command. Non-default kill shapes are carried both as a field
-/// (`shape=…`) and inside the repro command, so a corpus line from a
-/// `--shape all` sweep replays the exact same schedule family.
-fn corpus_line(fail: &FailureSummary, scenario: &ScenarioCfg) -> String {
-    let mut line = format!("seed={:#x} oracles={}", fail.seed, fail.oracles.join(","));
-    if scenario.shape != crate::scenario::KillShape::Pair {
-        line.push_str(&format!(" shape={}", scenario.shape));
-    }
-    if fail.hung {
-        line.push_str(" hung");
-    }
-    if !fail.kills.is_empty() {
-        line.push_str(&format!(" kills=[{}]", fail.kills.join("; ")));
-    }
-    if let Some(s) = &fail.shrunk {
-        line.push_str(&format!(" shrunk=[{}]", s.events.join("; ")));
-    }
-    if !fail.triage.is_empty() {
-        line.push_str(&format!(" triage=[{}]", fail.triage));
-    }
-    line.push_str(&format!(
-        " repro=\"dst replay --seed {:#x} --ranks {} --iters {}{}{}\"",
-        fail.seed,
-        scenario.ranks,
-        scenario.max_iter,
-        if scenario.shape != crate::scenario::KillShape::Pair {
-            format!(" --shape {}", scenario.shape)
-        } else {
-            String::new()
-        },
-        if scenario.buggy_dedup { " --buggy" } else { "" }
-    ));
-    line
-}
-
-/// The streaming aggregator workers fold verdicts into. This is the
-/// single merge/attribution site for the whole chain: per-run
-/// [`RunStats`] merge here, and the coverage union is tracked exactly
-/// (a `BTreeSet` of edge hashes — deterministic, order-independent)
-/// rather than by the disjoint-union approximation.
-pub(crate) struct Aggregate {
-    green: u64,
-    failing: u64,
-    hung: u64,
-    dropped: u64,
-    cap: usize,
-    failures: BTreeMap<u64, FailureSummary>,
-    stats: RunStats,
-    /// Union of every run's coverage edges.
-    edges: BTreeSet<u64>,
-}
-
-impl Aggregate {
-    fn new(cap: usize) -> Self {
-        Aggregate {
-            green: 0,
-            failing: 0,
-            hung: 0,
-            dropped: 0,
-            cap,
-            failures: BTreeMap::new(),
-            stats: RunStats::default(),
-            edges: BTreeSet::new(),
-        }
-    }
-
-    /// The aggregated stats with `coverage` overwritten from the exact
-    /// edge union (signature = XOR over the union's members).
-    fn run_stats(&self) -> RunStats {
-        let mut stats = self.stats;
-        stats.coverage = CoverageStats {
-            edges: self.edges.len() as u64,
-            signature: self.edges.iter().fold(0, |d, e| d ^ e),
-        };
-        stats
-    }
-
-    fn record(&mut self, verdict: SeedVerdict) {
-        let SeedVerdict { hung, failure, stats, coverage } = verdict;
-        // `stats.coverage` folds as the approximation; `run_stats()`
-        // overwrites it from the exact union below.
-        self.stats.merge(&stats);
-        for e in coverage.iter() {
-            self.edges.insert(e);
-        }
-        if hung {
-            self.hung += 1;
-        }
-        match failure {
-            None => self.green += 1,
-            Some(f) => {
-                self.failing += 1;
-                self.failures.insert(f.seed, f);
-                if self.failures.len() > self.cap {
-                    // Evict the highest seed: the retained set is the
-                    // lowest `cap` failing seeds no matter which worker
-                    // found what first.
-                    let highest = *self.failures.keys().next_back().expect("non-empty");
-                    self.failures.remove(&highest);
-                    self.dropped += 1;
-                }
-            }
-        }
-    }
-}
-
-/// The compact per-seed result a worker streams into the aggregator.
-pub(crate) struct SeedVerdict {
-    hung: bool,
-    failure: Option<FailureSummary>,
-    stats: RunStats,
-    /// The run's full edge set, moved out of the observation so the
-    /// aggregator can union exactly.
-    coverage: CoverageSet,
-}
-
-/// Run one seed and fold it into a verdict.
-///
-/// Seeds run **zero-retention** ([`SeedRunner::run_seed_quiet`]): the
-/// scheduler never accumulates a decision log or delay list, because
-/// the oracles judge only the trace, outcomes, stats and hang flags.
-/// Nothing is lost: the summary carries the seed, and replay/shrinking
-/// re-run it with full recording — determinism makes the re-run the
-/// identical schedule, so the log is recoverable on demand instead of
-/// being paid for on every green seed.
-fn verdict_of(seed: u64, scenario: &ScenarioCfg, runner: &mut SeedRunner) -> SeedVerdict {
-    let mut obs = runner.run_seed_quiet(seed, scenario);
-    let verdict = fold_verdict(seed, &mut obs);
-    // The observation's buffers go back to the runner: the next seed's
-    // schedule copy reuses them (§8.10).
-    runner.recycle(obs);
-    verdict
-}
-
-/// Judge one observation and compress it to the streaming verdict.
-/// Takes the observation by `&mut` so its coverage set can be moved
-/// out and the caller can recycle the remaining buffers.
-pub(crate) fn fold_verdict(seed: u64, obs: &mut Observation) -> SeedVerdict {
-    let stats = obs.stats;
-    let coverage = std::mem::replace(&mut obs.coverage, CoverageSet::empty());
-    let violations = check_all(obs);
-    if violations.is_empty() {
-        return SeedVerdict { hung: obs.hung, failure: None, stats, coverage };
-    }
-    let mut oracles: Vec<String> = Vec::new();
-    for v in &violations {
-        if !oracles.iter().any(|o| o.as_str() == v.oracle) {
-            oracles.push(v.oracle.to_string());
-        }
-    }
-    let summary = FailureSummary {
-        seed,
-        oracles,
-        violations: violations.iter().map(|v| v.to_string()).collect(),
-        kills: obs.schedule.kills.iter().map(|k| k.to_string()).collect(),
-        hung: obs.hung,
-        // The trace survives Retention::Quiet precisely so that a hang
-        // can be triaged here without re-running the seed.
-        triage: if obs.hung { crate::triage::triage(obs).one_line() } else { String::new() },
-        shrunk: None,
-    };
-    SeedVerdict { hung: obs.hung, failure: Some(summary), stats, coverage }
-}
-
 /// Sweep `cfg.count` seeds from `cfg.start` over a worker pool and
 /// aggregate the verdicts.
 ///
@@ -519,46 +332,53 @@ pub fn sweep(cfg: &SweepCfg, scenario: &ScenarioCfg) -> Result<SweepReport, Swee
     // seeds, so claiming a chunk can never overflow even at the top of
     // the u64 seed space.
     let cursor = AtomicU64::new(0);
-    let agg = Mutex::new(Aggregate::new(cfg.max_failures.max(1)));
 
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| {
-                // One runner per worker: every seed this worker claims
-                // reuses the same rank stacks and universe state.
-                let mut runner = SeedRunner::new(scenario.ranks);
-                loop {
-                    let claim = cursor.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
-                        if c >= cfg.count {
-                            None
-                        } else {
-                            Some(c.saturating_add(CHUNK).min(cfg.count))
+    let tally = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs)
+            .map(|_| {
+                scope.spawn(|| {
+                    // One runner and one tally per worker: every seed
+                    // this worker claims reuses the same rank stacks
+                    // and universe state, and nothing is shared with
+                    // the other workers until the join.
+                    let mut runner = SeedRunner::new(scenario.ranks);
+                    let mut tally = Tally::new(cfg.max_failures);
+                    loop {
+                        let claim =
+                            cursor.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
+                                (c < cfg.count).then(|| c.saturating_add(CHUNK).min(cfg.count))
+                            });
+                        let Ok(begin) = claim else { break };
+                        let end = begin.saturating_add(CHUNK).min(cfg.count);
+                        for seed in cfg.start + begin..cfg.start + end {
+                            // Zero retention: the oracles judge only the
+                            // trace, outcomes, stats and hang flags, and
+                            // a failing seed re-runs to the identical
+                            // log when one is wanted.
+                            let obs = runner.run_seed_quiet(seed, scenario);
+                            tally.record(seed, &obs);
+                            // The schedule buffers go back to the runner
+                            // for the next seed (§8.10).
+                            runner.recycle(obs);
                         }
-                    });
-                    let begin = match claim {
-                        Ok(b) => b,
-                        Err(_) => break,
-                    };
-                    let end = begin.saturating_add(CHUNK).min(cfg.count);
-                    for off in begin..end {
-                        let verdict = verdict_of(cfg.start + off, scenario, &mut runner);
-                        agg.lock().unwrap().record(verdict);
                     }
-                }
-            });
-        }
+                    tally
+                })
+            })
+            .collect();
+        workers.into_iter().fold(Tally::new(cfg.max_failures), |mut all, worker| {
+            all.merge(worker.join().expect("a sweep worker panicked"));
+            all
+        })
     });
 
-    let mut agg = agg.into_inner().unwrap();
+    let mut shrunk = BTreeMap::new();
     if cfg.shrink_failures {
         // Shrink only the retained (bounded) set, after the sweep, so
         // no minimization effort is wasted on seeds that get evicted.
-        for fail in agg.failures.values_mut() {
-            if let Some(s) = shrink(fail.seed, scenario, None) {
-                fail.shrunk = Some(ShrunkSummary {
-                    events: s.events.iter().map(|e| e.to_string()).collect(),
-                    runs: s.runs,
-                });
+        for (seed, fail) in &tally.failures {
+            if let Some(s) = shrink_schedule(&fail.schedule, scenario, None) {
+                shrunk.insert(*seed, s);
             }
         }
     }
@@ -567,12 +387,13 @@ pub fn sweep(cfg: &SweepCfg, scenario: &ScenarioCfg) -> Result<SweepReport, Swee
         start: cfg.start,
         count: cfg.count,
         jobs,
-        green: agg.green,
-        failing: agg.failing,
-        hung: agg.hung,
-        stats: agg.run_stats(),
-        failures: agg.failures,
-        dropped_failures: agg.dropped,
+        green: tally.green,
+        failing: tally.failing,
+        hung: tally.hung,
+        stats: tally.stats(),
+        failures: tally.failures,
+        shrunk,
+        dropped_failures: tally.dropped,
         elapsed: begun.elapsed(),
     })
 }
@@ -603,63 +424,51 @@ mod tests {
         assert!(matches!(sweep(&cfg, &bad), Err(SweepError::InvalidConfig(_))));
     }
 
+    /// The tally retains the lowest failing keys whatever order the
+    /// runs arrive in and however they are split across merged tallies.
     #[test]
     fn aggregate_keeps_lowest_seeds_whatever_the_arrival_order() {
-        let fail = |seed| FailureSummary {
-            seed,
-            oracles: vec!["x".into()],
-            violations: vec![],
-            kills: vec![],
-            hung: false,
-            triage: String::new(),
-            shrunk: None,
+        // Seeds 0, 1, 4 and 5 all fail under the injected dedup bug.
+        let cfg = ScenarioCfg { buggy_dedup: true, ..ScenarioCfg::default() };
+        let mut runner = SeedRunner::new(cfg.ranks);
+        let mut tally_of = |seeds: &[u64]| {
+            let mut t = Tally::new(2);
+            for &s in seeds {
+                t.record(s, &runner.run_seed_quiet(s, &cfg));
+            }
+            t
         };
-        let verdict = |seed| SeedVerdict {
-            hung: false,
-            failure: Some(fail(seed)),
-            stats: RunStats::default(),
-            coverage: CoverageSet::empty(),
-        };
-        let mut a = Aggregate::new(2);
-        let mut b = Aggregate::new(2);
-        for s in [9u64, 3, 7, 1] {
-            a.record(verdict(s));
+        let a = tally_of(&[5, 1, 4, 0]);
+        let b = tally_of(&[0, 4, 1, 5]);
+        let mut c = tally_of(&[5, 0]);
+        c.merge(tally_of(&[4, 1]));
+        for t in [&a, &b, &c] {
+            assert_eq!(t.failures.keys().copied().collect::<Vec<_>>(), vec![0, 1]);
+            assert_eq!((t.failing, t.dropped, t.green), (4, 2, 0));
         }
-        for s in [1u64, 7, 3, 9] {
-            b.record(verdict(s));
-        }
-        let keys = |agg: &Aggregate| agg.failures.keys().copied().collect::<Vec<_>>();
-        assert_eq!(keys(&a), vec![1, 3]);
-        assert_eq!(keys(&a), keys(&b));
-        assert_eq!(a.dropped, 2);
-        assert_eq!(a.failing, 4);
     }
 
-    /// The aggregator's coverage is the exact union, not the summed
+    /// The tally's coverage is the exact union, not the summed
     /// approximation: overlapping runs must not double-count edges or
-    /// cancel signatures.
+    /// cancel signatures, and `record` reports only the edges new to it.
     #[test]
     fn aggregate_coverage_is_the_exact_union() {
-        let mk = |edges: &[u64]| {
-            let mut c = CoverageSet::new();
-            for &e in edges {
-                c.insert(e);
+        let mut obs = crate::scenario::run_seed(0, &ScenarioCfg::default());
+        let mut tally = Tally::new(4);
+        let mut fresh = Vec::new();
+        for edges in [[10u64, 20], [20, 30], [10, 20]] {
+            obs.coverage = crate::coverage::CoverageSet::new();
+            for e in edges {
+                obs.coverage.insert(e);
             }
-            SeedVerdict {
-                hung: false,
-                failure: None,
-                stats: RunStats { coverage: c.stats(), ..Default::default() },
-                coverage: c,
-            }
-        };
-        let mut agg = Aggregate::new(4);
-        agg.record(mk(&[10, 20]));
-        agg.record(mk(&[20, 30]));
-        agg.record(mk(&[10, 20]));
-        let stats = agg.run_stats();
+            obs.stats.coverage = obs.coverage.stats();
+            fresh.push(tally.record(0, &obs));
+        }
+        assert_eq!(fresh, vec![2, 1, 0]);
+        let stats = tally.stats();
         assert_eq!(stats.coverage.edges, 3);
         assert_eq!(stats.coverage.signature, 10 ^ 20 ^ 30);
-        assert_eq!(agg.green, 3);
+        assert_eq!(tally.green, 3);
     }
 
     #[test]
@@ -675,22 +484,21 @@ mod tests {
 
     #[test]
     fn corpus_line_carries_a_usable_repro() {
-        let fail = FailureSummary {
-            seed: 0x2d,
-            oracles: vec!["no-duplicate".into()],
-            violations: vec!["dup".into()],
-            kills: vec!["kill 2 at AfterSend#1".into()],
-            hung: false,
-            triage: "rank 3 waits on T_N from rank 2 (DEAD)".into(),
-            shrunk: Some(ShrunkSummary { events: vec!["kill 2 at AfterSend#1".into()], runs: 3 }),
-        };
         let cfg = ScenarioCfg { buggy_dedup: true, ..ScenarioCfg::default() };
-        let line = corpus_line(&fail, &cfg);
-        assert!(line.contains("seed=0x2d"));
-        assert!(line.contains("oracles=no-duplicate"));
-        assert!(line.contains("triage=[rank 3 waits on T_N from rank 2 (DEAD)]"));
-        assert!(line.contains("--buggy"));
-        assert!(line.contains("dst replay --seed 0x2d"));
-        assert!(!line.contains('\n'));
+        let sweep_cfg =
+            SweepCfg { start: 0x2d, count: 1, shrink_failures: true, ..SweepCfg::default() };
+        let mut report = sweep(&sweep_cfg, &cfg).unwrap();
+        report.failures.get_mut(&0x2d).unwrap().triage = "rank 3 waits on T_N".into();
+        let lines = report.corpus_lines(&cfg);
+        assert_eq!(
+            lines,
+            ["schedule seed=0x2d kills=[2:AfterSend:2,3:AfterSend:3] oracles=no-duplicate,markers-monotone \
+              triage=[rank 3 waits on T_N] shrunk=[kill 2 at AfterSend#2] \
+              repro=\"dst replay --seed 0x2d --ranks 4 --iters 3 --buggy\""]
+        );
+        // A non-default shape is named as a field and in the command.
+        let validate = ScenarioCfg { shape: KillShape::Validate, ..ScenarioCfg::default() };
+        let line = &report.corpus_lines(&validate)[0];
+        assert!(line.contains(" shape=validate ") && line.contains("--iters 3 --shape validate\""));
     }
 }

@@ -1,0 +1,150 @@
+//! The one verdict path: [`judge`] turns an observation into a
+//! [`Failure`] record or nothing, and a [`Tally`] folds judged runs
+//! into counters, merged [`RunStats`], the exact coverage-edge union
+//! and a bounded failure map. `sweep`, `fuzz`, `explore`, `shrink` and
+//! `dst replay` all judge here, so a schedule has one verdict whichever
+//! engine ran it (DESIGN.md §8.7).
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use faultsim::{CoverageStats, RunStats};
+
+use crate::oracle::check_all;
+use crate::scenario::{Observation, Schedule};
+
+/// One failing schedule: everything needed to report and re-run it,
+/// nothing that grows with the run (no observation, no decision log).
+#[derive(Debug, Clone)]
+pub struct Failure {
+    /// The failing schedule (seed + explicit kills + mask).
+    pub schedule: Schedule,
+    /// Violated oracle names, deduplicated, in oracle order.
+    pub oracles: Vec<String>,
+    /// Full violation messages.
+    pub violations: Vec<String>,
+    /// Whether the run hung (deadlock or livelock verdict).
+    pub hung: bool,
+    /// For hung runs, `deadlock at step N` or `livelock (budget)` and
+    /// who waits on whom, on one line (`dst replay --triage` prints the
+    /// full graph); empty otherwise.
+    pub triage: String,
+}
+
+/// The head of a corpus line: `schedule <schedule> oracles=a,b`, then
+/// ` hung` and ` triage=[…]` for a hang. Engines append their own
+/// `key=value` fields.
+impl std::fmt::Display for Failure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "schedule {} oracles={}", self.schedule, self.oracles.join(","))?;
+        if self.hung {
+            f.write_str(" hung")?;
+        }
+        if !self.triage.is_empty() {
+            write!(f, " triage=[{}]", self.triage)?;
+        }
+        Ok(())
+    }
+}
+
+/// Run every applicable oracle over `obs`; `None` is green. Nothing is
+/// allocated for a green run beyond what the oracles themselves do.
+pub fn judge(obs: &Observation) -> Option<Failure> {
+    let violations = check_all(obs);
+    if violations.is_empty() {
+        return None;
+    }
+    let mut oracles: Vec<String> = Vec::new();
+    for v in &violations {
+        if !oracles.iter().any(|o| o.as_str() == v.oracle) {
+            oracles.push(v.oracle.to_string());
+        }
+    }
+    Some(Failure {
+        schedule: obs.schedule.clone(),
+        oracles,
+        violations: violations.iter().map(|v| v.to_string()).collect(),
+        hung: obs.hung,
+        // The trace survives `Retention::Quiet` so that a hang can be
+        // triaged here without re-running the schedule.
+        triage: if obs.hung { crate::triage::triage(obs).one_line() } else { String::new() },
+    })
+}
+
+/// Streaming summary of judged runs: a green run costs counter bumps,
+/// a failing one is kept only while its key is among the lowest `cap`
+/// failing keys — so memory is O(cap), and the retained set does not
+/// depend on the order runs arrive or tallies merge in.
+#[derive(Debug, Default)]
+pub struct Tally {
+    /// Runs with every applicable oracle green.
+    pub green: u64,
+    /// Runs with at least one violation.
+    pub failing: u64,
+    /// Runs that hung.
+    pub hung: u64,
+    /// Failing runs beyond the cap: counted, never silently dropped.
+    pub dropped: u64,
+    /// The failing runs with the lowest keys, at most `cap` of them.
+    pub failures: BTreeMap<u64, Failure>,
+    /// Every distinct coverage edge any run touched.
+    pub edges: BTreeSet<u64>,
+    stats: RunStats,
+    cap: usize,
+}
+
+impl Tally {
+    /// An empty tally retaining at most `cap` (at least one) failures.
+    pub fn new(cap: usize) -> Self {
+        Tally { cap: cap.max(1), ..Tally::default() }
+    }
+
+    /// Judge `obs` and fold it in under `key` (a seed, or an execution
+    /// index). Returns how many of its coverage edges are new here.
+    pub fn record(&mut self, key: u64, obs: &Observation) -> u64 {
+        self.stats.merge(&obs.stats);
+        let known = self.edges.len();
+        self.edges.extend(obs.coverage.iter());
+        self.hung += u64::from(obs.hung);
+        match judge(obs) {
+            None => self.green += 1,
+            Some(failure) => {
+                self.failing += 1;
+                self.retain(key, failure);
+            }
+        }
+        (self.edges.len() - known) as u64
+    }
+
+    /// Fold another tally in (a sweep worker's, at join).
+    pub fn merge(&mut self, other: Tally) {
+        self.green += other.green;
+        self.failing += other.failing;
+        self.hung += other.hung;
+        self.dropped += other.dropped;
+        self.stats.merge(&other.stats);
+        self.edges.extend(other.edges);
+        for (key, failure) in other.failures {
+            self.retain(key, failure);
+        }
+    }
+
+    fn retain(&mut self, key: u64, failure: Failure) {
+        self.failures.insert(key, failure);
+        if self.failures.len() > self.cap {
+            self.failures.pop_last();
+            self.dropped += 1;
+        }
+    }
+
+    /// The merged per-run stats, `coverage` taken from the exact edge
+    /// union (signature = XOR of its members) rather than the summed
+    /// approximation `RunStats::merge` folds.
+    pub fn stats(&self) -> RunStats {
+        let mut stats = self.stats;
+        stats.coverage = CoverageStats {
+            edges: self.edges.len() as u64,
+            signature: self.edges.iter().fold(0, |d, e| d ^ e),
+        };
+        stats
+    }
+}

@@ -311,3 +311,61 @@ fn explore_corpus_write_summary() {
     assert!(failing.exists());
     let _ = std::fs::remove_file(&failing);
 }
+
+/// One corpus grammar: the failure corpus `explore` writes parses back,
+/// line by line, to the schedule each seed derives, and `fuzz` loads it
+/// as seed schedules and says how many.
+#[test]
+fn explore_corpus_round_trips_into_fuzz() {
+    use dst::{ScenarioCfg, Schedule};
+    let path = std::env::temp_dir().join("dst_cli_corpus_round_trip.txt");
+    let file = path.to_str().unwrap();
+    let out = dst(&["explore", "--buggy", "--seeds", "60", "--corpus", file]);
+    assert!(stdout(&out).contains("wrote 37 repro line(s)"), "{}", stdout(&out));
+
+    let buggy = ScenarioCfg { buggy_dedup: true, ..ScenarioCfg::default() };
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(text.lines().count(), 37);
+    for line in text.lines() {
+        let (schedule, rest) = line.strip_prefix("schedule ").unwrap().split_once(" oracles=").unwrap();
+        let schedule: Schedule = schedule.parse().unwrap_or_else(|e| panic!("{line}: {e}"));
+        assert_eq!(schedule, Schedule::from_seed(schedule.seed, &buggy), "{line}");
+        assert!(rest.contains(&format!("repro=\"dst replay --seed {:#x} ", schedule.seed)));
+    }
+
+    let out = dst(&["fuzz", "--budget", "40", "--corpus", file]);
+    assert!(out.status.success(), "fuzz on an explore corpus failed: {}", stderr(&out));
+    assert!(stdout(&out).contains("loaded 37 schedule(s)"), "{}", stdout(&out));
+    let evolved = std::fs::read_to_string(&path).unwrap();
+    assert!(evolved.starts_with("# dst fuzz corpus v1"), "{evolved}");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A corpus file `fuzz` cannot read in full is an error naming the
+/// line, raised before any schedule runs, so the file is left as it
+/// was; an empty or missing file is an empty corpus.
+#[test]
+fn fuzz_rejects_a_corpus_it_cannot_read_and_leaves_it_alone() {
+    let path = std::env::temp_dir().join("dst_cli_corpus_malformed.txt");
+    let file = path.to_str().unwrap();
+    for (bytes, needle) in [
+        (&b"# notes\ngarbage line\n"[..], ":2: not a `schedule"),
+        (b"schedule seed=0x1 kills=[1:Tick:2\n", ":1: unterminated kills"),
+        (b"schedule seed=0x1 kills=[5:Tick:2]\n", ":1: kills rank 5 but the scenario has 4 ranks"),
+        (b"schedule seed=0x1 kills=[] \xff\xfe\n", "valid UTF-8"),
+    ] {
+        std::fs::write(&path, bytes).unwrap();
+        let out = dst(&["fuzz", "--budget", "20", "--corpus", file]);
+        assert!(!out.status.success(), "{:?} was accepted", String::from_utf8_lossy(bytes));
+        let err = stderr(&out);
+        assert!(err.contains("corpus error:") && err.contains(needle), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "a corpus that did not load was rewritten");
+    }
+    std::fs::write(&path, b"").unwrap();
+    for loaded_from in ["an empty file", "a missing file"] {
+        let out = dst(&["fuzz", "--budget", "20", "--corpus", file]);
+        assert!(out.status.success(), "{loaded_from}: {}", stderr(&out));
+        assert!(stdout(&out).contains("loaded 0 schedule(s)"), "{loaded_from}: {}", stdout(&out));
+        std::fs::remove_file(&path).unwrap();
+    }
+}

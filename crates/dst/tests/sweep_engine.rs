@@ -54,7 +54,7 @@ fn known_failing_seed_is_reported_identically() {
     assert!(a.oracles.iter().any(|o| o == "no-duplicate"));
     assert_eq!(a.oracles, b.oracles);
     assert_eq!(a.violations, b.violations);
-    assert_eq!(a.kills, b.kills);
+    assert_eq!(a.schedule, b.schedule);
     assert_eq!(a.hung, b.hung);
 }
 
@@ -65,17 +65,9 @@ fn sweep_matches_explore_reference() {
     let scenario = ScenarioCfg { buggy_dedup: true, ..ScenarioCfg::default() };
     let reference: BTreeMap<u64, Vec<String>> = explore(0, 30, &scenario)
         .unwrap()
+        .failures
         .into_iter()
-        .filter(|r| !r.violations.is_empty())
-        .map(|r| {
-            let mut oracles: Vec<String> = Vec::new();
-            for v in &r.violations {
-                if !oracles.iter().any(|o| o == v.oracle) {
-                    oracles.push(v.oracle.to_string());
-                }
-            }
-            (r.seed, oracles)
-        })
+        .map(|(seed, f)| (seed, f.oracles))
         .collect();
 
     let cfg = SweepCfg { start: 0, count: 30, jobs: 4, max_failures: 1000, ..SweepCfg::default() };
@@ -120,7 +112,7 @@ fn large_failing_sweep_keeps_a_bounded_failure_list() {
 }
 
 /// Shrunk corpus entries reproduce: every retained failure gets a
-/// minimal event list attached when `shrink_failures` is on.
+/// minimal schedule under its own seed when `shrink_failures` is on.
 #[test]
 fn shrink_failures_attaches_minimal_events() {
     let scenario = ScenarioCfg { buggy_dedup: true, ..ScenarioCfg::default() };
@@ -133,15 +125,16 @@ fn shrink_failures_attaches_minimal_events() {
     };
     let report = sweep(&cfg, &scenario).unwrap();
     assert!(!report.failures.is_empty());
-    for f in report.failures.values() {
-        let s = f.shrunk.as_ref().expect("every retained failure is shrunk");
-        assert!(!s.events.is_empty());
+    for (seed, f) in &report.failures {
+        let s = report.shrunk.get(seed).expect("every retained failure is shrunk");
+        assert!(!s.events.is_empty() && s.events.len() <= f.schedule.kills.len());
+        assert_eq!(s.schedule.seed, *seed);
         assert!(s.runs >= 1);
     }
 }
 
 /// Corpus file round-trip: written only when non-empty, one line per
-/// failing seed, each carrying a repro command.
+/// failing seed, each carrying the schedule and a repro command.
 #[test]
 fn corpus_file_is_written_only_when_failures_exist() {
     let dir = std::env::temp_dir().join(format!("dst-sweep-test-{}", std::process::id()));
@@ -171,7 +164,7 @@ fn corpus_file_is_written_only_when_failures_exist() {
     assert_eq!(wrote.path, path);
     let text = std::fs::read_to_string(&path).unwrap();
     assert_eq!(text.lines().count(), report.failures.len());
-    assert!(text.contains("seed=0x2d"));
+    assert!(text.starts_with("schedule seed=0x2d kills=[2:AfterSend:2,3:AfterSend:3] oracles=no-duplicate"));
     assert!(text.contains("repro=\"dst replay --seed 0x2d"));
     assert!(text.contains("--buggy"));
 
