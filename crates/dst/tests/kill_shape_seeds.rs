@@ -36,6 +36,16 @@
 //!   resulting missing closure records — as violations. The oracle now
 //!   accepts the abort exactly when every other rank fail-stopped.
 //!
+//! * **Zombie at `AfterValidate`** (fuzz campaigns 4, 5 and 6 at a
+//!   400 budget; long filed as a lone-survivor `ring-completion` gap):
+//!   `Process::poll_validates` discarded the hook's `SelfFailed`, so a
+//!   rank killed while consuming the validate decision was dead to
+//!   every peer and still ran its body to `Ok`. With two more kills
+//!   the one live rank correctly found itself alone and aborted
+//!   (Fig. 5), and the oracle, counting the zombie as a survivor,
+//!   reported the abort. Fixed in the runtime: the hook's error
+//!   propagates ([`AFTER_VALIDATE_SCHEDULES`]).
+//!
 //! As in `double_kill_seeds.rs` the pin is double: each seed must
 //! replay green under its shape, and each seed's *pre-fix kill
 //! schedule* — recorded verbatim below — must complete when applied
@@ -148,6 +158,29 @@ fn formerly_failing_shape_seeds_replay_green() {
             violations.is_empty(),
             "shape {shape} seed {seed:#x} violates oracles: {violations:?}"
         );
+    }
+}
+
+/// Fuzz-found schedules (4 ranks, 3 laps) whose first kill lands at
+/// `AfterValidate`, in the one-line text form `dst fuzz` prints, each
+/// with the rank that kill used to leave running.
+const AFTER_VALIDATE_SCHEDULES: [(&str, usize); 3] = [
+    ("seed=0x21b7435904011cc2 kills=[3:AfterValidate:1,2:BeforeValidate:1,0:AfterRecvComplete:2]", 3),
+    ("seed=0xc82d7c169c0f8319 kills=[3:AfterValidate:1,0:Tick:3,1:Tick:7]", 3),
+    ("seed=0xb7b1ea334ea6a25c kills=[2:AfterValidate:1,1:Tick:7,3:AfterSend:1]", 2),
+];
+
+/// A rank killed at `AfterValidate` ends `Failed`, never `Ok`, and the
+/// schedules that used to report a lone survivor's abort are green.
+#[test]
+fn a_kill_at_after_validate_leaves_no_zombie() {
+    for (text, victim) in AFTER_VALIDATE_SCHEDULES {
+        let schedule: Schedule = text.parse().expect("pinned schedule text parses");
+        assert_eq!(schedule.to_string(), text);
+        let obs = run_schedule(&schedule, &ScenarioCfg::default());
+        assert_eq!(obs.outcomes[victim], Outcome::Failed, "{text}: {:?}", obs.outcomes);
+        let violations = check_all(&obs);
+        assert!(violations.is_empty(), "{text}: {violations:?} with {:?}", obs.outcomes);
     }
 }
 

@@ -426,7 +426,7 @@ impl Process {
         }
         self.drain_buf = msgs;
         self.failure_scan();
-        self.poll_validates();
+        self.poll_validates()?;
         self.poll_barriers();
         Ok(())
     }
@@ -465,7 +465,7 @@ impl Process {
         }
     }
 
-    fn poll_validates(&mut self) {
+    fn poll_validates(&mut self) -> Result<()> {
         for (req, ci, round) in self.reqs.pending_validates() {
             let comm = &self.comms[ci];
             let polled = self.shared.vboard.poll(
@@ -499,9 +499,10 @@ impl Process {
                 }
                 self.reqs.complete(req, Ok(Completion::validate(count)));
                 // AfterValidate injection point.
-                let _ = self.hook(Hook::bare(HookKind::AfterValidate));
+                self.hook(Hook::bare(HookKind::AfterValidate))?;
             }
         }
+        Ok(())
     }
 
     fn poll_barriers(&mut self) {
@@ -1048,7 +1049,7 @@ impl Process {
         let req = self.reqs.insert(ReqBody::Validate { comm_idx: comm.0, round }, ReqState::Pending);
         // Our join may have been the last: poll immediately so the
         // decision is made (and everyone woken) without waiting.
-        self.poll_validates();
+        self.poll_validates()?;
         Ok(req)
     }
 

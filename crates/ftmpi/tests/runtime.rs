@@ -396,6 +396,28 @@ fn self_failure_unwinds_every_subsequent_call() {
     assert_eq!(report.outcomes[1].as_ok(), Some(&1));
 }
 
+/// A kill at `AfterValidate` lands while the rank consumes the
+/// decision: the validate call itself must unwind with `SelfFailed`,
+/// for every rank and whichever rank's join made the decision, so a
+/// process its peers see as dead never finishes its body.
+#[test]
+fn a_rank_killed_at_after_validate_fails_and_never_returns_ok() {
+    for victim in 0..3 {
+        let plan = FaultPlan::none().kill_at(victim, HookKind::AfterValidate, 1);
+        let report = run(3, UniverseConfig::with_plan(plan).watchdog(wd()), |p| {
+            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+            p.comm_validate_all(WORLD)
+        });
+        for (rank, outcome) in report.outcomes.iter().enumerate() {
+            if rank == victim {
+                assert!(outcome.is_failed(), "victim {victim} ended as {outcome:?}");
+            } else {
+                assert_eq!(outcome.as_ok(), Some(&0), "rank {rank}, victim {victim}");
+            }
+        }
+    }
+}
+
 #[test]
 fn ibarrier_completes_when_all_arrive() {
     let report = run_default(4, |p| {
