@@ -233,7 +233,7 @@ impl FuzzReport {
 
 /// Load a corpus file written by either engine as seed schedules
 /// for a `ranks`-rank scenario. Every line is blank, a `#` comment, or
-/// `schedule <schedule> key=value…` (DESIGN.md §8.7); anything else —
+/// `schedule <schedule> key=value…` (DESIGN.md §8.4); anything else —
 /// and a kill naming a rank the scenario does not have — is an error
 /// naming the line, not a silent skip. A missing file is an empty
 /// corpus (first campaign).
@@ -395,9 +395,9 @@ struct Campaign<'a> {
     /// Verdicts keyed by execution index, so the retained failures are
     /// the first `max_failures` found.
     tally: Tally,
+    /// One entry per run that found a novel edge.
     corpus: Vec<CorpusEntry>,
     executed: u64,
-    novel: u64,
 }
 
 impl Campaign<'_> {
@@ -409,7 +409,6 @@ impl Campaign<'_> {
         self.executed += 1;
         let fresh = self.tally.record(self.executed, &obs);
         if fresh > 0 {
-            self.novel += 1;
             if let Some(p) = parent {
                 self.corpus[p].last_novel = self.executed;
             }
@@ -454,7 +453,6 @@ pub fn fuzz(cfg: &FuzzCfg, scenario: &ScenarioCfg) -> Result<FuzzReport, FuzzErr
         tally: Tally::new(cfg.max_failures),
         corpus: Vec::new(),
         executed: 0,
-        novel: 0,
     };
 
     // Scratch buffers reused across the whole campaign.
@@ -475,21 +473,22 @@ pub fn fuzz(cfg: &FuzzCfg, scenario: &ScenarioCfg) -> Result<FuzzReport, FuzzErr
     let mut seeded = 0u64;
     let mut shape_i = 0usize;
     while c.executed < cfg.budget {
-        if seeded < seed_budget || c.corpus.is_empty() {
+        let seeding = seeded < seed_budget;
+        if seeding || c.corpus.is_empty() {
             derive_cfg.shape = KillShape::ALL[shape_i % KillShape::ALL.len()];
             shape_i += 1;
             Schedule::from_seed_into(rng.next_u64(), &derive_cfg, &mut scratch);
-            seeded += u64::from(seeded < seed_budget);
+            seeded += u64::from(seeding);
             c.run(&scratch, None);
             continue;
         }
         // Phase 2: mutation at the frontier.
         let p = pick_parent(&c.corpus, c.executed, &mut rng);
         // Uniform splice mate (may equal the parent; harmless).
-        let partner = (c.corpus.len() > 1).then(|| rng.below(c.corpus.len()));
+        let partner =
+            (c.corpus.len() > 1).then(|| c.corpus[rng.below(c.corpus.len())].schedule.clone());
         scratch.clone_from_pooled(&c.corpus[p].schedule);
-        let partner_schedule = partner.map(|q| c.corpus[q].schedule.clone());
-        mutate(&mut scratch, partner_schedule.as_ref(), scenario, &mut rng);
+        mutate(&mut scratch, partner.as_ref(), scenario, &mut rng);
         c.run(&scratch, Some(p));
     }
 
@@ -498,7 +497,7 @@ pub fn fuzz(cfg: &FuzzCfg, scenario: &ScenarioCfg) -> Result<FuzzReport, FuzzErr
         executed: c.executed,
         loaded: loaded.len() as u64,
         seeded,
-        novel: c.novel,
+        novel: c.corpus.len() as u64,
         green: c.tally.green,
         failing: c.tally.failing,
         hung: c.tally.hung,

@@ -14,8 +14,9 @@
 //! `explore` fans the sweep out over a worker pool (default: one worker
 //! per core) — per-seed verdicts are identical whatever `--jobs` is,
 //! because determinism lives inside each seed's self-contained
-//! simulation. Failing seeds can be written to a `--corpus` file as
-//! one-line repros, ddmin-minimized first with `--shrink-failures`.
+//! simulation. Failing seeds can be written to a `--corpus` file, one
+//! `schedule seed=0x… kills=[…] oracles=… repro="…"` line each
+//! (DESIGN.md §8.4), ddmin-minimized first with `--shrink-failures`.
 //! A worker is one thread — its simulated ranks are coroutines on it
 //! — and runs all its seeds on one `dst::SeedRunner`, the only schedule
 //! executor there is: `replay`, `shrink` and `determinism` build one
@@ -33,7 +34,8 @@
 //! `fuzz` runs the coverage-guided campaign of DESIGN.md §8.11:
 //! `--budget` schedule executions total, `--seed` naming the whole
 //! campaign (seeding, parent selection, and mutations), `--corpus`
-//! both loading a prior evolved corpus and receiving this campaign's.
+//! both loading a prior corpus (of either engine; a file that does not
+//! parse in full is an error) and receiving this campaign's.
 //! It seeds across *every* kill shape itself, so `--shape` does not
 //! apply.
 //!
@@ -398,9 +400,6 @@ fn cmd_fuzz(args: &Args) -> Result<ExitCode, String> {
     };
     let report = fuzz(&fuzz_cfg, &scenario).map_err(|e| e.to_string())?;
 
-    if let Some(path) = &args.corpus {
-        println!("loaded {} schedule(s) from {}", report.loaded, path.display());
-    }
     for (i, f) in report.failures.iter().enumerate() {
         print_failure(&format!("failure {} [fuzz]", i + 1), f, None);
     }
@@ -433,7 +432,8 @@ fn cmd_fuzz(args: &Args) -> Result<ExitCode, String> {
         let w = report
             .write_corpus(path)
             .map_err(|e| format!("cannot write corpus {}: {e}", path.display()))?;
-        println!("evolved corpus: {} schedule(s) at {}", w.lines, w.path.display());
+        let (loaded, wrote, at) = (report.loaded, w.lines, w.path.display());
+        println!("evolved corpus: loaded {loaded} schedule(s), wrote {wrote} to {at}");
     }
 
     Ok(if report.failing == 0 { ExitCode::SUCCESS } else { ExitCode::FAILURE })

@@ -354,7 +354,7 @@ impl Schedule {
     }
 }
 
-/// The one text form of a schedule (DESIGN.md §8.7):
+/// The one text form of a schedule (DESIGN.md §8.4):
 /// `seed=0x… kills=[v:Hook:occ,…]`, then ` mask=[i,…]` when the delay
 /// mask is explicit. Hooks are spelled as their `Debug` names.
 impl std::fmt::Display for Schedule {

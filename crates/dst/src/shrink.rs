@@ -122,13 +122,8 @@ pub fn shrink_schedule(
     // must still fail, otherwise the failure depends on unmasked
     // randomness and cannot be shrunk soundly.
     let first = runner.run_schedule_with(schedule, cfg, Retention::Full);
-    let events: Vec<Ev> = first
-        .schedule
-        .kills
-        .iter()
-        .map(|k| Ev::Kill(*k))
-        .chain(first.delay_calls.iter().map(|c| Ev::Delay(*c)))
-        .collect();
+    let kills = schedule.kills.iter().copied().map(Ev::Kill);
+    let events: Vec<Ev> = kills.chain(first.delay_calls.iter().copied().map(Ev::Delay)).collect();
 
     let mut runs = 0usize;
     let mut minimal: Option<Observation> = None;

@@ -424,53 +424,6 @@ mod tests {
         assert!(matches!(sweep(&cfg, &bad), Err(SweepError::InvalidConfig(_))));
     }
 
-    /// The tally retains the lowest failing keys whatever order the
-    /// runs arrive in and however they are split across merged tallies.
-    #[test]
-    fn aggregate_keeps_lowest_seeds_whatever_the_arrival_order() {
-        // Seeds 0, 1, 4 and 5 all fail under the injected dedup bug.
-        let cfg = ScenarioCfg { buggy_dedup: true, ..ScenarioCfg::default() };
-        let mut runner = SeedRunner::new(cfg.ranks);
-        let mut tally_of = |seeds: &[u64]| {
-            let mut t = Tally::new(2);
-            for &s in seeds {
-                t.record(s, &runner.run_seed_quiet(s, &cfg));
-            }
-            t
-        };
-        let a = tally_of(&[5, 1, 4, 0]);
-        let b = tally_of(&[0, 4, 1, 5]);
-        let mut c = tally_of(&[5, 0]);
-        c.merge(tally_of(&[4, 1]));
-        for t in [&a, &b, &c] {
-            assert_eq!(t.failures.keys().copied().collect::<Vec<_>>(), vec![0, 1]);
-            assert_eq!((t.failing, t.dropped, t.green), (4, 2, 0));
-        }
-    }
-
-    /// The tally's coverage is the exact union, not the summed
-    /// approximation: overlapping runs must not double-count edges or
-    /// cancel signatures, and `record` reports only the edges new to it.
-    #[test]
-    fn aggregate_coverage_is_the_exact_union() {
-        let mut obs = crate::scenario::run_seed(0, &ScenarioCfg::default());
-        let mut tally = Tally::new(4);
-        let mut fresh = Vec::new();
-        for edges in [[10u64, 20], [20, 30], [10, 20]] {
-            obs.coverage = crate::coverage::CoverageSet::new();
-            for e in edges {
-                obs.coverage.insert(e);
-            }
-            obs.stats.coverage = obs.coverage.stats();
-            fresh.push(tally.record(0, &obs));
-        }
-        assert_eq!(fresh, vec![2, 1, 0]);
-        let stats = tally.stats();
-        assert_eq!(stats.coverage.edges, 3);
-        assert_eq!(stats.coverage.signature, 10 ^ 20 ^ 30);
-        assert_eq!(tally.green, 3);
-    }
-
     #[test]
     fn sweep_builder_validates_in_one_place() {
         assert!(SweepCfg::builder().count(0).build().is_err());
@@ -483,7 +436,7 @@ mod tests {
     }
 
     #[test]
-    fn corpus_line_carries_a_usable_repro() {
+    fn corpus_lines_carry_the_schedule_and_a_usable_repro() {
         let cfg = ScenarioCfg { buggy_dedup: true, ..ScenarioCfg::default() };
         let sweep_cfg =
             SweepCfg { start: 0x2d, count: 1, shrink_failures: true, ..SweepCfg::default() };

@@ -3,7 +3,7 @@
 //! into counters, merged [`RunStats`], the exact coverage-edge union
 //! and a bounded failure map. `sweep`, `fuzz`, `explore`, `shrink` and
 //! `dst replay` all judge here, so a schedule has one verdict whichever
-//! engine ran it (DESIGN.md §8.7).
+//! engine ran it (DESIGN.md §8.4).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -146,5 +146,58 @@ impl Tally {
             signature: self.edges.iter().fold(0, |d, e| d ^ e),
         };
         stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::{ScenarioCfg, SeedRunner};
+
+    /// The tally retains the lowest failing keys whatever order the
+    /// runs arrive in and however they are split across merged tallies.
+    #[test]
+    fn tally_keeps_lowest_keys_whatever_the_arrival_order() {
+        // Seeds 0, 1, 4 and 5 all fail under the injected dedup bug.
+        let cfg = ScenarioCfg { buggy_dedup: true, ..ScenarioCfg::default() };
+        let mut runner = SeedRunner::new(cfg.ranks);
+        let mut tally_of = |seeds: &[u64]| {
+            let mut t = Tally::new(2);
+            for &s in seeds {
+                t.record(s, &runner.run_seed_quiet(s, &cfg));
+            }
+            t
+        };
+        let a = tally_of(&[5, 1, 4, 0]);
+        let b = tally_of(&[0, 4, 1, 5]);
+        let mut c = tally_of(&[5, 0]);
+        c.merge(tally_of(&[4, 1]));
+        for t in [&a, &b, &c] {
+            assert_eq!(t.failures.keys().copied().collect::<Vec<_>>(), vec![0, 1]);
+            assert_eq!((t.failing, t.dropped, t.green), (4, 2, 0));
+        }
+    }
+
+    /// The tally's coverage is the exact union, not the summed
+    /// approximation: overlapping runs must not double-count edges or
+    /// cancel signatures, and `record` reports only the edges new to it.
+    #[test]
+    fn tally_coverage_is_the_exact_union() {
+        let mut obs = crate::scenario::run_seed(0, &ScenarioCfg::default());
+        let mut tally = Tally::new(4);
+        let mut fresh = Vec::new();
+        for edges in [[10u64, 20], [20, 30], [10, 20]] {
+            obs.coverage = crate::coverage::CoverageSet::new();
+            for e in edges {
+                obs.coverage.insert(e);
+            }
+            obs.stats.coverage = obs.coverage.stats();
+            fresh.push(tally.record(0, &obs));
+        }
+        assert_eq!(fresh, vec![2, 1, 0]);
+        let stats = tally.stats();
+        assert_eq!(stats.coverage.edges, 3);
+        assert_eq!(stats.coverage.signature, 10 ^ 20 ^ 30);
+        assert_eq!(tally.green, 3);
     }
 }
