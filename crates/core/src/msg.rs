@@ -40,14 +40,11 @@ impl RingMsg {
     }
 
     /// The token as forwarded by a non-root rank: value incremented,
-    /// provenance preserved.
-    pub fn forwarded(&self) -> Self {
-        RingMsg {
-            value: self.value + 1,
-            marker: self.marker,
-            origin: self.origin,
-            pad: self.pad.clone(),
-        }
+    /// provenance preserved. Takes the token — a forwarder is done
+    /// with what it received — so the pad moves with it.
+    pub fn forwarded(mut self) -> Self {
+        self.value += 1;
+        self
     }
 }
 

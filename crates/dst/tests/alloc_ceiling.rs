@@ -8,16 +8,21 @@
 //! the calling thread and each counted once by the [`allocstats`]
 //! global allocator `dst` installs — must stay under a pinned ceiling.
 //!
-//! The ceilings carry ~3× headroom over the measured steady state
-//! (see the table in DESIGN.md §8.10), so they only trip on a
-//! *structural* regression — a per-step or per-message allocation
-//! reappearing in the hot path — not on jitter or a modest feature
-//! landing. The CI bench gate (`scripts/bench_gate.py`, series
-//! `allocs_per_schedule/*`) enforces the tight 1.1× bound against the
-//! committed baseline; this test is the coarse in-tree backstop that
-//! runs everywhere, benchmarks or not.
+//! The counts are a function of the seeds, not of timing, so the
+//! ceilings sit at the measured steady state plus 10 % (50.3 / 84.8
+//! allocations per schedule at 4 / 8 ranks over these seeds): one
+//! more allocation per message trips them. The CI bench gate
+//! (`scripts/bench_gate.py`, series `allocs_per_schedule/*`) holds the
+//! same 1.1× bound against the committed baseline; this test runs
+//! everywhere, benchmarks or not.
+//!
+//! The padded wall-clock ring has a ceiling of its own: a 16 KiB token
+//! must travel in a pooled buffer and be forwarded by move, so a lap
+//! costs no more allocations than it has decoded pads and bookkeeping.
 
 use dst::{Retention, ScenarioCfg, Schedule, SeedRunner};
+use ftmpi::{UniverseConfig, UniversePool, WORLD};
+use ftring::{run_ring, RingConfig};
 
 const SEEDS: std::ops::Range<u64> = 0..32;
 
@@ -61,12 +66,35 @@ fn check(ranks: usize, ceiling: f64) {
 
 #[test]
 fn steady_state_allocs_within_ceiling_r4() {
-    check(4, 175.0);
+    check(4, 55.5);
 }
 
 #[test]
 fn steady_state_allocs_within_ceiling_r8() {
-    check(8, 410.0);
+    check(8, 93.5);
+}
+
+/// `ring_pad16k_4` as the benchmark runs it: 4 ranks, 20 laps of a
+/// 16 KiB token on a warmed [`UniversePool`]. Measured 9.55 per lap
+/// (16.55 with the token cloned per hop and its wire image above the
+/// pool's top class).
+#[test]
+fn padded_ring_allocs_within_ceiling() {
+    const LAPS: u64 = 20;
+    let cfg = RingConfig::paper(LAPS).pad(16384);
+    let mut pool = UniversePool::new(4);
+    let mut run = || pool.run(UniverseConfig::default(), |p| run_ring(p, WORLD, &cfg));
+    for _ in 0..3 {
+        run();
+    }
+    let report = run();
+    assert!(report.outcomes.iter().all(|o| o.is_ok()), "{:?}", report.outcomes);
+    let per_lap = report.stats.alloc.allocs as f64 / LAPS as f64;
+    assert!(
+        per_lap <= 10.0,
+        "padded ring allocates {per_lap:.2} times per lap (ceiling 10): \
+         is the token cloned per hop, or its wire image outside the payload pool?"
+    );
 }
 
 /// The pooled quiet path and the one-shot recorded path agree on

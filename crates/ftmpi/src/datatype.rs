@@ -6,6 +6,28 @@
 //! like `ring_msg_t {value, marker}` built from tuples/arrays), so
 //! application code stays as close to the paper's pseudocode as
 //! possible without a serde dependency in the hot path.
+//!
+//! ### Runs of elements
+//!
+//! `Vec<T>` (a `u64` count, then the elements) and `[T; N]` (the
+//! elements alone) do not loop over their elements themselves: they
+//! hand the whole run to `T`'s slice hooks,
+//! [`Datatype::encode_slice`] and [`Datatype::decode_into`]. The
+//! provided hooks call `encode` / `decode` once per element, which is
+//! right for any type whose elements need looking at one by one
+//! (`bool` validates each byte, tuples and structs encode field by
+//! field). The twelve scalar types override both so that a run is one
+//! length check, one growth of the destination and one pass the
+//! compiler turns into a block copy on little-endian targets — a
+//! `Vec<u8>` or `Vec<f64>` payload moves at memory speed.
+//!
+//! A new `Datatype` impl needs `SIZE`, `encode` and `decode` only.
+//! Override the hooks when the type is sent in bulk *and* a run of it
+//! can be written without visiting elements one call at a time; an
+//! override must produce exactly the bytes the provided hook would
+//! (`crates/ftmpi/tests/datatype_bulk.rs` holds the reference
+//! loops), and its `decode_into` must reject a count the input cannot
+//! hold before it reserves anything.
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -21,6 +43,45 @@ pub trait Datatype: Sized {
 
     /// Decode a value from the front of `bytes`, returning the rest.
     fn decode(bytes: &[u8]) -> Result<(Self, &[u8])>;
+
+    /// Append the encodings of `items` back to back (no count).
+    fn encode_slice(items: &[Self], buf: &mut BytesMut) {
+        if let Some(size) = Self::SIZE {
+            buf.reserve(items.len().saturating_mul(size));
+        }
+        for v in items {
+            v.encode(buf);
+        }
+    }
+
+    /// Decode `n` values from the front of `bytes` onto the end of
+    /// `out`, returning the rest.
+    ///
+    /// `n` may come straight off the wire, so it is checked against
+    /// the input before anything is reserved: `n * SIZE` bytes must be
+    /// present for fixed-size elements, one byte per element for
+    /// dynamic ones. Elements that occupy no bytes cannot be bounded
+    /// by the input at all, and nothing in safe Rust fills a `Vec`
+    /// with `n` of them without `n` steps, so a count above
+    /// [`ZERO_SIZE_COUNT_MAX`] is refused rather than looped over.
+    fn decode_into<'a>(n: usize, bytes: &'a [u8], out: &mut Vec<Self>) -> Result<&'a [u8]> {
+        let fits = match Self::SIZE {
+            Some(0) => n <= ZERO_SIZE_COUNT_MAX,
+            Some(size) => run_bytes(n, size, bytes).is_ok(),
+            None => n <= bytes.len(),
+        };
+        if !fits {
+            return Err(Error::TypeMismatch);
+        }
+        out.reserve(n);
+        let mut rest = bytes;
+        for _ in 0..n {
+            let (v, r) = Self::decode(rest)?;
+            out.push(v);
+            rest = r;
+        }
+        Ok(rest)
+    }
 
     /// Encode into a fresh buffer.
     fn to_bytes(&self) -> Bytes {
@@ -38,6 +99,16 @@ pub trait Datatype: Sized {
             Err(Error::TypeMismatch)
         }
     }
+}
+
+/// Most zero-size elements (`()`, `[T; 0]`, …) one decoded run may
+/// hold; see [`Datatype::decode_into`].
+pub const ZERO_SIZE_COUNT_MAX: usize = 1 << 16;
+
+/// Bytes a run of `n` elements of `size` bytes occupies, when `bytes`
+/// holds that many.
+fn run_bytes(n: usize, size: usize, bytes: &[u8]) -> Result<usize> {
+    n.checked_mul(size).filter(|&need| need <= bytes.len()).ok_or(Error::TypeMismatch)
 }
 
 macro_rules! impl_scalar {
@@ -58,6 +129,30 @@ macro_rules! impl_scalar {
                 let mut arr = [0u8; N];
                 arr.copy_from_slice(head);
                 Ok((<$ty>::from_le_bytes(arr), rest))
+            }
+
+            fn encode_slice(items: &[Self], buf: &mut BytesMut) {
+                const N: usize = std::mem::size_of::<$ty>();
+                let start = buf.len();
+                buf.resize(start + items.len() * N, 0);
+                for (dst, v) in buf[start..].chunks_exact_mut(N).zip(items) {
+                    dst.copy_from_slice(&v.to_le_bytes());
+                }
+            }
+
+            fn decode_into<'a>(
+                n: usize,
+                bytes: &'a [u8],
+                out: &mut Vec<Self>,
+            ) -> Result<&'a [u8]> {
+                const N: usize = std::mem::size_of::<$ty>();
+                let (body, rest) = bytes.split_at(run_bytes(n, N, bytes)?);
+                out.extend(body.chunks_exact(N).map(|chunk| {
+                    let mut arr = [0u8; N];
+                    arr.copy_from_slice(chunk);
+                    <$ty>::from_le_bytes(arr)
+                }));
+                Ok(rest)
             }
         }
     )*};
@@ -133,19 +228,12 @@ impl<T: Datatype, const N: usize> Datatype for [T; N] {
     };
 
     fn encode(&self, buf: &mut BytesMut) {
-        for v in self {
-            v.encode(buf);
-        }
+        T::encode_slice(self, buf);
     }
 
     fn decode(bytes: &[u8]) -> Result<(Self, &[u8])> {
-        let mut rest = bytes;
-        let mut out = Vec::with_capacity(N);
-        for _ in 0..N {
-            let (v, r) = T::decode(rest)?;
-            out.push(v);
-            rest = r;
-        }
+        let mut out = Vec::new();
+        let rest = T::decode_into(N, bytes, &mut out)?;
         match out.try_into() {
             Ok(arr) => Ok((arr, rest)),
             Err(_) => Err(Error::TypeMismatch),
@@ -158,24 +246,14 @@ impl<T: Datatype> Datatype for Vec<T> {
 
     fn encode(&self, buf: &mut BytesMut) {
         (self.len() as u64).encode(buf);
-        for v in self {
-            v.encode(buf);
-        }
+        T::encode_slice(self, buf);
     }
 
     fn decode(bytes: &[u8]) -> Result<(Self, &[u8])> {
-        let (n, mut rest) = u64::decode(bytes)?;
-        // Defensive cap: refuse lengths that exceed the remaining bytes
-        // even at one byte per element.
-        if n as usize > rest.len() && T::SIZE != Some(0) {
-            return Err(Error::TypeMismatch);
-        }
-        let mut out = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let (v, r) = T::decode(rest)?;
-            out.push(v);
-            rest = r;
-        }
+        let (n, rest) = u64::decode(bytes)?;
+        let n = usize::try_from(n).map_err(|_| Error::TypeMismatch)?;
+        let mut out = Vec::new();
+        let rest = T::decode_into(n, rest, &mut out)?;
         Ok((out, rest))
     }
 }
@@ -236,6 +314,15 @@ mod tests {
     #[test]
     fn bogus_bool_rejected() {
         assert_eq!(bool::from_bytes(&[2]), Err(Error::TypeMismatch));
+    }
+
+    #[test]
+    fn vec_of_bools_validates_every_byte() {
+        let mut b = BytesMut::new();
+        3u64.encode(&mut b);
+        b.put_slice(&[1, 0, 2]);
+        assert_eq!(Vec::<bool>::from_bytes(&b), Err(Error::TypeMismatch));
+        assert_eq!(<[bool; 3]>::from_bytes(&b[8..]), Err(Error::TypeMismatch));
     }
 
     #[test]

@@ -71,7 +71,7 @@ mod universe;
 mod validate;
 
 pub use comm::{Comm, WORLD};
-pub use datatype::Datatype;
+pub use datatype::{Datatype, ZERO_SIZE_COUNT_MAX};
 pub use error::{Error, ErrorHandler, FailureEvent, RankOutcome, Result};
 pub use group::Group;
 pub use message::ContextId;

@@ -34,16 +34,28 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-/// Buffer size classes. 16 covers scalar control messages, 64 the
-/// 32-byte `RingMsg` wire format with room for small pads, the larger
-/// classes cover padded tokens and collective payloads. Anything
-/// bigger falls through to a plain one-shot allocation.
-const CLASS_SIZES: [usize; 5] = [16, 64, 256, 1024, 4096];
+/// Buffer size classes, each four times the last. 16 covers scalar
+/// control messages, 64 the 32-byte `RingMsg` wire format with room
+/// for small pads, the middle classes padded tokens and collective
+/// payloads, and the top two a 16 KiB token plus its header and array
+/// payloads up to 64 KiB. Anything bigger falls through to a plain
+/// one-shot allocation.
+const CLASS_SIZES: [usize; 7] = [16, 64, 256, 1024, 4096, 16384, 65536];
 
-/// Retained buffers per class: enough for every in-flight message of a
-/// busy 8-rank schedule (each rank keeps ~3 receives posted), small
-/// enough that an idle pool pins < 200 KiB.
-const PER_CLASS_CAP: usize = 32;
+/// Most buffers a class retains: enough for every in-flight message of
+/// a busy 8-rank schedule (each rank keeps ~3 receives posted).
+const PER_CLASS_BUFFERS: usize = 32;
+
+/// Most bytes a class retains. Classes up to 4096 stay under it at
+/// [`PER_CLASS_BUFFERS`]; it limits the two large ones to 8 and 2
+/// buffers. Together an idle pool pins at most
+/// 32 × (16 + 64 + 256 + 1024 + 4096) + 2 × 128 KiB = 426.5 KiB.
+const PER_CLASS_BYTES: usize = 128 * 1024;
+
+/// Buffers class `class` may hold while idle.
+fn class_cap(class: usize) -> usize {
+    PER_CLASS_BUFFERS.min(PER_CLASS_BYTES / CLASS_SIZES[class])
+}
 
 /// A free-list of reusable payload allocations, one list per size
 /// class. Shared across ranks (it hangs off `Shared`), so the lists
@@ -105,7 +117,7 @@ impl PayloadPool {
             return;
         }
         let mut list = self.classes[class].lock();
-        if list.len() < PER_CLASS_CAP {
+        if list.len() < class_cap(class) {
             list.push(arc);
         }
     }
@@ -150,8 +162,9 @@ mod tests {
     #[test]
     fn oversize_and_empty_fall_through() {
         let pool = PayloadPool::new();
-        let big = pool.make(&[0xAB; 8192]);
-        assert_eq!(big.len(), 8192);
+        let top = *CLASS_SIZES.last().unwrap();
+        let big = pool.make(&vec![0xAB; top + 1]);
+        assert_eq!(big.len(), top + 1);
         pool.recycle(big);
         assert_eq!(pool.idle(), 0, "oversize buffers are not pooled");
         let empty = pool.make(&[]);
@@ -165,20 +178,32 @@ mod tests {
     #[test]
     fn class_selection_is_smallest_fit() {
         assert_eq!(class_of(1), Some(0));
-        assert_eq!(class_of(16), Some(0));
-        assert_eq!(class_of(17), Some(1));
-        assert_eq!(class_of(64), Some(1));
-        assert_eq!(class_of(4096), Some(4));
-        assert_eq!(class_of(4097), None);
+        for (class, &size) in CLASS_SIZES.iter().enumerate() {
+            assert_eq!(class_of(size), Some(class));
+            assert_eq!(class_of(size + 1), (class + 1 < CLASS_SIZES.len()).then_some(class + 1));
+        }
+        // The 16 KiB token the padded ring workload sends, with its
+        // 32-byte header, is pooled.
+        assert!(class_of(16384 + 32).is_some());
     }
 
     #[test]
     fn cap_bounds_retention() {
         let pool = PayloadPool::new();
-        let handles: Vec<Bytes> = (0..PER_CLASS_CAP + 5).map(|i| pool.make(&[i as u8])).collect();
-        for h in handles {
-            pool.recycle(h);
+        let mut retained = 0;
+        for (class, &size) in CLASS_SIZES.iter().enumerate() {
+            let data = vec![class as u8; size];
+            let handles: Vec<Bytes> =
+                (0..PER_CLASS_BUFFERS + 5).map(|_| pool.make(&data)).collect();
+            for h in handles {
+                pool.recycle(h);
+            }
+            let kept = pool.classes[class].lock().len();
+            assert_eq!(kept, class_cap(class), "class {size}");
+            retained += kept * size;
         }
-        assert_eq!(pool.idle(), PER_CLASS_CAP);
+        // The bound the `PER_CLASS_BYTES` doc comment states.
+        assert_eq!(retained, 32 * (16 + 64 + 256 + 1024 + 4096) + 2 * 128 * 1024);
+        assert!(retained < 1024 * 1024, "an idle pool stays under 1 MiB");
     }
 }

@@ -37,8 +37,8 @@ fn op() -> impl Strategy<Value = Op> {
         // Lengths spread across every size class plus the oversize
         // and empty fall-through paths. Makes and recycles listed
         // twice so hand-outs and re-admissions dominate the mix.
-        (0usize..5000, any::<u8>()).prop_map(|(len, fill)| Op::Make { len, fill }),
-        (0usize..5000, any::<u8>()).prop_map(|(len, fill)| Op::Make { len, fill }),
+        (0usize..70_000, any::<u8>()).prop_map(|(len, fill)| Op::Make { len, fill }),
+        (0usize..70_000, any::<u8>()).prop_map(|(len, fill)| Op::Make { len, fill }),
         any::<usize>().prop_map(|pick| Op::Clone { pick }),
         any::<usize>().prop_map(|pick| Op::Recycle { pick }),
         any::<usize>().prop_map(|pick| Op::Recycle { pick }),

@@ -243,6 +243,16 @@ impl BytesMut {
     pub fn extend_from_slice(&mut self, data: &[u8]) {
         self.0.extend_from_slice(data);
     }
+
+    /// Make room for `additional` more bytes in one step.
+    pub fn reserve(&mut self, additional: usize) {
+        self.0.reserve(additional);
+    }
+
+    /// Set the length to `new_len`, filling any new tail with `value`.
+    pub fn resize(&mut self, new_len: usize, value: u8) {
+        self.0.resize(new_len, value);
+    }
 }
 
 impl std::ops::Deref for BytesMut {
