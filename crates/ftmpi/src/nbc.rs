@@ -1,157 +1,50 @@
 //! Nonblocking barrier (`MPI_Ibarrier`).
 //!
 //! The paper's §III-C discusses terminating the ring with "multiple
-//! calls to `MPI_Ibarrier`" (scheduled for MPI 3.0 at the time) and
-//! rejects the approach as costly and complex. To reproduce that
-//! discussion quantitatively, the runtime provides an `ibarrier` whose
-//! request composes with `waitany` just like `icomm_validate_all`.
-//!
-//! ### Round semantics
-//!
-//! Rounds on a communicator are lock-stepped: the first joiner of
-//! round *k* fixes the round's **required set** — round 0 requires the
-//! collective active set; round *k+1* requires round *k*'s required
-//! set minus the ranks that *failed without arriving* in round *k*.
-//! A round completes once every required rank has either arrived or
-//! failed; its outcome is then
-//!
-//! * `Ok` if every required rank arrived (deaths after arrival do not
-//!   poison the round), or
-//! * `Err` carrying the set that died without arriving.
-//!
-//! Both the completion condition and the outcome are *monotone
-//! functions of shared state fixed at completion time*, so every
-//! member of a round observes the **same** outcome — which is what
-//! makes a retry loop over ibarriers a sound (if expensive)
-//! termination protocol. A real MPI gives no such consistency
-//! guarantee (the paper's complaint); the `ftring` crate's
-//! double-barrier termination documents where it leans on ours.
+//! calls to `MPI_Ibarrier`" and rejects the approach as costly and
+//! complex. To reproduce that discussion quantitatively the runtime
+//! provides an `ibarrier` whose request composes with `waitany` like
+//! `icomm_validate_all`'s and whose rounds are decided the same way, on
+//! the rendezvous board ([`crate::rendezvous`]): round 0 requires the
+//! collective active set, round *k+1* round *k*'s required set minus
+//! the ranks that *failed without arriving* in it, and a round's
+//! decision is that failed-absent set — empty for an `Ok` round; deaths
+//! after arrival do not poison it. What that buys a retry loop, and
+//! what a real MPI does not promise, is on [`crate::Process::ibarrier`].
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::detector::FailureRegistry;
-use crate::message::ContextId;
+use crate::group::Group;
 use crate::rank::WorldRank;
+use crate::rendezvous::{Key, Ranks, Rendezvous};
 
-/// Retained rounds per context (members move in lock-step).
-const ROUND_WINDOW: u64 = 16;
-
-/// Outcome of a completed barrier round.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum BarrierOutcome {
-    /// Every required rank arrived.
-    Ok,
-    /// These required ranks died without arriving.
-    FailedAbsent(Arc<Vec<WorldRank>>),
-}
-
-#[derive(Default)]
-struct RoundState {
-    required: HashSet<WorldRank>,
-    arrived: HashSet<WorldRank>,
-    outcome: Option<BarrierOutcome>,
-}
-
-#[derive(Default)]
-struct CtxBarriers {
-    rounds: HashMap<u64, RoundState>,
-}
-
-/// Shared nonblocking-barrier board.
-#[derive(Default)]
-pub(crate) struct BarrierBoard {
-    ctxs: Mutex<HashMap<ContextId, CtxBarriers>>,
-}
-
-impl BarrierBoard {
-    pub(crate) fn new() -> Self {
-        BarrierBoard::default()
-    }
-
-    /// Reset protocol (see `Shared::reset`): drop all per-context
-    /// barrier rounds, retaining the outer map allocation.
-    pub(crate) fn reset(&self) {
-        self.ctxs.lock().clear();
-    }
-
-    /// Join round `round` on `ctx` as `me`. The first joiner of a
-    /// round fixes its required set: `initial_active` for round 0,
-    /// else the previous round's requirement minus its failed-absent
-    /// set (the previous round must have been joined first — rounds
-    /// are issued in order per process, so it always exists).
-    pub(crate) fn join(
-        &self,
-        ctx: ContextId,
-        round: u64,
-        me: WorldRank,
-        initial_active: &[WorldRank],
-    ) {
-        let mut ctxs = self.ctxs.lock();
-        let cb = ctxs.entry(ctx).or_default();
-        if !cb.rounds.contains_key(&round) {
-            let required: HashSet<WorldRank> = if round == 0 {
-                initial_active.iter().copied().collect()
-            } else {
-                match cb.rounds.get(&(round - 1)) {
-                    Some(prev) => match &prev.outcome {
-                        Some(BarrierOutcome::FailedAbsent(absent)) => prev
-                            .required
-                            .iter()
-                            .copied()
-                            .filter(|r| !absent.contains(r))
-                            .collect(),
-                        _ => prev.required.clone(),
-                    },
-                    // Previous round already garbage-collected: fall
-                    // back to the caller's view (only reachable far
-                    // outside the window).
-                    None => initial_active.iter().copied().collect(),
+impl Rendezvous {
+    /// Join barrier round `key` as `me`. The first joiner fixes the
+    /// required set: `initial_active` for round 0 (or when the previous
+    /// round fell out of the board's window), else the previous round's
+    /// requirement minus the ranks it found dead before arriving.
+    pub(crate) fn barrier_join(&self, key: Key, me: WorldRank, initial_active: &[WorldRank]) {
+        self.barriers.join(key, me, (), |prev| match prev {
+            None => Group::new(initial_active.to_vec()),
+            Some(prev) => match &prev.decision {
+                Some(absent) if !absent.is_empty() => {
+                    prev.required.filter(|_, w| !absent.contains(&w))
                 }
-            };
-            cb.rounds.insert(round, RoundState { required, ..Default::default() });
-        }
-        let state = cb.rounds.get_mut(&round).expect("just ensured");
-        state.arrived.insert(me);
+                _ => prev.required.clone(),
+            },
+        });
     }
 
-    /// Poll round `round` on `ctx`: completes once every required rank
-    /// has arrived or failed. Returns `(outcome, newly_completed)`.
-    pub(crate) fn poll(
-        &self,
-        ctx: ContextId,
-        round: u64,
-        registry: &FailureRegistry,
-    ) -> Option<(BarrierOutcome, bool)> {
-        let mut ctxs = self.ctxs.lock();
-        let cb = ctxs.entry(ctx).or_default();
-        let state = cb.rounds.get_mut(&round)?;
-        if let Some(outcome) = &state.outcome {
-            return Some((outcome.clone(), false));
-        }
-        let absent_failed: Vec<WorldRank> = state
-            .required
-            .iter()
-            .copied()
-            .filter(|&r| !state.arrived.contains(&r) && registry.is_failed(r))
-            .collect();
-        let pending = state
-            .required
-            .iter()
-            .any(|&r| !state.arrived.contains(&r) && !registry.is_failed(r));
-        if pending {
-            return None;
-        }
-        let outcome = if absent_failed.is_empty() {
-            BarrierOutcome::Ok
-        } else {
-            BarrierOutcome::FailedAbsent(Arc::new(absent_failed))
-        };
-        state.outcome = Some(outcome.clone());
-        cb.rounds.retain(|&r, _| r + ROUND_WINDOW > round);
-        Some((outcome, true))
+    /// The outcome of barrier round `key`: the required ranks that died
+    /// without arriving, none if the round is `Ok`.
+    pub(crate) fn barrier_poll(&self, key: Key, reg: &FailureRegistry) -> Option<(Ranks, bool)> {
+        self.barriers.poll(key, reg, |state| {
+            // Whoever has not arrived is failed, or the round would not
+            // be complete.
+            let members = state.required.members().iter().copied();
+            Arc::new(members.filter(|&w| state.arrived[w].is_none()).collect())
+        })
     }
 }
 
@@ -161,74 +54,71 @@ mod tests {
 
     #[test]
     fn completes_ok_when_all_arrive() {
-        let b = BarrierBoard::new();
+        let b = Rendezvous::new(3);
         let reg = FailureRegistry::new(3);
         let active = vec![0, 1, 2];
-        b.join(0, 0, 0, &active);
-        assert!(b.poll(0, 0, &reg).is_none());
-        b.join(0, 0, 1, &active);
-        b.join(0, 0, 2, &active);
-        let (o, newly) = b.poll(0, 0, &reg).unwrap();
+        b.barrier_join((0, 0), 0, &active);
+        assert!(b.barrier_poll((0, 0), &reg).is_none());
+        b.barrier_join((0, 0), 1, &active);
+        b.barrier_join((0, 0), 2, &active);
+        let (absent, newly) = b.barrier_poll((0, 0), &reg).unwrap();
         assert!(newly);
-        assert_eq!(o, BarrierOutcome::Ok);
-        let (_, again) = b.poll(0, 0, &reg).unwrap();
+        assert!(absent.is_empty());
+        let (_, again) = b.barrier_poll((0, 0), &reg).unwrap();
         assert!(!again);
     }
 
     #[test]
     fn death_before_arrival_fails_the_round_uniformly() {
-        let b = BarrierBoard::new();
+        let b = Rendezvous::new(3);
         let reg = FailureRegistry::new(3);
         let active = vec![0, 1, 2];
-        b.join(0, 0, 0, &active);
-        b.join(0, 0, 1, &active);
+        b.barrier_join((0, 0), 0, &active);
+        b.barrier_join((0, 0), 1, &active);
         reg.kill(2);
-        let (o, _) = b.poll(0, 0, &reg).unwrap();
-        match &o {
-            BarrierOutcome::FailedAbsent(a) => assert_eq!(**a, vec![2]),
-            other => panic!("{other:?}"),
-        }
+        let (absent, _) = b.barrier_poll((0, 0), &reg).unwrap();
+        assert_eq!(*absent, vec![2]);
         // Every later poll sees the identical outcome.
-        let (o2, _) = b.poll(0, 0, &reg).unwrap();
-        assert_eq!(o, o2);
+        let (again, _) = b.barrier_poll((0, 0), &reg).unwrap();
+        assert_eq!(absent, again);
     }
 
     #[test]
     fn death_after_arrival_still_ok() {
-        let b = BarrierBoard::new();
+        let b = Rendezvous::new(2);
         let reg = FailureRegistry::new(2);
         let active = vec![0, 1];
-        b.join(0, 0, 1, &active);
+        b.barrier_join((0, 0), 1, &active);
         reg.kill(1); // arrived, then died
-        b.join(0, 0, 0, &active);
-        let (o, _) = b.poll(0, 0, &reg).unwrap();
-        assert_eq!(o, BarrierOutcome::Ok);
+        b.barrier_join((0, 0), 0, &active);
+        let (absent, _) = b.barrier_poll((0, 0), &reg).unwrap();
+        assert!(absent.is_empty());
     }
 
     #[test]
     fn next_round_excludes_failed_absent() {
-        let b = BarrierBoard::new();
+        let b = Rendezvous::new(3);
         let reg = FailureRegistry::new(3);
         let active = vec![0, 1, 2];
-        b.join(0, 0, 0, &active);
-        b.join(0, 0, 1, &active);
+        b.barrier_join((0, 0), 0, &active);
+        b.barrier_join((0, 0), 1, &active);
         reg.kill(2);
-        let (o, _) = b.poll(0, 0, &reg).unwrap();
-        assert!(matches!(o, BarrierOutcome::FailedAbsent(_)));
+        let (absent, _) = b.barrier_poll((0, 0), &reg).unwrap();
+        assert_eq!(*absent, vec![2]);
         // Round 1 requires only {0, 1}.
-        b.join(0, 1, 0, &active);
-        assert!(b.poll(0, 1, &reg).is_none());
-        b.join(0, 1, 1, &active);
-        let (o1, _) = b.poll(0, 1, &reg).unwrap();
-        assert_eq!(o1, BarrierOutcome::Ok);
+        b.barrier_join((0, 1), 0, &active);
+        assert!(b.barrier_poll((0, 1), &reg).is_none());
+        b.barrier_join((0, 1), 1, &active);
+        let (absent, _) = b.barrier_poll((0, 1), &reg).unwrap();
+        assert!(absent.is_empty());
     }
 
     #[test]
     fn contexts_are_isolated() {
-        let b = BarrierBoard::new();
+        let b = Rendezvous::new(1);
         let reg = FailureRegistry::new(1);
-        b.join(7, 0, 0, &[0]);
-        assert!(b.poll(8, 0, &reg).is_none());
-        assert!(b.poll(7, 0, &reg).is_some());
+        b.barrier_join((7, 0), 0, &[0]);
+        assert!(b.barrier_poll((8, 0), &reg).is_none());
+        assert!(b.barrier_poll((7, 0), &reg).is_some());
     }
 }

@@ -46,7 +46,7 @@ use crate::group::Group;
 use crate::matching::{MatchEngine, MatchSpec, SrcSel};
 use crate::message::{ContextId, Envelope};
 use crate::rank::{CommRank, RankInfo, RankState, WorldRank};
-use crate::request::{Completion, ReqBody, ReqState, ReqTable, Request};
+use crate::request::{CollKind, Completion, ReqBody, ReqState, ReqTable, Request};
 use crate::status::Status;
 use crate::tag::{check_user_tag, Tag, TagSel};
 use crate::trace::Event;
@@ -327,15 +327,15 @@ impl Process {
                 });
             }
         }
-        for (_, _, round) in self.reqs.pending_validates() {
-            self.shared
-                .trace
-                .record(Event::Blocked { rank: self.me, on: crate::trace::BlockedOn::Validate { round } });
-        }
-        for (_, _, round) in self.reqs.pending_barriers() {
-            self.shared
-                .trace
-                .record(Event::Blocked { rank: self.me, on: crate::trace::BlockedOn::Barrier { round } });
+        for kind in [CollKind::Validate, CollKind::Barrier] {
+            let mut cursor = 0;
+            while let Some((_, _, round)) = self.reqs.next_pending(kind, &mut cursor) {
+                let on = match kind {
+                    CollKind::Validate => crate::trace::BlockedOn::Validate { round },
+                    CollKind::Barrier => crate::trace::BlockedOn::Barrier { round },
+                };
+                self.shared.trace.record(Event::Blocked { rank: self.me, on });
+            }
         }
     }
 
@@ -426,9 +426,8 @@ impl Process {
         }
         self.drain_buf = msgs;
         self.failure_scan();
-        self.poll_validates()?;
-        self.poll_barriers();
-        Ok(())
+        self.poll_collectives(CollKind::Validate)?;
+        self.poll_collectives(CollKind::Barrier)
     }
 
     /// Complete posted receives whose peers have failed (or been
@@ -465,68 +464,55 @@ impl Process {
         }
     }
 
-    fn poll_validates(&mut self) -> Result<()> {
-        for (req, ci, round) in self.reqs.pending_validates() {
-            let comm = &self.comms[ci];
-            let polled = self.shared.vboard.poll(
-                comm.ctx,
-                round,
-                &comm.group,
-                &self.shared.registry,
-            );
-            if let Some((failed_world, newly)) = polled {
-                if newly {
-                    self.shared.trace.record(Event::ValidateDecided {
-                        context: comm.ctx,
-                        round,
-                        failed: failed_world.len(),
-                    });
-                    self.shared.wake_all();
+    /// Poll the rendezvous board for every pending request of `kind`
+    /// and complete those whose round is decided.
+    fn poll_collectives(&mut self, kind: CollKind) -> Result<()> {
+        let mut cursor = 0;
+        while let Some((req, ci, round)) = self.reqs.next_pending(kind, &mut cursor) {
+            let ctx = self.comms[ci].ctx;
+            let (board, registry) = (&self.shared.board, &self.shared.registry);
+            let polled = match kind {
+                CollKind::Validate => board.validate_poll((ctx, round), registry),
+                CollKind::Barrier => board.barrier_poll((ctx, round), registry),
+            };
+            let Some((gone, newly)) = polled else { continue };
+            if newly {
+                if kind == CollKind::Validate {
+                    let failed = gone.len();
+                    self.shared.trace.record(Event::ValidateDecided { context: ctx, round, failed });
                 }
-                let registry = std::sync::Arc::clone(&self.shared);
-                let comm = &mut self.comms[ci];
-                let failed_comm: Vec<CommRank> =
-                    failed_world.iter().filter_map(|w| comm.group.rank_of(*w)).collect();
-                let count = failed_comm.len();
-                let ctx = comm.ctx;
-                let min_instance = comm.coll_instance;
-                comm.apply_validate_decision(failed_comm, &registry.registry);
-                // Instance numbers in tags wrap at 2^20; past that point
-                // the "older instance" test is ambiguous, so skip the
-                // purge (stale messages are harmless, only unreclaimed).
-                if min_instance < (1 << 20) {
-                    self.engine.purge_system(ctx, min_instance);
+                self.shared.wake_all();
+            }
+            let comm = &mut self.comms[ci];
+            let gone_comm = gone.iter().filter_map(|w| comm.group.rank_of(*w));
+            match kind {
+                CollKind::Validate => {
+                    let failed_comm: Vec<CommRank> = gone_comm.collect();
+                    let count = failed_comm.len();
+                    let min_instance = comm.coll_instance;
+                    comm.apply_validate_decision(failed_comm, &self.shared.registry);
+                    // Instance numbers in tags wrap at 2^20; past that point
+                    // the "older instance" test is ambiguous, so skip the
+                    // purge (stale messages are harmless, only unreclaimed).
+                    if min_instance < (1 << 20) {
+                        self.engine.purge_system(ctx, min_instance);
+                    }
+                    self.reqs.complete(req, Ok(Completion::validate(count)));
+                    // AfterValidate injection point.
+                    self.hook(Hook::bare(HookKind::AfterValidate))?;
                 }
-                self.reqs.complete(req, Ok(Completion::validate(count)));
-                // AfterValidate injection point.
-                self.hook(Hook::bare(HookKind::AfterValidate))?;
+                // `gone` died without arriving: the round fails, naming
+                // the lowest of them, unless there are none.
+                CollKind::Barrier => {
+                    let result = match gone.is_empty() {
+                        true => Ok(Completion::send()),
+                        false => Err(Error::RankFailStop { rank: gone_comm.min().unwrap_or(0) }),
+                    };
+                    self.reqs.complete(req, result);
+                }
             }
         }
         Ok(())
-    }
-
-    fn poll_barriers(&mut self) {
-        for (req, ci, round) in self.reqs.pending_barriers() {
-            let comm = &self.comms[ci];
-            let polled = self.shared.bboard.poll(comm.ctx, round, &self.shared.registry);
-            if let Some((outcome, newly)) = polled {
-                if newly {
-                    self.shared.wake_all();
-                }
-                let result = match outcome {
-                    crate::nbc::BarrierOutcome::Ok => Ok(Completion::send()),
-                    crate::nbc::BarrierOutcome::FailedAbsent(absent) => {
-                        let lowest = absent
-                            .iter()
-                            .filter_map(|w| comm.group.rank_of(*w))
-                            .min()
-                            .unwrap_or(0);
-                        Err(Error::RankFailStop { rank: lowest })
-                    }
-                };
-                self.reqs.complete(req, result);
-            }
-        }
     }
 
     /// Block until `check` yields a value, making progress and parking
@@ -840,9 +826,7 @@ impl Process {
             ReqBody::Recv(spec) => {
                 (true, self.ctx_map.get(&spec.context).copied())
             }
-            ReqBody::Validate { comm_idx, .. } | ReqBody::Barrier { comm_idx, .. } => {
-                (false, Some(*comm_idx))
-            }
+            ReqBody::Collective { comm_idx, .. } => (false, Some(*comm_idx)),
             ReqBody::Send => (false, None),
         };
         let result = self.reqs.take(req)?;
@@ -1039,17 +1023,18 @@ impl Process {
     pub fn icomm_validate_all(&mut self, comm: Comm) -> Result<Request> {
         self.ensure_alive()?;
         self.hook(Hook::bare(HookKind::BeforeValidate))?;
-        let (ctx, round) = {
+        let (ctx, round, group) = {
             let c = self.comm_data_mut(comm)?;
             let round = c.validate_round;
             c.validate_round += 1;
-            (c.ctx, round)
+            (c.ctx, round, c.group.clone())
         };
-        self.shared.vboard.join(ctx, round, self.me);
-        let req = self.reqs.insert(ReqBody::Validate { comm_idx: comm.0, round }, ReqState::Pending);
+        self.shared.board.validate_join((ctx, round), self.me, &group);
+        let body = ReqBody::Collective { kind: CollKind::Validate, comm_idx: comm.0, round };
+        let req = self.reqs.insert(body, ReqState::Pending);
         // Our join may have been the last: poll immediately so the
         // decision is made (and everyone woken) without waiting.
-        self.poll_validates()?;
+        self.poll_collectives(CollKind::Validate)?;
         Ok(req)
     }
 
@@ -1088,11 +1073,11 @@ impl Process {
                 .collect();
             (c.ctx, round, active)
         };
-        self.shared.bboard.join(ctx, round, self.me, &active_world);
-        let req =
-            self.reqs.insert(ReqBody::Barrier { comm_idx: comm.0, round }, ReqState::Pending);
+        self.shared.board.barrier_join((ctx, round), self.me, &active_world);
+        let body = ReqBody::Collective { kind: CollKind::Barrier, comm_idx: comm.0, round };
+        let req = self.reqs.insert(body, ReqState::Pending);
         // Our arrival may have completed the round.
-        self.poll_barriers();
+        self.poll_collectives(CollKind::Barrier)?;
         Ok(req)
     }
 
@@ -1110,7 +1095,7 @@ impl Process {
             c.dup_count += 1;
             (c.ctx, n, c.group.clone(), c.my_rank)
         };
-        let ctx = self.shared.board.dup(parent_ctx, n);
+        let ctx = self.shared.board.dup((parent_ctx, n), self.me, &self.shared.registry);
         let idx = self.comms.len();
         self.comms.push(CommData::new(ctx, group, my_rank));
         self.ctx_map.insert(ctx, idx);
@@ -1129,33 +1114,29 @@ impl Process {
             c.split_count += 1;
             (c.ctx, n, c.group.clone())
         };
-        self.shared.board.split_submit(parent_ctx, n, self.me, color, key);
+        self.shared.board.split_join((parent_ctx, n), self.me, (color, key), &group);
         // Our submission may complete the rendezvous for everyone.
         self.shared.wake_all();
         let me = self.me;
         let result = self.wait_loop(move |p| {
-            Ok(p.shared
-                .board
-                .split_poll(parent_ctx, n, me, &group, &p.shared.registry)
-                .map(|(res, newly)| {
-                    if newly {
-                        p.shared.wake_all();
-                    }
-                    res
-                }))
+            let polled = p.shared.board.split_poll((parent_ctx, n), me, &p.shared.registry);
+            Ok(polled.map(|(res, newly)| {
+                if newly {
+                    p.shared.wake_all();
+                }
+                res
+            }))
         })?;
         match result {
             None => Ok(None),
-            Some(split) => {
-                let my_rank = split
-                    .members
+            Some((ctx, members)) => {
+                let my_rank = members
                     .iter()
                     .position(|&w| w == self.me)
                     .expect("splitter is a member of its color");
                 let idx = self.comms.len();
-                let group = Group::new(split.members);
-                self.comms.push(CommData::new(split.ctx, group, my_rank));
-                self.ctx_map.insert(split.ctx, idx);
+                self.comms.push(CommData::new(ctx, Group::new(members), my_rank));
+                self.ctx_map.insert(ctx, idx);
                 Ok(Some(Comm(idx)))
             }
         }

@@ -52,22 +52,24 @@ pub(crate) enum ReqBody {
     Recv(MatchSpec),
     /// An eager send (always created complete).
     Send,
-    /// An in-flight `icomm_validate_all` on the comm at this local
-    /// table index, joined at this validate round.
-    Validate {
+    /// An in-flight round of a collective on the rendezvous board.
+    Collective {
+        /// Which collective.
+        kind: CollKind,
         /// Local communicator table index.
         comm_idx: usize,
-        /// The validate round this request joined.
+        /// The round of `kind` on that communicator this request
+        /// joined.
         round: u64,
     },
-    /// An in-flight `ibarrier` on the comm at this local table index,
-    /// joined at this barrier round.
-    Barrier {
-        /// Local communicator table index.
-        comm_idx: usize,
-        /// The barrier round this request joined.
-        round: u64,
-    },
+}
+
+/// The collectives whose round is a request: `icomm_validate_all` and
+/// `ibarrier`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CollKind {
+    Validate,
+    Barrier,
 }
 
 #[derive(Debug)]
@@ -188,43 +190,31 @@ impl ReqTable {
         }
     }
 
-    /// Pending `icomm_validate_all` requests: `(handle, comm_idx,
-    /// round)` triples for the progress engine to poll.
-    pub(crate) fn pending_validates(&self) -> Vec<(Request, usize, u64)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| {
-                let s = slot.as_ref()?;
-                if !matches!(s.state, ReqState::Pending) {
-                    return None;
+    /// The next pending request of `kind` in slot `*cursor` or later,
+    /// as `(handle, comm_idx, round)`, leaving `*cursor` past it — the
+    /// progress engine's scan. Completing a request moves no other, so
+    /// a loop from cursor 0 visits what a snapshot taken before it
+    /// would hold.
+    pub(crate) fn next_pending(
+        &self,
+        kind: CollKind,
+        cursor: &mut usize,
+    ) -> Option<(Request, usize, u64)> {
+        while let Some(slot) = self.slots.get(*cursor) {
+            let idx = *cursor as u32;
+            *cursor += 1;
+            if let Some(SlotData {
+                gen,
+                body: ReqBody::Collective { kind: k, comm_idx, round },
+                state: ReqState::Pending,
+            }) = slot
+            {
+                if *k == kind {
+                    return Some((Request { idx, gen: *gen }, *comm_idx, *round));
                 }
-                if let ReqBody::Validate { comm_idx, round } = s.body {
-                    Some((Request { idx: i as u32, gen: s.gen }, comm_idx, round))
-                } else {
-                    None
-                }
-            })
-            .collect()
-    }
-
-    /// Pending `ibarrier` requests: `(handle, comm_idx, round)`.
-    pub(crate) fn pending_barriers(&self) -> Vec<(Request, usize, u64)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| {
-                let s = slot.as_ref()?;
-                if !matches!(s.state, ReqState::Pending) {
-                    return None;
-                }
-                if let ReqBody::Barrier { comm_idx, round } = s.body {
-                    Some((Request { idx: i as u32, gen: s.gen }, comm_idx, round))
-                } else {
-                    None
-                }
-            })
-            .collect()
+            }
+        }
+        None
     }
 
     /// Drop a request regardless of state (cancel).

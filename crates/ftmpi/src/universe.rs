@@ -3,8 +3,8 @@
 //! Each rank holds a [`Process`] and runs on an OS thread — or, under a
 //! simulation scheduler, as a coroutine on the caller's thread (see
 //! [`crate::UniversePool`]); the universe wires
-//! the shared fabric, failure registry, fault injector, coordination
-//! boards and trace together, runs an optional asynchronous kill
+//! the shared fabric, failure registry, fault injector, rendezvous
+//! board and trace together, runs an optional asynchronous kill
 //! schedule, and — crucially for reproducing the paper's Fig. 6 — a
 //! watchdog that detects distributed hangs and converts them into a
 //! clean, reportable outcome instead of a wedged test suite.
@@ -22,16 +22,14 @@ use std::time::Duration;
 
 use faultsim::{AsyncSchedule, FaultPlan, Injector, RunStats, SchedHook};
 
-use crate::coord::CommBoard;
 use crate::detector::FailureRegistry;
 use crate::error::{RankOutcome, Result};
 use crate::group::Group;
-use crate::nbc::BarrierBoard;
 use crate::paypool::PayloadPool;
 use crate::process::Process;
 use crate::rank::WorldRank;
+use crate::rendezvous::Rendezvous;
 use crate::trace::{Event, Trace, TimedEvent};
-use crate::validate::ValidateBoard;
 
 /// Abort code used by the watchdog when it breaks a hang.
 pub const WATCHDOG_ABORT_CODE: i32 = -9999;
@@ -45,9 +43,9 @@ pub(crate) struct Shared {
     pub fabric: crate::transport::Fabric,
     pub registry: FailureRegistry,
     pub injector: Arc<Injector>,
-    pub board: CommBoard,
-    pub vboard: ValidateBoard,
-    pub bboard: BarrierBoard,
+    /// Where `validate_all`, `ibarrier`, `comm_split` and `comm_dup`
+    /// rounds are decided.
+    pub board: Rendezvous,
     pub trace: Trace,
     /// Deterministic-simulation scheduler, if this universe is driven
     /// by one (see `faultsim::sched` and the `dst` crate).
@@ -74,9 +72,7 @@ impl Shared {
             fabric: crate::transport::Fabric::new(n),
             registry: FailureRegistry::new(n),
             injector: Arc::new(Injector::new(plan)),
-            board: CommBoard::new(WORLD_CTX + 1),
-            vboard: ValidateBoard::new(),
-            bboard: BarrierBoard::new(),
+            board: Rendezvous::new(n),
             trace: Trace::new(trace),
             sched,
             paypool: PayloadPool::new(),
@@ -87,7 +83,7 @@ impl Shared {
     /// The reset protocol: return every piece of universe state to the
     /// exact observable state [`Shared::fresh`] produces while
     /// retaining allocations (mailbox queues keep their capacity, the
-    /// trace keeps its event buffer, board maps keep their tables).
+    /// trace keeps its event buffer, the board keeps its tables).
     /// The injector is the one piece replaced wholesale — it is armed
     /// from the per-run `FaultPlan` and its per-rule state is cheaper
     /// to rebuild than to audit.
@@ -99,8 +95,8 @@ impl Shared {
     /// allocator) is rewound to its constructed value, so no rank can
     /// distinguish a reset universe from a new one. HashMap iteration
     /// order is the one superficially scary piece of state, and it is
-    /// moot: `CommBoard` sorts split members before assignment and the
-    /// validate/barrier boards are keyed by exact lookup.
+    /// moot: the board reads its tables by exact lookup and walks them
+    /// only to drop old rounds.
     ///
     /// Requires exclusive access (`&mut self`), which the pool has
     /// between runs: every worker drops its `Arc<Shared>` clone before
@@ -114,9 +110,7 @@ impl Shared {
         self.fabric.reset();
         self.registry.reset();
         self.injector = Arc::new(Injector::new(plan));
-        self.board.reset(WORLD_CTX + 1);
-        self.vboard.reset();
-        self.bboard.reset();
+        self.board.reset();
         self.trace.reset(trace);
         self.sched = sched;
         // `paypool` and `world_group` deliberately survive the reset:
