@@ -857,15 +857,18 @@ impl Process {
         }
     }
 
-    /// Indices of the completed requests in `reqs`, ascending.
-    fn ready_indices(&self, reqs: &[Request]) -> Result<Vec<usize>> {
-        let mut ready = Vec::new();
-        for (i, r) in reqs.iter().enumerate() {
-            if self.reqs.is_done(*r)? {
-                ready.push(i);
-            }
+    /// How many of `reqs` have completed; a stale handle is an error.
+    fn ready_count(&self, reqs: &[Request]) -> Result<usize> {
+        let mut n = 0;
+        for r in reqs {
+            n += usize::from(self.reqs.is_done(*r)?);
         }
-        Ok(ready)
+        Ok(n)
+    }
+
+    /// Indices of the completed requests in `reqs`, ascending.
+    fn ready<'a>(&'a self, reqs: &'a [Request]) -> impl Iterator<Item = usize> + 'a {
+        (0..reqs.len()).filter(|&i| matches!(self.reqs.is_done(reqs[i]), Ok(true)))
     }
 
     /// Block until `req` completes and consume it.
@@ -883,21 +886,18 @@ impl Process {
     pub fn waitany(&mut self, reqs: &[Request]) -> Result<WaitAny> {
         assert!(!reqs.is_empty(), "waitany needs at least one request");
         let index = self.wait_loop(move |p| {
-            let ready = p.ready_indices(reqs)?;
-            Ok(match ready.len() {
-                0 => None,
-                1 => Some(ready[0]),
+            let pick = match p.ready_count(reqs)? {
+                0 => return Ok(None),
+                1 => 0,
                 // Several ready at once: which one "completed first" is
                 // a scheduler decision (choice 0 without a scheduler,
                 // matching the historical lowest-index behaviour).
-                n => {
-                    let pick = match &p.shared.sched {
-                        Some(s) => s.choose(p.me, ChoiceKind::WaitAny, n).min(n - 1),
-                        None => 0,
-                    };
-                    Some(ready[pick])
-                }
-            })
+                n => match &p.shared.sched {
+                    Some(s) => s.choose(p.me, ChoiceKind::WaitAny, n).min(n - 1),
+                    None => 0,
+                },
+            };
+            Ok(p.ready(reqs).nth(pick))
         })?;
         let result = self.consume_op(reqs[index])?;
         Ok(WaitAny { index, result })
@@ -924,10 +924,8 @@ impl Process {
     /// completed `(index, result)`.
     pub fn waitsome(&mut self, reqs: &[Request]) -> Result<Vec<(usize, Result<Completion>)>> {
         assert!(!reqs.is_empty(), "waitsome needs at least one request");
-        let ready = self.wait_loop(move |p| {
-            let ready = p.ready_indices(reqs)?;
-            Ok(if ready.is_empty() { None } else { Some(ready) })
-        })?;
+        self.wait_loop(move |p| Ok((p.ready_count(reqs)? > 0).then_some(())))?;
+        let ready: Vec<usize> = self.ready(reqs).collect();
         let mut out = Vec::with_capacity(ready.len());
         for i in ready {
             out.push((i, self.consume_op(reqs[i])?));
