@@ -94,7 +94,7 @@ impl Process {
     ) -> Result<(CollCtx, Option<Error>)> {
         self.shared.registry.check_alive(self.world_rank(), self.generation())?;
         self.hook(Hook::bare(HookKind::BeforeCollective))?;
-        let (ctx, entry_err) = {
+        let (ctx, entry_err, instance) = {
             let registry = std::sync::Arc::clone(&self.shared);
             let c = self.comm_data_mut(comm)?;
             let instance = c.coll_instance;
@@ -119,13 +119,14 @@ impl Process {
             (
                 CollCtx { comm, name, active, vrank, tag: system_tag(op, instance) },
                 entry_err,
+                instance,
             )
         };
         if self.shared.trace.enabled() {
             self.shared.trace.record(Event::CollectiveEnter {
                 rank: self.world_rank(),
                 op: name,
-                instance: 0,
+                instance,
             });
         }
         Ok((ctx, entry_err))
@@ -254,6 +255,31 @@ mod tests {
             for (u, d) in indegree.iter().enumerate().skip(1) {
                 assert_eq!(*d, 1, "node {u} must have exactly one parent (m={m})");
             }
+        }
+    }
+
+    #[test]
+    fn collective_enter_traces_the_instance_on_the_communicator() {
+        let cfg = crate::UniverseConfig::default().traced();
+        let report = crate::run(3, cfg, |p| {
+            let dup = p.comm_dup(crate::WORLD)?;
+            for v in [7u32, 8] {
+                p.bcast(dup, 0, (p.world_rank() == 0).then_some(&v))?;
+            }
+            // Instances count per communicator, not per process.
+            p.bcast(crate::WORLD, 0, (p.world_rank() == 0).then_some(&9u32))
+        });
+        assert!(report.all_ok(), "{:?}", report.outcomes);
+        for rank in 0..3 {
+            let instances: Vec<u64> = report
+                .trace
+                .iter()
+                .filter_map(|e| match e.event {
+                    Event::CollectiveEnter { rank: r, instance, .. } if r == rank => Some(instance),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(instances, vec![0, 1, 0], "rank {rank}");
         }
     }
 
