@@ -93,7 +93,7 @@ fn body(p: &mut Process) -> ftmpi::Result<Report> {
 
 /// Every third seed kills one rank at one of three protocol points.
 fn plan(seed: u64, ranks: usize) -> FaultPlan {
-    if seed % 3 != 0 {
+    if !seed.is_multiple_of(3) {
         return FaultPlan::none();
     }
     let k = seed / 3;

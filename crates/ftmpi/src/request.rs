@@ -203,14 +203,12 @@ impl ReqTable {
         while let Some(slot) = self.slots.get(*cursor) {
             let idx = *cursor as u32;
             *cursor += 1;
-            if let Some(SlotData {
-                gen,
-                body: ReqBody::Collective { kind: k, comm_idx, round },
-                state: ReqState::Pending,
-            }) = slot
-            {
-                if *k == kind {
-                    return Some((Request { idx, gen: *gen }, *comm_idx, *round));
+            if let Some(SlotData { gen, body, state: ReqState::Pending }) = slot {
+                match *body {
+                    ReqBody::Collective { kind: k, comm_idx, round } if k == kind => {
+                        return Some((Request { idx, gen: *gen }, comm_idx, round));
+                    }
+                    _ => {}
                 }
             }
         }
@@ -283,6 +281,24 @@ mod tests {
     fn validate_completion_carries_count() {
         let c = Completion::validate(3);
         assert_eq!(c.validate_count(), 3);
+    }
+
+    #[test]
+    fn next_pending_scans_one_kind_and_skips_completed() {
+        let coll = |kind, round| ReqBody::Collective { kind, comm_idx: 0, round };
+        let mut t = ReqTable::default();
+        let v0 = t.insert(coll(CollKind::Validate, 0), ReqState::Pending);
+        let b0 = t.insert(coll(CollKind::Barrier, 0), ReqState::Pending);
+        t.insert(ReqBody::Recv(spec()), ReqState::Pending);
+        let v1 = t.insert(coll(CollKind::Validate, 1), ReqState::Pending);
+        let scan = |t: &ReqTable, kind| {
+            let mut cursor = 0;
+            std::iter::from_fn(|| t.next_pending(kind, &mut cursor)).collect::<Vec<_>>()
+        };
+        assert_eq!(scan(&t, CollKind::Validate), vec![(v0, 0, 0), (v1, 0, 1)]);
+        assert_eq!(scan(&t, CollKind::Barrier), vec![(b0, 0, 0)]);
+        t.complete(v0, Ok(Completion::validate(0)));
+        assert_eq!(scan(&t, CollKind::Validate), vec![(v1, 0, 1)]);
     }
 
     #[test]
