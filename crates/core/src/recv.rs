@@ -16,34 +16,56 @@
 //! data is salvaged into `pending` instead of being cancelled, so no
 //! token is ever dropped by slot recycling.
 
-use ftmpi::{Datatype, Error, Request, Result, Src};
+use ftmpi::{CommRank, Completion, Datatype, Error, Request, Result, Src, Tag};
 
 use crate::msg::{RingMsg, T_N, T_R};
 use crate::neighbors::to_left_of;
 use crate::ring::{Ctx, DedupStrategy, RecvStrategy};
 
+/// What one pass of [`Ctx::watch`] woke up for.
+pub(crate) enum Watched {
+    /// The right neighbour failed; the walk right and the resend of the
+    /// last buffer are done. Wait again.
+    Resent,
+    /// The detector receive completed with real data: only possible in
+    /// a two-rank ring, where right == left.
+    Token(Completion),
+    /// One of the caller's requests completed, with this.
+    Done(Request, Result<Completion>),
+}
+
 impl Ctx<'_> {
-    /// Ensure the normal (and, in separate-tag mode, resend) receive
-    /// is posted toward the current left neighbour, and the failure
-    /// detector toward the current right neighbour.
-    fn ensure_receivers(&mut self) -> Result<()> {
-        // Normal tokens from the left.
-        self.ensure_slot_normal()?;
-        if self.cfg.dedup == DedupStrategy::SeparateTag {
-            self.ensure_slot_resend()?;
+    /// The one re-aim rule for a posted receive `slot`: keep it if it
+    /// already targets `peer`; otherwise salvage it and post anew.
+    fn aim(
+        &mut self,
+        slot: Option<(Request, CommRank)>,
+        peer: CommRank,
+        tag: Tag,
+    ) -> Result<Option<(Request, CommRank)>> {
+        if let Some((req, at)) = slot {
+            if at == peer {
+                return Ok(slot);
+            }
+            self.salvage(req)?;
         }
-        if self.cfg.recv == RecvStrategy::Detector {
-            self.repoint_detector()?;
-        }
-        Ok(())
+        let req = self.p.irecv(self.comm, Src::Rank(peer), tag)?;
+        Ok(Some((req, peer)))
+    }
+
+    /// Decode a completed receive's token and hand its buffer back to
+    /// the payload pool; the token comes with the rank that sent it.
+    fn decode(&mut self, c: Completion) -> Result<(RingMsg, Option<CommRank>)> {
+        let tok = RingMsg::from_bytes(&c.data)?;
+        self.p.recycle_payload(c.data);
+        Ok((tok, c.status.source))
     }
 
     fn salvage(&mut self, req: Request) -> Result<()> {
         match self.p.test(req) {
             Ok(Some(c)) if !c.status.is_proc_null() && !c.data.is_empty() => {
-                let tok = RingMsg::from_bytes(&c.data)?;
-                self.p.recycle_payload(c.data);
-                self.pending.push_back((tok, c.status.source));
+                let salvaged = self.decode(c)?;
+                self.pending.push_back(salvaged);
                 Ok(())
             }
             Ok(Some(c)) => {
@@ -56,50 +78,54 @@ impl Ctx<'_> {
         }
     }
 
-    fn ensure_slot_normal(&mut self) -> Result<()> {
-        if let Some((req, peer)) = self.normal {
-            if peer == self.left {
-                return Ok(());
-            }
-            self.salvage(req)?;
-            self.normal = None;
-        }
-        let req = self.p.irecv(self.comm, Src::Rank(self.left), T_N)?;
-        self.normal = Some((req, self.left));
-        Ok(())
-    }
-
-    fn ensure_slot_resend(&mut self) -> Result<()> {
-        if let Some((req, peer)) = self.resend_rx {
-            if peer == self.left {
-                return Ok(());
-            }
-            self.salvage(req)?;
-            self.resend_rx = None;
-        }
-        let req = self.p.irecv(self.comm, Src::Rank(self.left), T_R)?;
-        self.resend_rx = Some((req, self.left));
-        Ok(())
-    }
-
     /// (Re-)post the failure-detector receive at the current right
     /// neighbour (Fig. 9 line 5). A completed-with-data detector (only
     /// possible in a two-rank ring, where right == left) is salvaged as
     /// a normal token.
     pub(crate) fn repoint_detector(&mut self) -> Result<()> {
-        if self.cfg.recv != RecvStrategy::Detector {
-            return Ok(());
+        if self.cfg.recv == RecvStrategy::Detector {
+            self.detector = self.aim(self.detector, self.right, T_N)?;
         }
-        if let Some((req, peer)) = self.detector {
-            if peer == self.right {
-                return Ok(());
-            }
-            self.salvage(req)?;
-            self.detector = None;
-        }
-        let req = self.p.irecv(self.comm, Src::Rank(self.right), T_N)?;
-        self.detector = Some((req, self.right));
         Ok(())
+    }
+
+    /// The right-neighbour watch (Fig. 9 lines 11–15, reused verbatim
+    /// by Fig. 11 lines 17–21 and Fig. 13 lines 11–15): one `waitany`
+    /// over the detector and the caller's requests. "Since `P_R` will
+    /// never send a message backwards in the ring", the detector
+    /// completing means `P_R` failed: walk right and resend the last
+    /// buffer.
+    pub(crate) fn watch(&mut self, req: Request, also: Option<Request>) -> Result<Watched> {
+        self.repoint_detector()?;
+        // Build the wait set with the detector FIRST: when a failure
+        // notification and a token are simultaneously ready, handling
+        // the failure first makes the resend happen before `last_sent`
+        // moves on — the deterministic Fig. 8/10 behaviour (a real
+        // MPI_Waitany may return either; prioritizing the failure is
+        // the conservative choice).
+        let detector = self.detector.map(|(r, _)| r);
+        self.wait_reqs.clear();
+        self.wait_reqs.extend(detector);
+        self.wait_reqs.push(req);
+        self.wait_reqs.extend(also);
+        let out = self.p.waitany(&self.wait_reqs)?;
+        let fired = self.wait_reqs[out.index];
+        if Some(fired) != detector {
+            return Ok(Watched::Done(fired, out.result));
+        }
+        self.detector = None;
+        match out.result {
+            Ok(c) if !c.status.is_proc_null() => Ok(Watched::Token(c)),
+            Ok(_) | Err(Error::RankFailStop { .. }) => {
+                self.stats.detector_fires += 1;
+                self.advance_right()?;
+                if let Some(last) = self.last_sent.clone() {
+                    self.ft_send_right(last, true)?;
+                }
+                Ok(Watched::Resent)
+            }
+            Err(e) => Err(e),
+        }
     }
 
     /// Move the left neighbour past a failure (Fig. 9 lines 16–22) and
@@ -125,15 +151,13 @@ impl Ctx<'_> {
     fn ordered_with_normal_slot(
         &mut self,
         tok: RingMsg,
-        sender: Option<ftmpi::CommRank>,
+        sender: Option<CommRank>,
     ) -> Result<RingMsg> {
         let Some((nreq, _)) = self.normal else { return Ok(tok) };
         match self.p.test(nreq) {
             Ok(Some(nc)) if !nc.status.is_proc_null() && !nc.data.is_empty() => {
                 self.normal = None;
-                let ntok = RingMsg::from_bytes(&nc.data)?;
-                self.p.recycle_payload(nc.data);
-                let nsender = nc.status.source;
+                let (ntok, nsender) = self.decode(nc)?;
                 if ntok.marker <= tok.marker {
                     self.pending.push_back((tok, sender));
                     self.last_recv_from = nsender;
@@ -153,9 +177,9 @@ impl Ctx<'_> {
             Err(e) if e.is_terminal() => Err(e),
             // Completed in failure: the left neighbour died. The test
             // consumed the notification, so clear the slot — the next
-            // `ensure_receivers` re-posts toward the (dead) left and
-            // the failure resurfaces through the regular
-            // `advance_left` path.
+            // `recv_token` pass re-posts toward the (dead) left and the
+            // failure resurfaces through the regular `advance_left`
+            // path.
             Err(_) => {
                 self.normal = None;
                 Ok(tok)
@@ -171,86 +195,54 @@ impl Ctx<'_> {
                 self.last_recv_from = sender;
                 return Ok(t);
             }
-            self.ensure_receivers()?;
-
-            // Build the wait set with the detector FIRST: when a
-            // failure notification and a token are simultaneously
-            // ready, handling the failure first makes the resend
-            // happen before `last_sent` moves on — the deterministic
-            // Fig. 8/10 behaviour (a real MPI_Waitany may return
-            // either; prioritizing the failure is the conservative
-            // choice).
-            self.wait_reqs.clear();
-            let detector_req = self.detector.map(|(r, _)| r);
-            if let Some(r) = detector_req {
-                self.wait_reqs.push(r);
+            // Normal (and, in separate-tag mode, resent) tokens come
+            // from the current left neighbour.
+            self.normal = self.aim(self.normal, self.left, T_N)?;
+            if self.cfg.dedup == DedupStrategy::SeparateTag {
+                self.resend_rx = self.aim(self.resend_rx, self.left, T_R)?;
             }
-            let (normal_req, _) = self.normal.expect("normal receive posted");
-            self.wait_reqs.push(normal_req);
-            let resend_req = self.resend_rx.map(|(r, _)| r);
-            if let Some(r) = resend_req {
-                self.wait_reqs.push(r);
-            }
+            let (normal, _) = self.normal.expect("normal receive posted");
+            let resend = self.resend_rx.map(|(r, _)| r);
 
-            let out = self.p.waitany(&self.wait_reqs)?;
-            let fired = self.wait_reqs[out.index];
-
-            if Some(fired) == detector_req {
-                self.detector = None;
-                match out.result {
-                    Ok(c) if !c.status.is_proc_null() => {
-                        // Two-rank ring: the "detector" caught a real
-                        // token (right == left there). The normal slot
-                        // may simultaneously hold the *older* in-flight
-                        // token from the same peer (e.g. a delayed
-                        // forward overtaken by the next origination
-                        // after a takeover); consuming the detector's
-                        // catch first would reorder the link and trip
-                        // the future-iteration guard downstream. Check
-                        // the normal slot and hand tokens out in marker
-                        // order (cascade seed 0xf5a).
-                        let tok = RingMsg::from_bytes(&c.data)?;
-                        self.p.recycle_payload(c.data);
-                        self.last_recv_from = c.status.source;
-                        return self.ordered_with_normal_slot(tok, c.status.source);
+            match self.watch(normal, resend)? {
+                Watched::Resent => {}
+                Watched::Token(c) => {
+                    // Two-rank ring: the "detector" caught a real token
+                    // (right == left there). The normal slot may
+                    // simultaneously hold the *older* in-flight token
+                    // from the same peer (e.g. a delayed forward
+                    // overtaken by the next origination after a
+                    // takeover); consuming the detector's catch first
+                    // would reorder the link and trip the
+                    // future-iteration guard downstream. Check the
+                    // normal slot and hand tokens out in marker order
+                    // (cascade seed 0xf5a).
+                    let (tok, sender) = self.decode(c)?;
+                    self.last_recv_from = sender;
+                    return self.ordered_with_normal_slot(tok, sender);
+                }
+                Watched::Done(fired, result) => {
+                    if Some(fired) == resend {
+                        self.resend_rx = None;
+                    } else {
+                        self.normal = None;
                     }
-                    Ok(_) | Err(Error::RankFailStop { .. }) => {
-                        // Fig. 9 lines 11–15: right neighbour failed;
-                        // walk right and resend the last buffer.
-                        self.stats.detector_fires += 1;
-                        self.advance_right()?;
-                        if let Some(last) = self.last_sent.clone() {
-                            self.ft_send_right(last, true)?;
+                    match result {
+                        Ok(c) if !c.status.is_proc_null() => {
+                            let (tok, sender) = self.decode(c)?;
+                            self.last_recv_from = sender;
+                            return Ok(tok);
                         }
-                        self.repoint_detector()?;
+                        // Left neighbour failed: with the naive strategy
+                        // just re-post further left (the Fig. 6
+                        // behaviour — correct only if the token
+                        // survived); the detector strategy does the
+                        // same, and the peer watching the failed rank
+                        // performs the resend.
+                        Ok(_) | Err(Error::RankFailStop { .. }) => self.advance_left()?,
+                        Err(e) => return Err(e),
                     }
-                    Err(e) => return Err(e),
                 }
-                continue;
-            }
-
-            let is_resend_slot = Some(fired) == resend_req;
-            if is_resend_slot {
-                self.resend_rx = None;
-            } else {
-                self.normal = None;
-            }
-            match out.result {
-                Ok(c) if !c.status.is_proc_null() => {
-                    self.last_recv_from = c.status.source;
-                    let tok = RingMsg::from_bytes(&c.data)?;
-                    self.p.recycle_payload(c.data);
-                    return Ok(tok);
-                }
-                Ok(_) | Err(Error::RankFailStop { .. }) => {
-                    // Left neighbour failed: with the naive strategy
-                    // just re-post further left (the Fig. 6 behaviour —
-                    // correct only if the token survived); the detector
-                    // strategy does the same, and the peer watching the
-                    // failed rank performs the resend.
-                    self.advance_left()?;
-                }
-                Err(e) => return Err(e),
             }
         }
     }

@@ -5,22 +5,28 @@
 //! around to make sure that the ring finishes by resending the buffer
 //! as necessary."
 //!
-//! Two implementations:
+//! That rule is [`Ctx::stick_around`]: wait on one request while
+//! watching the right neighbour. The protocols differ only in which
+//! request they wait on and in what its completion means:
 //!
 //! * **Root broadcast** (Fig. 11): the root, after its final closure,
 //!   sends `T_D` to every alive rank (send failures ignored); each
-//!   non-root waits on {`T_D` from root, detector on `P_R`}: a
-//!   detector fire triggers the usual walk-right-and-resend; a failed
-//!   root aborts the job ("root failure is not supported").
-//! * **Validate-all** (Fig. 13): every rank waits on
-//!   {`icomm_validate_all`, detector on `P_R`}; the consensus both
-//!   detects global termination and collectively recognizes every
-//!   failure. "Validate should not fail, but if it does repost."
+//!   non-root sticks around for `T_D` from the root; a failed root
+//!   aborts the job ("root failure is not supported").
+//! * **Validate-all** (Fig. 13): every rank sticks around for an
+//!   `icomm_validate_all`; the consensus both detects global
+//!   termination and collectively recognizes every failure. "Validate
+//!   should not fail, but if it does repost."
+//! * **Double barrier** (the design §III-C describes and rejects):
+//!   every rank sticks around for `ibarrier` rounds until two
+//!   consecutive rounds are clean.
+//! * **Count only**: no protocol; each rank leaves after its own count.
 
-use ftmpi::{Error, RankState, Request, Result, Src};
+use ftmpi::{Completion, Error, RankState, Request, Result, Src};
 
 use crate::msg::T_D;
-use crate::ring::{Ctx, RecvStrategy, TerminationMode};
+use crate::recv::Watched;
+use crate::ring::{Ctx, TerminationMode};
 
 impl Ctx<'_> {
     /// Run the configured termination protocol.
@@ -30,6 +36,24 @@ impl Ctx<'_> {
             TerminationMode::RootBroadcast => self.term_root_broadcast(),
             TerminationMode::ValidateAll => self.term_validate_all(),
             TerminationMode::DoubleBarrier => self.term_double_barrier(),
+        }
+    }
+
+    /// Wait for `req` while watching the right neighbour, and hand back
+    /// what `req` completed with. The outer error is the watch's own
+    /// (this rank died, the job aborted, the walk right found nobody).
+    fn stick_around(&mut self, req: Request) -> Result<Result<Completion>> {
+        loop {
+            match self.watch(req, None)? {
+                Watched::Resent => {}
+                // Late ring token: drop (everything this rank owed the
+                // ring has been forwarded).
+                Watched::Token(c) => {
+                    self.p.recycle_payload(c.data);
+                    self.stats.duplicates_dropped += 1;
+                }
+                Watched::Done(_, result) => return Ok(result),
+            }
         }
     }
 
@@ -51,105 +75,35 @@ impl Ctx<'_> {
             return Ok(());
         }
         // Non-root: wait for T_D while watching the right neighbour.
-        let mut term: Option<Request> =
-            Some(self.p.irecv(self.comm, Src::Rank(self.root), T_D)?);
-        loop {
-            if self.cfg.recv == RecvStrategy::Detector {
-                self.repoint_detector()?;
+        let term = self.p.irecv(self.comm, Src::Rank(self.root), T_D)?;
+        match self.stick_around(term)? {
+            Ok(c) if !c.status.is_proc_null() => {
+                self.p.recycle_payload(c.data);
+                Ok(())
             }
-            self.wait_reqs.clear();
-            let detector_req = self.detector.map(|(r, _)| r);
-            if let Some(d) = detector_req {
-                self.wait_reqs.push(d);
-            }
-            self.wait_reqs.push(term.expect("termination receive posted"));
-            let out = self.p.waitany(&self.wait_reqs)?;
-            let fired = self.wait_reqs[out.index];
-            if Some(fired) == detector_req {
-                self.detector = None;
-                match out.result {
-                    Ok(c) if !c.status.is_proc_null() => {
-                        // Late ring token: drop (everything this rank
-                        // owed the ring has been forwarded).
-                        self.p.recycle_payload(c.data);
-                        self.stats.duplicates_dropped += 1;
-                    }
-                    Ok(_) | Err(Error::RankFailStop { .. }) => {
-                        // Lines 17–21: right peer failed; resend.
-                        self.stats.detector_fires += 1;
-                        self.advance_right()?;
-                        if let Some(last) = self.last_sent.clone() {
-                            self.ft_send_right(last, true)?;
-                        }
-                    }
-                    Err(e) => return Err(e),
-                }
-                continue;
-            }
-            // The termination receive completed (and is consumed).
-            let _ = term.take();
-            match out.result {
-                Ok(c) if !c.status.is_proc_null() => {
-                    self.p.recycle_payload(c.data);
-                    return Ok(());
-                }
-                Ok(_) | Err(Error::RankFailStop { .. }) => {
-                    // Lines 22–24: "Root failed, Abort."
-                    return Err(self.p.abort(self.comm, -1));
-                }
-                Err(e) => return Err(e),
-            }
+            // Lines 22–24: "Root failed, Abort."
+            Ok(_) | Err(Error::RankFailStop { .. }) => Err(self.p.abort(self.comm, -1)),
+            Err(e) => Err(e),
         }
     }
 
     /// Fig. 13.
     fn term_validate_all(&mut self) -> Result<()> {
-        let mut vreq = self.p.icomm_validate_all(self.comm)?;
         loop {
-            if self.cfg.recv == RecvStrategy::Detector {
-                self.repoint_detector()?;
-            }
-            self.wait_reqs.clear();
-            let detector_req = self.detector.map(|(r, _)| r);
-            if let Some(d) = detector_req {
-                self.wait_reqs.push(d);
-            }
-            self.wait_reqs.push(vreq);
-            let out = self.p.waitany(&self.wait_reqs)?;
-            let fired = self.wait_reqs[out.index];
-            if Some(fired) == detector_req {
-                self.detector = None;
-                match out.result {
-                    Ok(c) if !c.status.is_proc_null() => {
-                        self.p.recycle_payload(c.data);
-                        self.stats.duplicates_dropped += 1;
-                    }
-                    Ok(_) | Err(Error::RankFailStop { .. }) => {
-                        // Lines 11–15: right peer failed; resend.
-                        self.stats.detector_fires += 1;
-                        self.advance_right()?;
-                        if let Some(last) = self.last_sent.clone() {
-                            self.ft_send_right(last, true)?;
-                        }
-                    }
-                    Err(e) => return Err(e),
-                }
-                continue;
-            }
-            match out.result {
+            let vreq = self.p.icomm_validate_all(self.comm)?;
+            match self.stick_around(vreq)? {
                 Ok(c) => {
                     self.stats.validate_failed = Some(c.validate_count());
                     return Ok(());
                 }
                 Err(e) if e.is_terminal() => return Err(e),
-                Err(_) => {
-                    // Lines 16–19: "Validate should not fail, but if it
-                    // does repost."
-                    vreq = self.p.icomm_validate_all(self.comm)?;
-                }
+                // Lines 16–19: "Validate should not fail, but if it
+                // does repost."
+                Err(_) => {}
             }
         }
     }
+
     /// §III-C's rejected alternative: repeated `ibarrier` rounds, each
     /// watched with the right-neighbour detector; two consecutive
     /// clean rounds terminate. Cost: ≥ 2 full barrier rounds (each an
@@ -179,42 +133,10 @@ impl Ctx<'_> {
     /// round was clean (uniform across ranks).
     fn watched_barrier(&mut self) -> Result<bool> {
         let breq = self.p.ibarrier(self.comm)?;
-        loop {
-            if self.cfg.recv == RecvStrategy::Detector {
-                self.repoint_detector()?;
-            }
-            self.wait_reqs.clear();
-            let detector_req = self.detector.map(|(r, _)| r);
-            if let Some(d) = detector_req {
-                self.wait_reqs.push(d);
-            }
-            self.wait_reqs.push(breq);
-            let out = self.p.waitany(&self.wait_reqs)?;
-            let fired = self.wait_reqs[out.index];
-            if Some(fired) == detector_req {
-                self.detector = None;
-                match out.result {
-                    Ok(c) if !c.status.is_proc_null() => {
-                        self.p.recycle_payload(c.data);
-                        self.stats.duplicates_dropped += 1;
-                    }
-                    Ok(_) | Err(Error::RankFailStop { .. }) => {
-                        self.stats.detector_fires += 1;
-                        self.advance_right()?;
-                        if let Some(last) = self.last_sent.clone() {
-                            self.ft_send_right(last, true)?;
-                        }
-                    }
-                    Err(e) => return Err(e),
-                }
-                continue;
-            }
-            return match out.result {
-                Ok(_) => Ok(true),
-                Err(e) if e.is_terminal() => Err(e),
-                Err(Error::RankFailStop { .. }) => Ok(false),
-                Err(e) => Err(e),
-            };
+        match self.stick_around(breq)? {
+            Ok(_) => Ok(true),
+            Err(Error::RankFailStop { .. }) => Ok(false),
+            Err(e) => Err(e),
         }
     }
 }
