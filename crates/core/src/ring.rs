@@ -87,8 +87,9 @@ pub struct RingConfig {
     pub dedup: DedupStrategy,
     /// Termination detection.
     pub termination: TerminationMode,
-    /// Enable §III-D root failover (requires `Detector` +
-    /// `ValidateAll`; `run_ring` enforces this).
+    /// Enable §III-D root failover (requires `Detector` and a
+    /// root-independent termination, `ValidateAll` or `DoubleBarrier`;
+    /// `run_ring` rejects anything else).
     pub allow_root_failure: bool,
     /// Extra payload bytes carried by every token (message-size sweeps).
     pub pad: usize,
@@ -111,36 +112,27 @@ impl RingConfig {
     /// §III-D configuration: root failover + validate-all termination.
     pub fn with_root_failover(max_iter: u64) -> Self {
         RingConfig {
-            max_iter,
-            recv: RecvStrategy::Detector,
-            dedup: DedupStrategy::IterationMarker,
             termination: TerminationMode::ValidateAll,
             allow_root_failure: true,
-            pad: 0,
+            ..Self::paper(max_iter)
         }
     }
 
     /// The broken first attempt of §III-A (Fig. 6): naive receive.
     pub fn naive(max_iter: u64) -> Self {
         RingConfig {
-            max_iter,
             recv: RecvStrategy::Naive,
-            dedup: DedupStrategy::IterationMarker,
             termination: TerminationMode::CountOnly,
-            allow_root_failure: false,
-            pad: 0,
+            ..Self::paper(max_iter)
         }
     }
 
     /// Detector receive but no duplicate control (Fig. 8).
     pub fn no_dedup(max_iter: u64) -> Self {
         RingConfig {
-            max_iter,
-            recv: RecvStrategy::Detector,
             dedup: DedupStrategy::None,
             termination: TerminationMode::CountOnly,
-            allow_root_failure: false,
-            pad: 0,
+            ..Self::paper(max_iter)
         }
     }
 
@@ -277,132 +269,110 @@ impl<'a> Ctx<'a> {
         Ok(())
     }
 
+    /// A lap came home: record the closure, then originate the next
+    /// lap or finish.
+    fn close_lap(&mut self, t: &RingMsg) -> Result<()> {
+        self.stats.closures.push((t.marker, t.value));
+        if self.cur < self.cfg.max_iter {
+            self.originate_next()
+        } else {
+            self.done = true;
+            Ok(())
+        }
+    }
+
+    /// Pass the token of lap `cur` on to the right.
+    ///
+    /// `cur` advances *before* the send: `ft_send_right` can walk past
+    /// a dead right neighbour into `check_root_change`, and a takeover
+    /// that runs mid-forward must see this lap as already handled.
+    /// Incrementing after the send let the `cur == 0` takeover
+    /// originate a second marker-`cur` token and then double-count the
+    /// lap (`cur` = 2 with one lap handled), so the new root later
+    /// dropped its own closure as stale — both survivors deadlocked
+    /// (root-chain seed 0x1d1).
+    fn forward(&mut self, t: RingMsg) -> Result<()> {
+        let fwd = t.forwarded();
+        self.cur += 1;
+        self.ft_send_right(fwd, false)?;
+        self.stats.forwarded += 1;
+        Ok(())
+    }
+
+    /// A token that is neither forwarded nor a closure: a stale resend
+    /// is dropped; a marker this rank has not reached yet is impossible
+    /// without Byzantine behaviour (§III-B) — a protocol violation.
+    fn drop_stale(&mut self, t: &RingMsg) -> Result<()> {
+        if t.marker < self.cur {
+            self.stats.duplicates_dropped += 1;
+            Ok(())
+        } else {
+            Err(Error::InvalidState("token from a future iteration: protocol violation"))
+        }
+    }
+
     /// Handle a token at the root (including a root that took over).
     fn root_handle_token(&mut self, t: RingMsg) -> Result<()> {
-        match self.cfg.dedup {
-            DedupStrategy::None => {
-                // No way to tell closures from duplicates: every token
-                // coming home is treated as the current lap finishing —
-                // the Fig. 8 defect, observable in `closures`.
-                self.stats.closures.push((t.marker, t.value));
-                if self.cur < self.cfg.max_iter {
-                    self.originate_next()?;
-                } else {
-                    self.done = true;
-                }
-            }
-            DedupStrategy::IterationMarker | DedupStrategy::SeparateTag => {
-                if t.origin == self.me {
-                    // My own origination came home: the closure of lap
-                    // `marker`, unless a resend already closed it.
-                    if t.marker + 1 == self.cur {
-                        self.stats.closures.push((t.marker, t.value));
-                        if self.cur < self.cfg.max_iter {
-                            self.originate_next()?;
-                        } else {
-                            self.done = true;
-                        }
-                    } else if t.marker + 1 < self.cur {
-                        self.stats.duplicates_dropped += 1;
-                    } else {
-                        return Err(Error::InvalidState(
-                            "token from a future iteration: protocol violation",
-                        ));
-                    }
-                } else if t.marker == self.cur {
-                    // A token originated by the failed previous root
-                    // that has not passed here yet: participate like a
-                    // forwarder (§III-D takeover). It comes home later
-                    // for the takeover closure below. `cur` advances
-                    // *before* the send so the lap counts as handled
-                    // even while `ft_send_right` is mid-walk.
-                    let fwd = t.forwarded();
-                    self.cur += 1;
-                    self.ft_send_right(fwd, false)?;
-                    self.stats.forwarded += 1;
-                } else if t.marker + 1 == self.cur
-                    && !self.originated
-                    && self.last_recv_from != Some(t.origin)
-                {
-                    // Takeover closure: exactly one dead-root lap — the
-                    // one whose token can no longer come home to its
-                    // originator — may need closing by the new root.
-                    // Only before this rank's own first origination: a
-                    // foreign `cur - 1` token arriving after that is a
-                    // stale resend of a lap whose closure duty this
-                    // rank's own circulating token now carries, and
-                    // closing it here would double-originate the next
-                    // lap (seed 0x1882's cascade, DESIGN.md §8.7).
-                    // And only if the token actually *circulated*: a
-                    // closure has been forwarded through every survivor,
-                    // so its immediate sender is this rank's live
-                    // predecessor, never the (dead) origin itself. A
-                    // token arriving straight from its origin is a
-                    // zero-hop duplicate — the dead root's origination
-                    // or detector resend delivered directly to us —
-                    // while the real lap token is still circulating.
-                    // Closing on it puts two live tokens in the ring,
-                    // and a rank that then dies holding the older one
-                    // strands a survivor on a lap it never saw
-                    // (triple-shape seed 0x18576 at 8 ranks, §8.8).
-                    self.stats.closures.push((t.marker, t.value));
-                    if self.cur < self.cfg.max_iter {
-                        self.originate_next()?;
-                    } else {
-                        self.done = true;
-                    }
-                } else if t.marker < self.cur {
-                    self.stats.duplicates_dropped += 1;
-                } else {
-                    return Err(Error::InvalidState(
-                        "token from a future iteration: protocol violation",
-                    ));
-                }
-            }
+        if self.cfg.dedup == DedupStrategy::None {
+            // No way to tell closures from duplicates: every token
+            // coming home is treated as the current lap finishing —
+            // the Fig. 8 defect, observable in `closures`.
+            return self.close_lap(&t);
         }
-        Ok(())
+        let closes = t.marker + 1 == self.cur;
+        if t.origin == self.me {
+            // My own origination came home: the closure of lap
+            // `marker`, unless a resend already closed it.
+            if closes {
+                self.close_lap(&t)
+            } else {
+                self.drop_stale(&t)
+            }
+        } else if t.marker == self.cur {
+            // A token originated by the failed previous root that has
+            // not passed here yet: participate like a forwarder
+            // (§III-D takeover). It comes home later for the takeover
+            // closure below.
+            self.forward(t)
+        } else if closes && !self.originated && self.last_recv_from != Some(t.origin) {
+            // Takeover closure: exactly one dead-root lap — the one
+            // whose token can no longer come home to its originator —
+            // may need closing by the new root. Only before this rank's
+            // own first origination: a foreign `cur - 1` token arriving
+            // after that is a stale resend of a lap whose closure duty
+            // this rank's own circulating token now carries, and
+            // closing it here would double-originate the next lap (seed
+            // 0x1882's cascade, DESIGN.md §8.7). And only if the token
+            // actually *circulated*: a closure has been forwarded
+            // through every survivor, so its immediate sender is this
+            // rank's live predecessor, never the (dead) origin itself.
+            // A token arriving straight from its origin is a zero-hop
+            // duplicate — the dead root's origination or detector
+            // resend delivered directly to us — while the real lap
+            // token is still circulating. Closing on it puts two live
+            // tokens in the ring, and a rank that then dies holding the
+            // older one strands a survivor on a lap it never saw
+            // (triple-shape seed 0x18576 at 8 ranks, §8.8).
+            self.close_lap(&t)
+        } else {
+            self.drop_stale(&t)
+        }
     }
 
     /// Handle a token at a non-root rank.
     fn nonroot_handle_token(&mut self, t: RingMsg) -> Result<()> {
-        match self.cfg.dedup {
-            DedupStrategy::None => {
-                if t.marker < self.cur {
-                    // Without duplicate control the resend is forwarded
-                    // again — the Fig. 8 double completion. Count it.
-                    self.stats.duplicate_forwards += 1;
-                }
-                let fwd = t.forwarded();
-                self.cur += 1;
-                self.ft_send_right(fwd, false)?;
-                self.stats.forwarded += 1;
+        if self.cfg.dedup == DedupStrategy::None {
+            if t.marker < self.cur {
+                // Without duplicate control the resend is forwarded
+                // again — the Fig. 8 double completion. Count it.
+                self.stats.duplicate_forwards += 1;
             }
-            DedupStrategy::IterationMarker | DedupStrategy::SeparateTag => {
-                if t.marker == self.cur {
-                    // `cur` advances *before* the send: `ft_send_right`
-                    // can walk past a dead right neighbour into
-                    // `check_root_change`, and a takeover that runs
-                    // mid-forward must see this lap as already handled.
-                    // Incrementing after the send let the `cur == 0`
-                    // takeover originate a second marker-`cur` token and
-                    // then double-count the lap (`cur` = 2 with one lap
-                    // handled), so the new root later dropped its own
-                    // closure as stale — both survivors deadlocked
-                    // (root-chain seed 0x1d1).
-                    let fwd = t.forwarded();
-                    self.cur += 1;
-                    self.ft_send_right(fwd, false)?;
-                    self.stats.forwarded += 1;
-                } else if t.marker < self.cur {
-                    self.stats.duplicates_dropped += 1;
-                } else {
-                    return Err(Error::InvalidState(
-                        "token from a future iteration: protocol violation",
-                    ));
-                }
-            }
+            self.forward(t)
+        } else if t.marker == self.cur {
+            self.forward(t)
+        } else {
+            self.drop_stale(&t)
         }
-        Ok(())
     }
 
     /// Run the main ring loop to completion of this rank's part.
@@ -455,13 +425,27 @@ impl<'a> Ctx<'a> {
             }
         }
     }
+
+    /// Take the failure detector down once termination is over. It
+    /// watched through the whole termination phase, so nothing it could
+    /// still complete with is owed to anyone; left posted it would
+    /// match the first token of a later run on a two-rank communicator
+    /// (right == left). `cancel` alone: it makes no progress pass, so
+    /// the release is not a scheduling point.
+    fn release_detector(&mut self) {
+        if let Some((req, _)) = self.detector.take() {
+            let _ = self.p.cancel(req);
+        }
+    }
 }
 
 /// Run the fault-tolerant ring (paper Fig. 3) on this rank.
 ///
 /// Installs `ErrorsReturn` on the communicator (Fig. 3 line 10), runs
 /// the main loop, then the configured termination protocol, and
-/// returns this rank's [`RingStats`].
+/// returns this rank's [`RingStats`]. A configuration that enables root
+/// failover without what it depends on is rejected with
+/// `Error::InvalidState` before anything is installed or posted.
 ///
 /// **Recovery extension caveat:** do not combine the ring with
 /// `UniverseConfig::respawning`. A respawned rank has lost its
@@ -472,25 +456,27 @@ impl<'a> Ctx<'a> {
 /// looks like for recoverable workloads.
 pub fn run_ring(p: &mut Process, comm: Comm, cfg: &RingConfig) -> Result<RingStats> {
     if cfg.allow_root_failure {
-        assert!(
-            matches!(
-                cfg.termination,
-                TerminationMode::ValidateAll | TerminationMode::DoubleBarrier
-            ),
-            "root failover requires a root-independent termination (the \
-             root broadcast of Fig. 11 dies with the root)"
-        );
-        assert_eq!(
-            cfg.recv,
-            RecvStrategy::Detector,
-            "root failover requires the failure-detector receive"
-        );
+        if !matches!(
+            cfg.termination,
+            TerminationMode::ValidateAll | TerminationMode::DoubleBarrier
+        ) {
+            return Err(Error::InvalidState(
+                "root failover requires a root-independent termination (the \
+                 root broadcast of Fig. 11 dies with the root)",
+            ));
+        }
+        if cfg.recv != RecvStrategy::Detector {
+            return Err(Error::InvalidState(
+                "root failover requires the failure-detector receive",
+            ));
+        }
     }
     p.set_errhandler(comm, ErrorHandler::ErrorsReturn)?;
     let mut ctx = Ctx::new(p, comm, cfg.clone())?;
     ctx.main_loop()?;
     ctx.cancel_receivers();
     ctx.run_termination()?;
+    ctx.release_detector();
     ctx.stats.terminated = true;
     Ok(ctx.stats)
 }

@@ -8,8 +8,8 @@
 use std::time::Duration;
 
 use faultsim::scenario::{combine, kill_after_recv, kill_after_send};
-use ftmpi::{run, UniverseConfig, WORLD};
-use ftring::{run_ring, summarize, RingConfig, T_N};
+use ftmpi::{run, Error, RankOutcome, UniverseConfig, WORLD};
+use ftring::{run_ring, summarize, RecvStrategy, RingConfig, TerminationMode, T_N};
 
 const MAX_ITER: u64 = 6;
 
@@ -170,5 +170,29 @@ fn failover_config_failure_free() {
     assert_eq!(s.total_resends, 0);
     for o in &report.outcomes {
         assert!(!o.as_ok().unwrap().became_root);
+    }
+}
+
+/// Root failover needs a termination that does not die with the root
+/// and the failure-detector receive. An inconsistent configuration is
+/// an error every rank gets back before anything is posted, not a
+/// panic in every rank.
+#[test]
+fn inconsistent_failover_config_is_an_error() {
+    let failover = RingConfig::with_root_failover(MAX_ITER);
+    for cfg in [
+        failover.clone().termination(TerminationMode::RootBroadcast),
+        failover.clone().termination(TerminationMode::CountOnly),
+        RingConfig { recv: RecvStrategy::Naive, ..failover },
+    ] {
+        let report = run(3, UniverseConfig::default().watchdog(watchdog()), move |p| {
+            run_ring(p, WORLD, &cfg)
+        });
+        for o in &report.outcomes {
+            assert!(
+                matches!(o, RankOutcome::Err(Error::InvalidState(_))),
+                "expected a configuration error, got {o:?}"
+            );
+        }
     }
 }

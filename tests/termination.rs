@@ -212,3 +212,42 @@ fn double_barrier_supports_root_failover() {
         assert_eq!(stats.originated + stats.forwarded, MAX_ITER, "rank {r}");
     }
 }
+
+/// `run_ring` releases every receive it posted — the failure detector
+/// included, which stays up through the termination phase — under
+/// every termination mode.
+#[test]
+fn run_ring_leaves_no_request_behind() {
+    for mode in [
+        TerminationMode::CountOnly,
+        TerminationMode::RootBroadcast,
+        TerminationMode::ValidateAll,
+        TerminationMode::DoubleBarrier,
+    ] {
+        let cfg = RingConfig::paper(MAX_ITER).termination(mode);
+        let report = run(4, UniverseConfig::default().watchdog(watchdog()), move |p| {
+            let before = p.live_requests();
+            run_ring(p, WORLD, &cfg)?;
+            Ok((before, p.live_requests()))
+        });
+        for (rank, o) in report.outcomes.iter().enumerate() {
+            let (before, after) = o.as_ok().unwrap_or_else(|| panic!("{mode:?}, rank {rank}: {o:?}"));
+            assert_eq!(before, after, "{mode:?}: rank {rank} leaked a request");
+        }
+    }
+}
+
+/// On a two-rank communicator right == left, so a detector receive
+/// left posted by one run would match the next run's first token.
+#[test]
+fn two_rank_ring_runs_twice_on_one_communicator() {
+    let cfg = RingConfig::with_root_failover(3);
+    let report = run(2, UniverseConfig::default().watchdog(Duration::from_secs(5)), move |p| {
+        let first = run_ring(p, WORLD, &cfg)?;
+        let second = run_ring(p, WORLD, &cfg)?;
+        Ok((first.closures.len(), second.closures.len()))
+    });
+    assert!(!report.hung, "the second run lost its first token");
+    assert_eq!(report.outcomes[0].as_ok(), Some(&(3, 3)));
+    assert_eq!(report.outcomes[1].as_ok(), Some(&(0, 0)));
+}
