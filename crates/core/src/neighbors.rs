@@ -14,44 +14,30 @@ use ftmpi::{Comm, CommRank, Error, Process, RankState, Result};
 /// returns to the caller — the "alone in the communicator" condition
 /// the paper answers with `MPI_Abort`.
 pub fn to_left_of(p: &Process, comm: Comm, n: CommRank) -> Result<CommRank> {
-    let size = p.comm_size(comm)?;
-    let me = p.comm_rank(comm)?;
-    let mut n = n;
-    loop {
-        n = if n == 0 { size - 1 } else { n - 1 };
-        if p.comm_validate_rank(comm, n)?.state == RankState::Ok {
-            break;
-        }
-        if n == me {
-            return Err(Error::InvalidState("alone in the ring (left scan)"));
-        }
-    }
-    if n == me {
-        // The nearest alive left neighbour is ourselves: alone.
-        return Err(Error::InvalidState("alone in the ring (left scan)"));
-    }
-    Ok(n)
+    walk(p, comm, n, true)
 }
 
 /// `to_right_of(n)` (Fig. 4 lines 10–18): the nearest alive rank to
 /// the right of `n` (wrapping); same aloneness semantics.
 pub fn to_right_of(p: &Process, comm: Comm, n: CommRank) -> Result<CommRank> {
+    walk(p, comm, n, false)
+}
+
+/// The Fig. 4 walk, one rank at a time from `n` in one direction.
+fn walk(p: &Process, comm: Comm, mut n: CommRank, leftward: bool) -> Result<CommRank> {
     let size = p.comm_size(comm)?;
     let me = p.comm_rank(comm)?;
-    let mut n = n;
     loop {
-        n = (n + 1) % size;
-        if p.comm_validate_rank(comm, n)?.state == RankState::Ok {
-            break;
-        }
+        n = if leftward { (n + size - 1) % size } else { (n + 1) % size };
+        // Back at the caller: every rank on the way has failed, or the
+        // nearest alive one is the caller itself.
         if n == me {
-            return Err(Error::InvalidState("alone in the ring (right scan)"));
+            return Err(Error::InvalidState("alone in the ring"));
+        }
+        if p.comm_validate_rank(comm, n)?.state == RankState::Ok {
+            return Ok(n);
         }
     }
-    if n == me {
-        return Err(Error::InvalidState("alone in the ring (right scan)"));
-    }
-    Ok(n)
 }
 
 /// `get_current_root()` (Fig. 12): the lowest alive rank.

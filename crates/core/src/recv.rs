@@ -20,7 +20,7 @@ use ftmpi::{CommRank, Completion, Datatype, Error, Request, Result, Src, Tag};
 
 use crate::msg::{RingMsg, T_N, T_R};
 use crate::neighbors::to_left_of;
-use crate::ring::{Ctx, DedupStrategy, RecvStrategy};
+use crate::ring::{Ctx, DedupStrategy, RecvStrategy, Slot};
 
 /// What one pass of [`Ctx::watch`] woke up for.
 pub(crate) enum Watched {
@@ -37,12 +37,7 @@ pub(crate) enum Watched {
 impl Ctx<'_> {
     /// The one re-aim rule for a posted receive `slot`: keep it if it
     /// already targets `peer`; otherwise salvage it and post anew.
-    fn aim(
-        &mut self,
-        slot: Option<(Request, CommRank)>,
-        peer: CommRank,
-        tag: Tag,
-    ) -> Result<Option<(Request, CommRank)>> {
+    fn aim(&mut self, slot: Slot, peer: CommRank, tag: Tag) -> Result<Slot> {
         if let Some((req, at)) = slot {
             if at == peer {
                 return Ok(slot);
@@ -131,16 +126,10 @@ impl Ctx<'_> {
     /// Move the left neighbour past a failure (Fig. 9 lines 16–22) and
     /// check for a root change (§III-D).
     fn advance_left(&mut self) -> Result<()> {
-        match to_left_of(self.p, self.comm, self.left) {
-            Ok(l) => {
-                self.left = l;
-                self.stats.left_switches += 1;
-                self.check_root_change()?;
-                Ok(())
-            }
-            Err(Error::InvalidState(_)) => Err(self.p.abort(self.comm, -1)),
-            Err(e) => Err(e),
-        }
+        let walked = to_left_of(self.p, self.comm, self.left);
+        self.left = self.or_abort_alone(walked)?;
+        self.stats.left_switches += 1;
+        self.check_root_change()
     }
 
     /// A token just arrived on the detector slot. If the normal slot

@@ -187,6 +187,9 @@ pub struct RingStats {
     pub terminated: bool,
 }
 
+/// A posted receive and the peer it targets.
+pub(crate) type Slot = Option<(Request, CommRank)>;
+
 /// Internal per-rank ring state.
 pub(crate) struct Ctx<'a> {
     pub p: &'a mut Process,
@@ -202,19 +205,13 @@ pub(crate) struct Ctx<'a> {
     pub cur: u64,
     /// Root only: set once the closure of `max_iter - 1` is seen.
     pub done: bool,
-    /// Whether this rank has originated a token itself. A takeover
-    /// root may close *one* lap of a dead predecessor (the lap whose
-    /// token can no longer come home to its originator); once this
-    /// rank originates, any further foreign `cur - 1` token is a stale
-    /// resend superseded by this rank's own circulating origination.
-    pub originated: bool,
     pub last_sent: Option<RingMsg>,
-    /// Posted receive for normal tokens: (request, peer it targets).
-    pub normal: Option<(Request, CommRank)>,
+    /// Posted receive for normal tokens.
+    pub normal: Slot,
     /// Posted receive for resent tokens (SeparateTag only).
-    pub resend_rx: Option<(Request, CommRank)>,
+    pub resend_rx: Slot,
     /// Failure-detector receive posted to the right neighbour.
-    pub detector: Option<(Request, CommRank)>,
+    pub detector: Slot,
     /// Tokens recovered from receives that had completed when their
     /// peer slot was recycled, each with the rank that sent it.
     pub pending: VecDeque<(RingMsg, Option<CommRank>)>,
@@ -245,7 +242,6 @@ impl<'a> Ctx<'a> {
             cfg,
             cur: 0,
             done: false,
-            originated: false,
             last_sent: None,
             normal: None,
             resend_rx: None,
@@ -264,7 +260,6 @@ impl<'a> Ctx<'a> {
         let token = RingMsg::originate(self.cur, self.me, self.cfg.pad);
         self.ft_send_right(token, false)?;
         self.stats.originated += 1;
-        self.originated = true;
         self.cur += 1;
         Ok(())
     }
@@ -334,7 +329,7 @@ impl<'a> Ctx<'a> {
             // (§III-D takeover). It comes home later for the takeover
             // closure below.
             self.forward(t)
-        } else if closes && !self.originated && self.last_recv_from != Some(t.origin) {
+        } else if closes && self.stats.originated == 0 && self.last_recv_from != Some(t.origin) {
             // Takeover closure: exactly one dead-root lap — the one
             // whose token can no longer come home to its originator —
             // may need closing by the new root. Only before this rank's
@@ -384,11 +379,10 @@ impl<'a> Ctx<'a> {
             self.originate_next()?;
         }
         loop {
-            if self.is_root {
-                if self.done {
-                    return Ok(());
-                }
-            } else if self.cur >= self.cfg.max_iter {
+            // The root is finished once the last lap has closed;
+            // everyone else once it has forwarded the last lap.
+            let finished = if self.is_root { self.done } else { self.cur >= self.cfg.max_iter };
+            if finished {
                 return Ok(());
             }
             let token = self.recv_token()?;
@@ -446,6 +440,12 @@ impl<'a> Ctx<'a> {
 /// returns this rank's [`RingStats`]. A configuration that enables root
 /// failover without what it depends on is rejected with
 /// `Error::InvalidState` before anything is installed or posted.
+///
+/// **Back-to-back runs:** separate two runs on one communicator with a
+/// barrier. A rank still in the first run's termination watches its
+/// right neighbour on `T_N`; on a two-rank communicator (right == left)
+/// it would take the second run's first token for a late one and drop
+/// it.
 ///
 /// **Recovery extension caveat:** do not combine the ring with
 /// `UniverseConfig::respawning`. A respawned rank has lost its

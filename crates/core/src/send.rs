@@ -6,7 +6,7 @@
 //! either the function successfully sends the message, or finds itself
 //! alone in the communicator and calls `MPI_Abort`."
 
-use ftmpi::{Error, Result};
+use ftmpi::{CommRank, Error, Result};
 
 use crate::msg::{RingMsg, T_N, T_R};
 use crate::neighbors::to_right_of;
@@ -38,23 +38,23 @@ impl Ctx<'_> {
     }
 
     /// Move the right neighbour past a failure and re-aim the failure
-    /// detector. Aborts the job when alone, per the paper.
+    /// detector.
     pub(crate) fn advance_right(&mut self) -> Result<()> {
-        match to_right_of(self.p, self.comm, self.right) {
-            Ok(r) => {
-                self.right = r;
-                self.stats.right_switches += 1;
-                self.repoint_detector()?;
-                // §III-D: if the rank we just walked past was the root,
-                // re-elect (possibly becoming root ourselves).
-                self.check_root_change()?;
-                Ok(())
-            }
-            Err(Error::InvalidState(_)) => {
-                // Alone in the communicator (Fig. 4 / Fig. 5).
-                Err(self.p.abort(self.comm, -1))
-            }
-            Err(e) => Err(e),
+        let walked = to_right_of(self.p, self.comm, self.right);
+        self.right = self.or_abort_alone(walked)?;
+        self.stats.right_switches += 1;
+        self.repoint_detector()?;
+        // §III-D: if the rank we just walked past was the root,
+        // re-elect (possibly becoming root ourselves).
+        self.check_root_change()
+    }
+
+    /// A neighbour walk that came back to this rank found it alone in
+    /// the communicator: abort the job, per the paper (Fig. 4 / Fig. 5).
+    pub(crate) fn or_abort_alone(&mut self, walked: Result<CommRank>) -> Result<CommRank> {
+        match walked {
+            Err(Error::InvalidState(_)) => Err(self.p.abort(self.comm, -1)),
+            other => other,
         }
     }
 }

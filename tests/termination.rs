@@ -238,12 +238,15 @@ fn run_ring_leaves_no_request_behind() {
 }
 
 /// On a two-rank communicator right == left, so a detector receive
-/// left posted by one run would match the next run's first token.
+/// left posted by one run would match the next run's first token. (The
+/// barrier keeps the runs apart: a rank still sticking around in the
+/// first run watches its right neighbour on that very tag.)
 #[test]
 fn two_rank_ring_runs_twice_on_one_communicator() {
     let cfg = RingConfig::with_root_failover(3);
     let report = run(2, UniverseConfig::default().watchdog(Duration::from_secs(5)), move |p| {
         let first = run_ring(p, WORLD, &cfg)?;
+        p.barrier(WORLD)?;
         let second = run_ring(p, WORLD, &cfg)?;
         Ok((first.closures.len(), second.closures.len()))
     });
