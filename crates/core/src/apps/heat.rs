@@ -48,8 +48,15 @@ pub struct HeatResult {
     pub neighbor_switches: u64,
 }
 
-fn am_leftmost(p: &Process, comm: Comm, me: usize) -> Result<bool> {
-    for r in 0..me {
+/// The two sides of a rank, as indices into its per-side state.
+const LEFT: usize = 0;
+const RIGHT: usize = 1;
+
+/// Whether no alive rank remains on one side of `me`: this rank holds
+/// that end of the rod.
+fn at_end(p: &Process, comm: Comm, me: usize, side: usize) -> Result<bool> {
+    let beyond = if side == LEFT { 0..me } else { me + 1..p.comm_size(comm)? };
+    for r in beyond {
         if p.comm_validate_rank(comm, r)?.state == RankState::Ok {
             return Ok(false);
         }
@@ -57,14 +64,11 @@ fn am_leftmost(p: &Process, comm: Comm, me: usize) -> Result<bool> {
     Ok(true)
 }
 
-fn am_rightmost(p: &Process, comm: Comm, me: usize) -> Result<bool> {
-    let size = p.comm_size(comm)?;
-    for r in me + 1..size {
-        if p.comm_validate_rank(comm, r)?.state == RankState::Ok {
-            return Ok(false);
-        }
-    }
-    Ok(true)
+/// Re-knit one side around a failed neighbour: the next alive rank
+/// past it (the Fig. 4 walk), or `None` when nobody is left there.
+fn heal(p: &Process, comm: Comm, failed: usize, side: usize) -> Option<usize> {
+    let walk = if side == LEFT { to_left_of } else { to_right_of };
+    walk(p, comm, failed).ok()
 }
 
 /// Sentinel step marking "this partner finished its run".
@@ -78,45 +82,26 @@ enum Halo {
     /// stays live and the transient value skew is part of the
     /// documented approximate-answer semantics.
     Value(f64),
-    /// The partner failed (or we are alone): boundary this step; the
-    /// neighbour pointer may have been re-knit for the next step.
-    Fallback,
+    /// The partner failed: boundary this step, and the re-knit
+    /// neighbour for the next one if anybody is left on that side.
+    Fallback(Option<usize>),
     /// The partner completed all of its steps: this side is a boundary
     /// for the rest of the run.
     PartnerDone,
 }
 
-/// Exchange one halo value with a neighbour side, tolerating failures.
-fn halo_recv(
-    p: &mut Process,
-    comm: Comm,
-    neighbor: &mut usize,
-    switches: &mut u64,
-    me: usize,
-    leftward: bool,
-) -> Result<Halo> {
-    match p.recv::<(u64, f64)>(comm, Src::Rank(*neighbor), HEAT_TAG) {
+/// Receive one halo value from the neighbour on one side, tolerating
+/// its failure.
+fn halo_recv(p: &mut Process, comm: Comm, neighbor: usize, side: usize) -> Result<Halo> {
+    match p.recv::<(u64, f64)>(comm, Src::Rank(neighbor), HEAT_TAG) {
         Ok(((STEP_DONE, _), _)) => Ok(Halo::PartnerDone),
         Ok(((_, v), _)) => Ok(Halo::Value(v)),
-        Err(e) if e.is_terminal() => Err(e),
+        // Neighbour failed (or a PROC_NULL blank decoded): re-knit
+        // around it. The new neighbour did not send to us this step (it
+        // was paired with the dead rank), so this step degrades to an
+        // insulated boundary.
         Err(Error::RankFailStop { .. }) | Err(Error::TypeMismatch) => {
-            // Neighbour failed (or a PROC_NULL blank decoded): re-knit
-            // around it. The new neighbour did not send to us this
-            // step (it was paired with the dead rank), so this step
-            // degrades to an insulated boundary.
-            let next = if leftward {
-                to_left_of(p, comm, *neighbor)
-            } else {
-                to_right_of(p, comm, *neighbor)
-            };
-            match next {
-                Ok(n) if n != me => {
-                    *neighbor = n;
-                    *switches += 1;
-                    Ok(Halo::Fallback)
-                }
-                _ => Ok(Halo::Fallback), // alone on this side
-            }
+            Ok(Halo::Fallback(heal(p, comm, neighbor, side)))
         }
         Err(e) => Err(e),
     }
@@ -139,8 +124,8 @@ pub fn run_heat(p: &mut Process, comm: Comm, cfg: &HeatConfig) -> Result<HeatRes
         })
         .collect();
 
-    let mut left = if me == 0 { None } else { Some(me - 1) };
-    let mut right = if me + 1 == size { None } else { Some(me + 1) };
+    // Current partner on each side, `[LEFT, RIGHT]`.
+    let mut partner = [me.checked_sub(1), Some(me + 1).filter(|&r| r < size)];
     let mut fallbacks = 0u64;
     let mut switches = 0u64;
 
@@ -149,88 +134,51 @@ pub fn run_heat(p: &mut Process, comm: Comm, cfg: &HeatConfig) -> Result<HeatRes
         // path: if a neighbour died, walk to the next alive rank and
         // send to it instead — otherwise the new partner would block
         // waiting for a halo that went to the dead rank.
-        while let Some(l) = left {
-            match p.send(comm, l, HEAT_TAG, &(step, cells[0])) {
-                Ok(()) => break,
-                Err(e) if e.is_terminal() => return Err(e),
-                Err(Error::RankFailStop { .. }) => match to_left_of(p, comm, l) {
-                    Ok(nl) if nl != me => {
-                        left = Some(nl);
-                        switches += 1;
+        let edge = [cells[0], cells[n - 1]];
+        for side in [LEFT, RIGHT] {
+            while let Some(nb) = partner[side] {
+                match p.send(comm, nb, HEAT_TAG, &(step, edge[side])) {
+                    Ok(()) => break,
+                    Err(Error::RankFailStop { .. }) => {
+                        partner[side] = heal(p, comm, nb, side);
+                        switches += partner[side].is_some() as u64;
                     }
-                    _ => left = None,
-                },
-                Err(e) => return Err(e),
-            }
-        }
-        while let Some(r) = right {
-            match p.send(comm, r, HEAT_TAG, &(step, cells[n - 1])) {
-                Ok(()) => break,
-                Err(e) if e.is_terminal() => return Err(e),
-                Err(Error::RankFailStop { .. }) => match to_right_of(p, comm, r) {
-                    Ok(nr) if nr != me => {
-                        right = Some(nr);
-                        switches += 1;
-                    }
-                    _ => right = None,
-                },
-                Err(e) => return Err(e),
+                    Err(e) => return Err(e),
+                }
             }
         }
 
         // Receive halos, degrading to boundary conditions on failure
         // or when the partner has completed its run.
-        let _ = step;
-        let left_halo = match left {
-            Some(ref mut l) => {
-                if am_leftmost(p, comm, me)? {
-                    left = None;
-                    None
-                } else {
-                    match halo_recv(p, comm, l, &mut switches, me, true)? {
-                        Halo::Value(v) => Some(v),
-                        Halo::Fallback => {
-                            fallbacks += 1;
-                            None
-                        }
-                        Halo::PartnerDone => {
-                            left = None;
-                            fallbacks += 1;
-                            None
-                        }
+        let mut halo = [None; 2];
+        for side in [LEFT, RIGHT] {
+            let Some(nb) = partner[side] else { continue };
+            if at_end(p, comm, me, side)? {
+                partner[side] = None;
+                continue;
+            }
+            match halo_recv(p, comm, nb, side)? {
+                Halo::Value(v) => halo[side] = Some(v),
+                Halo::Fallback(healed) => {
+                    fallbacks += 1;
+                    // Alone on this side: the send path drops the dead
+                    // partner next step.
+                    if healed.is_some() {
+                        partner[side] = healed;
+                        switches += 1;
                     }
                 }
-            }
-            None => None,
-        };
-        let right_halo = match right {
-            Some(ref mut r) => {
-                if am_rightmost(p, comm, me)? {
-                    right = None;
-                    None
-                } else {
-                    match halo_recv(p, comm, r, &mut switches, me, false)? {
-                        Halo::Value(v) => Some(v),
-                        Halo::Fallback => {
-                            fallbacks += 1;
-                            None
-                        }
-                        Halo::PartnerDone => {
-                            right = None;
-                            fallbacks += 1;
-                            None
-                        }
-                    }
+                Halo::PartnerDone => {
+                    partner[side] = None;
+                    fallbacks += 1;
                 }
             }
-            None => None,
-        };
+        }
 
         // Jacobi update. Missing halos become fixed boundaries (global
         // ends) — or reflective walls where a neighbour died.
-        let lh = left_halo.unwrap_or(if me == 0 { cfg.boundary.0 } else { cells[0] });
-        let rh =
-            right_halo.unwrap_or(if me + 1 == size { cfg.boundary.1 } else { cells[n - 1] });
+        let lh = halo[LEFT].unwrap_or(if me == 0 { cfg.boundary.0 } else { cells[0] });
+        let rh = halo[RIGHT].unwrap_or(if me + 1 == size { cfg.boundary.1 } else { cells[n - 1] });
         let mut next = cells.clone();
         for i in 0..n {
             let l = if i == 0 { lh } else { cells[i - 1] };
@@ -243,10 +191,9 @@ pub fn run_heat(p: &mut Process, comm: Comm, cfg: &HeatConfig) -> Result<HeatRes
     // Tell the current partners we are done, so a partner that healed
     // late (and would otherwise wait for halos we will never send)
     // degrades its side to a boundary instead of hanging.
-    for partner in [left, right].into_iter().flatten() {
-        match p.send(comm, partner, HEAT_TAG, &(STEP_DONE, 0.0f64)) {
+    for nb in partner.into_iter().flatten() {
+        match p.send(comm, nb, HEAT_TAG, &(STEP_DONE, 0.0f64)) {
             Ok(()) | Err(Error::RankFailStop { .. }) => {}
-            Err(e) if e.is_terminal() => return Err(e),
             Err(e) => return Err(e),
         }
     }
