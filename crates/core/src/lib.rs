@@ -8,13 +8,15 @@
 //! |---|---|
 //! | Fig. 2 | [`baseline::run_baseline_ring`] |
 //! | Fig. 3 | [`ring::run_ring`] with [`ring::RingConfig::paper`] |
-//! | Fig. 4 | [`neighbors::to_left_of`], [`neighbors::to_right_of`] |
+//! | Fig. 4 | [`neighbors::to_left_of`], [`neighbors::to_right_of`] (one walk) |
 //! | Fig. 5 | `FT_Send_right` (`send` module, used by `run_ring`) |
 //! | Fig. 6 | [`ring::RecvStrategy::Naive`] (demonstrably hangs) |
+//! | Fig. 7, Fig. 9 | [`ring::RecvStrategy::Detector`]: the right-neighbour watch, written once in the `recv` module and reused by every termination wait |
 //! | Fig. 8 | [`ring::DedupStrategy::None`] (double completion) |
-//! | Fig. 9 | [`ring::RecvStrategy::Detector`] |
 //! | Fig. 10 | [`ring::DedupStrategy::IterationMarker`] |
+//! | §III-B | [`ring::DedupStrategy::SeparateTag`] (resends on [`T_R`]) |
 //! | Fig. 11 | [`ring::TerminationMode::RootBroadcast`] |
+//! | §III-C | [`ring::TerminationMode::DoubleBarrier`] (the design the paper rejects as costly) |
 //! | Fig. 12 | [`neighbors::get_current_root`] |
 //! | Fig. 13 | [`ring::TerminationMode::ValidateAll`] |
 //! | §III-D | `allow_root_failure` + [`ring::RingConfig::with_root_failover`] |

@@ -55,7 +55,10 @@
 //! [`FAILED_RANKS`] pins which planned victims each seed still lands.
 
 use dst::scenario::Outcome;
-use dst::{check_all, run_schedule, run_seed, Kill, KillShape, ScenarioCfg, Schedule};
+use dst::{
+    check_all, fuzz, run_schedule, run_seed, sweep, FuzzCfg, Kill, KillShape, ScenarioCfg, Schedule,
+    SweepCfg,
+};
 use faultsim::HookKind::{AfterRecvComplete, AfterSend, Tick};
 
 /// Failing seeds found by per-shape sweeps of `0..100_000`, each with
@@ -217,4 +220,25 @@ fn recorded_shape_schedules_complete_when_applied_explicitly() {
             "explicit schedule of shape {shape} seed {seed:#x} violates oracles: {violations:?}"
         );
     }
+}
+
+/// The smallest world the CLI accepts. Kill derivation draws victims
+/// from `ranks - 1` buckets, so at two ranks every shape degenerates to
+/// at most one victim and the lone survivor's Fig. 4/5 abort: all seven
+/// shapes under `explore`, and a `fuzz` campaign, stay green there.
+#[test]
+fn two_ranks_are_green_under_every_shape_and_under_fuzz() {
+    let sweep_cfg = SweepCfg { count: 200, ..SweepCfg::default() };
+    for shape in KillShape::ALL {
+        let report = sweep(&sweep_cfg, &cfg_for(shape, 2)).unwrap();
+        assert_eq!(
+            (report.green, report.hung),
+            (200, 0),
+            "shape {shape} at 2 ranks: {:?}",
+            report.failures
+        );
+    }
+    let fuzz_cfg = FuzzCfg { budget: 400, ..FuzzCfg::default() };
+    let report = fuzz(&fuzz_cfg, &cfg_for(KillShape::Pair, 2)).unwrap();
+    assert_eq!((report.green, report.hung), (400, 0), "fuzz at 2 ranks: {:?}", report.failures);
 }
