@@ -56,6 +56,9 @@ impl Ctx<'_> {
         Ok((tok, c.status.source))
     }
 
+    /// Give up a posted receive without losing what it may hold: one
+    /// that already completed with a token queues it in `pending`; one
+    /// still in flight is cancelled.
     fn salvage(&mut self, req: Request) -> Result<()> {
         match self.p.test(req) {
             Ok(Some(c)) if !c.status.is_proc_null() && !c.data.is_empty() => {
@@ -156,20 +159,16 @@ impl Ctx<'_> {
                     Ok(tok)
                 }
             }
-            // Empty/proc-null completion: consumed, nothing to order.
-            Ok(Some(_)) => {
-                self.normal = None;
-                Ok(tok)
-            }
             // Still in flight: the posted request stays live.
             Ok(None) => Ok(tok),
             Err(e) if e.is_terminal() => Err(e),
-            // Completed in failure: the left neighbour died. The test
-            // consumed the notification, so clear the slot — the next
-            // `recv_token` pass re-posts toward the (dead) left and the
-            // failure resurfaces through the regular `advance_left`
-            // path.
-            Err(_) => {
+            // Consumed with nothing to order: an empty/proc-null
+            // completion, or completed in failure — the left neighbour
+            // died. The test consumed the notification, so clear the
+            // slot: the next `recv_token` pass re-posts toward the
+            // (dead) left and the failure resurfaces through the
+            // regular `advance_left` path.
+            Ok(Some(_)) | Err(_) => {
                 self.normal = None;
                 Ok(tok)
             }
