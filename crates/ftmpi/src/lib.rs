@@ -47,6 +47,12 @@
 
 #![warn(missing_docs)]
 
+/// The unit tests that pin "allocates nothing" read `allocstats`, which
+/// counts only behind this allocator.
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: allocstats::StatsAlloc = allocstats::StatsAlloc;
+
 mod collective;
 mod comm;
 mod coro;

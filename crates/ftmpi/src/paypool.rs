@@ -94,7 +94,9 @@ impl PayloadPool {
         };
         let mut arc = match self.classes[class].lock().pop() {
             Some(arc) => arc,
-            None => Arc::from(vec![0u8; CLASS_SIZES[class]].into_boxed_slice()),
+            // One allocation: the iterator's length is exact, so the
+            // `Arc` is sized up front and filled in place.
+            None => std::iter::repeat_n(0u8, CLASS_SIZES[class]).collect(),
         };
         let buf = Arc::get_mut(&mut arc)
             .expect("pooled buffer must be uniquely held (recycle admits sole owners only)");

@@ -43,7 +43,7 @@ use crate::datatype::Datatype;
 use crate::detector::FailureRegistry;
 use crate::error::{Error, ErrorHandler, Result};
 use crate::group::Group;
-use crate::matching::{MatchEngine, MatchSpec, SrcSel};
+use crate::matching::{MatchEngine, MatchSpec, Posted, SrcSel};
 use crate::message::{ContextId, Envelope};
 use crate::rank::{CommRank, RankInfo, RankState, WorldRank};
 use crate::request::{CollKind, Completion, ReqBody, ReqState, ReqTable, Request};
@@ -118,6 +118,14 @@ pub struct Process {
     /// once-per-rank dump, but every subsequent `sched_step` observes
     /// the abort too).
     blocked_dumped: bool,
+    /// How often this process changed what it recognizes
+    /// (`comm_validate_clear`, a decided `validate_all`): with the
+    /// failure epoch, everything a posted receive's failure verdict
+    /// depends on.
+    recognitions: u64,
+    /// `(failure epoch, recognitions)` the last full failure scan ran
+    /// under; `None` before the first.
+    scanned_under: Option<(u64, u64)>,
 }
 
 /// What the failure detector says about a receive or probe from `src`
@@ -189,6 +197,8 @@ impl Process {
             drain_buf,
             encode_buf,
             blocked_dumped: false,
+            recognitions: 0,
+            scanned_under: None,
         }
     }
 
@@ -302,30 +312,28 @@ impl Process {
     /// the per-rank wait-for graph from them. Exact by construction:
     /// this is the live request table, not an inference from the event
     /// stream.
-    fn record_blocked_requests(&self) {
+    fn record_blocked_requests(&mut self) {
         if !self.shared.trace.enabled() {
             return;
         }
-        for &req in self.engine.posted_slice() {
-            if !self.reqs.is_pending(req) {
+        for Posted { req, spec, .. } in self.engine.posted_in_order() {
+            if !self.reqs.is_pending(*req) {
                 continue;
             }
-            if let Ok(ReqBody::Recv(spec)) = self.reqs.body(req) {
-                self.shared.trace.record(Event::Blocked {
-                    rank: self.me,
-                    on: crate::trace::BlockedOn::Recv {
-                        context: spec.context,
-                        src: match spec.src {
-                            SrcSel::Exact(s) => Some(s),
-                            SrcSel::Any => None,
-                        },
-                        tag: match spec.tag {
-                            TagSel::Exact(t) => Some(t),
-                            TagSel::Any => None,
-                        },
+            self.shared.trace.record(Event::Blocked {
+                rank: self.me,
+                on: crate::trace::BlockedOn::Recv {
+                    context: spec.context,
+                    src: match spec.src {
+                        SrcSel::Exact(s) => Some(s),
+                        SrcSel::Any => None,
                     },
-                });
-            }
+                    tag: match spec.tag {
+                        TagSel::Exact(t) => Some(t),
+                        TagSel::Any => None,
+                    },
+                },
+            });
         }
         for kind in [CollKind::Validate, CollKind::Barrier] {
             let mut cursor = 0;
@@ -433,18 +441,27 @@ impl Process {
     /// Complete posted receives whose peers have failed (or been
     /// recognized). This is the mechanism behind "using `MPI_Irecv` as
     /// a failure detector" (paper §III-A).
+    ///
+    /// A receive's verdict is a function of the failure registry and
+    /// of what this process recognizes, so every posted receive is
+    /// looked at only when the failure epoch or `recognitions` moved
+    /// since the last full scan; otherwise only the receives posted
+    /// since the last pass are, whose peer may have been dead all
+    /// along. Either way a receive completes in the pass a scan of
+    /// everything would have completed it in.
     fn failure_scan(&mut self) {
-        // Borrow the posted list in place — the scan only reads it, and
-        // completions go through `reqs` (pruning happens after, once).
-        let mut dirty = false;
-        for &req in self.engine.posted_slice() {
-            let spec = match self.reqs.body(req) {
-                Ok(ReqBody::Recv(s)) => *s,
-                _ => continue,
-            };
-            let Some(&ci) = self.ctx_map.get(&spec.context) else { continue };
-            let comm = &self.comms[ci];
-            let Some(verdict) = unmatched_verdict(comm, spec.src, &self.shared.registry) else {
+        // Epoch first: `kill` marks the rank, then moves the epoch, so
+        // a scan that raced the mark is repeated by the next pass.
+        let now = (self.shared.registry.epoch(), self.recognitions);
+        let full = self.scanned_under != Some(now);
+        self.scanned_under = Some(now);
+        let mut completed = false;
+        let posted = if full { self.engine.posted_in_order() } else { self.engine.fresh() };
+        for p in posted {
+            let Some(&ci) = self.ctx_map.get(&p.spec.context) else { continue };
+            let Some(verdict) =
+                unmatched_verdict(&self.comms[ci], p.spec.src, &self.shared.registry)
+            else {
                 continue;
             };
             let failed_peer = match verdict {
@@ -452,14 +469,15 @@ impl Process {
                 _ => None,
             };
             let result = verdict.map(|status| Completion { status, data: Bytes::new() });
-            if self.reqs.complete_if_pending(req, result) {
-                dirty = true;
+            if self.reqs.complete_if_pending(p.req, result) {
+                completed = true;
                 if let Some(peer) = failed_peer {
                     self.shared.trace.record(Event::RecvFailure { rank: self.me, peer });
                 }
             }
         }
-        if dirty {
+        self.engine.clear_fresh();
+        if completed {
             self.engine.prune(&self.reqs);
         }
     }
@@ -491,6 +509,7 @@ impl Process {
                     let count = failed_comm.len();
                     let min_instance = comm.coll_instance;
                     comm.apply_validate_decision(failed_comm, &self.shared.registry);
+                    self.recognitions += u64::from(count > 0);
                     // Instance numbers in tags wrap at 2^20; past that point
                     // the "older instance" test is ambiguous, so skip the
                     // purge (stale messages are harmless, only unreclaimed).
@@ -702,7 +721,7 @@ impl Process {
             return self.reqs.insert(ReqBody::Recv(spec), ReqState::Done(result));
         }
         let req = self.reqs.insert(ReqBody::Recv(spec), ReqState::Pending);
-        self.engine.register(req);
+        self.engine.register(req, spec);
         req
     }
 
@@ -945,7 +964,9 @@ impl Process {
 
     /// Cancel a pending request (frees the slot regardless of state).
     pub fn cancel(&mut self, req: Request) -> Result<()> {
-        self.engine.unregister(req);
+        if let ReqBody::Recv(spec) = self.reqs.body(req)? {
+            self.engine.unregister(req, spec);
+        }
         self.reqs.remove(req)
     }
 
@@ -1002,16 +1023,21 @@ impl Process {
         let registry = Arc::clone(&self.shared);
         let c = self.comm_data_mut(comm)?;
         let mut n = 0;
+        let mut invalid = None;
         for &r in ranks {
             if r >= c.size() {
-                return Err(Error::InvalidRank { rank: r as isize });
+                invalid = Some(Error::InvalidRank { rank: r as isize });
+                break;
             }
             if c.state_of(r, &registry.registry) == RankState::Failed {
                 c.recognize(r, &registry.registry);
                 n += 1;
             }
         }
-        Ok(n)
+        // Also on the error path: the ranks before the invalid one
+        // stay recognized.
+        self.recognitions += u64::from(n > 0);
+        invalid.map_or(Ok(n), Err)
     }
 
     /// `MPI_Icomm_validate_all`: nonblocking collective recognition of
@@ -1332,6 +1358,88 @@ mod tests {
         });
         assert_eq!(report.outcomes[0].as_ok(), Some(&1));
         assert!(report.outcomes[1].is_failed());
+    }
+
+    /// The failure scan looks at everything only when the epoch or
+    /// this rank's recognitions moved; a receive posted on a peer that
+    /// was dead all along must still complete on the next pass — in
+    /// error while the death is unrecognized, as PROC_NULL once it is.
+    #[test]
+    fn receives_posted_after_the_death_complete_on_the_next_pass() {
+        let plan = faultsim::FaultPlan::none().kill_at(1, faultsim::HookKind::Tick, 1);
+        let report = crate::universe::run(2, UniverseConfig::with_plan(plan), |p| {
+            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+            if p.world_rank() == 1 {
+                let req = p.irecv(WORLD, Src::Rank(0), 99)?;
+                let _ = p.wait(req)?;
+                return Ok(());
+            }
+            while p.comm_validate_rank(WORLD, 1)?.state == RankState::Ok {
+                std::thread::yield_now();
+            }
+            // One pass under the kill's epoch, with a receive posted
+            // that stays pending: the full scan has come and gone.
+            let idle = p.irecv(WORLD, Src::Rank(0), 98)?;
+            assert!(p.test(idle)?.is_none());
+            let epoch = p.shared.registry.epoch();
+            assert_eq!(p.scanned_under, Some((epoch, 0)));
+
+            let late = p.irecv(WORLD, Src::Rank(1), TAG)?;
+            assert_eq!(p.test(late), Err(Error::RankFailStop { rank: 1 }));
+            assert_eq!(p.scanned_under, Some((epoch, 0)), "found as a fresh receive");
+
+            // Posted while the death is unrecognized, recognized before
+            // the next pass.
+            let null = p.irecv(WORLD, Src::Rank(1), TAG)?;
+            assert_eq!(p.comm_validate_clear(WORLD, &[1])?, 1);
+            let c = p.test(null)?.expect("completes on the next pass");
+            assert!(c.status.is_proc_null());
+            assert_eq!(p.scanned_under, Some((epoch, 1)), "recognition re-arms the full scan");
+
+            assert_eq!(p.shared.registry.epoch(), epoch, "no epoch change throughout");
+            assert!(p.test(idle)?.is_none(), "a receive on a live peer stays posted");
+            p.cancel(idle)
+        });
+        assert!(report.outcomes[0].is_ok(), "{:?}", report.outcomes[0]);
+        assert!(report.outcomes[1].is_failed());
+    }
+
+    /// A respawn moves the epoch like a kill does: a receive posted on
+    /// the new incarnation is watched again, and errors when that
+    /// incarnation dies in turn.
+    #[test]
+    fn respawn_rearms_the_failure_scan() {
+        use crate::universe::RespawnPolicy;
+        let plan = faultsim::FaultPlan::none().kill_at(1, faultsim::HookKind::Tick, 1);
+        let cfg = UniverseConfig::with_plan(plan)
+            .watchdog(Duration::from_secs(60))
+            .respawning(RespawnPolicy { after: Duration::from_millis(5), max_per_rank: 1 });
+        let report = crate::universe::run(2, cfg, |p| {
+            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+            if p.world_rank() == 1 {
+                if p.generation() == 0 {
+                    let req = p.irecv(WORLD, Src::Rank(0), 99)?;
+                    let _ = p.wait(req)?;
+                    unreachable!("killed by the tick");
+                }
+                // Second incarnation: die once rank 0 is watching.
+                p.recv::<()>(WORLD, Src::Rank(0), 3)?;
+                return Err(p.fail_now());
+            }
+            let first = p.irecv(WORLD, Src::Rank(1), TAG)?;
+            assert_eq!(p.wait(first), Err(Error::RankFailStop { rank: 1 }));
+            while p.comm_validate_rank(WORLD, 1)?.state != RankState::Ok {
+                std::thread::yield_now();
+            }
+            let watch = p.irecv(WORLD, Src::Rank(1), TAG)?;
+            assert!(p.test(watch)?.is_none(), "generation 1 is alive");
+            p.send(WORLD, 1, 3, &())?;
+            assert_eq!(p.wait(watch), Err(Error::RankFailStop { rank: 1 }));
+            Ok(())
+        });
+        assert!(!report.hung);
+        assert!(report.outcomes[0].is_ok(), "{:?}", report.outcomes[0]);
+        assert_eq!(report.generations, vec![0, 1]);
     }
 
     #[test]

@@ -84,12 +84,22 @@ struct SlotData {
     state: ReqState,
 }
 
+impl SlotData {
+    fn is_pending_collective(&self) -> bool {
+        matches!((&self.body, &self.state), (ReqBody::Collective { .. }, ReqState::Pending))
+    }
+}
+
 /// Per-process request table (slab with free list).
 #[derive(Default)]
 pub(crate) struct ReqTable {
     slots: Vec<Option<SlotData>>,
     free: Vec<u32>,
     gen: u32,
+    /// Pending collective requests: while there are none, which is
+    /// nearly always, `next_pending` has no slots to walk however many
+    /// receives are posted.
+    pending_collectives: usize,
 }
 
 impl ReqTable {
@@ -101,6 +111,7 @@ impl ReqTable {
     pub(crate) fn reset(&mut self) {
         self.slots.clear();
         self.free.clear();
+        self.pending_collectives = 0;
     }
 
     /// Number of live (pending or done-but-unconsumed) requests.
@@ -111,6 +122,7 @@ impl ReqTable {
     pub(crate) fn insert(&mut self, body: ReqBody, state: ReqState) -> Request {
         self.gen = self.gen.wrapping_add(1);
         let data = SlotData { gen: self.gen, body, state };
+        self.pending_collectives += usize::from(data.is_pending_collective());
         let idx = if let Some(idx) = self.free.pop() {
             self.slots[idx as usize] = Some(data);
             idx
@@ -147,19 +159,18 @@ impl ReqTable {
 
     /// Mark a pending request complete. No-op if already done.
     pub(crate) fn complete(&mut self, req: Request, result: Result<Completion>) {
-        if let Ok(slot) = self.slot_mut(req) {
-            if matches!(slot.state, ReqState::Pending) {
-                slot.state = ReqState::Done(result);
-            }
-        }
+        self.complete_if_pending(req, result);
     }
 
-    /// Complete by raw index (used by the match engine, which stores
-    /// full `Request` handles, so this stays generation-safe).
+    /// Complete `req` if it is still pending (the handle is
+    /// generation-checked, so a stale one completes nothing); whether
+    /// it did.
     pub(crate) fn complete_if_pending(&mut self, req: Request, result: Result<Completion>) -> bool {
         match self.slot_mut(req) {
             Ok(slot) if matches!(slot.state, ReqState::Pending) => {
+                let collective = slot.is_pending_collective();
                 slot.state = ReqState::Done(result);
+                self.pending_collectives -= usize::from(collective);
                 true
             }
             _ => false,
@@ -200,6 +211,9 @@ impl ReqTable {
         kind: CollKind,
         cursor: &mut usize,
     ) -> Option<(Request, usize, u64)> {
+        if self.pending_collectives == 0 {
+            return None;
+        }
         while let Some(slot) = self.slots.get(*cursor) {
             let idx = *cursor as u32;
             *cursor += 1;
@@ -217,7 +231,8 @@ impl ReqTable {
 
     /// Drop a request regardless of state (cancel).
     pub(crate) fn remove(&mut self, req: Request) -> Result<()> {
-        let _ = self.slot(req)?;
+        let collective = self.slot(req)?.is_pending_collective();
+        self.pending_collectives -= usize::from(collective);
         self.slots[req.idx as usize] = None;
         self.free.push(req.idx);
         Ok(())
@@ -299,6 +314,16 @@ mod tests {
         assert_eq!(scan(&t, CollKind::Barrier), vec![(b0, 0, 0)]);
         t.complete(v0, Ok(Completion::validate(0)));
         assert_eq!(scan(&t, CollKind::Validate), vec![(v1, 0, 1)]);
+        // The count that lets the scan be skipped follows every way a
+        // collective stops being pending.
+        assert_eq!(t.pending_collectives, 2);
+        t.complete(v0, Ok(Completion::validate(0)));
+        assert_eq!(t.pending_collectives, 2, "completing twice counts once");
+        t.remove(b0).unwrap();
+        t.remove(v0).unwrap();
+        assert!(t.complete_if_pending(v1, Ok(Completion::validate(0))));
+        assert_eq!(t.pending_collectives, 0);
+        assert_eq!(scan(&t, CollKind::Validate), vec![]);
     }
 
     #[test]

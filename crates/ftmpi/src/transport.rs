@@ -1,14 +1,15 @@
 //! The in-memory transport fabric.
 //!
-//! Each rank owns a mailbox (a locked queue of [`Envelope`]s plus a
-//! version counter) and a condition variable. Delivery pushes to the
-//! destination mailbox and notifies; a blocked rank parks on its own
-//! condvar until either its mailbox version changes, the global notify
-//! generation changes (failures, aborts, validate decisions), or a
-//! short safety timeout elapses. A simulated rank has no thread to
-//! park: the same [`ParkToken`] comparison ([`Fabric::would_park`])
-//! decides whether it suspends *disabled* under the scheduler, and the
-//! same events re-enable it.
+//! Each rank owns a mailbox (a locked queue of [`Envelope`]s, a
+//! version counter and a `parked` flag) and a condition variable.
+//! Delivery pushes to the destination mailbox and notifies the owner
+//! if it is parked; a blocked rank parks on its own condvar until
+//! either its mailbox version changes, the global notify generation
+//! changes (failures, aborts, validate decisions), or a short safety
+//! timeout elapses. A simulated rank has no thread to park: the same
+//! [`ParkToken`] comparison ([`Fabric::would_park`]) decides whether it
+//! suspends *disabled* under the scheduler, and the same events
+//! re-enable it.
 //!
 //! Properties the rest of the system relies on:
 //!
@@ -16,13 +17,23 @@
 //!   under the destination lock, so two messages from the same sender
 //!   arrive in send order (MPI non-overtaking, given order-preserving
 //!   matching downstream).
-//! * **No lost wake-ups** — parking re-checks versions under the same
-//!   lock the notifier takes, and a bounded timed wait backstops any
-//!   future bug in the notification protocol.
+//! * **No lost wake-ups, no wake-up nobody waits for** — one rule for
+//!   [`Fabric::deliver`] and [`Fabric::wake_all`]: under the mailbox
+//!   lock, publish the event (the version; `wake_all` moved the notify
+//!   generation before taking it), then notify only if `parked` is
+//!   set. [`Fabric::park`] holds that lock from its re-check of the
+//!   token through setting `parked` until the condvar wait releases
+//!   it, so a notifier either runs before the re-check, which then
+//!   sees the event and does not sleep, or after the wait began, where
+//!   it sees `parked` and notifies. The condvar is `std`'s, whose
+//!   `notify_one` is a `futex_wake` system call even with nobody
+//!   waiting; a rank that is running, and every simulated rank, is
+//!   spared it. A bounded timed wait backstops any future bug in the
+//!   protocol, and counts its firings.
 //! * **Single parker per slot** — only the owning rank ever waits on
 //!   its slot's condvar ([`Fabric::park`] is called with `me` by `me`'s
-//!   own thread), so every wake path uses `notify_one`: it wakes the
-//!   one possible waiter, or nobody, and never pays a broadcast.
+//!   own thread), so one flag per slot says all there is to say and
+//!   `notify_one` wakes the one possible waiter.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,6 +54,9 @@ struct Mailbox {
     queue: VecDeque<Envelope>,
     /// Bumped on every delivery; lets parkers detect missed pushes.
     version: u64,
+    /// The owner is inside `cv.wait_for`, or was and has not yet taken
+    /// the lock back. Written by the owner only.
+    parked: bool,
 }
 
 struct Slot {
@@ -79,7 +93,7 @@ impl Fabric {
         Fabric {
             slots: (0..n)
                 .map(|_| Slot {
-                    mb: Mutex::new(Mailbox { queue: VecDeque::new(), version: 0 }),
+                    mb: Mutex::new(Mailbox { queue: VecDeque::new(), version: 0, parked: false }),
                     cv: Condvar::new(),
                 })
                 .collect(),
@@ -108,20 +122,24 @@ impl Fabric {
         self.park_timeouts.store(0, Ordering::Release);
     }
 
-    /// Deliver `env` to `dst`'s mailbox and wake it.
+    /// Deliver `env` to `dst`'s mailbox and wake `dst` if it is parked.
     ///
     /// Delivery to a failed rank is permitted and harmless (the mailbox
     /// is simply never drained again): under fail-stop, a message sent
     /// before the sender learns of the failure is silently lost.
     pub fn deliver(&self, dst: WorldRank, env: Envelope) {
         let slot = &self.slots[dst];
-        {
+        let parked = {
             let mut mb = slot.mb.lock();
             mb.queue.push_back(env);
             mb.version += 1;
+            mb.parked
+        };
+        // A `dst` that is not parked re-checks the version under the
+        // lock before it sleeps (module docs).
+        if parked {
+            slot.cv.notify_one();
         }
-        // Single parker per slot: at most `dst`'s own thread waits here.
-        slot.cv.notify_one();
     }
 
     /// Drain every queued envelope for `me`, in arrival order, together
@@ -207,7 +225,10 @@ impl Fabric {
         if !self.unchanged(&mb, token, current_epoch()) {
             return;
         }
-        if slot.cv.wait_for(&mut mb, PARK_SAFETY).timed_out() {
+        mb.parked = true;
+        let timed_out = slot.cv.wait_for(&mut mb, PARK_SAFETY).timed_out();
+        mb.parked = false;
+        if timed_out {
             // Bounded wait as a safety net; all real wake paths notify.
             // Count firings so callers can tell backstop-driven
             // progress from explicit wakes.
@@ -231,16 +252,17 @@ impl Fabric {
         self.notify_gen.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Wake every rank (used for failures, aborts, and shared-state
-    /// decisions such as `validate_all` completion).
+    /// Wake every parked rank and keep every other from parking on a
+    /// token taken before this call (used for failures, aborts, and
+    /// shared-state decisions such as `validate_all` completion).
     pub fn wake_all(&self) {
         self.note_wake();
         for slot in &self.slots {
-            // Take the lock to serialize with parkers' predicate checks,
-            // eliminating the notify-before-wait race. notify_one is
-            // exact: each slot has at most one parker (its owner).
-            let _guard = slot.mb.lock();
-            slot.cv.notify_one();
+            // Under the lock, to serialize with the parker's re-check:
+            // a rank not parked yet will see the generation moved.
+            if slot.mb.lock().parked {
+                slot.cv.notify_one();
+            }
         }
     }
 
@@ -283,14 +305,47 @@ mod tests {
         assert_eq!(v2, 3);
     }
 
+    /// A delivery between `token()` and `park()` finds the rank not
+    /// parked, so it notifies nobody — and `park` must not sleep on
+    /// it: it returns on the re-check, not on the safety timeout.
     #[test]
     fn park_returns_immediately_when_version_moved() {
         let f = Fabric::new(1);
         let token = f.token(0, 0);
         f.deliver(0, env(0, 0));
-        let t0 = std::time::Instant::now();
         f.park(0, token, || 0);
-        assert!(t0.elapsed() < Duration::from_millis(40));
+        assert_eq!(f.park_timeouts(), 0);
+    }
+
+    /// The same for `wake_all`, which skips the unparked rank too.
+    #[test]
+    fn park_returns_immediately_when_notify_gen_moved() {
+        let f = Fabric::new(1);
+        let token = f.token(0, 0);
+        f.wake_all();
+        f.park(0, token, || 0);
+        assert_eq!(f.park_timeouts(), 0);
+    }
+
+    /// The other half of the wake rule: a rank that *is* parked is
+    /// notified by a delivery. The sender waits for the flag, so the
+    /// parker is inside its condvar wait when the envelope lands.
+    #[test]
+    fn deliver_wakes_a_parked_rank() {
+        let f = Fabric::new(1);
+        std::thread::scope(|s| {
+            let parker = s.spawn(|| {
+                let token = f.token(0, 0);
+                f.park(0, token, || 0);
+            });
+            while !f.slots[0].mb.lock().parked {
+                assert!(!parker.is_finished(), "timed out before it was seen parked");
+                std::thread::yield_now();
+            }
+            f.deliver(0, env(0, 0));
+        });
+        assert_eq!(f.park_timeouts(), 0, "woken by the delivery, not the timeout");
+        assert!(!f.slots[0].mb.lock().parked, "the flag is cleared on the way out");
     }
 
     #[test]

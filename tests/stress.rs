@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use faultsim::scenario::{combine, kill_after_recv, kill_after_send};
-use ftmpi::{run, UniverseConfig, WORLD};
+use ftmpi::{run, Datatype, Src, UniverseConfig, WORLD};
 use ftring::{run_ring, summarize, RingConfig, TerminationMode, T_N};
 
 fn wd() -> Duration {
@@ -134,4 +134,75 @@ fn padded_tokens_with_failures() {
     let s = summarize(&report);
     assert!(!s.hung);
     assert_eq!(s.completed_iterations(), 5);
+}
+
+/// The lost-wake-up tripwire. A notifier skips a rank that is not
+/// parked (`ftmpi::transport`), so a wake rule that skipped one that
+/// *is* would leave it asleep until the 50 ms safety timeout — counted
+/// in `stats.handoff.park_safety_timeouts`. Message flow in both
+/// workloads is continuous, so a correct rule never needs the timeout;
+/// a broken one needs it in every run. (A peer the OS keeps off the
+/// CPU for 50 ms makes the others time out legitimately, hence the
+/// best of three.)
+fn never_needs_the_safety_timeout(timeouts_of_one_run: impl Fn() -> u64) {
+    let fewest = (0..3).map(|_| timeouts_of_one_run()).min();
+    assert_eq!(fewest, Some(0), "every run fell back on the park safety timeout");
+}
+
+#[test]
+fn clean_500_lap_ring_never_needs_the_safety_timeout() {
+    never_needs_the_safety_timeout(|| {
+        let cfg = RingConfig::paper(500);
+        let report = run(4, UniverseConfig::default().watchdog(wd()), move |p| {
+            run_ring(p, WORLD, &cfg)
+        });
+        assert!(report.all_ok());
+        assert_eq!(summarize(&report).completed_iterations(), 500);
+        report.stats.handoff.park_safety_timeouts
+    });
+}
+
+/// Rank 0 keeps 192 receives posted (three senders, 64 tags, reverse
+/// tag order) and parks while the senders, released together, fill
+/// them in ascending order: deliveries race the receiver's parking in
+/// every round.
+#[test]
+fn fan_in_never_needs_the_safety_timeout() {
+    never_needs_the_safety_timeout(|| {
+        let report = run(4, UniverseConfig::default().watchdog(wd()), |p| {
+            let me = p.world_rank();
+            let payload =
+                |round: u64, src: usize, tag: i32| round << 32 | (src as u64) << 16 | tag as u64;
+            for round in 0..20u64 {
+                if me == 0 {
+                    let mut reqs = Vec::new();
+                    for tag in (0..64).rev() {
+                        for src in 1..4 {
+                            reqs.push(p.irecv(WORLD, Src::Rank(src), tag)?);
+                        }
+                    }
+                    for src in 1..4 {
+                        p.send(WORLD, src, 64, &round)?;
+                    }
+                    let mut done = p.waitall(&reqs)?.into_iter();
+                    for tag in (0..64).rev() {
+                        for src in 1..4 {
+                            let c = done.next().expect("one completion per request")?;
+                            let got = <u64 as Datatype>::from_bytes(&c.data)?;
+                            assert_eq!(got, payload(round, src, tag));
+                        }
+                    }
+                } else {
+                    let (go, _) = p.recv::<u64>(WORLD, Src::Rank(0), 64)?;
+                    assert_eq!(go, round);
+                    for tag in 0..64 {
+                        p.send(WORLD, 0, tag, &payload(round, me, tag))?;
+                    }
+                }
+            }
+            Ok(())
+        });
+        assert!(report.all_ok());
+        report.stats.handoff.park_safety_timeouts
+    });
 }
