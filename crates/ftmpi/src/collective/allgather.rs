@@ -6,64 +6,30 @@ use crate::error::{Error, Result};
 use crate::process::Process;
 use crate::rank::CommRank;
 
-use super::{OP_ALLGATHER, OP_ALLTOALL};
+use super::{CollCtx, OP_ALLGATHER, OP_ALLTOALL};
 
 impl Process {
     /// `MPI_Allgather`: every active participant receives every
     /// participant's `(comm_rank, value)` pair, in active-rank order.
     ///
     /// Implemented as gather-to-lowest-active + broadcast, reusing the
-    /// fault behaviour of both phases.
-    ///
-    /// Composition invariant: the broadcast phase's instance is
-    /// entered even when the gather phase failed, so instance counters
-    /// stay aligned across ranks (see `allreduce` for the full
-    /// argument).
+    /// fault behaviour of both phases. The broadcast phase is entered
+    /// even when the gather phase failed, so instance counters stay
+    /// aligned across ranks (see [`Process::bcast_from`]).
     pub fn allgather<T: Datatype>(
         &mut self,
         comm: Comm,
         value: &T,
     ) -> Result<Vec<(CommRank, T)>> {
-        let root = {
-            let c = self.comm_data(comm)?;
-            *c.collective_active().first().expect("self is active")
-        };
-        let gathered = match self.gather(comm, root, value) {
-            Ok(v) => Ok(v),
-            Err(e) if e.is_terminal() => return Err(e),
-            Err(e) => Err(e),
-        };
-
-        let (cctx, entry_err) = self.coll_begin(comm, OP_ALLGATHER, "allgather.bcast")?;
-        let vroot = self.coll_vroot(&cctx, root);
-        let abort_phase2 = match (&gathered, entry_err) {
-            (Err(e), _) => Some(e.clone()),
-            (Ok(_), Some(e)) => Some(e),
-            (Ok(_), None) => None,
-        };
-        if let Some(e) = abort_phase2 {
-            if let Ok(vr) = vroot {
-                self.bcast_abandon(&cctx, vr);
-            }
-            return Err(self.fail_op(Some(comm.0), e));
-        }
-        let vroot = match vroot {
-            Ok(vr) => vr,
-            Err(e) => return Err(self.fail_op(Some(comm.0), e)),
-        };
-        let payload = gathered.expect("checked above").map(|pairs| {
-            let encoded: Vec<(u64, T)> = pairs.into_iter().map(|(r, v)| (r as u64, v)).collect();
-            encoded.to_bytes()
+        let root = self.lowest_active(comm)?;
+        let gathered = self.gather(comm, root, value).map(|at_root| {
+            at_root.map(|pairs| {
+                Vec::from_iter(pairs.into_iter().map(|(r, v)| (r as u64, v))).to_bytes()
+            })
         });
-        match self.bcast_inner(&cctx, vroot, payload) {
-            Ok(bytes) => {
-                self.coll_end()?;
-                let decoded = Vec::<(u64, T)>::from_bytes(&bytes)
-                    .map_err(|e| self.fail_op(Some(comm.0), e))?;
-                Ok(decoded.into_iter().map(|(r, v)| (r as CommRank, v)).collect())
-            }
-            Err(e) => Err(self.fail_op(Some(comm.0), e)),
-        }
+        let pairs: Vec<(u64, T)> =
+            self.bcast_from(comm, (OP_ALLGATHER, "allgather.bcast"), root, gathered)?;
+        Ok(pairs.into_iter().map(|(r, v)| (r as CommRank, v)).collect())
     }
 
     /// `MPI_Alltoall`: participant at active index `i` sends
@@ -72,70 +38,30 @@ impl Process {
     ///
     /// All sends complete (eagerly) before any receive is posted, so a
     /// failure shows up as receive errors, never a hang.
-    #[allow(clippy::needless_range_loop)] // v doubles as the virtual rank
     pub fn alltoall<T: Datatype>(&mut self, comm: Comm, values: &[T]) -> Result<Vec<T>> {
-        let (cctx, entry_err) = self.coll_begin(comm, OP_ALLTOALL, "alltoall")?;
-        if let Some(e) = entry_err {
-            // Everyone waits on everyone: poison all peers.
-            self.coll_poisoned(&cctx);
-            for v in 0..cctx.size() {
-                if v != cctx.vrank {
-                    self.coll_poison(&cctx, v);
+        // Everyone waits on everyone.
+        self.collective(comm, (OP_ALLTOALL, "alltoall"), None, None, CollCtx::others, |p, cctx| {
+            if values.len() != cctx.size() {
+                // Peers will wait for our contribution: they are
+                // poisoned, so a local usage error cannot wedge the
+                // rest of the job.
+                return Err(Error::InvalidState("alltoall needs one value per active rank"));
+            }
+            let mut out: Vec<Option<T>> = (0..cctx.size()).map(|_| None).collect();
+            out[cctx.vrank] = Some(T::from_bytes(&values[cctx.vrank].to_bytes())?);
+            // Phase 1: eager sends to everyone (self handled locally).
+            // Phase 2: receive from everyone.
+            let peers = cctx.others();
+            let walk = peers.iter().map(|&v| (true, v)).chain(peers.iter().map(|&v| (false, v)));
+            p.coll_each(walk, |p, (sending, v)| {
+                if sending {
+                    return p.coll_send(cctx, v, values[v].to_bytes());
                 }
-            }
-            return Err(self.fail_op(Some(comm.0), e));
-        }
-        if values.len() != cctx.size() {
-            // Peers will wait for our contribution: poison so a local
-            // usage error cannot wedge the rest of the job.
-            self.coll_poisoned(&cctx);
-            for v in 0..cctx.size() {
-                if v != cctx.vrank {
-                    self.coll_poison(&cctx, v);
-                }
-            }
-            return Err(self.fail_op(
-                Some(comm.0),
-                Error::InvalidState("alltoall needs one value per active rank"),
-            ));
-        }
-        // Phase 1: eager sends to everyone (self handled locally).
-        let mut first_err = None;
-        for v in 0..cctx.size() {
-            if v == cctx.vrank {
-                continue;
-            }
-            if let Err(e) = self.coll_send(&cctx, v, values[v].to_bytes()) {
-                if e.is_terminal() {
-                    return Err(e);
-                }
-                first_err.get_or_insert(e);
-            }
-        }
-        // Phase 2: receive from everyone.
-        let mut out: Vec<Option<T>> = (0..cctx.size()).map(|_| None).collect();
-        out[cctx.vrank] = Some(T::from_bytes(&values[cctx.vrank].to_bytes())?);
-        for v in 0..cctx.size() {
-            if v == cctx.vrank {
-                continue;
-            }
-            match self.coll_recv(&cctx, v) {
-                Ok(bytes) => out[v] = Some(T::from_bytes(&bytes)?),
-                Err(e) => {
-                    if e.is_terminal() {
-                        return Err(e);
-                    }
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(self.fail_op(Some(comm.0), e)),
-            None => {
-                self.coll_end()?;
-                Ok(out.into_iter().map(|v| v.expect("filled")).collect())
-            }
-        }
+                out[v] = Some(T::from_bytes(&p.coll_recv(cctx, v)?)?);
+                Ok(())
+            })?;
+            Ok(out.into_iter().map(|v| v.expect("filled")).collect())
+        })
     }
 }
 

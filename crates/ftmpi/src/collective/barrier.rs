@@ -13,59 +13,26 @@ impl Process {
     /// participant has entered. Dissemination algorithm,
     /// ceil(log2(m)) rounds.
     pub fn barrier(&mut self, comm: Comm) -> Result<()> {
-        let (cctx, entry_err) = self.coll_begin(comm, OP_BARRIER, "barrier")?;
-        if let Some(e) = entry_err {
-            self.abandon(&cctx, 0);
-            return Err(self.fail_op(Some(comm.0), e));
-        }
-        match self.dissemination(&cctx) {
-            Ok(()) => {
-                self.coll_end()?;
-                Ok(())
+        // The send partner of every round waits on us: leaving in round
+        // `k` poisons those of the later rounds.
+        let owes = |cctx: &CollCtx| {
+            steps(cctx.size()).map(|step| (cctx.vrank + step) % cctx.size()).collect()
+        };
+        self.collective(comm, (OP_BARRIER, "barrier"), None, None, owes, |p, cctx| {
+            let m = cctx.size();
+            for step in steps(m) {
+                p.coll_send(cctx, (cctx.vrank + step) % m, Bytes::new())?;
+                p.coll_recv(cctx, (cctx.vrank + m - step) % m)?;
             }
-            Err(e) => Err(self.fail_op(Some(comm.0), e)),
-        }
+            Ok(())
+        })
     }
+}
 
-    fn dissemination(&mut self, cctx: &CollCtx) -> Result<()> {
-        let m = cctx.size();
-        let mut round = 0usize;
-        let mut step = 1usize;
-        while step < m {
-            let to = (cctx.vrank + step) % m;
-            let from = (cctx.vrank + m - step) % m;
-            if let Err(e) = self.coll_send(cctx, to, Bytes::new()) {
-                if e.is_terminal() {
-                    return Err(e);
-                }
-                self.abandon(cctx, round + 1);
-                return Err(e);
-            }
-            if let Err(e) = self.coll_recv(cctx, from) {
-                if e.is_terminal() {
-                    return Err(e);
-                }
-                self.abandon(cctx, round + 1);
-                return Err(e);
-            }
-            step <<= 1;
-            round += 1;
-        }
-        Ok(())
-    }
-
-    /// Poison the send partners of rounds `from_round..`, who would
-    /// otherwise wait forever on this rank.
-    fn abandon(&mut self, cctx: &CollCtx, from_round: usize) {
-        let m = cctx.size();
-        self.coll_poisoned(cctx);
-        let mut step = 1usize << from_round;
-        while step < m {
-            let to = (cctx.vrank + step) % m;
-            self.coll_poison(cctx, to);
-            step <<= 1;
-        }
-    }
+/// The distance of each round among `m` participants: 1, 2, 4, … below
+/// `m`.
+fn steps(m: usize) -> impl Iterator<Item = usize> {
+    (0..usize::BITS).map(|round| 1usize << round).take_while(move |&step| step < m)
 }
 
 #[cfg(test)]

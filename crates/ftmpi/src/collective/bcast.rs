@@ -25,84 +25,55 @@ impl Process {
         root: CommRank,
         value: Option<&T>,
     ) -> Result<T> {
-        let (cctx, entry_err) = self.coll_begin(comm, OP_BCAST, "bcast")?;
-        let vroot = match entry_err {
-            Some(e) => {
-                // Dependents cannot be computed without a live root
-                // mapping; poison children assuming root position 0 is
-                // wrong — instead poison using our own subtree relative
-                // to the root *if* the root maps. Otherwise nobody can
-                // be waiting on us (we never joined the tree).
-                if let Ok(vroot) = self.coll_vroot(&cctx, root) {
-                    self.bcast_abandon(&cctx, vroot);
-                }
-                return Err(self.fail_op(Some(comm.0), e));
-            }
-            None => self.coll_vroot(&cctx, root).map_err(|e| self.fail_op(Some(comm.0), e))?,
-        };
-        match self.bcast_inner(&cctx, vroot, value.map(Datatype::to_bytes)) {
-            Ok(bytes) => {
-                self.coll_end()?;
-                T::from_bytes(&bytes).map_err(|e| self.fail_op(Some(comm.0), e))
-            }
-            Err(e) => Err(self.fail_op(Some(comm.0), e)),
-        }
+        self.bcast_from(comm, (OP_BCAST, "bcast"), root, Ok(value.map(Datatype::to_bytes)))
     }
 
-    /// Raw-bytes broadcast used internally by other collectives.
-    pub(crate) fn bcast_inner(
+    /// Broadcast `root`'s bytes in a new instance of `op` and decode
+    /// them: `bcast` itself, and the second phase of `allreduce` /
+    /// `allgather`, where `first` is what the first phase left at this
+    /// rank.
+    ///
+    /// Composition invariant: the instance is entered **even when the
+    /// first phase failed** — otherwise ranks whose first phase errored
+    /// would fall one instance behind ranks whose first phase
+    /// succeeded, and every later collective on the communicator would
+    /// cross-match tags (a permanent, unrecoverable
+    /// desynchronization). A rank entering only to abandon poisons its
+    /// broadcast children first, as on any other error.
+    pub(crate) fn bcast_from<T: Datatype>(
         &mut self,
-        cctx: &CollCtx,
-        vroot: usize,
-        value: Option<Bytes>,
-    ) -> Result<Bytes> {
-        let m = cctx.size();
-        let u = (cctx.vrank + m - vroot) % m;
-        let abs = |rel: usize| (rel + vroot) % m;
-
-        // Receive phase (non-root).
-        let data = if u == 0 {
-            value.ok_or(Error::InvalidState("bcast root must supply a value"))?
-        } else {
-            let (parent, _) = binomial_parent(u, m).expect("non-root has a parent");
-            match self.coll_recv(cctx, abs(parent)) {
-                Ok(d) => d,
-                Err(e) => {
-                    if !e.is_terminal() {
-                        self.bcast_abandon(cctx, vroot);
-                    }
-                    return Err(e);
-                }
-            }
+        comm: Comm,
+        op: (u8, &'static str),
+        root: CommRank,
+        first: Result<Option<Bytes>>,
+    ) -> Result<T> {
+        let (value, first) = match first {
+            Ok(value) => (value, None),
+            Err(e) if e.is_terminal() => return Err(e),
+            Err(e) => (None, Some(e)),
         };
-
-        // Forward phase: send to children; a dead child is recorded but
-        // the remaining subtrees still get the data.
-        let mut first_err = None;
-        for child in binomial_children(u, m) {
-            if let Err(e) = self.coll_send(cctx, abs(child), data.clone()) {
-                if e.is_terminal() {
-                    return Err(e);
-                }
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            None => Ok(data),
-            Some(e) => Err(e),
-        }
+        // Our children wait on us.
+        self.collective(comm, op, Some(root), first, children, |p, cctx| {
+            let m = cctx.size();
+            let u = (cctx.vrank + m - cctx.vroot) % m;
+            let data = match binomial_parent(u, m) {
+                None => value.ok_or(Error::InvalidState("bcast root must supply a value"))?,
+                Some((parent, _)) => p.coll_recv(cctx, (parent + cctx.vroot) % m)?,
+            };
+            // A dead child is recorded but the remaining subtrees
+            // still get the data.
+            p.coll_each(children(cctx), |p, child| p.coll_send(cctx, child, data.clone()))?;
+            T::from_bytes(&data)
+        })
     }
+}
 
-    /// Poison our children: they wait on us and we are leaving with an
-    /// error.
-    pub(crate) fn bcast_abandon(&mut self, cctx: &CollCtx, vroot: usize) {
-        let m = cctx.size();
-        let u = (cctx.vrank + m - vroot) % m;
-        self.coll_poisoned(cctx);
-        for child in binomial_children(u, m) {
-            self.coll_poison(cctx, (child + vroot) % m);
-        }
-    }
+/// This rank's children in the binomial tree rooted at `cctx.vroot`, as
+/// active indices in send order.
+fn children(cctx: &CollCtx) -> Vec<usize> {
+    let m = cctx.size();
+    let u = (cctx.vrank + m - cctx.vroot) % m;
+    binomial_children(u, m).into_iter().map(|child| (child + cctx.vroot) % m).collect()
 }
 
 #[cfg(test)]

@@ -1,9 +1,8 @@
 //! Linear gather and scatter.
 //!
-//! Linear algorithms are hang-safe by construction here: leaf
-//! participants only *send* (eager, never blocks), so the root is the
-//! only rank that waits, and everything it waits on is covered by the
-//! failure detector. No poison is needed.
+//! Leaf participants of a linear algorithm only *send* (eager, never
+//! blocks), so the root is the only rank that waits in `gather`, and
+//! the only rank waited on in `scatter`.
 
 use crate::comm::Comm;
 use crate::datatype::Datatype;
@@ -11,7 +10,7 @@ use crate::error::{Error, Result};
 use crate::process::Process;
 use crate::rank::CommRank;
 
-use super::{OP_GATHER, OP_SCATTER};
+use super::{CollCtx, OP_GATHER, OP_SCATTER};
 
 impl Process {
     /// `MPI_Gather`: every active participant contributes `value`; the
@@ -23,119 +22,57 @@ impl Process {
         root: CommRank,
         value: &T,
     ) -> Result<Option<Vec<(CommRank, T)>>> {
-        let (cctx, entry_err) = self.coll_begin(comm, OP_GATHER, "gather")?;
-        if let Some(e) = entry_err {
-            // The root waits on every leaf in turn; an abandoning leaf
-            // must poison it, or the root would block forever on an
-            // alive rank that will never send (the dead rank that
-            // triggered this entry error may be *behind* the leaf in
-            // the root's receive order).
-            if let Ok(vroot) = self.coll_vroot(&cctx, root) {
-                if cctx.vrank != vroot {
-                    self.coll_poisoned(&cctx);
-                    self.coll_poison(&cctx, vroot);
-                }
+        // The root waits on every leaf in turn; a leaf that leaves
+        // without sending must poison it, or the root would block
+        // forever on an alive rank that will never send (the dead rank
+        // behind the leaf's entry error may be *behind* the leaf in the
+        // root's receive order).
+        let owes = |cctx: &CollCtx| {
+            if cctx.vrank == cctx.vroot { Vec::new() } else { vec![cctx.vroot] }
+        };
+        self.collective(comm, (OP_GATHER, "gather"), Some(root), None, owes, |p, cctx| {
+            if cctx.vrank != cctx.vroot {
+                return p.coll_send(cctx, cctx.vroot, value.to_bytes()).map(|()| None);
             }
-            return Err(self.fail_op(Some(comm.0), e));
-        }
-        let vroot = self.coll_vroot(&cctx, root).map_err(|e| self.fail_op(Some(comm.0), e))?;
-        if cctx.vrank != vroot {
-            return match self.coll_send(&cctx, vroot, value.to_bytes()) {
-                Ok(()) => {
-                    self.coll_end()?;
-                    Ok(None)
-                }
-                Err(e) => Err(self.fail_op(Some(comm.0), e)),
-            };
-        }
-        let mut out = Vec::with_capacity(cctx.size());
-        for v in 0..cctx.size() {
-            if v == vroot {
-                let copy = T::from_bytes(&value.to_bytes())?;
-                out.push((cctx.rank_at(v), copy));
-                continue;
+            let mut out = Vec::with_capacity(cctx.size());
+            for v in 0..cctx.size() {
+                let bytes = if v == cctx.vroot { value.to_bytes() } else { p.coll_recv(cctx, v)? };
+                out.push((cctx.rank_at(v), T::from_bytes(&bytes)?));
             }
-            match self.coll_recv(&cctx, v) {
-                Ok(bytes) => out.push((cctx.rank_at(v), T::from_bytes(&bytes)?)),
-                Err(e) => return Err(self.fail_op(Some(comm.0), e)),
-            }
-        }
-        self.coll_end()?;
-        Ok(Some(out))
+            Ok(Some(out))
+        })
     }
 
     /// `MPI_Scatter`: the root supplies one value per active
     /// participant (in active-rank order); each participant receives
     /// its element.
-    #[allow(clippy::needless_range_loop)] // v doubles as the virtual rank
     pub fn scatter<T: Datatype>(
         &mut self,
         comm: Comm,
         root: CommRank,
         values: Option<&[T]>,
     ) -> Result<T> {
-        let (cctx, entry_err) = self.coll_begin(comm, OP_SCATTER, "scatter")?;
-        if let Some(e) = entry_err {
-            // Non-roots wait only on the root; if we are the root we
-            // must poison everyone who would wait for a share.
-            let is_root = self.coll_vroot(&cctx, root).map(|vr| vr == cctx.vrank).unwrap_or(false);
-            if is_root {
-                self.coll_poisoned(&cctx);
-                for v in 0..cctx.size() {
-                    if v != cctx.vrank {
-                        self.coll_poison(&cctx, v);
-                    }
-                }
+        // Non-roots wait only on the root; the root owes everyone who
+        // waits for a share.
+        let owes = |cctx: &CollCtx| {
+            if cctx.vrank == cctx.vroot { cctx.others() } else { Vec::new() }
+        };
+        self.collective(comm, (OP_SCATTER, "scatter"), Some(root), None, owes, |p, cctx| {
+            if cctx.vrank != cctx.vroot {
+                return T::from_bytes(&p.coll_recv(cctx, cctx.vroot)?);
             }
-            return Err(self.fail_op(Some(comm.0), e));
-        }
-        let vroot = self.coll_vroot(&cctx, root).map_err(|e| self.fail_op(Some(comm.0), e))?;
-        if cctx.vrank == vroot {
             let values = match values {
                 Some(v) if v.len() == cctx.size() => v,
                 Some(_) => {
-                    return Err(self.fail_op(
-                        Some(comm.0),
-                        Error::InvalidState("scatter root must supply one value per active rank"),
-                    ))
+                    let what = "scatter root must supply one value per active rank";
+                    return Err(Error::InvalidState(what));
                 }
-                None => {
-                    return Err(self.fail_op(
-                        Some(comm.0),
-                        Error::InvalidState("scatter root must supply values"),
-                    ))
-                }
+                None => return Err(Error::InvalidState("scatter root must supply values")),
             };
-            let mut first_err = None;
-            for v in 0..cctx.size() {
-                if v == vroot {
-                    continue;
-                }
-                if let Err(e) = self.coll_send(&cctx, v, values[v].to_bytes()) {
-                    if e.is_terminal() {
-                        return Err(e);
-                    }
-                    // A dead child: keep serving the others.
-                    first_err.get_or_insert(e);
-                }
-            }
-            let mine = T::from_bytes(&values[vroot].to_bytes())?;
-            match first_err {
-                None => {
-                    self.coll_end()?;
-                    Ok(mine)
-                }
-                Some(e) => Err(self.fail_op(Some(comm.0), e)),
-            }
-        } else {
-            match self.coll_recv(&cctx, vroot) {
-                Ok(bytes) => {
-                    self.coll_end()?;
-                    T::from_bytes(&bytes).map_err(|e| self.fail_op(Some(comm.0), e))
-                }
-                Err(e) => Err(self.fail_op(Some(comm.0), e)),
-            }
-        }
+            // A dead child: keep serving the others.
+            p.coll_each(cctx.others(), |p, v| p.coll_send(cctx, v, values[v].to_bytes()))?;
+            T::from_bytes(&values[cctx.vroot].to_bytes())
+        })
     }
 }
 

@@ -21,12 +21,16 @@
 //! A failed rank cannot wedge a collective: receives posted to it error
 //! via the failure detector. The subtler case is an *alive* rank that
 //! leaves a collective early with an error — its dependents would wait
-//! forever. Every algorithm here therefore **poisons** the peers that
-//! still expect data from it before returning an error; a poisoned
-//! receive completes with `RankFailStop` and the error (plus more
-//! poison) propagates outward. Combined with eager sends this bounds
-//! every failure case to "error, not hang", which the integration tests
-//! assert with watchdogs.
+//! forever. Every operation here therefore runs inside one frame,
+//! [`Process::collective`]: it declares the peers that will wait on a
+//! message from it, and the frame **poisons** those it has not yet
+//! tried to send to before it returns any error — an entry failure, a
+//! failed receive, a payload that does not decode, a bad argument. A
+//! poisoned receive completes with `RankFailStop` and the error (plus
+//! more poison) propagates outward. Combined with eager sends this
+//! bounds every failure case to "error, not hang", which the
+//! integration tests assert with watchdogs and
+//! `dst/tests/sim_tree_collectives.rs` under the scheduler.
 
 mod allgather;
 mod barrier;
@@ -65,8 +69,15 @@ pub(crate) struct CollCtx {
     pub active: Vec<CommRank>,
     /// This process's index in `active`.
     pub vrank: usize,
+    /// The root's index in `active` (0 for an operation without one).
+    pub vroot: usize,
     /// System tag for this instance.
     pub tag: Tag,
+    /// Indices in `active` of the peers that still wait on a message
+    /// from this rank, in the order it sends to them. `coll_send`
+    /// strikes its destination; whoever is left when the rank leaves
+    /// with an error is poisoned.
+    owed: Vec<usize>,
 }
 
 impl CollCtx {
@@ -79,14 +90,74 @@ impl CollCtx {
     pub fn rank_at(&self, v: usize) -> CommRank {
         self.active[v]
     }
+
+    /// Every active index but this rank's, ascending.
+    pub fn others(&self) -> Vec<usize> {
+        (0..self.size()).filter(|&v| v != self.vrank).collect()
+    }
 }
 
 impl Process {
+    /// The frame every message-passing collective runs in. Enter (see
+    /// [`Process::coll_begin`]), map `root` into the active set, let the
+    /// operation declare through `owes` the peers that will wait on it,
+    /// run `body`, and leave: through [`Process::coll_end`] on success,
+    /// and on any non-terminal error — the entry check's, `first`'s,
+    /// the body's — by poisoning every peer still owed a message and
+    /// applying the communicator's error handler, once.
+    ///
+    /// `first` is the error of the phase this instance follows in a
+    /// composed collective: the instance is still entered, so that
+    /// counters stay aligned, and abandoned at once.
+    pub(crate) fn collective<R>(
+        &mut self,
+        comm: Comm,
+        (op, name): (u8, &'static str),
+        root: Option<CommRank>,
+        first: Option<Error>,
+        owes: impl FnOnce(&CollCtx) -> Vec<usize>,
+        body: impl FnOnce(&mut Self, &mut CollCtx) -> Result<R>,
+    ) -> Result<R> {
+        let (mut cctx, entry_err) = self.coll_begin(comm, op, name)?;
+        // Without a live root nobody joined a tree: nobody can be
+        // waiting on this rank, and nothing is owed.
+        let rooted = match root {
+            None => Ok(0),
+            Some(root) => cctx
+                .active
+                .iter()
+                .position(|&r| r == root)
+                .ok_or(Error::RankFailStop { rank: root }),
+        };
+        if let Ok(vroot) = rooted {
+            cctx.vroot = vroot;
+            cctx.owed = owes(&cctx);
+        }
+        let done = match first.or(entry_err).map_or(rooted, Err) {
+            Ok(_) => body(self, &mut cctx),
+            Err(e) => Err(e),
+        };
+        let e = match done.and_then(|out| self.coll_end().map(|()| out)) {
+            Ok(out) => return Ok(out),
+            Err(e) => e,
+        };
+        if !e.is_terminal() {
+            self.shared
+                .trace
+                .record(Event::CollectivePoison { rank: self.world_rank(), op: cctx.name });
+            for &v in &cctx.owed {
+                // Best effort: errors to already-dead peers are ignored.
+                let _ = self.sys_send(comm, cctx.rank_at(v), cctx.tag, Bytes::new(), true);
+            }
+        }
+        Err(self.fail_op(Some(comm.0), e))
+    }
+
     /// Enter a collective: bump the instance, fire the injection hook,
     /// and perform the entry failure check. On an entry error the
-    /// caller must still poison its dependents (it has a valid
+    /// frame must still poison this rank's dependents (it needs the
     /// `CollCtx` for that), so the context is returned in both cases.
-    pub(crate) fn coll_begin(
+    fn coll_begin(
         &mut self,
         comm: Comm,
         op: u8,
@@ -94,34 +165,24 @@ impl Process {
     ) -> Result<(CollCtx, Option<Error>)> {
         self.shared.registry.check_alive(self.world_rank(), self.generation())?;
         self.hook(Hook::bare(HookKind::BeforeCollective))?;
-        let (ctx, entry_err, instance) = {
-            let registry = std::sync::Arc::clone(&self.shared);
-            let c = self.comm_data_mut(comm)?;
-            let instance = c.coll_instance;
-            c.coll_instance += 1;
-            let active = c.collective_active();
-            let vrank = active
-                .iter()
-                .position(|&r| r == c.my_rank)
-                .expect("an alive member is always active");
-            // Entry check: any failure outside the validated set
-            // disables collectives until the next validate_all.
-            let mut entry_err = None;
-            for r in 0..c.size() {
-                let failed = registry.registry.is_failed(
-                    c.group.world_rank(r).expect("rank in range"),
-                );
-                if failed && !c.validated.contains(&r) {
-                    entry_err = Some(Error::RankFailStop { rank: r });
-                    break;
-                }
-            }
-            (
-                CollCtx { comm, name, active, vrank, tag: system_tag(op, instance) },
-                entry_err,
-                instance,
-            )
-        };
+        let c = self.comm_data_mut(comm)?;
+        let instance = c.coll_instance;
+        c.coll_instance += 1;
+        let c = self.comm_data(comm)?;
+        let active = c.collective_active();
+        let vrank = active
+            .iter()
+            .position(|&r| r == c.my_rank)
+            .expect("an alive member is always active");
+        // Entry check: any failure outside the validated set
+        // disables collectives until the next validate_all.
+        let registry = &self.shared.registry;
+        let entry_err = (0..c.size())
+            .find(|r| {
+                registry.is_failed(c.group.world_rank(*r).expect("rank in range"))
+                    && !c.validated.contains(r)
+            })
+            .map(|rank| Error::RankFailStop { rank });
         if self.shared.trace.enabled() {
             self.shared.trace.record(Event::CollectiveEnter {
                 rank: self.world_rank(),
@@ -129,27 +190,14 @@ impl Process {
                 instance,
             });
         }
-        Ok((ctx, entry_err))
-    }
-
-    /// Send a poison notification to the active participant at `v`
-    /// (best effort: errors to already-dead peers are ignored).
-    pub(crate) fn coll_poison(&mut self, cctx: &CollCtx, v: usize) {
-        let dst = cctx.rank_at(v);
-        let _ = self.sys_send(cctx.comm, dst, cctx.tag, Bytes::new(), true);
-    }
-
-    /// Record that this rank abandoned a collective with an error.
-    pub(crate) fn coll_poisoned(&mut self, cctx: &CollCtx) {
-        self.shared
-            .trace
-            .record(Event::CollectivePoison { rank: self.world_rank(), op: cctx.name });
+        let tag = system_tag(op, instance);
+        Ok((CollCtx { comm, name, active, vrank, vroot: 0, tag, owed: Vec::new() }, entry_err))
     }
 
     /// Blocking system receive inside a collective: no error handler,
     /// no user hooks; poison and peer failure surface as
     /// `RankFailStop`.
-    pub(crate) fn coll_recv(&mut self, cctx: &CollCtx, from_v: usize, ) -> Result<Bytes> {
+    pub(crate) fn coll_recv(&mut self, cctx: &CollCtx, from_v: usize) -> Result<Bytes> {
         let src = cctx.rank_at(from_v);
         let req = self.sys_irecv(cctx.comm, src, cctx.tag)?;
         let completion = self.sys_wait(req)?;
@@ -161,9 +209,31 @@ impl Process {
         Ok(completion.data)
     }
 
-    /// Blocking system send inside a collective.
-    pub(crate) fn coll_send(&mut self, cctx: &CollCtx, to_v: usize, data: Bytes) -> Result<()> {
+    /// Blocking system send inside a collective. The attempt settles
+    /// what this rank owed `to_v`, delivered or not: a peer that could
+    /// not be reached is dead and waits on nobody.
+    pub(crate) fn coll_send(&mut self, cctx: &mut CollCtx, to_v: usize, data: Bytes) -> Result<()> {
+        cctx.owed.retain(|&v| v != to_v);
         self.sys_send(cctx.comm, cctx.rank_at(to_v), cctx.tag, data, false)
+    }
+
+    /// Run `step` for each of `over`, past per-peer errors — a dead
+    /// peer must not cost the others their data — and report the first
+    /// of them; a terminal error ends the walk at once.
+    pub(crate) fn coll_each<I>(
+        &mut self,
+        over: impl IntoIterator<Item = I>,
+        mut step: impl FnMut(&mut Self, I) -> Result<()>,
+    ) -> Result<()> {
+        let mut first_err = None;
+        for item in over {
+            match step(self, item) {
+                Err(e) if e.is_terminal() => return Err(e),
+                Err(e) => first_err = first_err.or(Some(e)),
+                Ok(()) => {}
+            }
+        }
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Wait for a request without consuming hooks or error handlers
@@ -174,17 +244,15 @@ impl Process {
     }
 
     /// Leave a collective successfully.
-    pub(crate) fn coll_end(&mut self) -> Result<()> {
+    fn coll_end(&mut self) -> Result<()> {
         self.hook(Hook::bare(HookKind::AfterCollective))
     }
 
-    /// Map `root` (a comm rank) to its index in the active set, erring
-    /// if the root is failed/validated-out.
-    pub(crate) fn coll_vroot(&self, cctx: &CollCtx, root: CommRank) -> Result<usize> {
-        cctx.active
-            .iter()
-            .position(|&r| r == root)
-            .ok_or(Error::RankFailStop { rank: root })
+    /// The lowest active rank of `comm`: the root both phases of a
+    /// composed collective use.
+    pub(crate) fn lowest_active(&self, comm: Comm) -> Result<CommRank> {
+        let c = self.comm_data(comm)?;
+        Ok(*c.collective_active().first().expect("at least self is active"))
     }
 }
 
@@ -281,6 +349,97 @@ mod tests {
                 .collect();
             assert_eq!(instances, vec![0, 1, 0], "rank {rank}");
         }
+    }
+
+    /// An alive rank that leaves with a *local* error — a payload that
+    /// does not decode, a root without a value, a wrong count — owes
+    /// its peers the same poison as one that leaves on a failure.
+    #[test]
+    fn a_local_error_poisons_the_peers_left_waiting() {
+        use crate::{Process, WORLD};
+        type Body = fn(&mut Process) -> Result<Result<()>>;
+        let poisoned_by = |rank| Err(Error::RankFailStop { rank });
+        let cases: [(&str, Body, Vec<Result<()>>); 4] = [
+            (
+                // 3 → 2 → 0 ← 1: rank 2 cannot decode rank 3's byte.
+                "reduce, one contributor of another type",
+                |p| {
+                    Ok(if p.world_rank() == 3 {
+                        p.reduce(WORLD, 0, &1u8, |a, b| a + b).map(|_| ())
+                    } else {
+                        p.reduce(WORLD, 0, &1u64, |a, b| a + b).map(|_| ())
+                    })
+                },
+                vec![poisoned_by(2), Ok(()), Err(Error::TypeMismatch), Ok(())],
+            ),
+            (
+                "bcast, root without a value",
+                |p| Ok(p.bcast::<u64>(WORLD, 0, None).map(|_| ())),
+                vec![
+                    Err(Error::InvalidState("bcast root must supply a value")),
+                    poisoned_by(0),
+                    poisoned_by(0),
+                ],
+            ),
+            (
+                "scatter, root one value short",
+                |p| Ok(p.scatter(WORLD, 0, Some(&[1u64, 2][..])).map(|_| ())),
+                vec![
+                    Err(Error::InvalidState("scatter root must supply one value per active rank")),
+                    poisoned_by(0),
+                    poisoned_by(0),
+                ],
+            ),
+            (
+                // The control: written by hand before there was a frame.
+                "alltoall, one caller one value short",
+                |p| {
+                    let values = vec![0u64; if p.world_rank() == 1 { 2 } else { 3 }];
+                    Ok(p.alltoall(WORLD, &values).map(|_| ()))
+                },
+                vec![
+                    poisoned_by(1),
+                    Err(Error::InvalidState("alltoall needs one value per active rank")),
+                    poisoned_by(1),
+                ],
+            ),
+        ];
+        let mut hung = Vec::new();
+        for (name, body, expected) in cases {
+            let cfg = crate::UniverseConfig::default().watchdog(std::time::Duration::from_secs(2));
+            let report = crate::run(expected.len(), cfg, move |p| {
+                p.set_errhandler(WORLD, crate::ErrorHandler::ErrorsReturn)?;
+                body(p)
+            });
+            if report.hung {
+                hung.push(name);
+                continue;
+            }
+            for (rank, want) in expected.iter().enumerate() {
+                assert_eq!(report.outcomes[rank].as_ok(), Some(want), "{name}: rank {rank}");
+            }
+        }
+        assert!(hung.is_empty(), "an alive peer was left blocked until the watchdog in {hung:?}");
+    }
+
+    /// The frame has one error exit, so no error inside a collective
+    /// slips past the communicator's handler (a payload that did not
+    /// decode used to).
+    #[test]
+    fn a_decode_error_is_fatal_under_errors_are_fatal() {
+        let report = crate::run_default(2, |p| {
+            let pairs = if p.world_rank() == 1 {
+                p.gather(crate::WORLD, 0, &1u8)?.map(|_| ())
+            } else {
+                p.gather(crate::WORLD, 0, &1u64)?.map(|_| ())
+            };
+            Ok(pairs)
+        });
+        assert!(
+            matches!(report.outcomes[0], crate::RankOutcome::Aborted { code: 1 }),
+            "{:?}",
+            report.outcomes[0]
+        );
     }
 
     #[test]

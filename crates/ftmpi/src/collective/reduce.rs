@@ -1,6 +1,5 @@
 //! Binomial-tree reduction and allreduce.
 
-
 use crate::comm::Comm;
 use crate::datatype::Datatype;
 use crate::error::Result;
@@ -25,138 +24,48 @@ impl Process {
         value: &T,
         op: impl Fn(T, T) -> T,
     ) -> Result<Option<T>> {
-        let (cctx, entry_err) = self.coll_begin(comm, OP_REDUCE, "reduce")?;
-        let vroot = match entry_err {
-            Some(e) => {
-                if let Ok(vroot) = self.coll_vroot(&cctx, root) {
-                    self.reduce_abandon(&cctx, vroot);
-                }
-                return Err(self.fail_op(Some(comm.0), e));
-            }
-            None => self.coll_vroot(&cctx, root).map_err(|e| self.fail_op(Some(comm.0), e))?,
+        // The parent is the only rank waiting on us.
+        let parent = |cctx: &CollCtx| {
+            let m = cctx.size();
+            let u = (cctx.vrank + m - cctx.vroot) % m;
+            binomial_parent(u, m).map(|(parent, _)| (parent + cctx.vroot) % m)
         };
-        match self.reduce_inner(&cctx, vroot, value, &op) {
-            Ok(out) => {
-                self.coll_end()?;
-                Ok(out)
-            }
-            Err(e) => Err(self.fail_op(Some(comm.0), e)),
-        }
-    }
-
-    fn reduce_inner<T: Datatype>(
-        &mut self,
-        cctx: &CollCtx,
-        vroot: usize,
-        value: &T,
-        op: &impl Fn(T, T) -> T,
-    ) -> Result<Option<T>> {
-        let m = cctx.size();
-        let u = (cctx.vrank + m - vroot) % m;
-        let abs = |rel: usize| (rel + vroot) % m;
-        let mut acc = T::from_bytes(&value.to_bytes())?; // owned copy via the wire format
-
-        let mut mask = 1usize;
-        while mask < m {
-            if u & mask == 0 {
-                let child = u + mask;
-                if child < m {
-                    match self.coll_recv(cctx, abs(child)) {
-                        Ok(bytes) => {
-                            let partial = T::from_bytes(&bytes)?;
-                            acc = op(acc, partial);
-                        }
-                        Err(e) => {
-                            if !e.is_terminal() {
-                                self.reduce_abandon_from(cctx, vroot, u, mask);
-                            }
-                            return Err(e);
-                        }
-                    }
+        let owes = |cctx: &CollCtx| parent(cctx).into_iter().collect();
+        self.collective(comm, (OP_REDUCE, "reduce"), Some(root), None, owes, |p, cctx| {
+            let m = cctx.size();
+            let u = (cctx.vrank + m - cctx.vroot) % m;
+            let mut acc = T::from_bytes(&value.to_bytes())?; // owned copy via the wire format
+            let mut mask = 1usize;
+            while mask < m && u & mask == 0 {
+                if u + mask < m {
+                    let partial = p.coll_recv(cctx, (u + mask + cctx.vroot) % m)?;
+                    acc = op(acc, T::from_bytes(&partial)?);
                 }
                 mask <<= 1;
-            } else {
-                let parent = u - mask;
+            }
+            match parent(cctx) {
+                None => Ok(Some(acc)),
                 // On a dead parent the subtree result is lost, which
                 // the root observes as its own receive error.
-                self.coll_send(cctx, abs(parent), acc.to_bytes())?;
-                return Ok(None);
+                Some(parent) => p.coll_send(cctx, parent, acc.to_bytes()).map(|()| None),
             }
-        }
-        Ok(Some(acc))
-    }
-
-    /// Poison the parent (the only rank waiting on us) when abandoning.
-    fn reduce_abandon(&mut self, cctx: &CollCtx, vroot: usize) {
-        let m = cctx.size();
-        let u = (cctx.vrank + m - vroot) % m;
-        self.reduce_abandon_from(cctx, vroot, u, usize::MAX);
-    }
-
-    fn reduce_abandon_from(&mut self, cctx: &CollCtx, vroot: usize, u: usize, _mask: usize) {
-        let m = cctx.size();
-        self.coll_poisoned(cctx);
-        if let Some((parent, _)) = binomial_parent(u, m) {
-            self.coll_poison(cctx, (parent + vroot) % m);
-        }
+        })
     }
 
     /// `MPI_Allreduce`: reduce to the lowest active rank, then
     /// broadcast the result. Every active participant receives the
-    /// combined value on success.
-    ///
-    /// Composition invariant: the broadcast phase's collective
-    /// instance is entered **even when the reduce phase failed** —
-    /// otherwise ranks whose reduce errored would fall one instance
-    /// behind ranks whose reduce succeeded, and every later collective
-    /// on the communicator would cross-match tags (a permanent,
-    /// unrecoverable desynchronization). A rank entering phase 2 only
-    /// to abandon it poisons its broadcast children first.
+    /// combined value on success. The broadcast phase is entered even
+    /// when the reduce phase failed (see [`Process::bcast_from`]).
     pub fn allreduce<T: Datatype>(
         &mut self,
         comm: Comm,
         value: &T,
         op: impl Fn(T, T) -> T,
     ) -> Result<T> {
-        // Phase 1: reduce to the lowest active rank.
-        let root = {
-            let c = self.comm_data(comm)?;
-            *c.collective_active().first().expect("at least self is active")
-        };
-        let reduced = match self.reduce(comm, root, value, &op) {
-            Ok(v) => Ok(v),
-            Err(e) if e.is_terminal() => return Err(e),
-            Err(e) => Err(e),
-        };
-
-        // Phase 2: always enter (instance alignment, see above).
-        let (cctx, entry_err) = self.coll_begin(comm, OP_BCAST, "allreduce.bcast")?;
-        let vroot = self.coll_vroot(&cctx, root);
-        let abort_phase2 = match (&reduced, entry_err) {
-            (Err(e), _) => Some(e.clone()),
-            (Ok(_), Some(e)) => Some(e),
-            (Ok(_), None) => None,
-        };
-        if let Some(e) = abort_phase2 {
-            // Our broadcast children would wait on us forever: poison
-            // them before leaving with the error.
-            if let Ok(vr) = vroot {
-                self.bcast_abandon(&cctx, vr);
-            }
-            return Err(self.fail_op(Some(comm.0), e));
-        }
-        let vroot = match vroot {
-            Ok(vr) => vr,
-            Err(e) => return Err(self.fail_op(Some(comm.0), e)),
-        };
-        let payload = reduced.expect("checked above").map(|v| v.to_bytes());
-        match self.bcast_inner(&cctx, vroot, payload) {
-            Ok(bytes) => {
-                self.coll_end()?;
-                T::from_bytes(&bytes).map_err(|e| self.fail_op(Some(comm.0), e))
-            }
-            Err(e) => Err(self.fail_op(Some(comm.0), e)),
-        }
+        let root = self.lowest_active(comm)?;
+        let reduced = self.reduce(comm, root, value, &op);
+        let reduced = reduced.map(|at_root| at_root.map(|v| v.to_bytes()));
+        self.bcast_from(comm, (OP_BCAST, "allreduce.bcast"), root, reduced)
     }
 }
 

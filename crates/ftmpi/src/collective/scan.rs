@@ -21,52 +21,25 @@ impl Process {
         value: &T,
         op: impl Fn(T, T) -> T,
     ) -> Result<T> {
-        let (cctx, entry_err) = self.coll_begin(comm, OP_SCAN, "scan")?;
-        if let Some(e) = entry_err {
-            self.scan_abandon(&cctx);
-            return Err(self.fail_op(Some(comm.0), e));
-        }
-        match self.scan_inner(&cctx, value, &op) {
-            Ok(v) => {
-                self.coll_end()?;
-                Ok(v)
-            }
-            Err(e) => {
-                if !e.is_terminal() {
-                    self.scan_abandon(&cctx);
+        // The next rank in the chain is the only one waiting on us.
+        let next = |cctx: &CollCtx| (cctx.vrank + 1 < cctx.size()).then_some(cctx.vrank + 1);
+        let owes = |cctx: &CollCtx| Vec::from_iter(next(cctx));
+        self.collective(comm, (OP_SCAN, "scan"), None, None, owes, |p, cctx| {
+            let mine = T::from_bytes(&value.to_bytes())?;
+            let acc = match cctx.vrank.checked_sub(1) {
+                None => mine,
+                Some(prev) => op(T::from_bytes(&p.coll_recv(cctx, prev)?)?, mine),
+            };
+            if let Some(next) = next(cctx) {
+                if let Err(e) = p.coll_send(cctx, next, acc.to_bytes()) {
+                    // As the hand-written version did: a successor the
+                    // send just failed to reach is poisoned all the same.
+                    cctx.owed.push(next);
+                    return Err(e);
                 }
-                Err(self.fail_op(Some(comm.0), e))
             }
-        }
-    }
-
-    fn scan_inner<T: Datatype>(
-        &mut self,
-        cctx: &CollCtx,
-        value: &T,
-        op: &impl Fn(T, T) -> T,
-    ) -> Result<T> {
-        let v = cctx.vrank;
-        let mine = T::from_bytes(&value.to_bytes())?;
-        let acc = if v == 0 {
-            mine
-        } else {
-            let prefix_bytes = self.coll_recv(cctx, v - 1)?;
-            let prefix = T::from_bytes(&prefix_bytes)?;
-            op(prefix, mine)
-        };
-        if v + 1 < cctx.size() {
-            self.coll_send(cctx, v + 1, acc.to_bytes())?;
-        }
-        Ok(acc)
-    }
-
-    /// Poison the next rank in the chain (the only one waiting on us).
-    fn scan_abandon(&mut self, cctx: &CollCtx) {
-        self.coll_poisoned(cctx);
-        if cctx.vrank + 1 < cctx.size() {
-            self.coll_poison(cctx, cctx.vrank + 1);
-        }
+            Ok(acc)
+        })
     }
 }
 
