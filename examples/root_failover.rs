@@ -15,11 +15,17 @@ fn main() {
     let ranks = 6;
     let iterations = 8;
 
-    // The root (rank 0) dies after closing its 3rd lap.
-    let plan = scenario::kill_after_recv(0, ranks - 1, T_N, 3);
+    // The root (rank 0) originates `by_old_root` laps and dies holding
+    // the token that would close the last of them.
+    let by_old_root = 3;
+    let plan = scenario::kill_after_recv(0, ranks - 1, T_N, by_old_root);
     let cfg = RingConfig::with_root_failover(iterations);
 
-    println!("ring: {ranks} ranks x {iterations} laps; the ROOT dies after lap 3");
+    println!(
+        "ring: {ranks} ranks x {iterations} laps; the ROOT dies holding the token \
+         that closes its lap number {by_old_root} (marker {})",
+        by_old_root - 1
+    );
     println!("config: {cfg:?}\n");
 
     let report = run(
@@ -45,12 +51,24 @@ fn main() {
     }
 
     assert!(!s.hung, "failover must prevent the hang");
-    assert_eq!(s.total_originated, iterations, "every lap originated exactly once");
     let new_root = report.outcomes[1].as_ok().unwrap();
     assert!(new_root.became_root, "rank 1 must take over");
+    // The summary sums over survivors: what the dead root originated
+    // and closed died with it. The lap it was closing is closed by its
+    // successor, from the resent token.
+    assert_eq!(
+        s.total_originated,
+        iterations - by_old_root,
+        "survivors originate exactly the laps the old root had not"
+    );
+    let mut closed: Vec<u64> = s.closures.iter().map(|(marker, _)| *marker).collect();
+    closed.sort_unstable();
+    let expected: Vec<u64> = (by_old_root - 1..iterations).collect();
+    assert_eq!(closed, expected, "every lap the old root left open closes exactly once");
     println!(
-        "\nOK: rank 1 took over as root, originated the remaining laps, and every \
-         survivor agreed on {} failure(s) at termination.",
+        "\nOK: rank 1 took over as root, closed that lap, originated the remaining {} laps, \
+         and every survivor agreed on {} failure(s) at termination.",
+        s.total_originated,
         s.failed.len()
     );
 }
