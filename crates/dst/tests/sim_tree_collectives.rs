@@ -45,12 +45,17 @@ const BUDGET: u64 = 100_000;
 const ENTRIES: u64 = 12;
 
 /// FNV-1a over every schedule's decision log and rank reports, every
-/// rank count, in seed order.
-const DIGEST: u64 = 0xacfe_4712_fcbf_17ee;
+/// rank count, in seed order. Pinned on the hand-written collectives as
+/// `0xacfe_4712_fcbf_17ee` and unmoved by the move into one frame;
+/// re-pinned once, when `scan` stopped poisoning a successor its send
+/// had just failed to reach — the only peer any of them poisoned
+/// knowing it dead — which moves six of the 1280 schedules, five steps
+/// fewer in all.
+const DIGEST: u64 = 0x426b_0815_1c2d_0349;
 
 /// Scheduler steps over the same schedules: how far a moved digest
-/// moved.
-const STEPS: u64 = 234_981;
+/// moved (234 981 before `scan`'s change).
+const STEPS: u64 = 234_976;
 
 /// What one rank saw.
 #[derive(Debug, Clone, PartialEq)]

@@ -31,12 +31,7 @@ impl Process {
                 Some(prev) => op(T::from_bytes(&p.coll_recv(cctx, prev)?)?, mine),
             };
             if let Some(next) = next(cctx) {
-                if let Err(e) = p.coll_send(cctx, next, acc.to_bytes()) {
-                    // As the hand-written version did: a successor the
-                    // send just failed to reach is poisoned all the same.
-                    cctx.owed.push(next);
-                    return Err(e);
-                }
+                p.coll_send(cctx, next, acc.to_bytes())?;
             }
             Ok(acc)
         })
