@@ -34,8 +34,8 @@ use ftmpi::{
 const SEEDS: std::ops::Range<u64> = 0..320;
 const RANKS: [usize; 4] = [3, 4, 5, 8];
 
-/// Far above what any of these schedules takes (under two thousand
-/// steps at 8 ranks): reaching it is a livelock.
+/// Far above what any of these schedules takes (551 steps at most, at
+/// 8 ranks): reaching it is a livelock.
 const BUDGET: u64 = 100_000;
 
 /// `BeforeCollective` fires this often in the operation sequence of
@@ -167,7 +167,7 @@ fn run_one(
     let kills = plan(seed, ranks);
     let fault_plan = kills
         .iter()
-        .fold(FaultPlan::none(), |p, (v, t)| p.with(FaultRule::kill(*v, t.clone())));
+        .fold(FaultPlan::none(), |p, (v, t)| p.with(FaultRule::kill(*v, *t)));
     let sched = Arc::new(Scheduler::new(ranks, seed, BUDGET));
     let report = pool.run(UniverseConfig::with_plan(fault_plan).sim(sched.clone()), body);
     let at = format!("{ranks} ranks, seed {seed}");

@@ -1,7 +1,8 @@
 //! Linear gather and scatter.
 //!
 //! Leaf participants of a linear algorithm only *send* (eager, never
-//! blocks), so the root is the only rank that waits in `gather`, and
+//! blocks), so the root is the only rank that waits in `gather` — on
+//! leaves the failure detector or their own poison answers for — and
 //! the only rank waited on in `scatter`.
 
 use crate::comm::Comm;

@@ -119,8 +119,8 @@ impl Process {
         body: impl FnOnce(&mut Self, &mut CollCtx) -> Result<R>,
     ) -> Result<R> {
         let (mut cctx, entry_err) = self.coll_begin(comm, op, name)?;
-        // Without a live root nobody joined a tree: nobody can be
-        // waiting on this rank, and nothing is owed.
+        // A root that failed and was validated out leaves no tree to
+        // join: nobody can be waiting on this rank, nothing is owed.
         let rooted = match root {
             None => Ok(0),
             Some(root) => cctx
@@ -391,7 +391,7 @@ mod tests {
                 ],
             ),
             (
-                // The control: written by hand before there was a frame.
+                // The control: everyone is owed, nothing was sent yet.
                 "alltoall, one caller one value short",
                 |p| {
                     let values = vec![0u64; if p.world_rank() == 1 { 2 } else { 3 }];
@@ -423,17 +423,16 @@ mod tests {
     }
 
     /// The frame has one error exit, so no error inside a collective
-    /// slips past the communicator's handler (a payload that did not
-    /// decode used to).
+    /// slips past the communicator's handler — a payload that does not
+    /// decode at the `gather` root included.
     #[test]
     fn a_decode_error_is_fatal_under_errors_are_fatal() {
         let report = crate::run_default(2, |p| {
-            let pairs = if p.world_rank() == 1 {
-                p.gather(crate::WORLD, 0, &1u8)?.map(|_| ())
+            if p.world_rank() == 1 {
+                p.gather(crate::WORLD, 0, &1u8).map(|_| ())
             } else {
-                p.gather(crate::WORLD, 0, &1u64)?.map(|_| ())
-            };
-            Ok(pairs)
+                p.gather(crate::WORLD, 0, &1u64).map(|_| ())
+            }
         });
         assert!(
             matches!(report.outcomes[0], crate::RankOutcome::Aborted { code: 1 }),
