@@ -54,11 +54,9 @@ impl Process {
         };
         // Our children wait on us.
         self.collective(comm, op, Some(root), first, children, |p, cctx| {
-            let m = cctx.size();
-            let u = (cctx.vrank + m - cctx.vroot) % m;
-            let data = match binomial_parent(u, m) {
+            let data = match binomial_parent(cctx.tree_pos(), cctx.size()) {
                 None => value.ok_or(Error::InvalidState("bcast root must supply a value"))?,
-                Some((parent, _)) => p.coll_recv(cctx, (parent + cctx.vroot) % m)?,
+                Some((parent, _)) => p.coll_recv(cctx, cctx.at_tree_pos(parent))?,
             };
             // A dead child is recorded but the remaining subtrees
             // still get the data.
@@ -71,9 +69,8 @@ impl Process {
 /// This rank's children in the binomial tree rooted at `cctx.vroot`, as
 /// active indices in send order.
 fn children(cctx: &CollCtx) -> Vec<usize> {
-    let m = cctx.size();
-    let u = (cctx.vrank + m - cctx.vroot) % m;
-    binomial_children(u, m).into_iter().map(|child| (child + cctx.vroot) % m).collect()
+    let below = binomial_children(cctx.tree_pos(), cctx.size());
+    below.into_iter().map(|child| cctx.at_tree_pos(child)).collect()
 }
 
 #[cfg(test)]

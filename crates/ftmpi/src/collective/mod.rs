@@ -91,6 +91,17 @@ impl CollCtx {
         self.active[v]
     }
 
+    /// This rank's position in the tree rooted at `vroot`: the active
+    /// set rotated so that the root is position 0.
+    pub fn tree_pos(&self) -> usize {
+        (self.vrank + self.size() - self.vroot) % self.size()
+    }
+
+    /// The active index of tree position `pos`.
+    pub fn at_tree_pos(&self, pos: usize) -> usize {
+        (pos + self.vroot) % self.size()
+    }
+
     /// Every active index but this rank's, ascending.
     pub fn others(&self) -> Vec<usize> {
         (0..self.size()).filter(|&v| v != self.vrank).collect()
@@ -357,24 +368,24 @@ mod tests {
     #[test]
     fn a_local_error_poisons_the_peers_left_waiting() {
         use crate::{Process, WORLD};
-        type Body = fn(&mut Process) -> Result<Result<()>>;
+        type Body = fn(&mut Process) -> Result<()>;
         let poisoned_by = |rank| Err(Error::RankFailStop { rank });
         let cases: [(&str, Body, Vec<Result<()>>); 4] = [
             (
                 // 3 → 2 → 0 ← 1: rank 2 cannot decode rank 3's byte.
                 "reduce, one contributor of another type",
                 |p| {
-                    Ok(if p.world_rank() == 3 {
+                    if p.world_rank() == 3 {
                         p.reduce(WORLD, 0, &1u8, |a, b| a + b).map(|_| ())
                     } else {
                         p.reduce(WORLD, 0, &1u64, |a, b| a + b).map(|_| ())
-                    })
+                    }
                 },
                 vec![poisoned_by(2), Ok(()), Err(Error::TypeMismatch), Ok(())],
             ),
             (
                 "bcast, root without a value",
-                |p| Ok(p.bcast::<u64>(WORLD, 0, None).map(|_| ())),
+                |p| p.bcast::<u64>(WORLD, 0, None).map(|_| ()),
                 vec![
                     Err(Error::InvalidState("bcast root must supply a value")),
                     poisoned_by(0),
@@ -383,7 +394,7 @@ mod tests {
             ),
             (
                 "scatter, root one value short",
-                |p| Ok(p.scatter(WORLD, 0, Some(&[1u64, 2][..])).map(|_| ())),
+                |p| p.scatter(WORLD, 0, Some(&[1u64, 2][..])).map(|_| ()),
                 vec![
                     Err(Error::InvalidState("scatter root must supply one value per active rank")),
                     poisoned_by(0),
@@ -395,7 +406,7 @@ mod tests {
                 "alltoall, one caller one value short",
                 |p| {
                     let values = vec![0u64; if p.world_rank() == 1 { 2 } else { 3 }];
-                    Ok(p.alltoall(WORLD, &values).map(|_| ()))
+                    p.alltoall(WORLD, &values).map(|_| ())
                 },
                 vec![
                     poisoned_by(1),
@@ -409,7 +420,7 @@ mod tests {
             let cfg = crate::UniverseConfig::default().watchdog(std::time::Duration::from_secs(2));
             let report = crate::run(expected.len(), cfg, move |p| {
                 p.set_errhandler(WORLD, crate::ErrorHandler::ErrorsReturn)?;
-                body(p)
+                Ok(body(p))
             });
             if report.hung {
                 hung.push(name);

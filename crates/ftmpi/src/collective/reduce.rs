@@ -26,19 +26,17 @@ impl Process {
     ) -> Result<Option<T>> {
         // The parent is the only rank waiting on us.
         let parent = |cctx: &CollCtx| {
-            let m = cctx.size();
-            let u = (cctx.vrank + m - cctx.vroot) % m;
-            binomial_parent(u, m).map(|(parent, _)| (parent + cctx.vroot) % m)
+            let above = binomial_parent(cctx.tree_pos(), cctx.size());
+            above.map(|(parent, _)| cctx.at_tree_pos(parent))
         };
         let owes = |cctx: &CollCtx| parent(cctx).into_iter().collect();
         self.collective(comm, (OP_REDUCE, "reduce"), Some(root), None, owes, |p, cctx| {
-            let m = cctx.size();
-            let u = (cctx.vrank + m - cctx.vroot) % m;
+            let (u, m) = (cctx.tree_pos(), cctx.size());
             let mut acc = T::from_bytes(&value.to_bytes())?; // owned copy via the wire format
             let mut mask = 1usize;
             while mask < m && u & mask == 0 {
                 if u + mask < m {
-                    let partial = p.coll_recv(cctx, (u + mask + cctx.vroot) % m)?;
+                    let partial = p.coll_recv(cctx, cctx.at_tree_pos(u + mask))?;
                     acc = op(acc, T::from_bytes(&partial)?);
                 }
                 mask <<= 1;
