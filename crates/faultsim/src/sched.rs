@@ -103,9 +103,10 @@ pub enum StepOutcome {
 /// Scheduling counters reported by a [`SchedHook`].
 ///
 /// `steps`, `grants`, `self_grants` and `enabled` are logical
-/// properties of the schedule. `parks` counts OS-thread parks by waiting ranks: simulated
-/// ranks are coroutines that never park, so a scheduler reports 0; the
-/// field stays because the repository's frozen benchmark reads it.
+/// properties of the schedule. `parks`, `wakes` and
+/// `park_safety_timeouts` are the wall-clock transport's, filled in by
+/// the runtime: simulated ranks are coroutines that never sleep on a
+/// condvar, so under a scheduler all three are 0.
 ///
 /// All counters are cumulative since the hook was constructed, and
 /// travel as the `handoff` field of [`RunStats`] (the default
@@ -124,8 +125,14 @@ pub struct HandoffStats {
     /// Enabled-set size summed over the grants: `enabled / grants` is
     /// how many ranks a grant chose among, on average.
     pub enabled: u64,
-    /// `thread::park` calls made by waiting ranks.
+    /// Times a waiting rank went to sleep on its mailbox condvar
+    /// (filled in by the runtime, not the scheduler).
     pub parks: u64,
+    /// Condvar notifications the transport issued to sleeping ranks:
+    /// the first delivery or global wake that finds a rank asleep takes
+    /// its `parked` flag and notifies, later ones do not, so
+    /// `wakes <= parks` (filled in by the runtime, not the scheduler).
+    pub wakes: u64,
     /// Wall-clock park-safety timeouts observed by the transport
     /// (filled in by the runtime, not the scheduler).
     pub park_safety_timeouts: u64,
@@ -139,6 +146,7 @@ impl HandoffStats {
         self.self_grants += other.self_grants;
         self.enabled += other.enabled;
         self.parks += other.parks;
+        self.wakes += other.wakes;
         self.park_safety_timeouts += other.park_safety_timeouts;
     }
 }
@@ -185,7 +193,8 @@ impl CoverageStats {
 /// aggregators all carry this one value, so a new counter family is
 /// added here and nowhere else: the scheduler contributes `handoff`
 /// and `coverage` (via [`SchedHook::run_stats`]), the executor pool
-/// contributes `alloc` and the transport's safety-timeout count, and
+/// contributes `alloc` and the transport's sleep, wake and
+/// safety-timeout counts, and
 /// aggregation is one [`RunStats::merge`] call wherever runs are
 /// summed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -314,6 +323,7 @@ mod tests {
             self_grants: 3,
             enabled: 12,
             parks: 4,
+            wakes: 2,
             park_safety_timeouts: 1,
         };
         total.add(&one);
@@ -321,6 +331,8 @@ mod tests {
         assert_eq!(total.grants, 18);
         assert_eq!(total.self_grants, 6);
         assert_eq!(total.enabled, 24);
+        assert_eq!(total.parks, 8);
+        assert_eq!(total.wakes, 4);
         assert_eq!(total.park_safety_timeouts, 2);
     }
 

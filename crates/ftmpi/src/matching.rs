@@ -157,12 +157,13 @@ impl BinKey {
     }
 }
 
-/// Hasher for [`BinKey`]: one multiply-rotate per fixed-width field
-/// (the Fx scheme), against SipHash's per-byte rounds. The keys are
-/// this program's own contexts, ranks and tags, not outside input, so
-/// collision resistance buys nothing here.
+/// Hasher for [`BinKey`] and `Process`'s context map: one
+/// multiply-rotate per fixed-width field (the Fx scheme), against
+/// SipHash's per-byte rounds. The keys are this program's own contexts,
+/// ranks and tags, not outside input, so collision resistance buys
+/// nothing here.
 #[derive(Default)]
-struct KeyHasher(u64);
+pub(crate) struct KeyHasher(u64);
 
 impl KeyHasher {
     fn word(&mut self, w: u64) {

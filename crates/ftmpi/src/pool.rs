@@ -471,6 +471,8 @@ impl UniversePool {
         let generations = (0..n).map(|r| shared.registry.generation(r)).collect();
         let mut stats =
             shared.sched.as_ref().map(|s| s.run_stats()).unwrap_or_default();
+        stats.handoff.parks = shared.fabric.sleeps();
+        stats.handoff.wakes = shared.fabric.wakes();
         stats.handoff.park_safety_timeouts = shared.fabric.park_timeouts();
         stats.alloc = alloc;
         let outcomes = outcomes

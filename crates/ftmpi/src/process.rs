@@ -32,6 +32,7 @@
 //!   line 10).
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
@@ -43,7 +44,7 @@ use crate::datatype::Datatype;
 use crate::detector::FailureRegistry;
 use crate::error::{Error, ErrorHandler, Result};
 use crate::group::Group;
-use crate::matching::{MatchEngine, MatchSpec, Posted, SrcSel};
+use crate::matching::{KeyHasher, MatchEngine, MatchSpec, Posted, SrcSel};
 use crate::message::{ContextId, Envelope};
 use crate::rank::{CommRank, RankInfo, RankState, WorldRank};
 use crate::request::{CollKind, Completion, ReqBody, ReqState, ReqTable, Request};
@@ -93,7 +94,7 @@ pub(crate) struct RankScratch {
     send_seq: Vec<u64>,
     encode_buf: BytesMut,
     comms: Vec<CommData>,
-    ctx_map: HashMap<ContextId, usize>,
+    ctx_map: HashMap<ContextId, usize, BuildHasherDefault<KeyHasher>>,
 }
 
 /// Per-rank process handle. Not `Sync`: owned by its rank's thread (or
@@ -103,7 +104,7 @@ pub struct Process {
     gen: u32,
     pub(crate) shared: Arc<Shared>,
     pub(crate) comms: Vec<CommData>,
-    ctx_map: HashMap<ContextId, usize>,
+    ctx_map: HashMap<ContextId, usize, BuildHasherDefault<KeyHasher>>,
     pub(crate) reqs: ReqTable,
     engine: MatchEngine,
     send_seq: Vec<u64>,

@@ -17,19 +17,23 @@
 //!   under the destination lock, so two messages from the same sender
 //!   arrive in send order (MPI non-overtaking, given order-preserving
 //!   matching downstream).
-//! * **No lost wake-ups, no wake-up nobody waits for** — one rule for
+//! * **No lost wake-ups, one wake-up per sleep** — one rule for
 //!   [`Fabric::deliver`] and [`Fabric::wake_all`]: under the mailbox
 //!   lock, publish the event (the version; `wake_all` moved the notify
-//!   generation before taking it), then notify only if `parked` is
-//!   set. [`Fabric::park`] holds that lock from its re-check of the
-//!   token through setting `parked` until the condvar wait releases
-//!   it, so a notifier either runs before the re-check, which then
-//!   sees the event and does not sleep, or after the wait began, where
-//!   it sees `parked` and notifies. The condvar is `std`'s, whose
-//!   `notify_one` is a `futex_wake` system call even with nobody
-//!   waiting; a rank that is running, and every simulated rank, is
-//!   spared it. A bounded timed wait backstops any future bug in the
-//!   protocol, and counts its firings.
+//!   generation before taking it), then take the `parked` flag —
+//!   read it and clear it — and notify only if it was set.
+//!   [`Fabric::park`] holds that lock from its re-check of the token
+//!   through setting `parked` until the condvar wait releases it, so a
+//!   notifier either runs before the re-check, which then sees the
+//!   event and does not sleep, or after the wait began, where the
+//!   first one takes the flag and notifies. A later notifier finds the
+//!   flag taken: it runs either before the woken owner takes its next
+//!   token, whose drain then sees the envelope, or after, where that
+//!   next `park`'s re-check sees the event. The condvar is `std`'s,
+//!   whose `notify_one` is a `futex_wake` system call even with nobody
+//!   waiting; a rank that is running, a rank already being woken, and
+//!   every simulated rank are spared it. A bounded timed wait
+//!   backstops any future bug in the protocol, and counts its firings.
 //! * **Single parker per slot** — only the owning rank ever waits on
 //!   its slot's condvar ([`Fabric::park`] is called with `me` by `me`'s
 //!   own thread), so one flag per slot says all there is to say and
@@ -54,8 +58,10 @@ struct Mailbox {
     queue: VecDeque<Envelope>,
     /// Bumped on every delivery; lets parkers detect missed pushes.
     version: u64,
-    /// The owner is inside `cv.wait_for`, or was and has not yet taken
-    /// the lock back. Written by the owner only.
+    /// The owner is inside `cv.wait_for` and nobody has notified it
+    /// yet. Set by the owner in `park`; cleared by the first notifier
+    /// (`deliver` / `wake_all`), which is the one that calls
+    /// `notify_one`, or by the owner on its way out of the wait.
     parked: bool,
 }
 
@@ -76,6 +82,12 @@ pub struct Fabric {
     /// missed-notification bug. Surfaced as
     /// `RunReport::stats.handoff.park_safety_timeouts`.
     park_timeouts: AtomicU64,
+    /// `park` calls that reached the condvar wait. Surfaced as
+    /// `RunReport::stats.handoff.parks`.
+    sleeps: AtomicU64,
+    /// `notify_one` calls issued by `deliver` and `wake_all`: at most
+    /// one per sleep. Surfaced as `RunReport::stats.handoff.wakes`.
+    wakes: AtomicU64,
 }
 
 /// Snapshot taken at the start of a progress pass, consumed by
@@ -99,6 +111,8 @@ impl Fabric {
                 .collect(),
             notify_gen: AtomicU64::new(0),
             park_timeouts: AtomicU64::new(0),
+            sleeps: AtomicU64::new(0),
+            wakes: AtomicU64::new(0),
         }
     }
 
@@ -106,6 +120,25 @@ impl Fabric {
     /// last [`Fabric::reset`].
     pub fn park_timeouts(&self) -> u64 {
         self.park_timeouts.load(Ordering::Acquire)
+    }
+
+    /// How many times a rank went to sleep on its condvar since
+    /// construction or the last [`Fabric::reset`].
+    pub fn sleeps(&self) -> u64 {
+        self.sleeps.load(Ordering::Relaxed)
+    }
+
+    /// How many `notify_one` calls were issued since construction or
+    /// the last [`Fabric::reset`].
+    pub fn wakes(&self) -> u64 {
+        self.wakes.load(Ordering::Relaxed)
+    }
+
+    /// Wake `slot`'s owner: called by the one notifier that took its
+    /// `parked` flag (module docs).
+    fn notify(&self, slot: &Slot) {
+        self.wakes.fetch_add(1, Ordering::Relaxed);
+        slot.cv.notify_one();
     }
 
     /// Reset protocol (see `Shared::reset`): return the fabric to the
@@ -120,9 +153,12 @@ impl Fabric {
         }
         self.notify_gen.store(0, Ordering::Release);
         self.park_timeouts.store(0, Ordering::Release);
+        self.sleeps.store(0, Ordering::Relaxed);
+        self.wakes.store(0, Ordering::Relaxed);
     }
 
-    /// Deliver `env` to `dst`'s mailbox and wake `dst` if it is parked.
+    /// Deliver `env` to `dst`'s mailbox and wake `dst` if it is parked
+    /// and no earlier notifier has woken it yet.
     ///
     /// Delivery to a failed rank is permitted and harmless (the mailbox
     /// is simply never drained again): under fail-stop, a message sent
@@ -133,12 +169,12 @@ impl Fabric {
             let mut mb = slot.mb.lock();
             mb.queue.push_back(env);
             mb.version += 1;
-            mb.parked
+            std::mem::replace(&mut mb.parked, false)
         };
-        // A `dst` that is not parked re-checks the version under the
-        // lock before it sleeps (module docs).
+        // A `dst` that is not parked, or was already notified, sees the
+        // version move before it sleeps again (module docs).
         if parked {
-            slot.cv.notify_one();
+            self.notify(slot);
         }
     }
 
@@ -226,7 +262,10 @@ impl Fabric {
             return;
         }
         mb.parked = true;
+        self.sleeps.fetch_add(1, Ordering::Relaxed);
         let timed_out = slot.cv.wait_for(&mut mb, PARK_SAFETY).timed_out();
+        // Already false if a notifier took it; not if the wait timed
+        // out or woke spuriously.
         mb.parked = false;
         if timed_out {
             // Bounded wait as a safety net; all real wake paths notify.
@@ -260,8 +299,9 @@ impl Fabric {
         for slot in &self.slots {
             // Under the lock, to serialize with the parker's re-check:
             // a rank not parked yet will see the generation moved.
-            if slot.mb.lock().parked {
-                slot.cv.notify_one();
+            let parked = std::mem::replace(&mut slot.mb.lock().parked, false);
+            if parked {
+                self.notify(slot);
             }
         }
     }
@@ -346,6 +386,54 @@ mod tests {
         });
         assert_eq!(f.park_timeouts(), 0, "woken by the delivery, not the timeout");
         assert!(!f.slots[0].mb.lock().parked, "the flag is cleared on the way out");
+    }
+
+    /// Park rank 0 once on a thread and, once it is seen asleep, run
+    /// `notify` from this one; returns when the parker is back.
+    fn park_once_then(f: &Fabric, notify: impl FnOnce()) {
+        std::thread::scope(|s| {
+            let parker = s.spawn(|| {
+                let token = f.token(0, 0);
+                f.park(0, token, || 0);
+            });
+            while !f.slots[0].mb.lock().parked {
+                assert!(!parker.is_finished(), "timed out before it was seen parked");
+                std::thread::yield_now();
+            }
+            notify();
+        });
+    }
+
+    /// One wake per sleep: the first delivery takes the flag, so a
+    /// burst landing on one sleep costs one `notify_one`, and every
+    /// envelope is still there for the owner's next drain.
+    #[test]
+    fn a_sleeper_is_woken_once_however_many_deliveries_land() {
+        let f = Fabric::new(2);
+        park_once_then(&f, || (0..256).for_each(|i| f.deliver(0, env(1, i))));
+        assert_eq!((f.sleeps(), f.wakes()), (1, 1));
+        assert_eq!(f.park_timeouts(), 0, "woken by the first delivery");
+        assert_eq!(f.drain(0).0.len(), 256);
+    }
+
+    #[test]
+    fn two_wake_alls_notify_one_sleeper_once() {
+        let f = Fabric::new(1);
+        park_once_then(&f, || {
+            f.wake_all();
+            f.wake_all();
+        });
+        assert_eq!((f.sleeps(), f.wakes()), (1, 1));
+        assert_eq!(f.park_timeouts(), 0);
+    }
+
+    #[test]
+    fn reset_rewinds_the_sleep_and_wake_counts() {
+        let f = Fabric::new(1);
+        park_once_then(&f, || f.deliver(0, env(0, 0)));
+        assert_eq!((f.sleeps(), f.wakes()), (1, 1));
+        f.reset();
+        assert_eq!((f.sleeps(), f.wakes()), (0, 0));
     }
 
     #[test]

@@ -270,11 +270,16 @@ pub struct RunReport<T> {
     pub generations: Vec<u32>,
     /// Every per-run statistic, on the one [`faultsim::RunStats`]
     /// surface: `handoff` and `coverage` come from the simulation
-    /// scheduler (zeros in wall-clock mode), except
-    /// `handoff.park_safety_timeouts` — how often the transport's
-    /// safety-net park timeout fired. Ranks never park on the fabric
-    /// under a scheduler, so it is 0 there; in wall-clock mode a
-    /// nonzero count during steady message flow would mean a rank made
+    /// scheduler (zeros in wall-clock mode), except three transport
+    /// counters. Ranks never park on the fabric under a scheduler, so
+    /// all three are 0 there. `handoff.parks`: how often a rank went
+    /// to sleep on its mailbox condvar (`Fabric::park` sets the
+    /// mailbox's `parked` flag). `handoff.wakes`: how many
+    /// `notify_one`s woke one — the first delivery or global wake to
+    /// find the flag takes (clears) it and notifies, so `wakes <=
+    /// parks`. `handoff.park_safety_timeouts`: how often the
+    /// safety-net park timeout fired; in wall-clock mode a nonzero
+    /// count during steady message flow would mean a rank made
     /// progress only because of the backstop — a missed-notification
     /// bug; idle waits (async kill schedules, respawn delays, watchdog
     /// hangs) fire it benignly.

@@ -4,6 +4,7 @@
 use std::time::Duration;
 
 use faultsim::scenario::{combine, kill_after_recv, kill_after_send};
+use faultsim::HandoffStats;
 use ftmpi::{run, Datatype, Src, UniverseConfig, WORLD};
 use ftring::{run_ring, summarize, RingConfig, TerminationMode, T_N};
 
@@ -143,9 +144,16 @@ fn padded_tokens_with_failures() {
 /// workloads is continuous, so a correct rule never needs the timeout;
 /// a broken one needs it in every run. (A peer the OS keeps off the
 /// CPU for 50 ms makes the others time out legitimately, hence the
-/// best of three.)
-fn never_needs_the_safety_timeout(timeouts_of_one_run: impl Fn() -> u64) {
-    let fewest = (0..3).map(|_| timeouts_of_one_run()).min();
+/// best of three.) Every run also wakes a sleeper once per sleep, not
+/// once per message: `wakes <= parks`.
+fn never_needs_the_safety_timeout(stats_of_one_run: impl Fn() -> HandoffStats) {
+    let fewest = (0..3)
+        .map(|_| {
+            let h = stats_of_one_run();
+            assert!(h.wakes <= h.parks, "{} notifies for {} sleeps", h.wakes, h.parks);
+            h.park_safety_timeouts
+        })
+        .min();
     assert_eq!(fewest, Some(0), "every run fell back on the park safety timeout");
 }
 
@@ -158,7 +166,7 @@ fn clean_500_lap_ring_never_needs_the_safety_timeout() {
         });
         assert!(report.all_ok());
         assert_eq!(summarize(&report).completed_iterations(), 500);
-        report.stats.handoff.park_safety_timeouts
+        report.stats.handoff
     });
 }
 
@@ -203,6 +211,6 @@ fn fan_in_never_needs_the_safety_timeout() {
             Ok(())
         });
         assert!(report.all_ok());
-        report.stats.handoff.park_safety_timeouts
+        report.stats.handoff
     });
 }
