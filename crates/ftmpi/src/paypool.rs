@@ -11,6 +11,14 @@
 //! as a `Bytes` prefix view; the receive path returns it once the
 //! payload is decoded.
 //!
+//! ### The inline cutoff
+//!
+//! A payload of at most [`bytes::INLINE_CAP`] (32) bytes never reaches
+//! the pool: [`PayloadPool::make`] copies it into the `Bytes` value
+//! itself and [`PayloadPool::recycle`] ignores it, so a short send takes
+//! no lock and makes no allocation. That covers the pad-free ring token
+//! and the scalar control traffic; the classes below start above it.
+//!
 //! ### Aliasing safety
 //!
 //! A buffer is handed out only while the pool holds its *sole* strong
@@ -31,16 +39,16 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
+use bytes::{Bytes, INLINE_CAP};
 use parking_lot::Mutex;
 
-/// Buffer size classes, each four times the last. 16 covers scalar
-/// control messages, 64 the 32-byte `RingMsg` wire format with room
-/// for small pads, the middle classes padded tokens and collective
-/// payloads, and the top two a 16 KiB token plus its header and array
-/// payloads up to 64 KiB. Anything bigger falls through to a plain
-/// one-shot allocation.
-const CLASS_SIZES: [usize; 7] = [16, 64, 256, 1024, 4096, 16384, 65536];
+/// Buffer size classes, each four times the last. 64 covers the 32-byte
+/// `RingMsg` wire format with a short pad, the middle classes padded
+/// tokens and collective payloads, and the top two a 16 KiB token plus
+/// its header and array payloads up to 64 KiB. Anything bigger falls
+/// through to a plain one-shot allocation; anything up to
+/// [`INLINE_CAP`] is stored inline and never gets here.
+const CLASS_SIZES: [usize; 6] = [64, 256, 1024, 4096, 16384, 65536];
 
 /// Most buffers a class retains: enough for every in-flight message of
 /// a busy 8-rank schedule (each rank keeps ~3 receives posted).
@@ -49,7 +57,7 @@ const PER_CLASS_BUFFERS: usize = 32;
 /// Most bytes a class retains. Classes up to 4096 stay under it at
 /// [`PER_CLASS_BUFFERS`]; it limits the two large ones to 8 and 2
 /// buffers. Together an idle pool pins at most
-/// 32 × (16 + 64 + 256 + 1024 + 4096) + 2 × 128 KiB = 426.5 KiB.
+/// 32 × (64 + 256 + 1024 + 4096) + 2 × 128 KiB = 426.0 KiB.
 const PER_CLASS_BYTES: usize = 128 * 1024;
 
 /// Buffers class `class` may hold while idle.
@@ -80,17 +88,14 @@ impl PayloadPool {
         PayloadPool { classes: std::array::from_fn(|_| Mutex::new(Vec::new())) }
     }
 
-    /// A `Bytes` holding a copy of `data`, backed by a recycled class
-    /// buffer when one is free (zero heap traffic), a fresh class
-    /// buffer on a cold pool, or a one-shot exact allocation for
-    /// oversize payloads.
+    /// A `Bytes` holding a copy of `data`: inline for payloads up to
+    /// [`INLINE_CAP`] bytes, else backed by a recycled class buffer
+    /// when one is free (zero heap traffic), a fresh class buffer on a
+    /// cold pool, or a one-shot exact allocation for oversize payloads.
     pub fn make(&self, data: &[u8]) -> Bytes {
-        if data.is_empty() {
-            // `Bytes::new` shares one static empty allocation.
-            return Bytes::new();
-        }
-        let Some(class) = class_of(data.len()) else {
-            return Bytes::copy_from_slice(data);
+        let class = match class_of(data.len()) {
+            Some(class) if data.len() > INLINE_CAP => class,
+            _ => return Bytes::copy_from_slice(data),
         };
         let mut arc = match self.classes[class].lock().pop() {
             Some(arc) => arc,
@@ -106,9 +111,10 @@ impl PayloadPool {
 
     /// Return a payload's backing buffer to the pool. Admitted only
     /// when `b` is the sole owner of a class-sized allocation and the
-    /// class free-list has room; anything else is simply dropped.
+    /// class free-list has room; anything else, an inline payload
+    /// included, is simply dropped.
     pub fn recycle(&self, b: Bytes) {
-        if b.ref_count() != 1 {
+        if b.is_inline() || b.ref_count() != 1 {
             return;
         }
         let arc = b.into_arc();
@@ -137,13 +143,13 @@ mod tests {
     #[test]
     fn round_trip_reuses_the_allocation() {
         let pool = PayloadPool::new();
-        let a = pool.make(&[1, 2, 3]);
-        assert_eq!(&a[..], &[1, 2, 3]);
+        let a = pool.make(&[1; 40]);
+        assert_eq!(&a[..], &[1; 40]);
         let ptr = a.as_ptr();
         pool.recycle(a);
         assert_eq!(pool.idle(), 1);
-        let b = pool.make(&[9, 8, 7, 6]);
-        assert_eq!(&b[..], &[9, 8, 7, 6]);
+        let b = pool.make(&[9; 50]);
+        assert_eq!(&b[..], &[9; 50]);
         assert_eq!(b.as_ptr(), ptr, "same class buffer must be reused");
         assert_eq!(pool.idle(), 0);
     }
@@ -151,11 +157,11 @@ mod tests {
     #[test]
     fn shared_payloads_are_not_recycled() {
         let pool = PayloadPool::new();
-        let a = pool.make(&[5; 10]);
+        let a = pool.make(&[5; 40]);
         let clone = a.clone();
         pool.recycle(a);
         assert_eq!(pool.idle(), 0, "a live clone must keep the buffer out");
-        assert_eq!(&clone[..], &[5; 10]);
+        assert_eq!(&clone[..], &[5; 40]);
         // Once the last handle comes back, it pools.
         pool.recycle(clone);
         assert_eq!(pool.idle(), 1);
@@ -170,16 +176,37 @@ mod tests {
         pool.recycle(big);
         assert_eq!(pool.idle(), 0, "oversize buffers are not pooled");
         let empty = pool.make(&[]);
-        assert!(empty.is_empty());
+        assert!(empty.is_empty() && empty.is_inline());
         pool.recycle(empty);
-        // The static empty allocation is shared process-wide (never
-        // uniquely held), so it cannot enter the pool either.
+        assert_eq!(pool.idle(), 0, "the empty payload is inline, so it cannot enter the pool");
+    }
+
+    #[test]
+    fn short_payloads_allocate_nothing_and_skip_the_pool() {
+        let pool = PayloadPool::new();
+        let data: Vec<u8> = (1..=INLINE_CAP as u8).collect();
+        let before = allocstats::snapshot();
+        for i in 0..10_000 {
+            let len = 1 + i % INLINE_CAP;
+            let b = pool.make(&data[..len]);
+            assert_eq!(&b[..], &data[..len]);
+            pool.recycle(b);
+        }
+        let grew = allocstats::snapshot().since(&before);
+        assert_eq!(grew.allocs, 0, "short payloads allocated: {grew:?}");
         assert_eq!(pool.idle(), 0);
+        // The counter is live in this binary, so the zero means something.
+        let before = allocstats::snapshot();
+        pool.recycle(pool.make(&[0; INLINE_CAP + 1]));
+        assert!(allocstats::snapshot().since(&before).allocs > 0);
+        assert_eq!(pool.idle(), 1, "one byte over the cutoff is pooled");
     }
 
     #[test]
     fn class_selection_is_smallest_fit() {
-        assert_eq!(class_of(1), Some(0));
+        // Everything the pool is handed, from one byte over the inline
+        // cutoff up, lands in the smallest class first.
+        assert_eq!(class_of(INLINE_CAP + 1), Some(0));
         for (class, &size) in CLASS_SIZES.iter().enumerate() {
             assert_eq!(class_of(size), Some(class));
             assert_eq!(class_of(size + 1), (class + 1 < CLASS_SIZES.len()).then_some(class + 1));
@@ -205,7 +232,7 @@ mod tests {
             retained += kept * size;
         }
         // The bound the `PER_CLASS_BYTES` doc comment states.
-        assert_eq!(retained, 32 * (16 + 64 + 256 + 1024 + 4096) + 2 * 128 * 1024);
+        assert_eq!(retained, 32 * (64 + 256 + 1024 + 4096) + 2 * 128 * 1024);
         assert!(retained < 1024 * 1024, "an idle pool stays under 1 MiB");
     }
 }

@@ -34,11 +34,13 @@ enum Op {
 
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        // Lengths spread across every size class plus the oversize
-        // and empty fall-through paths. Makes and recycles listed
-        // twice so hand-outs and re-admissions dominate the mix.
+        // Half the lengths spread across every size class plus the
+        // oversize fall-through, half straddle the inline cutoff
+        // (`bytes::INLINE_CAP`, 32) and the first class above it.
+        // Makes and recycles listed twice so hand-outs and
+        // re-admissions dominate the mix.
         (0usize..70_000, any::<u8>()).prop_map(|(len, fill)| Op::Make { len, fill }),
-        (0usize..70_000, any::<u8>()).prop_map(|(len, fill)| Op::Make { len, fill }),
+        (0usize..=64, any::<u8>()).prop_map(|(len, fill)| Op::Make { len, fill }),
         any::<usize>().prop_map(|pick| Op::Clone { pick }),
         any::<usize>().prop_map(|pick| Op::Recycle { pick }),
         any::<usize>().prop_map(|pick| Op::Recycle { pick }),
