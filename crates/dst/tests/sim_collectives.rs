@@ -9,24 +9,18 @@
 //!
 //! * no schedule ends in a deadlock or budget verdict (a decision that
 //!   forgets `wake_all` leaves its waiters blocked: a false deadlock);
+//! * every planned kill fires, and nobody else fails;
 //! * every survivor of a round reports the same outcome;
 //! * a schedule run twice leaves a byte-identical decision log;
 //! * the FNV-1a digest of every log and every rank's report is pinned.
+//!
+//! `dst::referee` runs the schedules and checks all but the agreement.
 
-use std::fmt::Write as _;
-use std::sync::Arc;
-
-use dst::Scheduler;
+use dst::{referee, Workload};
 use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
-use ftmpi::{
-    Error, ErrorHandler, Process, RankOutcome, UniverseConfig, UniversePool, WorldRank, WORLD,
-};
+use ftmpi::{Error, ErrorHandler, Process, RankOutcome, WorldRank, WORLD};
 
 const SEEDS: std::ops::Range<u64> = 0..64;
-
-/// Far above what any of these schedules takes (a few hundred steps at
-/// 8 ranks): reaching it is a livelock.
-const BUDGET: u64 = 100_000;
 
 /// FNV-1a over every schedule's decision log and rank reports, both
 /// rank counts, in seed order.
@@ -59,115 +53,87 @@ fn round(result: ftmpi::Result<ftmpi::Completion>) -> ftmpi::Result<Option<usize
     }
 }
 
-/// `comm_dup` → `comm_split` by parity (keys reverse the rank order) →
-/// two `ibarrier` retry rounds on the dup → on the half, an
-/// `icomm_validate_all` issued while an `ibarrier` is still pending,
-/// `waitany` over both. The half's barrier and validate are round 0 of
-/// one context, as the split is round 0 of the dup's: rounds of
-/// different collectives must not meet.
-fn body(p: &mut Process) -> ftmpi::Result<Report> {
-    let me = p.world_rank();
-    let dup = p.comm_dup(WORLD)?;
-    p.set_errhandler(dup, ErrorHandler::ErrorsReturn)?;
-    let half = p.comm_split(dup, Some((me % 2) as i64), -(me as i64))?.expect("coloured");
-    p.set_errhandler(half, ErrorHandler::ErrorsReturn)?;
+/// The four board-decided collectives in one body.
+struct Board;
 
-    let mut retries = [None; 2];
-    for r in &mut retries {
-        let req = p.ibarrier(dup)?;
-        *r = round(p.wait(req))?;
-    }
+impl Workload for Board {
+    type Report = Report;
 
-    let reqs = [p.ibarrier(half)?, p.icomm_validate_all(half)?];
-    let first = p.waitany(&reqs)?;
-    let second = p.wait(reqs[1 - first.index]);
-    let (barrier, validate) =
-        if first.index == 0 { (first.result, second) } else { (second, first.result) };
-    Ok(Report {
-        half: p.comm_group(half)?.members().to_vec(),
-        retries,
-        half_barrier: round(barrier)?,
-        half_failed: validate?.validate_count(),
-    })
-}
+    /// `comm_dup` → `comm_split` by parity (keys reverse the rank order)
+    /// → two `ibarrier` retry rounds on the dup → on the half, an
+    /// `icomm_validate_all` issued while an `ibarrier` is still pending,
+    /// `waitany` over both. The half's barrier and validate are round 0
+    /// of one context, as the split is round 0 of the dup's: rounds of
+    /// different collectives must not meet.
+    fn body(&self, p: &mut Process) -> ftmpi::Result<Report> {
+        let me = p.world_rank();
+        let dup = p.comm_dup(WORLD)?;
+        p.set_errhandler(dup, ErrorHandler::ErrorsReturn)?;
+        let half = p.comm_split(dup, Some((me % 2) as i64), -(me as i64))?.expect("coloured");
+        p.set_errhandler(half, ErrorHandler::ErrorsReturn)?;
 
-/// Every third seed kills one rank at one of three protocol points.
-fn plan(seed: u64, ranks: usize) -> FaultPlan {
-    if !seed.is_multiple_of(3) {
-        return FaultPlan::none();
-    }
-    let k = seed / 3;
-    let victim = k as usize % ranks;
-    let rule = match k % 4 {
-        // One of the rank's three `ibarrier` calls.
-        0 => FaultRule::kill(victim, Trigger::on(HookKind::BeforeCollective).nth(1 + k / 4 % 3)),
-        1 => FaultRule::kill(victim, Trigger::on(HookKind::BeforeValidate)),
-        // Some pass of one of its waits: the split's, a barrier's, the
-        // `waitany`'s.
-        2 => FaultRule::kill(victim, Trigger::on(HookKind::Tick).nth(1 + k / 4 % 5)),
-        // From outside, by a neighbour waiting in the split: the victim
-        // may not have submitted yet.
-        _ => FaultRule::kill_other((victim + 1) % ranks, victim, Trigger::on(HookKind::Tick)),
-    };
-    FaultPlan::none().with(rule)
-}
-
-/// Run one schedule, check its verdict and its agreement, and render
-/// the log and the reports.
-fn run_one(pool: &mut UniversePool, ranks: usize, seed: u64) -> String {
-    let sched = Arc::new(Scheduler::new(ranks, seed, BUDGET));
-    let cfg = UniverseConfig::with_plan(plan(seed, ranks)).sim(sched.clone());
-    let report = pool.run(cfg, body);
-    let at = format!("{ranks} ranks, seed {seed}");
-    assert_eq!(sched.deadlock_at(), None, "{at}: deadlock\n{}", sched.log_text());
-    assert!(!sched.budget_exhausted(), "{at}: step budget exhausted");
-    assert!(!report.hung, "{at}: hung");
-
-    let mut survivors: Vec<(WorldRank, &Report)> = Vec::new();
-    for (rank, outcome) in report.outcomes.iter().enumerate() {
-        match outcome {
-            RankOutcome::Ok(r) => survivors.push((rank, r)),
-            RankOutcome::Failed => {}
-            other => panic!("{at}: rank {rank} ended as {other:?}"),
+        let mut retries = [None; 2];
+        for r in &mut retries {
+            let req = p.ibarrier(dup)?;
+            *r = round(p.wait(req))?;
         }
+
+        let reqs = [p.ibarrier(half)?, p.icomm_validate_all(half)?];
+        let first = p.waitany(&reqs)?;
+        let second = p.wait(reqs[1 - first.index]);
+        let (barrier, validate) =
+            if first.index == 0 { (first.result, second) } else { (second, first.result) };
+        Ok(Report {
+            half: p.comm_group(half)?.members().to_vec(),
+            retries,
+            half_barrier: round(barrier)?,
+            half_failed: validate?.validate_count(),
+        })
     }
-    assert!(survivors.len() + 1 >= ranks, "{at}: more ranks failed than the plan kills");
-    for &(rank, r) in &survivors {
-        let (first, f) = survivors[0];
-        assert_eq!(r.retries, f.retries, "{at}: ranks {first} and {rank} disagree on the dup");
-        assert!(r.half.contains(&rank), "{at}: rank {rank} is not in its own half");
-        for &(peer, q) in survivors.iter().filter(|(peer, _)| r.half.contains(peer)) {
-            assert_eq!(r, q, "{at}: ranks {rank} and {peer} disagree on their half");
+
+    /// Every third seed kills one rank at one of three protocol points.
+    fn plan(&self, seed: u64, ranks: usize) -> FaultPlan {
+        if !seed.is_multiple_of(3) {
+            return FaultPlan::none();
         }
+        let k = seed / 3;
+        let victim = k as usize % ranks;
+        let rule = match k % 4 {
+            // One of the rank's three `ibarrier` calls.
+            0 => {
+                FaultRule::kill(victim, Trigger::on(HookKind::BeforeCollective).nth(1 + k / 4 % 3))
+            }
+            1 => FaultRule::kill(victim, Trigger::on(HookKind::BeforeValidate)),
+            // Some pass of one of its waits: the split's, a barrier's,
+            // the `waitany`'s.
+            2 => FaultRule::kill(victim, Trigger::on(HookKind::Tick).nth(1 + k / 4 % 5)),
+            // From outside, by a neighbour waiting in the split: the
+            // victim may not have submitted yet.
+            _ => FaultRule::kill_other((victim + 1) % ranks, victim, Trigger::on(HookKind::Tick)),
+        };
+        FaultPlan::none().with(rule)
     }
-
-    let mut text = sched.log_text();
-    for (rank, outcome) in report.outcomes.iter().enumerate() {
-        writeln!(text, "rank {rank}: {outcome:?}").unwrap();
-    }
-    text
-}
-
-fn fnv1a(digest: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(digest, |d, &b| (d ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 #[test]
 fn board_collectives_are_deadlock_free_uniform_and_pinned() {
-    let mut digest = 0xcbf2_9ce4_8422_2325;
-    let mut killed = 0;
-    for ranks in [4, 8] {
-        let mut pool = UniversePool::new(ranks);
-        for seed in SEEDS {
-            let text = run_one(&mut pool, ranks, seed);
-            let again = run_one(&mut pool, ranks, seed);
-            assert_eq!(text, again, "{ranks} ranks, seed {seed}: two runs differ");
-            killed += text.matches(": Failed").count();
-            digest = fnv1a(digest, text.as_bytes());
+    let (digest, _) = referee(&Board, &[4, 8], SEEDS, |at, _, report| {
+        let mut survivors: Vec<(WorldRank, &Report)> = Vec::new();
+        for (rank, outcome) in report.outcomes.iter().enumerate() {
+            match outcome {
+                RankOutcome::Ok(r) => survivors.push((rank, r)),
+                RankOutcome::Failed => {}
+                other => panic!("{at}: rank {rank} ended as {other:?}"),
+            }
         }
-    }
-    // 22 seeds of the 64 carry a kill, at two rank counts; a kill whose
-    // occurrence is never reached would be silently unused.
-    assert_eq!(killed, 44, "a planned kill did not fire");
+        for &(rank, r) in &survivors {
+            let (first, f) = survivors[0];
+            assert_eq!(r.retries, f.retries, "{at}: ranks {first} and {rank} disagree on the dup");
+            assert!(r.half.contains(&rank), "{at}: rank {rank} is not in its own half");
+            for &(peer, q) in survivors.iter().filter(|(peer, _)| r.half.contains(peer)) {
+                assert_eq!(r, q, "{at}: ranks {rank} and {peer} disagree on their half");
+            }
+        }
+    });
     assert_eq!(digest, DIGEST, "decision logs or reports moved: {digest:#018x}");
 }

@@ -19,118 +19,88 @@
 //! * a schedule run twice leaves a byte-identical decision log;
 //! * the FNV-1a digest of every log and every rank's stats is pinned,
 //!   per mode and rank count, so a moved digest names both.
+//!
+//! `dst::referee` runs the schedules and checks all but the ring's own
+//! outcomes.
 
 use std::collections::HashSet;
-use std::fmt::Write as _;
-use std::sync::Arc;
 
-use dst::Scheduler;
+use dst::{referee, Workload};
 use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
-use ftmpi::{RankOutcome, UniverseConfig, UniversePool, WorldRank, WORLD};
-use ftring::{run_ring, DedupStrategy, RingConfig, TerminationMode, T_N};
+use ftmpi::{Process, RankOutcome, WORLD};
+use ftring::{run_ring, DedupStrategy, RingConfig, RingStats, TerminationMode, T_N};
 
 const SEEDS: std::ops::Range<u64> = 0..64;
 const RANKS: [usize; 3] = [2, 4, 8];
 const MAX_ITER: u64 = 3;
 
-/// Far above what any of these schedules takes (under a thousand steps
-/// at 8 ranks): reaching it is a livelock.
-const BUDGET: u64 = 100_000;
+/// `run_ring` in one mode.
+struct Mode(RingConfig);
 
-/// 22 seeds of the 64 carry a kill, at three rank counts.
-const KILLS_PER_MODE: usize = 66;
+impl Workload for Mode {
+    type Report = RingStats;
 
-/// Every third seed kills one rank at one protocol point of the ring:
-/// holding a token it just received, just after passing one on, about
-/// to post a `T_N` receive (the normal slot or the detector), or on
-/// some pass of one of its waits.
-fn plan(seed: u64, ranks: usize, cfg: &RingConfig) -> Option<(WorldRank, FaultPlan)> {
-    if !seed.is_multiple_of(3) {
-        return None;
+    fn body(&self, p: &mut Process) -> ftmpi::Result<RingStats> {
+        run_ring(p, WORLD, &self.0)
     }
-    let k = seed / 3;
-    let victim = if cfg.allow_root_failure {
-        k as usize % ranks
-    } else {
-        1 + k as usize % (ranks - 1)
-    };
-    let lap = 1 + k / 4 % MAX_ITER;
-    let trigger = match k % 4 {
-        0 => Trigger::on(HookKind::AfterRecvComplete).tag(T_N).nth(lap),
-        1 => Trigger::on(HookKind::AfterSend).tag(T_N).nth(lap),
-        2 => Trigger::on(HookKind::BeforeRecvPost).tag(T_N).nth(lap),
-        _ => Trigger::on(HookKind::Tick).nth(1 + k / 4 % 5),
-    };
-    Some((victim, FaultPlan::none().with(FaultRule::kill(victim, trigger))))
+
+    /// Every third seed kills one rank at one protocol point of the
+    /// ring: holding a token it just received, just after passing one
+    /// on, about to post a `T_N` receive (the normal slot or the
+    /// detector), or on some pass of one of its waits.
+    fn plan(&self, seed: u64, ranks: usize) -> FaultPlan {
+        if !seed.is_multiple_of(3) {
+            return FaultPlan::none();
+        }
+        let k = seed / 3;
+        let victim = if self.0.allow_root_failure {
+            k as usize % ranks
+        } else {
+            1 + k as usize % (ranks - 1)
+        };
+        let lap = 1 + k / 4 % MAX_ITER;
+        let trigger = match k % 4 {
+            0 => Trigger::on(HookKind::AfterRecvComplete).tag(T_N).nth(lap),
+            1 => Trigger::on(HookKind::AfterSend).tag(T_N).nth(lap),
+            2 => Trigger::on(HookKind::BeforeRecvPost).tag(T_N).nth(lap),
+            _ => Trigger::on(HookKind::Tick).nth(1 + k / 4 % 5),
+        };
+        FaultPlan::none().with(FaultRule::kill(victim, trigger))
+    }
 }
 
-/// Run one schedule, check its verdict and every rank's outcome, and
-/// render the log and the outcomes.
-fn run_one(pool: &mut UniversePool, ranks: usize, seed: u64, cfg: &RingConfig) -> String {
-    let kill = plan(seed, ranks, cfg);
-    let victim = kill.as_ref().map(|(v, _)| *v);
-    let sched = Arc::new(Scheduler::new(ranks, seed, BUDGET));
-    let ucfg = UniverseConfig::with_plan(kill.map_or_else(FaultPlan::none, |(_, p)| p))
-        .sim(sched.clone());
-    let report = pool.run(ucfg, |p| run_ring(p, WORLD, cfg));
-    let at = format!("{ranks} ranks, seed {seed}");
-    assert_eq!(sched.deadlock_at(), None, "{at}: deadlock\n{}", sched.log_text());
-    assert!(!sched.budget_exhausted(), "{at}: step budget exhausted");
-    assert!(!report.hung, "{at}: hung");
-
-    let mut closed = HashSet::new();
-    for (rank, outcome) in report.outcomes.iter().enumerate() {
-        match outcome {
-            RankOutcome::Failed => assert_eq!(Some(rank), victim, "{at}: rank {rank} failed"),
-            _ if Some(rank) == victim => panic!("{at}: the kill of rank {rank} did not fire"),
-            RankOutcome::Ok(stats) => {
-                assert!(stats.terminated, "{at}: rank {rank} did not terminate");
-                for (marker, _) in &stats.closures {
-                    assert!(closed.insert(*marker), "{at}: marker {marker} closed twice");
+/// Sweep one mode over every rank count, checking every survivor's
+/// outcome. `alone` is how many of the 22 two-rank kills leave the
+/// survivor still owing the ring a send or a watch (the rest land after
+/// its last one); `digests` is indexed like [`RANKS`].
+fn sweep(cfg: RingConfig, alone: usize, digests: [u64; 3]) {
+    let (mode, mut aborted) = (Mode(cfg), 0);
+    let got = RANKS.map(|ranks| {
+        referee(&mode, &[ranks], SEEDS, |at, plan, report| {
+            let mut closed = HashSet::new();
+            for (rank, outcome) in report.outcomes.iter().enumerate() {
+                match outcome {
+                    RankOutcome::Failed => {}
+                    RankOutcome::Ok(stats) => {
+                        assert!(stats.terminated, "{at}: rank {rank} did not terminate");
+                        for (marker, _) in &stats.closures {
+                            assert!(closed.insert(*marker), "{at}: marker {marker} closed twice");
+                        }
+                    }
+                    // Fig. 4/5: the neighbour walk came back to the caller.
+                    RankOutcome::Aborted { code: -1 } if ranks == 2 && !plan.is_empty() => {
+                        aborted += 1
+                    }
+                    other => panic!("{at}: rank {rank} ended as {other:?}"),
                 }
             }
-            // Fig. 4/5: the neighbour walk came back to the caller.
-            RankOutcome::Aborted { code: -1 } if ranks == 2 && victim.is_some() => {}
-            other => panic!("{at}: rank {rank} ended as {other:?}"),
-        }
-    }
-    if victim.is_none() {
-        let all: HashSet<u64> = (0..MAX_ITER).collect();
-        assert_eq!(closed, all, "{at}: a failure-free run closes every lap");
-    }
-
-    let mut text = sched.log_text();
-    for (rank, outcome) in report.outcomes.iter().enumerate() {
-        writeln!(text, "rank {rank}: {outcome:?}").unwrap();
-    }
-    text
-}
-
-fn fnv1a(digest: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(digest, |d, &b| (d ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
-}
-
-/// Sweep one mode over every rank count. `alone` is how many of the 22
-/// two-rank kills leave the survivor still owing the ring a send or a
-/// watch (the rest land after its last one); `digests` is indexed like
-/// [`RANKS`].
-fn referee(cfg: RingConfig, alone: usize, digests: [u64; 3]) {
-    let mut killed = 0;
-    let mut aborted = 0;
-    let mut got = [0xcbf2_9ce4_8422_2325; 3];
-    for (ranks, digest) in RANKS.into_iter().zip(&mut got) {
-        let mut pool = UniversePool::new(ranks);
-        for seed in SEEDS {
-            let text = run_one(&mut pool, ranks, seed, &cfg);
-            let again = run_one(&mut pool, ranks, seed, &cfg);
-            assert_eq!(text, again, "{ranks} ranks, seed {seed}: two runs differ");
-            killed += text.matches(": Failed").count();
-            aborted += text.matches(": Aborted { code: -1 }").count();
-            *digest = fnv1a(*digest, text.as_bytes());
-        }
-    }
-    // A kill whose occurrence is never reached would be silently unused.
-    assert_eq!(killed, KILLS_PER_MODE, "a planned kill did not fire");
+            if plan.is_empty() {
+                let all: HashSet<u64> = (0..MAX_ITER).collect();
+                assert_eq!(closed, all, "{at}: a failure-free run closes every lap");
+            }
+        })
+        .0
+    });
     assert_eq!(aborted, alone, "two-rank survivors that ended alone");
     assert_eq!(got, digests, "logs or stats moved at {RANKS:?} ranks: {got:#018x?}");
 }
@@ -138,29 +108,29 @@ fn referee(cfg: RingConfig, alone: usize, digests: [u64; 3]) {
 #[test]
 fn paper() {
     let cfg = RingConfig::paper(MAX_ITER);
-    referee(cfg, 19, [0xd46a_3101_f5f4_4f8c, 0xc3a4_ae15_7946_2ca8, 0x4063_eabf_affd_32b2]);
+    sweep(cfg, 19, [0xd46a_3101_f5f4_4f8c, 0xc3a4_ae15_7946_2ca8, 0x4063_eabf_affd_32b2]);
 }
 
 #[test]
 fn paper_separate_tag() {
     let cfg = RingConfig::paper(MAX_ITER).dedup(DedupStrategy::SeparateTag);
-    referee(cfg, 19, [0xd18a_3743_ff91_f985, 0xc37a_24a8_0f24_6667, 0xcb52_450b_c058_0c1d]);
+    sweep(cfg, 19, [0xd18a_3743_ff91_f985, 0xc37a_24a8_0f24_6667, 0xcb52_450b_c058_0c1d]);
 }
 
 #[test]
 fn paper_double_barrier() {
     let cfg = RingConfig::paper(MAX_ITER).termination(TerminationMode::DoubleBarrier);
-    referee(cfg, 19, [0x82a0_bf41_4ac4_648a, 0x381e_6d0f_0e41_aaab, 0x3cea_b939_bb2a_dc31]);
+    sweep(cfg, 19, [0x82a0_bf41_4ac4_648a, 0x381e_6d0f_0e41_aaab, 0x3cea_b939_bb2a_dc31]);
 }
 
 #[test]
 fn failover_double_barrier() {
     let cfg = RingConfig::with_root_failover(MAX_ITER).termination(TerminationMode::DoubleBarrier);
-    referee(cfg, 20, [0xaf3b_f489_3c81_4d5a, 0x2dce_780a_0478_a6f5, 0x3e23_36fb_cbd1_d19b]);
+    sweep(cfg, 20, [0xaf3b_f489_3c81_4d5a, 0x2dce_780a_0478_a6f5, 0x3e23_36fb_cbd1_d19b]);
 }
 
 #[test]
 fn failover_separate_tag() {
     let cfg = RingConfig::with_root_failover(MAX_ITER).dedup(DedupStrategy::SeparateTag);
-    referee(cfg, 20, [0x8cb9_839a_bfc4_3c2a, 0x9ebd_2d23_bf91_5fd0, 0x1827_0e84_b311_d32f]);
+    sweep(cfg, 20, [0x8cb9_839a_bfc4_3c2a, 0x9ebd_2d23_bf91_5fd0, 0x1827_0e84_b311_d32f]);
 }

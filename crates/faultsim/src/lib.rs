@@ -1,4 +1,4 @@
-//! # faultsim — deterministic and randomized fail-stop fault injection
+//! # faultsim — deterministic fail-stop fault injection
 //!
 //! The paper's scenarios (Figs. 6, 7, 8, 10) require *exact* failure
 //! timing: "P2 fails after receiving the message from P1, but before
@@ -15,26 +15,22 @@
 //! Three layers:
 //!
 //! * [`plan`] / [`trigger`] — declarative fault rules: *who* dies,
-//!   *where* in the protocol, on *which occurrence*.
+//!   *where* in the protocol, on *which occurrence*. A rank killed from
+//!   outside (say, while it is blocked in a wait) is a
+//!   [`FaultRule::kill_other`] on another rank's hook.
 //! * [`injector`] — the armed, shared, thread-safe form of a plan.
-//! * [`schedule`] / [`random`] — asynchronous (wall-clock / event-count)
-//!   and seeded-random fault schedules for chaos testing.
 //! * [`scenario`] — named builders for every failure scenario figure in
 //!   the paper.
 
 pub mod injector;
 pub mod plan;
-pub mod random;
 pub mod scenario;
 pub mod sched;
-pub mod schedule;
 pub mod trigger;
 
 pub use injector::{Decision, Injector};
 pub use plan::{FaultAction, FaultPlan, FaultRule};
-pub use random::{RandomFaults, RandomFaultsBuilder};
 pub use sched::{ChoiceKind, CoverageStats, HandoffStats, RunStats, SchedHook, SchedPoint, StepOutcome};
-pub use schedule::{AsyncSchedule, KillHandle};
 pub use trigger::{Hook, HookKind, PeerMatch, TagMatch, Trigger};
 
 /// A process rank (world rank) as seen by the fault machinery.

@@ -44,11 +44,10 @@
 //! it succeeds exactly when no rank still holds a clone. Ranks
 //! guarantee that by construction — a rank body's `Arc<Shared>` is
 //! dropped when the body returns, strictly *before* its worker bumps
-//! the completion counter (or its coroutine finishes) — and the async
-//! kill schedule's clone is released by joining its thread before
-//! `run` returns. `Shared` is crate-private, so no caller can retain a
-//! handle; `run` treats a failed `Arc::get_mut` as a broken invariant
-//! and panics rather than corrupt a live universe.
+//! the completion counter (or its coroutine finishes). `Shared` is
+//! crate-private, so no caller can retain a handle; `run` treats a
+//! failed `Arc::get_mut` as a broken invariant and panics rather than
+//! corrupt a live universe.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -61,7 +60,7 @@ use std::time::{Duration, Instant};
 use allocstats::AllocStats;
 use parking_lot::Mutex;
 
-use faultsim::{KillHandle, SchedHook, SchedPoint, StepOutcome};
+use faultsim::{SchedHook, SchedPoint, StepOutcome};
 
 use crate::coro::{Coroutine, Group};
 use crate::error::{Error, RankOutcome, Result};
@@ -387,12 +386,12 @@ impl UniversePool {
         let n = self.size;
         if cfg.sched.is_some() {
             assert!(
-                cfg.schedule.is_none() && cfg.respawn.is_none(),
+                cfg.respawn.is_none(),
                 "a deterministic-simulation scheduler is incompatible with \
-                 wall-clock kill schedules and the respawn extension"
+                 the respawn extension"
             );
         }
-        let UniverseConfig { plan, schedule, watchdog, trace, respawn, sched } = cfg;
+        let UniverseConfig { plan, watchdog, trace, respawn, sched } = cfg;
 
         // Build on the first run, reset in place on every later one.
         let shared = match self.shared.take() {
@@ -459,7 +458,7 @@ impl UniversePool {
         let start = Instant::now();
         let (mut hung, alloc) = match &shared.sched {
             Some(sched) => self.drive_sim(&shared, &**sched, watchdog, start, &rank_body),
-            None => self.run_threads(&shared, schedule, watchdog, respawn, start, &rank_body),
+            None => self.run_threads(&shared, watchdog, respawn, start, &rank_body),
         };
 
         // A simulation scheduler's hang verdict (deadlock, or its step
@@ -553,8 +552,7 @@ impl UniversePool {
     /// bodies' heap traffic summed over the workers.
     fn run_threads(
         &mut self,
-        shared: &Arc<Shared>,
-        schedule: Option<faultsim::AsyncSchedule>,
+        shared: &Shared,
         watchdog: Option<Duration>,
         respawn: Option<crate::universe::RespawnPolicy>,
         start: Instant,
@@ -562,17 +560,6 @@ impl UniversePool {
     ) -> (bool, AllocStats) {
         let n = self.size;
         let core = &*self.workers.get_or_insert_with(|| Workers::spawn(n)).core;
-
-        // Asynchronous kill schedule, if any.
-        let schedule_handle = schedule.map(|s| {
-            let shared = Arc::clone(shared);
-            let kill: KillHandle = Arc::new(move |r| {
-                if r < shared.size {
-                    shared.kill(r);
-                }
-            });
-            s.start(kill)
-        });
 
         // Only the caller's thread submits jobs, so a plain Cell counts
         // them.
@@ -669,10 +656,6 @@ impl UniversePool {
         // workers' `Arc<Shared>` clones) can be considered released —
         // including post-abort unwinds after a watchdog break above.
         core.wait_done(spawned.get());
-
-        if let Some(h) = schedule_handle {
-            h.join();
-        }
         (hung, core.alloc.harvest())
     }
 }

@@ -76,11 +76,10 @@ pub struct Fabric {
     /// Global notify generation: bumped by [`Fabric::wake_all`].
     notify_gen: AtomicU64,
     /// How often the wall-clock safety timeout cut a park short.
-    /// Nonzero is expected when a run is legitimately idle (async kill
-    /// schedules, respawn delays, hangs waiting for the watchdog); a
-    /// count growing during steady message flow would indicate a
-    /// missed-notification bug. Surfaced as
-    /// `RunReport::stats.handoff.park_safety_timeouts`.
+    /// Nonzero is expected when a run is legitimately idle (respawn
+    /// delays, hangs waiting for the watchdog); a count growing during
+    /// steady message flow would indicate a missed-notification bug.
+    /// Surfaced as `RunReport::stats.handoff.park_safety_timeouts`.
     park_timeouts: AtomicU64,
     /// `park` calls that reached the condvar wait. Surfaced as
     /// `RunReport::stats.handoff.parks`.

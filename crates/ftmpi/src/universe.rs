@@ -4,10 +4,10 @@
 //! simulation scheduler, as a coroutine on the caller's thread (see
 //! [`crate::UniversePool`]); the universe wires
 //! the shared fabric, failure registry, fault injector, rendezvous
-//! board and trace together, runs an optional asynchronous kill
-//! schedule, and — crucially for reproducing the paper's Fig. 6 — a
-//! watchdog that detects distributed hangs and converts them into a
-//! clean, reportable outcome instead of a wedged test suite.
+//! board and trace together, and — crucially for reproducing the
+//! paper's Fig. 6 — runs a watchdog that detects distributed hangs and
+//! converts them into a clean, reportable outcome instead of a wedged
+//! test suite.
 //!
 //! Every piece of that state lives in one universe's [`Shared`]; there
 //! are no process-global statics anywhere in `ftmpi` or `faultsim`
@@ -20,7 +20,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use faultsim::{AsyncSchedule, FaultPlan, Injector, RunStats, SchedHook};
+use faultsim::{FaultPlan, Injector, RunStats, SchedHook};
 
 use crate::detector::FailureRegistry;
 use crate::error::{RankOutcome, Result};
@@ -183,8 +183,6 @@ impl Shared {
 pub struct UniverseConfig {
     /// Hook-based fault plan (exact protocol-point kills).
     pub plan: FaultPlan,
-    /// Wall-clock kill schedule (asynchronous kills).
-    pub schedule: Option<AsyncSchedule>,
     /// Hang watchdog: if the run does not complete within this
     /// duration, the universe is aborted with
     /// [`WATCHDOG_ABORT_CODE`] and the report is marked `hung`.
@@ -201,8 +199,7 @@ pub struct UniverseConfig {
     /// routes every nondeterministic choice through it; the wall-clock
     /// `watchdog` is normally replaced by the hook's own verdicts
     /// (deadlock when no suspended rank is enabled, a logical step
-    /// budget against livelock). Incompatible with `schedule` (wall-clock kills) and
-    /// `respawn`.
+    /// budget against livelock). Incompatible with `respawn`.
     pub sched: Option<Arc<dyn SchedHook>>,
 }
 
@@ -230,12 +227,6 @@ impl UniverseConfig {
     /// Builder-style: enable tracing.
     pub fn traced(mut self) -> Self {
         self.trace = true;
-        self
-    }
-
-    /// Builder-style: attach an asynchronous kill schedule.
-    pub fn scheduled(mut self, s: AsyncSchedule) -> Self {
-        self.schedule = Some(s);
         self
     }
 
@@ -281,8 +272,8 @@ pub struct RunReport<T> {
     /// safety-net park timeout fired; in wall-clock mode a nonzero
     /// count during steady message flow would mean a rank made
     /// progress only because of the backstop — a missed-notification
-    /// bug; idle waits (async kill schedules, respawn delays, watchdog
-    /// hangs) fire it benignly.
+    /// bug; idle waits (respawn delays, watchdog hangs) fire it
+    /// benignly.
     /// `alloc` is the heap traffic of the rank bodies: in wall-clock
     /// mode summed over the worker threads (the caller thread's share
     /// is the caller's to measure), under a simulation scheduler the
