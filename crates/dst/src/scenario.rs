@@ -314,14 +314,26 @@ impl Schedule {
         if cfg.buggy_dedup {
             derive_buggy(&mut rng, cfg, &mut out.kills);
         } else {
+            let kills = &mut out.kills;
             match cfg.shape {
-                KillShape::Pair => derive_pair(&mut rng, cfg, &mut out.kills),
-                KillShape::Triple => derive_triple(&mut rng, cfg, &mut out.kills),
-                KillShape::RootChain => derive_root_chain(&mut rng, cfg, &mut out.kills),
-                KillShape::Cascade => derive_cascade(&mut rng, cfg, &mut out.kills),
-                KillShape::Validate => derive_validate(&mut rng, cfg, &mut out.kills),
-                KillShape::Spaced => derive_spaced(&mut rng, cfg, &mut out.kills),
-                KillShape::Masked => derive_masked_kills(&mut rng, cfg, &mut out.kills),
+                // Frozen: the golden decision logs and every recorded
+                // pair seed name schedules through this draw sequence.
+                KillShape::Pair => {
+                    let want = rng.below(3);
+                    ordinary_kills(&mut rng, cfg.ranks, want, kills)
+                }
+                KillShape::Triple => ordinary_kills(&mut rng, cfg.ranks, 3, kills),
+                KillShape::RootChain => derive_root_chain(&mut rng, cfg, kills),
+                KillShape::Cascade => derive_cascade(&mut rng, cfg, kills),
+                KillShape::Validate => derive_validate(&mut rng, cfg, kills),
+                KillShape::Spaced => derive_spaced(&mut rng, cfg, kills),
+                // The mask supplies the pressure, so the kill-set stays
+                // simple, and never empty: a mask without a failure
+                // exercises nothing the pair shape's random delays don't.
+                KillShape::Masked => {
+                    let want = 1 + rng.below(2);
+                    ordinary_kills(&mut rng, cfg.ranks, want, kills)
+                }
             }
         }
         if !cfg.buggy_dedup && cfg.shape == KillShape::Masked {
@@ -475,28 +487,6 @@ fn derive_buggy(rng: &mut SplitMix64, cfg: &ScenarioCfg, kills: &mut Vec<Kill>) 
     }
 }
 
-/// Legacy hardened-ring derivation: 0–2 kills anywhere (root failover
-/// makes even rank 0 fair game). **Frozen**: the golden decision logs
-/// and every recorded seed ≤ PR 6 named schedules through this exact
-/// draw sequence.
-fn derive_pair(rng: &mut SplitMix64, cfg: &ScenarioCfg, kills: &mut Vec<Kill>) {
-    let n = rng.below(3);
-    let mut victims = Victims::default();
-    while victims.len < n && victims.len < cfg.ranks - 1 {
-        let v = rng.below(cfg.ranks);
-        if !victims.contains(v) {
-            victims.push(v);
-        }
-    }
-    for v in victims.iter() {
-        kills.push(Kill {
-            victim: v,
-            hook: KILL_HOOKS[rng.below(KILL_HOOKS.len())],
-            occurrence: 1 + rng.below(25) as u64,
-        });
-    }
-}
-
 /// Up to `want` (≤ 3) distinct victims drawn uniformly from
 /// `0..ranks`, never more than `ranks - 1` (at least one rank always
 /// survives the *plan* — though with every other rank dead it may
@@ -512,15 +502,21 @@ fn distinct_victims(rng: &mut SplitMix64, ranks: usize, want: usize) -> Victims 
     victims
 }
 
-/// Three distinct victims at independent ordinary protocol points.
-fn derive_triple(rng: &mut SplitMix64, cfg: &ScenarioCfg, kills: &mut Vec<Kill>) {
-    let victims = distinct_victims(rng, cfg.ranks, 3);
-    for v in victims.iter() {
-        kills.push(Kill {
-            victim: v,
-            hook: KILL_HOOKS[rng.below(KILL_HOOKS.len())],
-            occurrence: 1 + rng.below(25) as u64,
-        });
+/// A kill of `victim` at one of the first 25 occurrences of an ordinary
+/// protocol point.
+fn ordinary_kill(rng: &mut SplitMix64, victim: usize) -> Kill {
+    Kill {
+        victim,
+        hook: KILL_HOOKS[rng.below(KILL_HOOKS.len())],
+        occurrence: 1 + rng.below(25) as u64,
+    }
+}
+
+/// Up to `want` distinct victims, then an ordinary kill of each: the
+/// pair, triple and masked shapes.
+fn ordinary_kills(rng: &mut SplitMix64, ranks: usize, want: usize, kills: &mut Vec<Kill>) {
+    for v in distinct_victims(rng, ranks, want).iter() {
+        kills.push(ordinary_kill(rng, v));
     }
 }
 
@@ -572,11 +568,7 @@ fn derive_validate(rng: &mut SplitMix64, cfg: &ScenarioCfg, kills: &mut Vec<Kill
                 occurrence: 1 + rng.below(2) as u64,
             });
         } else {
-            kills.push(Kill {
-                victim: v,
-                hook: KILL_HOOKS[rng.below(KILL_HOOKS.len())],
-                occurrence: 1 + rng.below(25) as u64,
-            });
+            kills.push(ordinary_kill(rng, v));
         }
     }
 }
@@ -595,22 +587,6 @@ fn derive_spaced(rng: &mut SplitMix64, cfg: &ScenarioCfg, kills: &mut Vec<Kill>)
             occurrence,
         });
         occurrence += 15 + rng.below(20) as u64;
-    }
-}
-
-/// One or two kills at ordinary protocol points — the mask supplies
-/// the pressure, so the kill-set stays simple (and always non-empty:
-/// a mask without a failure exercises nothing the pair shape's random
-/// delays don't already cover).
-fn derive_masked_kills(rng: &mut SplitMix64, cfg: &ScenarioCfg, kills: &mut Vec<Kill>) {
-    let n = 1 + rng.below(2);
-    let victims = distinct_victims(rng, cfg.ranks, n);
-    for v in victims.iter() {
-        kills.push(Kill {
-            victim: v,
-            hook: KILL_HOOKS[rng.below(KILL_HOOKS.len())],
-            occurrence: 1 + rng.below(25) as u64,
-        });
     }
 }
 
