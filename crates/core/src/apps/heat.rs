@@ -188,10 +188,12 @@ pub fn run_heat(p: &mut Process, comm: Comm, cfg: &HeatConfig) -> Result<HeatRes
         cells = next;
     }
 
-    // Tell the current partners we are done, so a partner that healed
+    // Tell every other rank we are done, so a rank that heals onto us
     // late (and would otherwise wait for halos we will never send)
-    // degrades its side to a boundary instead of hanging.
-    for nb in partner.into_iter().flatten() {
+    // degrades its side to a boundary instead of hanging. Not only the
+    // current partners: one may die before it reads this, and the rank
+    // past it then re-knits onto us.
+    for nb in (0..size).filter(|&r| r != me) {
         match p.send(comm, nb, HEAT_TAG, &(STEP_DONE, 0.0f64)) {
             Ok(()) | Err(Error::RankFailStop { .. }) => {}
             Err(e) => return Err(e),
