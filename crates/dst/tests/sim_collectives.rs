@@ -16,9 +16,9 @@
 //!
 //! `dst::referee` runs the schedules and checks all but the agreement.
 
-use dst::{referee, Workload};
+use dst::{referee, reports, Kills, Workload};
 use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
-use ftmpi::{Error, ErrorHandler, Process, RankOutcome, WorldRank, WORLD};
+use ftmpi::{Error, ErrorHandler, Process, WorldRank, WORLD};
 
 const SEEDS: std::ops::Range<u64> = 0..64;
 
@@ -92,9 +92,9 @@ impl Workload for Board {
     }
 
     /// Every third seed kills one rank at one of three protocol points.
-    fn plan(&self, seed: u64, ranks: usize) -> FaultPlan {
+    fn kills(&self, seed: u64, ranks: usize) -> Kills {
         if !seed.is_multiple_of(3) {
-            return FaultPlan::none();
+            return Kills::Plan(FaultPlan::none());
         }
         let k = seed / 3;
         let victim = k as usize % ranks;
@@ -111,21 +111,16 @@ impl Workload for Board {
             // victim may not have submitted yet.
             _ => FaultRule::kill_other((victim + 1) % ranks, victim, Trigger::on(HookKind::Tick)),
         };
-        FaultPlan::none().with(rule)
+        Kills::Plan(FaultPlan::none().with(rule))
     }
 }
 
 #[test]
 fn board_collectives_are_deadlock_free_uniform_and_pinned() {
-    let (digest, _) = referee(&Board, &[4, 8], SEEDS, |at, _, report| {
-        let mut survivors: Vec<(WorldRank, &Report)> = Vec::new();
-        for (rank, outcome) in report.outcomes.iter().enumerate() {
-            match outcome {
-                RankOutcome::Ok(r) => survivors.push((rank, r)),
-                RankOutcome::Failed => {}
-                other => panic!("{at}: rank {rank} ended as {other:?}"),
-            }
-        }
+    let (digest, _) = referee(&Board, &[4, 8], SEEDS, |at, _, report, _| {
+        let ranks = reports(at, report).into_iter().enumerate();
+        let survivors: Vec<(WorldRank, &Report)> =
+            ranks.filter_map(|(rank, r)| r.map(|r| (rank, r))).collect();
         for &(rank, r) in &survivors {
             let (first, f) = survivors[0];
             assert_eq!(r.retries, f.retries, "{at}: ranks {first} and {rank} disagree on the dup");

@@ -25,7 +25,7 @@
 
 use std::collections::HashSet;
 
-use dst::{referee, Workload};
+use dst::{referee, Kills, Workload};
 use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
 use ftmpi::{Process, RankOutcome, WORLD};
 use ftring::{run_ring, DedupStrategy, RingConfig, RingStats, TerminationMode, T_N};
@@ -48,9 +48,9 @@ impl Workload for Mode {
     /// ring: holding a token it just received, just after passing one
     /// on, about to post a `T_N` receive (the normal slot or the
     /// detector), or on some pass of one of its waits.
-    fn plan(&self, seed: u64, ranks: usize) -> FaultPlan {
+    fn kills(&self, seed: u64, ranks: usize) -> Kills {
         if !seed.is_multiple_of(3) {
-            return FaultPlan::none();
+            return Kills::Plan(FaultPlan::none());
         }
         let k = seed / 3;
         let victim = if self.0.allow_root_failure {
@@ -65,7 +65,7 @@ impl Workload for Mode {
             2 => Trigger::on(HookKind::BeforeRecvPost).tag(T_N).nth(lap),
             _ => Trigger::on(HookKind::Tick).nth(1 + k / 4 % 5),
         };
-        FaultPlan::none().with(FaultRule::kill(victim, trigger))
+        Kills::Plan(FaultPlan::none().with(FaultRule::kill(victim, trigger)))
     }
 }
 
@@ -76,7 +76,7 @@ impl Workload for Mode {
 fn sweep(cfg: RingConfig, alone: usize, digests: [u64; 3]) {
     let (mode, mut aborted) = (Mode(cfg), 0);
     let got = RANKS.map(|ranks| {
-        referee(&mode, &[ranks], SEEDS, |at, plan, report| {
+        referee(&mode, &[ranks], SEEDS, |at, plan, report, _| {
             let mut closed = HashSet::new();
             for (rank, outcome) in report.outcomes.iter().enumerate() {
                 match outcome {

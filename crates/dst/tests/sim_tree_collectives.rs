@@ -5,66 +5,55 @@
 //! `barrier`, `bcast`, `reduce`, `allreduce`, `gather`, `scatter`,
 //! `allgather`, `alltoall`, `scan`. It runs all nine in one rank body on
 //! a simulated universe, then a validate-bracketed repair loop — 3, 4, 5
-//! and 8 ranks, seven seeds of every eight with a kill at one of five
-//! hook kinds — and pins what a change to how those collectives enter,
+//! and 8 ranks, none, one or two kills per seed at any hook the victim
+//! reaches — and pins what a change to how those collectives enter,
 //! send, poison and leave must not move:
 //!
 //! * no schedule ends in a deadlock or budget verdict (an alive rank
 //!   that leaves with an error and forgets to poison a peer that waits
 //!   on it is a deadlock here, a watchdog timeout on the wall clock);
 //! * every planned kill fires, and nobody else fails;
-//! * an operation either errors or returns what the failure-free run
-//!   returns at that rank (nothing is validated out before the repair
-//!   loop, so a success that dropped a contribution would be wrong);
+//! * an operation either errors or returns what the seed's clean twin,
+//!   the failure-free run, returns at that rank (nothing is validated
+//!   out before the repair loop, so a success that dropped a
+//!   contribution would be wrong);
 //! * survivors agree on the repair count, and it is no more than the
 //!   ranks that ended `Failed`;
 //! * a schedule run twice leaves a byte-identical decision log;
 //! * the FNV-1a digest of every log and every rank's report is pinned.
 //!
-//! The body's twelve steps run in the written order over seeds `0..320`,
-//! and in eight shuffled orders over 64 seeds each.
-//! `dst::referee` runs the schedules and checks the verdicts, the
-//! kills, the second run and the digest.
+//! The body's twelve steps run in the written order over seeds `0..240`,
+//! and in eight shuffled orders over 40 seeds each.
+//! `dst::referee` draws each kill from the hooks the clean twin reached,
+//! runs the schedules and checks the verdicts, the kills, the second run
+//! and the digest.
 
-use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::ops::Range;
 
-use dst::{referee, SplitMix64, Workload};
-use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
-use ftmpi::{Error, ErrorHandler, Process, RankOutcome, Src, WORLD};
+use dst::{referee, reports, Kills, SplitMix64, Workload};
+use ftmpi::{Error, ErrorHandler, Process, Src, WORLD};
 
 const RANKS: [usize; 4] = [3, 4, 5, 8];
 
-/// `BeforeCollective` fires this often in the operation sequence of
-/// [`Tree::body`] whatever errors: `allreduce` and `allgather` enter two
-/// instances each. Occurrence `ENTRIES + 1` is the repair loop's first
-/// barrier.
-const ENTRIES: u64 = 12;
-
 /// FNV-1a over every schedule's decision log and rank reports, every
-/// rank count, in seed order. Pinned on the hand-written collectives as
-/// `0xacfe_4712_fcbf_17ee` and unmoved by the move into one frame;
-/// re-pinned once, when `scan` stopped poisoning a successor its send
-/// had just failed to reach — the only peer any of them poisoned
-/// knowing it dead — which moves six of the 1280 schedules, five steps
-/// fewer in all.
-const DIGEST: u64 = 0x426b_0815_1c2d_0349;
+/// rank count, in seed order.
+const DIGEST: u64 = 0xdbd6_4985_61e2_3883;
 
 /// Scheduler steps over the same schedules: how far a moved digest
-/// moved (234 981 before `scan`'s change).
-const STEPS: u64 = 234_976;
+/// moved.
+const STEPS: u64 = 241_870;
 
 /// `(DIGEST, STEPS)` for each of the eight shuffled orders, in draw order.
 const ORDER_PINS: [(u64, u64); 8] = [
-    (0xf51c_a120_de0c_b875, 41_697),
-    (0x2fee_6acb_c532_11c4, 47_629),
-    (0x64f8_6182_de2d_48e0, 46_547),
-    (0x7678_88cb_7d3e_85ec, 46_168),
-    (0x235b_e97f_4b04_9053, 51_081),
-    (0xc61a_3707_8b40_40c7, 50_396),
-    (0xc2eb_0938_d9b9_c14c, 47_239),
-    (0x4110_d313_b59c_ad45, 49_506),
+    (0x1589_0cc2_b5de_34de, 42_150),
+    (0xff10_9053_7723_d666, 39_612),
+    (0xc2c3_2220_1bce_05f6, 39_988),
+    (0xa0c0_b879_5cd4_af25, 37_837),
+    (0x084d_7e19_d77b_54ee, 40_091),
+    (0x1dc2_ebb2_3dfc_99ed, 41_228),
+    (0xf7aa_9ce5_9cda_55b0, 39_857),
+    (0x1b78_c2b5_383e_12b3, 41_649),
 ];
 
 /// What one rank saw.
@@ -159,71 +148,29 @@ impl Workload for Tree {
         }
     }
 
-    /// Seven seeds of every eight kill: one rank at one of the five
-    /// hook kinds, at an occurrence every rank reaches when nobody died
-    /// before it; or two ranks — at two collective entries, or one on a
-    /// wait pass and one entering the repair loop's barrier — at hooks
-    /// that come up whatever errors.
-    fn plan(&self, seed: u64, ranks: usize) -> FaultPlan {
-        let k = seed / 8;
-        let victim = k as usize % ranks;
-        let other = (victim + 1 + k as usize / ranks % (ranks - 1)) % ranks;
-        let depth = k / ranks as u64;
-        let at = |kind, occurrences: u64| Trigger::on(kind).nth(1 + depth % occurrences);
-        let kills = match seed % 8 {
-            0 => vec![],
-            1 => vec![(victim, at(HookKind::BeforeCollective, ENTRIES))],
-            2 => vec![(victim, at(HookKind::AfterCollective, ENTRIES))],
-            3 => vec![(victim, at(HookKind::AfterSend, 6))],
-            4 => vec![(victim, at(HookKind::AfterRecvComplete, 2))],
-            5 => vec![(victim, at(HookKind::Tick, 6))],
-            6 => vec![
-                (victim, at(HookKind::BeforeCollective, ENTRIES)),
-                (other, Trigger::on(HookKind::BeforeCollective).nth(1 + k % ENTRIES)),
-            ],
-            _ => vec![
-                (victim, at(HookKind::Tick, 3)),
-                (other, Trigger::on(HookKind::BeforeCollective).nth(ENTRIES + 1)),
-            ],
-        };
-        FaultPlan::new(kills.into_iter().map(|(v, t)| FaultRule::kill(v, t)).collect())
+    /// Any rank.
+    fn kills(&self, _seed: u64, ranks: usize) -> Kills {
+        Kills::Victims(0..ranks)
     }
 }
 
-/// Run `tree` over `seeds` at every rank count and judge each schedule.
-/// `seeds` starts at a multiple of 8, a clean seed, whose run gives each
-/// rank count's failure-free answer, whatever the schedule.
+/// Run `tree` over `seeds` at every rank count and judge each schedule
+/// against its clean twin.
 fn sweep(tree: &Tree, seeds: Range<u64>) -> (u64, u64) {
-    let mut references: BTreeMap<usize, Vec<Report>> = BTreeMap::new();
-    referee(tree, &RANKS, seeds, |at, plan, report| {
-        let mut reports = Vec::new();
-        for (rank, outcome) in report.outcomes.iter().enumerate() {
-            match outcome {
-                RankOutcome::Ok(r) => reports.push(Some(r)),
-                RankOutcome::Failed => reports.push(None),
-                other => panic!("{at}: rank {rank} ended as {other:?}"),
-            }
-        }
+    referee(tree, &RANKS, seeds, |at, _, report, twin| {
+        let reports = reports(at, report);
         let survivors: Vec<&Report> = reports.iter().copied().flatten().collect();
         let failed = reports.len() - survivors.len();
         for r in &survivors {
             assert_eq!(r.repaired, survivors[0].repaired, "{at}: survivors disagree on the repair");
             assert!(r.repaired <= failed, "{at}: repaired {} of {failed} failed", r.repaired);
         }
-        let reference = references.entry(reports.len()).or_insert_with(|| {
-            assert!(plan.is_empty(), "{at}: the first seed must be clean");
-            for r in &survivors {
-                assert!(r.ops.iter().all(Result::is_ok), "{at}: a clean run errored: {r:?}");
-                assert_eq!(r.repaired, 0);
-            }
-            survivors.iter().map(|&r| r.clone()).collect()
-        });
-        if plan.is_empty() {
-            assert!(survivors.iter().copied().eq(reference.iter()), "{at}: clean runs differ");
-        }
         for (rank, r) in reports.iter().enumerate() {
+            let clean = twin.outcomes[rank].as_ok().expect("a twin is failure-free");
+            let errored = clean.repaired != 0 || clean.ops.iter().any(Result::is_err);
+            assert!(!errored, "{at}: a clean run errored: {clean:?}");
             let Some(r) = r else { continue };
-            for (step, (got, want)) in r.ops.iter().zip(&reference[rank].ops).enumerate() {
+            for (step, (got, want)) in r.ops.iter().zip(&clean.ops).enumerate() {
                 assert!(
                     got.is_err() || got == want,
                     "{at}: rank {rank} step {step} returned {got:?}, failure-free is {want:?}"
@@ -235,15 +182,13 @@ fn sweep(tree: &Tree, seeds: Range<u64>) -> (u64, u64) {
 
 #[test]
 fn tree_collectives_are_deadlock_free_and_pinned() {
-    let pin = sweep(&Tree { order: WRITTEN }, 0..320);
-    // 40 seeds per class and rank count: five classes kill one rank,
-    // two kill two; the referee checked that every one fired.
+    let pin = sweep(&Tree { order: WRITTEN }, 0..240);
     assert_eq!(pin, (DIGEST, STEPS), "decision logs or reports moved: {pin:#x?}");
 }
 
 /// Eight orders of the twelve steps, each a Fisher–Yates shuffle drawn
-/// from one `SplitMix64` seeded with `0x7ee5`; order `j` runs the plans
-/// of seeds `64 j..64 (j + 1)`, so together they run those of `0..512`.
+/// from one `SplitMix64` seeded with `0x7ee5`; order `j` runs seeds
+/// `40 j..40 (j + 1)`, so together they run `0..320`.
 /// An operation sequence other than the written one must be as
 /// deadlock-free and as pinned.
 #[test]
@@ -255,7 +200,7 @@ fn tree_collectives_in_shuffled_orders_are_deadlock_free_and_pinned() {
             for i in (1..order.len()).rev() {
                 order.swap(i, rng.below(i + 1));
             }
-            sweep(&Tree { order }, 64 * j..64 * (j + 1))
+            sweep(&Tree { order }, 40 * j..40 * (j + 1))
         })
         .collect();
     assert_eq!(pins, ORDER_PINS, "decision logs or reports moved: {pins:#x?}");

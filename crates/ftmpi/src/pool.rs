@@ -486,6 +486,7 @@ impl UniversePool {
             duration: start.elapsed(),
             generations,
             stats,
+            injector: Arc::clone(&shared.injector),
         };
         // Keep the universe state warm for the next run.
         self.shared = Some(shared);

@@ -282,6 +282,8 @@ pub struct RunReport<T> {
     /// unless the final binary installs [`allocstats::StatsAlloc`] as
     /// its global allocator; the `dst` harness does.
     pub stats: RunStats,
+    /// The armed plan the run consulted ([`Injector::counts`]).
+    pub injector: Arc<Injector>,
 }
 
 impl<T> RunReport<T> {
