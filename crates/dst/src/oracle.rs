@@ -93,7 +93,8 @@ impl Oracle for NonOvertaking {
 
 /// §5.2 — under the hardened configuration, the survivors finish every
 /// iteration: no hang, no unexpected abort, every survivor reaches
-/// termination, and closure markers stay inside `0..max_iter`.
+/// termination having handled every lap once (originated or forwarded
+/// it), and closure markers stay inside `0..max_iter`.
 ///
 /// Full marker coverage (every iteration observed closed) is only
 /// demanded when rank 0 survives: closures are recorded at the root,
@@ -155,6 +156,13 @@ impl Oracle for RingCompletion {
         for (rank, s) in obs.survivors() {
             if !s.terminated {
                 return Err(violation(self.name(), format!("rank {rank} never terminated")));
+            }
+            let handled = s.originated + s.forwarded;
+            if handled != obs.cfg.max_iter {
+                return Err(violation(self.name(), format!(
+                    "rank {rank} handled {handled} of {} laps",
+                    obs.cfg.max_iter
+                )));
             }
             for (marker, _) in &s.closures {
                 if *marker >= obs.cfg.max_iter {
@@ -238,7 +246,7 @@ impl Oracle for MarkersMonotone {
 }
 
 /// §5.5 — when survivors ran a `validate_all`, they agreed on the size
-/// of the failed set.
+/// of the failed set, and it counts no more ranks than ended `Failed`.
 pub struct ValidateAgreement;
 
 impl Oracle for ValidateAgreement {
@@ -251,7 +259,13 @@ impl Oracle for ValidateAgreement {
             .survivors()
             .filter_map(|(rank, s)| s.validate_failed.map(|f| (rank, f)))
             .collect();
-        if let Some(((_, first), rest)) = answers.split_first() {
+        if let Some(((rank, first), rest)) = answers.split_first() {
+            let failed = obs.outcomes.iter().filter(|o| matches!(o, Outcome::Failed)).count();
+            if *first > failed {
+                return Err(violation(self.name(), format!(
+                    "rank {rank} validated {first} failed ranks, {failed} ended failed"
+                )));
+            }
             for (rank, f) in rest {
                 if f != first {
                     return Err(violation(self.name(), format!(
@@ -357,5 +371,28 @@ mod tests {
         assert!(!RingCompletion.applicable(&obs));
         assert!(!DetectorCompleteness.applicable(&obs));
         assert!(NoDuplicate.applicable(&obs));
+    }
+
+    /// A green run's observation after `edit`: the one oracle it violates.
+    fn only_violation(edit: impl FnOnce(&mut Observation)) -> &'static str {
+        let mut obs = run_seed(0, &ScenarioCfg::default());
+        edit(&mut obs);
+        let violations = check_all(&obs);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        violations[0].oracle
+    }
+
+    #[test]
+    fn a_survivor_that_missed_a_lap_breaks_ring_completion() {
+        let oracle = only_violation(|obs| obs.ring_stats[1].as_mut().unwrap().forwarded -= 1);
+        assert_eq!(oracle, "ring-completion");
+    }
+
+    #[test]
+    fn an_agreed_count_above_the_failed_ranks_breaks_validate_agreement() {
+        let oracle = only_violation(|obs| {
+            obs.ring_stats.iter_mut().flatten().for_each(|s| s.validate_failed = Some(1))
+        });
+        assert_eq!(oracle, "validate-agreement");
     }
 }

@@ -13,8 +13,9 @@
 //! * no schedule ends in a deadlock or budget verdict;
 //! * every rank the plan did not kill returns `Ok` and `terminated`
 //!   (at 2 ranks the survivor of a kill is alone, and the Fig. 4/5 rule
-//!   ends it `Aborted { code: -1 }`);
-//! * no marker is closed twice;
+//!   ends it `Aborted { code: -1 }`), having handled every lap once;
+//! * no marker is closed twice, and no closure counts more ranks than
+//!   there are;
 //! * every planned kill fires;
 //! * a schedule run twice leaves a byte-identical decision log;
 //! * the FNV-1a digest of every log and every rank's stats is pinned,
@@ -83,8 +84,11 @@ fn sweep(cfg: RingConfig, alone: usize, digests: [u64; 3]) {
                     RankOutcome::Failed => {}
                     RankOutcome::Ok(stats) => {
                         assert!(stats.terminated, "{at}: rank {rank} did not terminate");
-                        for (marker, _) in &stats.closures {
-                            assert!(closed.insert(*marker), "{at}: marker {marker} closed twice");
+                        let handled = stats.originated + stats.forwarded;
+                        assert_eq!(handled, MAX_ITER, "{at}: rank {rank} handled {handled} laps");
+                        for &(marker, value) in &stats.closures {
+                            assert!(closed.insert(marker), "{at}: marker {marker} closed twice");
+                            assert!(value <= ranks as i64, "{at}: lap {marker} counted {value}");
                         }
                     }
                     // Fig. 4/5: the neighbour walk came back to the caller.
