@@ -1,12 +1,11 @@
 //! DST-backed property test: *adjacent-pair double kills in close
 //! succession* over randomized deterministic schedules.
 //!
-//! The wall-clock property suite (`tests/ring_properties.rs` at the
-//! workspace root) almost never hits the cascading-failure window —
-//! the OS scheduler rarely lines up a second death inside the first
-//! death's detection-to-repost gap. This suite drives the same kill
-//! shape through the deterministic scheduler instead, where the seed
-//! also controls grant order, match picks and delivery delays — the
+//! On real threads the OS scheduler rarely lines up a second death
+//! inside the first death's detection-to-repost gap, so the
+//! cascading-failure window is almost never hit. This suite drives that
+//! kill shape through the deterministic scheduler, where the seed also
+//! controls grant order, match picks and delivery delays — the
 //! exact machinery that exposed seeds 0x7f3 … 0x2624 and the takeover
 //! cascade of 0x1882 (DESIGN.md §8.7). Failures shrink and persist to
 //! `ring_properties.proptest-regressions` next to this file.

@@ -15,10 +15,15 @@
 //! * the FNV-1a digest of every log and every rank's report is pinned.
 //!
 //! `dst::referee` runs the schedules and checks all but the agreement.
+//!
+//! The tests after it hold the Fig. 1 validate interfaces to their
+//! contract, one hand-placed plan each over seeds `0..32`.
+
+use std::fmt::Debug;
 
 use dst::{referee, reports, Kills, Workload};
 use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
-use ftmpi::{Error, ErrorHandler, Process, WorldRank, WORLD};
+use ftmpi::{Error, ErrorHandler, Process, RankState, Src, WorldRank, WORLD};
 
 const SEEDS: std::ops::Range<u64> = 0..64;
 
@@ -131,4 +136,162 @@ fn board_collectives_are_deadlock_free_uniform_and_pinned() {
         }
     });
     assert_eq!(digest, DIGEST, "decision logs or reports moved: {digest:#018x}");
+}
+
+/// One rank body under one plan, whatever the seed.
+struct Contract<F> {
+    plan: FaultPlan,
+    body: F,
+}
+
+impl<R: Debug + Send, F: Fn(&mut Process) -> ftmpi::Result<R> + Sync> Workload for Contract<F> {
+    type Report = R;
+
+    fn body(&self, p: &mut Process) -> ftmpi::Result<R> {
+        (self.body)(p)
+    }
+
+    fn kills(&self, _seed: u64, _ranks: usize) -> Kills {
+        Kills::Plan(self.plan.clone())
+    }
+}
+
+/// Referee `body` at `ranks` under `plan` over seeds `0..32` and
+/// assert every survivor of the planned run reports `expect`.
+fn contract<R: Debug + Send + PartialEq>(
+    ranks: usize,
+    plan: FaultPlan,
+    expect: R,
+    body: impl Fn(&mut Process) -> ftmpi::Result<R> + Sync,
+) {
+    referee(&Contract { plan, body }, &[ranks], 0..32, |at, plan, report, _| {
+        for (rank, r) in reports(at, report).into_iter().enumerate() {
+            assert!(plan.victims().contains(&rank) || r == Some(&expect), "{at}: rank {rank}");
+        }
+    });
+}
+
+/// `victims` each die at their first send: the plan of the tests below.
+fn at_first_send(victims: &[usize]) -> FaultPlan {
+    victims.iter().fold(FaultPlan::none(), |plan, &v| plan.kill_at(v, HookKind::BeforeSend, 1))
+}
+
+/// A victim's side: one message to each of `survivors`, unless it dies
+/// first.
+fn announce(p: &mut Process, survivors: &[usize]) -> ftmpi::Result<()> {
+    survivors.iter().try_for_each(|&s| p.send(WORLD, s, 9, &0u8))
+}
+
+/// A survivor's side: whether `victim` died instead of announcing.
+fn died(p: &mut Process, victim: usize) -> ftmpi::Result<bool> {
+    match p.recv::<u8>(WORLD, Src::Rank(victim), 9) {
+        Ok(_) => Ok(false),
+        Err(Error::RankFailStop { rank }) if rank == victim => Ok(true),
+        Err(e) => Err(e),
+    }
+}
+
+/// Recognition on the application's communicator does not recognize on
+/// a library's duplicate, so the library gets its own notification.
+#[test]
+fn recognition_is_per_communicator() {
+    contract(3, at_first_send(&[2]), true, |p| {
+        p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+        let lib = p.comm_dup(WORLD)?;
+        p.set_errhandler(lib, ErrorHandler::ErrorsReturn)?;
+        if p.world_rank() == 2 {
+            return announce(p, &[0, 1]).map(|()| false);
+        }
+        if !died(p, 2)? {
+            return Ok(false);
+        }
+        p.comm_validate_clear(WORLD, &[2])?;
+        assert_eq!(p.comm_validate_rank(WORLD, 2)?.state, RankState::Null);
+        assert_eq!(p.comm_validate_rank(lib, 2)?.state, RankState::Failed);
+        // The library's send errors until the library recognizes too.
+        assert!(matches!(p.send(lib, 2, 1, &0i32), Err(Error::RankFailStop { rank: 2 })));
+        p.comm_validate_clear(lib, &[2])?;
+        assert_eq!(p.comm_validate_rank(lib, 2)?.state, RankState::Null);
+        p.send(lib, 2, 1, &0i32)?; // dropped: PROC_NULL now
+        Ok(true)
+    });
+}
+
+/// `comm_validate` lists every failed rank with its per-communicator
+/// state.
+#[test]
+fn validate_lists_failed_ranks_with_states() {
+    contract(4, at_first_send(&[1, 3]), true, |p| {
+        p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+        if p.world_rank() % 2 == 1 {
+            return announce(p, &[0, 2]).map(|()| false);
+        }
+        if !(died(p, 1)? && died(p, 3)?) {
+            return Ok(false);
+        }
+        let infos = p.comm_validate(WORLD)?;
+        assert_eq!(infos.iter().map(|i| i.rank).collect::<Vec<_>>(), [1, 3]);
+        assert!(infos.iter().all(|i| i.state == RankState::Failed && i.generation == 0));
+        // Recognize one of them: the states diverge.
+        p.comm_validate_clear(WORLD, &[1])?;
+        let states: Vec<RankState> = p.comm_validate(WORLD)?.iter().map(|i| i.state).collect();
+        assert_eq!(states, [RankState::Null, RankState::Failed]);
+        Ok(true)
+    });
+}
+
+/// `validate_all` returns the same count everywhere, re-enables
+/// collectives, and its count accumulates over successive failures:
+/// rank 1 dies before the first, rank 2 entering the barrier after it.
+#[test]
+fn validate_all_counts_accumulate() {
+    let plan = at_first_send(&[1]).kill_at(2, HookKind::BeforeCollective, 1);
+    contract(5, plan, (1, 2), |p| {
+        p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+        // With no kill armed, rank 1 joins the collectives too.
+        if p.world_rank() == 1 {
+            announce(p, &[0, 2, 3, 4])?;
+        } else {
+            died(p, 1)?;
+        }
+        let first = p.comm_validate_all(WORLD)?;
+        let _ = p.barrier(WORLD);
+        let second = p.comm_validate_all(WORLD)?;
+        p.barrier(WORLD)?;
+        Ok((first, second))
+    });
+}
+
+/// `icomm_validate_all` composes with `waitany` beside an ordinary
+/// receive: the shape of the paper's Fig. 13 loop.
+#[test]
+fn ivalidate_composes_with_waitany() {
+    contract(3, FaultPlan::none(), 0, |p| {
+        p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+        // A receive that never completes, and the validate.
+        let never = p.irecv(WORLD, Src::Rank((p.world_rank() + 1) % 3), 77)?;
+        let vreq = p.icomm_validate_all(WORLD)?;
+        let out = p.waitany(&[never, vreq])?;
+        assert_eq!(out.index, 1, "the validate must complete first");
+        let count = out.result?.validate_count();
+        p.cancel(never)?;
+        Ok(count)
+    });
+}
+
+/// Leader election (Fig. 12) composes with recognition: a recognized
+/// failed rank is still never electable.
+#[test]
+fn election_and_recognition_compose() {
+    contract(4, at_first_send(&[0]), 1, |p| {
+        p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+        if p.world_rank() == 0 {
+            return announce(p, &[1, 2, 3]).map(|()| 0);
+        }
+        if died(p, 0)? {
+            assert_eq!(consensus::current_root(p, WORLD)?, 1);
+            p.comm_validate_clear(WORLD, &[0])?;
+        }
+        consensus::current_root(p, WORLD)
+    });
 }

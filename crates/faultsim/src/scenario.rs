@@ -60,12 +60,6 @@ pub fn kill_before_recv_post(victim: Rank, tag: Tag, n: u64) -> FaultPlan {
     ))
 }
 
-/// Kill `victim` when it enters its `n`-th collective operation.
-pub fn kill_in_collective(victim: Rank, n: u64) -> FaultPlan {
-    FaultPlan::none()
-        .with(FaultRule::kill(victim, Trigger::on(HookKind::BeforeCollective).nth(n)))
-}
-
 /// Kill `victim` when it enters (or first polls) its `n`-th
 /// `validate_all`, exercising failure *during* the consensus (Fig. 13
 /// line 17: "Validate should not fail, but if it does repost").
