@@ -38,22 +38,22 @@ const RANKS: [usize; 4] = [3, 4, 5, 8];
 
 /// FNV-1a over every schedule's decision log and rank reports, every
 /// rank count, in seed order.
-const DIGEST: u64 = 0xdbd6_4985_61e2_3883;
+const DIGEST: u64 = 0x8371_776e_6628_066b;
 
 /// Scheduler steps over the same schedules: how far a moved digest
 /// moved.
-const STEPS: u64 = 241_870;
+const STEPS: u64 = 244_704;
 
 /// `(DIGEST, STEPS)` for each of the eight shuffled orders, in draw order.
 const ORDER_PINS: [(u64, u64); 8] = [
-    (0x1589_0cc2_b5de_34de, 42_150),
-    (0xff10_9053_7723_d666, 39_612),
-    (0xc2c3_2220_1bce_05f6, 39_988),
-    (0xa0c0_b879_5cd4_af25, 37_837),
-    (0x084d_7e19_d77b_54ee, 40_091),
-    (0x1dc2_ebb2_3dfc_99ed, 41_228),
-    (0xf7aa_9ce5_9cda_55b0, 39_857),
-    (0x1b78_c2b5_383e_12b3, 41_649),
+    (0x9e3d_a7ee_9345_59ff, 42_047),
+    (0x2632_59d7_399a_a8c3, 39_719),
+    (0xf908_4eaa_be5e_5410, 41_487),
+    (0x03e8_3b45_8b63_226e, 39_366),
+    (0x4654_7157_a85a_4b1b, 40_431),
+    (0x2ac0_5056_9d66_ee79, 41_737),
+    (0x6207_3927_bf60_5e16, 40_520),
+    (0x6597_a3d5_cce0_3ede, 41_337),
 ];
 
 /// What one rank saw.
@@ -76,9 +76,7 @@ fn seen<T: Debug>(result: ftmpi::Result<T>) -> ftmpi::Result<Result<String, Erro
     }
 }
 
-/// A user-tag hop to the right neighbour: the only place in the body
-/// where `AfterRecvComplete` fires (collective-internal receives
-/// consume no hooks).
+/// A user-tag hop to the right neighbour.
 fn shift(p: &mut Process) -> ftmpi::Result<u64> {
     let (me, n) = (p.world_rank(), p.world_size());
     p.send(WORLD, (me + 1) % n, 5, &(me as u64))?;

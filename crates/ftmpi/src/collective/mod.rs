@@ -205,9 +205,10 @@ impl Process {
         Ok((CollCtx { comm, name, active, vrank, vroot: 0, tag, owed: Vec::new() }, entry_err))
     }
 
-    /// Blocking system receive inside a collective: no error handler,
-    /// no user hooks; poison and peer failure surface as
-    /// `RankFailStop`.
+    /// Blocking system receive inside a collective: no error handler;
+    /// poison and peer failure surface as `RankFailStop`. A message
+    /// that arrived fires `AfterRecvComplete`, so a plan can kill this
+    /// rank holding data it has not passed on (Fig. 6, inside a tree).
     pub(crate) fn coll_recv(&mut self, cctx: &CollCtx, from_v: usize) -> Result<Bytes> {
         let src = cctx.rank_at(from_v);
         let req = self.sys_irecv(cctx.comm, src, cctx.tag)?;
@@ -217,6 +218,8 @@ impl Process {
             // waited; within a collective that is still a failure.
             return Err(Error::RankFailStop { rank: src });
         }
+        let world = self.comm_data(cctx.comm)?.group.world_rank(src);
+        self.hook(Hook::recv(HookKind::AfterRecvComplete, world, cctx.tag))?;
         Ok(completion.data)
     }
 
