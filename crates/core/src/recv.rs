@@ -95,12 +95,14 @@ impl Ctx<'_> {
     /// buffer.
     pub(crate) fn watch(&mut self, req: Request, also: Option<Request>) -> Result<Watched> {
         self.repoint_detector()?;
-        // Build the wait set with the detector FIRST: when a failure
-        // notification and a token are simultaneously ready, handling
-        // the failure first makes the resend happen before `last_sent`
-        // moves on — the deterministic Fig. 8/10 behaviour (a real
-        // MPI_Waitany may return either; prioritizing the failure is
-        // the conservative choice).
+        // Build the wait set with the detector FIRST: on the wall clock
+        // `waitany` returns the lowest ready index, so when a failure
+        // notification and a token are both ready the failure is handled
+        // first and the resend happens before `last_sent` moves on — the
+        // Fig. 8/10 resend on every run. Under the scheduler `waitany`
+        // draws among the ready requests, as a real MPI_Waitany may: on
+        // 5 of the 32 seeds of `dst::figures`' F8 row P1 takes the token
+        // first, forwards it past the dead rank and resends nothing.
         let detector = self.detector.map(|(r, _)| r);
         self.wait_reqs.clear();
         self.wait_reqs.extend(detector);

@@ -38,6 +38,7 @@
 static ALLOC: allocstats::StatsAlloc = allocstats::StatsAlloc;
 
 pub mod coverage;
+pub mod figures;
 pub mod fuzz;
 pub mod oracle;
 pub mod scenario;

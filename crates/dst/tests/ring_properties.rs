@@ -7,8 +7,8 @@
 //! kill shape through the deterministic scheduler, where the seed also
 //! controls grant order, match picks and delivery delays — the
 //! exact machinery that exposed seeds 0x7f3 … 0x2624 and the takeover
-//! cascade of 0x1882 (DESIGN.md §8.7). Failures shrink and persist to
-//! `ring_properties.proptest-regressions` next to this file.
+//! cascade of 0x1882 (DESIGN.md §8.7). The vendored proptest shim does
+//! not shrink or persist a failure; a case it found is pinned below.
 
 use dst::{check_all, run_schedule, run_seed, triage, Kill, KillShape, ScenarioCfg, Schedule};
 use faultsim::HookKind;
@@ -126,11 +126,9 @@ proptest! {
 }
 
 /// Explicit pin of the case this property discovered against the
-/// pre-provenance protocol (see `ring_properties.proptest-regressions`):
-/// ranks 3 and 0 die two grants apart at Tick#7/Tick#9 under seed
-/// 0x558cf107, leaving the two survivors waiting on each other's token
-/// forever. The vendored proptest shim does not replay the regressions
-/// file, so the case is pinned here as a plain test.
+/// pre-provenance protocol: ranks 3 and 0 die two grants apart at
+/// Tick#7/Tick#9 under seed 0x558cf107, leaving the two survivors
+/// waiting on each other's token forever.
 #[test]
 fn adjacent_kill_regression_0x558cf107() {
     let kills = vec![

@@ -2,28 +2,24 @@
 //! scheduler.
 //!
 //! `explore`, `fuzz` and `sim_ring_modes` draw their kills. The paper's
-//! §III-C and §III-D scenarios place one exactly: a death inside the
-//! termination phase or its consensus, a root that dies before it
-//! originates or with a token in flight, cascading roots, a ring on a
-//! derived communicator. Each is one [`Scenario`]: a ring configuration,
-//! a fault plan, and the communicator the ring runs on (the world, a dup
-//! or one half of a split). `dst::referee` runs it over seeds `0..32`:
+//! §III-C and §III-D scenarios place one exactly: a root that dies in
+//! the termination broadcast, before it originates or with a token in
+//! flight, cascading roots, a ring on a derived communicator. Each is
+//! one [`Scenario`]: a ring configuration, a fault plan, and the
+//! communicator the ring runs on (the world, a dup or one half of a
+//! split). `dst::referee` runs it over seeds `0..32`:
 //! no schedule deadlocks, every planned kill fires and nobody else fails,
 //! two runs agree. Every survivor must have terminated, handled every
 //! lap once, closed none twice and released every request it posted;
-//! each test then checks what its scenario promises.
-//!
-//! One scenario is an expected hang, Fig. 11's root broadcast with the
-//! root dying mid-ring. It runs through `SeedRunner::run_workload` and
-//! must deadlock on every seed.
+//! each test then checks what its scenario promises. The paper's
+//! figures, Fig. 11's and Fig. 13's placed deaths and §III-D's mid-ring
+//! root death among them, are rows of `dst::figures` (`sim_figures.rs`).
 
 use std::collections::HashSet;
 use std::ops::Range;
 
-use dst::{referee, reports, Kills, Retention::Full, SeedRunner, Workload};
-use faultsim::scenario::{
-    combine, kill_after_recv, kill_after_send, kill_before_recv_post, kill_in_validate,
-};
+use dst::{referee, reports, Kills, Workload};
+use faultsim::scenario::{combine, kill_after_recv, kill_after_send};
 use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
 use ftmpi::{Error, Process, RankOutcome, WORLD};
 use ftring::{run_ring, RecvStrategy, RingConfig, RingStats, TerminationMode, T_D, T_N};
@@ -123,18 +119,6 @@ fn agreed(at: &str, ranks: &Ranks, failed: usize) {
     }
 }
 
-fn validate_all() -> RingConfig {
-    RingConfig::paper(MAX_ITER).termination(TerminationMode::ValidateAll)
-}
-
-/// Fig. 11 with rank 3 dying as it posts its `T_D` receive, after its
-/// part of the ring: the broadcast still releases the survivors.
-#[test]
-fn root_broadcast_with_failure_during_termination() {
-    let s = Scenario::new(RingConfig::paper(MAX_ITER), kill_before_recv_post(3, T_D, 1));
-    sweep(&s, 5, |at, ranks| assert_eq!(laps(ranks), MAX_ITER as usize, "{at}"));
-}
-
 /// Fig. 11's stated limitation: a root that dies as it starts the
 /// termination broadcast leaves every other rank to `MPI_Abort`.
 #[test]
@@ -148,34 +132,15 @@ fn root_broadcast_aborts_on_root_failure_in_termination() {
     });
 }
 
-/// The defect §III-D sets out to fix: a root dying mid-ring under
-/// Fig. 11 leaves the others blocked in `FT_Recv_left` forever.
-#[test]
-fn root_broadcast_hangs_on_mid_ring_root_failure() {
-    let s = Scenario::new(RingConfig::paper(MAX_ITER), kill_after_recv(0, 4, T_N, 2));
-    let mut runner = SeedRunner::new(5);
-    for seed in SEEDS {
-        let (report, sched) = runner.run_workload(&s, s.plan.clone(), seed, 100_000, Full, None);
-        assert!(report.outcomes[0].is_failed(), "seed {seed}: the root's kill did not fire");
-        assert!(sched.deadlock_at().is_some(), "seed {seed}: no hang: {:?}", report.outcomes);
-    }
-}
-
 /// Fig. 13 with a mid-run failure: the terminating consensus counts it.
 #[test]
 fn validate_all_reports_the_agreed_failure_count() {
-    let s = Scenario::new(validate_all(), kill_after_recv(2, 1, T_N, 2));
+    let cfg = RingConfig::paper(MAX_ITER).termination(TerminationMode::ValidateAll);
+    let s = Scenario::new(cfg, kill_after_recv(2, 1, T_N, 2));
     sweep(&s, 5, |at, ranks| {
         assert_eq!(laps(ranks), MAX_ITER as usize, "{at}");
         agreed(at, ranks, 1);
     });
-}
-
-/// Fig. 13 with rank 3 dying as it enters the terminating consensus.
-#[test]
-fn validate_all_survives_failure_during_consensus() {
-    let s = Scenario::new(validate_all(), kill_in_validate(3, 1));
-    sweep(&s, 5, |at, ranks| agreed(at, ranks, 1));
 }
 
 /// CountOnly termination, the paper's starting point, failure-free.
@@ -211,18 +176,6 @@ fn two_rank_ring_runs_twice_on_one_communicator() {
     sweep(&s, 2, |at, ranks| {
         let closures = ranks.iter().map(|r| r.map(|r| r.closures.len()));
         assert_eq!(closures.collect::<Vec<_>>(), [Some(3), Some(0)], "{at}");
-    });
-}
-
-/// The root dies after the closure of lap 2; rank 1 takes over, and the
-/// last lap closes at the new root.
-#[test]
-fn root_dies_mid_ring_and_rank1_takes_over() {
-    let s = Scenario::new(RingConfig::with_root_failover(MAX_ITER), kill_after_recv(0, 4, T_N, 3));
-    sweep(&s, 5, |at, ranks| {
-        let new_root = ranks[1].unwrap();
-        assert!(new_root.became_root && new_root.originated >= 1, "{at}: {new_root:?}");
-        assert_eq!(new_root.closures.last().map(|c| c.0), Some(MAX_ITER - 1), "{at}");
     });
 }
 

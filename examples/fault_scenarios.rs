@@ -1,102 +1,37 @@
 //! A guided tour of the paper's four failure scenarios (Figs. 6, 7, 8
-//! and 10), each run live with exact fault injection.
+//! and 10): each is a row of `dst::figures`, run over its seeds under
+//! the deterministic scheduler, and the Fig. 7 chart is drawn from one
+//! simulated run's trace. Two runs print the same bytes.
 //!
 //! ```text
 //! cargo run --example fault_scenarios
 //! ```
 
-use std::time::Duration;
-
-use ftmpi::{faultsim::scenario, run, UniverseConfig, WORLD};
-use ftring::{
-    render_sequence_diagram, run_ring, summarize, DiagramOptions, RingConfig, RingRunSummary, T_N,
-};
-
-const RANKS: usize = 4;
-const ITER: u64 = 6;
-
-fn execute(name: &str, cfg: RingConfig, plan: faultsim::FaultPlan, watchdog: Duration) -> RingRunSummary {
-    println!("=== {name} ===");
-    let cfg2 = cfg.clone();
-    let report = run(
-        RANKS,
-        UniverseConfig::with_plan(plan).watchdog(watchdog),
-        move |p| run_ring(p, WORLD, &cfg2),
-    );
-    let s = summarize(&report);
-    println!(
-        "  hung={} survivors={:?} failed={:?}",
-        s.hung, s.survivors, s.failed
-    );
-    println!(
-        "  laps closed={} resends={} detector_fires={} dup_dropped={} dup_forwarded={}",
-        s.completed_iterations(),
-        s.total_resends,
-        s.total_detector_fires,
-        s.total_duplicates_dropped,
-        s.total_duplicate_forwards,
-    );
-    println!("  closures: {:?}\n", s.closures);
-    s
-}
-
-use ftmpi::faultsim;
+use dst::figures::{figure, run, Expect, SEEDS};
+use dst::{Retention, SeedRunner};
+use ftring::{render_sequence_diagram, DiagramOptions};
 
 fn main() {
-    // Fig. 6: naive receive; P2 dies holding the token -> hang.
-    let s = execute(
-        "Fig. 6 — naive FT_Recv_left, token dies with P2 (expected: HANG)",
-        RingConfig::naive(ITER),
-        scenario::kill_after_recv(2, 1, T_N, 2),
-        Duration::from_secs(3), // short watchdog: we *expect* the hang
-    );
-    assert!(s.hung, "Fig. 6 must hang");
-    println!("  => the program hung, exactly as Fig. 6 describes.\n");
+    let seeds = SEEDS.end - SEEDS.start;
+    for id in ["F6", "F7", "F8", "F10"] {
+        let f = figure(id);
+        let c = run(&f);
+        let end = if let Expect::Hang = f.expect { "deadlocks" } else { "runs through" };
+        let (ranks, killed) = (f.ranks, f.plan.victims());
+        println!("=== {id}: {} ===", f.claim);
+        println!("  {ranks} ranks, rank(s) {killed:?} killed: every seed of {SEEDS:?} {end}");
+        println!(
+            "  resent {}/{seeds}, a lap closed twice {}/{seeds}, duplicate dropped {}/{seeds}\n",
+            c.resent, c.doubled, c.dropped
+        );
+    }
 
-    // Fig. 7: same fault, Fig. 9 receive -> P1 resends, ring heals.
-    let s = execute(
-        "Fig. 7 — Irecv-as-failure-detector, same fault (expected: recovery)",
-        RingConfig::paper(ITER),
-        scenario::kill_after_recv(2, 1, T_N, 2),
-        Duration::from_secs(60),
-    );
-    assert!(!s.hung && s.completed_iterations() == ITER as usize);
-    println!("  => P1 noticed the failure and resent; all laps completed.\n");
-
-    // Fig. 8: detector receive, NO duplicate control; P2 dies after
-    // forwarding -> the same lap completes twice.
-    let s = execute(
-        "Fig. 8 — no duplicate control, P2 dies after forwarding (expected: double completion)",
-        RingConfig::no_dedup(ITER),
-        scenario::kill_behind_token(2, 0, T_N, 2),
-        Duration::from_secs(60),
-    );
-    assert!(s.has_double_completion() || s.total_duplicate_forwards > 0);
-    println!("  => a lap completed twice: the Fig. 8 defect.\n");
-
-    // Fig. 10: same fault, iteration marker -> duplicate discarded.
-    let s = execute(
-        "Fig. 10 — iteration marker, same fault (expected: exact run)",
-        RingConfig::paper(ITER),
-        scenario::kill_behind_token(2, 0, T_N, 2),
-        Duration::from_secs(60),
-    );
-    assert!(!s.has_double_completion() && s.completed_iterations() == ITER as usize);
-    assert!(s.total_duplicates_dropped >= 1);
-    println!("  => the resent duplicate was detected by its marker and dropped.\n");
-
-    // Bonus: render the actual message diagram of a short Fig. 7 run,
-    // in the visual language of the paper's figures.
-    let cfg = RingConfig::paper(3);
-    let report = run(
-        RANKS,
-        UniverseConfig::with_plan(scenario::kill_after_recv(2, 1, T_N, 2))
-            .watchdog(Duration::from_secs(60))
-            .traced(),
-        move |p| run_ring(p, WORLD, &cfg),
-    );
-    println!("=== recorded message diagram of the Fig. 7 run ===\n");
-    println!("{}", render_sequence_diagram(&report.trace, RANKS, &DiagramOptions::default()));
-
+    // The Fig. 7 run of seed 0, in the visual language of the paper's figures.
+    let f = figure("F7");
+    let mut runner = SeedRunner::new(f.ranks);
+    let (report, _) = runner.run_workload(&f, f.plan.clone(), 0, 100_000, Retention::Full, None);
+    let chart = render_sequence_diagram(&report.trace, f.ranks, &DiagramOptions::default());
+    assert!(chart.contains("(P2 killed)"), "{chart}");
+    println!("=== the Fig. 7 run of seed 0, as the scheduler ran it ===\n\n{chart}");
     println!("All four scenarios reproduced the paper's figures.");
 }
