@@ -758,7 +758,7 @@ impl SeedRunner {
         let alloc_before = allocstats::snapshot();
         let ring = Ring { config: cfg.ring_config(), kills: &schedule.kills };
         let Kills::Plan(plan) = ring.kills(schedule.seed, cfg.ranks) else { unreachable!() };
-        let (report, sched) = self.run_workload(
+        let (report, mut sched) = self.run_workload(
             &ring,
             plan,
             schedule.seed,

@@ -14,8 +14,9 @@
 //!
 //! The scheduler is a plain decision structure — the enabled and the
 //! blocked ranks, three PRNG streams, the log, coverage and the budget.
-//! It owns no thread handle and never blocks; the mutex around it
-//! exists only because the harness reads the log from outside the run.
+//! It owns no thread handle, never blocks and takes no lock: the
+//! harness lends it `&mut` to the run (`UniverseConfig::sim`) and reads
+//! the log once the run has returned it.
 //!
 //! ### Dispatch
 //!
@@ -87,7 +88,6 @@
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 use crate::coverage::{CoverageSet, EdgeKind, PHASE_CAP};
 use faultsim::{ChoiceKind, HandoffStats, Rank, RunStats, SchedHook, SchedPoint, StepOutcome};
@@ -184,7 +184,9 @@ impl std::fmt::Display for SchedEvent {
 /// Out of 16: how often a drain call delays in exploration mode.
 const DELAY_WEIGHT: u64 = 4;
 
-struct Inner {
+/// The seeded scheduler. Construct, lend `&mut` to
+/// [`ftmpi::UniverseConfig::sim`], and read it after the run.
+pub struct Scheduler {
     /// Enabled ranks suspended at a step point, in ascending rank
     /// order: a grant is an O(1) index by the PRNG's pick.
     waiting: Vec<Rank>,
@@ -208,6 +210,8 @@ struct Inner {
     /// "How much of the queue to withhold" draws for delaying drains.
     rng_amount: SplitMix64,
     steps: u64,
+    /// Livelock is declared once `steps` passes this.
+    budget: u64,
     /// The run is over (deadlock or budget): every suspended rank is
     /// in `waiting` and is handed `Abort`.
     aborted: bool,
@@ -240,13 +244,6 @@ struct Inner {
     kills_seen: u8,
 }
 
-/// The seeded scheduler. Construct, wrap in an `Arc`, and pass to
-/// [`ftmpi::UniverseConfig::sim`].
-pub struct Scheduler {
-    inner: Mutex<Inner>,
-    budget: u64,
-}
-
 impl Scheduler {
     /// Scheduler for `n` ranks: every decision drawn from `seed`,
     /// livelock declared after `budget` steps, delays fired at random
@@ -254,28 +251,26 @@ impl Scheduler {
     /// [`Scheduler::quiet`] and [`Scheduler::delay_mask`] modify it.
     pub fn new(n: usize, seed: u64, budget: u64) -> Self {
         Scheduler {
-            inner: Mutex::new(Inner {
-                waiting: Vec::with_capacity(n),
-                blocked: Vec::with_capacity(n),
-                stepped: None,
-                rng: SplitMix64::new(seed),
-                rng_delay: SplitMix64::new(seed ^ 0x64656C_61797321),
-                rng_amount: SplitMix64::new(seed ^ 0x616D6F_756E7421),
-                steps: 0,
-                aborted: false,
-                deadlock_at: None,
-                record: true,
-                log: Vec::new(),
-                drain_calls: 0,
-                delays: Vec::new(),
-                delay_mask: None,
-                grants: 0,
-                self_grants: 0,
-                enabled: 0,
-                coverage: CoverageSet::new(),
-                kills_seen: 0,
-            }),
+            waiting: Vec::with_capacity(n),
+            blocked: Vec::with_capacity(n),
+            stepped: None,
+            rng: SplitMix64::new(seed),
+            rng_delay: SplitMix64::new(seed ^ 0x64656C_61797321),
+            rng_amount: SplitMix64::new(seed ^ 0x616D6F_756E7421),
+            steps: 0,
             budget,
+            aborted: false,
+            deadlock_at: None,
+            record: true,
+            log: Vec::new(),
+            drain_calls: 0,
+            delays: Vec::new(),
+            delay_mask: None,
+            grants: 0,
+            self_grants: 0,
+            enabled: 0,
+            coverage: CoverageSet::new(),
+            kills_seen: 0,
         }
     }
 
@@ -284,7 +279,7 @@ impl Scheduler {
     /// Sweeps run quiet; a failing seed is re-run recorded to recover
     /// its log deterministically.
     pub fn quiet(mut self) -> Self {
-        self.inner.get_mut().expect("poisoned before any run").record = false;
+        self.record = false;
         self
     }
 
@@ -294,8 +289,7 @@ impl Scheduler {
     /// replays masks it minimizes; the `masked` kill shape sweeps
     /// seed-derived ones (quiet, at volume).
     pub fn delay_mask(mut self, mask: &[u64]) -> Self {
-        self.inner.get_mut().expect("poisoned before any run").delay_mask =
-            Some(mask.iter().copied().collect());
+        self.delay_mask = Some(mask.iter().copied().collect());
         self
     }
 
@@ -303,11 +297,10 @@ impl Scheduler {
     /// identical `(seed, kills, mask)` inputs. Empty for a
     /// [`Scheduler::quiet`] scheduler.
     pub fn log_text(&self) -> String {
-        let inner = self.inner.lock().unwrap();
         // One buffer, `fmt::Write` appends — no per-line `format!`
         // allocation. ~16 bytes of payload per line plus the prefix.
-        let mut out = String::with_capacity(inner.log.len() * 24);
-        for (i, ev) in inner.log.iter().enumerate() {
+        let mut out = String::with_capacity(self.log.len() * 24);
+        for (i, ev) in self.log.iter().enumerate() {
             let _ = writeln!(out, "{i:06} {ev}");
         }
         out
@@ -315,46 +308,42 @@ impl Scheduler {
 
     /// The recorded decisions.
     pub fn events(&self) -> Vec<SchedEvent> {
-        self.inner.lock().unwrap().log.clone()
+        self.log.clone()
     }
 
     /// Drain-call indices that delayed delivery (the schedule's
     /// delay-set, the shrinker's second dimension). Empty for a
     /// [`Scheduler::quiet`] scheduler.
     pub fn delay_calls(&self) -> Vec<u64> {
-        self.inner.lock().unwrap().delays.clone()
+        self.delays.clone()
     }
 
     /// Whether the step budget — the livelock backstop — ended the run.
     /// Recording-independent.
     pub fn budget_exhausted(&self) -> bool {
-        let inner = self.inner.lock().unwrap();
-        inner.aborted && inner.deadlock_at.is_none()
+        self.aborted && self.deadlock_at.is_none()
     }
 
     /// The step at which the run deadlocked — ranks suspended, none of
     /// them enabled — or `None` if it did not. Recording-independent.
     pub fn deadlock_at(&self) -> Option<u64> {
-        self.inner.lock().unwrap().deadlock_at
+        self.deadlock_at
     }
 
     /// Steps taken so far (the logical clock): one per grant, plus the
     /// draw that exhausted the budget if one did.
     pub fn steps(&self) -> u64 {
-        self.inner.lock().unwrap().steps
+        self.steps
     }
 
     /// Move the run's coverage-edge set out of the scheduler (leaving
     /// an empty, unallocated placeholder). Call once, after the run:
     /// the fuzzer unions the full set; copying it through the hook
     /// trait would cost an allocation per harvest.
-    pub fn take_coverage(&self) -> CoverageSet {
-        let mut inner = self.inner.lock().unwrap();
-        std::mem::replace(&mut inner.coverage, CoverageSet::empty())
+    pub fn take_coverage(&mut self) -> CoverageSet {
+        std::mem::replace(&mut self.coverage, CoverageSet::empty())
     }
-}
 
-impl Inner {
     /// Insert `rank` into an ascending list it is not already in (a
     /// rank arrives only while running, and `next` took it off
     /// `waiting` when it was granted).
@@ -384,87 +373,82 @@ impl Inner {
 }
 
 impl SchedHook for Scheduler {
-    fn arrive(&self, rank: Rank, point: SchedPoint) {
-        let mut inner = self.inner.lock().unwrap();
-        if point == SchedPoint::Blocked && !inner.aborted {
-            Inner::file(&mut inner.blocked, rank);
+    fn arrive(&mut self, rank: Rank, point: SchedPoint) {
+        if point == SchedPoint::Blocked && !self.aborted {
+            Self::file(&mut self.blocked, rank);
         } else {
-            Inner::file(&mut inner.waiting, rank);
+            Self::file(&mut self.waiting, rank);
         }
-        inner.stepped = Some(rank);
+        self.stepped = Some(rank);
     }
 
-    fn wake(&self, rank: Rank) {
-        let mut inner = self.inner.lock().unwrap();
+    fn wake(&mut self, rank: Rank) {
         // Most deliveries find the receiver running, enabled or gone.
-        if let Ok(pos) = inner.blocked.binary_search(&rank) {
-            inner.blocked.remove(pos);
-            Inner::file(&mut inner.waiting, rank);
+        if let Ok(pos) = self.blocked.binary_search(&rank) {
+            self.blocked.remove(pos);
+            Self::file(&mut self.waiting, rank);
         }
     }
 
-    fn wake_all(&self) {
-        self.inner.lock().unwrap().enable_all();
+    fn wake_all(&mut self) {
+        self.enable_all();
     }
 
-    fn next(&self) -> Option<(Rank, StepOutcome)> {
-        let mut inner = self.inner.lock().unwrap();
-        let inner = &mut *inner;
-        let stepped = inner.stepped.take();
-        if inner.waiting.is_empty() {
-            if inner.blocked.is_empty() {
+    fn next(&mut self) -> Option<(Rank, StepOutcome)> {
+        let stepped = self.stepped.take();
+        if self.waiting.is_empty() {
+            if self.blocked.is_empty() {
                 return None;
             }
             // Every suspended rank waits for an event only a running
             // rank could cause, and none can run.
-            inner.deadlock_at = Some(inner.steps);
-            inner.end_run(SchedEvent::Deadlock, EdgeKind::Deadlock);
+            self.deadlock_at = Some(self.steps);
+            self.end_run(SchedEvent::Deadlock, EdgeKind::Deadlock);
         }
-        if !inner.aborted {
-            inner.steps += 1;
-            if inner.steps > self.budget {
-                inner.end_run(SchedEvent::Budget, EdgeKind::Budget);
+        if !self.aborted {
+            self.steps += 1;
+            if self.steps > self.budget {
+                self.end_run(SchedEvent::Budget, EdgeKind::Budget);
             }
         }
-        if inner.aborted {
-            return Some((inner.waiting.remove(0), StepOutcome::Abort));
+        if self.aborted {
+            return Some((self.waiting.remove(0), StepOutcome::Abort));
         }
-        let enabled = inner.waiting.len();
-        let idx = inner.rng.below(enabled);
-        let rank = inner.waiting.remove(idx);
-        inner.grants += 1;
-        inner.enabled += enabled as u64;
-        inner.coverage.record(rank, EdgeKind::Grant, inner.kills_seen);
-        if inner.record {
-            inner.log.push(SchedEvent::Grant { rank });
+        let enabled = self.waiting.len();
+        let idx = self.rng.below(enabled);
+        let rank = self.waiting.remove(idx);
+        self.grants += 1;
+        self.enabled += enabled as u64;
+        self.coverage.record(rank, EdgeKind::Grant, self.kills_seen);
+        if self.record {
+            self.log.push(SchedEvent::Grant { rank });
         }
         if stepped == Some(rank) {
-            inner.self_grants += 1;
+            self.self_grants += 1;
         }
         Some((rank, StepOutcome::Run))
     }
 
-    fn choose(&self, rank: Rank, kind: ChoiceKind, n: usize) -> usize {
+    fn choose(&mut self, rank: Rank, kind: ChoiceKind, n: usize) -> usize {
         assert!(n >= 1, "a choice needs at least one alternative");
-        let mut inner = self.inner.lock().unwrap();
         let (pick, call) = match kind {
             ChoiceKind::Drain => {
-                let call = inner.drain_calls;
-                inner.drain_calls += 1;
+                let call = self.drain_calls;
+                self.drain_calls += 1;
                 // `n` alternatives = queue length q + 1; q is the
                 // full-delivery answer.
                 let q = n - 1;
-                let delay = match &inner.delay_mask {
+                let delay = match &self.delay_mask {
                     Some(mask) => mask.contains(&call),
-                    None => q > 0 && inner.rng_delay.next_u64() % 16 < DELAY_WEIGHT,
+                    None => q > 0 && self.rng_delay.next_u64() % 16 < DELAY_WEIGHT,
                 };
-                let pick = if delay && q > 0 { inner.rng_amount.below(q) } else { q };
-                if pick < q && inner.record {
-                    inner.delays.push(call);
+                let pick = if delay && q > 0 { self.rng_amount.below(q) } else { q };
+                if pick < q && self.record {
+                    self.delays.push(call);
                 }
                 (pick, Some(call))
             }
-            ChoiceKind::WaitAny | ChoiceKind::AnySource => (inner.rng.below(n), None),
+            ChoiceKind::WaitAny | ChoiceKind::AnySource => (self.rng.below(n), None),
         };
         let ekind = match kind {
             ChoiceKind::WaitAny => EdgeKind::WaitAny,
@@ -473,53 +457,47 @@ impl SchedHook for Scheduler {
             ChoiceKind::Drain if pick < n - 1 => EdgeKind::DrainDelay,
             ChoiceKind::Drain => EdgeKind::DrainFull,
         };
-        let phase = inner.kills_seen;
-        inner.coverage.record(rank, ekind, phase);
-        if inner.record {
-            inner.log.push(SchedEvent::Choice { rank, kind, n, pick, call });
+        self.coverage.record(rank, ekind, self.kills_seen);
+        if self.record {
+            self.log.push(SchedEvent::Choice { rank, kind, n, pick, call });
         }
         pick
     }
 
-    fn on_exit(&self, rank: Rank) {
-        let mut inner = self.inner.lock().unwrap();
-        let phase = inner.kills_seen;
-        inner.coverage.record(rank, EdgeKind::Exit, phase);
-        if inner.record {
-            inner.log.push(SchedEvent::Exit { rank });
+    fn on_exit(&mut self, rank: Rank) {
+        self.coverage.record(rank, EdgeKind::Exit, self.kills_seen);
+        if self.record {
+            self.log.push(SchedEvent::Exit { rank });
         }
     }
 
-    fn on_kill(&self, victim: Rank) {
-        let mut inner = self.inner.lock().unwrap();
+    fn on_kill(&mut self, victim: Rank) {
         // The kill edge carries the phase *entered by* this kill (the
         // first kill is phase-1 behavior), then later decisions see
         // the bumped counter.
-        inner.kills_seen = (inner.kills_seen + 1).min(PHASE_CAP);
-        let phase = inner.kills_seen;
-        inner.coverage.record(victim, EdgeKind::Kill, phase);
-        if inner.record {
-            inner.log.push(SchedEvent::Kill { victim });
+        self.kills_seen = (self.kills_seen + 1).min(PHASE_CAP);
+        self.coverage.record(victim, EdgeKind::Kill, self.kills_seen);
+        if self.record {
+            self.log.push(SchedEvent::Kill { victim });
         }
     }
 
-    fn now(&self) -> u64 {
-        self.inner.lock().unwrap().steps
+    fn now(&mut self) -> u64 {
+        self.steps
     }
 
     fn run_stats(&self) -> RunStats {
-        let inner = self.inner.lock().unwrap();
         RunStats {
             handoff: HandoffStats {
-                steps: inner.steps,
-                grants: inner.grants,
-                self_grants: inner.self_grants,
-                enabled: inner.enabled,
+                steps: self.steps,
+                grants: self.grants,
+                self_grants: self.self_grants,
+                enabled: self.enabled,
                 // No thread parks, and the transport counter is the
                 // pool's to fill in.
                 ..HandoffStats::default()
             },
-            coverage: inner.coverage.stats(),
+            coverage: self.coverage.stats(),
             // Attributed by the executor, not the scheduler.
             alloc: Default::default(),
         }
@@ -534,7 +512,7 @@ mod tests {
     /// arrives once, then each granted rank "runs" by arriving again
     /// until it has taken `laps` steps (`None`: until aborted) and
     /// exits.
-    fn drive(sched: &Scheduler, n: usize, laps: Option<usize>) {
+    fn drive(sched: &mut Scheduler, n: usize, laps: Option<usize>) {
         let mut taken = vec![0usize; n];
         for rank in 0..n {
             sched.arrive(rank, SchedPoint::Enter);
@@ -561,8 +539,8 @@ mod tests {
 
     #[test]
     fn grants_every_step_and_logs_them() {
-        let sched = Scheduler::new(2, 42, 1000);
-        drive(&sched, 2, Some(10));
+        let mut sched = Scheduler::new(2, 42, 1000);
+        drive(&mut sched, 2, Some(10));
         let events = sched.events();
         let grants = events.iter().filter(|e| matches!(e, SchedEvent::Grant { .. })).count();
         let exits = events.iter().filter(|e| matches!(e, SchedEvent::Exit { .. })).count();
@@ -575,8 +553,8 @@ mod tests {
     /// lowest first, with no further draws or steps.
     #[test]
     fn budget_exhaustion_aborts_every_rank() {
-        let sched = Scheduler::new(3, 1, 25);
-        drive(&sched, 3, None);
+        let mut sched = Scheduler::new(3, 1, 25);
+        drive(&mut sched, 3, None);
         assert!(sched.budget_exhausted());
         assert_eq!(sched.steps(), 26);
         let events = sched.events();
@@ -594,7 +572,7 @@ mod tests {
     /// a rank that is not blocked is a no-op.
     #[test]
     fn blocked_ranks_are_not_drawn_until_woken() {
-        let sched = Scheduler::new(3, 9, 1000);
+        let mut sched = Scheduler::new(3, 9, 1000);
         sched.arrive(0, SchedPoint::Blocked);
         sched.arrive(1, SchedPoint::Tick);
         sched.arrive(2, SchedPoint::Blocked);
@@ -633,7 +611,7 @@ mod tests {
     fn no_enabled_rank_is_a_deadlock_verdict() {
         for quiet in [false, true] {
             let sched = Scheduler::new(3, 4, 1000);
-            let sched = if quiet { sched.quiet() } else { sched };
+            let mut sched = if quiet { sched.quiet() } else { sched };
             for rank in 0..3 {
                 sched.arrive(rank, SchedPoint::Enter);
             }
@@ -664,7 +642,7 @@ mod tests {
     /// blocked after the verdict is still handed its `Abort`.
     #[test]
     fn budget_exhaustion_reaches_blocked_ranks() {
-        let sched = Scheduler::new(3, 1, 10);
+        let mut sched = Scheduler::new(3, 1, 10);
         sched.arrive(0, SchedPoint::Tick);
         sched.arrive(1, SchedPoint::Blocked);
         while let Some((0, StepOutcome::Run)) = sched.next() {
@@ -692,7 +670,7 @@ mod tests {
                     None => sched,
                 }
             };
-            let (recorded, quiet) = (build(), build().quiet());
+            let (mut recorded, mut quiet) = (build(), build().quiet());
             for n in [4usize, 2, 7, 3, 5] {
                 assert_eq!(
                     recorded.choose(0, ChoiceKind::Drain, n),
@@ -715,15 +693,15 @@ mod tests {
 
     #[test]
     fn quiet_budget_exhaustion_is_still_visible() {
-        let sched = Scheduler::new(2, 1, 25).quiet();
-        drive(&sched, 2, None);
+        let mut sched = Scheduler::new(2, 1, 25).quiet();
+        drive(&mut sched, 2, None);
         assert!(sched.budget_exhausted(), "aborted flag works without the log");
         assert!(sched.events().is_empty());
     }
 
     #[test]
     fn delay_mask_forces_exact_delays() {
-        let sched = Scheduler::new(1, 9, 100).delay_mask(&[1]);
+        let mut sched = Scheduler::new(1, 9, 100).delay_mask(&[1]);
         // Drain call 0: full delivery of a 3-long queue (4 options).
         assert_eq!(sched.choose(0, ChoiceKind::Drain, 4), 3);
         // Drain call 1: masked in, must delay (pick < 3).
@@ -736,15 +714,15 @@ mod tests {
     /// A sole waiter always draws itself: every grant is a self-grant.
     #[test]
     fn sole_waiter_grants_are_all_self_grants() {
-        let sched = Scheduler::new(1, 5, 1000);
-        drive(&sched, 1, Some(50));
+        let mut sched = Scheduler::new(1, 5, 1000);
+        drive(&mut sched, 1, Some(50));
         let stats = sched.run_stats().handoff;
         assert_eq!((stats.steps, stats.grants, stats.self_grants), (50, 50, 50));
     }
 
     #[test]
     fn log_text_is_stable_across_reads() {
-        let sched = Scheduler::new(1, 3, 100);
+        let mut sched = Scheduler::new(1, 3, 100);
         sched.choose(0, ChoiceKind::WaitAny, 2);
         sched.on_kill(0);
         assert_eq!(sched.log_text(), sched.log_text());
@@ -756,7 +734,7 @@ mod tests {
     /// kill phase splits otherwise-identical decisions.
     #[test]
     fn coverage_collected_quiet_and_phase_sensitive() {
-        let drive = |sched: &Scheduler| {
+        let drive = |sched: &mut Scheduler| {
             sched.choose(0, ChoiceKind::WaitAny, 3);
             sched.choose(1, ChoiceKind::Drain, 4);
             sched.on_kill(1);
@@ -764,10 +742,10 @@ mod tests {
             sched.choose(0, ChoiceKind::WaitAny, 3);
             sched.on_exit(0);
         };
-        let recorded = Scheduler::new(2, 11, 100);
-        let quiet = Scheduler::new(2, 11, 100).quiet();
-        drive(&recorded);
-        drive(&quiet);
+        let mut recorded = Scheduler::new(2, 11, 100);
+        let mut quiet = Scheduler::new(2, 11, 100).quiet();
+        drive(&mut recorded);
+        drive(&mut quiet);
         let (r, q) = (recorded.run_stats().coverage, quiet.run_stats().coverage);
         assert_eq!(r, q, "quiet run covered differently");
         assert!(r.edges >= 5, "expected ≥5 distinct edges, got {}", r.edges);

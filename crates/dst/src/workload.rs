@@ -2,7 +2,6 @@
 
 use std::fmt::{Debug, Write as _};
 use std::ops::Range;
-use std::sync::Arc;
 
 use faultsim::{FaultPlan, FaultRule, HookKind};
 use ftmpi::{Process, RankOutcome, RunReport, UniverseConfig};
@@ -41,11 +40,11 @@ impl SeedRunner {
         budget: u64,
         retention: Retention,
         mask: Option<&[u64]>,
-    ) -> (RunReport<W::Report>, Arc<Scheduler>) {
+    ) -> (RunReport<W::Report>, Scheduler) {
         let sched = Scheduler::new(self.ranks(), seed, budget);
         let sched = if retention == Retention::Quiet { sched.quiet() } else { sched };
-        let sched = Arc::new(if let Some(mask) = mask { sched.delay_mask(mask) } else { sched });
-        let cfg = UniverseConfig::with_plan(plan).traced().sim(sched.clone());
+        let mut sched = if let Some(mask) = mask { sched.delay_mask(mask) } else { sched };
+        let cfg = UniverseConfig::with_plan(plan).traced().sim(&mut sched);
         (self.pool.run(cfg, |p: &mut Process| w.body(p)), sched)
     }
 }

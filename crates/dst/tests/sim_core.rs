@@ -13,7 +13,6 @@
 //!   `self_grants`, `enabled`) are exact and pinned.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use dst::{triage_trace, ScenarioCfg, Scheduler, SeedRunner, WaitKind};
@@ -74,8 +73,8 @@ fn ring_once(p: &mut Process) -> ftmpi::Result<u64> {
 }
 
 fn assert_clean_lap(pool: &mut UniversePool, seed: u64) {
-    let sched = Arc::new(Scheduler::new(N, seed, 10_000));
-    let report = pool.run(UniverseConfig::default().sim(sched.clone()), ring_once);
+    let mut sched = Scheduler::new(N, seed, 10_000);
+    let report = pool.run(UniverseConfig::default().sim(&mut sched), ring_once);
     assert!(report.all_ok(), "clean lap after a bad run: {:?}", report.outcomes);
     assert_eq!(report.outcomes[0].as_ok(), Some(&(N as u64)));
     assert!(!sched.budget_exhausted());
@@ -88,7 +87,7 @@ fn assert_clean_lap(pool: &mut UniversePool, seed: u64) {
 /// before `run` returned, and the pool is fit for a clean schedule
 /// afterwards.
 fn assert_hang_is_unwound(
-    cfg: UniverseConfig,
+    cfg: UniverseConfig<'_>,
     body: fn(&mut Process) -> ftmpi::Result<u64>,
 ) -> ftmpi::RunReport<u64> {
     let dropped = AtomicUsize::new(0);
@@ -111,8 +110,8 @@ fn assert_hang_is_unwound(
 /// first pass of its wait — and the budget is never consulted.
 #[test]
 fn deadlock_verdict_unwinds_every_rank_body() {
-    let sched = Arc::new(Scheduler::new(N, 7, u64::MAX));
-    assert_hang_is_unwound(UniverseConfig::default().sim(sched.clone()), everyone_waits);
+    let mut sched = Scheduler::new(N, 7, u64::MAX);
+    assert_hang_is_unwound(UniverseConfig::default().sim(&mut sched), everyone_waits);
     assert_eq!(sched.deadlock_at(), Some(2 * N as u64));
     assert!(!sched.budget_exhausted());
 }
@@ -122,8 +121,8 @@ fn deadlock_verdict_unwinds_every_rank_body() {
 /// requests dumped at that step are the two edges of the cycle.
 #[test]
 fn mutual_receive_is_a_two_edge_cycle_found_where_it_forms() {
-    let sched = Arc::new(Scheduler::new(2, 11, u64::MAX));
-    let cfg = UniverseConfig::default().traced().sim(sched.clone());
+    let mut sched = Scheduler::new(2, 11, u64::MAX);
+    let cfg = UniverseConfig::default().traced().sim(&mut sched);
     let report = ftmpi::run(2, cfg, |p| {
         let v = everyone_waits(p)?;
         p.send(WORLD, 1 - p.world_rank(), 0, &v)?;
@@ -147,8 +146,8 @@ fn mutual_receive_is_a_two_edge_cycle_found_where_it_forms() {
 
 #[test]
 fn budget_exhaustion_unwinds_every_rank_body() {
-    let sched = Arc::new(Scheduler::new(N, 7, 500));
-    assert_hang_is_unwound(UniverseConfig::default().sim(sched.clone()), token_forever);
+    let mut sched = Scheduler::new(N, 7, 500);
+    assert_hang_is_unwound(UniverseConfig::default().sim(&mut sched), token_forever);
     assert!(sched.budget_exhausted());
     assert_eq!(sched.deadlock_at(), None);
 }
@@ -159,9 +158,9 @@ fn budget_exhaustion_unwinds_every_rank_body() {
 /// limit ends the same livelock through the same abort path.
 #[test]
 fn wall_clock_watchdog_fires_under_simulation() {
-    let sched = Arc::new(Scheduler::new(N, 7, u64::MAX).quiet());
+    let mut sched = Scheduler::new(N, 7, u64::MAX).quiet();
     let limit = Duration::from_millis(50);
-    let cfg = UniverseConfig::default().sim(sched.clone()).watchdog(limit);
+    let cfg = UniverseConfig::default().sim(&mut sched).watchdog(limit);
     let report = assert_hang_is_unwound(cfg, token_forever);
     assert!(!sched.budget_exhausted(), "the logical budget cannot have fired");
     assert_eq!(sched.deadlock_at(), None);
@@ -176,8 +175,8 @@ fn wall_clock_watchdog_fires_under_simulation() {
 fn a_panicking_rank_is_an_outcome_and_the_pool_survives() {
     let dropped = AtomicUsize::new(0);
     let mut pool = UniversePool::new(N);
-    let sched = Arc::new(Scheduler::new(N, 3, 2_000));
-    let report = pool.run(UniverseConfig::default().sim(sched.clone()), |p| {
+    let mut sched = Scheduler::new(N, 3, 2_000);
+    let report = pool.run(UniverseConfig::default().sim(&mut sched), |p| {
         let _guard = Bump(&dropped);
         if p.world_rank() == 2 {
             // After at least one scheduling point, so the panic unwinds

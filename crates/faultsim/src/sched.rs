@@ -12,7 +12,10 @@
 //! Under a hook the runtime runs every rank as a coroutine on the
 //! caller's thread, so at most one rank executes at any instant by
 //! construction and the hook is a plain decision structure: it never
-//! blocks and never touches a thread. The runtime's side of the
+//! blocks and never touches a thread. The driver borrows it `&mut` for
+//! the length of the run and the ranks reach it through that borrow
+//! (nothing else can), so every method takes `&mut self` and the trait
+//! asks for neither `Send` nor `Sync`. The runtime's side of the
 //! contract:
 //!
 //! * Every rank calls [`SchedHook::arrive`] when it enters the
@@ -224,40 +227,40 @@ impl RunStats {
 
 /// Scheduling decisions driven by a test harness. See the module docs
 /// for the runtime's calling contract.
-pub trait SchedHook: Send + Sync {
+pub trait SchedHook {
     /// `rank` reached a scheduling point and is about to suspend.
     /// Never blocks.
-    fn arrive(&self, rank: Rank, point: SchedPoint);
+    fn arrive(&mut self, rank: Rank, point: SchedPoint);
 
     /// Driver side, called with every live rank suspended: the enabled
     /// rank to resume next and the verdict it resumes with, or `None`
     /// when no rank is suspended. A rank named here stops waiting until
     /// its next [`SchedHook::arrive`].
-    fn next(&self) -> Option<(Rank, StepOutcome)>;
+    fn next(&mut self) -> Option<(Rank, StepOutcome)>;
 
     /// An envelope was delivered to `rank`'s mailbox: if it arrived at
     /// [`SchedPoint::Blocked`] it is enabled again.
-    fn wake(&self, rank: Rank);
+    fn wake(&mut self, rank: Rank);
 
     /// Something every waiting rank may depend on changed (a kill, an
     /// abort, a validate / barrier / split decision): every rank that
     /// arrived at [`SchedPoint::Blocked`] is enabled again.
-    fn wake_all(&self);
+    fn wake_all(&mut self);
 
     /// Resolve an `n`-way choice (`n >= 1` for [`ChoiceKind::WaitAny`]
     /// and [`ChoiceKind::AnySource`], `n >= 2` for
     /// [`ChoiceKind::Drain`]). Must return a value in `0..n`.
-    fn choose(&self, rank: Rank, kind: ChoiceKind, n: usize) -> usize;
+    fn choose(&mut self, rank: Rank, kind: ChoiceKind, n: usize) -> usize;
 
     /// `rank` is leaving the universe; it will make no further
     /// `arrive`/`choose` calls.
-    fn on_exit(&self, rank: Rank);
+    fn on_exit(&mut self, rank: Rank);
 
     /// `victim` was fail-stopped (for the harness event log).
-    fn on_kill(&self, _victim: Rank) {}
+    fn on_kill(&mut self, _victim: Rank) {}
 
     /// Logical time for deterministic trace timestamps.
-    fn now(&self) -> u64 {
+    fn now(&mut self) -> u64 {
         0
     }
 
@@ -273,34 +276,34 @@ pub trait SchedHook: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
     /// A trivially conforming hook: first come, first served, choice 0.
+    #[derive(Default)]
     struct Fifo {
-        waiting: Mutex<std::collections::VecDeque<Rank>>,
+        waiting: std::collections::VecDeque<Rank>,
     }
 
     impl SchedHook for Fifo {
-        fn arrive(&self, rank: Rank, _point: SchedPoint) {
-            self.waiting.lock().unwrap().push_back(rank);
+        fn arrive(&mut self, rank: Rank, _point: SchedPoint) {
+            self.waiting.push_back(rank);
         }
-        fn next(&self) -> Option<(Rank, StepOutcome)> {
-            self.waiting.lock().unwrap().pop_front().map(|r| (r, StepOutcome::Run))
+        fn next(&mut self) -> Option<(Rank, StepOutcome)> {
+            self.waiting.pop_front().map(|r| (r, StepOutcome::Run))
         }
         // Treats every arrival as runnable, so there is nobody to wake.
-        fn wake(&self, _rank: Rank) {}
-        fn wake_all(&self) {}
-        fn choose(&self, _rank: Rank, _kind: ChoiceKind, n: usize) -> usize {
+        fn wake(&mut self, _rank: Rank) {}
+        fn wake_all(&mut self) {}
+        fn choose(&mut self, _rank: Rank, _kind: ChoiceKind, n: usize) -> usize {
             assert!(n >= 1);
             0
         }
-        fn on_exit(&self, _rank: Rank) {}
+        fn on_exit(&mut self, _rank: Rank) {}
     }
 
     #[test]
     fn object_safety_and_defaults() {
-        let hook: std::sync::Arc<dyn SchedHook> =
-            std::sync::Arc::new(Fifo { waiting: Mutex::default() });
+        let mut fifo = Fifo::default();
+        let hook: &mut dyn SchedHook = &mut fifo;
         hook.arrive(0, SchedPoint::Tick);
         hook.arrive(1, SchedPoint::Send { dst: 0, tag: 7 });
         assert_eq!(hook.next(), Some((0, StepOutcome::Run)));

@@ -6,9 +6,19 @@
 //! [`Group::resume`]; it runs until it calls [`suspend`] (from
 //! `Process::sched_step`) or returns. That round trip is two
 //! user-space [`switch`]es where the thread-per-rank executor paid two
-//! kernel context switches. This file holds the simulation's only
-//! `unsafe` — the switch, the stack mappings, the raw control-block
-//! pointers — behind a safe API.
+//! kernel context switches.
+//!
+//! The scheduler deciding those resumes belongs to the driver: it
+//! lends it to [`drive_with`] for the length of the run, which installs
+//! it in a per-thread slot beside [`CURRENT`]; the ranks and the driver
+//! loop reach it through [`with_sched`]. Only one rank runs at a time
+//! and all of them run on the driver's thread, so a simulated step takes
+//! no lock and clones no `Arc`. Universes driven on other threads have
+//! slots of their own.
+//!
+//! This file holds the simulation's only `unsafe` — the switch, the
+//! stack mappings, the raw control-block pointers and the scheduler
+//! slot's erased borrow — behind a safe API.
 //!
 //! `switch` saves what the C ABI makes a callee preserve: on `x86_64`
 //! (System V) `rbx`, `rbp`, `r12`–`r15` and `rsp`; on `aarch64`
@@ -36,12 +46,13 @@
 //! frames. A [`Group`] dropped earlier (the driver itself panicked)
 //! forgets those frames: a leak, not undefined behaviour.
 
-use std::cell::{Cell, UnsafeCell};
+use std::cell::{Cell, RefCell, UnsafeCell};
 use std::ffi::{c_int, c_void};
 use std::marker::PhantomData;
 use std::panic::AssertUnwindSafe;
+use std::ptr::NonNull;
 
-use faultsim::StepOutcome;
+use faultsim::{SchedHook, StepOutcome};
 
 #[cfg(not(all(unix, any(target_arch = "x86_64", target_arch = "aarch64"))))]
 compile_error!(
@@ -178,6 +189,50 @@ thread_local! {
     /// Control block of the coroutine running on this thread (null on
     /// a plain thread stack); saved and restored around a resume.
     static CURRENT: Cell<*mut Control> = const { Cell::new(std::ptr::null_mut()) };
+
+    /// The scheduler of the drive running on this thread (`None`
+    /// outside one): installed by [`drive_with`], reached by
+    /// [`with_sched`]. The lifetime is erased; `drive_with` keeps the
+    /// borrow alive while the slot holds it.
+    static SCHED: RefCell<Option<NonNull<dyn SchedHook>>> = const { RefCell::new(None) };
+}
+
+/// Run `f` with `sched` installed as this thread's scheduler, then put
+/// back whatever was installed before — also when `f` unwinds, so a
+/// nested drive and the next drive on this thread each see their own.
+pub(crate) fn drive_with<R>(sched: &mut dyn SchedHook, f: impl FnOnce() -> R) -> R {
+    /// Restores the previous slot content when the drive ends.
+    struct Restore(Option<NonNull<dyn SchedHook>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCHED.with(|slot| *slot.borrow_mut() = self.0);
+        }
+    }
+    let sched = NonNull::from(sched);
+    // SAFETY: erases the lifetime of a fat pointer; it is dereferenced
+    // only by `with_sched` while the slot holds it, which `Restore`
+    // confines to this call, and for this call `sched` is exclusively
+    // borrowed.
+    let sched = unsafe {
+        std::mem::transmute::<NonNull<dyn SchedHook + '_>, NonNull<dyn SchedHook>>(sched)
+    };
+    let _restore = Restore(SCHED.with(|slot| slot.replace(Some(sched))));
+    f()
+}
+
+/// Run `f` on the scheduler of the drive this thread is in.
+///
+/// Panics outside a drive — a universe configured for simulation that
+/// nobody drives — and when `f` reaches `with_sched` again.
+pub(crate) fn with_sched<R>(f: impl FnOnce(&mut dyn SchedHook) -> R) -> R {
+    SCHED.with(|slot| {
+        let slot = slot.try_borrow_mut().expect("the simulation scheduler was re-entered");
+        let sched = slot.expect("simulation scheduler reached outside a drive");
+        // SAFETY: the slot holds a pointer only inside `drive_with`,
+        // made from a `&mut` that call holds exclusively; the `RefMut`
+        // kept across `f` makes this the only reference made from it.
+        f(unsafe { &mut *sched.as_ptr() })
+    })
 }
 
 /// What the two sides of a coroutine share. Reached through raw
@@ -382,9 +437,8 @@ impl<'a> Group<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use std::cell::RefCell;
 
     /// Drive every coroutine round-robin until all have finished.
     fn round_robin(mut group: Group<'_>, n: usize) {
@@ -473,5 +527,57 @@ mod tests {
     #[should_panic(expected = "outside a simulated rank")]
     fn suspend_on_a_plain_thread_panics() {
         suspend();
+    }
+
+    /// A scheduler that only tells the time: which one the slot holds.
+    pub(crate) struct Clock(pub(crate) u64);
+
+    impl SchedHook for Clock {
+        fn arrive(&mut self, _rank: usize, _point: faultsim::SchedPoint) {}
+        fn next(&mut self) -> Option<(usize, StepOutcome)> {
+            None
+        }
+        fn wake(&mut self, _rank: usize) {}
+        fn wake_all(&mut self) {}
+        fn choose(&mut self, _rank: usize, _kind: faultsim::ChoiceKind, _n: usize) -> usize {
+            0
+        }
+        fn on_exit(&mut self, _rank: usize) {}
+        fn now(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    fn installed() -> u64 {
+        with_sched(|s| s.now())
+    }
+
+    #[test]
+    #[should_panic(expected = "reached outside a drive")]
+    fn with_sched_outside_a_drive_panics() {
+        installed();
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduler was re-entered")]
+    fn with_sched_inside_with_sched_panics() {
+        drive_with(&mut Clock(1), || with_sched(|_| installed()));
+    }
+
+    /// A drive puts back what it found, after a nested drive and after
+    /// a body that panicked; the last one leaves the slot empty.
+    #[test]
+    fn the_slot_is_restored_after_nested_and_panicking_drives() {
+        let (mut outer, mut inner) = (Clock(1), Clock(2));
+        drive_with(&mut outer, || {
+            assert_eq!(drive_with(&mut inner, installed), 2);
+            assert_eq!(installed(), 1, "a nested drive restores the outer scheduler");
+            let panicked = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                drive_with(&mut inner, || panic!("the body of a drive panics"))
+            }));
+            assert!(panicked.is_err());
+            assert_eq!(installed(), 1, "an unwinding drive restores the outer scheduler");
+        });
+        assert!(std::panic::catch_unwind(installed).is_err(), "the slot is empty again");
     }
 }

@@ -61,15 +61,15 @@ impl FailureRegistry {
 
     /// Reset protocol (see `Shared::reset`): everyone alive at
     /// generation 0, epoch 0, no abort — the observable state of a
-    /// fresh `FailureRegistry::new(n)`. Must only be called between
-    /// runs, when no rank thread is live.
-    pub fn reset(&self) {
-        for s in &self.states {
-            s.store(0, Ordering::Release);
+    /// fresh `FailureRegistry::new(n)`. `&mut self`: no rank is live,
+    /// so nothing is locked.
+    pub fn reset(&mut self) {
+        for s in &mut self.states {
+            *s.get_mut() = 0;
         }
-        self.epoch.store(0, Ordering::Release);
-        *self.abort_code.lock() = None;
-        self.aborted.store(false, Ordering::Release);
+        *self.epoch.get_mut() = 0;
+        *self.abort_code.get_mut() = None;
+        *self.aborted.get_mut() = false;
     }
 
     /// Whether `rank` is currently failed.
@@ -194,7 +194,7 @@ mod tests {
 
     #[test]
     fn reset_matches_fresh_registry() {
-        let r = FailureRegistry::new(3);
+        let mut r = FailureRegistry::new(3);
         r.kill(1);
         r.kill(2);
         r.respawn(2);

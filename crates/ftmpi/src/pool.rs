@@ -13,13 +13,14 @@
 //! * **wall-clock** (`cfg.sched == None`): `n` long-lived worker
 //!   threads named `rank-{i}`, each handed the closure for one run;
 //! * **simulation** (`UniverseConfig::sim`): `n` coroutine stacks
-//!   ([`crate::coro`]) and a driver loop on the *calling* thread. A
-//!   rank's `sched_step` tells the scheduler it arrived — runnable, or
+//!   ([`crate::coro`]) and a driver loop on the *calling* thread, which
+//!   lends the scheduler to `coro::drive_with` for the run. A rank's
+//!   `sched_step` tells the scheduler it arrived — runnable, or
 //!   blocked until a delivery or a global wake — and suspends; the
 //!   driver asks the scheduler for the next grant among the runnable
 //!   ranks and resumes that rank's stack. One simulated step is two
-//!   user-space stack switches, and a pool that only simulates never
-//!   spawns a thread.
+//!   user-space stack switches and no lock, and a pool that only
+//!   simulates never spawns a thread.
 //!
 //! [`crate::run`] is a one-shot pool: build, run once, drop.
 //!
@@ -60,9 +61,9 @@ use std::time::{Duration, Instant};
 use allocstats::AllocStats;
 use parking_lot::Mutex;
 
-use faultsim::{SchedHook, SchedPoint, StepOutcome};
+use faultsim::{RunStats, SchedPoint, StepOutcome};
 
-use crate::coro::{Coroutine, Group};
+use crate::coro::{with_sched, Coroutine, Group};
 use crate::error::{Error, RankOutcome, Result};
 use crate::process::{Process, RankScratch};
 use crate::universe::{RunReport, Shared, UniverseConfig, WATCHDOG_ABORT_CODE};
@@ -378,37 +379,31 @@ impl UniversePool {
     /// Run `f` on every rank under `cfg`, reusing this pool's executor
     /// and universe state. Semantics are identical to [`crate::run`]
     /// with the same arguments.
-    pub fn run<T, F>(&mut self, cfg: UniverseConfig, f: F) -> RunReport<T>
+    pub fn run<T, F>(&mut self, cfg: UniverseConfig<'_>, f: F) -> RunReport<T>
     where
         T: Send,
         F: Fn(&mut Process) -> Result<T> + Send + Sync,
     {
         let n = self.size;
-        if cfg.sched.is_some() {
-            assert!(
-                cfg.respawn.is_none(),
-                "a deterministic-simulation scheduler is incompatible with \
-                 the respawn extension"
-            );
-        }
         let UniverseConfig { plan, watchdog, trace, respawn, sched } = cfg;
+        let sim = sched.is_some();
+        assert!(
+            !sim || respawn.is_none(),
+            "a deterministic-simulation scheduler is incompatible with the respawn extension"
+        );
 
         // Build on the first run, reset in place on every later one.
+        // Under a scheduler the trace stamps events with its logical
+        // clock instead of wall-clock time.
         let shared = match self.shared.take() {
             Some(mut arc) => {
                 Arc::get_mut(&mut arc)
                     .expect("every rank dropped its Arc<Shared> before the last run returned")
-                    .reset(plan, trace, sched);
+                    .reset(plan, trace, sim);
                 arc
             }
-            None => Arc::new(Shared::fresh(n, plan, trace, sched)),
+            None => Arc::new(Shared::fresh(n, plan, trace, sim)),
         };
-        if let Some(s) = &shared.sched {
-            // Deterministic timestamps: trace events carry the
-            // scheduler's logical clock instead of wall-clock time.
-            let clock = Arc::clone(s);
-            shared.trace.set_clock(Arc::new(move || clock.now()));
-        }
 
         let outcomes: Mutex<Vec<Option<RankOutcome<T>>>> =
             Mutex::new((0..n).map(|_| None).collect());
@@ -416,24 +411,23 @@ impl UniversePool {
             // Dropped when this body returns — before the rank counts
             // as finished, which the next run's reset relies on.
             let shared = Arc::clone(&shared);
-            if let Some(s) = &shared.sched {
+            if sim {
                 // First scheduling point: every rank stops here before
                 // any user code runs, so the schedule's first decision
                 // picks among all of them.
-                s.arrive(me, SchedPoint::Enter);
+                with_sched(|s| s.arrive(me, SchedPoint::Enter));
                 if crate::coro::suspend() == StepOutcome::Abort {
                     shared.abort(WATCHDOG_ABORT_CODE);
                 }
             }
-            let sched = shared.sched.clone();
             let buf = std::mem::take(scratch);
             let mut proc = Process::with_scratch(me, gen, shared, buf);
             let res = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut proc)));
             *scratch = proc.recycle_scratch();
-            if let Some(s) = &sched {
+            if sim {
                 // The rank is done scheduling-wise whatever the
                 // outcome (including panics).
-                s.on_exit(me);
+                with_sched(|s| s.on_exit(me));
             }
             let outcome = match res {
                 Ok(Ok(v)) => RankOutcome::Ok(v),
@@ -456,9 +450,17 @@ impl UniversePool {
         };
 
         let start = Instant::now();
-        let (mut hung, alloc) = match &shared.sched {
-            Some(sched) => self.drive_sim(&shared, &**sched, watchdog, start, &rank_body),
-            None => self.run_threads(&shared, watchdog, respawn, start, &rank_body),
+        let ((mut hung, alloc), mut stats) = match sched {
+            Some(sched) => {
+                let drive = crate::coro::drive_with(&mut *sched, || {
+                    self.drive_sim(&shared, watchdog, start, &rank_body)
+                });
+                (drive, sched.run_stats())
+            }
+            None => (
+                self.run_threads(&shared, watchdog, respawn, start, &rank_body),
+                RunStats::default(),
+            ),
         };
 
         // A simulation scheduler's hang verdict (deadlock, or its step
@@ -468,8 +470,6 @@ impl UniversePool {
             hung = true;
         }
         let generations = (0..n).map(|r| shared.registry.generation(r)).collect();
-        let mut stats =
-            shared.sched.as_ref().map(|s| s.run_stats()).unwrap_or_default();
         stats.handoff.parks = shared.fabric.sleeps();
         stats.handoff.wakes = shared.fabric.wakes();
         stats.handoff.park_safety_timeouts = shared.fabric.park_timeouts();
@@ -493,14 +493,14 @@ impl UniversePool {
         report
     }
 
-    /// The simulation executor: every rank a coroutine on this thread,
-    /// resumed in the order `sched` decides. Returns whether the
-    /// wall-clock watchdog fired, and this thread's heap traffic over
-    /// the whole drive (which is all of the rank bodies').
+    /// The simulation executor, run inside `coro::drive_with`: every
+    /// rank a coroutine on this thread, resumed in the order the
+    /// installed scheduler decides. Returns whether the wall-clock
+    /// watchdog fired, and this thread's heap traffic over the whole
+    /// drive (which is all of the rank bodies').
     fn drive_sim(
         &mut self,
         shared: &Shared,
-        sched: &dyn SchedHook,
         watchdog: Option<Duration>,
         start: Instant,
         rank_body: &RankBody<'_>,
@@ -532,7 +532,7 @@ impl UniversePool {
         // suspended stack is ever dropped.
         let mut limit = watchdog;
         let mut hung = false;
-        while let Some((me, outcome)) = sched.next() {
+        while let Some((me, outcome)) = with_sched(|s| s.next()) {
             if limit.is_some_and(|l| start.elapsed() > l) {
                 // The wall-clock backstop, checked here because this
                 // thread is the only one there is: abort the job once

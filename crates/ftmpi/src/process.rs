@@ -40,6 +40,7 @@ use bytes::{Bytes, BytesMut};
 use faultsim::{ChoiceKind, Decision, Hook, HookKind, SchedPoint, StepOutcome};
 
 use crate::comm::{Comm, CommData, WORLD};
+use crate::coro::with_sched;
 use crate::datatype::Datatype;
 use crate::detector::FailureRegistry;
 use crate::error::{Error, ErrorHandler, Result};
@@ -291,10 +292,10 @@ impl Process {
     /// the step budget against livelock) comes back as a job abort,
     /// the logical replacement for the wall-clock watchdog.
     fn sched_step(&mut self, point: SchedPoint) -> Result<()> {
-        match &self.shared.sched {
-            Some(s) => s.arrive(self.me, point),
-            None => return Ok(()),
+        if !self.shared.sim {
+            return Ok(());
         }
+        with_sched(|s| s.arrive(self.me, point));
         if crate::coro::suspend() == StepOutcome::Abort {
             if !self.blocked_dumped {
                 self.blocked_dumped = true;
@@ -410,18 +411,14 @@ impl Process {
         // keep `self` borrowable inside it.
         let mut msgs = std::mem::take(&mut self.drain_buf);
         msgs.clear();
-        match &self.shared.sched {
-            Some(s) => {
-                // Delivery becomes a scheduler decision: draining only a
-                // prefix models message delay without breaking FIFO.
-                let (s, me) = (Arc::clone(s), self.me);
-                self.shared
-                    .fabric
-                    .drain_into(me, |n| s.choose(me, ChoiceKind::Drain, n + 1), &mut msgs);
-            }
-            None => {
-                self.shared.fabric.drain_into(self.me, |n| n, &mut msgs);
-            }
+        let me = self.me;
+        if self.shared.sim {
+            // Delivery becomes a scheduler decision: draining only a
+            // prefix models message delay without breaking FIFO.
+            let pick = |n| with_sched(|s| s.choose(me, ChoiceKind::Drain, n + 1));
+            self.shared.fabric.drain_into(me, pick, &mut msgs);
+        } else {
+            self.shared.fabric.drain_into(me, |n| n, &mut msgs);
         }
         let tracing = self.shared.trace.enabled();
         for env in msgs.drain(..) {
@@ -562,7 +559,7 @@ impl Process {
             if let Some(r) = check(self)? {
                 return Ok(r);
             }
-            if self.shared.sched.is_none() {
+            if !self.shared.sim {
                 let shared = Arc::clone(&self.shared);
                 shared.fabric.park(self.me, token, || shared.registry.epoch());
             } else {
@@ -701,13 +698,15 @@ impl Process {
     }
 
     fn post_recv(&mut self, spec: MatchSpec) -> Request {
-        let sched = self.shared.sched.clone();
-        let me = self.me;
-        let taken = self.engine.take_unexpected_with(&spec, |n| match &sched {
+        let (sim, me) = (self.shared.sim, self.me);
+        let taken = self.engine.take_unexpected_with(&spec, |n| {
             // Which sender an ANY_SOURCE receive matches is a scheduler
             // decision (per-sender order stays fixed — non-overtaking).
-            Some(s) => s.choose(me, ChoiceKind::AnySource, n),
-            None => 0,
+            if sim {
+                with_sched(|s| s.choose(me, ChoiceKind::AnySource, n))
+            } else {
+                0
+            }
         });
         if let Some((result, meta)) = taken {
             if self.shared.trace.enabled() {
@@ -912,10 +911,10 @@ impl Process {
                 // Several ready at once: which one "completed first" is
                 // a scheduler decision (choice 0 without a scheduler,
                 // matching the historical lowest-index behaviour).
-                n => match &p.shared.sched {
-                    Some(s) => s.choose(p.me, ChoiceKind::WaitAny, n).min(n - 1),
-                    None => 0,
-                },
+                n if p.shared.sim => {
+                    with_sched(|s| s.choose(p.me, ChoiceKind::WaitAny, n)).min(n - 1)
+                }
+                _ => 0,
             };
             Ok(p.ready(reqs).nth(pick))
         })?;

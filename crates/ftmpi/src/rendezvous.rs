@@ -132,13 +132,14 @@ impl Rendezvous {
     }
 
     /// Reset protocol (see `Shared::reset`): the observable state of a
-    /// fresh board, retaining the tables' allocations.
-    pub(crate) fn reset(&self) {
-        self.next_ctx.store(WORLD_CTX + 1, Ordering::Release);
-        self.validates.rounds.lock().clear();
-        self.barriers.rounds.lock().clear();
-        self.splits.rounds.lock().clear();
-        self.dups.rounds.lock().clear();
+    /// fresh board, retaining the tables' allocations. `&mut self`: no
+    /// rank is live, so nothing is locked.
+    pub(crate) fn reset(&mut self) {
+        *self.next_ctx.get_mut() = WORLD_CTX + 1;
+        self.validates.rounds.get_mut().clear();
+        self.barriers.rounds.get_mut().clear();
+        self.splits.rounds.get_mut().clear();
+        self.dups.rounds.get_mut().clear();
     }
 
     /// Join validate round `key` of a communicator over `group`.

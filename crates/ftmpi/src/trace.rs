@@ -143,30 +143,28 @@ pub struct TimedEvent {
     pub event: Event,
 }
 
-/// Timestamp source for a trace.
-type Clock = std::sync::Arc<dyn Fn() -> u64 + Send + Sync>;
-
 /// Shared trace sink.
 pub struct Trace {
     enabled: AtomicBool,
     start: Instant,
-    /// Logical clock override. With a clock installed, `at_us` holds
-    /// logical time instead of wall-clock microseconds, so identical
-    /// schedules produce byte-identical traces (deterministic
-    /// simulation needs this; see the `dst` crate). Per-instance, not
-    /// global: concurrent universes each keep their own clock, which
-    /// is what lets the `dst` sweep engine run them in parallel.
-    clock: Mutex<Option<Clock>>,
+    /// Timestamps are the simulation scheduler's logical clock instead
+    /// of wall-clock microseconds, so identical schedules produce
+    /// byte-identical traces (see the `dst` crate). The clock is read
+    /// from the scheduler of the drive recording the event, which is
+    /// per thread: concurrent universes each read their own, which is
+    /// what lets the `dst` sweep engine run them in parallel.
+    logical: bool,
     events: Mutex<Vec<TimedEvent>>,
 }
 
 impl Trace {
-    /// A trace sink; records only if `enabled`.
-    pub fn new(enabled: bool) -> Self {
+    /// A trace sink; records only if `enabled`, and stamps events with
+    /// the simulation scheduler's logical clock if `logical`.
+    pub fn new(enabled: bool, logical: bool) -> Self {
         Trace {
             enabled: AtomicBool::new(enabled),
             start: Instant::now(),
-            clock: Mutex::new(None),
+            logical,
             events: Mutex::new(Vec::new()),
         }
     }
@@ -177,21 +175,14 @@ impl Trace {
     }
 
     /// Reset protocol (see `Shared::reset`): the observable state of a
-    /// fresh `Trace::new(enabled)` — empty event log (capacity
-    /// retained), no clock, a new start instant. Takes `&mut self`
-    /// because `start` is a plain field; the universe pool has
-    /// exclusive access between runs.
-    pub fn reset(&mut self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
+    /// fresh `Trace::new(enabled, logical)` — empty event log (capacity
+    /// retained), a new start instant. Takes `&mut self`, so it needs
+    /// no lock: the universe pool has exclusive access between runs.
+    pub fn reset(&mut self, enabled: bool, logical: bool) {
+        *self.enabled.get_mut() = enabled;
         self.start = Instant::now();
-        *self.clock.lock() = None;
-        self.events.lock().clear();
-    }
-
-    /// Install a logical clock; timestamps become `clock()` instead of
-    /// elapsed wall-clock microseconds.
-    pub fn set_clock(&self, clock: Clock) {
-        *self.clock.lock() = Some(clock);
+        self.logical = logical;
+        self.events.get_mut().clear();
     }
 
     /// Record an event (no-op when disabled).
@@ -199,9 +190,10 @@ impl Trace {
         if !self.enabled() {
             return;
         }
-        let at_us = match &*self.clock.lock() {
-            Some(clock) => clock(),
-            None => self.start.elapsed().as_micros() as u64,
+        let at_us = if self.logical {
+            crate::coro::with_sched(|s| s.now())
+        } else {
+            self.start.elapsed().as_micros() as u64
         };
         self.events.lock().push(TimedEvent { at_us, event });
     }
@@ -223,14 +215,14 @@ mod tests {
 
     #[test]
     fn disabled_trace_records_nothing() {
-        let t = Trace::new(false);
+        let t = Trace::new(false, false);
         t.record(Event::Killed { rank: 1 });
         assert!(t.events().is_empty());
     }
 
     #[test]
     fn enabled_trace_records_in_order() {
-        let t = Trace::new(true);
+        let t = Trace::new(true, false);
         t.record(Event::Killed { rank: 1 });
         t.record(Event::Aborted { code: 3 });
         let evs = t.events();
@@ -241,28 +233,29 @@ mod tests {
 
     #[test]
     fn reset_matches_fresh_trace() {
-        let mut t = Trace::new(true);
-        t.set_clock(std::sync::Arc::new(|| 1_000_000_000));
-        t.record(Event::Killed { rank: 0 });
+        let mut t = Trace::new(true, true);
+        let mut clock = crate::coro::tests::Clock(1_000_000_000);
+        crate::coro::drive_with(&mut clock, || t.record(Event::Killed { rank: 0 }));
+        assert_eq!(t.events()[0].at_us, 1_000_000_000, "stamped by the drive's scheduler");
 
-        t.reset(false);
+        t.reset(false, true);
         t.record(Event::Killed { rank: 1 });
         assert!(t.events().is_empty(), "reset clears events and applies the new enable flag");
 
-        t.reset(true);
+        t.reset(true, false);
         t.record(Event::Aborted { code: 1 });
         let evs = t.events();
         assert_eq!(evs.len(), 1);
         assert!(
             evs[0].at_us < 1_000_000_000,
-            "reset uninstalls the logical clock: got at_us {}",
+            "reset applies the new clock: got at_us {}",
             evs[0].at_us
         );
     }
 
     #[test]
     fn count_filters() {
-        let t = Trace::new(true);
+        let t = Trace::new(true, false);
         for r in 0..3 {
             t.record(Event::Killed { rank: r });
         }

@@ -142,18 +142,18 @@ impl Fabric {
 
     /// Reset protocol (see `Shared::reset`): return the fabric to the
     /// observable state of a fresh `Fabric::new(n)` while retaining
-    /// every queue allocation. Must only be called between runs, when
-    /// no rank thread can be delivering or parking.
-    pub fn reset(&self) {
-        for slot in &self.slots {
-            let mut mb = slot.mb.lock();
+    /// every queue allocation. `&mut self`: no rank can be delivering
+    /// or parking, so nothing is locked.
+    pub fn reset(&mut self) {
+        for slot in &mut self.slots {
+            let mb = slot.mb.get_mut();
             mb.queue.clear();
             mb.version = 0;
         }
-        self.notify_gen.store(0, Ordering::Release);
-        self.park_timeouts.store(0, Ordering::Release);
-        self.sleeps.store(0, Ordering::Relaxed);
-        self.wakes.store(0, Ordering::Relaxed);
+        *self.notify_gen.get_mut() = 0;
+        *self.park_timeouts.get_mut() = 0;
+        *self.sleeps.get_mut() = 0;
+        *self.wakes.get_mut() = 0;
     }
 
     /// Deliver `env` to `dst`'s mailbox and wake `dst` if it is parked
@@ -428,7 +428,7 @@ mod tests {
 
     #[test]
     fn reset_rewinds_the_sleep_and_wake_counts() {
-        let f = Fabric::new(1);
+        let mut f = Fabric::new(1);
         park_once_then(&f, || f.deliver(0, env(0, 0)));
         assert_eq!((f.sleeps(), f.wakes()), (1, 1));
         f.reset();
@@ -497,7 +497,7 @@ mod tests {
 
     #[test]
     fn safety_timeout_is_counted_and_reset_restores_fresh_state() {
-        let f = Fabric::new(2);
+        let mut f = Fabric::new(2);
         f.deliver(1, env(0, 0));
         f.wake_all();
         assert_eq!(f.park_timeouts(), 0);

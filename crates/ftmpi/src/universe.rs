@@ -10,10 +10,12 @@
 //! test suite.
 //!
 //! Every piece of that state lives in one universe's [`Shared`]; there
-//! are no process-global statics anywhere in `ftmpi` or `faultsim`
-//! (including the trace's logical clock, which is installed on the
-//! per-universe [`Trace`] instance). Concurrent [`run`] calls are
-//! therefore fully isolated — the `dst` parallel seed-sweep engine
+//! are no process-global statics anywhere in `ftmpi` or `faultsim`.
+//! The only thread-locals are the simulation's (`coro`): the running
+//! coroutine and the scheduler's slot (`coro::with_sched`), per thread,
+//! not per process. A simulated universe is driven on one thread, and
+//! its trace reads its logical clock from the scheduler installed there. Concurrent [`run`] calls
+//! are therefore fully isolated — the `dst` parallel seed-sweep engine
 //! leans on this to run one universe per worker, and
 //! `tests/concurrent_universes.rs` pins the property.
 
@@ -22,6 +24,7 @@ use std::time::Duration;
 
 use faultsim::{FaultPlan, Injector, RunStats, SchedHook};
 
+use crate::coro::with_sched;
 use crate::detector::FailureRegistry;
 use crate::error::{RankOutcome, Result};
 use crate::group::Group;
@@ -47,9 +50,10 @@ pub(crate) struct Shared {
     /// rounds are decided.
     pub board: Rendezvous,
     pub trace: Trace,
-    /// Deterministic-simulation scheduler, if this universe is driven
-    /// by one (see `faultsim::sched` and the `dst` crate).
-    pub sched: Option<Arc<dyn SchedHook>>,
+    /// Whether a deterministic-simulation scheduler drives this run
+    /// (see `faultsim::sched` and the `dst` crate). Its ranks reach it
+    /// through `coro::with_sched`.
+    pub sim: bool,
     /// Recycled payload allocations, shared by every rank's sends and
     /// retained across runs (DESIGN.md §8.10).
     pub paypool: PayloadPool,
@@ -61,20 +65,15 @@ pub(crate) struct Shared {
 
 impl Shared {
     /// Freshly constructed universe state for one run.
-    pub(crate) fn fresh(
-        n: usize,
-        plan: FaultPlan,
-        trace: bool,
-        sched: Option<Arc<dyn SchedHook>>,
-    ) -> Shared {
+    pub(crate) fn fresh(n: usize, plan: FaultPlan, trace: bool, sim: bool) -> Shared {
         Shared {
             size: n,
             fabric: crate::transport::Fabric::new(n),
             registry: FailureRegistry::new(n),
             injector: Arc::new(Injector::new(plan)),
             board: Rendezvous::new(n),
-            trace: Trace::new(trace),
-            sched,
+            trace: Trace::new(trace, sim),
+            sim,
             paypool: PayloadPool::new(),
             world_group: Group::world(n),
         }
@@ -100,19 +99,15 @@ impl Shared {
     ///
     /// Requires exclusive access (`&mut self`), which the pool has
     /// between runs: every worker drops its `Arc<Shared>` clone before
-    /// signalling completion.
-    pub(crate) fn reset(
-        &mut self,
-        plan: FaultPlan,
-        trace: bool,
-        sched: Option<Arc<dyn SchedHook>>,
-    ) {
+    /// signalling completion. Every part resets through `&mut` too, so
+    /// no reset takes a lock and none can race a live rank.
+    pub(crate) fn reset(&mut self, plan: FaultPlan, trace: bool, sim: bool) {
         self.fabric.reset();
         self.registry.reset();
         self.injector = Arc::new(Injector::new(plan));
         self.board.reset();
-        self.trace.reset(trace);
-        self.sched = sched;
+        self.trace.reset(trace, sim);
+        self.sim = sim;
         // `paypool` and `world_group` deliberately survive the reset:
         // recycled payload buffers and the shared membership Vec carry
         // no run-observable state (buffer *contents* are overwritten
@@ -125,8 +120,8 @@ impl Shared {
     /// rank suspended at `SchedPoint::Blocked`.
     pub(crate) fn deliver(&self, dst: WorldRank, env: crate::message::Envelope) {
         self.fabric.deliver(dst, env);
-        if let Some(s) = &self.sched {
-            s.wake(dst);
+        if self.sim {
+            with_sched(|s| s.wake(dst));
         }
     }
 
@@ -138,12 +133,11 @@ impl Shared {
     /// every rank it holds as blocked — a wake missed here is a false
     /// deadlock verdict, not a slow run.
     pub(crate) fn wake_all(&self) {
-        match &self.sched {
-            Some(s) => {
-                self.fabric.note_wake();
-                s.wake_all();
-            }
-            None => self.fabric.wake_all(),
+        if self.sim {
+            self.fabric.note_wake();
+            with_sched(|s| s.wake_all());
+        } else {
+            self.fabric.wake_all();
         }
     }
 
@@ -151,8 +145,8 @@ impl Shared {
     pub(crate) fn kill(&self, rank: WorldRank) {
         if self.registry.kill(rank) {
             self.trace.record(Event::Killed { rank });
-            if let Some(s) = &self.sched {
-                s.on_kill(rank);
+            if self.sim {
+                with_sched(|s| s.on_kill(rank));
             }
             self.wake_all();
         }
@@ -178,9 +172,10 @@ impl Shared {
     }
 }
 
-/// Configuration for one universe run.
+/// Configuration for one universe run. `'s` is the borrow of the
+/// simulation scheduler, if one drives the run.
 #[derive(Default)]
-pub struct UniverseConfig {
+pub struct UniverseConfig<'s> {
     /// Hook-based fault plan (exact protocol-point kills).
     pub plan: FaultPlan,
     /// Hang watchdog: if the run does not complete within this
@@ -199,8 +194,9 @@ pub struct UniverseConfig {
     /// routes every nondeterministic choice through it; the wall-clock
     /// `watchdog` is normally replaced by the hook's own verdicts
     /// (deadlock when no suspended rank is enabled, a logical step
-    /// budget against livelock). Incompatible with `respawn`.
-    pub sched: Option<Arc<dyn SchedHook>>,
+    /// budget against livelock). Incompatible with `respawn`. Borrowed
+    /// for the run: the caller reads the scheduler's log afterwards.
+    pub sched: Option<&'s mut dyn SchedHook>,
 }
 
 /// How failed ranks are brought back (recovery extension).
@@ -212,7 +208,7 @@ pub struct RespawnPolicy {
     pub max_per_rank: u32,
 }
 
-impl UniverseConfig {
+impl<'s> UniverseConfig<'s> {
     /// Config with a fault plan and defaults otherwise.
     pub fn with_plan(plan: FaultPlan) -> Self {
         UniverseConfig { plan, ..Default::default() }
@@ -238,7 +234,7 @@ impl UniverseConfig {
 
     /// Builder-style: drive the run from a deterministic-simulation
     /// scheduler.
-    pub fn sim(mut self, hook: Arc<dyn SchedHook>) -> Self {
+    pub fn sim(mut self, hook: &'s mut dyn SchedHook) -> Self {
         self.sched = Some(hook);
         self
     }
@@ -323,7 +319,7 @@ impl<T> RunReport<T> {
 /// count should hold a pool and call [`crate::UniversePool::run`]
 /// instead, which reuses the executor (worker threads or coroutine
 /// stacks) and the universe state allocations across runs.
-pub fn run<T, F>(n: usize, cfg: UniverseConfig, f: F) -> RunReport<T>
+pub fn run<T, F>(n: usize, cfg: UniverseConfig<'_>, f: F) -> RunReport<T>
 where
     T: Send,
     F: Fn(&mut Process) -> Result<T> + Send + Sync,

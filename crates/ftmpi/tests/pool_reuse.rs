@@ -38,12 +38,12 @@ fn ring_once(p: &mut Process) -> Result<u64> {
 /// A run where the victim dies only after its receive completed — the
 /// race-free kill point (every send naming the victim precedes its
 /// death), so outcomes are deterministic in wall-clock mode.
-fn failing_cfg() -> UniverseConfig {
+fn failing_cfg() -> UniverseConfig<'static> {
     let plan = FaultPlan::none().kill_at(2, HookKind::AfterRecvComplete, 1);
     UniverseConfig::with_plan(plan).watchdog(wd())
 }
 
-fn clean_cfg() -> UniverseConfig {
+fn clean_cfg() -> UniverseConfig<'static> {
     UniverseConfig::default().watchdog(wd())
 }
 
