@@ -3,8 +3,9 @@
 //! One [`Scheduler`] decides one `ftmpi` universe through the
 //! [`SchedHook`] instrumentation. Under a hook the runtime runs every
 //! rank as a coroutine on one thread: a rank *arrives* at a scheduling
-//! point and suspends, and with every live rank suspended the
-//! runtime's driver asks [`SchedHook::next`] which one resumes. The
+//! point, and with every live rank suspended there the runtime asks
+//! [`SchedHook::next`] which one resumes — the arriving rank itself,
+//! which then switches straight to it, or the driver after an exit. The
 //! whole interleaving is therefore a *sequence of decisions*, and each
 //! decision (which rank runs next, which ready request completes,
 //! which sender matches, how many queued envelopes are delivered) is

@@ -167,6 +167,33 @@ fn wall_clock_watchdog_fires_under_simulation() {
     assert!(report.duration >= limit);
 }
 
+/// The same limit when no grant ever passes the driver: one rank
+/// passes a token to itself forever, so every grant is a self-grant
+/// that the rank draws and continues from without a switch. The
+/// deadline is tested after every grant wherever it is drawn, or this
+/// run would never end.
+#[test]
+fn wall_clock_watchdog_ends_a_livelock_of_self_grants() {
+    let mut sched = Scheduler::new(1, 7, u64::MAX).quiet();
+    let limit = Duration::from_millis(50);
+    let cfg = UniverseConfig::default().sim(&mut sched).watchdog(limit);
+    let dropped = AtomicUsize::new(0);
+    let report = ftmpi::run(1, cfg, |p| {
+        let _guard = Bump(&dropped);
+        p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+        p.send(WORLD, 0, 0, &0u64)?;
+        loop {
+            let (v, _) = p.recv::<u64>(WORLD, Src::Rank(0), 0)?;
+            p.send(WORLD, 0, 0, &(v + 1))?;
+        }
+    });
+    assert!(report.hung);
+    assert_eq!(report.outcomes, [RankOutcome::<u64>::Aborted { code: WATCHDOG_ABORT_CODE }]);
+    assert_eq!(dropped.load(Ordering::Relaxed), 1, "the rank body was left suspended");
+    assert!(report.duration >= limit);
+    assert!(!sched.budget_exhausted() && sched.deadlock_at().is_none());
+}
+
 /// A rank body that panics on its coroutine stack is reported as
 /// `Panicked` — its peers, starved of the token it held, deadlock and
 /// are ended by that verdict — and the same pool runs a clean schedule

@@ -232,9 +232,10 @@ pub trait SchedHook {
     /// Never blocks.
     fn arrive(&mut self, rank: Rank, point: SchedPoint);
 
-    /// Driver side, called with every live rank suspended: the enabled
-    /// rank to resume next and the verdict it resumes with, or `None`
-    /// when no rank is suspended. A rank named here stops waiting until
+    /// Called with every live rank suspended — by the driver, or by
+    /// the rank that has just arrived: the enabled rank to resume next
+    /// and the verdict it resumes with, or `None` when no rank is
+    /// suspended. A rank named here stops waiting until
     /// its next [`SchedHook::arrive`].
     fn next(&mut self) -> Option<(Rank, StepOutcome)>;
 

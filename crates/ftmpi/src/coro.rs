@@ -3,22 +3,27 @@
 //!
 //! A [`Group`] runs `body(0) .. body(n - 1)` each on its own
 //! [`Coroutine`] stack. The driver ([`crate::pool`]) resumes one with
-//! [`Group::resume`]; it runs until it calls [`suspend`] (from
-//! `Process::sched_step`) or returns. That round trip is two
-//! user-space [`switch`]es where the thread-per-rank executor paid two
-//! kernel context switches.
+//! [`Group::resume`]. A rank arriving at a scheduling point
+//! (`Process::sched_step`) draws the next grant itself: a grant to
+//! itself costs no switch at all, a grant to another rank is one
+//! user-space [`switch`] straight to that rank's stack ([`transfer`]),
+//! where the thread-per-rank executor paid two kernel context
+//! switches. Control comes back to the driver only at a rank's `Enter`
+//! arrival ([`suspend`]) and when a rank returns.
 //!
-//! The scheduler deciding those resumes belongs to the driver: it
-//! lends it to [`drive_with`] for the length of the run, which installs
-//! it in a per-thread slot beside [`CURRENT`]; the ranks and the driver
-//! loop reach it through [`with_sched`]. Only one rank runs at a time
-//! and all of them run on the driver's thread, so a simulated step takes
-//! no lock and clones no `Arc`. Universes driven on other threads have
-//! slots of their own.
+//! The scheduler deciding those grants belongs to the driver: it lends
+//! it to [`drive_with`] for the length of the run, which installs it in
+//! a per-thread slot beside [`CURRENT`], together with the run's
+//! wall-clock deadline; the ranks and the driver loop reach it through
+//! [`with_sched`] and test the deadline with [`deadline_passed`] after
+//! every grant. Only one rank runs at a time and all of them run on the
+//! driver's thread, so a simulated step takes no lock and clones no
+//! `Arc`. Universes driven on other threads have slots of their own.
 //!
 //! This file holds the simulation's only `unsafe` — the switch, the
-//! stack mappings, the raw control-block pointers and the scheduler
-//! slot's erased borrow — behind a safe API.
+//! stack mappings, the raw control-block pointers, the scheduler
+//! slot's erased borrow and the per-thread view of the running group's
+//! coroutines that [`transfer`] indexes — behind a safe API.
 //!
 //! `switch` saves what the C ABI makes a callee preserve: on `x86_64`
 //! (System V) `rbx`, `rbp`, `r12`–`r15` and `rsp`; on `aarch64`
@@ -51,6 +56,7 @@ use std::ffi::{c_int, c_void};
 use std::marker::PhantomData;
 use std::panic::AssertUnwindSafe;
 use std::ptr::NonNull;
+use std::time::Instant;
 
 use faultsim::{SchedHook, StepOutcome};
 
@@ -195,17 +201,43 @@ thread_local! {
     /// [`with_sched`]. The lifetime is erased; `drive_with` keeps the
     /// borrow alive while the slot holds it.
     static SCHED: RefCell<Option<NonNull<dyn SchedHook>>> = const { RefCell::new(None) };
+
+    /// The wall-clock watchdog of the drive running on this thread,
+    /// beside its scheduler: installed by [`drive_with`], tested by
+    /// [`deadline_passed`].
+    static WATCHDOG: Cell<Watchdog> = const { Cell::new(Watchdog::Off) };
+
+    /// The coroutines of the group whose [`Group::resume`] is running
+    /// on this thread (empty outside one), for [`transfer`] to index;
+    /// saved and restored around a resume like [`CURRENT`].
+    static GROUP: Cell<*const [Coroutine]> =
+        const { Cell::new(std::ptr::slice_from_raw_parts(std::ptr::null(), 0)) };
 }
 
-/// Run `f` with `sched` installed as this thread's scheduler, then put
-/// back whatever was installed before — also when `f` unwinds, so a
-/// nested drive and the next drive on this thread each see their own.
-pub(crate) fn drive_with<R>(sched: &mut dyn SchedHook, f: impl FnOnce() -> R) -> R {
-    /// Restores the previous slot content when the drive ends.
-    struct Restore(Option<NonNull<dyn SchedHook>>);
+/// A drive's wall-clock deadline, and whether it passed.
+#[derive(Clone, Copy)]
+enum Watchdog {
+    Off,
+    Armed(Instant),
+    Fired,
+}
+
+/// Run `f` with `sched` installed as this thread's scheduler and
+/// `deadline` as its wall-clock watchdog, then put back whatever was
+/// installed before — also when `f` unwinds, so a nested drive and the
+/// next drive on this thread each see their own. Returns `f`'s result
+/// and whether the deadline passed during the drive.
+pub(crate) fn drive_with<R>(
+    sched: &mut dyn SchedHook,
+    deadline: Option<Instant>,
+    f: impl FnOnce() -> R,
+) -> (R, bool) {
+    /// Restores the previous slot contents when the drive ends.
+    struct Restore(Option<NonNull<dyn SchedHook>>, Watchdog);
     impl Drop for Restore {
         fn drop(&mut self) {
             SCHED.with(|slot| *slot.borrow_mut() = self.0);
+            WATCHDOG.set(self.1);
         }
     }
     let sched = NonNull::from(sched);
@@ -216,8 +248,25 @@ pub(crate) fn drive_with<R>(sched: &mut dyn SchedHook, f: impl FnOnce() -> R) ->
     let sched = unsafe {
         std::mem::transmute::<NonNull<dyn SchedHook + '_>, NonNull<dyn SchedHook>>(sched)
     };
-    let _restore = Restore(SCHED.with(|slot| slot.replace(Some(sched))));
-    f()
+    let watchdog = deadline.map_or(Watchdog::Off, Watchdog::Armed);
+    let _restore =
+        Restore(SCHED.with(|slot| slot.replace(Some(sched))), WATCHDOG.replace(watchdog));
+    let r = f();
+    (r, matches!(WATCHDOG.get(), Watchdog::Fired))
+}
+
+/// Test the drive's wall-clock deadline — right after every grant is
+/// drawn, by the driver and by a rank granting the next one itself.
+/// True for the first test that finds it passed, which disarms it: the
+/// watchdog fires once.
+pub(crate) fn deadline_passed() -> bool {
+    match WATCHDOG.get() {
+        Watchdog::Armed(at) if Instant::now() > at => {
+            WATCHDOG.set(Watchdog::Fired);
+            true
+        }
+        _ => false,
+    }
 }
 
 /// Run `f` on the scheduler of the drive this thread is in.
@@ -237,13 +286,18 @@ pub(crate) fn with_sched<R>(f: impl FnOnce(&mut dyn SchedHook) -> R) -> R {
 
 /// What the two sides of a coroutine share. Reached through raw
 /// pointers only: while the coroutine runs, both its own frames
-/// ([`suspend`], [`entry`]) and the suspended resumer refer to it.
+/// ([`suspend`], [`transfer`], [`entry`]) and the suspended resumer
+/// refer to it, and a sibling's `transfer` writes it while it is
+/// suspended.
 struct Control {
     /// The coroutine's stack pointer while it is suspended.
     coro_sp: *mut u8,
-    /// The resumer's stack pointer while the coroutine runs.
+    /// The resumer's stack pointer while the coroutine runs: the
+    /// driver's, whether it resumed this coroutine or a sibling did
+    /// and transferred to it.
     resumer_sp: *mut u8,
-    /// The value the next [`suspend`] return hands to the rank.
+    /// The value the next [`suspend`] or [`transfer`] return hands to
+    /// the rank.
     msg: StepOutcome,
     /// Started and not finished: live frames on the stack.
     live: bool,
@@ -343,17 +397,18 @@ impl Drop for Coroutine {
 /// finished, switch back for good.
 extern "C" fn entry() -> ! {
     let ctl = CURRENT.get();
-    // SAFETY: only a resume reaches this function, and it set CURRENT
-    // to the control block of the coroutine it switched to; `body`
-    // outlives the group that is resuming us.
+    // SAFETY: only a resume or a transfer reaches this function, and
+    // it set CURRENT to the control block of the coroutine it switched
+    // to; `body` outlives the group that is resuming us.
     let (body, arg) = unsafe { (&*(*ctl).body, (*ctl).arg) };
     // An unwind must not reach the hand-built frame above us. The
     // payload is dropped here: the pool's rank body already turned a
     // panicking rank into an outcome, what is left is its bookkeeping.
     let _ = std::panic::catch_unwind(AssertUnwindSafe(|| body(arg)));
     // SAFETY: as above; the resumer's stack pointer was stored by the
-    // `switch` that brought us here (or a later one) and its stack is
-    // suspended in that call.
+    // resume the driver is suspended in — into this coroutine, or into
+    // a sibling that handed it on by transfer — and its stack is
+    // suspended in that resume's `switch`.
     unsafe {
         (*ctl).live = false;
         switch(&raw mut (*ctl).coro_sp, &raw const (*ctl).resumer_sp);
@@ -361,21 +416,57 @@ extern "C" fn entry() -> ! {
     unreachable!("a finished coroutine was resumed");
 }
 
-/// Suspend the calling coroutine until its driver resumes it, and
-/// return the verdict the driver passed.
+/// Suspend the calling coroutine until its driver resumes it or a
+/// sibling [`transfer`]s to it, and return the verdict passed.
 ///
 /// Panics when the caller is not running on a coroutine — a simulation
 /// scheduler installed on a universe that nobody drives.
 pub(crate) fn suspend() -> StepOutcome {
     let ctl = CURRENT.get();
     assert!(!ctl.is_null(), "scheduling point reached outside a simulated rank");
-    // SAFETY: CURRENT is non-null only between a resume's two
-    // `CURRENT` stores, i.e. while we run on that coroutine's stack;
-    // the resumer is suspended inside `switch` with its stack pointer
+    // SAFETY: CURRENT is non-null only while we run on that
+    // coroutine's stack (a resume or a transfer set it on the way in);
+    // the driver is suspended inside `switch` with its stack pointer
     // in `resumer_sp`.
     unsafe {
         switch(&raw mut (*ctl).coro_sp, &raw const (*ctl).resumer_sp);
         (*ctl).msg
+    }
+}
+
+/// Switch from the running coroutine straight to coroutine `i` of the
+/// same group, whose pending [`suspend`] or `transfer` returns `msg`
+/// (a fresh one starts its body); return the verdict this coroutine is
+/// handed when something switches back to it. No driver runs in
+/// between: `i` inherits this coroutine's resumer, the driver
+/// suspended in [`Group::resume`], so when `i` suspends or finishes
+/// that is where it lands.
+///
+/// Panics when the caller is not running on a coroutine, and when `i`
+/// is the caller or has finished.
+pub(crate) fn transfer(i: usize, msg: StepOutcome) -> StepOutcome {
+    let from = CURRENT.get();
+    assert!(!from.is_null(), "scheduling point reached outside a simulated rank");
+    let group = GROUP.get();
+    assert!(i < group.len(), "transfer to coroutine {i} of a group of {}", group.len());
+    // SAFETY: CURRENT is non-null only while we run on that coroutine,
+    // and GROUP then names the coroutines of the group whose `resume`
+    // is suspended below us, exclusively borrowed by it — `i` is in
+    // bounds. Only one coroutine of a group runs at a time, so a live
+    // `i` other than the caller is suspended: its `coro_sp` is what its
+    // last `switch` stored (or the armed frame), on a mapped stack. The
+    // caller's `resumer_sp` is the driver's stack pointer, stored by
+    // the `switch` in `resume` and suspended there; handing it to `i`
+    // keeps it the one place every coroutine of the group returns to.
+    unsafe {
+        let to = (*group.cast::<Coroutine>().add(i)).ctl.get();
+        assert!(to != from, "coroutine {i} transferred to itself");
+        assert!((*to).live, "transfer to coroutine {i}, which finished");
+        (*to).msg = msg;
+        (*to).resumer_sp = (*from).resumer_sp;
+        CURRENT.set(to);
+        switch(&raw mut (*from).coro_sp, &raw const (*to).coro_sp);
+        (*from).msg
     }
 }
 
@@ -407,27 +498,40 @@ impl<'a> Group<'a> {
         Group { coros, live, _body: PhantomData }
     }
 
-    /// Run coroutine `i` until it suspends or finishes; `msg` is what
-    /// its pending [`suspend`] returns (ignored by the first resume,
-    /// which starts the body). Returns `true` once `i` has finished.
+    /// Run coroutine `i` until the group hands control back: `i`, or a
+    /// coroutine it [`transfer`]red to, suspends or finishes. `msg` is
+    /// what `i`'s pending [`suspend`] or `transfer` returns (ignored by
+    /// the first resume, which starts the body).
     ///
     /// Panics if `i` already finished.
-    pub(crate) fn resume(&mut self, i: usize, msg: StepOutcome) -> bool {
+    pub(crate) fn resume(&mut self, i: usize, msg: StepOutcome) {
         let ctl = self.coros[i].ctl.get();
         // SAFETY: `ctl` points into `self.coros[i]`, exclusively
-        // borrowed for 'a, so only coroutine `i`'s own frames alias it
-        // — and they run strictly inside the `switch` below. `coro_sp`
-        // is the armed frame or what its last `suspend` stored, on a
-        // stack that stays mapped while `self` borrows the coroutine.
+        // borrowed for 'a, so only the group's own frames alias it —
+        // and they run strictly inside the `switch` below, which also
+        // bounds GROUP's view of the coroutines. `coro_sp` is the armed
+        // frame or what `i`'s last `switch` stored, on a stack that
+        // stays mapped while `self` borrows the coroutine. The one that
+        // switches back leaves CURRENT naming itself: `i`, or the last
+        // coroutine transferred to.
         unsafe {
             assert!((*ctl).live, "coroutine {i} resumed after it finished");
             (*ctl).msg = msg;
             let outer = CURRENT.replace(ctl);
+            let outer_group = GROUP.replace(&raw const *self.coros);
             switch(&raw mut (*ctl).resumer_sp, &raw const (*ctl).coro_sp);
-            CURRENT.set(outer);
-            self.live -= usize::from(!(*ctl).live);
-            !(*ctl).live
+            GROUP.set(outer_group);
+            let back = CURRENT.replace(outer);
+            self.live -= usize::from(!(*back).live);
         }
+    }
+
+    /// Whether coroutine `i` has not finished.
+    #[cfg(test)]
+    fn is_live(&self, i: usize) -> bool {
+        // SAFETY: no coroutine of the group runs while the driver holds
+        // `&self`, so nothing writes the control block.
+        unsafe { (*self.coros[i].ctl.get()).live }
     }
 
     /// Coroutines that have not finished.
@@ -442,11 +546,10 @@ pub(crate) mod tests {
 
     /// Drive every coroutine round-robin until all have finished.
     fn round_robin(mut group: Group<'_>, n: usize) {
-        let mut done = vec![false; n];
         while group.live() > 0 {
-            for (i, d) in done.iter_mut().enumerate() {
-                if !*d {
-                    *d = group.resume(i, StepOutcome::Run);
+            for i in 0..n {
+                if group.is_live(i) {
+                    group.resume(i, StepOutcome::Run);
                 }
             }
         }
@@ -474,23 +577,39 @@ pub(crate) mod tests {
 
     /// N-way interleaving leaves every coroutine's integer and
     /// floating-point state intact — `switch` preserves the
-    /// callee-saved registers — and the stacks are reusable: a second
-    /// group on the same coroutines starts from clean frames.
+    /// callee-saved registers — whether each pause hands the turn back
+    /// to the driver or straight on to the next coroutine, and the
+    /// stacks are reusable: a second group on the same coroutines
+    /// starts from clean frames.
     #[test]
     fn round_robin_preserves_integer_and_float_state() {
         const N: usize = 7;
         let out = RefCell::new(vec![String::new(); N]);
-        let body = |i: usize| {
-            let text = churn(i, || assert_eq!(suspend(), StepOutcome::Run));
-            out.borrow_mut()[i] = text;
-        };
         let mut coros: Vec<Coroutine> = (0..N).map(|_| Coroutine::new()).collect();
-        for _ in 0..2 {
-            out.borrow_mut().fill(String::new());
-            round_robin(Group::new(&mut coros, &body), N);
-            for (i, got) in out.borrow().iter().enumerate() {
-                assert_eq!(*got, churn(i, || ()), "coroutine {i}");
+        let pauses: [fn(usize) -> StepOutcome; 2] =
+            [|_| suspend(), |i| transfer((i + 1) % N, StepOutcome::Run)];
+        for pause in pauses {
+            let body = |i: usize| {
+                let text = churn(i, || assert_eq!(pause(i), StepOutcome::Run));
+                out.borrow_mut()[i] = text;
+            };
+            for _ in 0..2 {
+                out.borrow_mut().fill(String::new());
+                round_robin(Group::new(&mut coros, &body), N);
+                for (i, got) in out.borrow().iter().enumerate() {
+                    assert_eq!(*got, churn(i, || ()), "coroutine {i}");
+                }
             }
+        }
+    }
+
+    /// Sets its flag when dropped: proof that an unwind ran the
+    /// destructors of the frame that owned it.
+    struct Flag<'a>(&'a Cell<bool>);
+
+    impl Drop for Flag<'_> {
+        fn drop(&mut self) {
+            self.0.set(true);
         }
     }
 
@@ -499,12 +618,6 @@ pub(crate) mod tests {
     /// sibling keeps running, and `Abort` reaches the pending `suspend`.
     #[test]
     fn a_panicking_body_finishes_its_coroutine_only() {
-        struct Flag<'a>(&'a Cell<bool>);
-        impl Drop for Flag<'_> {
-            fn drop(&mut self) {
-                self.0.set(true);
-            }
-        }
         let (dropped, sibling_done) = (Cell::new(false), Cell::new(false));
         let body = |i: usize| {
             let _flag = (i == 0).then(|| Flag(&dropped));
@@ -516,10 +629,44 @@ pub(crate) mod tests {
         };
         let mut coros = vec![Coroutine::new(), Coroutine::new()];
         let mut group = Group::new(&mut coros, &body);
-        assert!(!group.resume(0, StepOutcome::Run) && !group.resume(1, StepOutcome::Run));
-        assert!(group.resume(0, StepOutcome::Run), "the panic finishes coroutine 0");
+        group.resume(0, StepOutcome::Run);
+        group.resume(1, StepOutcome::Run);
+        assert_eq!(group.live(), 2);
+        group.resume(0, StepOutcome::Run);
+        assert!(!group.is_live(0), "the panic finishes coroutine 0");
         assert!(dropped.get(), "the unwind must run the panicking body's destructors");
-        assert!(group.resume(1, StepOutcome::Abort) && sibling_done.get());
+        group.resume(1, StepOutcome::Abort);
+        assert!(sibling_done.get());
+        assert_eq!(group.live(), 0);
+    }
+
+    /// The same after a transfer: coroutine 1, suspended, is switched to
+    /// by coroutine 0 and panics. Only it finishes — the group counts it
+    /// although the driver resumed 0 — control lands back in the
+    /// driver, and 0 is still suspended in its `transfer`, where the
+    /// driver's `Abort` reaches it.
+    #[test]
+    fn a_body_panicking_after_a_transfer_finishes_its_coroutine_only() {
+        let (dropped, sender_told) = (Cell::new(false), Cell::new(None));
+        let body = |i: usize| {
+            if i == 0 {
+                sender_told.set(Some(transfer(1, StepOutcome::Run)));
+            } else {
+                let _flag = Flag(&dropped);
+                let verdict = suspend();
+                panic!("coroutine 1 panics after a transfer, told {verdict:?}");
+            }
+        };
+        let mut coros = vec![Coroutine::new(), Coroutine::new()];
+        let mut group = Group::new(&mut coros, &body);
+        group.resume(1, StepOutcome::Run);
+        group.resume(0, StepOutcome::Run);
+        assert_eq!(group.live(), 1, "exactly one coroutine finished");
+        assert!(group.is_live(0) && !group.is_live(1));
+        assert!(dropped.get(), "the unwind must run the panicking body's destructors");
+        assert_eq!(sender_told.get(), None, "coroutine 0 is still suspended in its transfer");
+        group.resume(0, StepOutcome::Abort);
+        assert_eq!(sender_told.get(), Some(StepOutcome::Abort));
         assert_eq!(group.live(), 0);
     }
 
@@ -527,6 +674,44 @@ pub(crate) mod tests {
     #[should_panic(expected = "outside a simulated rank")]
     fn suspend_on_a_plain_thread_panics() {
         suspend();
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a simulated rank")]
+    fn transfer_on_a_plain_thread_panics() {
+        transfer(0, StepOutcome::Run);
+    }
+
+    /// Coroutine 0 of two transfers to `target` once coroutine 1 has
+    /// finished; the panic that transfer raises on 0's stack is caught
+    /// there and raised again on this thread.
+    fn transfer_after_coroutine_1_finished(target: usize) {
+        let payload = Cell::new(None);
+        let body = |i: usize| {
+            if i == 0 {
+                payload.set(std::panic::catch_unwind(|| transfer(target, StepOutcome::Run)).err());
+            }
+        };
+        let mut coros = vec![Coroutine::new(), Coroutine::new()];
+        let mut group = Group::new(&mut coros, &body);
+        group.resume(1, StepOutcome::Run);
+        group.resume(0, StepOutcome::Run);
+        assert_eq!(group.live(), 0, "the failed transfer switched nowhere");
+        if let Some(p) = payload.take() {
+            std::panic::resume_unwind(p);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "transfer to coroutine 1, which finished")]
+    fn transfer_to_a_finished_coroutine_panics() {
+        transfer_after_coroutine_1_finished(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "coroutine 0 transferred to itself")]
+    fn transfer_to_itself_panics() {
+        transfer_after_coroutine_1_finished(0);
     }
 
     /// A scheduler that only tells the time: which one the slot holds.
@@ -561,7 +746,7 @@ pub(crate) mod tests {
     #[test]
     #[should_panic(expected = "scheduler was re-entered")]
     fn with_sched_inside_with_sched_panics() {
-        drive_with(&mut Clock(1), || with_sched(|_| installed()));
+        drive_with(&mut Clock(1), None, || with_sched(|_| installed()));
     }
 
     /// A drive puts back what it found, after a nested drive and after
@@ -569,15 +754,29 @@ pub(crate) mod tests {
     #[test]
     fn the_slot_is_restored_after_nested_and_panicking_drives() {
         let (mut outer, mut inner) = (Clock(1), Clock(2));
-        drive_with(&mut outer, || {
-            assert_eq!(drive_with(&mut inner, installed), 2);
+        drive_with(&mut outer, None, || {
+            assert_eq!(drive_with(&mut inner, None, installed), (2, false));
             assert_eq!(installed(), 1, "a nested drive restores the outer scheduler");
             let panicked = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                drive_with(&mut inner, || panic!("the body of a drive panics"))
+                drive_with(&mut inner, None, || panic!("the body of a drive panics"))
             }));
             assert!(panicked.is_err());
             assert_eq!(installed(), 1, "an unwinding drive restores the outer scheduler");
         });
         assert!(std::panic::catch_unwind(installed).is_err(), "the slot is empty again");
+    }
+
+    /// A passed deadline fires for the first test only, a nested drive
+    /// without one sees none, and the drive reports that it fired.
+    #[test]
+    fn the_deadline_fires_once_per_drive() {
+        let (mut outer, mut inner) = (Clock(1), Clock(2));
+        let ((), fired) = drive_with(&mut outer, Some(Instant::now()), || {
+            assert_eq!(drive_with(&mut inner, None, deadline_passed), (false, false));
+            while !deadline_passed() {}
+            assert!(!deadline_passed(), "the watchdog fires once");
+        });
+        assert!(fired);
+        assert!(!deadline_passed(), "outside a drive there is no deadline");
     }
 }

@@ -16,11 +16,13 @@
 //!   ([`crate::coro`]) and a driver loop on the *calling* thread, which
 //!   lends the scheduler to `coro::drive_with` for the run. A rank's
 //!   `sched_step` tells the scheduler it arrived — runnable, or
-//!   blocked until a delivery or a global wake — and suspends; the
-//!   driver asks the scheduler for the next grant among the runnable
-//!   ranks and resumes that rank's stack. One simulated step is two
-//!   user-space stack switches and no lock, and a pool that only
-//!   simulates never spawns a thread.
+//!   blocked until a delivery or a global wake — and asks it for the
+//!   next grant among the runnable ranks: a grant to itself returns at
+//!   once, any other switches straight to that rank's stack. One
+//!   simulated step is at most one user-space stack switch and no
+//!   lock; the driver resumes ranks only after their `Enter` arrival
+//!   and after one returns, and a pool that only simulates never
+//!   spawns a thread.
 //!
 //! [`crate::run`] is a one-shot pool: build, run once, drop.
 //!
@@ -452,10 +454,11 @@ impl UniversePool {
         let start = Instant::now();
         let ((mut hung, alloc), mut stats) = match sched {
             Some(sched) => {
-                let drive = crate::coro::drive_with(&mut *sched, || {
-                    self.drive_sim(&shared, watchdog, start, &rank_body)
+                let deadline = watchdog.map(|limit| start + limit);
+                let (alloc, hung) = crate::coro::drive_with(&mut *sched, deadline, || {
+                    self.drive_sim(&shared, &rank_body)
                 });
-                (drive, sched.run_stats())
+                ((hung, alloc), sched.run_stats())
             }
             None => (
                 self.run_threads(&shared, watchdog, respawn, start, &rank_body),
@@ -494,17 +497,10 @@ impl UniversePool {
     }
 
     /// The simulation executor, run inside `coro::drive_with`: every
-    /// rank a coroutine on this thread, resumed in the order the
-    /// installed scheduler decides. Returns whether the wall-clock
-    /// watchdog fired, and this thread's heap traffic over the whole
-    /// drive (which is all of the rank bodies').
-    fn drive_sim(
-        &mut self,
-        shared: &Shared,
-        watchdog: Option<Duration>,
-        start: Instant,
-        rank_body: &RankBody<'_>,
-    ) -> (bool, AllocStats) {
+    /// rank a coroutine on this thread, run in the order the installed
+    /// scheduler decides. Returns this thread's heap traffic over the
+    /// whole drive (which is all of the rank bodies').
+    fn drive_sim(&mut self, shared: &Shared, rank_body: &RankBody<'_>) -> AllocStats {
         let n = self.size;
         let sim = self.sim.get_or_insert_with(|| SimRanks {
             coros: (0..n).map(|_| Coroutine::new()).collect(),
@@ -522,29 +518,31 @@ impl UniversePool {
         for me in 0..n {
             group.resume(me, StepOutcome::Run);
         }
-        // The driver loop. Every live rank is suspended at a step
-        // point whenever the scheduler is asked, so a decision always
-        // sees the complete enabled set — and an empty one with ranks
-        // still suspended is a deadlock the scheduler can call on the
-        // spot. The loop ends only when nobody is suspended, i.e. every
-        // rank has returned through its own frames: on a deadlock or a
-        // spent budget the scheduler hands each of them `Abort`, so no
-        // suspended stack is ever dropped.
-        let mut limit = watchdog;
-        let mut hung = false;
+        // The driver loop. A rank arriving at a scheduling point draws
+        // the next grant itself and switches straight to it
+        // (`Process::sched_step`), so control comes back here only when
+        // a rank returns: the scheduler is asked for the next grant
+        // then, and after the `Enter` arrivals above. Either way every
+        // live rank is suspended at a step point whenever the scheduler
+        // is asked, so a decision always sees the complete enabled set
+        // — and an empty one with ranks still suspended is a deadlock
+        // the scheduler can call on the spot. The loop ends only when
+        // nobody is suspended, i.e. every rank has returned through its
+        // own frames: on a deadlock or a spent budget the scheduler
+        // hands each of them `Abort`, so no suspended stack is ever
+        // dropped.
         while let Some((me, outcome)) = with_sched(|s| s.next()) {
-            if limit.is_some_and(|l| start.elapsed() > l) {
-                // The wall-clock backstop, checked here because this
-                // thread is the only one there is: abort the job once
-                // and keep driving until every rank has noticed.
-                limit = None;
-                hung = true;
+            if crate::coro::deadline_passed() {
+                // The wall-clock backstop, tested after every grant
+                // because this thread is the only one there is: abort
+                // the job once and keep driving until every rank has
+                // noticed.
                 shared.abort(WATCHDOG_ABORT_CODE);
             }
             group.resume(me, outcome);
         }
         assert_eq!(group.live(), 0, "the scheduler stopped granting with ranks still suspended");
-        (hung, allocstats::snapshot().since(&before))
+        allocstats::snapshot().since(&before)
     }
 
     /// The wall-clock executor: one job per rank incarnation on the

@@ -286,17 +286,30 @@ impl Process {
 
     /// Scheduling point for deterministic simulation. A no-op without
     /// a scheduler; with one, this rank is a coroutine: it tells the
-    /// scheduler it arrived and suspends to the pool's driver until it
-    /// is granted again — at `SchedPoint::Blocked`, not before
-    /// something wakes it. The scheduler's hang verdict (deadlock, or
-    /// the step budget against livelock) comes back as a job abort,
-    /// the logical replacement for the wall-clock watchdog.
+    /// scheduler it arrived — at `SchedPoint::Blocked` it is not
+    /// granted before something wakes it — and draws the next grant
+    /// itself, as the pool's driver would. A grant to this rank
+    /// continues at once; any other switches straight to the granted
+    /// rank's coroutine, and this one waits there until it is granted
+    /// again. The drive's wall-clock deadline is tested after every
+    /// grant. The scheduler's hang verdict (deadlock, or the step
+    /// budget against livelock) comes back as a job abort, the logical
+    /// replacement for the wall-clock watchdog.
     fn sched_step(&mut self, point: SchedPoint) -> Result<()> {
         if !self.shared.sim {
             return Ok(());
         }
-        with_sched(|s| s.arrive(self.me, point));
-        if crate::coro::suspend() == StepOutcome::Abort {
+        let me = self.me;
+        let grant = with_sched(|s| {
+            s.arrive(me, point);
+            s.next()
+        });
+        if crate::coro::deadline_passed() {
+            self.shared.abort(crate::universe::WATCHDOG_ABORT_CODE);
+        }
+        let (rank, outcome) = grant.expect("a rank that just arrived is waiting to be granted");
+        let outcome = if rank == me { outcome } else { crate::coro::transfer(rank, outcome) };
+        if outcome == StepOutcome::Abort {
             if !self.blocked_dumped {
                 self.blocked_dumped = true;
                 self.record_blocked_requests();

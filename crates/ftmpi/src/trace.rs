@@ -235,7 +235,7 @@ mod tests {
     fn reset_matches_fresh_trace() {
         let mut t = Trace::new(true, true);
         let mut clock = crate::coro::tests::Clock(1_000_000_000);
-        crate::coro::drive_with(&mut clock, || t.record(Event::Killed { rank: 0 }));
+        crate::coro::drive_with(&mut clock, None, || t.record(Event::Killed { rank: 0 }));
         assert_eq!(t.events()[0].at_us, 1_000_000_000, "stamped by the drive's scheduler");
 
         t.reset(false, true);

@@ -1,7 +1,8 @@
 //! The in-memory transport fabric.
 //!
-//! Each rank owns a mailbox (a locked queue of [`Envelope`]s, a
-//! version counter and a `parked` flag) and a condition variable.
+//! Each rank owns a mailbox (a locked queue of [`Envelope`]s and a
+//! `parked` flag), a condition variable, and two atomics beside the
+//! lock: the mailbox version and the queue length.
 //! Delivery pushes to the destination mailbox and notifies the owner
 //! if it is parked; a blocked rank parks on its own condvar until
 //! either its mailbox version changes, the global notify generation
@@ -38,9 +39,20 @@
 //!   its slot's condvar ([`Fabric::park`] is called with `me` by `me`'s
 //!   own thread), so one flag per slot says all there is to say and
 //!   `notify_one` wakes the one possible waiter.
+//! * **The owner's pass reads its mailbox without the lock** — the
+//!   version and the queue length are atomics, written only under the
+//!   mailbox lock: `deliver` and [`Fabric::clear`] store the length
+//!   and then a new version, a draining [`Fabric::drain_into`] the
+//!   length only, all `Release`; readers load them `Acquire`. So [`Fabric::token`] and
+//!   [`Fabric::would_park`] take no lock, and a drain of an empty
+//!   mailbox skips it. No wake-up is lost: a token that saw a
+//!   delivery's version also sees the length it stored, so the pass's
+//!   drain finds the envelope; a token that missed the delivery is
+//!   caught by `park`'s re-check of the version, which stays under the
+//!   lock.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
@@ -56,8 +68,6 @@ struct Mailbox {
     /// Ring buffer so draining a prefix shifts head indices, not
     /// envelopes.
     queue: VecDeque<Envelope>,
-    /// Bumped on every delivery; lets parkers detect missed pushes.
-    version: u64,
     /// The owner is inside `cv.wait_for` and nobody has notified it
     /// yet. Set by the owner in `park`; cleared by the first notifier
     /// (`deliver` / `wake_all`), which is the one that calls
@@ -68,6 +78,22 @@ struct Mailbox {
 struct Slot {
     mb: Mutex<Mailbox>,
     cv: Condvar,
+    /// Bumped on every delivery; lets parkers detect missed pushes.
+    /// Written under `mb`'s lock, read without it (module docs).
+    version: AtomicU64,
+    /// `mb.queue.len()` as of the last write under the lock.
+    queued: AtomicUsize,
+}
+
+impl Slot {
+    /// Publish a change to the queue under `mb`'s lock: its length,
+    /// then a new version (module docs).
+    fn publish(&self, mb: &Mailbox) {
+        self.queued.store(mb.queue.len(), Ordering::Release);
+        // Only lock holders write it, so the load sees the last store.
+        let v = self.version.load(Ordering::Relaxed);
+        self.version.store(v + 1, Ordering::Release);
+    }
 }
 
 /// The delivery fabric for one universe.
@@ -104,8 +130,10 @@ impl Fabric {
         Fabric {
             slots: (0..n)
                 .map(|_| Slot {
-                    mb: Mutex::new(Mailbox { queue: VecDeque::new(), version: 0, parked: false }),
+                    mb: Mutex::new(Mailbox { queue: VecDeque::new(), parked: false }),
                     cv: Condvar::new(),
+                    version: AtomicU64::new(0),
+                    queued: AtomicUsize::new(0),
                 })
                 .collect(),
             notify_gen: AtomicU64::new(0),
@@ -146,9 +174,9 @@ impl Fabric {
     /// or parking, so nothing is locked.
     pub fn reset(&mut self) {
         for slot in &mut self.slots {
-            let mb = slot.mb.get_mut();
-            mb.queue.clear();
-            mb.version = 0;
+            slot.mb.get_mut().queue.clear();
+            *slot.version.get_mut() = 0;
+            *slot.queued.get_mut() = 0;
         }
         *self.notify_gen.get_mut() = 0;
         *self.park_timeouts.get_mut() = 0;
@@ -167,7 +195,7 @@ impl Fabric {
         let parked = {
             let mut mb = slot.mb.lock();
             mb.queue.push_back(env);
-            mb.version += 1;
+            slot.publish(&mb);
             std::mem::replace(&mut mb.parked, false)
         };
         // A `dst` that is not parked, or was already notified, sees the
@@ -178,7 +206,7 @@ impl Fabric {
     }
 
     /// Drain every queued envelope for `me`, in arrival order, together
-    /// with the mailbox version at drain time.
+    /// with the mailbox version after the drain.
     #[cfg(test)]
     pub fn drain(&self, me: WorldRank) -> (Vec<Envelope>, u64) {
         self.drain_with(me, |n| n)
@@ -193,8 +221,8 @@ impl Fabric {
         pick: impl FnOnce(usize) -> usize,
     ) -> (Vec<Envelope>, u64) {
         let mut out = Vec::new();
-        let version = self.drain_into(me, pick, &mut out);
-        (out, version)
+        self.drain_into(me, pick, &mut out);
+        (out, self.slots[me].version.load(Ordering::Acquire))
     }
 
     /// Drain a scheduler-chosen prefix of `me`'s queue into `out`:
@@ -202,8 +230,8 @@ impl Fabric {
     /// `min(pick(n), n)` envelopes are appended to `out`, the rest stay
     /// queued (a deterministic message delay — see `faultsim::sched`).
     /// Taking a prefix preserves per-pair FIFO: a delayed message only
-    /// ever delays everything behind it. Returns the mailbox version at
-    /// drain time.
+    /// ever delays everything behind it. An empty mailbox is seen
+    /// without taking its lock.
     ///
     /// `out` is a caller-owned buffer precisely so the per-progress-pass
     /// allocation churn of the old `split_off`/`replace` scheme (two
@@ -215,24 +243,28 @@ impl Fabric {
         me: WorldRank,
         pick: impl FnOnce(usize) -> usize,
         out: &mut Vec<Envelope>,
-    ) -> u64 {
-        let mut mb = self.slots[me].mb.lock();
+    ) {
+        let slot = &self.slots[me];
+        if slot.queued.load(Ordering::Acquire) == 0 {
+            return;
+        }
+        let mut mb = slot.mb.lock();
         let n = mb.queue.len();
         if n == 0 {
-            return mb.version;
+            return;
         }
         let k = pick(n).min(n);
         out.extend(mb.queue.drain(..k));
-        mb.version
+        // Taking mail is no event to wake on: the version stays.
+        slot.queued.store(mb.queue.len(), Ordering::Release);
     }
 
     /// Snapshot the park token for `me`. Take this *before* scanning
     /// state so that any event after the scan forces a re-scan instead
-    /// of a sleep.
+    /// of a sleep. Takes no lock.
     pub fn token(&self, me: WorldRank, failure_epoch: u64) -> ParkToken {
-        let mb = self.slots[me].mb.lock();
         ParkToken {
-            mailbox_version: mb.version,
+            mailbox_version: self.slots[me].version.load(Ordering::Acquire),
             notify_gen: self.notify_gen.load(Ordering::Acquire),
             failure_epoch,
         }
@@ -242,8 +274,8 @@ impl Fabric {
     /// mailbox, no global wake, no failure-epoch change. The one
     /// sleep-or-rescan rule, shared by [`Fabric::park`] and
     /// [`Fabric::would_park`].
-    fn unchanged(&self, mb: &Mailbox, token: ParkToken, epoch: u64) -> bool {
-        mb.version == token.mailbox_version
+    fn unchanged(&self, slot: &Slot, token: ParkToken, epoch: u64) -> bool {
+        slot.version.load(Ordering::Acquire) == token.mailbox_version
             && self.notify_gen.load(Ordering::Acquire) == token.notify_gen
             && epoch == token.failure_epoch
     }
@@ -257,7 +289,7 @@ impl Fabric {
     pub fn park(&self, me: WorldRank, token: ParkToken, current_epoch: impl Fn() -> u64) {
         let slot = &self.slots[me];
         let mut mb = slot.mb.lock();
-        if !self.unchanged(&mb, token, current_epoch()) {
+        if !self.unchanged(slot, token, current_epoch()) {
             return;
         }
         mb.parked = true;
@@ -278,10 +310,10 @@ impl Fabric {
     /// gone to sleep there. On top of the token comparison the mailbox
     /// must be empty — a scheduler-delayed drain leaves a suffix queued
     /// without moving the version, and a rank with mail to read is
-    /// runnable.
+    /// runnable. Takes no lock.
     pub fn would_park(&self, me: WorldRank, token: ParkToken, epoch: u64) -> bool {
-        let mb = self.slots[me].mb.lock();
-        mb.queue.is_empty() && self.unchanged(&mb, token, epoch)
+        let slot = &self.slots[me];
+        slot.queued.load(Ordering::Acquire) == 0 && self.unchanged(slot, token, epoch)
     }
 
     /// Move the notify generation, so a wait-loop pass in flight sees
@@ -308,9 +340,10 @@ impl Fabric {
     /// Discard everything queued for `rank` (respawn: messages
     /// addressed to a dead incarnation are lost, per fail-stop).
     pub fn clear(&self, rank: WorldRank) {
-        let mut mb = self.slots[rank].mb.lock();
+        let slot = &self.slots[rank];
+        let mut mb = slot.mb.lock();
         mb.queue.clear();
-        mb.version += 1;
+        slot.publish(&mb);
     }
 }
 
@@ -459,14 +492,58 @@ mod tests {
         f.deliver(0, env(1, 0));
         f.deliver(0, env(1, 1));
         assert!(!f.would_park(0, token, 0), "delivery moved the version");
-        // A delayed drain: one of two envelopes taken, version as the
-        // new token saw it.
+        // A delayed drain: a prefix of one of the two envelopes taken.
+        // The version is still the one the new token saw, so only the
+        // queued length keeps the rank runnable.
         let token = f.token(0, 0);
-        let (taken, _) = f.drain_with(0, |_| 1);
+        let (taken, version) = f.drain_with(0, |_| 1);
         assert_eq!(taken.len(), 1);
+        assert_eq!(version, token.mailbox_version, "a drain does not move the version");
         assert!(!f.would_park(0, token, 0), "a suffix is still queued");
         f.drain(0);
         assert!(f.would_park(0, token, 0));
+    }
+
+    /// The lock-free reads under real concurrency: an owner loops
+    /// `token` → `drain_into` → `park`, the wall-clock wait loop, while
+    /// two threads deliver to it. Every envelope arrives, in order per
+    /// sender; the owner is woken at most once per sleep; and no sleep
+    /// needs the safety timeout — a wake-up lost between an unlocked
+    /// read and `park` would show as one.
+    #[test]
+    fn an_owner_reading_without_the_lock_misses_no_delivery() {
+        const PER_SENDER: u64 = 20_000;
+        let f = Fabric::new(3);
+        let got = std::thread::scope(|s| {
+            for src in 1..3 {
+                let f = &f;
+                s.spawn(move || {
+                    for seq in 0..PER_SENDER {
+                        f.deliver(0, env(src, seq));
+                        if seq % 64 == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+            let mut got: Vec<Envelope> = Vec::new();
+            let mut buf = Vec::new();
+            while got.len() < 2 * PER_SENDER as usize {
+                let token = f.token(0, 0);
+                f.drain_into(0, |n| n, &mut buf);
+                if buf.is_empty() {
+                    f.park(0, token, || 0);
+                }
+                got.append(&mut buf);
+            }
+            got
+        });
+        for src in 1..3 {
+            let seqs: Vec<u64> = got.iter().filter(|e| e.src_comm == src).map(|e| e.seq).collect();
+            assert_eq!(seqs, (0..PER_SENDER).collect::<Vec<_>>(), "sender {src}");
+        }
+        assert!(f.wakes() <= f.sleeps(), "{} wakes for {} sleeps", f.wakes(), f.sleeps());
+        assert_eq!(f.park_timeouts(), 0, "a sleep ended on the safety timeout");
     }
 
     #[test]
