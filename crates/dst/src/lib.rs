@@ -9,8 +9,9 @@
 //! execution:
 //!
 //! * **explore** — sweep a seed range, injecting seed-derived fail-stop
-//!   schedules, and run the seven DESIGN.md §5 invariants as
-//!   [`oracle::Oracle`] checkers after every schedule;
+//!   schedules, and judge every schedule by the seven DESIGN.md §5
+//!   invariants ([`oracle::ORACLES`], which judge every other ring run
+//!   too);
 //! * **replay** — re-execute any seed exactly, byte-identical decision
 //!   log and all (`dst replay --seed 0xBEEF`);
 //! * **shrink** — delta-debug a failing schedule down to a locally
@@ -51,7 +52,7 @@ pub mod workload;
 
 pub use coverage::{CoverageSet, EdgeKind};
 pub use fuzz::{fuzz, FuzzCfg, FuzzError, FuzzReport};
-pub use oracle::{all_oracles, check_all, Oracle, Violation};
+pub use oracle::{check_all, Oracle, RingRun, Violation, ORACLES};
 pub use scenario::{
     run_schedule, run_seed, Kill, KillShape, Observation, Retention, ScenarioCfg, Schedule,
     SeedRunner,

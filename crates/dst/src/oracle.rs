@@ -1,30 +1,35 @@
 //! The seven correctness oracles.
 //!
 //! DESIGN.md §5 lists the invariants the fault-tolerant ring must hold
-//! under arbitrary fail-stop schedules. Each is a reusable [`Oracle`]
-//! here, run against the [`Observation`] left behind by every explored
-//! schedule:
+//! under arbitrary fail-stop schedules. Each is one function of a
+//! [`RingRun`], a borrowed view of a ring run, and [`ORACLES`] lists
+//! them in §5 order. Every ring run is judged by them: an explored,
+//! fuzzed or replayed [`Observation`] through [`check_all`], and a
+//! refereed or wall-clock [`RunReport`] through [`RingRun::of`] —
+//! the figure table, the ring referees and the wall-clock shapes.
 //!
 //! | § | Invariant | Oracle |
 //! |---|---|---|
-//! | 1 | per-pair FIFO / non-overtaking | [`NonOvertaking`] |
-//! | 2 | the hardened ring completes all iterations | [`RingCompletion`] |
-//! | 3 | no iteration closes twice, no duplicate forwards | [`NoDuplicate`] |
-//! | 4 | each rank's closure markers are strictly increasing | [`MarkersMonotone`] |
-//! | 5 | `validate_all` answers agree across survivors | [`ValidateAgreement`] |
-//! | 6 | at most one rank wins the root election, and it is the minimum survivor | [`ElectionAgreement`] |
-//! | 7 | the detector always fires: the hardened ring never hangs | [`DetectorCompleteness`] |
+//! | 1 | per-pair FIFO / non-overtaking | `non-overtaking` |
+//! | 2 | the hardened ring completes all iterations | `ring-completion` |
+//! | 3 | no iteration closes twice, no duplicate forwards | `no-duplicate` |
+//! | 4 | each rank's closure markers are strictly increasing | `markers-monotone` |
+//! | 5 | `validate_all` answers agree across survivors | `validate-agreement` |
+//! | 6 | at most one rank wins the root election, and it is the minimum survivor | `election-agreement` |
+//! | 7 | the detector always fires: the hardened ring never hangs | `detector-completeness` |
 //!
 //! Liveness oracles (2, 7) only apply to the hardened configuration —
 //! the deliberately buggy ring is *supposed* to misbehave, and the
-//! whole point of the harness is that [`NoDuplicate`] (which stays on)
+//! whole point of the harness is that `no-duplicate` (which stays on)
 //! catches it.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use ftmpi::Event;
+use faultsim::FaultPlan;
+use ftmpi::{Event, RankOutcome, RunReport, TimedEvent};
+use ftring::{RingConfig, RingStats};
 
-use crate::scenario::{Observation, Outcome};
+use crate::scenario::Observation;
 use crate::triage::Hang;
 
 /// A violated invariant.
@@ -42,59 +47,122 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// One invariant checker.
-pub trait Oracle: Send + Sync {
-    /// Stable oracle name.
-    fn name(&self) -> &'static str;
-    /// Whether this oracle is meaningful for the observed scenario.
-    fn applicable(&self, obs: &Observation) -> bool {
-        let _ = obs;
-        true
-    }
-    /// Check the invariant; `Err` is a violation.
-    fn check(&self, obs: &Observation) -> Result<(), Violation>;
+/// What the oracles see of one ring run.
+#[derive(Debug, Clone)]
+pub struct RingRun<'a> {
+    /// Laps every survivor owes the ring.
+    pub max_iter: u64,
+    /// Whether the liveness oracles apply: the ring is not the
+    /// deliberately buggy one.
+    pub hardened: bool,
+    /// Ranks the fault plan kills, indexed like `outcomes`.
+    pub killed: Vec<usize>,
+    /// How each rank of the ring ended.
+    pub outcomes: &'a [RankOutcome<RingStats>],
+    /// The protocol trace (empty for an untraced run).
+    pub trace: &'a [TimedEvent],
+    /// Whether a hang had to be broken.
+    pub hung: bool,
+    /// The scheduler's verdict, if it ended the run.
+    pub hang: Option<Hang>,
 }
 
-/// Build a violation for the named oracle.
-fn violation(oracle: &'static str, detail: impl Into<String>) -> Violation {
-    Violation { oracle, detail: detail.into() }
+impl<'a> RingRun<'a> {
+    /// The world ring `cfg` ran under `plan`. It counts as hardened:
+    /// a refereed run already may not hang, and a wall-clock one must
+    /// not.
+    pub fn of(cfg: &RingConfig, plan: &FaultPlan, report: &'a RunReport<RingStats>) -> Self {
+        RingRun {
+            max_iter: cfg.max_iter,
+            hardened: true,
+            killed: plan.victims(),
+            outcomes: &report.outcomes,
+            trace: &report.trace,
+            hung: report.hung,
+            hang: None,
+        }
+    }
+
+    /// Every oracle this run owes, in §5 order; returns all violations
+    /// (empty = green).
+    pub fn violations(&self) -> Vec<Violation> {
+        ORACLES
+            .iter()
+            .filter(|o| self.hardened || !o.hardened_only)
+            .filter_map(|o| Some(Violation { oracle: o.name, detail: (o.check)(self).err()? }))
+            .collect()
+    }
+
+    /// Ranks that finished with ring stats.
+    fn survivors(&self) -> impl Iterator<Item = (usize, &'a RingStats)> {
+        self.outcomes.iter().enumerate().filter_map(|(r, o)| o.as_ok().map(|s| (r, s)))
+    }
+}
+
+/// One invariant of DESIGN.md §5.
+pub struct Oracle {
+    /// Stable oracle name.
+    pub name: &'static str,
+    /// Whether only the hardened ring owes it: the liveness invariants.
+    pub hardened_only: bool,
+    /// The check; `Err` describes the violation.
+    pub check: fn(&RingRun) -> Result<(), String>,
+}
+
+/// The seven oracles, in DESIGN.md §5 order.
+pub const ORACLES: [Oracle; 7] = [
+    Oracle { name: "non-overtaking", hardened_only: false, check: non_overtaking },
+    Oracle { name: "ring-completion", hardened_only: true, check: ring_completion },
+    Oracle { name: "no-duplicate", hardened_only: false, check: no_duplicate },
+    Oracle { name: "markers-monotone", hardened_only: false, check: markers_monotone },
+    Oracle { name: "validate-agreement", hardened_only: false, check: validate_agreement },
+    Oracle { name: "election-agreement", hardened_only: false, check: election_agreement },
+    Oracle { name: "detector-completeness", hardened_only: true, check: detector_completeness },
+];
+
+/// Run every applicable oracle on an explored schedule; returns all
+/// violations (empty = green).
+pub fn check_all(obs: &Observation) -> Vec<Violation> {
+    RingRun {
+        max_iter: obs.cfg.max_iter,
+        hardened: !obs.cfg.buggy_dedup,
+        killed: obs.schedule.kills.iter().map(|k| k.victim).collect(),
+        outcomes: &obs.outcomes,
+        trace: &obs.trace,
+        hung: obs.hung,
+        hang: Hang::of(obs),
+    }
+    .violations()
 }
 
 /// §5.1 — messages between a fixed (sender, receiver, context, tag)
 /// quadruple are matched in send order. Checked straight off the trace:
 /// the per-pair `seq` stamped on every `RecvMatch` must be strictly
 /// increasing.
-pub struct NonOvertaking;
-
-impl Oracle for NonOvertaking {
-    fn name(&self) -> &'static str {
-        "non-overtaking"
-    }
-
-    fn check(&self, obs: &Observation) -> Result<(), Violation> {
-        let mut last: BTreeMap<(usize, usize, u64, i32), u64> = BTreeMap::new();
-        for te in &obs.trace {
-            if let Event::RecvMatch { dst, src, context, tag, seq } = &te.event {
-                let key = (*dst, *src, *context, *tag);
-                if let Some(prev) = last.get(&key) {
-                    if *seq <= *prev {
-                        return Err(violation(self.name(), format!(
-                            "rank {dst} matched seq {seq} from rank {src} \
-                             (ctx {context}, tag {tag}) after seq {prev}"
-                        )));
-                    }
+fn non_overtaking(run: &RingRun) -> Result<(), String> {
+    let mut last: BTreeMap<(usize, usize, u64, i32), u64> = BTreeMap::new();
+    for te in run.trace {
+        if let Event::RecvMatch { dst, src, context, tag, seq } = &te.event {
+            let key = (*dst, *src, *context, *tag);
+            if let Some(prev) = last.get(&key) {
+                if *seq <= *prev {
+                    return Err(format!(
+                        "rank {dst} matched seq {seq} from rank {src} \
+                         (ctx {context}, tag {tag}) after seq {prev}"
+                    ));
                 }
-                last.insert(key, *seq);
             }
+            last.insert(key, *seq);
         }
-        Ok(())
     }
+    Ok(())
 }
 
 /// §5.2 — under the hardened configuration, the survivors finish every
 /// iteration: no hang, no unexpected abort, every survivor reaches
 /// termination having handled every lap once (originated or forwarded
-/// it), and closure markers stay inside `0..max_iter`.
+/// it), and each closure names a marker inside `0..max_iter` and counts
+/// no more ranks than the ring has.
 ///
 /// Full marker coverage (every iteration observed closed) is only
 /// demanded when rank 0 survives: closures are recorded at the root,
@@ -102,90 +170,75 @@ impl Oracle for NonOvertaking {
 /// root failover the surviving union legitimately misses the dead
 /// root's iterations.
 ///
-/// A rank that ends `Aborted(-1)` is accepted exactly when every other
-/// rank fail-stopped: that is the paper's Fig. 4/5 "alone in the
-/// communicator → `MPI_Abort`" answer, reachable under the triple /
-/// root-chain / cascade kill shapes that reduce a small ring to one
-/// survivor.
-pub struct RingCompletion;
-
-impl Oracle for RingCompletion {
-    fn name(&self) -> &'static str {
-        "ring-completion"
+/// A rank that ends `Aborted { code: -1 }` is accepted exactly when
+/// every other rank fail-stopped: that is the paper's Fig. 4/5 "alone
+/// in the communicator → `MPI_Abort`" answer, reachable under the
+/// triple / root-chain / cascade kill shapes that reduce a small ring
+/// to one survivor.
+fn ring_completion(run: &RingRun) -> Result<(), String> {
+    if run.hung {
+        return Err(match run.hang {
+            Some(hang) => format!("run hung: {hang}"),
+            None => "run hung".to_string(),
+        });
     }
-
-    fn applicable(&self, obs: &Observation) -> bool {
-        !obs.cfg.buggy_dedup
+    // Fig. 4/5: a rank that finds itself alone in the communicator
+    // calls `MPI_Abort(comm, -1)`. That is the paper's prescribed
+    // ending, not a defect — but only when the rank truly was the
+    // last one standing: every other rank actually fail-stopped
+    // (a scheduled kill that never fired leaves a live peer, and
+    // aborting with a live peer is still a violation).
+    let lone_survivor_abort =
+        |rank: usize| run.outcomes.iter().enumerate().all(|(q, o)| q == rank || o.is_failed());
+    for (rank, o) in run.outcomes.iter().enumerate() {
+        match o {
+            RankOutcome::Ok(_) => {}
+            RankOutcome::Failed if run.killed.contains(&rank) => {}
+            RankOutcome::Aborted { code: -1 } if lone_survivor_abort(rank) => {}
+            other => return Err(format!("rank {rank} ended as {} unexpectedly", ending(other))),
+        }
     }
+    let ranks = run.outcomes.len() as i64;
+    let mut seen = BTreeSet::new();
+    for (rank, s) in run.survivors() {
+        if !s.terminated {
+            return Err(format!("rank {rank} never terminated"));
+        }
+        let handled = s.originated + s.forwarded;
+        if handled != run.max_iter {
+            return Err(format!("rank {rank} handled {handled} of {} laps", run.max_iter));
+        }
+        for &(marker, value) in &s.closures {
+            if marker >= run.max_iter {
+                return Err(format!("rank {rank} closed out-of-range iteration {marker}"));
+            }
+            if value > ranks {
+                return Err(format!(
+                    "rank {rank} closed iteration {marker} counting {value} of {ranks} ranks"
+                ));
+            }
+            seen.insert(marker);
+        }
+    }
+    if !run.killed.contains(&0) && run.outcomes[0].is_ok() {
+        // The initial root ran to completion, so every closure
+        // record survived too. (A rank-0 lone-survivor abort cuts
+        // the job short by design — no coverage to demand.)
+        for it in 0..run.max_iter {
+            if !seen.contains(&it) {
+                return Err(format!("iteration {it} was never closed (closed: {seen:?})"));
+            }
+        }
+    }
+    Ok(())
+}
 
-    fn check(&self, obs: &Observation) -> Result<(), Violation> {
-        if obs.hung {
-            let how = match Hang::of(obs) {
-                Some(hang) => format!("run hung: {hang}"),
-                None => "run hung".to_string(),
-            };
-            return Err(violation(self.name(), how));
-        }
-        let killed = obs.killed();
-        // Fig. 4/5: a rank that finds itself alone in the communicator
-        // calls `MPI_Abort(comm, -1)`. That is the paper's prescribed
-        // ending, not a defect — but only when the rank truly was the
-        // last one standing: every other rank actually fail-stopped
-        // (a scheduled kill that never fired leaves a live peer, and
-        // aborting with a live peer is still a violation).
-        let lone_survivor_abort = |rank: usize| {
-            obs.outcomes
-                .iter()
-                .enumerate()
-                .all(|(q, o)| q == rank || matches!(o, Outcome::Failed))
-        };
-        for (rank, o) in obs.outcomes.iter().enumerate() {
-            match o {
-                Outcome::Ok => {}
-                Outcome::Failed if killed.contains(&rank) => {}
-                Outcome::Aborted(-1) if lone_survivor_abort(rank) => {}
-                other => {
-                    return Err(violation(
-                        self.name(),
-                        format!("rank {rank} ended as {other:?} unexpectedly"),
-                    ));
-                }
-            }
-        }
-        let mut seen = std::collections::BTreeSet::new();
-        for (rank, s) in obs.survivors() {
-            if !s.terminated {
-                return Err(violation(self.name(), format!("rank {rank} never terminated")));
-            }
-            let handled = s.originated + s.forwarded;
-            if handled != obs.cfg.max_iter {
-                return Err(violation(self.name(), format!(
-                    "rank {rank} handled {handled} of {} laps",
-                    obs.cfg.max_iter
-                )));
-            }
-            for (marker, _) in &s.closures {
-                if *marker >= obs.cfg.max_iter {
-                    return Err(violation(self.name(), format!(
-                        "rank {rank} closed out-of-range iteration {marker}"
-                    )));
-                }
-                seen.insert(*marker);
-            }
-        }
-        if !killed.contains(&0) && matches!(obs.outcomes[0], Outcome::Ok) {
-            // The initial root ran to completion, so every closure
-            // record survived too. (A rank-0 lone-survivor abort cuts
-            // the job short by design — no coverage to demand.)
-            for it in 0..obs.cfg.max_iter {
-                if !seen.contains(&it) {
-                    return Err(violation(self.name(), format!(
-                        "iteration {it} was never closed (closed: {seen:?})"
-                    )));
-                }
-            }
-        }
-        Ok(())
+/// How a rank ended, in the words `ring-completion` reports it.
+fn ending(o: &RankOutcome<RingStats>) -> String {
+    match o {
+        RankOutcome::Aborted { code } => format!("Aborted({code})"),
+        RankOutcome::Err(e) => format!("Err({:?})", e.to_string()),
+        other => format!("{other:?}"),
     }
 }
 
@@ -193,163 +246,93 @@ impl Oracle for RingCompletion {
 /// no rank observes the same closure marker twice across the whole run,
 /// and nobody forwards a duplicate token. This is the oracle that
 /// catches the reverted iteration-marker dedup check.
-pub struct NoDuplicate;
-
-impl Oracle for NoDuplicate {
-    fn name(&self) -> &'static str {
-        "no-duplicate"
-    }
-
-    fn check(&self, obs: &Observation) -> Result<(), Violation> {
-        let mut seen = std::collections::BTreeSet::new();
-        for (rank, s) in obs.survivors() {
-            for (marker, _) in &s.closures {
-                if !seen.insert(*marker) {
-                    return Err(violation(self.name(), format!(
-                        "iteration {marker} closed twice (second closure at rank {rank})"
-                    )));
-                }
-            }
-            if s.duplicate_forwards > 0 {
-                return Err(violation(self.name(), format!(
-                    "rank {rank} forwarded {} duplicate token(s)",
-                    s.duplicate_forwards
-                )));
+fn no_duplicate(run: &RingRun) -> Result<(), String> {
+    let mut seen = BTreeSet::new();
+    for (rank, s) in run.survivors() {
+        for (marker, _) in &s.closures {
+            if !seen.insert(*marker) {
+                return Err(format!(
+                    "iteration {marker} closed twice (second closure at rank {rank})"
+                ));
             }
         }
-        Ok(())
+        if s.duplicate_forwards > 0 {
+            return Err(format!(
+                "rank {rank} forwarded {} duplicate token(s)",
+                s.duplicate_forwards
+            ));
+        }
     }
+    Ok(())
 }
 
 /// §5.4 — within one rank, closure markers appear in strictly
 /// increasing iteration order.
-pub struct MarkersMonotone;
-
-impl Oracle for MarkersMonotone {
-    fn name(&self) -> &'static str {
-        "markers-monotone"
-    }
-
-    fn check(&self, obs: &Observation) -> Result<(), Violation> {
-        for (rank, s) in obs.survivors() {
-            for pair in s.closures.windows(2) {
-                if pair[1].0 <= pair[0].0 {
-                    return Err(violation(self.name(), format!(
-                        "rank {rank} closed iteration {} after {}",
-                        pair[1].0, pair[0].0
-                    )));
-                }
+fn markers_monotone(run: &RingRun) -> Result<(), String> {
+    for (rank, s) in run.survivors() {
+        for pair in s.closures.windows(2) {
+            if pair[1].0 <= pair[0].0 {
+                return Err(format!(
+                    "rank {rank} closed iteration {} after {}",
+                    pair[1].0, pair[0].0
+                ));
             }
         }
-        Ok(())
     }
+    Ok(())
 }
 
 /// §5.5 — when survivors ran a `validate_all`, they agreed on the size
 /// of the failed set, and it counts no more ranks than ended `Failed`.
-pub struct ValidateAgreement;
-
-impl Oracle for ValidateAgreement {
-    fn name(&self) -> &'static str {
-        "validate-agreement"
-    }
-
-    fn check(&self, obs: &Observation) -> Result<(), Violation> {
-        let answers: Vec<(usize, usize)> = obs
-            .survivors()
-            .filter_map(|(rank, s)| s.validate_failed.map(|f| (rank, f)))
-            .collect();
-        if let Some(((rank, first), rest)) = answers.split_first() {
-            let failed = obs.outcomes.iter().filter(|o| matches!(o, Outcome::Failed)).count();
-            if *first > failed {
-                return Err(violation(self.name(), format!(
-                    "rank {rank} validated {first} failed ranks, {failed} ended failed"
-                )));
-            }
-            for (rank, f) in rest {
-                if f != first {
-                    return Err(violation(self.name(), format!(
-                        "rank {rank} validated {f} failed ranks, others saw {first}"
-                    )));
-                }
+fn validate_agreement(run: &RingRun) -> Result<(), String> {
+    let mut answers = run.survivors().filter_map(|(rank, s)| s.validate_failed.map(|f| (rank, f)));
+    if let Some((rank, first)) = answers.next() {
+        let failed = run.outcomes.iter().filter(|o| o.is_failed()).count();
+        if first > failed {
+            return Err(format!(
+                "rank {rank} validated {first} failed ranks, {failed} ended failed"
+            ));
+        }
+        for (rank, f) in answers {
+            if f != first {
+                return Err(format!(
+                    "rank {rank} validated {f} failed ranks, others saw {first}"
+                ));
             }
         }
-        Ok(())
     }
+    Ok(())
 }
 
 /// §5.6 — root failover elects at most one new root, and it is the
 /// lowest-ranked survivor (the deterministic election of Fig. 12).
-pub struct ElectionAgreement;
-
-impl Oracle for ElectionAgreement {
-    fn name(&self) -> &'static str {
-        "election-agreement"
+fn election_agreement(run: &RingRun) -> Result<(), String> {
+    let winners: Vec<usize> =
+        run.survivors().filter(|(_, s)| s.became_root).map(|(r, _)| r).collect();
+    if winners.len() > 1 {
+        return Err(format!("multiple ranks became root: {winners:?}"));
     }
-
-    fn check(&self, obs: &Observation) -> Result<(), Violation> {
-        let winners: Vec<usize> =
-            obs.survivors().filter(|(_, s)| s.became_root).map(|(r, _)| r).collect();
-        if winners.len() > 1 {
-            return Err(violation(self.name(), format!("multiple ranks became root: {winners:?}")));
+    if let Some(&w) = winners.first() {
+        let min_survivor = run.survivors().map(|(r, _)| r).min().unwrap_or(w);
+        if w != min_survivor {
+            return Err(format!(
+                "rank {w} became root but the minimum survivor is {min_survivor}"
+            ));
         }
-        if let Some(&w) = winners.first() {
-            let min_survivor = obs.survivors().map(|(r, _)| r).min().unwrap_or(w);
-            if w != min_survivor {
-                return Err(violation(self.name(), format!(
-                    "rank {w} became root but the minimum survivor is {min_survivor}"
-                )));
-            }
-        }
-        Ok(())
     }
+    Ok(())
 }
 
 /// §5.7 — the failure detector is complete: with the detector-based
 /// receive strategy, a fail-stop is always observed and the hardened
 /// ring never waits forever on a dead peer.
-pub struct DetectorCompleteness;
-
-impl Oracle for DetectorCompleteness {
-    fn name(&self) -> &'static str {
-        "detector-completeness"
+fn detector_completeness(run: &RingRun) -> Result<(), String> {
+    if run.hung || run.hang.is_some() {
+        return Err(
+            "the scheduler ended a hang: some rank waited forever on a failed peer".to_string()
+        );
     }
-
-    fn applicable(&self, obs: &Observation) -> bool {
-        !obs.cfg.buggy_dedup
-    }
-
-    fn check(&self, obs: &Observation) -> Result<(), Violation> {
-        if obs.hung || Hang::of(obs).is_some() {
-            return Err(violation(
-                self.name(),
-                "the scheduler ended a hang: some rank waited forever on a failed peer",
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// All seven oracles, in DESIGN.md §5 order.
-pub fn all_oracles() -> Vec<Box<dyn Oracle>> {
-    vec![
-        Box::new(NonOvertaking),
-        Box::new(RingCompletion),
-        Box::new(NoDuplicate),
-        Box::new(MarkersMonotone),
-        Box::new(ValidateAgreement),
-        Box::new(ElectionAgreement),
-        Box::new(DetectorCompleteness),
-    ]
-}
-
-/// Run every applicable oracle; returns all violations (empty = green).
-pub fn check_all(obs: &Observation) -> Vec<Violation> {
-    all_oracles()
-        .iter()
-        .filter(|o| o.applicable(obs))
-        .filter_map(|o| o.check(obs).err())
-        .collect()
+    Ok(())
 }
 
 #[cfg(test)]
@@ -364,35 +347,94 @@ mod tests {
         assert!(violations.is_empty(), "{violations:?}");
     }
 
+    /// Only the hardened ring owes liveness: a run the step budget
+    /// ended violates both liveness oracles and nothing else, and the
+    /// same run of the buggy ring violates nothing.
     #[test]
     fn liveness_oracles_gate_off_in_buggy_mode() {
-        let cfg = ScenarioCfg { buggy_dedup: true, ..ScenarioCfg::default() };
-        let obs = run_seed(0, &cfg);
-        assert!(!RingCompletion.applicable(&obs));
-        assert!(!DetectorCompleteness.applicable(&obs));
-        assert!(NoDuplicate.applicable(&obs));
+        let liveness: Vec<&str> =
+            ORACLES.iter().filter(|o| o.hardened_only).map(|o| o.name).collect();
+        assert_eq!(liveness, ["ring-completion", "detector-completeness"]);
+        for buggy_dedup in [false, true] {
+            let cfg = ScenarioCfg { buggy_dedup, step_budget: 20, ..ScenarioCfg::default() };
+            let obs = run_seed(0, &cfg);
+            assert!(obs.hung && obs.budget_exhausted, "buggy={buggy_dedup}");
+            let fired: Vec<&str> = check_all(&obs).iter().map(|v| v.oracle).collect();
+            let expected: &[&str] = if buggy_dedup { &[] } else { &liveness };
+            assert_eq!(fired, expected, "buggy={buggy_dedup}");
+        }
     }
 
-    /// A green run's observation after `edit`: the one oracle it violates.
-    fn only_violation(edit: impl FnOnce(&mut Observation)) -> &'static str {
+    /// Rank `rank`'s stats in a run where it survived.
+    fn stats(obs: &mut Observation, rank: usize) -> &mut RingStats {
+        let RankOutcome::Ok(s) = &mut obs.outcomes[rank] else { panic!("rank {rank} died") };
+        s
+    }
+
+    /// A green run's observation after `edit` violates `oracle` and no other.
+    fn only_violation(oracle: &str, edit: impl FnOnce(&mut Observation)) {
         let mut obs = run_seed(0, &ScenarioCfg::default());
         edit(&mut obs);
         let violations = check_all(&obs);
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        violations[0].oracle
+        let fired: Vec<&str> = violations.iter().map(|v| v.oracle).collect();
+        assert_eq!(fired, [oracle], "{violations:?}");
+    }
+
+    #[test]
+    fn a_pair_matched_out_of_order_breaks_non_overtaking() {
+        only_violation("non-overtaking", |obs| {
+            let mut matches = obs.trace.iter_mut().filter_map(|te| match &mut te.event {
+                Event::RecvMatch { dst, src, context, tag, seq } => {
+                    Some(((*dst, *src, *context, *tag), seq))
+                }
+                _ => None,
+            });
+            let (pair, first) = matches.next().expect("a receive matched");
+            let (_, second) = matches.find(|m| m.0 == pair).expect("its pair matched again");
+            std::mem::swap(first, second);
+        });
     }
 
     #[test]
     fn a_survivor_that_missed_a_lap_breaks_ring_completion() {
-        let oracle = only_violation(|obs| obs.ring_stats[1].as_mut().unwrap().forwarded -= 1);
-        assert_eq!(oracle, "ring-completion");
+        only_violation("ring-completion", |obs| stats(obs, 1).forwarded -= 1);
+    }
+
+    #[test]
+    fn a_closure_counting_more_ranks_than_the_ring_breaks_ring_completion() {
+        only_violation("ring-completion", |obs| stats(obs, 0).closures[0].1 = 5);
+    }
+
+    #[test]
+    fn a_lap_closed_again_at_another_rank_breaks_no_duplicate() {
+        only_violation("no-duplicate", |obs| {
+            let first = stats(obs, 0).closures[0];
+            stats(obs, 1).closures.push(first);
+        });
+    }
+
+    #[test]
+    fn reversed_closures_break_markers_monotone() {
+        only_violation("markers-monotone", |obs| stats(obs, 0).closures.reverse());
     }
 
     #[test]
     fn an_agreed_count_above_the_failed_ranks_breaks_validate_agreement() {
-        let oracle = only_violation(|obs| {
-            obs.ring_stats.iter_mut().flatten().for_each(|s| s.validate_failed = Some(1))
+        only_violation("validate-agreement", |obs| {
+            (0..obs.cfg.ranks).for_each(|rank| stats(obs, rank).validate_failed = Some(1))
         });
-        assert_eq!(oracle, "validate-agreement");
+    }
+
+    #[test]
+    fn two_new_roots_break_election_agreement() {
+        only_violation("election-agreement", |obs| {
+            stats(obs, 1).became_root = true;
+            stats(obs, 2).became_root = true;
+        });
+    }
+
+    #[test]
+    fn a_deadlock_verdict_breaks_detector_completeness() {
+        only_violation("detector-completeness", |obs| obs.deadlock_at = Some(10));
     }
 }

@@ -5,11 +5,12 @@
 //! the kill-set (which ranks are fail-stopped, where in the protocol),
 //! and optionally an explicit delay-mask (which mailbox drains hold
 //! messages back). A [`SeedRunner`] executes schedules over the
-//! fault-tolerant ring, one [`Observation`] each — the flattened facts
-//! the [`crate::oracle`] checkers judge. It is the only executor —
-//! the ring is its first [`crate::Workload`] — and sweeps, fuzz
-//! campaigns and shrinks hold one and reuse it; the free [`run_seed`] /
-//! [`run_schedule`] build one for a single call.
+//! fault-tolerant ring, one [`Observation`] each — the run's own
+//! outcomes, trace and verdicts, which the [`crate::oracle`] checkers
+//! judge. It is the only executor — the ring is its first
+//! [`crate::Workload`] — and sweeps, fuzz campaigns and shrinks hold
+//! one and reuse it; the free [`run_seed`] / [`run_schedule`] build
+//! one for a single call.
 //!
 //! Kill-sets are themselves derived from the seed
 //! ([`Schedule::from_seed`]), so the whole explored space is indexed by
@@ -138,6 +139,10 @@ impl std::fmt::Display for KillShape {
     }
 }
 
+/// The step budget [`ScenarioBuilder::build`] grants at least, per rank
+/// per lap: a failure-free run takes ≈ 3.4, and recovery a few more.
+const STEPS_PER_RANK_LAP: u64 = 16;
+
 /// What the ring under test should look like.
 ///
 /// Every field is plain data, so the config is `Copy` — an
@@ -156,9 +161,10 @@ pub struct ScenarioCfg {
     /// ring. Oracles that assume a correct ring are gated off.
     pub buggy_dedup: bool,
     /// Logical-step budget: the livelock backstop. A deadlock is
-    /// detected where it happens and never waits for it; a schedule
-    /// costs steps in proportion to its messages, so the default
-    /// covers every world size the CLI accepts.
+    /// detected where it happens and never waits for it. A schedule
+    /// costs steps in proportion to its messages, ≈ 3.4 per rank per
+    /// lap failure-free, so [`ScenarioBuilder::build`] raises it to
+    /// 16 per rank per lap where that is more.
     pub step_budget: u64,
     /// Kill-shape family the seed-derived schedules draw from
     /// (hardened ring only; the buggy configuration keeps its own
@@ -257,7 +263,12 @@ impl ScenarioBuilder {
     }
 
     /// Validate and produce the config — the single validation funnel.
-    pub fn build(self) -> Result<ScenarioCfg, String> {
+    /// The step budget grows to 16 per rank per lap if that is more
+    /// than the default.
+    pub fn build(mut self) -> Result<ScenarioCfg, String> {
+        let owed = STEPS_PER_RANK_LAP.saturating_mul(self.cfg.ranks as u64);
+        let owed = owed.saturating_mul(self.cfg.max_iter);
+        self.cfg.step_budget = self.cfg.step_budget.max(owed);
         self.cfg.validate()?;
         Ok(self.cfg)
     }
@@ -606,21 +617,6 @@ fn derive_delay_mask(rng: &mut SplitMix64, mask: &mut Vec<u64>) {
     mask.dedup();
 }
 
-/// Simplified per-rank outcome (type-erased for the oracles).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Outcome {
-    /// Returned ring stats normally.
-    Ok,
-    /// Fail-stopped by injection.
-    Failed,
-    /// Observed a job abort with this code.
-    Aborted(i32),
-    /// Returned a non-terminal error.
-    Err(String),
-    /// Panicked.
-    Panicked(String),
-}
-
 /// Everything the oracles can see about one executed schedule.
 #[derive(Debug, Clone)]
 pub struct Observation {
@@ -628,10 +624,9 @@ pub struct Observation {
     pub schedule: Schedule,
     /// The scenario it ran under.
     pub cfg: ScenarioCfg,
-    /// Per-rank simplified outcomes, indexed by world rank.
-    pub outcomes: Vec<Outcome>,
-    /// Per-rank ring stats for ranks that completed.
-    pub ring_stats: Vec<Option<RingStats>>,
+    /// How each rank ended, indexed by world rank: a survivor with its
+    /// ring stats.
+    pub outcomes: Vec<RankOutcome<RingStats>>,
     /// Whether the run hung: the scheduler ended it with a deadlock or
     /// a livelock verdict and every rank aborted.
     pub hung: bool,
@@ -658,18 +653,6 @@ pub struct Observation {
     /// `stats.coverage`), harvested from the scheduler — the fuzzer's
     /// novelty signal.
     pub coverage: CoverageSet,
-}
-
-impl Observation {
-    /// Ranks that finished with ring stats.
-    pub fn survivors(&self) -> impl Iterator<Item = (usize, &RingStats)> {
-        self.ring_stats.iter().enumerate().filter_map(|(r, s)| s.as_ref().map(|s| (r, s)))
-    }
-
-    /// World ranks named in the kill-set.
-    pub fn killed(&self) -> Vec<usize> {
-        self.schedule.kills.iter().map(|k| k.victim).collect()
-    }
 }
 
 /// How much per-run history a schedule execution retains.
@@ -751,10 +734,10 @@ impl SeedRunner {
             "scenario rank count does not match this runner's pool"
         );
         // Everything a schedule allocates happens on this thread — the
-        // harness's own work (scheduler construction, plan fold, outcome
-        // flattening) and, since simulated ranks are coroutines driven
-        // from here, the rank bodies too — so one snapshot pair counts
-        // each allocation exactly once.
+        // harness's own work (scheduler construction, plan fold,
+        // observation assembly) and, since simulated ranks are
+        // coroutines driven from here, the rank bodies too — so one
+        // snapshot pair counts each allocation exactly once.
         let alloc_before = allocstats::snapshot();
         let ring = Ring { config: cfg.ring_config(), kills: &schedule.kills };
         let Kills::Plan(plan) = ring.kills(schedule.seed, cfg.ranks) else { unreachable!() };
@@ -767,33 +750,6 @@ impl SeedRunner {
             schedule.delay_mask.as_deref(),
         );
 
-        let mut outcomes = Vec::with_capacity(report.outcomes.len());
-        let mut ring_stats = Vec::with_capacity(report.outcomes.len());
-        for o in report.outcomes {
-            match o {
-                RankOutcome::Ok(s) => {
-                    outcomes.push(Outcome::Ok);
-                    ring_stats.push(Some(s));
-                }
-                RankOutcome::Failed => {
-                    outcomes.push(Outcome::Failed);
-                    ring_stats.push(None);
-                }
-                RankOutcome::Aborted { code } => {
-                    outcomes.push(Outcome::Aborted(code));
-                    ring_stats.push(None);
-                }
-                RankOutcome::Err(e) => {
-                    outcomes.push(Outcome::Err(e.to_string()));
-                    ring_stats.push(None);
-                }
-                RankOutcome::Panicked(m) => {
-                    outcomes.push(Outcome::Panicked(m));
-                    ring_stats.push(None);
-                }
-            }
-        }
-
         // The observation's schedule copy reuses a recycled buffer when
         // there is one (§8.10: retention must not cost a fresh clone
         // per run).
@@ -803,8 +759,7 @@ impl SeedRunner {
         let mut obs = Observation {
             schedule: own_schedule,
             cfg: *cfg,
-            outcomes,
-            ring_stats,
+            outcomes: report.outcomes,
             hung: report.hung,
             deadlock_at: sched.deadlock_at(),
             budget_exhausted: sched.budget_exhausted(),

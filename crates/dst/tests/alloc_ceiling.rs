@@ -9,7 +9,7 @@
 //! global allocator `dst` installs — must stay under a pinned ceiling.
 //!
 //! The counts are a function of the seeds, not of timing, so the
-//! ceilings sit at the measured steady state plus 10 % (19.8 / 26.2
+//! ceilings sit at the measured steady state plus 10 % (17.8 / 24.2
 //! allocations per schedule at 4 / 8 ranks over these seeds, debug and
 //! release alike): one more allocation per message trips them. The CI bench gate
 //! (`scripts/bench_gate.py`, series `allocs_per_schedule/*`) holds the
@@ -69,12 +69,12 @@ fn check(ranks: usize, ceiling: f64) {
 
 #[test]
 fn steady_state_allocs_within_ceiling_r4() {
-    check(4, 21.8);
+    check(4, 19.6);
 }
 
 #[test]
 fn steady_state_allocs_within_ceiling_r8() {
-    check(8, 28.8);
+    check(8, 26.6);
 }
 
 /// `ring_pad16k_4` as the benchmark runs it: 4 ranks, 20 laps of a

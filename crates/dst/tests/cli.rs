@@ -97,9 +97,9 @@ fn a_deadlock_is_reported_at_its_step() {
     assert!(!text.contains("budget"), "{text}");
 }
 
-/// No budget is derived from the world size any more: a schedule costs
-/// steps in proportion to its messages, and 256 ranks run green on the
-/// library default.
+/// A schedule costs steps in proportion to its messages, and 256 ranks
+/// at three laps run green on the library default: the builder raises
+/// it only past 12 500 rank-laps.
 #[test]
 fn large_world_runs_on_the_default_budget() {
     let out = dst(&["explore", "--ranks", "256", "--seeds", "2", "--stats"]);
@@ -113,6 +113,16 @@ fn large_world_runs_on_the_default_budget() {
         .find_map(|l| l.strip_prefix("sched [shape pair]: ")?.split(' ').next()?.parse().ok())
         .unwrap_or_else(|| panic!("no steps/schedule in: {text}"));
     assert!(steps < 256.0 * 20.0, "{steps} steps per 256-rank schedule");
+}
+
+/// A fixed step budget called a long ring a livelock: 64 ranks × 1000
+/// laps takes ≈ 210 000 steps, past the 200 000 default. The builder
+/// grants 16 steps per rank per lap, so the replay is green.
+#[test]
+fn a_long_ring_gets_a_step_budget_for_its_laps() {
+    let out = dst(&["replay", "--seed", "0", "--ranks", "64", "--iters", "1000"]);
+    assert!(out.status.success(), "{}{}", stdout(&out), stderr(&out));
+    assert!(stdout(&out).contains("all applicable oracles green"));
 }
 
 /// `--shape` accepts every taxonomy name on single-schedule commands,

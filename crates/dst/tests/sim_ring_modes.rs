@@ -10,23 +10,20 @@
 //! on every third seed, the root spared unless failover is on — and
 //! pins what a change to the token machine must not move:
 //!
-//! * no schedule ends in a deadlock or budget verdict;
-//! * every rank the plan did not kill returns `Ok` and `terminated`
-//!   (at 2 ranks the survivor of a kill is alone, and the Fig. 4/5 rule
-//!   ends it `Aborted { code: -1 }`), having handled every lap once;
-//! * no marker is closed twice, and no closure counts more ranks than
+//! * no schedule ends in a deadlock or budget verdict, every planned
+//!   kill fires, and a schedule run twice leaves a byte-identical
+//!   decision log (`dst::referee`);
+//! * every run passes the seven ring oracles (`dst::RingRun`): every
+//!   rank the plan did not kill returns `Ok` and terminated having
+//!   handled every lap once (at 2 ranks the survivor of a kill is
+//!   alone, and the Fig. 4/5 rule ends it `Aborted { code: -1 }`), no
+//!   marker is closed twice, and no closure counts more ranks than
 //!   there are;
-//! * every planned kill fires;
-//! * a schedule run twice leaves a byte-identical decision log;
+//! * how many two-rank survivors end alone is pinned per mode;
 //! * the FNV-1a digest of every log and every rank's stats is pinned,
 //!   per mode and rank count, so a moved digest names both.
-//!
-//! `dst::referee` runs the schedules and checks all but the ring's own
-//! outcomes.
 
-use std::collections::HashSet;
-
-use dst::{referee, Kills, Workload};
+use dst::{referee, Kills, RingRun, Workload};
 use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
 use ftmpi::{Process, RankOutcome, WORLD};
 use ftring::{run_ring, DedupStrategy, RingConfig, RingStats, TerminationMode, T_N};
@@ -70,38 +67,19 @@ impl Workload for Mode {
     }
 }
 
-/// Sweep one mode over every rank count, checking every survivor's
-/// outcome. `alone` is how many of the 22 two-rank kills leave the
+/// Sweep one mode over every rank count, judging every run by the ring
+/// oracles. `alone` is how many of the 22 two-rank kills leave the
 /// survivor still owing the ring a send or a watch (the rest land after
 /// its last one); `digests` is indexed like [`RANKS`].
 fn sweep(cfg: RingConfig, alone: usize, digests: [u64; 3]) {
     let (mode, mut aborted) = (Mode(cfg), 0);
     let got = RANKS.map(|ranks| {
         referee(&mode, &[ranks], SEEDS, |at, plan, report, _| {
-            let mut closed = HashSet::new();
-            for (rank, outcome) in report.outcomes.iter().enumerate() {
-                match outcome {
-                    RankOutcome::Failed => {}
-                    RankOutcome::Ok(stats) => {
-                        assert!(stats.terminated, "{at}: rank {rank} did not terminate");
-                        let handled = stats.originated + stats.forwarded;
-                        assert_eq!(handled, MAX_ITER, "{at}: rank {rank} handled {handled} laps");
-                        for &(marker, value) in &stats.closures {
-                            assert!(closed.insert(marker), "{at}: marker {marker} closed twice");
-                            assert!(value <= ranks as i64, "{at}: lap {marker} counted {value}");
-                        }
-                    }
-                    // Fig. 4/5: the neighbour walk came back to the caller.
-                    RankOutcome::Aborted { code: -1 } if ranks == 2 && !plan.is_empty() => {
-                        aborted += 1
-                    }
-                    other => panic!("{at}: rank {rank} ended as {other:?}"),
-                }
-            }
-            if plan.is_empty() {
-                let all: HashSet<u64> = (0..MAX_ITER).collect();
-                assert_eq!(closed, all, "{at}: a failure-free run closes every lap");
-            }
+            let violations = RingRun::of(&mode.0, plan, report).violations();
+            assert!(violations.is_empty(), "{at}: {violations:?}");
+            // Fig. 4/5: the neighbour walk came back to the caller.
+            let alone = report.outcomes.iter().filter(|o| matches!(o, RankOutcome::Aborted { .. }));
+            aborted += alone.count();
         })
         .0
     });

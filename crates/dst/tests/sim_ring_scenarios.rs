@@ -9,16 +9,16 @@
 //! communicator the ring runs on (the world, a dup or one half of a
 //! split). `dst::referee` runs it over seeds `0..32`:
 //! no schedule deadlocks, every planned kill fires and nobody else fails,
-//! two runs agree. Every survivor must have terminated, handled every
-//! lap once, closed none twice and released every request it posted;
-//! each test then checks what its scenario promises. The paper's
-//! figures, Fig. 11's and Fig. 13's placed deaths and §III-D's mid-ring
-//! root death among them, are rows of `dst::figures` (`sim_figures.rs`).
+//! two runs agree. Every ring then passes the seven ring oracles
+//! (`dst::RingRun`; each half of a split is a ring of its own), and
+//! every survivor released every request it posted; each test then
+//! checks what its scenario promises. The paper's figures, Fig. 11's
+//! and Fig. 13's placed deaths and §III-D's mid-ring root death among
+//! them, are rows of `dst::figures` (`sim_figures.rs`).
 
-use std::collections::HashSet;
 use std::ops::Range;
 
-use dst::{referee, reports, Kills, Workload};
+use dst::{referee, reports, Kills, RingRun, Workload};
 use faultsim::scenario::{combine, kill_after_recv, kill_after_send};
 use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
 use ftmpi::{Error, Process, RankOutcome, WORLD};
@@ -86,23 +86,26 @@ impl Workload for Scenario {
 /// Each rank's stats, `None` for one that failed.
 type Ranks<'r> = [Option<&'r RingStats>];
 
-/// Referee `s` at `ranks` over [`SEEDS`]: every survivor returned, terminated, handled every
-/// lap once and closed none of its ring's laps twice. Then `check` sees the planned run.
+/// Referee `s` at `ranks` over [`SEEDS`] and judge each of its rings by the oracles. Then
+/// `check` sees the planned run.
 fn sweep(s: &Scenario, ranks: usize, mut check: impl FnMut(&str, &Ranks)) {
-    referee(s, &[ranks], SEEDS, |at, _, report, _| {
-        let stats = reports(at, report);
-        let mut closed = HashSet::new();
-        for (rank, r) in stats.iter().enumerate() {
-            let Some(r) = r else { continue };
-            assert!(r.terminated, "{at}: rank {rank} did not terminate");
-            let handled = r.originated + r.forwarded;
-            assert_eq!(handled, s.cfg.max_iter, "{at}: rank {rank} handled {handled} laps");
-            let ring = if s.on == On::Halves { rank / 3 } else { 0 };
-            for (marker, _) in &r.closures {
-                assert!(closed.insert((ring, *marker)), "{at}: lap {marker} closed twice");
-            }
+    referee(s, &[ranks], SEEDS, |at, plan, report, _| {
+        let world = RingRun::of(&s.cfg, plan, report);
+        let rings: Vec<RingRun> = match s.on {
+            On::Halves => [0..3, 3..6]
+                .map(|half| {
+                    let killed = world.killed.iter().filter(|&&v| half.contains(&v));
+                    let killed = killed.map(|v| v - half.start).collect();
+                    RingRun { outcomes: &report.outcomes[half], killed, ..world.clone() }
+                })
+                .into(),
+            _ => vec![world],
+        };
+        for ring in rings {
+            let violations = ring.violations();
+            assert!(violations.is_empty(), "{at}: {violations:?}");
         }
-        check(at, &stats);
+        check(at, &reports(at, report));
     });
 }
 

@@ -3,12 +3,13 @@
 //! explore, but run without a simulation scheduler, so real thread
 //! interleavings and the transport's park/spin handoff carry the run.
 //!
-//! The DST oracles judge the simulated interleavings; these tests pin
-//! the complementary property that the *protocol* under each shape
-//! family also survives arbitrary OS scheduling: no hang (the watchdog
-//! is the referee), no double completion, and full participation
-//! whenever no rank legitimately aborted (a lone survivor aborting per
-//! the paper's Figs. 4/5 is a correct outcome, not a failure).
+//! The same seven ring oracles that judge the simulated interleavings
+//! (`dst::RingRun`) judge every wall-clock run here, so the *protocol*
+//! under each shape family is shown to survive arbitrary OS scheduling
+//! too: no hang (the watchdog breaks one), no double completion, every
+//! survivor terminated having handled every lap, and every lap closed
+//! whenever the initial root survived (a lone survivor aborting per the
+//! paper's Figs. 4/5 is a correct outcome, not a failure).
 //!
 //! CI runs one shape as a smoke test
 //! (`cargo test --test wallclock_shapes shape_pair`); the nightly run
@@ -16,10 +17,10 @@
 
 use std::time::Duration;
 
-use dst::{KillShape, ScenarioCfg, Schedule};
+use dst::{KillShape, RingRun, ScenarioCfg, Schedule};
 use faultsim::FaultPlan;
-use ftmpi::{run, RankOutcome, UniverseConfig, WORLD};
-use ftring::{run_ring, summarize};
+use ftmpi::{run, UniverseConfig, WORLD};
+use ftring::run_ring;
 
 /// Seeds per shape. Wall-clock runs are orders of magnitude slower
 /// than simulated ones, so this stays small; the point is coverage of
@@ -37,41 +38,11 @@ fn run_shape(shape: KillShape) {
         let ring = cfg.ring_config();
         let report = run(
             cfg.ranks,
-            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(120)),
-            move |p| run_ring(p, WORLD, &ring),
+            UniverseConfig::with_plan(plan.clone()).watchdog(Duration::from_secs(120)),
+            |p| run_ring(p, WORLD, &ring),
         );
-        let s = summarize(&report);
-        assert!(!s.hung, "shape {shape}, seed {seed:#x}: wall-clock run hung");
-        assert!(
-            !s.has_double_completion(),
-            "shape {shape}, seed {seed:#x}: double completion"
-        );
-        let aborted = report
-            .outcomes
-            .iter()
-            .any(|o| matches!(o, RankOutcome::Aborted { .. }));
-        // Full iteration coverage is only observable when the initial
-        // root survived: closures are recorded at the root, and shapes
-        // that kill rank 0 (root-chain, cascade) take its records to
-        // the grave — same condition the DST ring-completion oracle
-        // applies. An abort (lone survivor per Figs. 4/5) also cuts
-        // the job short by design.
-        if !aborted && matches!(report.outcomes[0], RankOutcome::Ok(_)) {
-            assert_eq!(
-                s.completed_iterations() as u64,
-                cfg.max_iter,
-                "shape {shape}, seed {seed:#x}: survivors did not finish"
-            );
-        }
-        // Whoever did survive must have reached termination.
-        for (r, o) in report.outcomes.iter().enumerate() {
-            if let RankOutcome::Ok(stats) = o {
-                assert!(
-                    stats.terminated,
-                    "shape {shape}, seed {seed:#x}: rank {r} never terminated"
-                );
-            }
-        }
+        let violations = RingRun::of(&ring, &plan, &report).violations();
+        assert!(violations.is_empty(), "shape {shape}, seed {seed:#x}: {violations:?}");
     }
 }
 
