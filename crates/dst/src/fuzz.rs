@@ -542,6 +542,7 @@ mod tests {
             "seed=0x1 kills=[1:Tick:2",
             "seed=0x1 kills=[1:Tock:2]",
             "seed=0x1 kills=[1:Tick]",
+            "seed=0x1 kills=[1:Tick:0]",
             "seed=0x1 kills=[] mask=[x]",
             "seed=0x1 kills=[] novel=3",
             "seed=0x1 kills=[] mask=[] novel=3",
@@ -579,6 +580,7 @@ mod tests {
             (b"schedule seed=0x1 kills=[1:Tick:2\n", "corpus:1: unterminated kills"),
             (b"schedule seed=0x1\n", "corpus:1: expected kills=["),
             (b"schedule seed=0x1 kills=[4:Tick:2]\n", "corpus:1: kills rank 4"),
+            (b"schedule seed=0x1 kills=[1:Tick:0]\n", "corpus:1: occurrences are 1-based"),
             (b"schedule seed=0x1 kills=[] \xff\n", "valid UTF-8"),
         ] {
             match load(bytes) {

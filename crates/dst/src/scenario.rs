@@ -18,10 +18,11 @@
 //! delays, and interleaving from nothing but that number.
 
 use faultsim::{FaultPlan, HookKind, RunStats};
-use ftmpi::{Process, RankOutcome, TimedEvent, UniversePool, WORLD};
-use ftring::{run_ring, RingConfig, RingStats};
+use ftmpi::{Process, RankOutcome, TimedEvent, UniversePool};
+use ftring::{RingConfig, RingStats};
 
 use crate::coverage::CoverageSet;
+use crate::figures::{ring, On};
 use crate::sched::SplitMix64;
 use crate::workload::{Kills, Workload};
 
@@ -419,11 +420,15 @@ fn parse_kill(trip: &str) -> Result<Kill, String> {
     else {
         return Err(bad());
     };
-    Ok(Kill {
+    let kill = Kill {
         victim: victim.parse().map_err(|_| bad())?,
         hook: HOOKS.into_iter().find(|h| format!("{h:?}") == hook).ok_or_else(bad)?,
         occurrence: occurrence.parse().map_err(|_| bad())?,
-    })
+    };
+    if kill.occurrence == 0 {
+        return Err(format!("occurrences are 1-based, got {trip:?}"));
+    }
+    Ok(kill)
 }
 
 /// Inverse of the `Display` form; anything after the mask is an error.
@@ -823,7 +828,7 @@ impl Workload for Ring<'_> {
     type Report = RingStats;
 
     fn body(&self, p: &mut Process) -> ftmpi::Result<RingStats> {
-        run_ring(p, WORLD, &self.config)
+        ring(p, &self.config, On::World, 1)
     }
 
     fn kills(&self, _seed: u64, _ranks: usize) -> Kills {

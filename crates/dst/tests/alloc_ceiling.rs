@@ -23,9 +23,10 @@
 //! `bytes::INLINE_CAP` bytes travels inside its `Bytes`, so it costs
 //! no allocation at all.
 
+use dst::figures::{ring, On};
 use dst::{Retention, ScenarioCfg, Schedule, SeedRunner};
 use ftmpi::{Datatype, Process, Src, UniverseConfig, UniversePool, WORLD};
-use ftring::{run_ring, RingConfig};
+use ftring::RingConfig;
 
 const SEEDS: std::ops::Range<u64> = 0..32;
 
@@ -86,7 +87,7 @@ fn padded_ring_allocs_within_ceiling() {
     const LAPS: u64 = 20;
     let cfg = RingConfig::paper(LAPS).pad(16384);
     let mut pool = UniversePool::new(4);
-    let mut run = || pool.run(UniverseConfig::default(), |p| run_ring(p, WORLD, &cfg));
+    let mut run = || pool.run(UniverseConfig::default(), |p| ring(p, &cfg, On::World, 1));
     for _ in 0..3 {
         run();
     }

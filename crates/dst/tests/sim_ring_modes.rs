@@ -5,7 +5,8 @@
 //! the golden decision logs referee Fig. 13 termination and marker
 //! dedup on `T_N` alone. Fig. 11's root broadcast, the §III-C double
 //! `ibarrier` and the `T_R` resend tag were only ever run against the
-//! wall clock. This file runs `run_ring` in five modes on a simulated
+//! wall clock. This file runs the ring (`dst::figures::ring`, the body
+//! every simulated ring run shares) in five modes on a simulated
 //! universe — 2, 4 and 8 ranks, seeds `0..64`, one protocol-point kill
 //! on every third seed, the root spared unless failover is on — and
 //! pins what a change to the token machine must not move:
@@ -18,28 +19,29 @@
 //!   handled every lap once (at 2 ranks the survivor of a kill is
 //!   alone, and the Fig. 4/5 rule ends it `Aborted { code: -1 }`), no
 //!   marker is closed twice, and no closure counts more ranks than
-//!   there are;
+//!   there are; and every survivor released every request it posted;
 //! * how many two-rank survivors end alone is pinned per mode;
 //! * the FNV-1a digest of every log and every rank's stats is pinned,
 //!   per mode and rank count, so a moved digest names both.
 
+use dst::figures::{ring, On};
 use dst::{referee, Kills, RingRun, Workload};
 use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
-use ftmpi::{Process, RankOutcome, WORLD};
-use ftring::{run_ring, DedupStrategy, RingConfig, RingStats, TerminationMode, T_N};
+use ftmpi::{Process, RankOutcome};
+use ftring::{DedupStrategy, RingConfig, RingStats, TerminationMode, T_N};
 
 const SEEDS: std::ops::Range<u64> = 0..64;
 const RANKS: [usize; 3] = [2, 4, 8];
 const MAX_ITER: u64 = 3;
 
-/// `run_ring` in one mode.
+/// The ring in one mode, on the world.
 struct Mode(RingConfig);
 
 impl Workload for Mode {
     type Report = RingStats;
 
     fn body(&self, p: &mut Process) -> ftmpi::Result<RingStats> {
-        run_ring(p, WORLD, &self.0)
+        ring(p, &self.0, On::World, 1)
     }
 
     /// Every third seed kills one rank at one protocol point of the

@@ -9,7 +9,9 @@
 //! too: no hang (the watchdog breaks one), no double completion, every
 //! survivor terminated having handled every lap, and every lap closed
 //! whenever the initial root survived (a lone survivor aborting per the
-//! paper's Figs. 4/5 is a correct outcome, not a failure).
+//! paper's Figs. 4/5 is a correct outcome, not a failure). The body is
+//! the simulated runs' own (`dst::figures::ring`), so every survivor
+//! must also have released every request it posted.
 //!
 //! CI runs one shape as a smoke test
 //! (`cargo test --test wallclock_shapes shape_pair`); the nightly run
@@ -17,10 +19,10 @@
 
 use std::time::Duration;
 
+use dst::figures::{ring, On};
 use dst::{KillShape, RingRun, ScenarioCfg, Schedule};
 use faultsim::FaultPlan;
-use ftmpi::{run, UniverseConfig, WORLD};
-use ftring::run_ring;
+use ftmpi::{run, UniverseConfig};
 
 /// Seeds per shape. Wall-clock runs are orders of magnitude slower
 /// than simulated ones, so this stays small; the point is coverage of
@@ -35,13 +37,13 @@ fn run_shape(shape: KillShape) {
             .kills
             .iter()
             .fold(FaultPlan::none(), |p, k| p.kill_at(k.victim, k.hook, k.occurrence));
-        let ring = cfg.ring_config();
+        let ring_cfg = cfg.ring_config();
         let report = run(
             cfg.ranks,
             UniverseConfig::with_plan(plan.clone()).watchdog(Duration::from_secs(120)),
-            |p| run_ring(p, WORLD, &ring),
+            |p| ring(p, &ring_cfg, On::World, 1),
         );
-        let violations = RingRun::of(&ring, &plan, &report).violations();
+        let violations = RingRun::of(&ring_cfg, &plan, &report).violations();
         assert!(violations.is_empty(), "shape {shape}, seed {seed:#x}: {violations:?}");
     }
 }
