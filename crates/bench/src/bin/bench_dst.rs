@@ -3,8 +3,9 @@
 //! This binary emits a machine-readable record of schedules/sec for
 //! the series the roadmap tracks — `explore/{4,8}` (serial per-seed
 //! cost), `explore_shape/<shape>` (per-kill-shape cost of the taxonomy
-//! sweeps, DESIGN.md §8.8) and `sweep_jobs/1` (the sweep engine's
-//! overhead over the serial loop) — so the perf trajectory is a
+//! sweeps, DESIGN.md §8.8), `sweep_jobs/1` (the sweep engine's
+//! overhead over the serial loop) and `fuzz/4` (schedules per second
+//! inside a coverage-guided campaign) — so the perf trajectory is a
 //! committed artifact, not folklore in PR descriptions. The
 //! `allocs_per_schedule/{4,8}` series
 //! records steady-state heap allocations per schedule (DESIGN.md
@@ -27,7 +28,7 @@
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
-use dst::{check_all, sweep, KillShape, ScenarioCfg, SeedRunner, SweepCfg};
+use dst::{check_all, fuzz, sweep, FuzzCfg, KillShape, ScenarioCfg, SeedRunner, SweepCfg};
 
 /// One measured series.
 struct Entry {
@@ -207,6 +208,25 @@ fn main() {
                 assert_eq!(report.failing, 0, "hardened corpus must stay green");
             });
         let id = "sweep_jobs/1".to_string();
+        eprintln!("{id}: {rate:.1} schedules/sec ({schedules} in {elapsed:?})");
+        entries.push(Entry { id, rate, batches, schedules, elapsed });
+    }
+
+    // A fuzz campaign at 4 ranks per executed schedule: seeding across
+    // the seven kill shapes, mutation, the coverage union and the
+    // corpus (DESIGN.md §8.11). Batch `round` is one campaign under
+    // master seed `round`, so every recording runs the same campaigns in
+    // the same order. Campaigns may report the ring's known lone-survivor
+    // aborts; only the executed count is checked.
+    const FUZZ_BATCH: u64 = 400;
+    {
+        let cfg = ScenarioCfg::default();
+        let (rate, batches, schedules, elapsed) = measure(FUZZ_BATCH, window, |round| {
+            let fcfg = FuzzCfg { seed: round, budget: FUZZ_BATCH, ..FuzzCfg::default() };
+            let report = fuzz(&fcfg, &cfg).expect("valid campaign");
+            assert_eq!(report.executed, FUZZ_BATCH, "campaign {round} stopped early");
+        });
+        let id = "fuzz/4".to_string();
         eprintln!("{id}: {rate:.1} schedules/sec ({schedules} in {elapsed:?})");
         entries.push(Entry { id, rate, batches, schedules, elapsed });
     }

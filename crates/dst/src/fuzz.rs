@@ -30,7 +30,7 @@
 //! Everything is a pure function of `(FuzzCfg, ScenarioCfg, corpus
 //! file)`: one master [`SplitMix64`] stream drives seeding, parent
 //! selection and mutation; the corpus is an order-preserving `Vec`;
-//! the global edge union is a `BTreeSet`. Two runs with the same
+//! the global edge union is one [`CoverageSet`]. Two runs with the same
 //! inputs produce byte-identical decision logs, corpus files, and
 //! coverage signatures — `tests/fuzz_determinism.rs` referees.
 //!
@@ -184,8 +184,8 @@ pub struct FuzzReport {
     /// order — loaded entries that re-proved novel first).
     pub corpus: Vec<CorpusEntry>,
     /// Every distinct coverage edge discovered, in sorted order (the
-    /// exact union behind `stats.coverage`; tests assert subset
-    /// relations against it).
+    /// exact union behind `stats.coverage`, collected once at the end;
+    /// tests assert subset relations against it).
     pub discovered: BTreeSet<u64>,
     /// Retained failure records (bounded by `FuzzCfg::max_failures`).
     pub failures: Vec<FuzzFailure>,
@@ -505,7 +505,7 @@ pub fn fuzz(cfg: &FuzzCfg, scenario: &ScenarioCfg) -> Result<FuzzReport, FuzzErr
         stats: c.tally.stats(),
         dropped_failures: c.tally.dropped,
         failures: c.tally.failures.into_values().collect(),
-        discovered: c.tally.edges,
+        discovered: c.tally.edges.iter().collect(),
         elapsed: begun.elapsed(),
     })
 }

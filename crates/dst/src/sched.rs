@@ -21,27 +21,25 @@
 //!
 //! ### Dispatch
 //!
-//! * [`SchedHook::arrive`] files a suspended rank under `waiting`
-//!   (enabled) or, at [`SchedPoint::Blocked`], under `blocked`: the
-//!   runtime found nothing for it to do and the transport would have
-//!   put its thread to sleep. [`SchedHook::wake`] (a delivery to that
-//!   rank) and [`SchedHook::wake_all`] (kill, abort, validate / barrier
-//!   / split decision) move ranks back to `waiting`;
-//!   [`SchedHook::on_exit`] logs a departure.
-//! * [`SchedHook::next`] picks one *enabled* rank at random and logs
-//!   `grant`, so a schedule costs steps in proportion to the messages
-//!   it moves, not to ranks × messages. When the draw is the rank that
-//!   arrived last it is counted as a *self-grant*
-//!   ([`SchedHook::run_stats`]).
-//! * The number of draws is the **logical clock**.
+//! * [`SchedHook::arrive`] sets a suspended rank's bit in `waiting`
+//!   (enabled) or, at [`SchedPoint::Blocked`] — the runtime found
+//!   nothing for it to do — in `blocked`. [`SchedHook::wake`] (a
+//!   delivery to that rank) moves one bit back, [`SchedHook::wake_all`]
+//!   (kill, abort, validate / barrier / split decision) ORs `blocked`
+//!   into `waiting` word by word; both are bitmaps sized for every rank.
+//! * [`SchedHook::next`] takes the `rng.below(len)`-th enabled rank in
+//!   ascending order and logs `grant`, so a schedule costs steps in
+//!   proportion to the messages it moves, not to ranks × messages. A
+//!   draw of the rank that arrived last is a *self-grant*
+//!   ([`SchedHook::run_stats`]). The number of draws is the **logical
+//!   clock**.
 //! * **Deadlock is a verdict.** `waiting` empty with `blocked`
 //!   non-empty means every suspended rank waits for an event only
 //!   another suspended rank could cause: the scheduler logs `deadlock`
-//!   at that step ([`Scheduler::deadlock_at`]) and ends the run.
-//! * The step budget is the **livelock** backstop: a schedule that
-//!   keeps granting without anyone exiting (poll-only loops, endless
-//!   traffic) is ended when the clock passes it, logged as
-//!   `budget-exhausted`.
+//!   at that step ([`Scheduler::deadlock_at`]) and ends the run. The
+//!   step budget is the **livelock** backstop: a schedule that keeps
+//!   granting without anyone exiting is ended when the clock passes
+//!   it, logged as `budget-exhausted`.
 //! * Either way `next` then hands every suspended rank
 //!   `StepOutcome::Abort`, lowest rank first and without touching the
 //!   PRNG, until all of them have left; each dumps the requests it is
@@ -65,12 +63,13 @@
 //! and *delays* the rest (per-pair FIFO is preserved because only a
 //! prefix is taken). By default delays fire randomly; the
 //! [`Scheduler::delay_mask`] modifier pins exactly which drain calls
-//! delay, which is what makes the delay-set a first-class, minimizable
-//! part of a failure schedule. The two modifiers compose.
+//! delay (each drain compares its index with the next one due), which
+//! is what makes the delay-set a first-class, minimizable part of a
+//! failure schedule. The two modifiers compose.
 //!
 //! ### Coverage
 //!
-//! Alongside the decision log, every decision is hashed into a
+//! Alongside the decision log, every decision sets a bit in a
 //! [`CoverageSet`] of `(rank, decision-kind, protocol-phase)` edges —
 //! the feedback signal for `dst fuzz` (DESIGN.md §8.11). Collection is
 //! recording-independent (quiet schedulers cover too), touches no PRNG
@@ -87,10 +86,9 @@
 //! and never blocks: if it cannot finish it is a livelock, and the
 //! budget is what ends it.
 
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use crate::coverage::{CoverageSet, EdgeKind, PHASE_CAP};
+use crate::coverage::{mix, CoverageSet, EdgeKind, PHASE_CAP};
 use faultsim::{ChoiceKind, HandoffStats, Rank, RunStats, SchedHook, SchedPoint, StepOutcome};
 
 /// Deterministic splitmix64 stream.
@@ -108,15 +106,70 @@ impl SplitMix64 {
     /// Next raw 64-bit draw.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        mix(self.state)
     }
 
-    /// Uniform draw in `0..n` (`n > 0`).
+    /// Uniform draw in `0..n` (`n > 0`): the draw modulo `n`, taken
+    /// with a mask when `n` is a power of two.
     pub fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
+        let (draw, n) = (self.next_u64(), n as u64);
+        (if n.is_power_of_two() { draw & (n - 1) } else { draw % n }) as usize
+    }
+}
+
+/// A set of ranks as a bitmap, one bit per rank, with its size.
+struct RankSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl RankSet {
+    /// Empty set for ranks `0..n`: it never allocates again.
+    fn new(n: usize) -> Self {
+        RankSet { words: vec![0; n.div_ceil(64)], len: 0 }
+    }
+
+    /// Add `rank`, which is not in the set.
+    fn insert(&mut self, rank: Rank) {
+        debug_assert_eq!(self.words[rank / 64] >> (rank % 64) & 1, 0, "rank {rank} filed twice");
+        self.words[rank / 64] |= 1 << (rank % 64);
+        self.len += 1;
+    }
+
+    /// Take `rank` out; `false` if it was not in the set. A branch, not
+    /// `len -= usize::from(had)`: rustc 1.95's optimiser drops that
+    /// decrement once this is inlined into `wake`.
+    fn remove(&mut self, rank: Rank) -> bool {
+        let (word, bit) = (&mut self.words[rank / 64], 1 << (rank % 64));
+        if *word & bit == 0 {
+            return false;
+        }
+        *word ^= bit;
+        self.len -= 1;
+        true
+    }
+
+    /// Take out the `k`-th member in ascending order (`k < len`).
+    fn take_nth(&mut self, mut k: usize) -> Rank {
+        let mut i = 0;
+        // A one-word set needs no bit count.
+        while self.words.len() > 1 && k >= self.words[i].count_ones() as usize {
+            k -= self.words[i].count_ones() as usize;
+            i += 1;
+        }
+        // Clear the `k` lowest members; the next one is the pick.
+        let bit = (0..k).fold(self.words[i], |word, _| word & (word - 1)).trailing_zeros();
+        self.words[i] ^= 1 << bit;
+        self.len -= 1;
+        i * 64 + bit as usize
+    }
+
+    /// Move every member of `other` into this set (the two are disjoint).
+    fn take_all(&mut self, other: &mut RankSet) {
+        for (mine, theirs) in self.words.iter_mut().zip(&mut other.words) {
+            *mine |= std::mem::take(theirs);
+        }
+        self.len += std::mem::take(&mut other.len);
     }
 }
 
@@ -188,13 +241,12 @@ const DELAY_WEIGHT: u64 = 4;
 /// The seeded scheduler. Construct, lend `&mut` to
 /// [`ftmpi::UniverseConfig::sim`], and read it after the run.
 pub struct Scheduler {
-    /// Enabled ranks suspended at a step point, in ascending rank
-    /// order: a grant is an O(1) index by the PRNG's pick.
-    waiting: Vec<Rank>,
-    /// Ranks suspended at [`SchedPoint::Blocked`], ascending: not
-    /// drawn until `wake` / `wake_all` moves them to `waiting`. Sized
-    /// for every rank up front, so blocking never allocates.
-    blocked: Vec<Rank>,
+    /// Enabled ranks suspended at a step point: a grant takes the
+    /// PRNG's pick among them in ascending rank order.
+    waiting: RankSet,
+    /// Ranks suspended at [`SchedPoint::Blocked`]: not drawn until
+    /// `wake` / `wake_all` moves them to `waiting`.
+    blocked: RankSet,
     /// The rank whose arrival is the latest event, until the next
     /// decision consumes it: a grant drawing this rank is a self-grant.
     /// An exit is not an arrival, so it leaves this alone and the
@@ -229,8 +281,8 @@ pub struct Scheduler {
     /// Drain calls that delayed (pick < queue length).
     delays: Vec<u64>,
     /// When set ([`Scheduler::delay_mask`]): exactly these drain calls
-    /// delay.
-    delay_mask: Option<BTreeSet<u64>>,
+    /// delay. Descending, so the next one due is the last.
+    delay_mask: Option<Vec<u64>>,
     /// Grants actually issued (excludes the budget-exhausting draw).
     grants: u64,
     /// Grants that drew the rank that had just stepped.
@@ -252,8 +304,8 @@ impl Scheduler {
     /// [`Scheduler::quiet`] and [`Scheduler::delay_mask`] modify it.
     pub fn new(n: usize, seed: u64, budget: u64) -> Self {
         Scheduler {
-            waiting: Vec::with_capacity(n),
-            blocked: Vec::with_capacity(n),
+            waiting: RankSet::new(n),
+            blocked: RankSet::new(n),
             stepped: None,
             rng: SplitMix64::new(seed),
             rng_delay: SplitMix64::new(seed ^ 0x64656C_61797321),
@@ -270,7 +322,7 @@ impl Scheduler {
             grants: 0,
             self_grants: 0,
             enabled: 0,
-            coverage: CoverageSet::new(),
+            coverage: CoverageSet::new(n),
             kills_seen: 0,
         }
     }
@@ -290,7 +342,10 @@ impl Scheduler {
     /// replays masks it minimizes; the `masked` kill shape sweeps
     /// seed-derived ones (quiet, at volume).
     pub fn delay_mask(mut self, mask: &[u64]) -> Self {
-        self.delay_mask = Some(mask.iter().copied().collect());
+        let mut mask = mask.to_vec();
+        mask.sort_unstable_by(|a, b| b.cmp(a));
+        mask.dedup();
+        self.delay_mask = Some(mask);
         self
     }
 
@@ -342,30 +397,14 @@ impl Scheduler {
     /// the fuzzer unions the full set; copying it through the hook
     /// trait would cost an allocation per harvest.
     pub fn take_coverage(&mut self) -> CoverageSet {
-        std::mem::replace(&mut self.coverage, CoverageSet::empty())
-    }
-
-    /// Insert `rank` into an ascending list it is not already in (a
-    /// rank arrives only while running, and `next` took it off
-    /// `waiting` when it was granted).
-    fn file(list: &mut Vec<Rank>, rank: Rank) {
-        let pos = list.binary_search(&rank).unwrap_err();
-        list.insert(pos, rank);
-    }
-
-    /// Re-enable every blocked rank.
-    fn enable_all(&mut self) {
-        if !self.blocked.is_empty() {
-            self.waiting.append(&mut self.blocked);
-            self.waiting.sort_unstable();
-        }
+        std::mem::take(&mut self.coverage)
     }
 
     /// End the run: from here on every suspended rank is handed
     /// `Abort`, so all of them count as enabled.
     fn end_run(&mut self, verdict: SchedEvent, edge: EdgeKind) {
         self.aborted = true;
-        self.enable_all();
+        self.waiting.take_all(&mut self.blocked);
         self.coverage.record(0, edge, self.kills_seen);
         if self.record {
             self.log.push(verdict);
@@ -375,30 +414,31 @@ impl Scheduler {
 
 impl SchedHook for Scheduler {
     fn arrive(&mut self, rank: Rank, point: SchedPoint) {
+        // A rank arrives only while running: `next` took it out when
+        // it was granted.
         if point == SchedPoint::Blocked && !self.aborted {
-            Self::file(&mut self.blocked, rank);
+            self.blocked.insert(rank);
         } else {
-            Self::file(&mut self.waiting, rank);
+            self.waiting.insert(rank);
         }
         self.stepped = Some(rank);
     }
 
     fn wake(&mut self, rank: Rank) {
         // Most deliveries find the receiver running, enabled or gone.
-        if let Ok(pos) = self.blocked.binary_search(&rank) {
-            self.blocked.remove(pos);
-            Self::file(&mut self.waiting, rank);
+        if self.blocked.remove(rank) {
+            self.waiting.insert(rank);
         }
     }
 
     fn wake_all(&mut self) {
-        self.enable_all();
+        self.waiting.take_all(&mut self.blocked);
     }
 
     fn next(&mut self) -> Option<(Rank, StepOutcome)> {
         let stepped = self.stepped.take();
-        if self.waiting.is_empty() {
-            if self.blocked.is_empty() {
+        if self.waiting.len == 0 {
+            if self.blocked.len == 0 {
                 return None;
             }
             // Every suspended rank waits for an event only a running
@@ -413,11 +453,10 @@ impl SchedHook for Scheduler {
             }
         }
         if self.aborted {
-            return Some((self.waiting.remove(0), StepOutcome::Abort));
+            return Some((self.waiting.take_nth(0), StepOutcome::Abort));
         }
-        let enabled = self.waiting.len();
-        let idx = self.rng.below(enabled);
-        let rank = self.waiting.remove(idx);
+        let enabled = self.waiting.len;
+        let rank = self.waiting.take_nth(self.rng.below(enabled));
         self.grants += 1;
         self.enabled += enabled as u64;
         self.coverage.record(rank, EdgeKind::Grant, self.kills_seen);
@@ -439,8 +478,8 @@ impl SchedHook for Scheduler {
                 // `n` alternatives = queue length q + 1; q is the
                 // full-delivery answer.
                 let q = n - 1;
-                let delay = match &self.delay_mask {
-                    Some(mask) => mask.contains(&call),
+                let delay = match &mut self.delay_mask {
+                    Some(mask) => mask.last() == Some(&call) && mask.pop().is_some(),
                     None => q > 0 && self.rng_delay.next_u64() % 16 < DELAY_WEIGHT,
                 };
                 let pick = if delay && q > 0 { self.rng_amount.below(q) } else { q };
@@ -526,6 +565,109 @@ mod tests {
                 sched.arrive(rank, SchedPoint::Tick);
             }
         }
+    }
+
+    /// The scheduler's rank sets against the sorted `Vec`s they
+    /// replaced: random `arrive` / `wake` / `wake_all` / `next`
+    /// sequences, budget and deadlock aborts included, grant the same
+    /// ranks with the same outcomes, at word counts 1 to 3.
+    #[test]
+    fn rank_sets_grant_what_sorted_vecs_grant() {
+        /// The scheduler's former dispatch: sorted `Vec`s, a grant is
+        /// `waiting.remove(rng.below(len))`.
+        struct Model {
+            waiting: Vec<Rank>,
+            blocked: Vec<Rank>,
+            rng: SplitMix64,
+            steps: u64,
+            budget: u64,
+            aborted: bool,
+        }
+        impl Model {
+            fn file(list: &mut Vec<Rank>, rank: Rank) {
+                let pos = list.binary_search(&rank).unwrap_err();
+                list.insert(pos, rank);
+            }
+            fn wake_all(&mut self) {
+                self.waiting.append(&mut self.blocked);
+                self.waiting.sort_unstable();
+            }
+            fn next(&mut self) -> Option<(Rank, StepOutcome)> {
+                if self.waiting.is_empty() {
+                    if self.blocked.is_empty() {
+                        return None;
+                    }
+                    self.aborted = true;
+                    self.wake_all();
+                }
+                if !self.aborted {
+                    self.steps += 1;
+                    if self.steps > self.budget {
+                        self.aborted = true;
+                        self.wake_all();
+                    }
+                }
+                if self.aborted {
+                    return Some((self.waiting.remove(0), StepOutcome::Abort));
+                }
+                let idx = self.rng.below(self.waiting.len());
+                Some((self.waiting.remove(idx), StepOutcome::Run))
+            }
+        }
+        let mut ops = SplitMix64::new(0x5E7);
+        let (mut deadlocks, mut budgets) = (0, 0);
+        for n in [1usize, 3, 8, 64, 65, 130] {
+            for trial in 0..40u64 {
+                let (seed, budget) = (trial * 7919 + n as u64, 50 + ops.below(400) as u64);
+                let mut sched = Scheduler::new(n, seed, budget).quiet();
+                let mut model = Model {
+                    waiting: Vec::new(),
+                    blocked: Vec::new(),
+                    rng: SplitMix64::new(seed),
+                    steps: 0,
+                    budget,
+                    aborted: false,
+                };
+                // Every rank enters; the granted rank then arrives
+                // enabled or blocked, or leaves, and wakes others.
+                let mut live = n;
+                for rank in 0..n {
+                    sched.arrive(rank, SchedPoint::Enter);
+                    Model::file(&mut model.waiting, rank);
+                }
+                loop {
+                    let grant = sched.next();
+                    assert_eq!(grant, model.next(), "{n} ranks, trial {trial}");
+                    let Some((rank, outcome)) = grant else { break };
+                    for _ in 0..ops.below(3) {
+                        let other = ops.below(n);
+                        sched.wake(other);
+                        if let Ok(pos) = model.blocked.binary_search(&other) {
+                            model.blocked.remove(pos);
+                            Model::file(&mut model.waiting, other);
+                        }
+                    }
+                    if ops.below(50) == 0 {
+                        sched.wake_all();
+                        model.wake_all();
+                    }
+                    if outcome == StepOutcome::Abort || ops.below(4 * n as usize) == 0 {
+                        sched.on_exit(rank);
+                        live -= 1;
+                    } else if ops.below(3) == 0 && !model.aborted {
+                        sched.arrive(rank, SchedPoint::Blocked);
+                        Model::file(&mut model.blocked, rank);
+                    } else {
+                        sched.arrive(rank, SchedPoint::Tick);
+                        Model::file(&mut model.waiting, rank);
+                    }
+                }
+                assert_eq!(live, 0, "{n} ranks, trial {trial}: every rank left");
+                deadlocks += u64::from(sched.deadlock_at().is_some());
+                budgets += u64::from(sched.budget_exhausted());
+            }
+        }
+        assert!(deadlocks > 0 && budgets > 0, "{deadlocks} deadlocks, {budgets} budgets");
     }
 
     #[test]
@@ -710,6 +852,19 @@ mod tests {
         // Drain call 2: full again.
         assert_eq!(sched.choose(0, ChoiceKind::Drain, 4), 3);
         assert_eq!(sched.delay_calls(), vec![1]);
+    }
+
+    /// The mask is a set: its order and repeats do not matter, and an
+    /// index no drain call reaches is never due.
+    #[test]
+    fn delay_mask_order_and_repeats_do_not_matter() {
+        for mask in [&[1u64, 4, 9][..], &[9, 4, 1], &[4, 1, 9, 4, 1]] {
+            let mut sched = Scheduler::new(1, 9, 100).delay_mask(mask);
+            let delayed: Vec<u64> =
+                (0..6).filter(|_| sched.choose(0, ChoiceKind::Drain, 3) < 2).collect();
+            assert_eq!(delayed, [1, 4], "mask {mask:?}");
+            assert_eq!(sched.delay_calls(), [1, 4]);
+        }
     }
 
     /// A sole waiter always draws itself: every grant is a self-grant.

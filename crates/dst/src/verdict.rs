@@ -5,10 +5,11 @@
 //! `dst replay` all judge here, so a schedule has one verdict whichever
 //! engine ran it (DESIGN.md §8.4).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use faultsim::{CoverageStats, RunStats};
+use faultsim::RunStats;
 
+use crate::coverage::CoverageSet;
 use crate::oracle::check_all;
 use crate::scenario::{Observation, Schedule};
 
@@ -87,7 +88,7 @@ pub struct Tally {
     /// The failing runs with the lowest keys, at most `cap` of them.
     pub failures: BTreeMap<u64, Failure>,
     /// Every distinct coverage edge any run touched.
-    pub edges: BTreeSet<u64>,
+    pub edges: CoverageSet,
     stats: RunStats,
     cap: usize,
 }
@@ -102,8 +103,7 @@ impl Tally {
     /// index). Returns how many of its coverage edges are new here.
     pub fn record(&mut self, key: u64, obs: &Observation) -> u64 {
         self.stats.merge(&obs.stats);
-        let known = self.edges.len();
-        self.edges.extend(obs.coverage.iter());
+        let fresh = self.edges.union(&obs.coverage);
         self.hung += u64::from(obs.hung);
         match judge(obs) {
             None => self.green += 1,
@@ -112,7 +112,7 @@ impl Tally {
                 self.retain(key, failure);
             }
         }
-        (self.edges.len() - known) as u64
+        fresh
     }
 
     /// Fold another tally in (a sweep worker's, at join).
@@ -122,7 +122,7 @@ impl Tally {
         self.hung += other.hung;
         self.dropped += other.dropped;
         self.stats.merge(&other.stats);
-        self.edges.extend(other.edges);
+        self.edges.union(&other.edges);
         for (key, failure) in other.failures {
             self.retain(key, failure);
         }
@@ -140,12 +140,7 @@ impl Tally {
     /// union (signature = XOR of its members) rather than the summed
     /// approximation `RunStats::merge` folds.
     pub fn stats(&self) -> RunStats {
-        let mut stats = self.stats;
-        stats.coverage = CoverageStats {
-            edges: self.edges.len() as u64,
-            signature: self.edges.iter().fold(0, |d, e| d ^ e),
-        };
-        stats
+        RunStats { coverage: self.edges.stats(), ..self.stats }
     }
 }
 
@@ -183,13 +178,15 @@ mod tests {
     /// cancel signatures, and `record` reports only the edges new to it.
     #[test]
     fn tally_coverage_is_the_exact_union() {
+        use crate::coverage::{edge, EdgeKind};
         let mut obs = crate::scenario::run_seed(0, &ScenarioCfg::default());
         let mut tally = Tally::new(4);
         let mut fresh = Vec::new();
-        for edges in [[10u64, 20], [20, 30], [10, 20]] {
-            obs.coverage = crate::coverage::CoverageSet::new();
-            for e in edges {
-                obs.coverage.insert(e);
+        let (a, b, c) = ((0, EdgeKind::Grant, 0), (1, EdgeKind::Exit, 1), (3, EdgeKind::Kill, 2));
+        for edges in [[a, b], [b, c], [a, b]] {
+            obs.coverage = CoverageSet::new(4);
+            for (rank, kind, phase) in edges {
+                obs.coverage.record(rank, kind, phase);
             }
             obs.stats.coverage = obs.coverage.stats();
             fresh.push(tally.record(0, &obs));
@@ -197,7 +194,8 @@ mod tests {
         assert_eq!(fresh, vec![2, 1, 0]);
         let stats = tally.stats();
         assert_eq!(stats.coverage.edges, 3);
-        assert_eq!(stats.coverage.signature, 10 ^ 20 ^ 30);
+        let [a, b, c] = [a, b, c].map(|(rank, kind, phase)| edge(rank, kind, phase));
+        assert_eq!(stats.coverage.signature, a ^ b ^ c);
         assert_eq!(tally.green, 3);
     }
 }

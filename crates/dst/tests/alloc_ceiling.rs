@@ -8,10 +8,16 @@
 //! the calling thread and each counted once by the [`allocstats`]
 //! global allocator `dst` installs — must stay under a pinned ceiling.
 //!
+//! The bytes those allocations request are held under a ceiling of
+//! their own: a per-run table the size of the old coverage hash
+//! (4 KiB, zeroed every schedule) would double them without adding an
+//! allocation.
+//!
 //! The counts are a function of the seeds, not of timing, so the
 //! ceilings sit at the measured steady state plus 10 % (17.8 / 24.2
-//! allocations per schedule at 4 / 8 ranks over these seeds, debug and
-//! release alike): one more allocation per message trips them. The CI bench gate
+//! allocations and 2640 / 4727 bytes per schedule at 4 / 8 ranks
+//! over these seeds, debug and release alike): one more allocation per
+//! message trips them. The CI bench gate
 //! (`scripts/bench_gate.py`, series `allocs_per_schedule/*`) holds the
 //! same 1.1× bound against the committed baseline; this test runs
 //! everywhere, benchmarks or not.
@@ -30,9 +36,10 @@ use ftring::RingConfig;
 
 const SEEDS: std::ops::Range<u64> = 0..32;
 
-/// Mean allocations per schedule over one pass of `SEEDS`.
-fn measure(runner: &mut SeedRunner, cfg: &ScenarioCfg) -> f64 {
-    let mut allocs = 0u64;
+/// Mean allocations and bytes allocated per schedule over one pass of
+/// `SEEDS`.
+fn measure(runner: &mut SeedRunner, cfg: &ScenarioCfg) -> (f64, f64) {
+    let (mut allocs, mut bytes) = (0u64, 0u64);
     for seed in SEEDS {
         let before = allocstats::snapshot();
         let obs = runner.run_seed_quiet(seed, cfg);
@@ -46,11 +53,13 @@ fn measure(runner: &mut SeedRunner, cfg: &ScenarioCfg) -> f64 {
             "seed {seed:#x}: the observation does not report this thread's traffic"
         );
         allocs += obs.stats.alloc.allocs;
+        bytes += obs.stats.alloc.bytes_alloc;
     }
-    allocs as f64 / (SEEDS.end - SEEDS.start) as f64
+    let runs = (SEEDS.end - SEEDS.start) as f64;
+    (allocs as f64 / runs, bytes as f64 / runs)
 }
 
-fn check(ranks: usize, ceiling: f64) {
+fn check(ranks: usize, ceiling: f64, bytes_ceiling: f64) {
     let cfg = ScenarioCfg { ranks, ..ScenarioCfg::default() };
     let mut runner = SeedRunner::new(ranks);
     // Warm pass: cold-pool buffer mints and lazily-built scratch land
@@ -58,7 +67,13 @@ fn check(ranks: usize, ceiling: f64) {
     for seed in SEEDS {
         let _ = runner.run_seed_quiet(seed, &cfg);
     }
-    let steady = measure(&mut runner, &cfg);
+    let (steady, bytes) = measure(&mut runner, &cfg);
+    assert!(
+        bytes <= bytes_ceiling,
+        "steady-state allocated bytes regression at {ranks} ranks: \
+         {bytes:.0} bytes/schedule exceeds the {bytes_ceiling:.0} ceiling \
+         (is a per-run table back?)"
+    );
     assert!(
         steady <= ceiling,
         "steady-state allocation regression at {ranks} ranks: \
@@ -70,12 +85,12 @@ fn check(ranks: usize, ceiling: f64) {
 
 #[test]
 fn steady_state_allocs_within_ceiling_r4() {
-    check(4, 19.6);
+    check(4, 19.6, 2904.0);
 }
 
 #[test]
 fn steady_state_allocs_within_ceiling_r8() {
-    check(8, 26.6);
+    check(8, 26.6, 5200.0);
 }
 
 /// `ring_pad16k_4` as the benchmark runs it: 4 ranks, 20 laps of a

@@ -11,10 +11,12 @@
 //! has previously recognized the failure on a duplicate communicator").
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use crate::detector::FailureRegistry;
 use crate::error::ErrorHandler;
 use crate::group::Group;
+use crate::matching::KeyHasher;
 use crate::message::ContextId;
 use crate::rank::{CommRank, RankInfo, RankState};
 
@@ -39,7 +41,7 @@ pub(crate) struct CommData {
     /// Locally recognized failed ranks (comm ranks) — `MPI_RANK_NULL`
     /// — keyed by the *generation* that was recognized, so a recovered
     /// incarnation (generation + 1) is reported `Ok` again.
-    pub recognized: HashMap<CommRank, u32>,
+    pub recognized: HashMap<CommRank, u32, BuildHasherDefault<KeyHasher>>,
     /// Collectively recognized failed ranks from the last successful
     /// `validate_all`, in ascending comm-rank order. Collective
     /// algorithms skip exactly these (and *must not* consult local
@@ -66,7 +68,7 @@ impl CommData {
             group,
             my_rank,
             errhandler: ErrorHandler::default(),
-            recognized: HashMap::new(),
+            recognized: HashMap::default(),
             validated: Vec::new(),
             coll_instance: 0,
             validate_round: 0,

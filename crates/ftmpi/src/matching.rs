@@ -157,7 +157,8 @@ impl BinKey {
     }
 }
 
-/// Hasher for [`BinKey`] and `Process`'s context map: one
+/// Hasher for [`BinKey`], `Process`'s context map, the rendezvous
+/// board's rounds and a communicator's recognized ranks: one
 /// multiply-rotate per fixed-width field (the Fx scheme), against
 /// SipHash's per-byte rounds. The keys are this program's own contexts,
 /// ranks and tags, not outside input, so collision resistance buys

@@ -23,6 +23,7 @@
 //! (the `consensus` crate benchmarks two) would replace.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -30,6 +31,7 @@ use parking_lot::Mutex;
 
 use crate::detector::FailureRegistry;
 use crate::group::Group;
+use crate::matching::KeyHasher;
 use crate::message::ContextId;
 use crate::rank::WorldRank;
 use crate::universe::WORLD_CTX;
@@ -53,12 +55,14 @@ pub(crate) struct Round<S, D> {
 /// The rounds of one collective among `size` ranks: submissions `S`, decisions `D`.
 pub(crate) struct Table<S, D> {
     size: usize,
-    rounds: Mutex<HashMap<Key, Round<S, D>>>,
+    /// Hashed with [`KeyHasher`]: nothing iterates it in an
+    /// order-dependent way.
+    rounds: Mutex<HashMap<Key, Round<S, D>, BuildHasherDefault<KeyHasher>>>,
 }
 
 impl<S, D: Clone> Table<S, D> {
     fn new(size: usize) -> Self {
-        Table { size, rounds: Mutex::new(HashMap::new()) }
+        Table { size, rounds: Mutex::default() }
     }
 
     /// Arrive at round `key` as `me` (idempotent). The first arrival
