@@ -13,6 +13,9 @@
 //! * it then queries `comm_validate`, locally **recognizes** the dead
 //!   workers with `comm_validate_clear` (restoring `ANY_SOURCE`
 //!   progress), and re-queues their in-flight tasks.
+//! * under the respawn extension it also reads each busy worker's
+//!   generation: a respawn ends the failure before any receive need
+//!   report it, so a task sent to a replaced incarnation is re-queued.
 //!
 //! Every task completes exactly once in the result set, no matter how
 //! many workers die; if *all* workers die, the manager computes the
@@ -73,7 +76,8 @@ pub enum FarmOutcome {
 fn manager(p: &mut Process, comm: Comm, tasks: &[u64]) -> Result<FarmResult> {
     let size = p.comm_size(comm)?;
     let mut queue: Vec<u64> = (0..tasks.len() as u64).rev().collect();
-    let mut in_flight: HashMap<CommRank, u64> = HashMap::new();
+    // Each busy worker's task, and the incarnation it was sent to.
+    let mut in_flight: HashMap<CommRank, (u64, u32)> = HashMap::new();
     let mut results: HashMap<u64, u64> = HashMap::new();
     let mut requeued = 0u64;
     let mut lost: Vec<CommRank> = Vec::new();
@@ -94,7 +98,7 @@ fn manager(p: &mut Process, comm: Comm, tasks: &[u64]) -> Result<FarmResult> {
     fn absorb_failures(
         p: &mut Process,
         comm: Comm,
-        in_flight: &mut HashMap<CommRank, u64>,
+        in_flight: &mut HashMap<CommRank, (u64, u32)>,
         queue: &mut Vec<u64>,
         requeued: &mut u64,
         lost: &mut Vec<CommRank>,
@@ -111,7 +115,7 @@ fn manager(p: &mut Process, comm: Comm, tasks: &[u64]) -> Result<FarmResult> {
         p.comm_validate_clear(comm, &newly)?;
         for w in &newly {
             lost.push(*w);
-            if let Some(task) = in_flight.remove(w) {
+            if let Some((task, _)) = in_flight.remove(w) {
                 queue.push(task);
                 *requeued += 1;
             }
@@ -120,6 +124,21 @@ fn manager(p: &mut Process, comm: Comm, tasks: &[u64]) -> Result<FarmResult> {
     }
 
     loop {
+        // A worker respawned since it took its task lost that task with
+        // the old incarnation. No receive here need ever have reported
+        // that death: the respawn clears it.
+        let mut respawned: Vec<CommRank> = in_flight
+            .iter()
+            .filter(|&(&w, &(_, gen))| p.comm_validate_rank(comm, w).is_ok_and(|i| i.generation != gen))
+            .map(|(&w, _)| w)
+            .collect();
+        respawned.sort_unstable();
+        for w in respawned {
+            queue.extend(in_flight.remove(&w).map(|(task, _)| task));
+            requeued += 1;
+            lost.push(w);
+        }
+
         // Dispatch tasks to idle alive workers.
         let workers = alive_workers(p)?;
         for &w in &workers {
@@ -127,9 +146,11 @@ fn manager(p: &mut Process, comm: Comm, tasks: &[u64]) -> Result<FarmResult> {
                 continue;
             }
             let Some(task) = queue.pop() else { break };
+            // Read before the send, so a respawn after it shows.
+            let gen = p.comm_validate_rank(comm, w)?.generation;
             match p.send(comm, w, TASK_TAG, &(KIND_TASK, task, tasks[task as usize])) {
                 Ok(()) => {
-                    in_flight.insert(w, task);
+                    in_flight.insert(w, (task, gen));
                 }
                 Err(e) if e.is_terminal() => return Err(e),
                 Err(_) => {
@@ -163,7 +184,11 @@ fn manager(p: &mut Process, comm: Comm, tasks: &[u64]) -> Result<FarmResult> {
         match p.recv::<(u64, u64)>(comm, Src::Any, RESULT_TAG) {
             Ok(((task, value), status)) => {
                 let worker = status.source.expect("result has a source");
-                in_flight.remove(&worker);
+                // A result a dead incarnation sent does not free the
+                // worker's current task.
+                if in_flight.get(&worker).is_some_and(|&(t, _)| t == task) {
+                    in_flight.remove(&worker);
+                }
                 results.insert(task, value);
             }
             Err(e) if e.is_terminal() => return Err(e),
