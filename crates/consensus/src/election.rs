@@ -30,25 +30,6 @@ pub fn current_root(p: &Process, comm: Comm) -> Result<usize> {
     Err(Error::InvalidState("no alive rank in communicator"))
 }
 
-/// Generalized election: lowest alive rank satisfying `eligible`.
-///
-/// Lets an application exclude ranks it knows are unsuitable (e.g. a
-/// rank that has announced it is about to leave). Returns `None` when
-/// no alive rank is eligible.
-pub fn elect(
-    p: &Process,
-    comm: Comm,
-    mut eligible: impl FnMut(usize) -> bool,
-) -> Result<Option<usize>> {
-    let size = p.comm_size(comm)?;
-    for n in 0..size {
-        if p.comm_validate_rank(comm, n)?.state == RankState::Ok && eligible(n) {
-            return Ok(Some(n));
-        }
-    }
-    Ok(None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,19 +100,6 @@ mod tests {
         );
         for r in 1..3 {
             assert_eq!(report.outcomes[r].as_ok(), Some(&1), "rank {r}");
-        }
-    }
-
-    #[test]
-    fn elect_with_eligibility_filter() {
-        let report = run_default(4, |p| elect(p, WORLD, |r| r >= 2));
-        assert!(report.all_ok());
-        for o in &report.outcomes {
-            assert_eq!(o.as_ok(), Some(&Some(2)));
-        }
-        let report = run_default(2, |p| elect(p, WORLD, |_| false));
-        for o in &report.outcomes {
-            assert_eq!(o.as_ok(), Some(&None));
         }
     }
 }

@@ -6,14 +6,10 @@
 //! implement"), and finally the MPI-provided fault-tolerant consensus
 //! (`MPI_Comm_validate_all`). The `ftmpi` runtime implements
 //! `validate_all` as a shared-memory decision barrier; this crate
-//! provides the *message-passing* counterparts an application (or a
-//! real MPI library) would use, both as faithful reproductions of the
-//! paper's artifacts and as ablation baselines for the benchmarks:
+//! provides the election and *message-passing* agreements an
+//! application (or a real MPI library) would use instead:
 //!
 //! * [`election`] — the lowest-alive-rank leader election of Fig. 12;
-//! * [`rbcast`] — flooding reliable broadcast (every deliverer forwards
-//!   before delivering, so delivery at any survivor implies eventual
-//!   delivery at all survivors);
 //! * [`agreement`] — a coordinator-based uniform agreement on the
 //!   failed set, with coordinator-crash recovery;
 //! * [`flooding`] — an all-to-all echo agreement, simpler but only
@@ -25,9 +21,7 @@
 pub mod agreement;
 pub mod election;
 pub mod flooding;
-pub mod rbcast;
 
 pub use agreement::{agree_on_failed_set, AgreementConfig};
-pub use election::{current_root, elect};
+pub use election::current_root;
 pub use flooding::flooding_failed_set;
-pub use rbcast::{rbcast, RbcastConfig};

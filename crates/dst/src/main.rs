@@ -46,10 +46,9 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use dst::sweep::write_lines;
 use dst::{
-    fuzz, judge, run_seed, shrink, sweep, CorpusWrite, Failure, FuzzCfg, KillShape, ScenarioCfg,
-    Shrunk, SweepCfg,
+    fuzz, judge, run_seed, shrink, sweep, Failure, FuzzCfg, KillShape, ScenarioCfg, Shrunk,
+    SweepCfg, SweepReport,
 };
 
 /// Largest world size the CLI accepts. A simulated rank costs a
@@ -299,9 +298,7 @@ fn cmd_explore(args: &Args) -> Result<ExitCode, String> {
         .map_err(|e| e.to_string())?;
 
     let mut total_failing = 0u64;
-    let mut total_dropped = 0u64;
-    let mut corpus: Vec<String> = Vec::new();
-    let mut corpus_repros = 0usize;
+    let mut sweeps = Vec::new();
     for &shape in &args.shapes {
         let cfg = cfg_of(args, shape)?;
         let report = sweep(&sweep_cfg, &cfg).map_err(|e| e.to_string())?;
@@ -335,23 +332,12 @@ fn cmd_explore(args: &Args) -> Result<ExitCode, String> {
         }
 
         total_failing += report.failing;
-        total_dropped += report.dropped_failures;
-        if args.corpus.is_some() {
-            corpus_repros += report.failures.len();
-            corpus.extend(report.corpus_lines(&cfg));
-        }
+        sweeps.push((report, cfg));
     }
 
     if let Some(path) = &args.corpus {
-        // Same summary surface as `SweepReport::write_corpus`; the CLI
-        // aggregates lines across shapes first, so it writes through
-        // the shared sink itself.
-        let summary =
-            CorpusWrite { path: path.clone(), lines: corpus_repros, overflow: total_dropped };
-        if summary.created() {
-            write_lines(path, &corpus)
-                .map_err(|e| format!("cannot write corpus {}: {e}", path.display()))?;
-        }
+        let summary = SweepReport::write_corpus(path, sweeps.iter().map(|(r, c)| (r, c)))
+            .map_err(|e| format!("cannot write corpus {}: {e}", path.display()))?;
         println!("{summary}");
     }
 

@@ -118,7 +118,7 @@ impl KillShape {
         match s {
             "pair" => Some(KillShape::Pair),
             "triple" => Some(KillShape::Triple),
-            "root-chain" | "rootchain" => Some(KillShape::RootChain),
+            "root-chain" => Some(KillShape::RootChain),
             "cascade" => Some(KillShape::Cascade),
             "validate" => Some(KillShape::Validate),
             "spaced" => Some(KillShape::Spaced),
@@ -431,7 +431,10 @@ fn parse_kill(trip: &str) -> Result<Kill, String> {
     Ok(kill)
 }
 
-/// Inverse of the `Display` form; anything after the mask is an error.
+/// Inverse of the `Display` form; anything after the mask is an error,
+/// and so is a mask whose indices are not strictly ascending (every
+/// writer emits them sorted and deduplicated, and the fuzzer's mask flip
+/// binary-searches them).
 impl std::str::FromStr for Schedule {
     type Err = String;
 
@@ -447,11 +450,15 @@ impl std::str::FromStr for Schedule {
             .collect::<Result<_, _>>()?;
         let delay_mask = match toks.next() {
             None => None,
-            Some(tok) => Some(
-                bracketed(tok, "mask")?
+            Some(tok) => {
+                let mask: Vec<u64> = bracketed(tok, "mask")?
                     .map(|i| i.parse().map_err(|_| format!("bad mask index {i:?}")))
-                    .collect::<Result<_, _>>()?,
-            ),
+                    .collect::<Result<_, _>>()?;
+                if mask.windows(2).any(|w| w[0] >= w[1]) {
+                    return Err(format!("mask indices must be strictly ascending, got {tok:?}"));
+                }
+                Some(mask)
+            }
         };
         match toks.next() {
             Some(extra) => Err(format!("unexpected {extra:?} after the schedule")),
@@ -1018,7 +1025,6 @@ mod tests {
         }
         assert_eq!(KillShape::from_name("all"), None);
         assert_eq!(KillShape::from_name("bogus"), None);
-        assert_eq!(KillShape::from_name("rootchain"), Some(KillShape::RootChain));
     }
 
     /// `--shape` is a hardened-ring concept; the buggy configuration

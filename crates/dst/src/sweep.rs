@@ -236,27 +236,29 @@ impl SweepReport {
         lines
     }
 
-    /// Write the failing seeds as a corpus of one-line repros. When
-    /// there are no failures the filesystem is untouched (CI uploads
-    /// the file exactly when it exists) and the summary reports zero
-    /// lines. Otherwise the returned [`CorpusWrite`] says where the
+    /// Write the failing seeds of one or more sweeps (one per shape of
+    /// a `--shape all` run, in order) as one corpus of one-line repros.
+    /// When there are no failures the filesystem is untouched (CI
+    /// uploads the file exactly when it exists) and the summary reports
+    /// zero lines. Otherwise the returned [`CorpusWrite`] says where the
     /// file went, how many repro lines it holds, and how many failing
     /// seeds were beyond the retention cap (rendered as a trailing
-    /// comment marker, counted here so truncation is never silent).
-    pub fn write_corpus(
-        &self,
+    /// comment marker per sweep, counted here so truncation is never
+    /// silent).
+    pub fn write_corpus<'a>(
         path: &Path,
-        scenario: &ScenarioCfg,
+        sweeps: impl IntoIterator<Item = (&'a SweepReport, &'a ScenarioCfg)>,
     ) -> std::io::Result<CorpusWrite> {
-        let summary = CorpusWrite {
-            path: path.to_path_buf(),
-            lines: self.failures.len(),
-            overflow: self.dropped_failures,
-        };
-        if self.failures.is_empty() {
-            return Ok(summary);
+        let mut summary = CorpusWrite { path: path.to_path_buf(), lines: 0, overflow: 0 };
+        let mut lines = Vec::new();
+        for (report, scenario) in sweeps {
+            summary.lines += report.failures.len();
+            summary.overflow += report.dropped_failures;
+            lines.extend(report.corpus_lines(scenario));
         }
-        write_lines(path, &self.corpus_lines(scenario))?;
+        if summary.created() {
+            write_lines(path, &lines)?;
+        }
         Ok(summary)
     }
 }
@@ -296,8 +298,7 @@ impl std::fmt::Display for CorpusWrite {
 }
 
 /// Write pre-rendered corpus lines to `path` — the shared sink behind
-/// [`SweepReport::write_corpus`], [`crate::fuzz::FuzzReport::write_corpus`],
-/// and the CLI's cross-shape aggregation.
+/// [`SweepReport::write_corpus`] and [`crate::fuzz::FuzzReport::write_corpus`].
 pub fn write_lines(path: &Path, lines: &[String]) -> std::io::Result<()> {
     let mut f = std::fs::File::create(path)?;
     for line in lines {

@@ -114,14 +114,6 @@ impl TriageReport {
         self.edges.is_empty()
     }
 
-    /// Edges whose awaited peer is dead: the root causes. A hang with
-    /// none of these is a cycle among live ranks instead.
-    pub fn dead_peer_edges(&self) -> impl Iterator<Item = &WaitEdge> {
-        self.edges.iter().filter(|e| {
-            matches!(e.on, WaitKind::Recv { peer_dead: true, .. })
-        })
-    }
-
     /// One-line rendering for sweep failure output: the verdict, then
     /// the edges.
     pub fn one_line(&self) -> String {
@@ -337,7 +329,6 @@ mod tests {
             report.edges[1].last_step.as_deref(),
             Some("detector fired on rank 3 at t=5")
         );
-        assert_eq!(report.dead_peer_edges().count(), 1);
 
         let rendered = report.to_string();
         assert!(rendered.contains("rank 2 waits on T_N from rank 1 (DEAD)"), "{rendered}");

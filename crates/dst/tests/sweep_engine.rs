@@ -146,7 +146,7 @@ fn corpus_file_is_written_only_when_failures_exist() {
     let green = sweep(&cfg, &scenario).unwrap();
     assert_eq!(green.failing, 0);
     let empty_path = dir.join("green.corpus");
-    let no_write = green.write_corpus(&empty_path, &scenario).unwrap();
+    let no_write = SweepReport::write_corpus(&empty_path, [(&green, &scenario)]).unwrap();
     assert!(!no_write.created());
     assert_eq!(no_write.lines, 0);
     assert!(format!("{no_write}").contains("not written"));
@@ -157,7 +157,7 @@ fn corpus_file_is_written_only_when_failures_exist() {
     let cfg = SweepCfg { start: 0x2d, count: 1, jobs: 1, ..SweepCfg::default() };
     let report = sweep(&cfg, &buggy).unwrap();
     let path = dir.join("fail.corpus");
-    let wrote = report.write_corpus(&path, &buggy).unwrap();
+    let wrote = SweepReport::write_corpus(&path, [(&report, &buggy)]).unwrap();
     assert!(wrote.created());
     assert_eq!(wrote.lines, report.failures.len());
     assert_eq!(wrote.overflow, report.dropped_failures);

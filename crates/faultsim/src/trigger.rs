@@ -71,8 +71,6 @@ pub enum PeerMatch {
     Any,
     /// Match exactly this world rank.
     Exact(Rank),
-    /// Match only hooks with *no* peer (e.g. ANY_SOURCE posts).
-    NoPeer,
 }
 
 impl PeerMatch {
@@ -80,7 +78,6 @@ impl PeerMatch {
         match self {
             PeerMatch::Any => true,
             PeerMatch::Exact(r) => peer == Some(r),
-            PeerMatch::NoPeer => peer.is_none(),
         }
     }
 }
@@ -134,12 +131,6 @@ impl Trigger {
         self
     }
 
-    /// Restrict the trigger to hooks with no peer.
-    pub fn no_peer(mut self) -> Self {
-        self.peer = PeerMatch::NoPeer;
-        self
-    }
-
     /// Restrict the trigger to an exact tag.
     pub fn tag(mut self, tag: Tag) -> Self {
         self.tag = TagMatch::Exact(tag);
@@ -170,13 +161,6 @@ mod tests {
         assert!(!t.matches(&Hook::recv(HookKind::AfterRecvComplete, Some(2), 7)));
         assert!(!t.matches(&Hook::recv(HookKind::AfterRecvComplete, Some(1), 8)));
         assert!(!t.matches(&Hook::recv(HookKind::BeforeRecvPost, Some(1), 7)));
-    }
-
-    #[test]
-    fn no_peer_matches_any_source_posts_only() {
-        let t = Trigger::on(HookKind::BeforeRecvPost).no_peer();
-        assert!(t.matches(&Hook::recv(HookKind::BeforeRecvPost, None, 3)));
-        assert!(!t.matches(&Hook::recv(HookKind::BeforeRecvPost, Some(0), 3)));
     }
 
     #[test]

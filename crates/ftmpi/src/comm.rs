@@ -57,8 +57,6 @@ pub(crate) struct CommData {
     pub dup_count: u64,
     /// See `dup_count`.
     pub split_count: u64,
-    /// Whether `comm_free` was called.
-    pub freed: bool,
 }
 
 impl CommData {
@@ -75,7 +73,6 @@ impl CommData {
             barrier_round: 0,
             dup_count: 0,
             split_count: 0,
-            freed: false,
         }
     }
 

@@ -10,8 +10,6 @@
 //! operation references a failed-and-unrecognized rank, directly
 //! (point-to-point) or indirectly (`ANY_SOURCE`, collectives).
 
-use crate::rank::WorldRank;
-
 /// Result alias for all runtime operations.
 pub type Result<T> = std::result::Result<T, Error>;
 
@@ -56,17 +54,12 @@ pub enum Error {
     },
     /// Payload could not be decoded as the requested datatype.
     TypeMismatch,
-    /// Operation invalid in the current state (e.g. collective on a
-    /// communicator after `comm_free`).
+    /// Operation invalid in the current state (e.g. an unknown
+    /// communicator handle).
     InvalidState(&'static str),
 }
 
 impl Error {
-    /// Whether this error is in the `MPI_ERR_RANK_FAIL_STOP` class.
-    pub fn is_rank_fail_stop(&self) -> bool {
-        matches!(self, Error::RankFailStop { .. })
-    }
-
     /// Whether the error means this process must unwind (it is dead or
     /// the job is gone) rather than attempt recovery.
     pub fn is_terminal(&self) -> bool {
@@ -155,23 +148,12 @@ impl<T> RankOutcome<T> {
     }
 }
 
-/// Identifies a failed world rank in detector queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FailureEvent {
-    /// The failed process's world rank.
-    pub world_rank: WorldRank,
-    /// Global failure epoch at which this failure was recorded.
-    pub epoch: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn classes() {
-        assert!(Error::RankFailStop { rank: 3 }.is_rank_fail_stop());
-        assert!(!Error::SelfFailed.is_rank_fail_stop());
         assert!(Error::SelfFailed.is_terminal());
         assert!(Error::Aborted { code: 1 }.is_terminal());
         assert!(!Error::RankFailStop { rank: 0 }.is_terminal());

@@ -8,7 +8,9 @@
 //! semantics, so this crate implements them from scratch as an
 //! in-process runtime:
 //!
-//! * each rank is an OS thread driving a [`Process`];
+//! * each rank drives a [`Process`]: on its own OS thread in wall-clock
+//!   runs, as a coroutine on the driver's thread under a simulation
+//!   scheduler ([`UniverseConfig::sim`]);
 //! * the transport is lossless and FIFO per sender/receiver pair;
 //! * matching follows MPI rules (context, source, tag; `ANY_SOURCE`,
 //!   `ANY_TAG`; non-overtaking);
@@ -77,13 +79,13 @@ mod universe;
 
 pub use comm::{Comm, WORLD};
 pub use datatype::{Datatype, ZERO_SIZE_COUNT_MAX};
-pub use error::{Error, ErrorHandler, FailureEvent, RankOutcome, Result};
+pub use error::{Error, ErrorHandler, RankOutcome, Result};
 pub use group::Group;
 pub use message::ContextId;
 pub use paypool::PayloadPool;
 pub use pool::UniversePool;
 pub use process::{Process, Src, WaitAny};
-pub use rank::{CommRank, RankInfo, RankState, WorldRank, ANY_SOURCE, PROC_NULL};
+pub use rank::{CommRank, RankInfo, RankState, WorldRank};
 pub use request::{Completion, Request};
 pub use status::Status;
 pub use tag::{check_user_tag, Tag, TagSel, TAG_UB};

@@ -12,8 +12,7 @@
 //!   [`Process::comm_validate_clear`], [`Process::comm_validate_all`],
 //!   [`Process::icomm_validate_all`];
 //! * communicator management: [`Process::comm_dup`],
-//!   [`Process::comm_split`], [`Process::comm_free`],
-//!   [`Process::set_errhandler`];
+//!   [`Process::comm_split`], [`Process::set_errhandler`];
 //! * collectives (see the `collective` module).
 //!
 //! ### Failure semantics (proposal §II)
@@ -39,7 +38,7 @@ use bytes::{Bytes, BytesMut};
 
 use faultsim::{ChoiceKind, Decision, Hook, HookKind, SchedPoint, StepOutcome};
 
-use crate::comm::{Comm, CommData, WORLD};
+use crate::comm::{Comm, CommData};
 use crate::coro::with_sched;
 use crate::datatype::Datatype;
 use crate::detector::FailureRegistry;
@@ -240,19 +239,11 @@ impl Process {
     }
 
     pub(crate) fn comm_data(&self, comm: Comm) -> Result<&CommData> {
-        let c = self.comms.get(comm.0).ok_or(Error::InvalidState("unknown communicator"))?;
-        if c.freed {
-            return Err(Error::InvalidState("communicator was freed"));
-        }
-        Ok(c)
+        self.comms.get(comm.0).ok_or(Error::InvalidState("unknown communicator"))
     }
 
     pub(crate) fn comm_data_mut(&mut self, comm: Comm) -> Result<&mut CommData> {
-        let c = self.comms.get_mut(comm.0).ok_or(Error::InvalidState("unknown communicator"))?;
-        if c.freed {
-            return Err(Error::InvalidState("communicator was freed"));
-        }
-        Ok(c)
+        self.comms.get_mut(comm.0).ok_or(Error::InvalidState("unknown communicator"))
     }
 
     /// Size of `comm` (including failed members).
@@ -1179,33 +1170,16 @@ impl Process {
         }
     }
 
-    /// Free a communicator handle (local operation).
-    pub fn comm_free(&mut self, comm: Comm) -> Result<()> {
-        if comm == WORLD {
-            return Err(Error::InvalidState("cannot free MPI_COMM_WORLD"));
-        }
-        let c = self.comm_data_mut(comm)?;
-        c.freed = true;
-        Ok(())
-    }
-
     /// Number of live request slots (diagnostic, used by leak tests).
     pub fn live_requests(&self) -> usize {
         self.reqs.live()
-    }
-
-    /// Convenience: comm ranks currently alive on `comm`.
-    pub fn alive_ranks(&self, comm: Comm) -> Result<Vec<CommRank>> {
-        let c = self.comm_data(comm)?;
-        Ok((0..c.size())
-            .filter(|&r| c.state_of(r, &self.shared.registry) == RankState::Ok)
-            .collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::WORLD;
     use crate::universe::{run_default, UniverseConfig};
     use std::time::Duration;
 

@@ -6,15 +6,6 @@ pub type WorldRank = usize;
 /// A rank within a specific communicator.
 pub type CommRank = usize;
 
-/// Sentinel communicator-rank for `MPI_ANY_SOURCE`.
-///
-/// Kept as an `Option<CommRank>` in APIs; this constant exists for
-/// display/debug symmetry with the paper only.
-pub const ANY_SOURCE: isize = -1;
-
-/// Sentinel for `MPI_PROC_NULL` in statuses.
-pub const PROC_NULL: isize = -2;
-
 /// Process state as reported by the validate interfaces (Fig. 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RankState {
