@@ -94,7 +94,8 @@ fn main() {
 
     // Serial per-seed cost: one full schedule (sim + oracles) per item,
     // exactly the sweep engine's inner loop (zero-retention run on one
-    // SeedRunner reused across every schedule).
+    // SeedRunner reused across every schedule, each observation
+    // recycled into it).
     const EXPLORE_BATCH: u64 = 10;
     for ranks in [4usize, 8] {
         let cfg = ScenarioCfg { ranks, ..ScenarioCfg::default() };
@@ -107,6 +108,7 @@ fn main() {
                     let obs = runner.run_seed_quiet(s, &cfg);
                     let violations = check_all(&obs);
                     assert!(violations.is_empty(), "seed {s:#x} violated: {violations:?}");
+                    runner.recycle(obs);
                 }
             });
         eprintln!("explore/{ranks}: {rate:.1} schedules/sec ({schedules} in {elapsed:?})");
@@ -135,6 +137,7 @@ fn main() {
                             violations.is_empty(),
                             "shape {shape} seed {s:#x} violated: {violations:?}"
                         );
+                        runner.recycle(obs);
                     }
                 });
             let id = format!("explore_shape/{shape}");
@@ -144,9 +147,10 @@ fn main() {
     }
 
     // Steady-state allocation cost (DESIGN.md §8.10): mean heap
-    // allocations per schedule on the quiet path — rank bodies plus
-    // harness work, as counted by the `allocstats` global
-    // allocator — after a full warm-up pass over the same window. The
+    // allocations per schedule on the quiet path, observations recycled
+    // as the sweep engine does — rank bodies plus harness work, as
+    // counted by the `allocstats` global allocator — after a full
+    // warm-up pass over the same window. The
     // number is deterministic (the same seeds always allocate the same
     // amount), so unlike the timing series it carries no noise;
     // `scripts/bench_gate.py` holds it to a *lower-is-better* 1.1×
@@ -164,14 +168,18 @@ fn main() {
     for ranks in [4usize, 8] {
         let cfg = ScenarioCfg { ranks, ..ScenarioCfg::default() };
         let mut runner = SeedRunner::new(ranks);
-        for s in 0..alloc_window {
-            let _ = runner.run_seed_quiet(s, &cfg);
-        }
+        let pass = |runner: &mut SeedRunner| {
+            let mut allocs = 0u64;
+            for s in 0..alloc_window {
+                let obs = runner.run_seed_quiet(s, &cfg);
+                allocs += obs.stats.alloc.allocs;
+                runner.recycle(obs);
+            }
+            allocs
+        };
+        pass(&mut runner);
         let start = Instant::now();
-        let mut allocs = 0u64;
-        for s in 0..alloc_window {
-            allocs += runner.run_seed_quiet(s, &cfg).stats.alloc.allocs;
-        }
+        let allocs = pass(&mut runner);
         let elapsed = start.elapsed();
         let per_schedule = allocs as f64 / alloc_window as f64;
         let id = format!("allocs_per_schedule/{ranks}");

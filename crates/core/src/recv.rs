@@ -104,12 +104,14 @@ impl Ctx<'_> {
         // 5 of the 32 seeds of `dst::figures`' F8 row P1 takes the token
         // first, forwards it past the dead rank and resends nothing.
         let detector = self.detector.map(|(r, _)| r);
-        self.wait_reqs.clear();
-        self.wait_reqs.extend(detector);
-        self.wait_reqs.push(req);
-        self.wait_reqs.extend(also);
-        let out = self.p.waitany(&self.wait_reqs)?;
-        let fired = self.wait_reqs[out.index];
+        let mut set = [req; 3];
+        let mut len = 0;
+        for r in detector.into_iter().chain([req]).chain(also) {
+            set[len] = r;
+            len += 1;
+        }
+        let out = self.p.waitany(&set[..len])?;
+        let fired = set[out.index];
         if Some(fired) != detector {
             return Ok(Watched::Done(fired, out.result));
         }

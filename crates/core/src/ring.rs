@@ -218,10 +218,6 @@ pub(crate) struct Ctx<'a> {
     /// The rank that sent the token most recently returned by
     /// `recv_token` — the token's immediate sender, not its origin.
     pub last_recv_from: Option<CommRank>,
-    /// Reusable wait-set scratch for the `waitany` loops (receive and
-    /// termination paths), so steady-state token receives allocate
-    /// nothing.
-    pub wait_reqs: Vec<Request>,
     pub stats: RingStats,
 }
 
@@ -248,7 +244,6 @@ impl<'a> Ctx<'a> {
             detector: None,
             pending: VecDeque::new(),
             last_recv_from: None,
-            wait_reqs: Vec::new(),
             stats: RingStats::default(),
         })
     }

@@ -112,7 +112,9 @@ pub struct CoverageSet {
 impl CoverageSet {
     /// Empty set with room for the edges of ranks `0..ranks`.
     pub fn new(ranks: usize) -> Self {
-        CoverageSet { words: vec![0; ranks], len: 0, digest: 0 }
+        let mut set = CoverageSet::default();
+        set.reset(ranks);
+        set
     }
 
     /// Number of distinct edges.
@@ -168,9 +170,11 @@ impl CoverageSet {
         })
     }
 
-    /// Clear all members, keeping the allocation.
-    pub fn reset(&mut self) {
-        self.words.fill(0);
+    /// Clear all members and make room for the edges of ranks
+    /// `0..ranks`, keeping the allocation.
+    pub fn reset(&mut self, ranks: usize) {
+        self.words.clear();
+        self.words.resize(ranks, 0);
         self.len = 0;
         self.digest = 0;
     }
@@ -292,7 +296,7 @@ mod tests {
         let mut s = CoverageSet::new(8);
         s.record(7, EdgeKind::Kill, 2);
         let cap = s.words.capacity();
-        s.reset();
+        s.reset(8);
         assert!(s.is_empty());
         assert_eq!(s.signature(), 0);
         assert_eq!(s.iter().count(), 0);

@@ -262,7 +262,7 @@ fn hangs(f: &Figure) -> Counts {
     let mut steps = 0;
     for seed in SEEDS {
         let at = format!("{}: {} ranks, seed {seed}", f.id, f.ranks);
-        let (report, sched) = runner.run_workload(f, f.plan.clone(), seed, 100_000, Full, None);
+        let (report, sched) = runner.run_workload(f, &f.plan, seed, 100_000, Full, None);
         let deadlocked = sched.deadlock_at().is_some() && !sched.budget_exhausted();
         assert!(deadlocked, "{at}: no deadlock: {:?}", report.outcomes);
         let failed = (0..f.ranks).filter(|&rank| report.outcomes[rank].is_failed());

@@ -22,8 +22,13 @@
 //! the deliberately buggy ring is *supposed* to misbehave, and the
 //! whole point of the harness is that `no-duplicate` (which stays on)
 //! catches it.
+//!
+//! A green run allocates nothing: the oracles sort into per-thread
+//! scratch, and only a violation's report is built on the heap.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 
 use faultsim::FaultPlan;
 use ftmpi::{Event, RankOutcome, RunReport, TimedEvent};
@@ -56,7 +61,7 @@ pub struct RingRun<'a> {
     /// deliberately buggy one.
     pub hardened: bool,
     /// Ranks the fault plan kills, indexed like `outcomes`.
-    pub killed: Vec<usize>,
+    pub killed: Cow<'a, [usize]>,
     /// How each rank of the ring ended.
     pub outcomes: &'a [RankOutcome<RingStats>],
     /// The protocol trace (empty for an untraced run).
@@ -75,7 +80,7 @@ impl<'a> RingRun<'a> {
         RingRun {
             max_iter: cfg.max_iter,
             hardened: true,
-            killed: plan.victims(),
+            killed: plan.victims().into(),
             outcomes: &report.outcomes,
             trace: &report.trace,
             hung: report.hung,
@@ -123,10 +128,21 @@ pub const ORACLES: [Oracle; 7] = [
 /// Run every applicable oracle on an explored schedule; returns all
 /// violations (empty = green).
 pub fn check_all(obs: &Observation) -> Vec<Violation> {
+    // The victims, on the stack unless the schedule has more kills
+    // than any kill shape or mutator makes.
+    let kills = &obs.schedule.kills;
+    let mut victims = [0; 8];
+    let killed = match victims.get_mut(..kills.len()) {
+        Some(on_stack) => {
+            on_stack.iter_mut().zip(kills).for_each(|(v, k)| *v = k.victim);
+            Cow::Borrowed(&*on_stack)
+        }
+        None => kills.iter().map(|k| k.victim).collect(),
+    };
     RingRun {
         max_iter: obs.cfg.max_iter,
         hardened: !obs.cfg.buggy_dedup,
-        killed: obs.schedule.kills.iter().map(|k| k.victim).collect(),
+        killed,
         outcomes: &obs.outcomes,
         trace: &obs.trace,
         hung: obs.hung,
@@ -135,27 +151,60 @@ pub fn check_all(obs: &Observation) -> Vec<Violation> {
     .violations()
 }
 
+/// A (receiver, sender, context, tag) quadruple.
+type Quad = (usize, usize, u64, i32);
+
+/// What the oracles sort, kept per thread from run to run.
+#[derive(Default)]
+struct Scratch {
+    /// `RecvMatch` events: quadruple, trace position, `seq`.
+    matches: Vec<(Quad, usize, u64)>,
+    /// Survivors' closures: marker, position in survivor-then-closure
+    /// order, rank.
+    closures: Vec<(u64, usize, usize)>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// The survivors' closures into `out`, sorted by marker and then by
+/// position.
+fn sorted_closures(run: &RingRun, out: &mut Vec<(u64, usize, usize)>) {
+    out.clear();
+    for (rank, s) in run.survivors() {
+        for &(marker, _) in &s.closures {
+            out.push((marker, out.len(), rank));
+        }
+    }
+    out.sort_unstable();
+}
+
 /// §5.1 — messages between a fixed (sender, receiver, context, tag)
 /// quadruple are matched in send order. Checked straight off the trace:
 /// the per-pair `seq` stamped on every `RecvMatch` must be strictly
-/// increasing.
+/// increasing. The first match in trace order that is not is reported.
 fn non_overtaking(run: &RingRun) -> Result<(), String> {
-    let mut last: BTreeMap<(usize, usize, u64, i32), u64> = BTreeMap::new();
-    for te in run.trace {
-        if let Event::RecvMatch { dst, src, context, tag, seq } = &te.event {
-            let key = (*dst, *src, *context, *tag);
-            if let Some(prev) = last.get(&key) {
-                if *seq <= *prev {
-                    return Err(format!(
-                        "rank {dst} matched seq {seq} from rank {src} \
-                         (ctx {context}, tag {tag}) after seq {prev}"
-                    ));
-                }
+    SCRATCH.with_borrow_mut(|Scratch { matches, .. }| {
+        matches.clear();
+        matches.extend(run.trace.iter().enumerate().filter_map(|(at, te)| match te.event {
+            Event::RecvMatch { dst, src, context, tag, seq } => {
+                Some(((dst, src, context, tag), at, seq))
             }
-            last.insert(key, *seq);
+            _ => None,
+        }));
+        // Each quadruple's matches in trace order, side by side.
+        matches.sort_unstable();
+        let overtaken = matches.windows(2).filter(|m| m[0].0 == m[1].0 && m[1].2 <= m[0].2);
+        match overtaken.min_by_key(|m| m[1].1) {
+            None => Ok(()),
+            Some(&[(_, _, prev), ((dst, src, context, tag), _, seq)]) => Err(format!(
+                "rank {dst} matched seq {seq} from rank {src} \
+                 (ctx {context}, tag {tag}) after seq {prev}"
+            )),
+            Some(_) => unreachable!("windows of two"),
         }
-    }
-    Ok(())
+    })
 }
 
 /// §5.2 — under the hardened configuration, the survivors finish every
@@ -199,7 +248,6 @@ fn ring_completion(run: &RingRun) -> Result<(), String> {
         }
     }
     let ranks = run.outcomes.len() as i64;
-    let mut seen = BTreeSet::new();
     for (rank, s) in run.survivors() {
         if !s.terminated {
             return Err(format!("rank {rank} never terminated"));
@@ -217,17 +265,23 @@ fn ring_completion(run: &RingRun) -> Result<(), String> {
                     "rank {rank} closed iteration {marker} counting {value} of {ranks} ranks"
                 ));
             }
-            seen.insert(marker);
         }
     }
     if !run.killed.contains(&0) && run.outcomes[0].is_ok() {
         // The initial root ran to completion, so every closure
         // record survived too. (A rank-0 lone-survivor abort cuts
-        // the job short by design — no coverage to demand.)
-        for it in 0..run.max_iter {
-            if !seen.contains(&it) {
-                return Err(format!("iteration {it} was never closed (closed: {seen:?})"));
-            }
+        // the job short by design — no coverage to demand.) Every
+        // marker is below `max_iter` by now, so all were closed
+        // exactly when `max_iter` distinct ones were.
+        let closed = SCRATCH.with_borrow_mut(|Scratch { closures, .. }| {
+            sorted_closures(run, closures);
+            closures.chunk_by(|a, b| a.0 == b.0).count() as u64
+        });
+        if closed != run.max_iter {
+            let seen: BTreeSet<u64> =
+                run.survivors().flat_map(|(_, s)| s.closures.iter().map(|c| c.0)).collect();
+            let it = (0..run.max_iter).find(|it| !seen.contains(it)).expect("a marker is missing");
+            return Err(format!("iteration {it} was never closed (closed: {seen:?})"));
         }
     }
     Ok(())
@@ -247,14 +301,15 @@ fn ending(o: &RankOutcome<RingStats>) -> String {
 /// and nobody forwards a duplicate token. This is the oracle that
 /// catches the reverted iteration-marker dedup check.
 fn no_duplicate(run: &RingRun) -> Result<(), String> {
-    let mut seen = BTreeSet::new();
+    // The first closure, in survivor order, of a marker closed before.
+    let twice = SCRATCH.with_borrow_mut(|Scratch { closures, .. }| {
+        sorted_closures(run, closures);
+        let again = closures.windows(2).filter(|c| c[0].0 == c[1].0).map(|c| c[1]);
+        again.min_by_key(|&(_, at, _)| at)
+    });
     for (rank, s) in run.survivors() {
-        for (marker, _) in &s.closures {
-            if !seen.insert(*marker) {
-                return Err(format!(
-                    "iteration {marker} closed twice (second closure at rank {rank})"
-                ));
-            }
+        if let Some((marker, _, _)) = twice.filter(|&(_, _, by)| by == rank) {
+            return Err(format!("iteration {marker} closed twice (second closure at rank {rank})"));
         }
         if s.duplicate_forwards > 0 {
             return Err(format!(
@@ -307,12 +362,11 @@ fn validate_agreement(run: &RingRun) -> Result<(), String> {
 /// §5.6 — root failover elects at most one new root, and it is the
 /// lowest-ranked survivor (the deterministic election of Fig. 12).
 fn election_agreement(run: &RingRun) -> Result<(), String> {
-    let winners: Vec<usize> =
-        run.survivors().filter(|(_, s)| s.became_root).map(|(r, _)| r).collect();
-    if winners.len() > 1 {
-        return Err(format!("multiple ranks became root: {winners:?}"));
+    let winners = || run.survivors().filter(|(_, s)| s.became_root).map(|(r, _)| r);
+    if winners().nth(1).is_some() {
+        return Err(format!("multiple ranks became root: {:?}", winners().collect::<Vec<_>>()));
     }
-    if let Some(&w) = winners.first() {
+    if let Some(w) = winners().next() {
         let min_survivor = run.survivors().map(|(r, _)| r).min().unwrap_or(w);
         if w != min_survivor {
             return Err(format!(

@@ -18,12 +18,12 @@
 //! delays, and interleaving from nothing but that number.
 
 use faultsim::{FaultPlan, HookKind, RunStats};
-use ftmpi::{Process, RankOutcome, TimedEvent, UniversePool};
+use ftmpi::{Process, RankOutcome, ReportBuffers, RunReport, TimedEvent, UniversePool};
 use ftring::{RingConfig, RingStats};
 
 use crate::coverage::CoverageSet;
 use crate::figures::{ring, On};
-use crate::sched::SplitMix64;
+use crate::sched::{Scheduler, SplitMix64};
 use crate::workload::{Kills, Workload};
 
 /// Stream salt so kill derivation never collides with the scheduler's
@@ -683,7 +683,11 @@ pub enum Retention {
 
 /// The one schedule executor: a persistent [`UniversePool`] at a fixed
 /// rank count, running schedules back-to-back without per-run stack
-/// mappings or universe-state reallocation.
+/// mappings or universe-state reallocation. The runner keeps one
+/// [`Scheduler`] and one fault plan and resets them in place for every
+/// run; an observation handed back through [`SeedRunner::recycle`]
+/// lends the next run its buffers, so a warm runner's schedule
+/// allocates nothing the rank bodies do not.
 ///
 /// A schedule's observation does not depend on what the runner ran
 /// before it: the pool starts the ranks in rank order on their
@@ -695,6 +699,10 @@ pub enum Retention {
 /// call.
 pub struct SeedRunner {
     pub(crate) pool: UniversePool,
+    /// The scheduler of every run, reset for the next.
+    pub(crate) sched: Scheduler,
+    /// The running schedule's kills as a fault plan, refilled per run.
+    plan: FaultPlan,
     /// Scratch schedule reused across [`SeedRunner::run_seed`] calls:
     /// [`Schedule::from_seed_into`] rewrites it in place, so the
     /// kill/mask vectors warm up once and steady-state derivation
@@ -705,7 +713,13 @@ pub struct SeedRunner {
     /// [`Schedule::clone_from_pooled`] into one of these instead of a
     /// fresh `clone()`, so retaining observations (fuzz corpus,
     /// failure summaries) adds no per-run heap traffic.
-    spares: Vec<Schedule>,
+    schedules: Vec<Schedule>,
+    /// A recycled observation's outcomes and trace, and the last run's
+    /// generations: the next ring run's report is built in them.
+    reports: ReportBuffers<RingStats>,
+    /// A recycled observation's coverage set, for the scheduler to
+    /// record the next run's into.
+    coverage: CoverageSet,
 }
 
 impl SeedRunner {
@@ -713,8 +727,12 @@ impl SeedRunner {
     pub fn new(ranks: usize) -> Self {
         SeedRunner {
             pool: UniversePool::new(ranks),
+            sched: Scheduler::new(ranks, 0, 0),
+            plan: FaultPlan::none(),
             derive: Schedule::default(),
-            spares: Vec::new(),
+            schedules: Vec::new(),
+            reports: ReportBuffers::default(),
+            coverage: CoverageSet::default(),
         }
     }
 
@@ -724,12 +742,16 @@ impl SeedRunner {
     }
 
     /// Return an observation's buffers to the runner once its verdict
-    /// is extracted. Keeps a small stack of spare schedules; everything
-    /// else in the observation drops normally.
+    /// is extracted: its outcomes, trace and coverage set hold the next
+    /// run's, and a small stack of spare schedules the next
+    /// observations' copies. Its log and delay list drop.
     pub fn recycle(&mut self, obs: Observation) {
-        if self.spares.len() < 4 {
-            self.spares.push(obs.schedule);
+        if self.schedules.len() < 4 {
+            self.schedules.push(obs.schedule);
         }
+        self.reports.outcomes = obs.outcomes;
+        self.reports.trace = obs.trace;
+        self.coverage = obs.coverage;
     }
 
     /// Execute one schedule deterministically and observe the result —
@@ -746,42 +768,41 @@ impl SeedRunner {
             "scenario rank count does not match this runner's pool"
         );
         // Everything a schedule allocates happens on this thread — the
-        // harness's own work (scheduler construction, plan fold,
-        // observation assembly) and, since simulated ranks are
-        // coroutines driven from here, the rank bodies too — so one
-        // snapshot pair counts each allocation exactly once.
+        // harness's own work (scheduler reset, plan fold, observation
+        // assembly) and, since simulated ranks are coroutines driven
+        // from here, the rank bodies too — so one snapshot pair counts
+        // each allocation exactly once.
         let alloc_before = allocstats::snapshot();
         let ring = Ring { config: cfg.ring_config(), kills: &schedule.kills };
-        let Kills::Plan(plan) = ring.kills(schedule.seed, cfg.ranks) else { unreachable!() };
-        let (report, mut sched) = self.run_workload(
-            &ring,
-            plan,
-            schedule.seed,
-            cfg.step_budget,
-            retention,
-            schedule.delay_mask.as_deref(),
-        );
+        let plan = plan_in(std::mem::take(&mut self.plan), &schedule.kills);
+        self.arm(schedule.seed, cfg.step_budget, retention, schedule.delay_mask.as_deref());
+        let reports = std::mem::take(&mut self.reports);
+        let RunReport { outcomes, hung, trace, generations, stats, .. } =
+            self.run_in(&ring, &plan, reports);
+        self.plan = plan;
+        self.reports.generations = generations;
 
         // The observation's schedule copy reuses a recycled buffer when
         // there is one (§8.10: retention must not cost a fresh clone
         // per run).
-        let mut own_schedule = self.spares.pop().unwrap_or_default();
+        let mut own_schedule = self.schedules.pop().unwrap_or_default();
         own_schedule.clone_from_pooled(schedule);
 
+        let sched = &mut self.sched;
         let mut obs = Observation {
             schedule: own_schedule,
             cfg: *cfg,
-            outcomes: report.outcomes,
-            hung: report.hung,
+            outcomes,
+            hung,
             deadlock_at: sched.deadlock_at(),
             budget_exhausted: sched.budget_exhausted(),
-            trace: report.trace,
+            trace,
             log: sched.log_text(),
             delay_calls: sched.delay_calls(),
             // Handoff + coverage summary, via the one RunStats surface
             // the pool assembled; `alloc` is overwritten below.
-            stats: report.stats,
-            coverage: sched.take_coverage(),
+            stats,
+            coverage: sched.take_coverage(std::mem::take(&mut self.coverage)),
         };
         // Snapshot *after* assembly so the observation's own work
         // counts. This interval contains the one `report.stats.alloc`
@@ -845,7 +866,13 @@ impl Workload for Ring<'_> {
 
 /// `kills` as a fault plan.
 pub(crate) fn plan(kills: &[Kill]) -> FaultPlan {
-    kills.iter().fold(FaultPlan::none(), |p, k| p.kill_at(k.victim, k.hook, k.occurrence))
+    plan_in(FaultPlan::none(), kills)
+}
+
+/// `kills` as a fault plan, in `plan`'s allocation.
+fn plan_in(mut plan: FaultPlan, kills: &[Kill]) -> FaultPlan {
+    plan.clear();
+    kills.iter().fold(plan, |p, k| p.kill_at(k.victim, k.hook, k.occurrence))
 }
 
 /// Convenience: run one schedule, full log, on a runner built for this

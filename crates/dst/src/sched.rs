@@ -92,7 +92,7 @@ use crate::coverage::{mix, CoverageSet, EdgeKind, PHASE_CAP};
 use faultsim::{ChoiceKind, HandoffStats, Rank, RunStats, SchedHook, SchedPoint, StepOutcome};
 
 /// Deterministic splitmix64 stream.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SplitMix64 {
     state: u64,
 }
@@ -118,15 +118,18 @@ impl SplitMix64 {
 }
 
 /// A set of ranks as a bitmap, one bit per rank, with its size.
+#[derive(Default)]
 struct RankSet {
     words: Vec<u64>,
     len: usize,
 }
 
 impl RankSet {
-    /// Empty set for ranks `0..n`: it never allocates again.
-    fn new(n: usize) -> Self {
-        RankSet { words: vec![0; n.div_ceil(64)], len: 0 }
+    /// Empty the set for ranks `0..n`: it allocates only to grow.
+    fn reset(&mut self, n: usize) {
+        self.words.clear();
+        self.words.resize(n.div_ceil(64), 0);
+        self.len = 0;
     }
 
     /// Add `rank`, which is not in the set.
@@ -280,9 +283,11 @@ pub struct Scheduler {
     drain_calls: u64,
     /// Drain calls that delayed (pick < queue length).
     delays: Vec<u64>,
-    /// When set ([`Scheduler::delay_mask`]): exactly these drain calls
-    /// delay. Descending, so the next one due is the last.
-    delay_mask: Option<Vec<u64>>,
+    /// Whether a [`Scheduler::delay_mask`] pins the delays.
+    masked: bool,
+    /// The mask: exactly these drain calls delay. Descending, so the
+    /// next one due is the last.
+    delay_mask: Vec<u64>,
     /// Grants actually issued (excludes the budget-exhausting draw).
     grants: u64,
     /// Grants that drew the rank that had just stepped.
@@ -300,38 +305,69 @@ pub struct Scheduler {
 impl Scheduler {
     /// Scheduler for `n` ranks: every decision drawn from `seed`,
     /// livelock declared after `budget` steps, delays fired at random
-    /// from the seed, and the full decision log recorded. The one constructor;
+    /// from the seed, and the full decision log recorded. The one
+    /// constructor, a [`Scheduler::reset`] of an empty scheduler;
     /// [`Scheduler::quiet`] and [`Scheduler::delay_mask`] modify it.
     pub fn new(n: usize, seed: u64, budget: u64) -> Self {
-        Scheduler {
-            waiting: RankSet::new(n),
-            blocked: RankSet::new(n),
+        let mut sched = Scheduler {
+            waiting: RankSet::default(),
+            blocked: RankSet::default(),
             stepped: None,
-            rng: SplitMix64::new(seed),
-            rng_delay: SplitMix64::new(seed ^ 0x64656C_61797321),
-            rng_amount: SplitMix64::new(seed ^ 0x616D6F_756E7421),
+            rng: SplitMix64::default(),
+            rng_delay: SplitMix64::default(),
+            rng_amount: SplitMix64::default(),
             steps: 0,
-            budget,
+            budget: 0,
             aborted: false,
             deadlock_at: None,
             record: true,
             log: Vec::new(),
             drain_calls: 0,
             delays: Vec::new(),
-            delay_mask: None,
+            masked: false,
+            delay_mask: Vec::new(),
             grants: 0,
             self_grants: 0,
             enabled: 0,
-            coverage: CoverageSet::new(n),
+            coverage: CoverageSet::default(),
             kills_seen: 0,
-        }
+        };
+        sched.reset(n, seed, budget);
+        sched
+    }
+
+    /// Become [`Scheduler::new`]`(n, seed, budget)` in place, keeping
+    /// every buffer: a warm scheduler decides its next run allocating
+    /// nothing it has not needed before.
+    pub fn reset(&mut self, n: usize, seed: u64, budget: u64) {
+        self.waiting.reset(n);
+        self.blocked.reset(n);
+        self.stepped = None;
+        self.rng = SplitMix64::new(seed);
+        self.rng_delay = SplitMix64::new(seed ^ 0x64656C_61797321);
+        self.rng_amount = SplitMix64::new(seed ^ 0x616D6F_756E7421);
+        self.steps = 0;
+        self.budget = budget;
+        self.aborted = false;
+        self.deadlock_at = None;
+        self.record = true;
+        self.log.clear();
+        self.drain_calls = 0;
+        self.delays.clear();
+        self.masked = false;
+        self.delay_mask.clear();
+        self.grants = 0;
+        self.self_grants = 0;
+        self.enabled = 0;
+        self.coverage.reset(n);
+        self.kills_seen = 0;
     }
 
     /// Zero retention: the identical schedule (every PRNG stream
     /// advances the same way) with no decision log and no delay list.
     /// Sweeps run quiet; a failing seed is re-run recorded to recover
     /// its log deterministically.
-    pub fn quiet(mut self) -> Self {
+    pub fn quiet(&mut self) -> &mut Self {
         self.record = false;
         self
     }
@@ -341,11 +377,12 @@ impl Scheduler {
     /// waitany/anysource decisions still come from the seed. Shrinking
     /// replays masks it minimizes; the `masked` kill shape sweeps
     /// seed-derived ones (quiet, at volume).
-    pub fn delay_mask(mut self, mask: &[u64]) -> Self {
-        let mut mask = mask.to_vec();
-        mask.sort_unstable_by(|a, b| b.cmp(a));
-        mask.dedup();
-        self.delay_mask = Some(mask);
+    pub fn delay_mask(&mut self, mask: &[u64]) -> &mut Self {
+        self.masked = true;
+        self.delay_mask.clear();
+        self.delay_mask.extend_from_slice(mask);
+        self.delay_mask.sort_unstable_by(|a, b| b.cmp(a));
+        self.delay_mask.dedup();
         self
     }
 
@@ -392,12 +429,13 @@ impl Scheduler {
         self.steps
     }
 
-    /// Move the run's coverage-edge set out of the scheduler (leaving
-    /// an empty, unallocated placeholder). Call once, after the run:
+    /// Move the run's coverage-edge set out of the scheduler, leaving
+    /// `spare` for the next [`Scheduler::reset`] to empty and reuse
+    /// (pass a default set if there is none). Call once, after the run:
     /// the fuzzer unions the full set; copying it through the hook
     /// trait would cost an allocation per harvest.
-    pub fn take_coverage(&mut self) -> CoverageSet {
-        std::mem::take(&mut self.coverage)
+    pub fn take_coverage(&mut self, spare: CoverageSet) -> CoverageSet {
+        std::mem::replace(&mut self.coverage, spare)
     }
 
     /// End the run: from here on every suspended rank is handed
@@ -478,9 +516,9 @@ impl SchedHook for Scheduler {
                 // `n` alternatives = queue length q + 1; q is the
                 // full-delivery answer.
                 let q = n - 1;
-                let delay = match &mut self.delay_mask {
-                    Some(mask) => mask.last() == Some(&call) && mask.pop().is_some(),
-                    None => q > 0 && self.rng_delay.next_u64() % 16 < DELAY_WEIGHT,
+                let delay = match self.masked {
+                    true => self.delay_mask.pop_if(|next| *next == call).is_some(),
+                    false => q > 0 && self.rng_delay.next_u64() % 16 < DELAY_WEIGHT,
                 };
                 let pick = if delay && q > 0 { self.rng_amount.below(q) } else { q };
                 if pick < q && self.record {
@@ -619,7 +657,8 @@ mod tests {
         for n in [1usize, 3, 8, 64, 65, 130] {
             for trial in 0..40u64 {
                 let (seed, budget) = (trial * 7919 + n as u64, 50 + ops.below(400) as u64);
-                let mut sched = Scheduler::new(n, seed, budget).quiet();
+                let mut sched = Scheduler::new(n, seed, budget);
+                sched.quiet();
                 let mut model = Model {
                     waiting: Vec::new(),
                     blocked: Vec::new(),
@@ -666,6 +705,65 @@ mod tests {
                 deadlocks += u64::from(sched.deadlock_at().is_some());
                 budgets += u64::from(sched.budget_exhausted());
             }
+        }
+        assert!(deadlocks > 0 && budgets > 0, "{deadlocks} deadlocks, {budgets} budgets");
+    }
+
+    /// Drive `sched` over `n` ranks with an op stream drawn from
+    /// `ops`: grants, drains, waitany picks, kills, wakes, blocking and
+    /// exits. Returns everything a run leaves readable.
+    fn script(sched: &mut Scheduler, n: usize, ops: u64) -> impl PartialEq + std::fmt::Debug {
+        let mut ops = SplitMix64::new(ops);
+        for rank in 0..n {
+            sched.arrive(rank, SchedPoint::Enter);
+        }
+        while let Some((rank, outcome)) = sched.next() {
+            if outcome == StepOutcome::Abort || ops.below(25) == 0 {
+                sched.on_exit(rank);
+                continue;
+            }
+            match ops.below(4) {
+                0 => _ = sched.choose(rank, ChoiceKind::Drain, 1 + ops.below(4)),
+                1 => _ = sched.choose(rank, ChoiceKind::WaitAny, 1 + ops.below(3)),
+                2 if ops.below(8) == 0 => sched.on_kill(ops.below(n)),
+                _ => sched.wake(ops.below(n)),
+            }
+            let blocks = ops.below(3) == 0;
+            sched.arrive(rank, if blocks { SchedPoint::Blocked } else { SchedPoint::Tick });
+        }
+        let coverage = sched.take_coverage(CoverageSet::default());
+        let verdict = (sched.deadlock_at(), sched.budget_exhausted(), sched.steps());
+        let stats = sched.run_stats();
+        (sched.log_text(), sched.delay_calls(), verdict, stats, coverage.iter().collect::<Vec<_>>())
+    }
+
+    /// A scheduler reset in place decides as a new one does: the same
+    /// grants, log, delays, coverage and stats, recorded or quiet, with
+    /// and without a delay mask, through deadlocks and spent budgets,
+    /// whatever it decided before and for however many ranks.
+    #[test]
+    fn a_reset_scheduler_decides_as_a_new_one() {
+        let mut warm = Scheduler::new(130, 99, 10);
+        let (mut deadlocks, mut budgets) = (0, 0);
+        for (i, n) in [3usize, 1, 8, 130, 65, 4, 2, 64].into_iter().cycle().take(48).enumerate() {
+            let (seed, budget) = (i as u64 * 31 + 5, [40, 400, 4000][i % 3]);
+            let mask = [1u64, 4, 9, 30];
+            let settle = |sched: &mut Scheduler| {
+                if i % 2 == 1 {
+                    sched.quiet();
+                }
+                if i % 4 >= 2 {
+                    sched.delay_mask(&mask[..i % 5]);
+                }
+            };
+            let mut fresh = Scheduler::new(n, seed, budget);
+            settle(&mut fresh);
+            warm.reset(n, seed, budget);
+            settle(&mut warm);
+            let ops = seed ^ 0xABC;
+            assert_eq!(script(&mut warm, n, ops), script(&mut fresh, n, ops), "{n} ranks, run {i}");
+            deadlocks += u64::from(fresh.deadlock_at().is_some());
+            budgets += u64::from(fresh.budget_exhausted());
         }
         assert!(deadlocks > 0 && budgets > 0, "{deadlocks} deadlocks, {budgets} budgets");
     }
@@ -753,8 +851,10 @@ mod tests {
     #[test]
     fn no_enabled_rank_is_a_deadlock_verdict() {
         for quiet in [false, true] {
-            let sched = Scheduler::new(3, 4, 1000);
-            let mut sched = if quiet { sched.quiet() } else { sched };
+            let mut sched = Scheduler::new(3, 4, 1000);
+            if quiet {
+                sched.quiet();
+            }
             for rank in 0..3 {
                 sched.arrive(rank, SchedPoint::Enter);
             }
@@ -807,13 +907,14 @@ mod tests {
         // retains nothing — with random delays and with a pinned mask.
         for mask in [None, Some([1u64, 3])] {
             let build = || {
-                let sched = Scheduler::new(1, 77, 1000);
-                match &mask {
-                    Some(m) => sched.delay_mask(m),
-                    None => sched,
+                let mut sched = Scheduler::new(1, 77, 1000);
+                if let Some(m) = &mask {
+                    sched.delay_mask(m);
                 }
+                sched
             };
-            let (mut recorded, mut quiet) = (build(), build().quiet());
+            let (mut recorded, mut quiet) = (build(), build());
+            quiet.quiet();
             for n in [4usize, 2, 7, 3, 5] {
                 assert_eq!(
                     recorded.choose(0, ChoiceKind::Drain, n),
@@ -836,7 +937,8 @@ mod tests {
 
     #[test]
     fn quiet_budget_exhaustion_is_still_visible() {
-        let mut sched = Scheduler::new(2, 1, 25).quiet();
+        let mut sched = Scheduler::new(2, 1, 25);
+        sched.quiet();
         drive(&mut sched, 2, None);
         assert!(sched.budget_exhausted(), "aborted flag works without the log");
         assert!(sched.events().is_empty());
@@ -844,7 +946,8 @@ mod tests {
 
     #[test]
     fn delay_mask_forces_exact_delays() {
-        let mut sched = Scheduler::new(1, 9, 100).delay_mask(&[1]);
+        let mut sched = Scheduler::new(1, 9, 100);
+        sched.delay_mask(&[1]);
         // Drain call 0: full delivery of a 3-long queue (4 options).
         assert_eq!(sched.choose(0, ChoiceKind::Drain, 4), 3);
         // Drain call 1: masked in, must delay (pick < 3).
@@ -859,7 +962,8 @@ mod tests {
     #[test]
     fn delay_mask_order_and_repeats_do_not_matter() {
         for mask in [&[1u64, 4, 9][..], &[9, 4, 1], &[4, 1, 9, 4, 1]] {
-            let mut sched = Scheduler::new(1, 9, 100).delay_mask(mask);
+            let mut sched = Scheduler::new(1, 9, 100);
+            sched.delay_mask(mask);
             let delayed: Vec<u64> =
                 (0..6).filter(|_| sched.choose(0, ChoiceKind::Drain, 3) < 2).collect();
             assert_eq!(delayed, [1, 4], "mask {mask:?}");
@@ -899,13 +1003,14 @@ mod tests {
             sched.on_exit(0);
         };
         let mut recorded = Scheduler::new(2, 11, 100);
-        let mut quiet = Scheduler::new(2, 11, 100).quiet();
+        let mut quiet = Scheduler::new(2, 11, 100);
+        quiet.quiet();
         drive(&mut recorded);
         drive(&mut quiet);
         let (r, q) = (recorded.run_stats().coverage, quiet.run_stats().coverage);
         assert_eq!(r, q, "quiet run covered differently");
         assert!(r.edges >= 5, "expected ≥5 distinct edges, got {}", r.edges);
-        let set = recorded.take_coverage();
+        let set = recorded.take_coverage(CoverageSet::default());
         assert_eq!(set.len() as u64, r.edges);
         assert_eq!(set.signature(), r.signature);
         // Harvest moved the set out; the scheduler now reports empty.

@@ -1,10 +1,11 @@
 //! One way to run a protocol under the scheduler (DESIGN.md §8.1).
 
+use std::borrow::Cow;
 use std::fmt::{Debug, Write as _};
 use std::ops::Range;
 
 use faultsim::{FaultPlan, FaultRule, HookKind};
-use ftmpi::{Process, RankOutcome, RunReport, UniverseConfig};
+use ftmpi::{Process, RankOutcome, ReportBuffers, RunReport, UniverseConfig};
 
 use crate::scenario::{plan, Kill, HOOKS, KILL_SALT};
 use crate::{Retention, Retention::Full, Scheduler, SeedRunner, SplitMix64};
@@ -31,21 +32,48 @@ pub enum Kills {
 
 impl SeedRunner {
     /// The one simulated-run executor: `w` under `plan` and a scheduler drawn from `seed` that
-    /// calls a livelock after `budget` steps and pins delays to `mask` if given.
+    /// calls a livelock after `budget` steps and pins delays to `mask` if given. The scheduler
+    /// is the runner's, to read until its next run.
     pub fn run_workload<W: Workload>(
         &mut self,
         w: &W,
-        plan: FaultPlan,
+        plan: &FaultPlan,
         seed: u64,
         budget: u64,
         retention: Retention,
         mask: Option<&[u64]>,
-    ) -> (RunReport<W::Report>, Scheduler) {
-        let sched = Scheduler::new(self.ranks(), seed, budget);
-        let sched = if retention == Retention::Quiet { sched.quiet() } else { sched };
-        let mut sched = if let Some(mask) = mask { sched.delay_mask(mask) } else { sched };
-        let cfg = UniverseConfig::with_plan(plan).traced().sim(&mut sched);
-        (self.pool.run(cfg, |p: &mut Process| w.body(p)), sched)
+    ) -> (RunReport<W::Report>, &Scheduler) {
+        self.arm(seed, budget, retention, mask);
+        (self.run_in(w, plan, ReportBuffers::default()), &self.sched)
+    }
+
+    /// Reset the runner's scheduler for a run drawn from `seed`.
+    pub(crate) fn arm(
+        &mut self,
+        seed: u64,
+        budget: u64,
+        retention: Retention,
+        mask: Option<&[u64]>,
+    ) {
+        self.sched.reset(self.ranks(), seed, budget);
+        if retention == Retention::Quiet {
+            self.sched.quiet();
+        }
+        if let Some(mask) = mask {
+            self.sched.delay_mask(mask);
+        }
+    }
+
+    /// Run `w` under `plan` and the armed scheduler, its report built in `reports`.
+    pub(crate) fn run_in<W: Workload>(
+        &mut self,
+        w: &W,
+        plan: &FaultPlan,
+        reports: ReportBuffers<W::Report>,
+    ) -> RunReport<W::Report> {
+        let cfg = UniverseConfig { plan: Cow::Borrowed(plan), ..UniverseConfig::default() };
+        let cfg = cfg.traced().sim(&mut self.sched);
+        self.pool.run_in(cfg, reports, |p: &mut Process| w.body(p))
     }
 }
 
@@ -126,7 +154,7 @@ impl<W: Workload> Seed<'_, W> {
     /// One run under `plan`, with no deadlock, budget or hang verdict.
     fn run(&mut self, plan: FaultPlan) -> Trial<W::Report> {
         let (w, seed, at) = (self.w, self.seed, self.at);
-        let (report, sched) = self.runner.run_workload(w, plan, seed, 100_000, Full, None);
+        let (report, sched) = self.runner.run_workload(w, &plan, seed, 100_000, Full, None);
         assert_eq!(sched.deadlock_at(), None, "{at}: deadlock\n{}", sched.log_text());
         assert!(!sched.budget_exhausted() && !report.hung, "{at}: budget spent or hung");
         let mut text = sched.log_text();

@@ -72,8 +72,9 @@ fn heat_runs_through_any_interior_failure() {
 #[test]
 fn heat_survives_a_death_after_its_neighbour_finished() {
     let plan = FaultPlan::none().kill_at(1, HookKind::BeforeRecvPost, 100);
+    let mut runner = SeedRunner::new(5);
     for seed in [1, 2] {
-        let run = SeedRunner::new(5).run_workload(&Heat, plan.clone(), seed, 100_000, Full, None);
+        let run = runner.run_workload(&Heat, &plan, seed, 100_000, Full, None);
         let reports = reports(&format!("seed {seed}"), &run.0);
         let steps: Vec<_> = reports.iter().map(|r| r.map(|r| r.steps)).collect();
         assert_eq!(steps, [Some(50), None, Some(50), Some(50), Some(50)], "seed {seed}");

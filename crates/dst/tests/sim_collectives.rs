@@ -21,7 +21,7 @@
 
 use std::fmt::Debug;
 
-use dst::{referee, reports, Kills, Workload};
+use dst::{referee, reports, Kills, Retention::Full, SeedRunner, Workload};
 use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
 use ftmpi::{Error, ErrorHandler, Process, RankState, Src, WorldRank, WORLD};
 
@@ -136,6 +136,65 @@ fn board_collectives_are_deadlock_free_uniform_and_pinned() {
         }
     });
     assert_eq!(digest, DIGEST, "decision logs or reports moved: {digest:#018x}");
+}
+
+/// `w` under `plan` and `seed` leaves the same decision log, trace and
+/// reports on `warm` as on a fresh runner.
+fn as_fresh<W: Workload>(warm: &mut SeedRunner, w: &W, plan: &FaultPlan, seed: u64) {
+    let run = |runner: &mut SeedRunner| {
+        let (report, sched) = runner.run_workload(w, plan, seed, 100_000, Full, None);
+        (sched.log_text(), format!("{:?} {:?}", report.trace, report.outcomes))
+    };
+    let fresh = run(&mut SeedRunner::new(warm.ranks()));
+    assert_eq!(run(warm), fresh, "seed {seed}");
+}
+
+/// A warm runner's processes keep nothing of a run: after the board's
+/// runs (dup and split communicators, validate decisions, kills that
+/// leave requests outstanding) and a run that leaves requests, an
+/// unreceived message, a dup and a recognition behind on purpose, every
+/// seed runs on it as on a fresh runner — the board, and a ring
+/// exchange that a stale message, communicator or recognition would
+/// change.
+#[test]
+fn a_warm_runner_runs_as_a_fresh_one() {
+    let kill_3 = FaultPlan::none().kill_at(3, HookKind::BeforeSend, 1);
+    let litter = Contract {
+        plan: kill_3.clone(),
+        body: |p: &mut Process| {
+            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+            let dup = p.comm_dup(WORLD)?;
+            if p.world_rank() == 3 {
+                announce(p, &[0])?;
+            }
+            let me = p.world_rank();
+            p.irecv(dup, Src::Rank(3), 5)?;
+            p.irecv(WORLD, Src::Rank((me + 2) % 4), 6)?;
+            // Rank 0's left is the victim.
+            let _ = p.send(WORLD, (me + 3) % 4, 6, &(100 + me));
+            // Drains every message sent before it into its receiver.
+            p.comm_validate_all(WORLD)
+        },
+    };
+    let exchange = Contract {
+        plan: kill_3,
+        body: |p: &mut Process| {
+            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+            let (me, dup) = (p.world_rank(), p.comm_dup(WORLD)?);
+            let (left, right) = ((me + 3) % 4, Src::Rank((me + 1) % 4));
+            let got = p.sendrecv::<usize, usize>(WORLD, left, 6, &me, right, 6);
+            let got = got.map(|(v, _)| v).map_err(|e| e.to_string());
+            Ok((format!("{dup:?}"), got, p.comm_validate_rank(WORLD, 3)?.state))
+        },
+    };
+    let mut warm = SeedRunner::new(4);
+    for seed in SEEDS {
+        let Kills::Plan(plan) = Board.kills(seed, 4) else { unreachable!("a plan per seed") };
+        as_fresh(&mut warm, &Board, &plan, seed);
+        as_fresh(&mut warm, &exchange, &exchange.plan, seed);
+        let (report, _) = warm.run_workload(&litter, &litter.plan, seed, 100_000, Full, None);
+        assert!(report.outcomes[3].is_failed(), "seed {seed}: {:?}", report.outcomes);
+    }
 }
 
 /// One rank body under one plan, whatever the seed.

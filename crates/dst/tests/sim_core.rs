@@ -158,7 +158,8 @@ fn budget_exhaustion_unwinds_every_rank_body() {
 /// limit ends the same livelock through the same abort path.
 #[test]
 fn wall_clock_watchdog_fires_under_simulation() {
-    let mut sched = Scheduler::new(N, 7, u64::MAX).quiet();
+    let mut sched = Scheduler::new(N, 7, u64::MAX);
+    sched.quiet();
     let limit = Duration::from_millis(50);
     let cfg = UniverseConfig::default().sim(&mut sched).watchdog(limit);
     let report = assert_hang_is_unwound(cfg, token_forever);
@@ -174,7 +175,8 @@ fn wall_clock_watchdog_fires_under_simulation() {
 /// run would never end.
 #[test]
 fn wall_clock_watchdog_ends_a_livelock_of_self_grants() {
-    let mut sched = Scheduler::new(1, 7, u64::MAX).quiet();
+    let mut sched = Scheduler::new(1, 7, u64::MAX);
+    sched.quiet();
     let limit = Duration::from_millis(50);
     let cfg = UniverseConfig::default().sim(&mut sched).watchdog(limit);
     let dropped = AtomicUsize::new(0);

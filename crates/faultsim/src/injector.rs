@@ -49,20 +49,29 @@ pub struct Injector {
 
 impl Injector {
     /// Arm a plan.
-    pub fn new(plan: FaultPlan) -> Self {
-        let rules = plan
-            .rules()
-            .iter()
-            .map(|r| ArmedRule {
-                observer: r.observer,
-                trigger: r.trigger,
-                action: r.action,
-                count: AtomicU64::new(0),
-                at_first_kill: AtomicU64::new(0),
-                fired: AtomicBool::new(false),
-            })
-            .collect::<Vec<_>>();
-        Injector { empty: rules.is_empty(), rules, killed: AtomicBool::new(false) }
+    pub fn new(plan: &FaultPlan) -> Self {
+        let killed = AtomicBool::new(false);
+        let mut injector = Injector { rules: Vec::new(), empty: true, killed };
+        injector.rearm(plan);
+        injector
+    }
+
+    /// Arm `plan` in place of the current one: every count starts from
+    /// zero and no rule has fired, as in [`Injector::new`], and the rule
+    /// buffer is reused.
+    pub fn rearm(&mut self, plan: &FaultPlan) {
+        let armed = |r: &crate::plan::FaultRule| ArmedRule {
+            observer: r.observer,
+            trigger: r.trigger,
+            action: r.action,
+            count: AtomicU64::new(0),
+            at_first_kill: AtomicU64::new(0),
+            fired: AtomicBool::new(false),
+        };
+        self.rules.clear();
+        self.rules.extend(plan.rules().iter().map(armed));
+        self.empty = self.rules.is_empty();
+        *self.killed.get_mut() = false;
     }
 
     /// Report that `rank` reached protocol point `hook`.
@@ -143,7 +152,7 @@ mod tests {
 
     #[test]
     fn disarmed_always_continues() {
-        let inj = Injector::new(FaultPlan::none());
+        let inj = Injector::new(&FaultPlan::none());
         assert_eq!(inj.observe(0, &Hook::bare(HookKind::Tick)), Decision::Continue);
     }
 
@@ -153,7 +162,7 @@ mod tests {
             2,
             Trigger::on(HookKind::AfterRecvComplete).nth(3),
         ));
-        let inj = Injector::new(plan);
+        let inj = Injector::new(&plan);
         let hook = Hook::recv(HookKind::AfterRecvComplete, Some(1), 1);
         assert_eq!(inj.observe(2, &hook), Decision::Continue);
         assert_eq!(inj.observe(2, &hook), Decision::Continue);
@@ -163,8 +172,27 @@ mod tests {
     }
 
     #[test]
+    fn rearm_counts_from_zero_like_a_fresh_injector() {
+        let tick = Hook::bare(HookKind::Tick);
+        let mut inj = Injector::new(&FaultPlan::none().kill_at(0, HookKind::Tick, 1));
+        assert_eq!(inj.observe(0, &tick), Decision::KillSelf);
+        let plan = FaultPlan::none().kill_at(1, HookKind::Tick, 2);
+        inj.rearm(&plan);
+        let fresh = Injector::new(&plan);
+        assert!(inj.counts().eq(fresh.counts()), "counts start from zero");
+        for inj in [&inj, &fresh] {
+            assert_eq!(inj.observe(0, &tick), Decision::Continue, "rank 0's rule is gone");
+            assert_eq!(inj.observe(1, &tick), Decision::Continue);
+            assert_eq!(inj.observe(1, &tick), Decision::KillSelf);
+        }
+        inj.rearm(&FaultPlan::none());
+        assert_eq!(inj.observe(1, &tick), Decision::Continue);
+        assert_eq!(inj.counts().count(), 0);
+    }
+
+    #[test]
     fn pending_names_the_observer_and_kind_until_the_rule_fires() {
-        let inj = Injector::new(FaultPlan::none().kill_at(1, HookKind::Tick, 2));
+        let inj = Injector::new(&FaultPlan::none().kill_at(1, HookKind::Tick, 2));
         assert!(inj.pending(1, HookKind::Tick));
         assert!(!inj.pending(0, HookKind::Tick), "another rank's rule");
         assert!(!inj.pending(1, HookKind::AfterSend), "another kind");
@@ -173,13 +201,13 @@ mod tests {
         assert!(inj.pending(1, HookKind::Tick), "counted once, fires on the second");
         assert_eq!(inj.observe(1, &tick), Decision::KillSelf);
         assert!(!inj.pending(1, HookKind::Tick));
-        assert!(!Injector::new(FaultPlan::none()).pending(0, HookKind::Tick));
+        assert!(!Injector::new(&FaultPlan::none()).pending(0, HookKind::Tick));
     }
 
     #[test]
     fn other_ranks_hooks_do_not_count() {
         let plan = FaultPlan::none().kill_at(1, HookKind::AfterSend, 1);
-        let inj = Injector::new(plan);
+        let inj = Injector::new(&plan);
         let hook = Hook::send(HookKind::AfterSend, 0, 1);
         assert_eq!(inj.observe(0, &hook), Decision::Continue);
         assert_eq!(inj.observe(1, &hook), Decision::KillSelf);
@@ -192,7 +220,7 @@ mod tests {
             2,
             Trigger::on(HookKind::AfterSend).peer(0),
         ));
-        let inj = Injector::new(plan);
+        let inj = Injector::new(&plan);
         let hook = Hook::send(HookKind::AfterSend, 0, 1);
         assert_eq!(inj.observe(3, &hook), Decision::KillOthers([Some(2), None]));
         assert_eq!(inj.observe(3, &hook), Decision::Continue, "fires once");
@@ -204,7 +232,7 @@ mod tests {
         let plan = FaultPlan::none()
             .with(FaultRule::kill_other(0, 5, trig))
             .with(FaultRule::kill(0, trig));
-        let inj = Injector::new(plan);
+        let inj = Injector::new(&plan);
         assert_eq!(inj.observe(0, &Hook::bare(HookKind::Tick)), Decision::KillSelf);
     }
 
@@ -212,7 +240,7 @@ mod tests {
     fn concurrent_observation_fires_exactly_once() {
         use std::sync::Arc;
         let plan = FaultPlan::none().kill_at(0, HookKind::Tick, 100);
-        let inj = Arc::new(Injector::new(plan));
+        let inj = Arc::new(Injector::new(&plan));
         let mut handles = Vec::new();
         let kills = Arc::new(AtomicU64::new(0));
         for _ in 0..8 {

@@ -83,6 +83,11 @@ impl FaultPlan {
         self.with(FaultRule::kill(rank, Trigger::on(kind).nth(occurrence)))
     }
 
+    /// Drop every rule, keeping the allocation for the next plan.
+    pub fn clear(&mut self) {
+        self.rules.clear();
+    }
+
     /// The rules in order.
     pub fn rules(&self) -> &[FaultRule] {
         &self.rules

@@ -35,7 +35,7 @@ proptest! {
         let kind = KINDS[kind_idx];
         let plan = FaultPlan::none()
             .with(FaultRule::kill(victim, Trigger::on(kind).nth(occurrence)));
-        let inj = Injector::new(plan);
+        let inj = Injector::new(&plan);
 
         let mut matches_seen = 0u64;
         let mut fired_at: Option<usize> = None;
@@ -84,7 +84,7 @@ proptest! {
             0,
             Trigger::on(HookKind::AfterSend).peer(peer).tag(tag).nth(1),
         ));
-        let inj = Injector::new(plan);
+        let inj = Injector::new(&plan);
         for (rank, hook) in &stream {
             let decision = inj.observe(*rank, hook);
             if decision == Decision::KillSelf {
@@ -107,7 +107,7 @@ proptest! {
         let plan = FaultPlan::none()
             .with(FaultRule::kill(0, Trigger::on(HookKind::Tick).nth(occ_a)))
             .with(FaultRule::kill(1, Trigger::on(HookKind::Tick).nth(occ_b)));
-        let inj = Injector::new(plan);
+        let inj = Injector::new(&plan);
         let mut fired = [0u64, 0];
         for i in 1..=n_ticks {
             for rank in 0..2usize {

@@ -18,7 +18,7 @@ use crate::error::ErrorHandler;
 use crate::group::Group;
 use crate::matching::KeyHasher;
 use crate::message::ContextId;
-use crate::rank::{CommRank, RankInfo, RankState};
+use crate::rank::{CommRank, RankInfo, RankState, WorldRank};
 
 /// Handle to a communicator in this process's table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,6 +74,19 @@ impl CommData {
             dup_count: 0,
             split_count: 0,
         }
+    }
+
+    /// Back to what [`CommData::new`] built, keeping the context, the
+    /// group, this process's rank in it and the containers' capacity.
+    pub(crate) fn reset(&mut self) {
+        self.errhandler = ErrorHandler::default();
+        self.recognized.clear();
+        self.validated.clear();
+        self.coll_instance = 0;
+        self.validate_round = 0;
+        self.barrier_round = 0;
+        self.dup_count = 0;
+        self.split_count = 0;
     }
 
     /// Communicator size (including failed members).
@@ -134,17 +147,22 @@ impl CommData {
         (0..self.size()).filter(|r| !self.validated.contains(r)).collect()
     }
 
-    /// Apply a `validate_all` decision: the agreed failed set becomes
-    /// both locally recognized and the collective skip set.
+    /// Apply a `validate_all` decision, the agreed failed set as world
+    /// ranks: its members here become both locally recognized and the
+    /// collective skip set. Returns how many there are.
     pub(crate) fn apply_validate_decision(
         &mut self,
-        failed_comm_ranks: Vec<CommRank>,
+        failed: &[WorldRank],
         registry: &FailureRegistry,
-    ) {
-        for &r in &failed_comm_ranks {
-            self.recognize(r, registry);
+    ) -> usize {
+        self.validated.clear();
+        for &w in failed {
+            if let Some(r) = self.group.rank_of(w) {
+                self.recognized.insert(r, registry.generation(w));
+                self.validated.push(r);
+            }
         }
-        self.validated = failed_comm_ranks;
+        self.validated.len()
     }
 }
 
@@ -189,9 +207,22 @@ mod tests {
         let reg = FailureRegistry::new(3);
         let mut c = comm3();
         reg.kill(0);
-        c.apply_validate_decision(vec![0], &reg);
+        assert_eq!(c.apply_validate_decision(&[0], &reg), 1);
         assert_eq!(c.state_of(0, &reg), RankState::Null);
         assert_eq!(c.collective_active(), vec![1, 2]);
+    }
+
+    #[test]
+    fn reset_matches_a_new_communicator() {
+        let reg = FailureRegistry::new(3);
+        let mut c = comm3();
+        reg.kill(0);
+        c.apply_validate_decision(&[0], &reg);
+        c.errhandler = ErrorHandler::ErrorsReturn;
+        (c.coll_instance, c.validate_round, c.barrier_round) = (3, 2, 1);
+        (c.dup_count, c.split_count) = (1, 1);
+        c.reset();
+        assert_eq!(format!("{c:?}"), format!("{:?}", comm3()));
     }
 
     #[test]

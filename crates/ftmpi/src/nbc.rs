@@ -12,12 +12,10 @@
 //! after arrival do not poison it. What that buys a retry loop, and
 //! what a real MPI does not promise, is on [`crate::Process::ibarrier`].
 
-use std::sync::Arc;
-
 use crate::detector::FailureRegistry;
 use crate::group::Group;
 use crate::rank::WorldRank;
-use crate::rendezvous::{Key, Ranks, Rendezvous};
+use crate::rendezvous::{ranks_in, Key, Ranks, Rendezvous};
 
 impl Rendezvous {
     /// Join barrier round `key` as `me`. The first joiner fixes the
@@ -39,11 +37,11 @@ impl Rendezvous {
     /// The outcome of barrier round `key`: the required ranks that died
     /// without arriving, none if the round is `Ok`.
     pub(crate) fn barrier_poll(&self, key: Key, reg: &FailureRegistry) -> Option<(Ranks, bool)> {
-        self.barriers.poll(key, reg, |state| {
+        self.barriers.poll(key, reg, |state, reuse| {
             // Whoever has not arrived is failed, or the round would not
             // be complete.
             let members = state.required.members().iter().copied();
-            Arc::new(members.filter(|&w| state.arrived[w].is_none()).collect())
+            ranks_in(reuse, members.filter(|&w| state.arrived[w].is_none()))
         })
     }
 }

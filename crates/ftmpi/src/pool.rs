@@ -52,7 +52,7 @@
 //! failed `Arc::get_mut` as a broken invariant and panics rather than
 //! corrupt a live universe.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -67,14 +67,12 @@ use faultsim::{RunStats, SchedPoint, StepOutcome};
 
 use crate::coro::{with_sched, Coroutine, Group};
 use crate::error::{Error, RankOutcome, Result};
-use crate::process::{Process, RankScratch};
-use crate::universe::{RunReport, Shared, UniverseConfig, WATCHDOG_ABORT_CODE};
+use crate::process::Process;
+use crate::universe::{ReportBuffers, RunReport, Shared, UniverseConfig, WATCHDOG_ABORT_CODE};
 
-/// One unit of work: one rank incarnation of one run. The argument is
-/// the worker-owned [`RankScratch`] (drain buffer, match engine,
-/// request table, communicator table, encode scratch), kept warm
-/// across runs.
-type Job = Box<dyn FnOnce(&mut RankScratch) + Send>;
+/// One unit of work: one rank incarnation of one run, on the
+/// worker-owned [`Process`] of that rank.
+type Job = Box<dyn FnOnce(&mut Process) + Send>;
 
 /// Per-worker job queue. A queue, not a slot: the respawn extension
 /// can enqueue a rank's next incarnation while the previous one is
@@ -119,9 +117,9 @@ struct PoolCore {
     alloc: AllocTally,
 }
 
-/// One rank incarnation of one run: `(rank, generation, scratch)`.
-/// Both executors run this same body.
-type RankBody<'a> = dyn Fn(usize, u32, &mut RankScratch) + Sync + 'a;
+/// One rank incarnation of one run: its generation, on its rank's
+/// [`Process`]. Both executors run this same body.
+type RankBody<'a> = dyn Fn(u32, &mut Process) + Sync + 'a;
 
 /// Run-scoped allocation tally. Workers snapshot their thread-local
 /// `allocstats` counters around each job body and fold the delta in
@@ -224,9 +222,9 @@ impl PoolCore {
 fn worker_loop(core: Arc<PoolCore>, idx: usize) {
     let slot = &core.slots[idx];
     let _ = slot.thread.set(std::thread::current());
-    // Warm per-rank container scratch, lent to every job this worker
-    // runs.
-    let mut scratch = RankScratch::default();
+    // This rank's process, lent to every job this worker runs and
+    // reset in place after each.
+    let mut proc = Process::new(idx);
     'outer: loop {
         let job = 'take: loop {
             if let Some(j) = slot.queue.lock().pop_front() {
@@ -259,7 +257,7 @@ fn worker_loop(core: Arc<PoolCore>, idx: usize) {
         // captured `Arc<Shared>` before the completion signal below —
         // `run` relies on that for exclusive access at the next reset.
         let before = allocstats::snapshot();
-        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| job(&mut scratch)));
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| job(&mut proc)));
         core.alloc.add(&allocstats::snapshot().since(&before));
         let done = core.done.fetch_add(1, Ordering::AcqRel) + 1;
         if done >= core.target.load(Ordering::Acquire) {
@@ -330,14 +328,14 @@ impl Drop for Workers {
     }
 }
 
-/// The simulation executor: per rank, a coroutine stack and the warm
-/// [`RankScratch`] a worker thread would own. Reused across runs, so a
+/// The simulation executor: per rank, a coroutine stack and the
+/// [`Process`] a worker thread would own. Reused across runs, so a
 /// steady-state simulated run maps and allocates nothing.
 struct SimRanks {
     coros: Vec<Coroutine>,
-    /// `Cell`: the rank body takes its scratch out and puts it back
-    /// through a shared reference, and every rank runs on one thread.
-    scratch: Vec<Cell<RankScratch>>,
+    /// `RefCell`: each coroutine borrows its own rank's process for
+    /// the length of its body, through the body every coroutine shares.
+    procs: Vec<RefCell<Process>>,
 }
 
 /// A persistent rank-executor pool: recycled universe state plus a
@@ -386,6 +384,21 @@ impl UniversePool {
         T: Send,
         F: Fn(&mut Process) -> Result<T> + Send + Sync,
     {
+        self.run_in(cfg, ReportBuffers::default(), f)
+    }
+
+    /// [`UniversePool::run`], with the report built in `bufs`: handed
+    /// the previous report's buffers, a run allocates none of its own.
+    pub fn run_in<T, F>(
+        &mut self,
+        cfg: UniverseConfig<'_>,
+        bufs: ReportBuffers<T>,
+        f: F,
+    ) -> RunReport<T>
+    where
+        T: Send,
+        F: Fn(&mut Process) -> Result<T> + Send + Sync,
+    {
         let n = self.size;
         let UniverseConfig { plan, watchdog, trace, respawn, sched } = cfg;
         let sim = sched.is_some();
@@ -401,18 +414,20 @@ impl UniversePool {
             Some(mut arc) => {
                 Arc::get_mut(&mut arc)
                     .expect("every rank dropped its Arc<Shared> before the last run returned")
-                    .reset(plan, trace, sim);
+                    .reset(&plan, trace, sim);
                 arc
             }
-            None => Arc::new(Shared::fresh(n, plan, trace, sim)),
+            None => Arc::new(Shared::fresh(n, &plan, trace, sim)),
         };
 
-        let outcomes: Mutex<Vec<Option<RankOutcome<T>>>> =
-            Mutex::new((0..n).map(|_| None).collect());
-        let rank_body = |me: usize, gen: u32, scratch: &mut RankScratch| {
-            // Dropped when this body returns — before the rank counts
-            // as finished, which the next run's reset relies on.
-            let shared = Arc::clone(&shared);
+        let ReportBuffers { mut outcomes, mut generations, trace: trace_buf } = bufs;
+        outcomes.clear();
+        // Collected in place: an `Option` of an outcome is no larger.
+        let mut slots: Vec<Option<RankOutcome<T>>> = outcomes.into_iter().map(Some).collect();
+        slots.resize_with(n, || None);
+        let outcomes = Mutex::new(slots);
+        let rank_body = |gen: u32, proc: &mut Process| {
+            let me = proc.world_rank();
             if sim {
                 // First scheduling point: every rank stops here before
                 // any user code runs, so the schedule's first decision
@@ -422,10 +437,11 @@ impl UniversePool {
                     shared.abort(WATCHDOG_ABORT_CODE);
                 }
             }
-            let buf = std::mem::take(scratch);
-            let mut proc = Process::with_scratch(me, gen, shared, buf);
-            let res = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut proc)));
-            *scratch = proc.recycle_scratch();
+            // Detached when the body returns — before the rank counts
+            // as finished, which the next run's reset relies on.
+            proc.attach(Arc::clone(&shared), gen);
+            let res = std::panic::catch_unwind(AssertUnwindSafe(|| f(proc)));
+            proc.detach();
             if sim {
                 // The rank is done scheduling-wise whatever the
                 // outcome (including panics).
@@ -472,7 +488,8 @@ impl UniversePool {
         if shared.registry.aborted() == Some(WATCHDOG_ABORT_CODE) {
             hung = true;
         }
-        let generations = (0..n).map(|r| shared.registry.generation(r)).collect();
+        generations.clear();
+        generations.extend((0..n).map(|r| shared.registry.generation(r)));
         stats.handoff.parks = shared.fabric.sleeps();
         stats.handoff.wakes = shared.fabric.wakes();
         stats.handoff.park_safety_timeouts = shared.fabric.park_timeouts();
@@ -485,7 +502,7 @@ impl UniversePool {
         let report = RunReport {
             outcomes,
             hung,
-            trace: shared.trace.events(),
+            trace: shared.trace.take(trace_buf),
             duration: start.elapsed(),
             generations,
             stats,
@@ -504,15 +521,11 @@ impl UniversePool {
         let n = self.size;
         let sim = self.sim.get_or_insert_with(|| SimRanks {
             coros: (0..n).map(|_| Coroutine::new()).collect(),
-            scratch: (0..n).map(|_| Cell::default()).collect(),
+            procs: (0..n).map(|me| RefCell::new(Process::new(me))).collect(),
         });
         let before = allocstats::snapshot();
-        let scratch = &sim.scratch;
-        let body = |me: usize| {
-            let mut buf = scratch[me].take();
-            rank_body(me, 0, &mut buf);
-            scratch[me].set(buf);
-        };
+        let procs = &sim.procs;
+        let body = |me: usize| rank_body(0, &mut procs[me].borrow_mut());
         let mut group = Group::new(&mut sim.coros, &body);
         // Each rank runs up to its `Enter` arrival and suspends there.
         for me in 0..n {
@@ -574,8 +587,8 @@ impl UniversePool {
             // worker can then never observe `done >= target` with this
             // job outstanding.
             core.target.store(spawned.get(), Ordering::Release);
-            let job: Box<dyn FnOnce(&mut RankScratch) + Send + '_> =
-                Box::new(move |scratch: &mut RankScratch| rank_body(me, gen, scratch));
+            let job: Box<dyn FnOnce(&mut Process) + Send + '_> =
+                Box::new(move |proc: &mut Process| rank_body(gen, proc));
             // SAFETY: the job borrows `rank_body` (and through it `f`,
             // `outcomes` and the stack frame of `run`), which the
             // 'static `Job` type erases. Sound because `run` does not
@@ -585,7 +598,7 @@ impl UniversePool {
             // job complete after the job closure (and thus every use
             // of those borrows) returned.
             let job: Job = unsafe {
-                std::mem::transmute::<Box<dyn FnOnce(&mut RankScratch) + Send + '_>, Job>(job)
+                std::mem::transmute::<Box<dyn FnOnce(&mut Process) + Send + '_>, Job>(job)
             };
             if kick {
                 core.submit(me, job);

@@ -38,7 +38,7 @@ use bytes::{Bytes, BytesMut};
 
 use faultsim::{ChoiceKind, Decision, Hook, HookKind, SchedPoint, StepOutcome};
 
-use crate::comm::{Comm, CommData};
+use crate::comm::{Comm, CommData, WORLD};
 use crate::coro::with_sched;
 use crate::datatype::Datatype;
 use crate::detector::FailureRegistry;
@@ -81,28 +81,14 @@ pub struct WaitAny {
     pub result: Result<Completion>,
 }
 
-/// Pool-owned per-rank scratch: every growable container a
-/// [`Process`] needs, kept warm across incarnations and runs of the
-/// same pool rank. Constructing a process from a
-/// scratch that has seen one run allocates nothing: each container is
-/// cleared in place, capacity retained.
-#[derive(Default)]
-pub(crate) struct RankScratch {
-    drain_buf: Vec<Envelope>,
-    engine: MatchEngine,
-    reqs: ReqTable,
-    send_seq: Vec<u64>,
-    encode_buf: BytesMut,
-    comms: Vec<CommData>,
-    ctx_map: HashMap<ContextId, usize, BuildHasherDefault<KeyHasher>>,
-}
-
-/// Per-rank process handle. Not `Sync`: owned by its rank's thread (or
-/// coroutine).
+/// Per-rank process handle. Not `Sync`: owned by its rank's executor
+/// slot (a pool worker thread, or a coroutine's slot), which keeps it
+/// from run to run and resets it in place: a rank body on a warm slot
+/// allocates none of the containers below again.
 pub struct Process {
     me: WorldRank,
     gen: u32,
-    pub(crate) shared: Arc<Shared>,
+    pub(crate) shared: Attached,
     pub(crate) comms: Vec<CommData>,
     ctx_map: HashMap<ContextId, usize, BuildHasherDefault<KeyHasher>>,
     pub(crate) reqs: ReqTable,
@@ -129,6 +115,19 @@ pub struct Process {
     scanned_under: Option<(u64, u64)>,
 }
 
+/// The universe a [`Process`] runs in, set for the length of one rank
+/// body. A finished rank holds no `Arc<Shared>`: `Shared::reset` needs
+/// the pool's to be the only one.
+pub(crate) struct Attached(Option<Arc<Shared>>);
+
+impl std::ops::Deref for Attached {
+    type Target = Shared;
+
+    fn deref(&self) -> &Shared {
+        self.0.as_deref().expect("a process is used only inside its rank body")
+    }
+}
+
 /// What the failure detector says about a receive or probe from `src`
 /// that no message has matched: `None` while the peer is alive, a
 /// PROC_NULL status once it is a recognized failure, `RankFailStop`
@@ -153,68 +152,60 @@ fn unmatched_verdict(
 }
 
 impl Process {
-    /// Construct the rank-`me` process of a universe from a recycled
-    /// [`RankScratch`], so a pooled worker's containers (drain buffer,
-    /// match engine, request table, communicator table, encode
-    /// scratch) survive across incarnations and runs (see
-    /// `UniversePool`; pass `RankScratch::default()` when there is
-    /// nothing to recycle).
-    pub(crate) fn with_scratch(
-        me: WorldRank,
-        gen: u32,
-        shared: Arc<Shared>,
-        scratch: RankScratch,
-    ) -> Self {
-        let RankScratch {
-            mut drain_buf,
-            mut engine,
-            mut reqs,
-            mut send_seq,
-            mut encode_buf,
-            mut comms,
-            mut ctx_map,
-        } = scratch;
-        drain_buf.clear();
-        engine.reset();
-        reqs.reset();
-        send_seq.clear();
-        send_seq.resize(shared.size, 0);
-        encode_buf.clear();
-        comms.clear();
-        // The world group is shared universe state (an `Arc` clone),
-        // not rebuilt per rank per run.
-        comms.push(CommData::new(WORLD_CTX, shared.world_group.clone(), me));
-        ctx_map.clear();
-        ctx_map.insert(WORLD_CTX, 0);
+    /// Rank `me`'s process, attached to no universe yet.
+    pub(crate) fn new(me: WorldRank) -> Self {
         Process {
             me,
-            gen,
-            shared,
-            comms,
-            ctx_map,
-            reqs,
-            engine,
-            send_seq,
-            drain_buf,
-            encode_buf,
+            gen: 0,
+            shared: Attached(None),
+            comms: Vec::new(),
+            ctx_map: HashMap::default(),
+            reqs: ReqTable::default(),
+            engine: MatchEngine::default(),
+            send_seq: Vec::new(),
+            drain_buf: Vec::new(),
+            encode_buf: BytesMut::new(),
             blocked_dumped: false,
             recognitions: 0,
             scanned_under: None,
         }
     }
 
-    /// Hand every reusable container back for the next incarnation or
-    /// run of this rank.
-    pub(crate) fn recycle_scratch(&mut self) -> RankScratch {
-        RankScratch {
-            drain_buf: std::mem::take(&mut self.drain_buf),
-            engine: std::mem::take(&mut self.engine),
-            reqs: std::mem::take(&mut self.reqs),
-            send_seq: std::mem::take(&mut self.send_seq),
-            encode_buf: std::mem::take(&mut self.encode_buf),
-            comms: std::mem::take(&mut self.comms),
-            ctx_map: std::mem::take(&mut self.ctx_map),
+    /// Begin a rank body: incarnation `gen` of this rank in `shared`'s
+    /// universe. The first attach builds the world communicator; later
+    /// ones find it as [`Process::detach`] left it.
+    pub(crate) fn attach(&mut self, shared: Arc<Shared>, gen: u32) {
+        if self.comms.is_empty() {
+            // The world group is shared universe state (an `Arc`
+            // clone), not rebuilt per rank.
+            self.comms.push(CommData::new(WORLD_CTX, shared.world_group.clone(), self.me));
+            self.ctx_map.insert(WORLD_CTX, 0);
+            self.send_seq.resize(shared.size, 0);
         }
+        self.gen = gen;
+        self.shared.0 = Some(shared);
+    }
+
+    /// End a rank body, however it ended: drop the universe handle and
+    /// return every container to what the first [`Process::attach`]
+    /// left, keeping its capacity. Requests still outstanding are
+    /// dropped; the request table's generation keeps counting, so a
+    /// handle kept from this run names no request of the next.
+    pub(crate) fn detach(&mut self) {
+        self.shared.0 = None;
+        self.drain_buf.clear();
+        self.engine.reset();
+        self.reqs.reset();
+        self.send_seq.fill(0);
+        self.encode_buf.clear();
+        self.comms.truncate(1);
+        self.comms[WORLD.0].reset();
+        if self.ctx_map.len() > 1 {
+            self.ctx_map.retain(|&ctx, _| ctx == WORLD_CTX);
+        }
+        self.blocked_dumped = false;
+        self.recognitions = 0;
+        self.scanned_under = None;
     }
 
     // ------------------------------------------------------------------
@@ -504,13 +495,10 @@ impl Process {
                 self.shared.wake_all();
             }
             let comm = &mut self.comms[ci];
-            let gone_comm = gone.iter().filter_map(|w| comm.group.rank_of(*w));
             match kind {
                 CollKind::Validate => {
-                    let failed_comm: Vec<CommRank> = gone_comm.collect();
-                    let count = failed_comm.len();
                     let min_instance = comm.coll_instance;
-                    comm.apply_validate_decision(failed_comm, &self.shared.registry);
+                    let count = comm.apply_validate_decision(&gone, &self.shared.registry);
                     self.recognitions += u64::from(count > 0);
                     // Instance numbers in tags wrap at 2^20; past that point
                     // the "older instance" test is ambiguous, so skip the
@@ -527,7 +515,10 @@ impl Process {
                 CollKind::Barrier => {
                     let result = match gone.is_empty() {
                         true => Ok(Completion::send()),
-                        false => Err(Error::RankFailStop { rank: gone_comm.min().unwrap_or(0) }),
+                        false => {
+                            let gone_comm = gone.iter().filter_map(|w| comm.group.rank_of(*w));
+                            Err(Error::RankFailStop { rank: gone_comm.min().unwrap_or(0) })
+                        }
                     };
                     self.reqs.complete(req, result);
                 }
@@ -564,7 +555,7 @@ impl Process {
                 return Ok(r);
             }
             if !self.shared.sim {
-                let shared = Arc::clone(&self.shared);
+                let shared = &*self.shared;
                 shared.fabric.park(self.me, token, || shared.registry.epoch());
             } else {
                 // Parking the one thread every rank shares would stop
@@ -1024,8 +1015,8 @@ impl Process {
     /// (they simply stay `Ok`).
     pub fn comm_validate_clear(&mut self, comm: Comm, ranks: &[CommRank]) -> Result<usize> {
         self.ensure_alive()?;
-        let registry = Arc::clone(&self.shared);
-        let c = self.comm_data_mut(comm)?;
+        let registry = &self.shared.registry;
+        let c = self.comms.get_mut(comm.0).ok_or(Error::InvalidState("unknown communicator"))?;
         let mut n = 0;
         let mut invalid = None;
         for &r in ranks {
@@ -1033,8 +1024,8 @@ impl Process {
                 invalid = Some(Error::InvalidRank { rank: r as isize });
                 break;
             }
-            if c.state_of(r, &registry.registry) == RankState::Failed {
-                c.recognize(r, &registry.registry);
+            if c.state_of(r, registry) == RankState::Failed {
+                c.recognize(r, registry);
                 n += 1;
             }
         }

@@ -50,19 +50,46 @@ pub(crate) struct Round<S, D> {
     /// Submissions by world rank, `None` until that rank arrives.
     pub arrived: Vec<Option<S>>,
     pub decision: Option<D>,
+    /// The decision of a dropped round, for `decide` to reuse.
+    reuse: Option<D>,
 }
 
 /// The rounds of one collective among `size` ranks: submissions `S`, decisions `D`.
 pub(crate) struct Table<S, D> {
     size: usize,
+    rounds: Mutex<Rounds<S, D>>,
+}
+
+/// A table's live rounds, and the buffers of the rounds it dropped: a
+/// new round takes its submission slots and a decision to reuse from
+/// there, so a warm board allocates nothing per round.
+struct Rounds<S, D> {
     /// Hashed with [`KeyHasher`]: nothing iterates it in an
     /// order-dependent way.
-    rounds: Mutex<HashMap<Key, Round<S, D>, BuildHasherDefault<KeyHasher>>>,
+    live: HashMap<Key, Round<S, D>, BuildHasherDefault<KeyHasher>>,
+    spare: Vec<(Vec<Option<S>>, Option<D>)>,
+}
+
+impl<S, D> Rounds<S, D> {
+    /// Drop `round`, keeping its buffers.
+    fn retire(spare: &mut Vec<(Vec<Option<S>>, Option<D>)>, round: &mut Round<S, D>) {
+        let decision = round.decision.take().or(round.reuse.take());
+        spare.push((std::mem::take(&mut round.arrived), decision));
+    }
 }
 
 impl<S, D: Clone> Table<S, D> {
     fn new(size: usize) -> Self {
-        Table { size, rounds: Mutex::default() }
+        let rounds = Rounds { live: HashMap::default(), spare: Vec::new() };
+        Table { size, rounds: Mutex::new(rounds) }
+    }
+
+    /// Drop every round, keeping the buffers (see `Shared::reset`).
+    fn reset(&mut self) {
+        let Rounds { live, spare } = self.rounds.get_mut();
+        for (_, mut round) in live.drain() {
+            Rounds::retire(spare, &mut round);
+        }
     }
 
     /// Arrive at round `key` as `me` (idempotent). The first arrival
@@ -73,24 +100,31 @@ impl<S, D: Clone> Table<S, D> {
         required: impl FnOnce(Option<&Round<S, D>>) -> Group,
     ) {
         let mut rounds = self.rounds.lock();
-        if !rounds.contains_key(&key) {
-            let prev = key.1.checked_sub(1).and_then(|p| rounds.get(&(key.0, p)));
-            let (required, arrived) = (required(prev), (0..self.size).map(|_| None).collect());
-            rounds.insert(key, Round { required, arrived, decision: None });
+        let Rounds { live, spare } = &mut *rounds;
+        if !live.contains_key(&key) {
+            let prev = key.1.checked_sub(1).and_then(|p| live.get(&(key.0, p)));
+            let required = required(prev);
+            let (mut arrived, reuse) = spare.pop().unwrap_or_default();
+            arrived.clear();
+            arrived.resize_with(self.size, || None);
+            live.insert(key, Round { required, arrived, decision: None, reuse });
         }
-        rounds.get_mut(&key).expect("just ensured").arrived[me].get_or_insert(sub);
+        live.get_mut(&key).expect("just ensured").arrived[me].get_or_insert(sub);
     }
 
     /// The decision of round `key`, made by `decide` if this is the
     /// first poll to find every required rank arrived or failed; `None`
-    /// while one is awaited. Returns `(decision, newly_decided)`: the
-    /// poller that decides must wake the universe's blocked members.
+    /// while one is awaited. `decide` is handed a dropped round's
+    /// decision to reuse, if there is one. Returns `(decision,
+    /// newly_decided)`: the poller that decides must wake the
+    /// universe's blocked members.
     pub(crate) fn poll(
         &self, key: Key, registry: &FailureRegistry,
-        decide: impl FnOnce(&Round<S, D>) -> D,
+        decide: impl FnOnce(&Round<S, D>, Option<D>) -> D,
     ) -> Option<(D, bool)> {
         let mut rounds = self.rounds.lock();
-        let state = rounds.get_mut(&key)?;
+        let Rounds { live, spare } = &mut *rounds;
+        let state = live.get_mut(&key)?;
         if let Some(d) = &state.decision {
             return Some((d.clone(), false));
         }
@@ -101,10 +135,17 @@ impl<S, D: Clone> Table<S, D> {
         // A round that requires nobody synchronises nobody: a member
         // may read it any number of rounds late, so nothing is dropped.
         let lockstep = !members.is_empty();
-        let decision = decide(state);
+        let reuse = state.reuse.take();
+        let decision = decide(state, reuse);
         state.decision = Some(decision.clone());
         if lockstep {
-            rounds.retain(|&(ctx, n), _| ctx != key.0 || n + WINDOW > key.1);
+            live.retain(|&(ctx, n), round| {
+                let keep = ctx != key.0 || n + WINDOW > key.1;
+                if !keep {
+                    Rounds::retire(spare, round);
+                }
+                keep
+            });
         }
         Some((decision, true))
     }
@@ -112,6 +153,19 @@ impl<S, D: Clone> Table<S, D> {
 
 /// A set of world ranks a round agreed on.
 pub(crate) type Ranks = Arc<Vec<WorldRank>>;
+
+/// `ranks` as a [`Ranks`], in `reuse`'s allocation when nobody holds it
+/// any more.
+pub(crate) fn ranks_in(reuse: Option<Ranks>, ranks: impl Iterator<Item = WorldRank>) -> Ranks {
+    let mut set = reuse.unwrap_or_default();
+    if Arc::get_mut(&mut set).is_none() {
+        set = Ranks::default();
+    }
+    let members = Arc::get_mut(&mut set).expect("a new set is held only here");
+    members.clear();
+    members.extend(ranks);
+    set
+}
 
 /// One communicator of a completed split: its context and its members,
 /// world ranks ordered by (key, world rank).
@@ -140,10 +194,10 @@ impl Rendezvous {
     /// rank is live, so nothing is locked.
     pub(crate) fn reset(&mut self) {
         *self.next_ctx.get_mut() = WORLD_CTX + 1;
-        self.validates.rounds.get_mut().clear();
-        self.barriers.rounds.get_mut().clear();
-        self.splits.rounds.get_mut().clear();
-        self.dups.rounds.get_mut().clear();
+        self.validates.reset();
+        self.barriers.reset();
+        self.splits.reset();
+        self.dups.reset();
     }
 
     /// Join validate round `key` of a communicator over `group`.
@@ -154,9 +208,9 @@ impl Rendezvous {
     /// The agreed failed set of validate round `key`: the registry's
     /// view of the group at the single decision point.
     pub(crate) fn validate_poll(&self, key: Key, reg: &FailureRegistry) -> Option<(Ranks, bool)> {
-        self.validates.poll(key, reg, |state| {
+        self.validates.poll(key, reg, |state, reuse| {
             let members = state.required.members().iter().copied();
-            Arc::new(members.filter(|&w| reg.is_failed(w)).collect())
+            ranks_in(reuse, members.filter(|&w| reg.is_failed(w)))
         })
     }
 
@@ -175,7 +229,7 @@ impl Rendezvous {
     pub(crate) fn split_poll(
         &self, key: Key, me: WorldRank, reg: &FailureRegistry,
     ) -> Option<(Option<SplitComm>, bool)> {
-        let (comms, newly) = self.splits.poll(key, reg, |state| {
+        let (comms, newly) = self.splits.poll(key, reg, |state, _| {
             let members = state.required.members().iter();
             let mut subs: Vec<(i64, i64, WorldRank)> = members
                 .filter_map(|&w| state.arrived[w].and_then(|(color, key)| Some((color?, key, w))))
@@ -194,7 +248,7 @@ impl Rendezvous {
     /// caller allocates it and later callers read it.
     pub(crate) fn dup(&self, key: Key, me: WorldRank, reg: &FailureRegistry) -> ContextId {
         self.dups.join(key, me, (), |_| Group::new(Vec::new()));
-        let polled = self.dups.poll(key, reg, |_| self.next_ctx.fetch_add(1, Ordering::AcqRel));
+        let polled = self.dups.poll(key, reg, |_, _| self.next_ctx.fetch_add(1, Ordering::AcqRel));
         polled.expect("a round that requires nobody is decided by its first poll").0
     }
 }

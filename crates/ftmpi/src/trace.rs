@@ -198,9 +198,19 @@ impl Trace {
         self.events.lock().push(TimedEvent { at_us, event });
     }
 
-    /// Snapshot of all events so far, in record order.
-    pub fn events(&self) -> Vec<TimedEvent> {
-        self.events.lock().clone()
+    /// Move every event out, in record order, and record from here on
+    /// into `into`, emptied. It grows to the capacity of the buffer it
+    /// replaces, so a run records into it no more allocations than into
+    /// that one; a recycled buffer already has it. With no event
+    /// recorded, `into` itself comes back.
+    pub fn take(&self, mut into: Vec<TimedEvent>) -> Vec<TimedEvent> {
+        let mut events = self.events.lock();
+        into.clear();
+        if events.is_empty() {
+            return into;
+        }
+        into.reserve(events.capacity());
+        std::mem::replace(&mut *events, into)
     }
 
     /// Count events matching a predicate.
@@ -217,7 +227,7 @@ mod tests {
     fn disabled_trace_records_nothing() {
         let t = Trace::new(false, false);
         t.record(Event::Killed { rank: 1 });
-        assert!(t.events().is_empty());
+        assert!(t.take(Vec::new()).is_empty());
     }
 
     #[test]
@@ -225,7 +235,7 @@ mod tests {
         let t = Trace::new(true, false);
         t.record(Event::Killed { rank: 1 });
         t.record(Event::Aborted { code: 3 });
-        let evs = t.events();
+        let evs = t.take(Vec::new());
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].event, Event::Killed { rank: 1 });
         assert!(evs[0].at_us <= evs[1].at_us);
@@ -235,22 +245,42 @@ mod tests {
     fn reset_matches_fresh_trace() {
         let mut t = Trace::new(true, true);
         let mut clock = crate::coro::tests::Clock(1_000_000_000);
-        crate::coro::drive_with(&mut clock, None, || t.record(Event::Killed { rank: 0 }));
-        assert_eq!(t.events()[0].at_us, 1_000_000_000, "stamped by the drive's scheduler");
+        let mut kill =
+            |rank| crate::coro::drive_with(&mut clock, None, || t.record(Event::Killed { rank }));
+        kill(0);
+        assert_eq!(t.take(Vec::new())[0].at_us, 1_000_000_000, "stamped by the drive's scheduler");
 
+        kill(1);
         t.reset(false, true);
-        t.record(Event::Killed { rank: 1 });
-        assert!(t.events().is_empty(), "reset clears events and applies the new enable flag");
+        t.record(Event::Killed { rank: 2 });
+        let after = t.take(Vec::new());
+        assert!(after.is_empty(), "reset clears events and applies the new enable flag");
 
         t.reset(true, false);
         t.record(Event::Aborted { code: 1 });
-        let evs = t.events();
+        let evs = t.take(Vec::new());
         assert_eq!(evs.len(), 1);
         assert!(
             evs[0].at_us < 1_000_000_000,
             "reset applies the new clock: got at_us {}",
             evs[0].at_us
         );
+    }
+
+    #[test]
+    fn take_moves_the_events_and_records_into_the_buffer_given() {
+        let t = Trace::new(true, false);
+        t.record(Event::Killed { rank: 1 });
+        let spare = Vec::with_capacity(64);
+        let spare_at = spare.as_ptr();
+        let taken = t.take(spare);
+        assert_eq!(taken.len(), 1);
+        t.record(Event::Killed { rank: 2 });
+        let again = t.take(taken);
+        assert_eq!(again.len(), 1, "the first take moved the first event out");
+        assert_eq!(again.as_ptr(), spare_at, "recorded into the buffer given");
+        let empty = t.take(again);
+        assert_eq!(empty.as_ptr(), spare_at, "nothing recorded: the buffer given comes back");
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! leans on this to run one universe per worker, and
 //! `tests/concurrent_universes.rs` pins the property.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -65,7 +66,7 @@ pub(crate) struct Shared {
 
 impl Shared {
     /// Freshly constructed universe state for one run.
-    pub(crate) fn fresh(n: usize, plan: FaultPlan, trace: bool, sim: bool) -> Shared {
+    pub(crate) fn fresh(n: usize, plan: &FaultPlan, trace: bool, sim: bool) -> Shared {
         Shared {
             size: n,
             fabric: crate::transport::Fabric::new(n),
@@ -82,10 +83,9 @@ impl Shared {
     /// The reset protocol: return every piece of universe state to the
     /// exact observable state [`Shared::fresh`] produces while
     /// retaining allocations (mailbox queues keep their capacity, the
-    /// trace keeps its event buffer, the board keeps its tables).
-    /// The injector is the one piece replaced wholesale — it is armed
-    /// from the per-run `FaultPlan` and its per-rule state is cheaper
-    /// to rebuild than to audit.
+    /// trace keeps its event buffer, the board keeps its tables). The
+    /// injector is rearmed in place from the run's plan, unless a
+    /// report the caller still holds shares it: then it is armed anew.
     ///
     /// Equivalence argument (the golden-log tests are the referee): a
     /// cleared-with-capacity container is behaviorally identical to a
@@ -101,10 +101,13 @@ impl Shared {
     /// between runs: every worker drops its `Arc<Shared>` clone before
     /// signalling completion. Every part resets through `&mut` too, so
     /// no reset takes a lock and none can race a live rank.
-    pub(crate) fn reset(&mut self, plan: FaultPlan, trace: bool, sim: bool) {
+    pub(crate) fn reset(&mut self, plan: &FaultPlan, trace: bool, sim: bool) {
         self.fabric.reset();
         self.registry.reset();
-        self.injector = Arc::new(Injector::new(plan));
+        match Arc::get_mut(&mut self.injector) {
+            Some(injector) => injector.rearm(plan),
+            None => self.injector = Arc::new(Injector::new(plan)),
+        }
         self.board.reset();
         self.trace.reset(trace, sim);
         self.sim = sim;
@@ -176,8 +179,9 @@ impl Shared {
 /// simulation scheduler, if one drives the run.
 #[derive(Default)]
 pub struct UniverseConfig<'s> {
-    /// Hook-based fault plan (exact protocol-point kills).
-    pub plan: FaultPlan,
+    /// Hook-based fault plan (exact protocol-point kills), owned or
+    /// borrowed from a caller that keeps it for its next run.
+    pub plan: Cow<'s, FaultPlan>,
     /// Hang watchdog: if the run does not complete within this
     /// duration, the universe is aborted with
     /// [`WATCHDOG_ABORT_CODE`] and the report is marked `hung`.
@@ -211,7 +215,7 @@ pub struct RespawnPolicy {
 impl<'s> UniverseConfig<'s> {
     /// Config with a fault plan and defaults otherwise.
     pub fn with_plan(plan: FaultPlan) -> Self {
-        UniverseConfig { plan, ..Default::default() }
+        UniverseConfig { plan: Cow::Owned(plan), ..Default::default() }
     }
 
     /// Builder-style: set the watchdog.
@@ -280,6 +284,24 @@ pub struct RunReport<T> {
     pub stats: RunStats,
     /// The armed plan the run consulted ([`Injector::counts`]).
     pub injector: Arc<Injector>,
+}
+
+/// The buffers of a finished [`RunReport`]: handed to
+/// [`crate::UniversePool::run_in`], the next report is built in them
+/// instead of in new allocations. The default holds none.
+pub struct ReportBuffers<T> {
+    /// A report's `outcomes`, emptied by the run that reuses it.
+    pub outcomes: Vec<RankOutcome<T>>,
+    /// A report's `generations`.
+    pub generations: Vec<u32>,
+    /// A report's `trace`: the next run's trace records into it.
+    pub trace: Vec<TimedEvent>,
+}
+
+impl<T> Default for ReportBuffers<T> {
+    fn default() -> Self {
+        ReportBuffers { outcomes: Vec::new(), generations: Vec::new(), trace: Vec::new() }
+    }
 }
 
 impl<T> RunReport<T> {

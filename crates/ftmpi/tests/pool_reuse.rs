@@ -71,6 +71,50 @@ fn reused_pool_matches_spawn_per_run_across_failing_then_clean() {
     assert!(pool_clean.all_ok(), "failure state bled into the clean run");
 }
 
+/// A failing run that leaves every worker's process dirty: a dup, a
+/// recognized failure, receives still posted on both communicators and
+/// rank 0 an unreceived message, on the tag `exchange_after_litter`
+/// uses. Rank 2 dies after its ring receive.
+fn litter(p: &mut Process) -> Result<u64> {
+    let v = ring_once(p)?;
+    let me = p.world_rank();
+    let dup = p.comm_dup(WORLD)?;
+    p.irecv(dup, Src::Rank(2), 4)?;
+    p.irecv(WORLD, Src::Rank((me + 2) % N), 5)?;
+    if me == 1 {
+        p.send(WORLD, 0, 5, &1000u64)?;
+    }
+    // Recognizes rank 2, and drains rank 1's message into rank 0.
+    p.comm_validate_all(WORLD)?;
+    Ok(v)
+}
+
+/// A clean run that a process left dirty would get wrong: its dup would
+/// not be the first, and a stale receive or message would meet its
+/// tag-5 message.
+fn exchange_after_litter(p: &mut Process) -> Result<(String, u64)> {
+    let dup = p.comm_dup(WORLD)?;
+    let me = p.world_rank();
+    let (left, right) = ((me + N - 1) % N, Src::Rank((me + 1) % N));
+    let (v, _) = p.sendrecv::<u64, u64>(WORLD, left, 5, &(me as u64), right, 5)?;
+    Ok((format!("{dup:?}"), v))
+}
+
+/// The same through the processes the pool keeps: each worker's is
+/// reset in place after the failing run, and the clean run that follows
+/// finds it as a fresh universe's.
+#[test]
+fn reused_processes_match_fresh_ones_after_a_failing_run() {
+    let fresh = run(N, clean_cfg(), exchange_after_litter);
+    let mut pool = UniversePool::new(N);
+    let dirty = pool.run(failing_cfg(), litter);
+    assert!(dirty.outcomes[2].is_failed(), "victim must be killed: {:?}", dirty.outcomes);
+    assert!(dirty.outcomes.iter().enumerate().all(|(r, o)| r == 2 || o.is_ok()));
+    let reused = pool.run(clean_cfg(), exchange_after_litter);
+    assert!(reused.all_ok(), "{:?}", reused.outcomes);
+    assert_eq!(logical(&fresh), logical(&reused), "a process kept state across runs");
+}
+
 /// Respawn runs also reset cleanly: generations return to zero on the
 /// next run instead of carrying the revived incarnation forward. The
 /// scenario is the recovery suite's deterministic two-rank shape —

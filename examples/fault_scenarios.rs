@@ -29,7 +29,7 @@ fn main() {
     // The Fig. 7 run of seed 0, in the visual language of the paper's figures.
     let f = figure("F7");
     let mut runner = SeedRunner::new(f.ranks);
-    let (report, _) = runner.run_workload(&f, f.plan.clone(), 0, 100_000, Retention::Full, None);
+    let (report, _) = runner.run_workload(&f, &f.plan, 0, 100_000, Retention::Full, None);
     let chart = render_sequence_diagram(&report.trace, f.ranks, &DiagramOptions::default());
     assert!(chart.contains("(P2 killed)"), "{chart}");
     println!("=== the Fig. 7 run of seed 0, as the scheduler ran it ===\n\n{chart}");
