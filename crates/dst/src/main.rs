@@ -60,6 +60,10 @@ const MAX_RANKS: u64 = 1024;
 const MAX_JOBS: u64 = 1024;
 /// Retained-failure cap; the map is O(max-failures) memory.
 const MAX_MAX_FAILURES: u64 = 1_000_000;
+/// Ring-lap cap. The root records every lap it closes, so a run costs
+/// time and memory in proportion to its laps (100 000 laps at 2 ranks
+/// replay in ≈ 0.3 s).
+const MAX_ITERS: u64 = 100_000;
 
 fn parse_u64(s: &str) -> Result<u64, String> {
     let r = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
@@ -69,15 +73,21 @@ fn parse_u64(s: &str) -> Result<u64, String> {
     r.map_err(|_| format!("not a number: {s}"))
 }
 
-/// Parse `flag`'s value as a `usize` with an explicit upper bound: a
-/// checked conversion plus a sanity cap turns both a 32-bit wrap
-/// (`--ranks 0x1_0000_0004` is not 4) and an absurd-but-representable
-/// value into usage errors.
-fn parse_capped_usize(s: &str, flag: &str, cap: u64) -> Result<usize, String> {
+/// Parse `flag`'s value with a sanity cap: an absurd-but-representable
+/// value is a usage error.
+fn parse_capped_u64(s: &str, flag: &str, cap: u64) -> Result<u64, String> {
     let v = parse_u64(s)?;
     if v > cap {
         return Err(format!("{flag} {v} exceeds the supported maximum {cap}\n{}", usage()));
     }
+    Ok(v)
+}
+
+/// [`parse_capped_u64`] as a `usize`: the checked conversion turns a
+/// 32-bit wrap (`--ranks 0x1_0000_0004` is not 4) into a usage error
+/// too.
+fn parse_capped_usize(s: &str, flag: &str, cap: u64) -> Result<usize, String> {
+    let v = parse_capped_u64(s, flag, cap)?;
     usize::try_from(v)
         .map_err(|_| format!("{flag} {v} does not fit this platform's usize\n{}", usage()))
 }
@@ -169,7 +179,9 @@ fn parse_args() -> Result<Args, String> {
             "--ranks" => {
                 args.ranks = parse_capped_usize(&value("--ranks")?, "--ranks", MAX_RANKS)?
             }
-            "--iters" => args.iters = parse_u64(&value("--iters")?)?,
+            "--iters" => {
+                args.iters = parse_capped_u64(&value("--iters")?, "--iters", MAX_ITERS)?
+            }
             "--budget" => args.budget = Some(parse_u64(&value("--budget")?)?),
             "--jobs" => {
                 args.jobs = Some(parse_capped_usize(&value("--jobs")?, "--jobs", MAX_JOBS)?)

@@ -21,8 +21,9 @@ fn stdout(out: &Output) -> String {
 }
 
 /// `--ranks`, `--jobs`, `--max-failures` used to truncate through
-/// unchecked `as usize` casts; values beyond the sane caps must be
-/// usage errors, not wrapped or truncated configurations.
+/// unchecked `as usize` casts, and `--iters` had no cap at all; values
+/// beyond the sane caps must be usage errors, not wrapped or truncated
+/// configurations or rings that never finish.
 #[test]
 fn absurd_numeric_flags_are_usage_errors() {
     for args in [
@@ -31,6 +32,7 @@ fn absurd_numeric_flags_are_usage_errors() {
         ["explore", "--seeds", "1", "--jobs", "1025"],
         ["explore", "--seeds", "1", "--max-failures", "1000001"],
         ["explore", "--seeds", "1", "--ranks", "18446744073709551615"],
+        ["replay", "--seed", "3", "--iters", "1000000000000"],
     ] {
         let out = dst(&args);
         assert!(!out.status.success(), "{args:?} was accepted");

@@ -46,18 +46,18 @@
 //! `Shared::reset` needs `&mut Shared`, obtained via `Arc::get_mut`:
 //! it succeeds exactly when no rank still holds a clone. Ranks
 //! guarantee that by construction — a rank body's `Arc<Shared>` is
-//! dropped when the body returns, strictly *before* its worker bumps
-//! the completion counter (or its coroutine finishes). `Shared` is
+//! dropped when the body returns, strictly *before* its worker counts
+//! the job finished (or its coroutine finishes). `Shared` is
 //! crate-private, so no caller can retain a handle; `run` treats a
 //! failed `Arc::get_mut` as a broken invariant and panics rather than
 //! corrupt a live universe.
 
-use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
+use std::cell::RefCell;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::{JoinHandle, Thread};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use allocstats::AllocStats;
@@ -74,254 +74,112 @@ use crate::universe::{ReportBuffers, RunReport, Shared, UniverseConfig, WATCHDOG
 /// worker-owned [`Process`] of that rank.
 type Job = Box<dyn FnOnce(&mut Process) + Send>;
 
-/// Per-worker job queue. A queue, not a slot: the respawn extension
-/// can enqueue a rank's next incarnation while the previous one is
-/// still unwinding on the same worker (incarnations of one rank then
-/// run in order, which also makes the "later incarnations overwrite
-/// the outcome" rule deterministic instead of racy).
-///
-/// Idle workers sleep via `thread::park`, not a condvar: a submitter
-/// pays one atomic load (and an unpark only when the worker actually
-/// sleeps) instead of an unconditional notify through the condvar
-/// machinery — measured ~150 ns per empty `notify_one` on the
-/// reference box, paid once per job submission.
-struct WorkerSlot {
-    queue: Mutex<VecDeque<Job>>,
-    /// True while the worker has committed to parking; tells a
-    /// submitter an unpark is required. Stores/loads are ordered
-    /// against the queue by the `queue` mutex critical sections (the
-    /// worker re-checks the queue under the lock after setting this).
-    parked: AtomicBool,
-    /// The worker's thread handle, registered by the worker before it
-    /// first touches the queue.
-    thread: OnceLock<Thread>,
-}
-
-struct PoolCore {
-    slots: Vec<WorkerSlot>,
-    shutdown: AtomicBool,
-    /// Jobs completed in the current run; rewound by `UniversePool::run`.
-    done: AtomicUsize,
-    /// Jobs submitted so far in the current run — maintained *before*
-    /// each submission so a worker comparing `done >= target` can only
-    /// see the caller's wait satisfied when every submitted job truly
-    /// finished.
-    target: AtomicUsize,
-    /// The caller thread blocked in `wait_done`, if any. The caller
-    /// registers itself here *before* re-checking `done`, so a worker
-    /// that bumps `done` past the target either sees the registration
-    /// (and unparks) or the caller's re-check sees the bump.
-    waiter: Mutex<Option<Thread>>,
-    /// Heap traffic of the current run's job bodies, accumulated from
-    /// each worker's thread-local counters (see [`AllocTally`]).
-    alloc: AllocTally,
-}
-
 /// One rank incarnation of one run: its generation, on its rank's
 /// [`Process`]. Both executors run this same body.
 type RankBody<'a> = dyn Fn(u32, &mut Process) + Sync + 'a;
 
-/// Run-scoped allocation tally. Workers snapshot their thread-local
-/// `allocstats` counters around each job body and fold the delta in
-/// here; `UniversePool::run` rewinds it at the start of a run and
-/// harvests it into [`RunReport::alloc`] at the end. All counters are
-/// `Relaxed`: they are statistics, ordered against the harvest by the
-/// run's completion barrier (`wait_done`), and stay zero unless the
-/// final binary installs [`allocstats::StatsAlloc`] as its global
-/// allocator (the `dst` harness does).
-#[derive(Default)]
-struct AllocTally {
-    allocs: AtomicU64,
-    deallocs: AtomicU64,
-    bytes_alloc: AtomicU64,
-    bytes_freed: AtomicU64,
+/// What the caller and the workers share about the current run.
+struct RunState {
+    /// Jobs submitted and not yet finished. At zero the run is over: a
+    /// respawn raises it only from above zero (`add_if_running`). The
+    /// `AcqRel` decrements in `finish` order every finished job (its
+    /// outcome, its dropped `Arc<Shared>`) before the completion
+    /// message; the caller's store and increments are `Relaxed`, since
+    /// the queue's send orders them before the job runs.
+    pending: AtomicUsize,
+    /// Heap traffic of the run's job bodies, summed from each worker's
+    /// thread-local `allocstats` counters. Stays zero unless the final
+    /// binary installs [`allocstats::StatsAlloc`] as its global
+    /// allocator (the `dst` harness does).
+    alloc: Mutex<AllocStats>,
+    /// The run's one completion message, sent by the worker that takes
+    /// `pending` to zero.
+    done: Sender<()>,
 }
 
-impl AllocTally {
-    fn add(&self, d: &AllocStats) {
-        self.allocs.fetch_add(d.allocs, Ordering::Relaxed);
-        self.deallocs.fetch_add(d.deallocs, Ordering::Relaxed);
-        self.bytes_alloc.fetch_add(d.bytes_alloc, Ordering::Relaxed);
-        self.bytes_freed.fetch_add(d.bytes_freed, Ordering::Relaxed);
-    }
-
-    fn reset(&self) {
-        self.allocs.store(0, Ordering::Relaxed);
-        self.deallocs.store(0, Ordering::Relaxed);
-        self.bytes_alloc.store(0, Ordering::Relaxed);
-        self.bytes_freed.store(0, Ordering::Relaxed);
-    }
-
-    fn harvest(&self) -> AllocStats {
-        AllocStats {
-            allocs: self.allocs.load(Ordering::Relaxed),
-            deallocs: self.deallocs.load(Ordering::Relaxed),
-            bytes_alloc: self.bytes_alloc.load(Ordering::Relaxed),
-            bytes_freed: self.bytes_freed.load(Ordering::Relaxed),
+impl RunState {
+    /// Count one job finished, its body having allocated `alloc`.
+    fn finish(&self, alloc: &AllocStats) {
+        self.alloc.lock().add(alloc);
+        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let _ = self.done.send(());
         }
+    }
+
+    /// Count one more job, unless the run is already over.
+    fn add_if_running(&self) -> bool {
+        self.pending
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |p| (p > 0).then_some(p + 1))
+            .is_ok()
     }
 }
 
-impl PoolCore {
-    /// Enqueue without waking. The initial rank batch is pushed first
-    /// and kicked together (see `kick_all`) so all ranks start as
-    /// near-simultaneously as `thread::scope` spawns did — wall-clock
-    /// fault tests lean on every rank reaching its first send before a
-    /// self-killing rank (whose kill is strictly later in program
-    /// order) dies.
-    fn push(&self, worker: usize, job: Job) {
-        self.slots[worker].queue.lock().push_back(job);
-    }
-
-    /// Unpark `worker` iff it declared itself parked. Safe against the
-    /// lost-wakeup race: the worker sets `parked` *before* its final
-    /// under-lock queue re-check, and callers kick only after their
-    /// push's critical section — so either the re-check sees the job,
-    /// or the kick sees `parked` and delivers the unpark token.
-    fn kick(&self, worker: usize) {
-        let slot = &self.slots[worker];
-        if slot.parked.load(Ordering::Acquire) {
-            if let Some(t) = slot.thread.get() {
-                t.unpark();
-            }
-        }
-    }
-
-    fn kick_all(&self) {
-        for i in 0..self.slots.len() {
-            self.kick(i);
-        }
-    }
-
-    fn submit(&self, worker: usize, job: Job) {
-        self.push(worker, job);
-        self.kick(worker);
-    }
-
-    fn done_count(&self) -> usize {
-        self.done.load(Ordering::Acquire)
-    }
-
-    fn wait_done(&self, target: usize) {
-        if self.done.load(Ordering::Acquire) >= target {
-            return;
-        }
-        // Register first, then re-check: a worker that crosses the
-        // target after the re-check is guaranteed to observe the
-        // registration and unpark us. A stale unpark token from a
-        // previous run at worst makes one park return early; the loop
-        // re-checks.
-        *self.waiter.lock() = Some(std::thread::current());
-        while self.done.load(Ordering::Acquire) < target {
-            std::thread::park();
-        }
-        *self.waiter.lock() = None;
-    }
-}
-
-fn worker_loop(core: Arc<PoolCore>, idx: usize) {
-    let slot = &core.slots[idx];
-    let _ = slot.thread.set(std::thread::current());
+/// A worker's life: run the jobs of its queue in order until the pool
+/// closes the queue. A queue, not a slot: a respawned incarnation is
+/// queued behind the previous one, which may still be unwinding, so
+/// incarnations of one rank run in order and the last one's outcome
+/// is the rank's.
+fn worker_loop(jobs: Receiver<Job>, run: Arc<RunState>, idx: usize) {
     // This rank's process, lent to every job this worker runs and
     // reset in place after each.
     let mut proc = Process::new(idx);
-    'outer: loop {
-        let job = 'take: loop {
-            if let Some(j) = slot.queue.lock().pop_front() {
-                break 'take j;
-            }
-            if core.shutdown.load(Ordering::Acquire) {
-                break 'outer;
-            }
-            // Commit to parking, then re-check the queue *under the
-            // lock*: a submitter that pushed before our re-check is
-            // seen here; one that pushes after is ordered behind our
-            // `parked` store by the queue critical sections and will
-            // kick us.
-            slot.parked.store(true, Ordering::Release);
-            {
-                let q = slot.queue.lock();
-                if q.is_empty() && !core.shutdown.load(Ordering::Acquire) {
-                    drop(q);
-                    std::thread::park();
-                }
-            }
-            slot.parked.store(false, Ordering::Release);
-        };
+    for job in jobs {
         // The job's own `catch_unwind` covers the rank closure; this
         // outer one covers the bookkeeping tail, so a panicking job
         // still counts as finished — `run` then reports the missing
         // outcome as a clean panic instead of deadlocking.
         //
         // Ordering matters: the call consumes the job, dropping its
-        // captured `Arc<Shared>` before the completion signal below —
-        // `run` relies on that for exclusive access at the next reset.
+        // captured `Arc<Shared>` before `finish` counts it — `run`
+        // relies on that for exclusive access at the next reset.
         let before = allocstats::snapshot();
         let _ = std::panic::catch_unwind(AssertUnwindSafe(|| job(&mut proc)));
-        core.alloc.add(&allocstats::snapshot().since(&before));
-        let done = core.done.fetch_add(1, Ordering::AcqRel) + 1;
-        if done >= core.target.load(Ordering::Acquire) {
-            // Possibly the last job of the run: wake the caller if it
-            // is (or is about to be) parked in `wait_done`. Spurious
-            // wakes (another submission raised the target since) are
-            // harmless — the caller re-checks.
-            if let Some(t) = core.waiter.lock().as_ref() {
-                t.unpark();
-            }
-        }
+        run.finish(&allocstats::snapshot().since(&before));
     }
 }
 
-/// The wall-clock executor: `n` worker threads and their queues.
+/// The wall-clock executor: `n` worker threads, a job queue each, and
+/// the run state they share with the caller.
 struct Workers {
-    core: Arc<PoolCore>,
+    jobs: Vec<Sender<Job>>,
     handles: Vec<JoinHandle<()>>,
+    run: Arc<RunState>,
+    done: Receiver<()>,
 }
 
 impl Workers {
     fn spawn(n: usize) -> Workers {
-        let core = Arc::new(PoolCore {
-            slots: (0..n)
-                .map(|_| WorkerSlot {
-                    queue: Mutex::new(VecDeque::new()),
-                    parked: AtomicBool::new(false),
-                    thread: OnceLock::new(),
-                })
-                .collect(),
-            shutdown: AtomicBool::new(false),
-            done: AtomicUsize::new(0),
-            target: AtomicUsize::new(0),
-            waiter: Mutex::new(None),
-            alloc: AllocTally::default(),
-        });
-        let handles = (0..n)
+        let (done, done_rx) = channel();
+        let alloc = Mutex::new(AllocStats::default());
+        let run = Arc::new(RunState { pending: AtomicUsize::new(0), alloc, done });
+        let (jobs, handles) = (0..n)
             .map(|i| {
-                let core = Arc::clone(&core);
-                std::thread::Builder::new()
+                let (tx, rx) = channel();
+                let run = Arc::clone(&run);
+                let handle = std::thread::Builder::new()
                     .name(format!("rank-{i}"))
-                    .spawn(move || worker_loop(core, i))
-                    .expect("spawn pool worker thread")
+                    .spawn(move || worker_loop(rx, run, i))
+                    .expect("spawn pool worker thread");
+                (tx, handle)
             })
-            .collect();
-        Workers { core, handles }
+            .unzip();
+        Workers { jobs, handles, run, done: done_rx }
+    }
+
+    /// Wait for the run's completion message until `until` (`None`: for
+    /// as long as it takes, which `recv_timeout` hands to `recv`). True
+    /// once the run is over.
+    fn wait_done(&self, until: Option<Instant>) -> bool {
+        let timeout =
+            until.map_or(Duration::MAX, |at| at.saturating_duration_since(Instant::now()));
+        self.done.recv_timeout(timeout) != Err(RecvTimeoutError::Timeout)
     }
 }
 
 impl Drop for Workers {
     fn drop(&mut self) {
-        self.core.shutdown.store(true, Ordering::Release);
-        for slot in &self.core.slots {
-            // Lock to serialize with a worker's pre-park re-check
-            // (which reads `shutdown` inside the queue critical
-            // section): after this critical section the worker either
-            // saw the flag and will not park, or it is parked and the
-            // unconditional unpark below wakes it. The `parked` flag
-            // alone would race store-vs-load here.
-            drop(slot.queue.lock());
-            if let Some(t) = slot.thread.get() {
-                t.unpark();
-            }
-        }
+        // Closing the queues ends every worker's loop.
+        self.jobs.clear();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -559,9 +417,9 @@ impl UniversePool {
     }
 
     /// The wall-clock executor: one job per rank incarnation on the
-    /// worker threads, supervised for the watchdog and the respawn
-    /// extension. Returns whether the watchdog fired, and the job
-    /// bodies' heap traffic summed over the workers.
+    /// worker threads, supervised from this thread for the watchdog and
+    /// the respawn extension. Returns whether the watchdog fired, and
+    /// the job bodies' heap traffic summed over the workers.
     fn run_threads(
         &mut self,
         shared: &Shared,
@@ -571,104 +429,80 @@ impl UniversePool {
         rank_body: &RankBody<'_>,
     ) -> (bool, AllocStats) {
         let n = self.size;
-        let core = &*self.workers.get_or_insert_with(|| Workers::spawn(n)).core;
+        let workers = &*self.workers.get_or_insert_with(|| Workers::spawn(n));
+        // The last run ended at zero with every worker idle.
+        workers.run.pending.store(n, Ordering::Relaxed);
 
-        // Only the caller's thread submits jobs, so a plain Cell counts
-        // them.
-        let spawned = Cell::new(0usize);
-        core.done.store(0, Ordering::Release);
-        core.target.store(0, Ordering::Release);
-        core.alloc.reset();
-        let mut hung = false;
-
-        let submit_incarnation = |me: usize, gen: u32, kick: bool| {
-            spawned.set(spawned.get() + 1);
-            // Raise the completion target before the job exists: a
-            // worker can then never observe `done >= target` with this
-            // job outstanding.
-            core.target.store(spawned.get(), Ordering::Release);
+        let submit = |me: usize, gen: u32| {
             let job: Box<dyn FnOnce(&mut Process) + Send + '_> =
                 Box::new(move |proc: &mut Process| rank_body(gen, proc));
             // SAFETY: the job borrows `rank_body` (and through it `f`,
             // `outcomes` and the stack frame of `run`), which the
             // 'static `Job` type erases. Sound because `run` does not
             // return (or unwind past the borrows — nothing below
-            // panics before the wait) until `wait_done` has observed
-            // every submitted job complete, and a worker only counts a
-            // job complete after the job closure (and thus every use
-            // of those borrows) returned.
+            // panics before the wait) until the run's completion
+            // message arrived, and a worker counts a job finished only
+            // after the job closure (and thus every use of those
+            // borrows) returned. A job whose worker is gone comes back
+            // in the error and is dropped here, counted as finished.
             let job: Job = unsafe {
                 std::mem::transmute::<Box<dyn FnOnce(&mut Process) + Send + '_>, Job>(job)
             };
-            if kick {
-                core.submit(me, job);
-            } else {
-                core.push(me, job);
+            if workers.jobs[me].send(job).is_err() {
+                workers.run.finish(&AllocStats::default());
             }
         };
-
-        // Push the whole rank batch before waking anyone: all ranks
-        // then start together (like scoped spawns pipelining) instead
-        // of in wake order.
         for me in 0..n {
-            submit_incarnation(me, 0, false);
+            submit(me, 0);
         }
-        core.kick_all();
 
-        // Supervisor loop: watchdog + recovery, polling at 1ms. Skipped
-        // entirely when
-        // neither is configured (the completion wait below suffices).
-        if watchdog.is_some() || respawn.is_some() {
-            let mut budget: Vec<u32> = vec![respawn.map(|p| p.max_per_rank).unwrap_or(0); n];
-            let mut death_seen: Vec<Option<Instant>> = vec![None; n];
-            loop {
-                let all_done = core.done_count() == spawned.get();
-                // A respawn is only pending while some incarnation is
-                // still running: reviving a rank after everyone else
-                // finished would strand it (nobody left to talk to).
-                let respawn_pending = !all_done
-                    && respawn.is_some()
-                    && shared.registry.aborted().is_none()
-                    && (0..n).any(|r| shared.registry.is_failed(r) && budget[r] > 0);
-                if all_done {
-                    break;
+        // The supervisor: wait for the run to end, waking at the
+        // watchdog's deadline and every 1 ms while a respawn may fall
+        // due (a death sends no message).
+        let deadline = watchdog.map(|limit| start + limit);
+        let mut budget: Vec<u32> = vec![respawn.map_or(0, |p| p.max_per_rank); n];
+        let mut death_seen: Vec<Option<Instant>> = vec![None; n];
+        let hung = loop {
+            let respawn_may_fall_due = respawn.is_some()
+                && shared.registry.aborted().is_none()
+                && budget.iter().any(|&b| b > 0);
+            let poll = respawn_may_fall_due.then(|| Instant::now() + Duration::from_millis(1));
+            if workers.wait_done(deadline.into_iter().chain(poll).min()) {
+                break false;
+            }
+            if deadline.is_some_and(|at| Instant::now() >= at) {
+                shared.abort(WATCHDOG_ABORT_CODE);
+                // The aborted ranks still unwind; their jobs must
+                // finish before the borrows are released.
+                workers.wait_done(None);
+                break true;
+            }
+            let Some(policy) = respawn.filter(|_| shared.registry.aborted().is_none()) else {
+                continue;
+            };
+            for r in 0..n {
+                if !shared.registry.is_failed(r) || budget[r] == 0 {
+                    death_seen[r] = None;
+                    continue;
                 }
-                if let Some(limit) = watchdog {
-                    if start.elapsed() > limit {
-                        hung = true;
-                        shared.abort(WATCHDOG_ABORT_CODE);
+                let seen = *death_seen[r].get_or_insert_with(Instant::now);
+                if seen.elapsed() >= policy.after {
+                    budget[r] -= 1;
+                    death_seen[r] = None;
+                    // Revive only while some incarnation still runs:
+                    // a rank revived after everyone else finished
+                    // would have nobody left to talk to.
+                    if !workers.run.add_if_running() {
                         break;
                     }
-                }
-                if let Some(policy) = respawn {
-                    if respawn_pending {
-                        for r in 0..n {
-                            if !shared.registry.is_failed(r) {
-                                death_seen[r] = None;
-                                continue;
-                            }
-                            if budget[r] == 0 {
-                                continue;
-                            }
-                            let seen = *death_seen[r].get_or_insert_with(Instant::now);
-                            if seen.elapsed() >= policy.after {
-                                budget[r] -= 1;
-                                death_seen[r] = None;
-                                if let Some(gen) = shared.respawn(r) {
-                                    submit_incarnation(r, gen, true);
-                                }
-                            }
-                        }
+                    match shared.respawn(r) {
+                        Some(gen) => submit(r, gen),
+                        None => workers.run.finish(&AllocStats::default()),
                     }
                 }
-                std::thread::sleep(Duration::from_millis(1));
             }
-        }
-        // Every submitted job must finish before the borrows (and the
-        // workers' `Arc<Shared>` clones) can be considered released —
-        // including post-abort unwinds after a watchdog break above.
-        core.wait_done(spawned.get());
-        (hung, core.alloc.harvest())
+        };
+        (hung, std::mem::take(&mut *workers.run.alloc.lock()))
     }
 }
 

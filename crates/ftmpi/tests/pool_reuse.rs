@@ -173,6 +173,33 @@ fn respawn_generations_do_not_leak_into_the_next_run() {
     assert_eq!(clean.generations, vec![0, 0], "incarnations leaked across runs");
 }
 
+/// A rank body that panics on its worker thread is reported as
+/// `Panicked`; its peers finish, the run is not a hang, and the same
+/// pool runs a clean ring next.
+#[test]
+fn a_panicking_rank_is_an_outcome_and_the_pool_survives() {
+    let mut pool = UniversePool::new(N);
+    let report = pool.run::<u64, _>(clean_cfg(), |p| {
+        p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+        match p.world_rank() {
+            2 => {
+                p.send(WORLD, 3, 9, &7u64)?;
+                panic!("rank 2 gives up");
+            }
+            3 => Ok(p.recv::<u64>(WORLD, Src::Rank(2), 9)?.0),
+            me => Ok(me as u64),
+        }
+    });
+    assert!(!report.hung);
+    assert_eq!(report.outcomes[2], RankOutcome::Panicked("rank 2 gives up".to_string()));
+    assert_eq!(report.outcomes[3].as_ok(), Some(&7));
+    assert_eq!(report.outcomes[0].as_ok(), Some(&0));
+    let fresh = run(N, clean_cfg(), ring_once);
+    let pooled = pool.run(clean_cfg(), ring_once);
+    assert!(pooled.all_ok(), "{:?}", pooled.outcomes);
+    assert_eq!(logical(&fresh), logical(&pooled), "the panic left state behind");
+}
+
 /// Many clean runs through one pool behave identically to many fresh
 /// universes — the steady-state the DST sweep engine lives in.
 #[test]

@@ -6,11 +6,12 @@
 //! this extension implements the field's intended semantics for
 //! point-to-point protocols. DESIGN.md documents the supported scope.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use faultsim::{FaultPlan, HookKind};
 use ftmpi::{
-    run, ErrorHandler, Event, RankState, RespawnPolicy, Src, UniverseConfig, WORLD,
+    run, ErrorHandler, Event, RankOutcome, RankState, RespawnPolicy, Src, UniverseConfig,
+    WATCHDOG_ABORT_CODE, WORLD,
 };
 
 fn policy() -> RespawnPolicy {
@@ -219,4 +220,34 @@ fn respawn_is_traced() {
         .filter(|te| matches!(te.event, Event::Respawned { rank: 1, generation: 1 }))
         .collect();
     assert_eq!(respawns.len(), 1);
+}
+
+/// The watchdog ends a run while a respawn is still owed: the supervisor
+/// checks the deadline before it considers reviving anyone, and an
+/// aborted run revives nobody.
+#[test]
+fn the_watchdog_fires_while_a_respawn_is_owed() {
+    let plan = FaultPlan::none().kill_at(1, HookKind::BeforeSend, 1);
+    let began = Instant::now();
+    let report = run(
+        2,
+        UniverseConfig::with_plan(plan)
+            .watchdog(Duration::from_millis(300))
+            .respawning(RespawnPolicy { after: Duration::from_secs(3600), max_per_rank: 1 }),
+        |p| {
+            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+            if p.world_rank() == 1 {
+                p.send(WORLD, 0, 1, &1i32)?;
+                unreachable!("killed before its first send");
+            }
+            // Nobody ever sends this.
+            let (v, _) = p.recv::<i32>(WORLD, Src::Rank(0), 1)?;
+            Ok(v)
+        },
+    );
+    assert!(began.elapsed() < Duration::from_secs(5), "took {:?}", began.elapsed());
+    assert!(report.hung);
+    assert!(report.outcomes[1].is_failed(), "{:?}", report.outcomes[1]);
+    assert_eq!(report.outcomes[0], RankOutcome::Aborted { code: WATCHDOG_ABORT_CODE });
+    assert_eq!(report.generations, vec![0, 0]);
 }
