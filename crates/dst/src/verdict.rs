@@ -137,8 +137,7 @@ impl Tally {
     }
 
     /// The merged per-run stats, `coverage` taken from the exact edge
-    /// union (signature = XOR of its members) rather than the summed
-    /// approximation `RunStats::merge` folds.
+    /// union (signature = XOR of its members).
     pub fn stats(&self) -> RunStats {
         RunStats { coverage: self.edges.stats(), ..self.stats }
     }
@@ -173,9 +172,9 @@ mod tests {
         }
     }
 
-    /// The tally's coverage is the exact union, not the summed
-    /// approximation: overlapping runs must not double-count edges or
-    /// cancel signatures, and `record` reports only the edges new to it.
+    /// The tally's coverage is the exact union: overlapping runs must
+    /// not double-count edges or cancel signatures, and `record`
+    /// reports only the edges new to it.
     #[test]
     fn tally_coverage_is_the_exact_union() {
         use crate::coverage::{edge, EdgeKind};

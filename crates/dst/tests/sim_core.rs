@@ -2,9 +2,9 @@
 //! coroutines on the caller's thread (`ftmpi`'s `coro.rs` + the pool's
 //! driver loop), and that must be invisible to everything above it.
 //!
-//! * no suspended rank is ever abandoned — on a deadlock verdict, on
-//!   budget exhaustion and on a wall-clock watchdog abort every rank
-//!   body returns through its own frames before `pool.run` does;
+//! * no suspended rank is ever abandoned — on a deadlock verdict and
+//!   on budget exhaustion every rank body returns through its own
+//!   frames before `pool.run` does;
 //! * a deadlock is reported at the step it forms, with the wait-for
 //!   cycle, not when a budget runs out;
 //! * a panicking rank body is an outcome, not a crash, and leaves the
@@ -17,8 +17,8 @@ use std::time::Duration;
 
 use dst::{triage_trace, ScenarioCfg, Scheduler, SeedRunner, WaitKind};
 use ftmpi::{
-    ErrorHandler, Process, RankOutcome, Src, UniverseConfig, UniversePool, WATCHDOG_ABORT_CODE,
-    WORLD,
+    ErrorHandler, Process, RankOutcome, RespawnPolicy, Src, UniverseConfig, UniversePool,
+    WATCHDOG_ABORT_CODE, WORLD,
 };
 
 const N: usize = 4;
@@ -44,7 +44,7 @@ fn everyone_waits(p: &mut Process) -> ftmpi::Result<u64> {
 }
 
 /// The token goes round and round and no rank ever leaves: a livelock.
-/// Some rank is always enabled, so only a budget or a clock ends it.
+/// Some rank is always enabled, so only the budget ends it.
 fn token_forever(p: &mut Process) -> ftmpi::Result<u64> {
     p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
     let (next, prev) = ((p.world_rank() + 1) % N, (p.world_rank() + N - 1) % N);
@@ -152,35 +152,15 @@ fn budget_exhaustion_unwinds_every_rank_body() {
     assert_eq!(sched.deadlock_at(), None);
 }
 
-/// `.sim()` + `.watchdog()`: the thread that would have supervised the
-/// run is the one driving it, so the driver checks the wall clock
-/// between resumes. With a budget that never fires, the wall-clock
-/// limit ends the same livelock through the same abort path.
+/// The budget when no grant ever passes the driver: one rank passes a
+/// token to itself forever, so every grant is a self-grant that the
+/// rank draws and continues from without a switch. The budget is
+/// charged wherever a grant is drawn, or this run would never end.
 #[test]
-fn wall_clock_watchdog_fires_under_simulation() {
-    let mut sched = Scheduler::new(N, 7, u64::MAX);
-    sched.quiet();
-    let limit = Duration::from_millis(50);
-    let cfg = UniverseConfig::default().sim(&mut sched).watchdog(limit);
-    let report = assert_hang_is_unwound(cfg, token_forever);
-    assert!(!sched.budget_exhausted(), "the logical budget cannot have fired");
-    assert_eq!(sched.deadlock_at(), None);
-    assert!(report.duration >= limit);
-}
-
-/// The same limit when no grant ever passes the driver: one rank
-/// passes a token to itself forever, so every grant is a self-grant
-/// that the rank draws and continues from without a switch. The
-/// deadline is tested after every grant wherever it is drawn, or this
-/// run would never end.
-#[test]
-fn wall_clock_watchdog_ends_a_livelock_of_self_grants() {
-    let mut sched = Scheduler::new(1, 7, u64::MAX);
-    sched.quiet();
-    let limit = Duration::from_millis(50);
-    let cfg = UniverseConfig::default().sim(&mut sched).watchdog(limit);
+fn budget_ends_a_livelock_of_self_grants() {
+    let mut sched = Scheduler::new(1, 7, 500);
     let dropped = AtomicUsize::new(0);
-    let report = ftmpi::run(1, cfg, |p| {
+    let report = ftmpi::run(1, UniverseConfig::default().sim(&mut sched), |p| {
         let _guard = Bump(&dropped);
         p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
         p.send(WORLD, 0, 0, &0u64)?;
@@ -192,8 +172,26 @@ fn wall_clock_watchdog_ends_a_livelock_of_self_grants() {
     assert!(report.hung);
     assert_eq!(report.outcomes, [RankOutcome::<u64>::Aborted { code: WATCHDOG_ABORT_CODE }]);
     assert_eq!(dropped.load(Ordering::Relaxed), 1, "the rank body was left suspended");
-    assert!(report.duration >= limit);
-    assert!(!sched.budget_exhausted() && sched.deadlock_at().is_none());
+    assert!(sched.budget_exhausted() && sched.deadlock_at().is_none());
+}
+
+/// A scheduler's verdicts are a simulated run's only hang backstop and
+/// its ranks are never respawned: the thread executor's two options are
+/// refused beside one.
+#[test]
+#[should_panic(expected = "incompatible with the respawn extension")]
+fn a_scheduler_refuses_respawn() {
+    let mut sched = Scheduler::new(N, 7, 500);
+    let policy = RespawnPolicy { after: Duration::from_millis(1), max_per_rank: 1 };
+    ftmpi::run(N, UniverseConfig::default().sim(&mut sched).respawning(policy), ring_once);
+}
+
+#[test]
+#[should_panic(expected = "incompatible with the wall-clock watchdog")]
+fn a_scheduler_refuses_the_watchdog() {
+    let mut sched = Scheduler::new(N, 7, 500);
+    let cfg = UniverseConfig::default().sim(&mut sched).watchdog(Duration::from_secs(1));
+    ftmpi::run(N, cfg, ring_once);
 }
 
 /// A rank body that panics on its coroutine stack is reported as

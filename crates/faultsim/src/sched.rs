@@ -168,26 +168,14 @@ impl HandoffStats {
 /// touched, and an order-independent digest of the set.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoverageStats {
-    /// Distinct coverage edges. Per run: the run's edge-set size.
-    /// After [`RunStats::merge`]: the *union* size when the merging
-    /// aggregator tracks the union (the `dst` sweep/fuzz engines do),
-    /// else the sum of per-run sizes.
+    /// Distinct coverage edges: the run's edge-set size, or an
+    /// aggregator's exact union size (the `dst` sweep/fuzz engines
+    /// track the union; [`RunStats::merge`] leaves coverage alone).
     pub edges: u64,
     /// XOR of the per-edge hashes — an order-independent digest of the
     /// edge set, so two runs (or two whole campaigns) covering the
     /// same edges report byte-identical signatures.
     pub signature: u64,
-}
-
-impl CoverageStats {
-    /// Fold another edge-set summary in as a disjoint-union
-    /// approximation: sizes add, digests XOR. Exact only when the sets
-    /// are disjoint; aggregators that track the true union overwrite
-    /// the result (see [`RunStats::merge`]).
-    pub fn add(&mut self, other: &CoverageStats) {
-        self.edges += other.edges;
-        self.signature ^= other.signature;
-    }
 }
 
 /// Every per-run statistic the harness chain carries, as one value.
@@ -215,12 +203,10 @@ pub struct RunStats {
 impl RunStats {
     /// Accumulate another run's statistics (sweep/fuzz aggregation).
     ///
-    /// `coverage` folds as a disjoint-union approximation; an
-    /// aggregator that tracks the true edge union should overwrite
-    /// `self.coverage` from that union after the campaign.
+    /// `coverage` is not folded: two summaries cannot give the size of
+    /// a union, so an aggregator takes it from the edge union it tracks.
     pub fn merge(&mut self, other: &RunStats) {
         self.handoff.add(&other.handoff);
-        self.coverage.add(&other.coverage);
         self.alloc.add(&other.alloc);
     }
 }
@@ -356,11 +342,8 @@ mod tests {
         total.merge(&one);
         total.merge(&one);
         assert_eq!(total.handoff.steps, 10);
-        // Disjoint-union approximation: sizes add, signatures XOR
-        // (identical sets cancel — the aggregator overwrites from the
-        // true union when it tracks one).
-        assert_eq!(total.coverage.edges, 6);
-        assert_eq!(total.coverage.signature, 0);
+        // Coverage is the aggregator's edge union, never a fold.
+        assert_eq!(total.coverage, CoverageStats::default());
         assert_eq!(total.alloc.allocs, 14);
         assert_eq!(total.alloc.bytes_alloc, 512);
     }

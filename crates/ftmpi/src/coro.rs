@@ -13,12 +13,11 @@
 //!
 //! The scheduler deciding those grants belongs to the driver: it lends
 //! it to [`drive_with`] for the length of the run, which installs it in
-//! a per-thread slot beside [`CURRENT`], together with the run's
-//! wall-clock deadline; the ranks and the driver loop reach it through
-//! [`with_sched`] and test the deadline with [`deadline_passed`] after
-//! every grant. Only one rank runs at a time and all of them run on the
-//! driver's thread, so a simulated step takes no lock and clones no
-//! `Arc`. Universes driven on other threads have slots of their own.
+//! a per-thread slot beside [`CURRENT`]; the ranks and the driver loop
+//! reach it through [`with_sched`]. Only one rank runs at a time and
+//! all of them run on the driver's thread, so a simulated step takes no
+//! lock and clones no `Arc`. Universes driven on other threads have
+//! slots of their own.
 //!
 //! This file holds the simulation's only `unsafe` — the switch, the
 //! stack mappings, the raw control-block pointers, the scheduler
@@ -56,7 +55,6 @@ use std::ffi::{c_int, c_void};
 use std::marker::PhantomData;
 use std::panic::AssertUnwindSafe;
 use std::ptr::NonNull;
-use std::time::Instant;
 
 use faultsim::{SchedHook, StepOutcome};
 
@@ -202,11 +200,6 @@ thread_local! {
     /// borrow alive while the slot holds it.
     static SCHED: RefCell<Option<NonNull<dyn SchedHook>>> = const { RefCell::new(None) };
 
-    /// The wall-clock watchdog of the drive running on this thread,
-    /// beside its scheduler: installed by [`drive_with`], tested by
-    /// [`deadline_passed`].
-    static WATCHDOG: Cell<Watchdog> = const { Cell::new(Watchdog::Off) };
-
     /// The coroutines of the group whose [`Group::resume`] is running
     /// on this thread (empty outside one), for [`transfer`] to index;
     /// saved and restored around a resume like [`CURRENT`].
@@ -214,30 +207,15 @@ thread_local! {
         const { Cell::new(std::ptr::slice_from_raw_parts(std::ptr::null(), 0)) };
 }
 
-/// A drive's wall-clock deadline, and whether it passed.
-#[derive(Clone, Copy)]
-enum Watchdog {
-    Off,
-    Armed(Instant),
-    Fired,
-}
-
-/// Run `f` with `sched` installed as this thread's scheduler and
-/// `deadline` as its wall-clock watchdog, then put back whatever was
-/// installed before — also when `f` unwinds, so a nested drive and the
-/// next drive on this thread each see their own. Returns `f`'s result
-/// and whether the deadline passed during the drive.
-pub(crate) fn drive_with<R>(
-    sched: &mut dyn SchedHook,
-    deadline: Option<Instant>,
-    f: impl FnOnce() -> R,
-) -> (R, bool) {
+/// Run `f` with `sched` installed as this thread's scheduler, then put
+/// back whatever was installed before — also when `f` unwinds, so a
+/// nested drive and the next drive on this thread each see their own.
+pub(crate) fn drive_with<R>(sched: &mut dyn SchedHook, f: impl FnOnce() -> R) -> R {
     /// Restores the previous slot contents when the drive ends.
-    struct Restore(Option<NonNull<dyn SchedHook>>, Watchdog);
+    struct Restore(Option<NonNull<dyn SchedHook>>);
     impl Drop for Restore {
         fn drop(&mut self) {
             SCHED.with(|slot| *slot.borrow_mut() = self.0);
-            WATCHDOG.set(self.1);
         }
     }
     let sched = NonNull::from(sched);
@@ -248,25 +226,8 @@ pub(crate) fn drive_with<R>(
     let sched = unsafe {
         std::mem::transmute::<NonNull<dyn SchedHook + '_>, NonNull<dyn SchedHook>>(sched)
     };
-    let watchdog = deadline.map_or(Watchdog::Off, Watchdog::Armed);
-    let _restore =
-        Restore(SCHED.with(|slot| slot.replace(Some(sched))), WATCHDOG.replace(watchdog));
-    let r = f();
-    (r, matches!(WATCHDOG.get(), Watchdog::Fired))
-}
-
-/// Test the drive's wall-clock deadline — right after every grant is
-/// drawn, by the driver and by a rank granting the next one itself.
-/// True for the first test that finds it passed, which disarms it: the
-/// watchdog fires once.
-pub(crate) fn deadline_passed() -> bool {
-    match WATCHDOG.get() {
-        Watchdog::Armed(at) if Instant::now() > at => {
-            WATCHDOG.set(Watchdog::Fired);
-            true
-        }
-        _ => false,
-    }
+    let _restore = Restore(SCHED.with(|slot| slot.replace(Some(sched))));
+    f()
 }
 
 /// Run `f` on the scheduler of the drive this thread is in.
@@ -746,7 +707,7 @@ pub(crate) mod tests {
     #[test]
     #[should_panic(expected = "scheduler was re-entered")]
     fn with_sched_inside_with_sched_panics() {
-        drive_with(&mut Clock(1), None, || with_sched(|_| installed()));
+        drive_with(&mut Clock(1), || with_sched(|_| installed()));
     }
 
     /// A drive puts back what it found, after a nested drive and after
@@ -754,29 +715,15 @@ pub(crate) mod tests {
     #[test]
     fn the_slot_is_restored_after_nested_and_panicking_drives() {
         let (mut outer, mut inner) = (Clock(1), Clock(2));
-        drive_with(&mut outer, None, || {
-            assert_eq!(drive_with(&mut inner, None, installed), (2, false));
+        drive_with(&mut outer, || {
+            assert_eq!(drive_with(&mut inner, installed), 2);
             assert_eq!(installed(), 1, "a nested drive restores the outer scheduler");
             let panicked = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                drive_with(&mut inner, None, || panic!("the body of a drive panics"))
+                drive_with(&mut inner, || panic!("the body of a drive panics"))
             }));
             assert!(panicked.is_err());
             assert_eq!(installed(), 1, "an unwinding drive restores the outer scheduler");
         });
         assert!(std::panic::catch_unwind(installed).is_err(), "the slot is empty again");
-    }
-
-    /// A passed deadline fires for the first test only, a nested drive
-    /// without one sees none, and the drive reports that it fired.
-    #[test]
-    fn the_deadline_fires_once_per_drive() {
-        let (mut outer, mut inner) = (Clock(1), Clock(2));
-        let ((), fired) = drive_with(&mut outer, Some(Instant::now()), || {
-            assert_eq!(drive_with(&mut inner, None, deadline_passed), (false, false));
-            while !deadline_passed() {}
-            assert!(!deadline_passed(), "the watchdog fires once");
-        });
-        assert!(fired);
-        assert!(!deadline_passed(), "outside a drive there is no deadline");
     }
 }

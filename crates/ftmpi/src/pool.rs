@@ -264,6 +264,10 @@ impl UniversePool {
             !sim || respawn.is_none(),
             "a deterministic-simulation scheduler is incompatible with the respawn extension"
         );
+        assert!(
+            !sim || watchdog.is_none(),
+            "a deterministic-simulation scheduler is incompatible with the wall-clock watchdog"
+        );
 
         // Build on the first run, reset in place on every later one.
         // Under a scheduler the trace stamps events with its logical
@@ -325,27 +329,18 @@ impl UniversePool {
             outcomes.lock()[me] = Some(outcome);
         };
 
-        let start = Instant::now();
         let ((mut hung, alloc), mut stats) = match sched {
             Some(sched) => {
-                let deadline = watchdog.map(|limit| start + limit);
-                let (alloc, hung) = crate::coro::drive_with(&mut *sched, deadline, || {
-                    self.drive_sim(&shared, &rank_body)
-                });
-                ((hung, alloc), sched.run_stats())
+                let alloc = crate::coro::drive_with(&mut *sched, || self.drive_sim(&rank_body));
+                ((false, alloc), sched.run_stats())
             }
-            None => (
-                self.run_threads(&shared, watchdog, respawn, start, &rank_body),
-                RunStats::default(),
-            ),
+            None => (self.run_threads(&shared, watchdog, respawn, &rank_body), RunStats::default()),
         };
 
         // A simulation scheduler's hang verdict (deadlock, or its step
         // budget) aborts with the same code as the wall-clock
         // watchdog; report it as a hang too.
-        if shared.registry.aborted() == Some(WATCHDOG_ABORT_CODE) {
-            hung = true;
-        }
+        hung |= shared.registry.aborted() == Some(WATCHDOG_ABORT_CODE);
         generations.clear();
         generations.extend((0..n).map(|r| shared.registry.generation(r)));
         stats.handoff.parks = shared.fabric.sleeps();
@@ -361,7 +356,6 @@ impl UniversePool {
             outcomes,
             hung,
             trace: shared.trace.take(trace_buf),
-            duration: start.elapsed(),
             generations,
             stats,
             injector: Arc::clone(&shared.injector),
@@ -375,7 +369,7 @@ impl UniversePool {
     /// rank a coroutine on this thread, run in the order the installed
     /// scheduler decides. Returns this thread's heap traffic over the
     /// whole drive (which is all of the rank bodies').
-    fn drive_sim(&mut self, shared: &Shared, rank_body: &RankBody<'_>) -> AllocStats {
+    fn drive_sim(&mut self, rank_body: &RankBody<'_>) -> AllocStats {
         let n = self.size;
         let sim = self.sim.get_or_insert_with(|| SimRanks {
             coros: (0..n).map(|_| Coroutine::new()).collect(),
@@ -403,13 +397,6 @@ impl UniversePool {
         // hands each of them `Abort`, so no suspended stack is ever
         // dropped.
         while let Some((me, outcome)) = with_sched(|s| s.next()) {
-            if crate::coro::deadline_passed() {
-                // The wall-clock backstop, tested after every grant
-                // because this thread is the only one there is: abort
-                // the job once and keep driving until every rank has
-                // noticed.
-                shared.abort(WATCHDOG_ABORT_CODE);
-            }
             group.resume(me, outcome);
         }
         assert_eq!(group.live(), 0, "the scheduler stopped granting with ranks still suspended");
@@ -425,10 +412,10 @@ impl UniversePool {
         shared: &Shared,
         watchdog: Option<Duration>,
         respawn: Option<crate::universe::RespawnPolicy>,
-        start: Instant,
         rank_body: &RankBody<'_>,
     ) -> (bool, AllocStats) {
         let n = self.size;
+        let deadline = watchdog.map(|limit| Instant::now() + limit);
         let workers = &*self.workers.get_or_insert_with(|| Workers::spawn(n));
         // The last run ended at zero with every worker idle.
         workers.run.pending.store(n, Ordering::Relaxed);
@@ -459,7 +446,6 @@ impl UniversePool {
         // The supervisor: wait for the run to end, waking at the
         // watchdog's deadline and every 1 ms while a respawn may fall
         // due (a death sends no message).
-        let deadline = watchdog.map(|limit| start + limit);
         let mut budget: Vec<u32> = vec![respawn.map_or(0, |p| p.max_per_rank); n];
         let mut death_seen: Vec<Option<Instant>> = vec![None; n];
         let hung = loop {

@@ -273,8 +273,7 @@ impl Process {
     /// itself, as the pool's driver would. A grant to this rank
     /// continues at once; any other switches straight to the granted
     /// rank's coroutine, and this one waits there until it is granted
-    /// again. The drive's wall-clock deadline is tested after every
-    /// grant. The scheduler's hang verdict (deadlock, or the step
+    /// again. The scheduler's hang verdict (deadlock, or the step
     /// budget against livelock) comes back as a job abort, the logical
     /// replacement for the wall-clock watchdog.
     fn sched_step(&mut self, point: SchedPoint) -> Result<()> {
@@ -282,14 +281,11 @@ impl Process {
             return Ok(());
         }
         let me = self.me;
-        let grant = with_sched(|s| {
+        let (rank, outcome) = with_sched(|s| {
             s.arrive(me, point);
             s.next()
-        });
-        if crate::coro::deadline_passed() {
-            self.shared.abort(crate::universe::WATCHDOG_ABORT_CODE);
-        }
-        let (rank, outcome) = grant.expect("a rank that just arrived is waiting to be granted");
+        })
+        .expect("a rank that just arrived is waiting to be granted");
         let outcome = if rank == me { outcome } else { crate::coro::transfer(rank, outcome) };
         if outcome == StepOutcome::Abort {
             if !self.blocked_dumped {

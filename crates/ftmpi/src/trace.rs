@@ -246,7 +246,7 @@ mod tests {
         let mut t = Trace::new(true, true);
         let mut clock = crate::coro::tests::Clock(1_000_000_000);
         let mut kill =
-            |rank| crate::coro::drive_with(&mut clock, None, || t.record(Event::Killed { rank }));
+            |rank| crate::coro::drive_with(&mut clock, || t.record(Event::Killed { rank }));
         kill(0);
         assert_eq!(t.take(Vec::new())[0].at_us, 1_000_000_000, "stamped by the drive's scheduler");
 

@@ -182,8 +182,8 @@ pub struct UniverseConfig<'s> {
     /// Hook-based fault plan (exact protocol-point kills), owned or
     /// borrowed from a caller that keeps it for its next run.
     pub plan: Cow<'s, FaultPlan>,
-    /// Hang watchdog: if the run does not complete within this
-    /// duration, the universe is aborted with
+    /// Hang watchdog of the wall-clock executor: if the run does not
+    /// complete within this duration, the universe is aborted with
     /// [`WATCHDOG_ABORT_CODE`] and the report is marked `hung`.
     pub watchdog: Option<Duration>,
     /// Record protocol events.
@@ -195,10 +195,10 @@ pub struct UniverseConfig<'s> {
     pub respawn: Option<RespawnPolicy>,
     /// Deterministic-simulation scheduler. When set, the runtime
     /// serializes every rank through the hook's scheduling points and
-    /// routes every nondeterministic choice through it; the wall-clock
-    /// `watchdog` is normally replaced by the hook's own verdicts
-    /// (deadlock when no suspended rank is enabled, a logical step
-    /// budget against livelock). Incompatible with `respawn`. Borrowed
+    /// routes every nondeterministic choice through it; the hook's own
+    /// verdicts (deadlock when no suspended rank is enabled, a logical
+    /// step budget against livelock) take the place of the wall-clock
+    /// `watchdog`. Incompatible with `watchdog` and `respawn`. Borrowed
     /// for the run: the caller reads the scheduler's log afterwards.
     pub sched: Option<&'s mut dyn SchedHook>,
 }
@@ -254,8 +254,6 @@ pub struct RunReport<T> {
     pub hung: bool,
     /// The recorded protocol trace (empty unless tracing was enabled).
     pub trace: Vec<TimedEvent>,
-    /// Wall-clock duration of the run.
-    pub duration: Duration,
     /// Final incarnation number per rank (all 0 without the recovery
     /// extension).
     pub generations: Vec<u32>,

@@ -36,16 +36,6 @@ impl<T: ?Sized> Mutex<T> {
         MutexGuard { inner: Some(guard) }
     }
 
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(sync::TryLockError::Poisoned(p)) => {
-                Some(MutexGuard { inner: Some(p.into_inner()) })
-            }
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
     pub fn get_mut(&mut self) -> &mut T {
         self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
