@@ -83,14 +83,18 @@ pub fn reference_block(rank: usize, cfg: &DisklessConfig) -> Vec<u64> {
     b
 }
 
-/// Reply to an already-consumed restore request.
+/// Reply to an already-consumed restore request with the newest
+/// checkpoint. Checkpoints do not end a completion-phase wait, so
+/// absorb the ones that arrived during it first: replying from the
+/// store as it was would send a restarting neighbour nothing.
 fn reply_restore(
     p: &mut Process,
     comm: Comm,
     left: usize,
-    store: &Option<(u64, Vec<u64>)>,
+    store: &mut Option<(u64, Vec<u64>)>,
     served: &mut u64,
 ) -> Result<()> {
+    absorb_checkpoints(p, comm, left, store)?;
     let reply = match store {
         Some((it, block)) => (true, *it, block.clone()),
         None => (false, 0u64, Vec::new()),
@@ -111,7 +115,7 @@ fn serve_restore(
     p: &mut Process,
     comm: Comm,
     left: usize,
-    store: &Option<(u64, Vec<u64>)>,
+    store: &mut Option<(u64, Vec<u64>)>,
     served: &mut u64,
 ) -> Result<()> {
     if p.iprobe(comm, Src::Rank(left), RESTORE_REQ_TAG)?.is_none() {
@@ -198,7 +202,7 @@ pub fn run_diskless(p: &mut Process, comm: Comm, cfg: &DisklessConfig) -> Result
         }
         if n > 1 {
             absorb_checkpoints(p, comm, left, &mut store)?;
-            serve_restore(p, comm, left, &store, &mut served)?;
+            serve_restore(p, comm, left, &mut store, &mut served)?;
         }
     }
 
@@ -266,7 +270,7 @@ pub fn run_diskless(p: &mut Process, comm: Comm, cfg: &DisklessConfig) -> Result
                 restore_slot = None;
                 match out.result {
                     Ok(c) if !c.status.is_proc_null() => {
-                        reply_restore(p, comm, left, &store, &mut served)?;
+                        reply_restore(p, comm, left, &mut store, &mut served)?;
                     }
                     Ok(_) => {}
                     Err(e) if e.is_terminal() => return Err(e),
@@ -314,7 +318,7 @@ pub fn run_diskless(p: &mut Process, comm: Comm, cfg: &DisklessConfig) -> Result
             restore_slot = None;
             match out.result {
                 Ok(c) if !c.status.is_proc_null() => {
-                    reply_restore(p, comm, left, &store, &mut served)?;
+                    reply_restore(p, comm, left, &mut store, &mut served)?;
                 }
                 Ok(_) => {}
                 Err(e) if e.is_terminal() => return Err(e),

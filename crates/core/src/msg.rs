@@ -36,7 +36,36 @@ pub struct RingMsg {
 impl RingMsg {
     /// A fresh iteration token as the root `origin` originates it.
     pub fn originate(marker: u64, origin: usize, pad: usize) -> Self {
-        RingMsg { value: 1, marker, origin, pad: vec![0; pad] }
+        Self::originate_in(marker, origin, pad, Vec::new())
+    }
+
+    /// [`RingMsg::originate`] with its pad written into `buf`, whose
+    /// allocation it keeps.
+    pub(crate) fn originate_in(marker: u64, origin: usize, pad: usize, mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        buf.resize(pad, 0);
+        RingMsg { value: 1, marker, origin, pad: buf }
+    }
+
+    /// [`Datatype::from_bytes`] with the pad decoded into `buf`, whose
+    /// allocation it keeps: a rank that hands every token's pad on to
+    /// the next decode receives tokens without allocating.
+    pub(crate) fn from_bytes_in(bytes: &[u8], buf: Vec<u8>) -> ftmpi::Result<Self> {
+        match Self::decode_in(bytes, buf)? {
+            (msg, []) => Ok(msg),
+            _ => Err(ftmpi::Error::TypeMismatch),
+        }
+    }
+
+    fn decode_in(bytes: &[u8], mut buf: Vec<u8>) -> ftmpi::Result<(Self, &[u8])> {
+        let (value, rest) = i64::decode(bytes)?;
+        let (marker, rest) = u64::decode(rest)?;
+        let (origin, rest) = u64::decode(rest)?;
+        let (len, rest) = u64::decode(rest)?;
+        let len = usize::try_from(len).map_err(|_| ftmpi::Error::TypeMismatch)?;
+        buf.clear();
+        let rest = u8::decode_into(len, rest, &mut buf)?;
+        Ok((RingMsg { value, marker, origin: origin as usize, pad: buf }, rest))
     }
 
     /// The token as forwarded by a non-root rank: value incremented,
@@ -59,11 +88,7 @@ impl Datatype for RingMsg {
     }
 
     fn decode(bytes: &[u8]) -> ftmpi::Result<(Self, &[u8])> {
-        let (value, rest) = i64::decode(bytes)?;
-        let (marker, rest) = u64::decode(rest)?;
-        let (origin, rest) = u64::decode(rest)?;
-        let (pad, rest) = Vec::<u8>::decode(rest)?;
-        Ok((RingMsg { value, marker, origin: origin as usize, pad }, rest))
+        Self::decode_in(bytes, Vec::new())
     }
 }
 
@@ -76,6 +101,26 @@ mod tests {
         let m = RingMsg { value: -3, marker: 17, origin: 2, pad: vec![0; 5] };
         let b = m.to_bytes();
         assert_eq!(RingMsg::from_bytes(&b).unwrap(), m);
+    }
+
+    #[test]
+    fn decoding_in_a_buffer_reuses_it_and_checks_the_length() {
+        let m = RingMsg { value: 9, marker: 3, origin: 1, pad: vec![0; 100] };
+        let b = m.to_bytes();
+        let buf = vec![7u8; 200];
+        let at = buf.as_ptr();
+        let got = RingMsg::from_bytes_in(&b, buf).unwrap();
+        assert_eq!(got, m);
+        assert_eq!(got.pad.as_ptr(), at, "the pad is decoded into the given buffer");
+        let mut long = b.to_vec();
+        long.push(0);
+        assert_eq!(RingMsg::from_bytes_in(&long, Vec::new()), Err(ftmpi::Error::TypeMismatch));
+        assert_eq!(
+            RingMsg::from_bytes_in(&b[..b.len() - 1], Vec::new()),
+            Err(ftmpi::Error::TypeMismatch)
+        );
+        let t = RingMsg::originate_in(4, 2, 3, got.pad);
+        assert_eq!((t.pad.as_slice(), t.pad.as_ptr()), (&[0u8; 3][..], at));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! data is salvaged into `pending` instead of being cancelled, so no
 //! token is ever dropped by slot recycling.
 
-use ftmpi::{CommRank, Completion, Datatype, Error, Request, Result, Src, Tag};
+use ftmpi::{CommRank, Completion, Error, Request, Result, Src, Tag};
 
 use crate::msg::{RingMsg, T_N, T_R};
 use crate::neighbors::to_left_of;
@@ -48,10 +48,11 @@ impl Ctx<'_> {
         Ok(Some((req, peer)))
     }
 
-    /// Decode a completed receive's token and hand its buffer back to
-    /// the payload pool; the token comes with the rank that sent it.
+    /// Decode a completed receive's token into the spare pad and hand
+    /// its buffer back to the payload pool; the token comes with the
+    /// rank that sent it.
     fn decode(&mut self, c: Completion) -> Result<(RingMsg, Option<CommRank>)> {
-        let tok = RingMsg::from_bytes(&c.data)?;
+        let tok = RingMsg::from_bytes_in(&c.data, std::mem::take(&mut self.spare_pad))?;
         self.p.recycle_payload(c.data);
         Ok((tok, c.status.source))
     }

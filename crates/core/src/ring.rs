@@ -206,6 +206,10 @@ pub(crate) struct Ctx<'a> {
     /// Root only: set once the closure of `max_iter - 1` is seen.
     pub done: bool,
     pub last_sent: Option<RingMsg>,
+    /// The pad of a token this rank is done with, kept for the next
+    /// decode or origination to fill: a padded ring allocates no pad
+    /// per hop.
+    pub spare_pad: Vec<u8>,
     /// Posted receive for normal tokens.
     pub normal: Slot,
     /// Posted receive for resent tokens (SeparateTag only).
@@ -239,6 +243,7 @@ impl<'a> Ctx<'a> {
             cur: 0,
             done: false,
             last_sent: None,
+            spare_pad: Vec::new(),
             normal: None,
             resend_rx: None,
             detector: None,
@@ -252,7 +257,8 @@ impl<'a> Ctx<'a> {
     /// advance.
     pub(crate) fn originate_next(&mut self) -> Result<()> {
         debug_assert!(self.is_root);
-        let token = RingMsg::originate(self.cur, self.me, self.cfg.pad);
+        let spare = std::mem::take(&mut self.spare_pad);
+        let token = RingMsg::originate_in(self.cur, self.me, self.cfg.pad, spare);
         self.ft_send_right(token, false)?;
         self.stats.originated += 1;
         self.cur += 1;
@@ -261,8 +267,9 @@ impl<'a> Ctx<'a> {
 
     /// A lap came home: record the closure, then originate the next
     /// lap or finish.
-    fn close_lap(&mut self, t: &RingMsg) -> Result<()> {
+    fn close_lap(&mut self, t: RingMsg) -> Result<()> {
         self.stats.closures.push((t.marker, t.value));
+        self.spare_pad = t.pad;
         if self.cur < self.cfg.max_iter {
             self.originate_next()
         } else {
@@ -307,14 +314,14 @@ impl<'a> Ctx<'a> {
             // No way to tell closures from duplicates: every token
             // coming home is treated as the current lap finishing —
             // the Fig. 8 defect, observable in `closures`.
-            return self.close_lap(&t);
+            return self.close_lap(t);
         }
         let closes = t.marker + 1 == self.cur;
         if t.origin == self.me {
             // My own origination came home: the closure of lap
             // `marker`, unless a resend already closed it.
             if closes {
-                self.close_lap(&t)
+                self.close_lap(t)
             } else {
                 self.drop_stale(&t)
             }
@@ -343,7 +350,7 @@ impl<'a> Ctx<'a> {
             // tokens in the ring, and a rank that then dies holding the
             // older one strands a survivor on a lap it never saw
             // (triple-shape seed 0x18576 at 8 ranks, §8.8).
-            self.close_lap(&t)
+            self.close_lap(t)
         } else {
             self.drop_stale(&t)
         }

@@ -22,7 +22,9 @@ impl Ctx<'_> {
         loop {
             match self.p.send(self.comm, self.right, tag, &msg) {
                 Ok(()) => {
-                    self.last_sent = Some(msg);
+                    if let Some(replaced) = self.last_sent.replace(msg) {
+                        self.spare_pad = replaced.pad;
+                    }
                     if resend {
                         self.stats.resends += 1;
                     }

@@ -11,7 +11,9 @@
 //! difference between simulating and allocating. The two executors:
 //!
 //! * **wall-clock** (`cfg.sched == None`): `n` long-lived worker
-//!   threads named `rank-{i}`, each handed the closure for one run;
+//!   threads named `rank-{i}`, each handed the closure for one run,
+//!   and on Linux each under `SCHED_BATCH`, so a woken rank never
+//!   preempts the rank that woke it;
 //! * **simulation** (`UniverseConfig::sim`): `n` coroutine stacks
 //!   ([`crate::coro`]) and a driver loop on the *calling* thread, which
 //!   lends the scheduler to `coro::drive_with` for the run. A rank's
@@ -120,6 +122,7 @@ impl RunState {
 /// incarnations of one rank run in order and the last one's outcome
 /// is the rank's.
 fn worker_loop(jobs: Receiver<Job>, run: Arc<RunState>, idx: usize) {
+    no_wakeup_preemption();
     // This rank's process, lent to every job this worker runs and
     // reset in place after each.
     let mut proc = Process::new(idx);
@@ -137,6 +140,31 @@ fn worker_loop(jobs: Receiver<Job>, run: Arc<RunState>, idx: usize) {
         run.finish(&allocstats::snapshot().since(&before));
     }
 }
+
+/// Put the calling thread under `SCHED_BATCH`, whose tasks the fair
+/// scheduler never lets preempt the running task on wakeup. A rank that
+/// delivers a message and wakes its receiver then keeps the CPU until
+/// it parks itself, so on a shared core a hop costs one context switch,
+/// not two. Refused (a seccomp filter may), the thread keeps the default
+/// policy: correct, at the old cost.
+#[cfg(target_os = "linux")]
+fn no_wakeup_preemption() {
+    use std::ffi::c_int;
+    #[repr(C)]
+    struct SchedParam {
+        sched_priority: c_int,
+    }
+    extern "C" {
+        fn sched_setscheduler(pid: c_int, policy: c_int, param: *const SchedParam) -> c_int;
+    }
+    const SCHED_BATCH: c_int = 3;
+    // SAFETY: pid 0 is the calling thread, and `param` points to a live
+    // `struct sched_param` for the length of the call.
+    unsafe { sched_setscheduler(0, SCHED_BATCH, &SchedParam { sched_priority: 0 }) };
+}
+
+#[cfg(not(target_os = "linux"))]
+fn no_wakeup_preemption() {}
 
 /// The wall-clock executor: `n` worker threads, a job queue each, and
 /// the run state they share with the caller.
@@ -544,6 +572,54 @@ mod tests {
         let report = pool.run(UniverseConfig::default(), ring_once);
         assert!(report.all_ok(), "failure state bled: {:?}", report.failed_ranks());
         assert_eq!(report.outcomes[0].as_ok(), Some(&3u64));
+    }
+
+    /// The calling thread's scheduling policy: `SCHED_OTHER` is 0,
+    /// `SCHED_BATCH` 3.
+    #[cfg(target_os = "linux")]
+    fn policy() -> i32 {
+        extern "C" {
+            fn sched_getscheduler(pid: i32) -> i32;
+        }
+        // SAFETY: pid 0 is the calling thread; the call reads only.
+        unsafe { sched_getscheduler(0) }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn wall_clock_ranks_run_under_sched_batch_and_the_caller_does_not() {
+        let mut pool = UniversePool::new(3);
+        for _ in 0..2 {
+            let report = pool.run(UniverseConfig::default(), |_| Ok(policy()));
+            assert!(report.outcomes.iter().all(|o| o.as_ok() == Some(&3)), "{:?}", report.outcomes);
+        }
+        assert_eq!(policy(), 0, "the caller's thread keeps the default policy");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn simulated_ranks_keep_the_callers_policy() {
+        /// First come, first served: every arrival is runnable.
+        #[derive(Default)]
+        struct Fifo(std::collections::VecDeque<usize>);
+        impl faultsim::SchedHook for Fifo {
+            fn arrive(&mut self, rank: usize, _point: SchedPoint) {
+                self.0.push_back(rank);
+            }
+            fn next(&mut self) -> Option<(usize, StepOutcome)> {
+                self.0.pop_front().map(|r| (r, StepOutcome::Run))
+            }
+            fn wake(&mut self, _rank: usize) {}
+            fn wake_all(&mut self) {}
+            fn choose(&mut self, _rank: usize, _kind: faultsim::ChoiceKind, _n: usize) -> usize {
+                0
+            }
+            fn on_exit(&mut self, _rank: usize) {}
+        }
+        let mut sched = Fifo::default();
+        let cfg = UniverseConfig::default().sim(&mut sched);
+        let report = UniversePool::new(3).run(cfg, |_| Ok(policy()));
+        assert!(report.outcomes.iter().all(|o| o.as_ok() == Some(&0)), "{:?}", report.outcomes);
     }
 
     #[test]

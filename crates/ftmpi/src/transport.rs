@@ -33,8 +33,12 @@
 //!   next `park`'s re-check sees the event. The condvar is `std`'s,
 //!   whose `notify_one` is a `futex_wake` system call even with nobody
 //!   waiting; a rank that is running, a rank already being woken, and
-//!   every simulated rank are spared it. A bounded timed wait
-//!   backstops any future bug in the protocol, and counts its firings.
+//!   every simulated rank are spared it. Rank threads are
+//!   `SCHED_BATCH` on Linux (`pool.rs`), so on a shared core the woken
+//!   owner does not preempt its notifier inside `notify_one`: the
+//!   notifier runs on to its own park, and a hop is one context
+//!   switch. A bounded timed wait backstops any future bug in the
+//!   protocol, and counts its firings.
 //! * **Single parker per slot** — only the owning rank ever waits on
 //!   its slot's condvar ([`Fabric::park`] is called with `me` by `me`'s
 //!   own thread), so one flag per slot says all there is to say and
