@@ -28,9 +28,8 @@
 //! observes `SelfFailed` from [`FailureRegistry::check_alive`] and
 //! unwinds even if a newer incarnation of its rank is running.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use crate::error::{Error, Result};
 use crate::rank::WorldRank;
@@ -44,8 +43,8 @@ pub struct FailureRegistry {
     /// Bumped on every state change; wait loops snapshot it to detect
     /// "something failed since I last looked".
     epoch: AtomicU64,
-    aborted: AtomicBool,
-    abort_code: Mutex<Option<i32>>,
+    /// The job's abort code: set once, by the first abort of the run.
+    abort_code: OnceLock<i32>,
 }
 
 impl FailureRegistry {
@@ -54,8 +53,7 @@ impl FailureRegistry {
         FailureRegistry {
             states: (0..n).map(|_| AtomicU64::new(0)).collect(),
             epoch: AtomicU64::new(0),
-            aborted: AtomicBool::new(false),
-            abort_code: Mutex::new(None),
+            abort_code: OnceLock::new(),
         }
     }
 
@@ -68,8 +66,7 @@ impl FailureRegistry {
             *s.get_mut() = 0;
         }
         *self.epoch.get_mut() = 0;
-        *self.abort_code.get_mut() = None;
-        *self.aborted.get_mut() = false;
+        self.abort_code.take();
     }
 
     /// Whether `rank` is currently failed.
@@ -130,24 +127,16 @@ impl FailureRegistry {
     /// Mark the job aborted with `code`. Returns `true` on transition.
     /// The caller is responsible for waking blocked ranks afterwards.
     pub fn abort(&self, code: i32) -> bool {
-        let mut slot = self.abort_code.lock();
-        if slot.is_none() {
-            *slot = Some(code);
-            self.aborted.store(true, Ordering::Release);
+        let first = self.abort_code.set(code).is_ok();
+        if first {
             self.epoch.fetch_add(1, Ordering::AcqRel);
-            true
-        } else {
-            false
         }
+        first
     }
 
     /// The abort code, if the job was aborted.
     pub fn aborted(&self) -> Option<i32> {
-        if self.aborted.load(Ordering::Acquire) {
-            *self.abort_code.lock()
-        } else {
-            None
-        }
+        self.abort_code.get().copied()
     }
 
     /// Terminal-state check for the incarnation `(me, my_gen)`: errors

@@ -77,6 +77,16 @@ mod trace;
 mod transport;
 mod universe;
 
+/// The value behind a `std::sync` lock, condvar wait or `get_mut`,
+/// poisoned or not. Every lock in this crate is taken through it, so a
+/// rank that panics holding one does not turn every other rank's next
+/// lock of the shared universe state into a second panic. Sound because
+/// each critical section is a short update by this crate that leaves
+/// the state valid at every step: rank bodies run outside the locks.
+pub(crate) fn unpoisoned<G>(r: std::sync::LockResult<G>) -> G {
+    r.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 pub use comm::{Comm, WORLD};
 pub use datatype::{Datatype, ZERO_SIZE_COUNT_MAX};
 pub use error::{Error, ErrorHandler, RankOutcome, Result};
@@ -276,5 +286,28 @@ mod coord {
             let (res, _) = b.split_poll((0, 0), 1, &reg).unwrap();
             assert_eq!(res.unwrap().1, vec![0, 1, 2]);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Mutex;
+
+    use super::unpoisoned;
+
+    /// A rank that panics while holding a lock poisons it; the next
+    /// rank to take it still gets the value.
+    #[test]
+    fn poisoned_lock_is_recovered() {
+        let m = Mutex::new(7);
+        let _ = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = unpoisoned(m.lock());
+                panic!("poison the mutex");
+            })
+            .join()
+        });
+        assert!(m.is_poisoned());
+        assert_eq!(*unpoisoned(m.lock()), 7);
     }
 }

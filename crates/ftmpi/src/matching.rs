@@ -873,7 +873,7 @@ mod tests {
                         }
                         Op::CompleteElsewhere { nth } if !ref_posted.is_empty() => {
                             let (req, _) = ref_posted.remove(nth % ref_posted.len());
-                            table.complete(req, Err(Error::RankFailStop { rank: 0 }));
+                            table.complete_if_pending(req, Err(Error::RankFailStop { rank: 0 }));
                         }
                         Op::Cancel { .. } | Op::CompleteElsewhere { .. } => {}
                         Op::Prune => eng.prune(&table),
@@ -910,7 +910,7 @@ mod tests {
         let s = spec(0, SrcSel::Any, TagSel::Any);
         let r = table.insert(ReqBody::Recv(s), ReqState::Pending);
         eng.register(r, s);
-        table.complete(r, Ok(Completion::send()));
+        table.complete_if_pending(r, Ok(Completion::send()));
         eng.prune(&table);
         assert!(eng.posted_in_order().is_empty());
     }

@@ -37,10 +37,11 @@
 //! decision logs are byte-identical with the pool hot or cold (the
 //! golden suite is the referee, as ever).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use bytes::{Bytes, INLINE_CAP};
-use parking_lot::Mutex;
+
+use crate::unpoisoned;
 
 /// Buffer size classes, each four times the last. 64 covers the 32-byte
 /// `RingMsg` wire format with a short pad, the middle classes padded
@@ -97,7 +98,7 @@ impl PayloadPool {
             Some(class) if data.len() > INLINE_CAP => class,
             _ => return Bytes::copy_from_slice(data),
         };
-        let mut arc = match self.classes[class].lock().pop() {
+        let mut arc = match unpoisoned(self.classes[class].lock()).pop() {
             Some(arc) => arc,
             // One allocation: the iterator's length is exact, so the
             // `Arc` is sized up front and filled in place.
@@ -124,7 +125,7 @@ impl PayloadPool {
             // copy path) — pooling it would strand capacity.
             return;
         }
-        let mut list = self.classes[class].lock();
+        let mut list = unpoisoned(self.classes[class].lock());
         if list.len() < class_cap(class) {
             list.push(arc);
         }
@@ -132,7 +133,7 @@ impl PayloadPool {
 
     /// Buffers currently resting in the pool (test observability).
     pub fn idle(&self) -> usize {
-        self.classes.iter().map(|c| c.lock().len()).sum()
+        self.classes.iter().map(|c| unpoisoned(c.lock()).len()).sum()
     }
 }
 
@@ -227,7 +228,7 @@ mod tests {
             for h in handles {
                 pool.recycle(h);
             }
-            let kept = pool.classes[class].lock().len();
+            let kept = unpoisoned(pool.classes[class].lock()).len();
             assert_eq!(kept, class_cap(class), "class {size}");
             retained += kept * size;
         }

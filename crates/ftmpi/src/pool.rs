@@ -58,12 +58,11 @@ use std::cell::RefCell;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use allocstats::AllocStats;
-use parking_lot::Mutex;
 
 use faultsim::{RunStats, SchedPoint, StepOutcome};
 
@@ -71,6 +70,7 @@ use crate::coro::{with_sched, Coroutine, Group};
 use crate::error::{Error, RankOutcome, Result};
 use crate::process::Process;
 use crate::universe::{ReportBuffers, RunReport, Shared, UniverseConfig, WATCHDOG_ABORT_CODE};
+use crate::unpoisoned;
 
 /// One unit of work: one rank incarnation of one run, on the
 /// worker-owned [`Process`] of that rank.
@@ -102,7 +102,7 @@ struct RunState {
 impl RunState {
     /// Count one job finished, its body having allocated `alloc`.
     fn finish(&self, alloc: &AllocStats) {
-        self.alloc.lock().add(alloc);
+        unpoisoned(self.alloc.lock()).add(alloc);
         if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
             let _ = self.done.send(());
         }
@@ -354,7 +354,7 @@ impl UniversePool {
             // Later incarnations overwrite: the rank's reported
             // outcome is its final incarnation's (incarnations of one
             // rank run in order on its worker).
-            outcomes.lock()[me] = Some(outcome);
+            unpoisoned(outcomes.lock())[me] = Some(outcome);
         };
 
         let ((mut hung, alloc), mut stats) = match sched {
@@ -375,8 +375,7 @@ impl UniversePool {
         stats.handoff.wakes = shared.fabric.wakes();
         stats.handoff.park_safety_timeouts = shared.fabric.park_timeouts();
         stats.alloc = alloc;
-        let outcomes = outcomes
-            .into_inner()
+        let outcomes = unpoisoned(outcomes.into_inner())
             .into_iter()
             .map(|o| o.expect("every rank records an outcome"))
             .collect();
@@ -516,7 +515,7 @@ impl UniversePool {
                 }
             }
         };
-        (hung, std::mem::take(&mut *workers.run.alloc.lock()))
+        (hung, std::mem::take(&mut *unpoisoned(workers.run.alloc.lock())))
     }
 }
 

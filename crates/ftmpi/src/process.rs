@@ -502,7 +502,7 @@ impl Process {
                     if min_instance < (1 << 20) {
                         self.engine.purge_system(ctx, min_instance);
                     }
-                    self.reqs.complete(req, Ok(Completion::validate(count)));
+                    self.reqs.complete_if_pending(req, Ok(Completion::validate(count)));
                     // AfterValidate injection point.
                     self.hook(Hook::bare(HookKind::AfterValidate))?;
                 }
@@ -516,7 +516,7 @@ impl Process {
                             Err(Error::RankFailStop { rank: gone_comm.min().unwrap_or(0) })
                         }
                     };
-                    self.reqs.complete(req, result);
+                    self.reqs.complete_if_pending(req, result);
                 }
             }
         }

@@ -25,9 +25,7 @@
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::detector::FailureRegistry;
 use crate::group::Group;
@@ -35,6 +33,7 @@ use crate::matching::KeyHasher;
 use crate::message::ContextId;
 use crate::rank::WorldRank;
 use crate::universe::WORLD_CTX;
+use crate::unpoisoned;
 
 /// Decided rounds kept per context behind the newest decision: members
 /// move through rounds in lock-step, so 16 is generous.
@@ -86,7 +85,7 @@ impl<S, D: Clone> Table<S, D> {
 
     /// Drop every round, keeping the buffers (see `Shared::reset`).
     fn reset(&mut self) {
-        let Rounds { live, spare } = self.rounds.get_mut();
+        let Rounds { live, spare } = unpoisoned(self.rounds.get_mut());
         for (_, mut round) in live.drain() {
             Rounds::retire(spare, &mut round);
         }
@@ -99,7 +98,7 @@ impl<S, D: Clone> Table<S, D> {
         &self, key: Key, me: WorldRank, sub: S,
         required: impl FnOnce(Option<&Round<S, D>>) -> Group,
     ) {
-        let mut rounds = self.rounds.lock();
+        let mut rounds = unpoisoned(self.rounds.lock());
         let Rounds { live, spare } = &mut *rounds;
         if !live.contains_key(&key) {
             let prev = key.1.checked_sub(1).and_then(|p| live.get(&(key.0, p)));
@@ -122,7 +121,7 @@ impl<S, D: Clone> Table<S, D> {
         &self, key: Key, registry: &FailureRegistry,
         decide: impl FnOnce(&Round<S, D>, Option<D>) -> D,
     ) -> Option<(D, bool)> {
-        let mut rounds = self.rounds.lock();
+        let mut rounds = unpoisoned(self.rounds.lock());
         let Rounds { live, spare } = &mut *rounds;
         let state = live.get_mut(&key)?;
         if let Some(d) = &state.decision {

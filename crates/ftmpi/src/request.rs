@@ -157,11 +157,6 @@ impl ReqTable {
         Ok(matches!(self.slot(req)?.state, ReqState::Done(_)))
     }
 
-    /// Mark a pending request complete. No-op if already done.
-    pub(crate) fn complete(&mut self, req: Request, result: Result<Completion>) {
-        self.complete_if_pending(req, result);
-    }
-
     /// Complete `req` if it is still pending (the handle is
     /// generation-checked, so a stale one completes nothing); whether
     /// it did.
@@ -278,7 +273,7 @@ mod tests {
         let r = t.insert(ReqBody::Recv(spec()), ReqState::Pending);
         assert!(t.is_pending(r));
         assert!(matches!(t.take(r), Err(Error::InvalidState(_))));
-        t.complete(r, Ok(Completion::send()));
+        t.complete_if_pending(r, Ok(Completion::send()));
         assert!(!t.is_pending(r));
         assert!(t.take(r).unwrap().is_ok());
     }
@@ -312,12 +307,12 @@ mod tests {
         };
         assert_eq!(scan(&t, CollKind::Validate), vec![(v0, 0, 0), (v1, 0, 1)]);
         assert_eq!(scan(&t, CollKind::Barrier), vec![(b0, 0, 0)]);
-        t.complete(v0, Ok(Completion::validate(0)));
+        t.complete_if_pending(v0, Ok(Completion::validate(0)));
         assert_eq!(scan(&t, CollKind::Validate), vec![(v1, 0, 1)]);
         // The count that lets the scan be skipped follows every way a
         // collective stops being pending.
         assert_eq!(t.pending_collectives, 2);
-        t.complete(v0, Ok(Completion::validate(0)));
+        t.complete_if_pending(v0, Ok(Completion::validate(0)));
         assert_eq!(t.pending_collectives, 2, "completing twice counts once");
         t.remove(b0).unwrap();
         t.remove(v0).unwrap();

@@ -6,14 +6,13 @@
 //! resend from `P1`, not a matching accident), and the experiment
 //! binaries print it as the message diagrams of the paper's figures.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use crate::message::ContextId;
 use crate::rank::WorldRank;
 use crate::tag::Tag;
+use crate::unpoisoned;
 
 /// What a rank was waiting on when a simulated hang was broken (see
 /// [`Event::Blocked`]).
@@ -145,7 +144,7 @@ pub struct TimedEvent {
 
 /// Shared trace sink.
 pub struct Trace {
-    enabled: AtomicBool,
+    enabled: bool,
     start: Instant,
     /// Timestamps are the simulation scheduler's logical clock instead
     /// of wall-clock microseconds, so identical schedules produce
@@ -162,7 +161,7 @@ impl Trace {
     /// the simulation scheduler's logical clock if `logical`.
     pub fn new(enabled: bool, logical: bool) -> Self {
         Trace {
-            enabled: AtomicBool::new(enabled),
+            enabled,
             start: Instant::now(),
             logical,
             events: Mutex::new(Vec::new()),
@@ -171,7 +170,7 @@ impl Trace {
 
     /// Whether recording is on.
     pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        self.enabled
     }
 
     /// Reset protocol (see `Shared::reset`): the observable state of a
@@ -179,10 +178,10 @@ impl Trace {
     /// retained), a new start instant. Takes `&mut self`, so it needs
     /// no lock: the universe pool has exclusive access between runs.
     pub fn reset(&mut self, enabled: bool, logical: bool) {
-        *self.enabled.get_mut() = enabled;
+        self.enabled = enabled;
         self.start = Instant::now();
         self.logical = logical;
-        self.events.get_mut().clear();
+        unpoisoned(self.events.get_mut()).clear();
     }
 
     /// Record an event (no-op when disabled).
@@ -195,7 +194,7 @@ impl Trace {
         } else {
             self.start.elapsed().as_micros() as u64
         };
-        self.events.lock().push(TimedEvent { at_us, event });
+        unpoisoned(self.events.lock()).push(TimedEvent { at_us, event });
     }
 
     /// Move every event out, in record order, and record from here on
@@ -204,18 +203,13 @@ impl Trace {
     /// that one; a recycled buffer already has it. With no event
     /// recorded, `into` itself comes back.
     pub fn take(&self, mut into: Vec<TimedEvent>) -> Vec<TimedEvent> {
-        let mut events = self.events.lock();
+        let mut events = unpoisoned(self.events.lock());
         into.clear();
         if events.is_empty() {
             return into;
         }
         into.reserve(events.capacity());
         std::mem::replace(&mut *events, into)
-    }
-
-    /// Count events matching a predicate.
-    pub fn count(&self, mut pred: impl FnMut(&Event) -> bool) -> usize {
-        self.events.lock().iter().filter(|te| pred(&te.event)).count()
     }
 }
 
@@ -281,15 +275,5 @@ mod tests {
         assert_eq!(again.as_ptr(), spare_at, "recorded into the buffer given");
         let empty = t.take(again);
         assert_eq!(empty.as_ptr(), spare_at, "nothing recorded: the buffer given comes back");
-    }
-
-    #[test]
-    fn count_filters() {
-        let t = Trace::new(true, false);
-        for r in 0..3 {
-            t.record(Event::Killed { rank: r });
-        }
-        t.record(Event::Aborted { code: 0 });
-        assert_eq!(t.count(|e| matches!(e, Event::Killed { .. })), 3);
     }
 }

@@ -38,7 +38,14 @@
 //!   owner does not preempt its notifier inside `notify_one`: the
 //!   notifier runs on to its own park, and a hop is one context
 //!   switch. A bounded timed wait backstops any future bug in the
-//!   protocol, and counts its firings.
+//!   protocol, and counts its firings. The wake is a condvar plus the
+//!   flag, not the thread parker (`std::thread::park` / `unpark`): an
+//!   idle pool worker waits on its `mpsc` job queue on that same
+//!   per-thread parker, so unparks meant for ranks (each `wake_all`, a
+//!   delivery to a finished rank) woke idle threads; on 2 vCPUs, the
+//!   benchmark pinned to one, the parker raised `ring_recovery_8` from
+//!   171.6 to 181.2 context switches per run and cost it 6.2 % of its
+//!   runs per second (6 of 6 alternating pairs).
 //! * **Single parker per slot** — only the owning rank ever waits on
 //!   its slot's condvar ([`Fabric::park`] is called with `me` by `me`'s
 //!   own thread), so one flag per slot says all there is to say and
@@ -57,12 +64,12 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
-
-use parking_lot::{Condvar, Mutex};
 
 use crate::message::Envelope;
 use crate::rank::WorldRank;
+use crate::unpoisoned;
 
 /// Safety-net park timeout. All wake paths notify explicitly; this only
 /// bounds the damage of a hypothetical missed notification.
@@ -72,7 +79,7 @@ struct Mailbox {
     /// Ring buffer so draining a prefix shifts head indices, not
     /// envelopes.
     queue: VecDeque<Envelope>,
-    /// The owner is inside `cv.wait_for` and nobody has notified it
+    /// The owner is inside `cv.wait_timeout` and nobody has notified it
     /// yet. Set by the owner in `park`; cleared by the first notifier
     /// (`deliver` / `wake_all`), which is the one that calls
     /// `notify_one`, or by the owner on its way out of the wait.
@@ -178,7 +185,7 @@ impl Fabric {
     /// or parking, so nothing is locked.
     pub fn reset(&mut self) {
         for slot in &mut self.slots {
-            slot.mb.get_mut().queue.clear();
+            unpoisoned(slot.mb.get_mut()).queue.clear();
             *slot.version.get_mut() = 0;
             *slot.queued.get_mut() = 0;
         }
@@ -197,7 +204,7 @@ impl Fabric {
     pub fn deliver(&self, dst: WorldRank, env: Envelope) {
         let slot = &self.slots[dst];
         let parked = {
-            let mut mb = slot.mb.lock();
+            let mut mb = unpoisoned(slot.mb.lock());
             mb.queue.push_back(env);
             slot.publish(&mb);
             std::mem::replace(&mut mb.parked, false)
@@ -252,7 +259,7 @@ impl Fabric {
         if slot.queued.load(Ordering::Acquire) == 0 {
             return;
         }
-        let mut mb = slot.mb.lock();
+        let mut mb = unpoisoned(slot.mb.lock());
         let n = mb.queue.len();
         if n == 0 {
             return;
@@ -292,17 +299,17 @@ impl Fabric {
     /// instead (`Process::wait_loop`).
     pub fn park(&self, me: WorldRank, token: ParkToken, current_epoch: impl Fn() -> u64) {
         let slot = &self.slots[me];
-        let mut mb = slot.mb.lock();
+        let mut mb = unpoisoned(slot.mb.lock());
         if !self.unchanged(slot, token, current_epoch()) {
             return;
         }
         mb.parked = true;
         self.sleeps.fetch_add(1, Ordering::Relaxed);
-        let timed_out = slot.cv.wait_for(&mut mb, PARK_SAFETY).timed_out();
+        let (mut mb, wait) = unpoisoned(slot.cv.wait_timeout(mb, PARK_SAFETY));
         // Already false if a notifier took it; not if the wait timed
         // out or woke spuriously.
         mb.parked = false;
-        if timed_out {
+        if wait.timed_out() {
             // Bounded wait as a safety net; all real wake paths notify.
             // Count firings so callers can tell backstop-driven
             // progress from explicit wakes.
@@ -334,7 +341,7 @@ impl Fabric {
         for slot in &self.slots {
             // Under the lock, to serialize with the parker's re-check:
             // a rank not parked yet will see the generation moved.
-            let parked = std::mem::replace(&mut slot.mb.lock().parked, false);
+            let parked = std::mem::replace(&mut unpoisoned(slot.mb.lock()).parked, false);
             if parked {
                 self.notify(slot);
             }
@@ -345,7 +352,7 @@ impl Fabric {
     /// addressed to a dead incarnation are lost, per fail-stop).
     pub fn clear(&self, rank: WorldRank) {
         let slot = &self.slots[rank];
-        let mut mb = slot.mb.lock();
+        let mut mb = unpoisoned(slot.mb.lock());
         mb.queue.clear();
         slot.publish(&mb);
     }
@@ -414,14 +421,14 @@ mod tests {
                 let token = f.token(0, 0);
                 f.park(0, token, || 0);
             });
-            while !f.slots[0].mb.lock().parked {
+            while !unpoisoned(f.slots[0].mb.lock()).parked {
                 assert!(!parker.is_finished(), "timed out before it was seen parked");
                 std::thread::yield_now();
             }
             f.deliver(0, env(0, 0));
         });
         assert_eq!(f.park_timeouts(), 0, "woken by the delivery, not the timeout");
-        assert!(!f.slots[0].mb.lock().parked, "the flag is cleared on the way out");
+        assert!(!unpoisoned(f.slots[0].mb.lock()).parked, "the flag is cleared on the way out");
     }
 
     /// Park rank 0 once on a thread and, once it is seen asleep, run
@@ -432,7 +439,7 @@ mod tests {
                 let token = f.token(0, 0);
                 f.park(0, token, || 0);
             });
-            while !f.slots[0].mb.lock().parked {
+            while !unpoisoned(f.slots[0].mb.lock()).parked {
                 assert!(!parker.is_finished(), "timed out before it was seen parked");
                 std::thread::yield_now();
             }

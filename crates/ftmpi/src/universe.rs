@@ -155,12 +155,20 @@ impl Shared {
         }
     }
 
-    /// Recovery extension: revive `rank` as a fresh incarnation.
-    /// Clears its mailbox (messages to the dead incarnation are lost,
-    /// per fail-stop) and wakes everyone. Returns the new generation.
+    /// Recovery extension: revive a failed `rank` as a fresh
+    /// incarnation and wake everyone. Returns the new generation.
+    ///
+    /// The mailbox is emptied first, while `rank` still reads failed
+    /// (messages to the dead incarnation are lost, per fail-stop), and
+    /// only then is it revived: a peer that sees the new incarnation
+    /// alive and sends to it must find its envelope kept. The supervisor
+    /// is the one caller, so nothing revives `rank` in between.
     pub(crate) fn respawn(&self, rank: WorldRank) -> Option<u32> {
-        let gen = self.registry.respawn(rank)?;
+        if !self.registry.is_failed(rank) {
+            return None;
+        }
         self.fabric.clear(rank);
+        let gen = self.registry.respawn(rank)?;
         self.trace.record(Event::Respawned { rank, generation: gen });
         self.wake_all();
         Some(gen)

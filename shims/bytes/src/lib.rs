@@ -326,18 +326,6 @@ pub trait BufMut {
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
-
-    fn put_u16_le(&mut self, v: u16) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    fn put_u32_le(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
 }
 
 impl BufMut for BytesMut {
