@@ -268,7 +268,16 @@ impl<'a> Ctx<'a> {
     /// A lap came home: record the closure, then originate the next
     /// lap or finish.
     fn close_lap(&mut self, t: RingMsg) -> Result<()> {
-        self.stats.closures.push((t.marker, t.value));
+        let closures = &mut self.stats.closures;
+        if closures.capacity() == 0 {
+            // A run that completes closes every lap left from here:
+            // size for them once instead of doubling. A count that
+            // cannot be reserved falls back to the doubling.
+            if let Ok(left) = usize::try_from(self.cfg.max_iter.saturating_sub(t.marker)) {
+                let _ = closures.try_reserve_exact(left);
+            }
+        }
+        closures.push((t.marker, t.value));
         self.spare_pad = t.pad;
         if self.cur < self.cfg.max_iter {
             self.originate_next()

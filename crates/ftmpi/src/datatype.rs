@@ -19,7 +19,8 @@
 //! field). The twelve scalar types override both so that a run is one
 //! length check, one growth of the destination and one pass the
 //! compiler turns into a block copy on little-endian targets — a
-//! `Vec<u8>` or `Vec<f64>` payload moves at memory speed.
+//! `Vec<u8>` or `Vec<f64>` payload moves at memory speed. A `u8` run is
+//! one `extend_from_slice` each way, with no zero-fill first.
 //!
 //! A new `Datatype` impl needs `SIZE`, `encode` and `decode` only.
 //! Override the hooks when the type is sent in bulk *and* a run of it
@@ -113,24 +114,7 @@ fn run_bytes(n: usize, size: usize, bytes: &[u8]) -> Result<usize> {
 
 macro_rules! impl_scalar {
     ($($ty:ty),*) => {$(
-        impl Datatype for $ty {
-            const SIZE: Option<usize> = Some(std::mem::size_of::<$ty>());
-
-            fn encode(&self, buf: &mut BytesMut) {
-                buf.put_slice(&self.to_le_bytes());
-            }
-
-            fn decode(bytes: &[u8]) -> Result<(Self, &[u8])> {
-                const N: usize = std::mem::size_of::<$ty>();
-                if bytes.len() < N {
-                    return Err(Error::TypeMismatch);
-                }
-                let (head, rest) = bytes.split_at(N);
-                let mut arr = [0u8; N];
-                arr.copy_from_slice(head);
-                Ok((<$ty>::from_le_bytes(arr), rest))
-            }
-
+        impl_scalar!(@impl $ty,
             fn encode_slice(items: &[Self], buf: &mut BytesMut) {
                 const N: usize = std::mem::size_of::<$ty>();
                 let start = buf.len();
@@ -154,11 +138,47 @@ macro_rules! impl_scalar {
                 }));
                 Ok(rest)
             }
-        }
+        );
     )*};
+    (@impl $ty:ty, $($runs:tt)*) => {
+        impl Datatype for $ty {
+            const SIZE: Option<usize> = Some(std::mem::size_of::<$ty>());
+
+            fn encode(&self, buf: &mut BytesMut) {
+                buf.put_slice(&self.to_le_bytes());
+            }
+
+            fn decode(bytes: &[u8]) -> Result<(Self, &[u8])> {
+                const N: usize = std::mem::size_of::<$ty>();
+                if bytes.len() < N {
+                    return Err(Error::TypeMismatch);
+                }
+                let (head, rest) = bytes.split_at(N);
+                let mut arr = [0u8; N];
+                arr.copy_from_slice(head);
+                Ok((<$ty>::from_le_bytes(arr), rest))
+            }
+
+            $($runs)*
+        }
+    };
 }
 
-impl_scalar!(u8, i8, u16, i16, u32, i32, u64, i64, usize, isize, f32, f64);
+impl_scalar!(i8, u16, i16, u32, i32, u64, i64, usize, isize, f32, f64);
+
+// A run of `u8` is its own wire image: one copy each way, and no
+// zero-fill of the destination first.
+impl_scalar!(@impl u8,
+    fn encode_slice(items: &[Self], buf: &mut BytesMut) {
+        buf.extend_from_slice(items);
+    }
+
+    fn decode_into<'a>(n: usize, bytes: &'a [u8], out: &mut Vec<Self>) -> Result<&'a [u8]> {
+        let (body, rest) = bytes.split_at(run_bytes(n, 1, bytes)?);
+        out.extend_from_slice(body);
+        Ok(rest)
+    }
+);
 
 impl Datatype for bool {
     const SIZE: Option<usize> = Some(1);

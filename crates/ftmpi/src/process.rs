@@ -98,7 +98,8 @@ pub struct Process {
     /// drain per progress pass, zero steady-state allocations.
     drain_buf: Vec<Envelope>,
     /// Reusable typed-send encode buffer: [`Process::send`] encodes
-    /// into it, then copies into a pooled payload buffer.
+    /// into it, then hands its vector over as the payload and takes an
+    /// empty pooled one of at least the same capacity back.
     encode_buf: BytesMut,
     /// Whether this rank already snapshot its parked requests into the
     /// trace after a logical-watchdog abort (`Event::Blocked` is a
@@ -630,13 +631,15 @@ impl Process {
 
     /// Blocking send of a typed value.
     ///
-    /// The payload is encoded into this process's reusable scratch and
-    /// backed by the universe's payload pool, so a steady-state typed
-    /// send allocates nothing (DESIGN.md §8.10).
+    /// The payload is encoded into this process's reusable scratch,
+    /// whose vector then travels as the payload itself: the universe's
+    /// payload pool swaps in an empty one for the next send, so a
+    /// steady-state typed send writes its bytes once and allocates
+    /// nothing (DESIGN.md §8.10).
     pub fn send<T: Datatype>(&mut self, comm: Comm, dst: CommRank, tag: Tag, value: &T) -> Result<()> {
         self.encode_buf.clear();
         value.encode(&mut self.encode_buf);
-        let payload = self.shared.paypool.make(&self.encode_buf);
+        let payload = self.shared.paypool.swap(&mut self.encode_buf);
         self.send_bytes(comm, dst, tag, payload)
     }
 
@@ -1200,6 +1203,51 @@ mod tests {
             Ok(v)
         });
         assert_eq!(report.outcomes[0].as_ok(), Some(&7));
+    }
+
+    #[test]
+    fn a_long_payload_is_the_encode_buffers_own_allocation() {
+        let report = run_default(1, |p| {
+            // The first send leaves a pooled 64-byte vector behind, so
+            // the second encodes without growing it.
+            for fill in [1u8, 2] {
+                let ptr = p.encode_buf.as_ptr();
+                p.send(WORLD, 0, TAG, &[fill; 48])?;
+                let (data, _) = p.recv_bytes(WORLD, Src::Rank(0), TAG)?;
+                assert_eq!(&data[..], &[fill; 48]);
+                if fill == 2 {
+                    assert_eq!(data.as_ptr(), ptr, "the payload was copied out of the scratch");
+                }
+                p.recycle_payload(data);
+            }
+            Ok(p.encode_buf.capacity())
+        });
+        assert_eq!(report.outcomes[0].as_ok(), Some(&64));
+    }
+
+    #[test]
+    fn mixed_send_sizes_on_a_warm_pool_allocate_nothing() {
+        let report = run_default(1, |p| {
+            let (big, small) = (vec![0xA5u8; 16 * 1024], vec![0x5Au8; 32]);
+            let mut buf = vec![0u8; 8 + big.len()];
+            let mut round = |p: &mut Process| -> Result<()> {
+                for value in [&big, &small] {
+                    p.send(WORLD, 0, TAG, value)?;
+                    let (len, _) = p.recv_into(WORLD, Src::Rank(0), TAG, &mut buf)?;
+                    assert_eq!(&buf[8..len], &value[..]);
+                }
+                Ok(())
+            };
+            for _ in 0..3 {
+                round(p)?;
+            }
+            let before = allocstats::snapshot();
+            for _ in 0..50 {
+                round(p)?;
+            }
+            Ok(allocstats::snapshot().since(&before).allocs)
+        });
+        assert_eq!(report.outcomes[0].as_ok(), Some(&0), "16 KiB and 40-byte sends allocated");
     }
 
     #[test]

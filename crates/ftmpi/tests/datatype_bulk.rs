@@ -213,6 +213,65 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+
+    /// `u8` overrides both hooks with one `extend_from_slice` each way:
+    /// a run's wire image is the run itself, byte for byte the
+    /// reference's; a decode appends after what `out` holds and hands
+    /// the tail back; a count the input cannot hold, every strict
+    /// prefix included, is refused before `out` is touched.
+    #[test]
+    fn u8_run_is_its_own_wire_image(
+        items in proptest::collection::vec(any::<u8>(), 0..4096),
+        tail in proptest::collection::vec(any::<u8>(), 0..3),
+    ) {
+        let mut expect = BytesMut::new();
+        ref_encode_run(&items, &mut expect);
+        let mut run = BytesMut::new();
+        u8::encode_slice(&items, &mut run);
+        prop_assert_eq!(&run[..], &expect[..]);
+        prop_assert_eq!(&run[..], &items[..]);
+
+        let mut input = items.clone();
+        input.extend_from_slice(&tail);
+        let mut out = vec![0xEE];
+        let rest = u8::decode_into(items.len(), &input, &mut out).unwrap();
+        prop_assert_eq!(rest, &tail[..]);
+        prop_assert_eq!(&out[1..], &items[..]);
+        for cut in 0..items.len() {
+            let mut out = vec![0xEE];
+            let refused = u8::decode_into(items.len(), &items[..cut], &mut out);
+            prop_assert_eq!(refused, Err(Error::TypeMismatch));
+            prop_assert_eq!(out, vec![0xEE], "a refused run appended");
+        }
+    }
+}
+
+/// A `Vec<u8>` frame whose count claims more bytes than it carries
+/// is refused without reserving: the count is checked against the
+/// input before `extend_from_slice` sees it.
+#[test]
+fn hostile_count_of_bytes_reserves_nothing() {
+    for claimed in [1u64 << 20, 1 << 40, u64::MAX] {
+        let mut frame = claimed.to_bytes().to_vec();
+        frame.resize(1 << 20, 0);
+        let before = allocstats::snapshot();
+        assert_eq!(Vec::<u8>::from_bytes(&frame), Err(Error::TypeMismatch), "{claimed}");
+        assert_eq!(allocstats::snapshot().since(&before).bytes_alloc, 0, "{claimed}");
+    }
+    // One byte short of a claim that fits is refused too; the claim
+    // itself decodes in one allocation of exactly its size.
+    let run = vec![9u8; 1000];
+    let frame = run.to_bytes();
+    assert_eq!(Vec::<u8>::from_bytes(&frame[..frame.len() - 1]), Err(Error::TypeMismatch));
+    let before = allocstats::snapshot();
+    let back = Vec::<u8>::from_bytes(&frame);
+    let grew = allocstats::snapshot().since(&before);
+    assert_eq!(back, Ok(run));
+    assert_eq!((grew.allocs, grew.bytes_alloc), (1, 1000));
+}
+
 /// Encoding a 16 KiB `Vec<u8>` into an empty buffer grows it at most
 /// twice: once for the count, once for the body.
 #[test]

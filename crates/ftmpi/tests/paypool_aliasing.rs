@@ -5,10 +5,16 @@
 //!
 //! The model keeps every live payload next to an owned copy of its
 //! expected contents and drives the pool through random interleavings
-//! of make / clone / recycle / drop. Two violations would surface:
+//! of make / swap / clone / recycle / drop, where a swap encodes into
+//! one persistent `BytesMut` (a rank's encode buffer) and hands it to
+//! [`PayloadPool::swap`]. Three violations would surface:
 //!
-//! * **direct overlap** — a fresh `make` returning memory some live
-//!   view still points into (checked by pointer-range disjointness);
+//! * **direct overlap** — a fresh `make` or `swap` returning memory
+//!   some live view still points into (checked by pointer-range
+//!   disjointness);
+//! * **a shared encode buffer** — the vector a swap leaves in the
+//!   encode buffer overlapping a live payload, which the next encode
+//!   would overwrite (checked the same way after every step);
 //! * **delayed corruption** — a recycled-too-early buffer being
 //!   overwritten by a later `make` while an old handle still reads it
 //!   (checked by re-verifying every live payload after every step).
@@ -16,14 +22,17 @@
 //! Shrunk counterexamples persist next to this file in
 //! `paypool_aliasing.proptest-regressions`.
 
-use ftmpi::bytes::Bytes;
-use ftmpi::PayloadPool;
+use ftmpi::bytes::{Bytes, BytesMut};
+use ftmpi::{Datatype, PayloadPool};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum Op {
     /// Pool a payload of `len` bytes filled with `fill`.
     Make { len: usize, fill: u8 },
+    /// Encode `len` bytes of `fill` into the encode buffer and swap
+    /// them out as a payload.
+    Swap { len: usize, fill: u8 },
     /// Clone a live payload (shares the backing allocation).
     Clone { pick: usize },
     /// Hand a live payload back to the pool.
@@ -41,6 +50,8 @@ fn op() -> impl Strategy<Value = Op> {
         // re-admissions dominate the mix.
         (0usize..70_000, any::<u8>()).prop_map(|(len, fill)| Op::Make { len, fill }),
         (0usize..=64, any::<u8>()).prop_map(|(len, fill)| Op::Make { len, fill }),
+        (0usize..70_000, any::<u8>()).prop_map(|(len, fill)| Op::Swap { len, fill }),
+        (0usize..=300, any::<u8>()).prop_map(|(len, fill)| Op::Swap { len, fill }),
         any::<usize>().prop_map(|pick| Op::Clone { pick }),
         any::<usize>().prop_map(|pick| Op::Recycle { pick }),
         any::<usize>().prop_map(|pick| Op::Recycle { pick }),
@@ -51,6 +62,15 @@ fn op() -> impl Strategy<Value = Op> {
 /// Half-open address range of a payload's visible bytes.
 fn span(b: &Bytes) -> (usize, usize) {
     (b.as_ptr() as usize, b.as_ptr() as usize + b.len())
+}
+
+/// Whether `(start, end)` shares no byte with any non-empty live view.
+fn disjoint_from_live((start, end): (usize, usize), live: &[(Bytes, Vec<u8>)]) -> bool {
+    start == end
+        || live.iter().filter(|(l, _)| !l.is_empty()).all(|(l, _)| {
+            let (ls, le) = span(l);
+            end <= ls || le <= start
+        })
 }
 
 proptest! {
@@ -64,6 +84,7 @@ proptest! {
         ops in proptest::collection::vec(op(), 1..250),
     ) {
         let pool = PayloadPool::new();
+        let mut encode_buf = BytesMut::new();
         let mut live: Vec<(Bytes, Vec<u8>)> = Vec::new();
         for op in ops {
             match op {
@@ -74,19 +95,19 @@ proptest! {
                     // Fresh memory must be disjoint from every live
                     // view — clones may share with each other, but
                     // nothing live may share with a new hand-out.
-                    if !b.is_empty() {
-                        let (ns, ne) = span(&b);
-                        for (l, _) in &live {
-                            if l.is_empty() {
-                                continue;
-                            }
-                            let (ls, le) = span(l);
-                            prop_assert!(
-                                ne <= ls || le <= ns,
-                                "fresh payload aliases a live one"
-                            );
-                        }
-                    }
+                    let fresh = disjoint_from_live(span(&b), &live);
+                    prop_assert!(fresh, "fresh payload aliases a live one");
+                    live.push((b, data));
+                }
+                Op::Swap { len, fill } => {
+                    let data = vec![fill; len];
+                    encode_buf.clear();
+                    u8::encode_slice(&data, &mut encode_buf);
+                    let b = pool.swap(&mut encode_buf);
+                    prop_assert_eq!(&b[..], &data[..]);
+                    prop_assert!(encode_buf.is_empty());
+                    let fresh = disjoint_from_live(span(&b), &live);
+                    prop_assert!(fresh, "swapped payload aliases a live one");
                     live.push((b, data));
                 }
                 Op::Clone { pick } if !live.is_empty() => {
@@ -104,6 +125,13 @@ proptest! {
                 // Pick ops against an empty table are no-ops.
                 Op::Clone { .. } | Op::Recycle { .. } | Op::Drop { .. } => {}
             }
+            // The encode buffer's whole vector, spare capacity too, is
+            // the next encode's to write.
+            let spare = encode_buf.as_ptr() as usize;
+            prop_assert!(
+                disjoint_from_live((spare, spare + encode_buf.capacity()), &live),
+                "the encode buffer aliases a live payload"
+            );
             // Delayed-corruption check: every live payload still reads
             // exactly what was written into it.
             for (b, expect) in &live {

@@ -3,24 +3,27 @@
 //! growable builder that freezes into one. A `Bytes` is one of two
 //! representations:
 //!
-//! * **shared** — a view `(Arc<[u8]>, range)` into a shared allocation.
-//!   Like the real crate, `slice()` and `clone()` of it are zero-copy
-//!   and never touch the heap, and a slice stays shared whatever its
-//!   length.
+//! * **shared** — a view `(Arc<Vec<u8>>, range)` into a shared
+//!   allocation. Like the real crate, `slice()` and `clone()` of it are
+//!   zero-copy and never touch the heap, a slice stays shared whatever
+//!   its length, and `BytesMut::freeze` and `From<Vec<u8>>` move the
+//!   vector in without copying its bytes.
 //! * **inline** — a payload of at most [`INLINE_CAP`] bytes stored in
 //!   the value itself. Building, cloning and dropping one never touches
 //!   the heap; the empty `Bytes` is inline.
 //!
 //! The inline representation is a property of this shim that the real
-//! `bytes` crate lacks. `ftmpi`'s payload pool leans on it: `make`
-//! hands short payloads out inline instead of pooling them. If the real
-//! crate is ever vendored in place of this one, `make` must pool short
-//! payloads again, or every short message (the benchmark's
+//! `bytes` crate lacks. `ftmpi`'s payload pool leans on it: short
+//! payloads travel inline instead of in a pooled buffer. If the real
+//! crate is ever vendored in place of this one, the pool must take
+//! short payloads again, or every short message (the benchmark's
 //! `fanin_match_4`, the ring token) pays about one allocation again.
 //!
-//! Shim-only extensions ([`Bytes::from_arc_prefix`], [`Bytes::into_arc`],
-//! [`Bytes::ref_count`], [`Bytes::is_inline`]) expose the representation
-//! so that pool can recycle buffers across messages (DESIGN.md §8.10).
+//! Shim-only extensions ([`Bytes::from_shared`], [`Bytes::into_unique`],
+//! [`Bytes::is_inline`], [`BytesMut::as_mut_vec`])
+//! expose the representation so that pool can hand an encoded vector
+//! to the transport and reuse both the vector and its `Arc` across
+//! messages (DESIGN.md §8.10).
 
 use std::sync::Arc;
 
@@ -37,7 +40,7 @@ pub struct Bytes {
 
 #[derive(Clone)]
 enum Repr {
-    Shared { data: Arc<[u8]>, start: usize, end: usize },
+    Shared { data: Arc<Vec<u8>>, start: usize, end: usize },
     Inline { len: u8, buf: [u8; INLINE_CAP] },
 }
 
@@ -62,7 +65,7 @@ impl Bytes {
         if data.len() <= INLINE_CAP {
             return Bytes::inline(data);
         }
-        Bytes { repr: Repr::Shared { data: Arc::from(data), start: 0, end: data.len() } }
+        Bytes::from(data.to_vec())
     }
 
     pub fn len(&self) -> usize {
@@ -78,10 +81,6 @@ impl Bytes {
 
     /// Shim extension: whether the bytes live in the value itself
     /// rather than in a shared allocation.
-    // This and the two accessors below run once per pooled payload in
-    // `ftmpi`'s `recycle`; the workspace builds without LTO, so without
-    // the hint `into_arc` stays an out-of-line call there.
-    #[inline]
     pub fn is_inline(&self) -> bool {
         matches!(self.repr, Repr::Inline { .. })
     }
@@ -119,36 +118,29 @@ impl Bytes {
         }
     }
 
-    /// Shim extension: view the first `len` bytes of a shared
-    /// allocation without copying, whatever `len` is. The payload pool
-    /// writes into a uniquely-held class buffer (via [`Arc::get_mut`])
-    /// and hands it out through this constructor.
-    pub fn from_arc_prefix(data: Arc<[u8]>, len: usize) -> Bytes {
-        assert!(len <= data.len(), "prefix {len} longer than the allocation {}", data.len());
-        Bytes { repr: Repr::Shared { data, start: 0, end: len } }
+    /// Shim extension: view the whole of `data` without copying,
+    /// whatever its length (a short one stays shared, not inline). The
+    /// payload pool moves an encoded vector into an `Arc` it keeps
+    /// across messages and hands it out through this constructor.
+    pub fn from_shared(data: Arc<Vec<u8>>) -> Bytes {
+        let end = data.len();
+        Bytes { repr: Repr::Shared { data, start: 0, end } }
     }
 
-    /// Shim extension: surrender this view's backing allocation. The
-    /// payload pool recycles it when it turns out to be the last
-    /// handle (`Arc::get_mut` succeeds); otherwise the clone dropped
-    /// here just decrements the refcount. An inline view has no
-    /// allocation, so it is copied into a fresh one.
+    /// Shim extension: surrender the backing `Arc` when no other
+    /// `Bytes` shares it (its strong count is 1), for the payload pool
+    /// to keep. `None` for an inline view (it has no allocation) and
+    /// for one whose allocation another handle still reads; that
+    /// handle is then just dropped here. The caller must still prove
+    /// uniqueness with [`Arc::get_mut`] before writing the vector.
+    // Runs once per pooled payload in `ftmpi`'s `recycle`; the
+    // workspace builds without LTO, so without the hint it stays an
+    // out-of-line call there.
     #[inline]
-    pub fn into_arc(self) -> Arc<[u8]> {
+    pub fn into_unique(self) -> Option<Arc<Vec<u8>>> {
         match self.repr {
-            Repr::Shared { data, .. } => data,
-            Repr::Inline { len, buf } => Arc::from(&buf[..len as usize]),
-        }
-    }
-
-    /// Shim extension: strong count of the backing allocation —
-    /// `1` means no other `Bytes` (or pool handle) can observe it, as
-    /// is always true of an inline view.
-    #[inline]
-    pub fn ref_count(&self) -> usize {
-        match &self.repr {
-            Repr::Shared { data, .. } => Arc::strong_count(data),
-            Repr::Inline { .. } => 1,
+            Repr::Shared { data, .. } => (Arc::strong_count(&data) == 1).then_some(data),
+            Repr::Inline { .. } => None,
         }
     }
 }
@@ -216,13 +208,14 @@ impl std::fmt::Debug for Bytes {
     }
 }
 
+/// The vector moves into the `Bytes` without copying its bytes; one
+/// of at most [`INLINE_CAP`] bytes is copied inline instead.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         if v.len() <= INLINE_CAP {
             return Bytes::inline(&v);
         }
-        let end = v.len();
-        Bytes { repr: Repr::Shared { data: Arc::from(v.into_boxed_slice()), start: 0, end } }
+        Bytes::from_shared(Arc::new(v))
     }
 }
 
@@ -281,14 +274,27 @@ impl BytesMut {
         self.0.is_empty()
     }
 
+    pub fn capacity(&self) -> usize {
+        self.0.capacity()
+    }
+
     /// Empty the buffer, keeping its capacity — the reuse hook the
     /// encode scratch in `ftmpi::Process` leans on.
     pub fn clear(&mut self) {
         self.0.clear();
     }
 
+    /// The bytes as a [`Bytes`], moved rather than copied unless they
+    /// fit inline.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.0)
+    }
+
+    /// Shim extension: the vector behind the buffer, so the payload
+    /// pool can swap an encoded one out for an empty one of at least
+    /// its capacity.
+    pub fn as_mut_vec(&mut self) -> &mut Vec<u8> {
+        &mut self.0
     }
 
     pub fn extend_from_slice(&mut self, data: &[u8]) {
@@ -394,7 +400,7 @@ mod tests {
             assert_eq!(s.as_ptr(), unsafe { a.as_ptr().add(lo) });
             live.push(s);
         }
-        assert_eq!(a.ref_count(), 4, "three live slices share the allocation");
+        assert!(a.into_unique().is_none(), "three live slices share the allocation");
     }
 
     #[test]
@@ -418,7 +424,7 @@ mod tests {
                 assert_eq!(b.is_inline(), len <= INLINE_CAP, "length {len}");
                 assert_eq!(&b[..], expect);
                 assert_eq!(b.len(), len);
-                assert_eq!(b.ref_count(), 1);
+                assert_eq!(b.into_unique().is_some(), len > INLINE_CAP, "length {len}");
             }
         }
     }
@@ -446,19 +452,35 @@ mod tests {
     }
 
     #[test]
-    fn into_arc_of_an_inline_view_copies_its_bytes() {
-        let b = Bytes::copy_from_slice(&[4, 5, 6]);
-        assert!(b.is_inline());
-        assert_eq!(&b.into_arc()[..], &[4, 5, 6]);
-        assert!(Bytes::new().into_arc().is_empty());
+    fn freeze_and_from_vec_move_the_vector() {
+        let v: Vec<u8> = (0..100).collect();
+        let ptr = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), ptr, "From<Vec<u8>> must not copy");
+        let mut b = BytesMut::with_capacity(64);
+        b.put_slice(&[3; 40]);
+        let ptr = b.as_ptr();
+        let frozen = b.freeze();
+        assert_eq!(frozen.as_ptr(), ptr, "freeze must not copy");
+        assert_eq!(&frozen[..], &[3; 40]);
+    }
+
+    #[test]
+    fn into_unique_needs_the_only_handle() {
+        let b = Bytes::from_shared(Arc::new(vec![7u8; 5]));
+        assert!(!b.is_inline(), "a shared vector stays a view, however short");
+        assert_eq!(&b[..], &[7; 5]);
+        let clone = b.slice(1..3);
+        assert!(b.into_unique().is_none(), "a live slice still reads the allocation");
+        let back = clone.into_unique().expect("the last handle");
+        assert_eq!(back.len(), 5, "into_unique returns the whole vector");
+        assert!(Bytes::copy_from_slice(&[1, 2]).into_unique().is_none(), "inline has none");
     }
 
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn a_bytes_is_five_words() {
-        // The widest variant is the shared view (fat `Arc` + range =
-        // 32); the inline one (length + 32 bytes) plus the tag rounds
-        // up to 40.
+        // The shared view is an `Arc` and a range (24 bytes); the
+        // inline one (length + 32 bytes) plus the tag rounds up to 40.
         assert_eq!(std::mem::size_of::<Bytes>(), 40);
     }
 
@@ -491,19 +513,5 @@ mod tests {
             assert!(b.is_empty() && b.is_inline());
             assert_eq!(b, Bytes::new());
         }
-    }
-
-    #[test]
-    fn arc_prefix_round_trip() {
-        let arc: Arc<[u8]> = Arc::from(&[7u8; 16][..]);
-        let b = Bytes::from_arc_prefix(arc.clone(), 5);
-        assert_eq!(b.len(), 5);
-        assert_eq!(&b[..], &[7u8; 5][..]);
-        assert_eq!(b.ref_count(), 2);
-        drop(arc);
-        assert_eq!(b.ref_count(), 1);
-        assert!(!b.is_inline(), "a prefix of an allocation stays a view, however short");
-        let back = b.into_arc();
-        assert_eq!(back.len(), 16, "into_arc returns the full allocation");
     }
 }
