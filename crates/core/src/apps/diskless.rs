@@ -348,8 +348,9 @@ mod tests {
     use std::time::Duration;
 
     fn respawn() -> RespawnPolicy {
-        // Immediate respawn (next supervisor tick): the workloads here
-        // are milliseconds long, so a delay would outlive the run.
+        // Immediate respawn, as soon as the dead incarnation's body has
+        // returned: the workloads here are milliseconds long, so a
+        // delay would outlive the run.
         RespawnPolicy { after: Duration::ZERO, max_per_rank: 1 }
     }
 

@@ -17,7 +17,7 @@
 //! | §III-B | [`ring::DedupStrategy::SeparateTag`] (resends on [`T_R`]) |
 //! | Fig. 11 | [`ring::TerminationMode::RootBroadcast`] |
 //! | §III-C | [`ring::TerminationMode::DoubleBarrier`] (the design the paper rejects as costly) |
-//! | Fig. 12 | [`neighbors::get_current_root`] |
+//! | Fig. 12 | [`neighbors::get_current_root`]: the lowest alive rank, a local scan |
 //! | Fig. 13 | [`ring::TerminationMode::ValidateAll`] |
 //! | §III-D | `allow_root_failure` + [`ring::RingConfig::with_root_failover`] |
 //!

@@ -40,9 +40,25 @@ fn walk(p: &Process, comm: Comm, mut n: CommRank, leftward: bool) -> Result<Comm
     }
 }
 
-/// `get_current_root()` (Fig. 12): the lowest alive rank.
+/// `get_current_root()` (Fig. 12): "a simple leader election algorithm
+/// that determines the new root by choosing the lowest rank among all
+/// the alive processes in the communicator". Purely local: every process
+/// scans the communicator with `MPI_Comm_validate_rank`, and because the
+/// failure detector is perfect, all survivors that scan after the same
+/// set of failures elect the same root. Two processes scanning *while* a
+/// failure is being detected can transiently elect different roots; the
+/// ring is written so that an out-of-date root only delays progress
+/// until the next failure notification (§III-D). Errors with
+/// `InvalidState` when every rank has failed, which no alive caller can
+/// observe (the paper's `MPI_Abort` fallthrough).
 pub fn get_current_root(p: &Process, comm: Comm) -> Result<CommRank> {
-    consensus::current_root(p, comm)
+    let size = p.comm_size(comm)?;
+    for n in 0..size {
+        if p.comm_validate_rank(comm, n)?.state == RankState::Ok {
+            return Ok(n);
+        }
+    }
+    Err(Error::InvalidState("no alive rank in communicator"))
 }
 
 #[cfg(test)]
@@ -174,5 +190,72 @@ mod tests {
         );
         assert_eq!(report.outcomes[0].as_ok(), Some(&2));
         assert_eq!(report.outcomes[2].as_ok(), Some(&0));
+    }
+
+    #[test]
+    fn all_alive_elects_rank_zero() {
+        let report = run_default(4, |p| get_current_root(p, WORLD));
+        assert!(report.all_ok());
+        for o in &report.outcomes {
+            assert_eq!(o.as_ok(), Some(&0));
+        }
+    }
+
+    #[test]
+    fn survivors_agree_on_lowest_alive() {
+        let plan = FaultPlan::none()
+            .kill_at(0, HookKind::Tick, 1)
+            .kill_at(1, HookKind::Tick, 1);
+        let report = run(
+            5,
+            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(20)),
+            |p| {
+                p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+                if p.world_rank() <= 1 {
+                    let req = p.irecv(WORLD, Src::Rank(4), 9)?;
+                    let _ = p.wait(req)?;
+                    return Ok(usize::MAX);
+                }
+                // Wait until both failures are visible, then elect.
+                loop {
+                    let s0 = p.comm_validate_rank(WORLD, 0)?.state;
+                    let s1 = p.comm_validate_rank(WORLD, 1)?.state;
+                    if s0 != RankState::Ok && s1 != RankState::Ok {
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+                get_current_root(p, WORLD)
+            },
+        );
+        for r in 2..5 {
+            assert_eq!(report.outcomes[r].as_ok(), Some(&2), "rank {r}");
+        }
+    }
+
+    #[test]
+    fn election_ignores_recognition_state() {
+        // A recognized (Null) rank is still failed: never electable.
+        let plan = FaultPlan::none().kill_at(0, HookKind::Tick, 1);
+        let report = run(
+            3,
+            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(20)),
+            |p| {
+                p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+                if p.world_rank() == 0 {
+                    let req = p.irecv(WORLD, Src::Rank(1), 9)?;
+                    let _ = p.wait(req)?;
+                    return Ok(usize::MAX);
+                }
+                while p.comm_validate_rank(WORLD, 0)?.state == RankState::Ok {
+                    std::thread::yield_now();
+                }
+                p.comm_validate_clear(WORLD, &[0])?;
+                get_current_root(p, WORLD)
+            },
+        );
+        for r in 1..3 {
+            assert_eq!(report.outcomes[r].as_ok(), Some(&1), "rank {r}");
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Root failover (paper §III-D, "What if the root fails?").
 //!
 //! "First a new `P_Root` must be chosen by all alive processes"
-//! (Fig. 12 leader election, re-exported from the `consensus` crate
-//! via [`crate::neighbors::get_current_root`]). "Once a rank
+//! (Fig. 12 leader election, [`crate::neighbors::get_current_root`]).
+//! "Once a rank
 //! determines that it has become the root it must regain control over
 //! the loop iteration based upon its current knowledge of the ring
 //! state."

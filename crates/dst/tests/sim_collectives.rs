@@ -348,9 +348,9 @@ fn election_and_recognition_compose() {
             return announce(p, &[1, 2, 3]).map(|()| 0);
         }
         if died(p, 0)? {
-            assert_eq!(consensus::current_root(p, WORLD)?, 1);
+            assert_eq!(ftring::get_current_root(p, WORLD)?, 1);
             p.comm_validate_clear(WORLD, &[0])?;
         }
-        consensus::current_root(p, WORLD)
+        ftring::get_current_root(p, WORLD)
     });
 }

@@ -109,6 +109,23 @@ impl CommData {
         }
     }
 
+    /// The state of incarnation `gen` of `rank`, the one a receive or
+    /// probe was posted on: `Ok` while it is alive, and once it has
+    /// failed or been replaced by a respawn, `Null` if this process
+    /// recognized that generation's failure, `Failed` otherwise.
+    pub(crate) fn incarnation_state(
+        &self,
+        rank: CommRank,
+        gen: u32,
+        registry: &FailureRegistry,
+    ) -> RankState {
+        match self.group.world_rank(rank) {
+            Some(world) if registry.is_alive(world, gen) => RankState::Ok,
+            Some(_) if self.recognized.get(&rank) == Some(&gen) => RankState::Null,
+            _ => RankState::Failed,
+        }
+    }
+
     /// Recognize `rank`'s current incarnation as failed.
     pub(crate) fn recognize(&mut self, rank: CommRank, registry: &FailureRegistry) {
         if let Some(world) = self.group.world_rank(rank) {
@@ -186,6 +203,24 @@ mod tests {
         // Recognition of an alive rank has no effect on its state.
         c.recognize(0, &reg);
         assert_eq!(c.state_of(0, &reg), RankState::Ok);
+    }
+
+    /// What was posted on generation 0 sees it dead once generation 1
+    /// runs, as PROC_NULL if generation 0's failure was recognized.
+    #[test]
+    fn a_replaced_incarnation_reads_dead() {
+        let reg = FailureRegistry::new(3);
+        let (mut seen, unseen) = (comm3(), comm3());
+        assert_eq!(seen.incarnation_state(2, 0, &reg), RankState::Ok);
+        reg.kill(2);
+        seen.recognize(2, &reg);
+        reg.respawn(2);
+        for c in [&seen, &unseen] {
+            assert_eq!(c.state_of(2, &reg), RankState::Ok, "generation 1 is alive");
+            assert_eq!(c.incarnation_state(2, 1, &reg), RankState::Ok);
+        }
+        assert_eq!(seen.incarnation_state(2, 0, &reg), RankState::Null);
+        assert_eq!(unseen.incarnation_state(2, 0, &reg), RankState::Failed);
     }
 
     #[test]

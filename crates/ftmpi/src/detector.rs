@@ -74,6 +74,12 @@ impl FailureRegistry {
         self.states[rank].load(Ordering::Acquire) & FAILED_BIT != 0
     }
 
+    /// Whether incarnation `gen` of `rank` is alive: not failed, and not
+    /// replaced by a later generation.
+    pub fn is_alive(&self, rank: WorldRank, gen: u32) -> bool {
+        self.states[rank].load(Ordering::Acquire) == u64::from(gen) << 1
+    }
+
     /// Current incarnation number of `rank`.
     pub fn generation(&self, rank: WorldRank) -> u32 {
         (self.states[rank].load(Ordering::Acquire) >> 1) as u32
@@ -153,8 +159,7 @@ impl FailureRegistry {
     /// by `dst fuzz`: a spliced 3-kill schedule whose last kill fires
     /// one grant before the survivor's abort.
     pub fn check_alive(&self, me: WorldRank, my_gen: u32) -> Result<()> {
-        let v = self.states[me].load(Ordering::Acquire);
-        if v & FAILED_BIT != 0 || (v >> 1) as u32 != my_gen {
+        if !self.is_alive(me, my_gen) {
             return Err(Error::SelfFailed);
         }
         if let Some(code) = self.aborted() {

@@ -66,8 +66,12 @@ use crate::tag::{Tag, TagSel};
 /// Source selector for a receive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SrcSel {
-    /// Match this communicator rank only.
-    Exact(CommRank),
+    /// Match this communicator rank only. The `u32` is the generation
+    /// the rank had when the receive was posted: the failure verdict
+    /// watches that incarnation (`CommData::incarnation_state`), and
+    /// matching ignores it. It sits in the padding beside the rank, so
+    /// a [`Posted`] stays 48 bytes.
+    Exact(CommRank, u32),
     /// `MPI_ANY_SOURCE`.
     Any,
 }
@@ -75,7 +79,7 @@ pub(crate) enum SrcSel {
 impl SrcSel {
     pub(crate) fn matches(self, src: CommRank) -> bool {
         match self {
-            SrcSel::Exact(s) => s == src,
+            SrcSel::Exact(s, _) => s == src,
             SrcSel::Any => true,
         }
     }
@@ -149,7 +153,7 @@ impl BinKey {
     /// The key of an exact receive; `None` for a wildcard.
     fn exact(spec: &MatchSpec) -> Option<Self> {
         match (spec.src, spec.tag) {
-            (SrcSel::Exact(src), TagSel::Exact(tag)) => {
+            (SrcSel::Exact(src, _), TagSel::Exact(tag)) => {
                 Some(BinKey { context: spec.context, src, tag })
             }
             _ => None,
@@ -274,7 +278,7 @@ impl MatchEngine {
             // match" — stop at the first hit instead of scanning the
             // whole queue, and `pick` is (provably, as before) never
             // consulted.
-            SrcSel::Exact(_) => {
+            SrcSel::Exact(..) => {
                 match self.unexpected.iter().position(|env| spec.matches(env)) {
                     Some(pos) => pos,
                     None => return None,
@@ -495,6 +499,15 @@ mod tests {
         MatchSpec { context: ctx, src, tag }
     }
 
+    /// The posted list is scanned at depth: the peer's generation rides
+    /// in `SrcSel::Exact`'s padding, not in a wider entry.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_posted_receive_stays_48_bytes() {
+        assert_eq!(std::mem::size_of::<SrcSel>(), 16);
+        assert_eq!(std::mem::size_of::<Posted>(), 48);
+    }
+
     #[test]
     fn unexpected_then_post_matches_in_arrival_order() {
         let mut eng = MatchEngine::default();
@@ -503,7 +516,7 @@ mod tests {
         eng.ingest(&mut table, env(1, 0, 5, b"second"));
         assert_eq!(eng.unexpected.len(), 2);
 
-        let s = spec(0, SrcSel::Exact(1), TagSel::Exact(5));
+        let s = spec(0, SrcSel::Exact(1, 0), TagSel::Exact(5));
         let c = eng.take_unexpected(&s).unwrap().unwrap();
         assert_eq!(&c.data[..], b"first");
         let c = eng.take_unexpected(&s).unwrap().unwrap();
@@ -515,7 +528,7 @@ mod tests {
     fn post_then_arrival_completes_in_post_order() {
         let mut eng = MatchEngine::default();
         let mut table = ReqTable::default();
-        let s = spec(0, SrcSel::Exact(2), TagSel::Exact(1));
+        let s = spec(0, SrcSel::Exact(2, 0), TagSel::Exact(1));
         let r1 = table.insert(ReqBody::Recv(s), ReqState::Pending);
         eng.register(r1, s);
         let r2 = table.insert(ReqBody::Recv(s), ReqState::Pending);
@@ -558,7 +571,7 @@ mod tests {
     fn poison_completes_with_rank_fail_stop() {
         let mut eng = MatchEngine::default();
         let mut table = ReqTable::default();
-        let s = spec(0, SrcSel::Exact(3), TagSel::Exact(0));
+        let s = spec(0, SrcSel::Exact(3, 0), TagSel::Exact(0));
         let r = table.insert(ReqBody::Recv(s), ReqState::Pending);
         eng.register(r, s);
         let mut e = env(3, 0, 0, b"");
@@ -597,7 +610,7 @@ mod tests {
         let mut eng = MatchEngine::default();
         let mut table = ReqTable::default();
         eng.ingest(&mut table, env(1, 0, 0, b"a"));
-        let s = spec(0, SrcSel::Exact(1), TagSel::Exact(0));
+        let s = spec(0, SrcSel::Exact(1, 0), TagSel::Exact(0));
         let c = eng.take_unexpected(&s).unwrap().unwrap();
         assert_eq!(&c.data[..], b"a");
         let r = table.insert(ReqBody::Recv(s), ReqState::Pending);
@@ -624,7 +637,7 @@ mod tests {
             for _ in 0..fillers {
                 post(&mut eng, spec(9, SrcSel::Any, TagSel::Any));
             }
-            let exact = spec(0, SrcSel::Exact(1), TagSel::Exact(5));
+            let exact = spec(0, SrcSel::Exact(1, 0), TagSel::Exact(5));
             let first = post(&mut eng, exact);
             let wild = post(&mut eng, spec(0, SrcSel::Any, TagSel::Exact(5)));
             let second = post(&mut eng, exact);
@@ -650,7 +663,7 @@ mod tests {
             reqs.clear();
             for tag in (0..256).rev() {
                 for src in 1..4 {
-                    let s = spec(0, SrcSel::Exact(src), TagSel::Exact(tag));
+                    let s = spec(0, SrcSel::Exact(src, 0), TagSel::Exact(tag));
                     let r = table.insert(ReqBody::Recv(s), ReqState::Pending);
                     eng.register(r, s);
                     reqs.push(r);
@@ -728,7 +741,7 @@ mod tests {
         fn to_spec(ctx: ContextId, src: Option<CommRank>, tag: Option<i32>) -> MatchSpec {
             MatchSpec {
                 context: ctx,
-                src: src.map_or(SrcSel::Any, SrcSel::Exact),
+                src: src.map_or(SrcSel::Any, |s| SrcSel::Exact(s, 0)),
                 tag: tag.map_or(TagSel::Any, TagSel::Exact),
             }
         }

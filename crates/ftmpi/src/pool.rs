@@ -11,9 +11,11 @@
 //! difference between simulating and allocating. The two executors:
 //!
 //! * **wall-clock** (`cfg.sched == None`): `n` long-lived worker
-//!   threads named `rank-{i}`, each handed the closure for one run,
-//!   and on Linux each under `SCHED_BATCH`, so a woken rank never
-//!   preempts the rank that woke it;
+//!   threads named `rank-{i}`, each handed one job per run, and on
+//!   Linux each under `SCHED_BATCH`, so a woken rank never preempts the
+//!   rank that woke it. The job runs its rank's incarnations in turn
+//!   (the respawn extension revives a rank on its own worker), and the
+//!   caller only waits for the run's completion message;
 //! * **simulation** (`UniverseConfig::sim`): `n` coroutine stacks
 //!   ([`crate::coro`]) and a driver loop on the *calling* thread, which
 //!   lends the scheduler to `coro::drive_with` for the run. A rank's
@@ -69,12 +71,13 @@ use faultsim::{RunStats, SchedPoint, StepOutcome};
 use crate::coro::{with_sched, Coroutine, Group};
 use crate::error::{Error, RankOutcome, Result};
 use crate::process::Process;
+use crate::rank::WorldRank;
 use crate::universe::{ReportBuffers, RunReport, Shared, UniverseConfig, WATCHDOG_ABORT_CODE};
 use crate::unpoisoned;
 
-/// One unit of work: one rank incarnation of one run, on the
-/// worker-owned [`Process`] of that rank.
-type Job = Box<dyn FnOnce(&mut Process) + Send>;
+/// One unit of work: every incarnation of one rank in one run, on the
+/// worker-owned [`Process`] of that rank. A queued job is `'static`.
+type Job<'a> = Box<dyn FnOnce(&mut Process) + Send + 'a>;
 
 /// One rank incarnation of one run: its generation, on its rank's
 /// [`Process`]. Both executors run this same body.
@@ -82,12 +85,11 @@ type RankBody<'a> = dyn Fn(u32, &mut Process) + Sync + 'a;
 
 /// What the caller and the workers share about the current run.
 struct RunState {
-    /// Jobs submitted and not yet finished. At zero the run is over: a
-    /// respawn raises it only from above zero (`add_if_running`). The
-    /// `AcqRel` decrements in `finish` order every finished job (its
-    /// outcome, its dropped `Arc<Shared>`) before the completion
-    /// message; the caller's store and increments are `Relaxed`, since
-    /// the queue's send orders them before the job runs.
+    /// Jobs submitted and not yet finished, one per rank: at zero the
+    /// run is over. The `AcqRel` decrements in `finish` order every
+    /// finished job (its outcome, its dropped `Arc<Shared>`) before the
+    /// completion message; the caller's store is `Relaxed`, since the
+    /// queue's send orders it before the job runs.
     pending: AtomicUsize,
     /// Heap traffic of the run's job bodies, summed from each worker's
     /// thread-local `allocstats` counters. Stays zero unless the final
@@ -107,21 +109,13 @@ impl RunState {
             let _ = self.done.send(());
         }
     }
-
-    /// Count one more job, unless the run is already over.
-    fn add_if_running(&self) -> bool {
-        self.pending
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |p| (p > 0).then_some(p + 1))
-            .is_ok()
-    }
 }
 
 /// A worker's life: run the jobs of its queue in order until the pool
-/// closes the queue. A queue, not a slot: a respawned incarnation is
-/// queued behind the previous one, which may still be unwinding, so
-/// incarnations of one rank run in order and the last one's outcome
-/// is the rank's.
-fn worker_loop(jobs: Receiver<Job>, run: Arc<RunState>, idx: usize) {
+/// closes the queue. A run hands each worker one job, which runs every
+/// incarnation of the worker's rank in turn (`run_threads`), so the
+/// last incarnation's outcome is the rank's.
+fn worker_loop(jobs: Receiver<Job<'static>>, run: Arc<RunState>, idx: usize) {
     no_wakeup_preemption();
     // This rank's process, lent to every job this worker runs and
     // reset in place after each.
@@ -138,6 +132,60 @@ fn worker_loop(jobs: Receiver<Job>, run: Arc<RunState>, idx: usize) {
         let before = allocstats::snapshot();
         let _ = std::panic::catch_unwind(AssertUnwindSafe(|| job(&mut proc)));
         run.finish(&allocstats::snapshot().since(&before));
+    }
+}
+
+/// Every incarnation of rank `me` in one run, in turn, on its worker's
+/// `proc`: a failed one with respawn budget left is followed by the
+/// next generation if `await_revival` says so. `in_body` counts the
+/// incarnations inside their rank body.
+fn incarnations(
+    me: WorldRank,
+    proc: &mut Process,
+    shared: &Shared,
+    respawn: Option<crate::universe::RespawnPolicy>,
+    in_body: &AtomicUsize,
+    rank_body: &RankBody<'_>,
+) {
+    let (mut gen, mut budget) = (0, respawn.map_or(0, |p| p.max_per_rank));
+    loop {
+        rank_body(gen, proc);
+        if in_body.fetch_sub(1, Ordering::AcqRel) == 1 && respawn.is_some() {
+            // End the revival waits: nobody is left to revive for.
+            shared.wake_all();
+        }
+        let Some(policy) = respawn.filter(|_| budget > 0 && shared.registry.is_failed(me)) else {
+            return;
+        };
+        budget -= 1;
+        if !await_revival(shared, me, policy.after, in_body) {
+            return;
+        }
+        gen = shared.respawn(me).expect("only its own worker revives a failed rank");
+    }
+}
+
+/// A failed rank's wait for its next incarnation, parked on its own
+/// mailbox: until `after` has passed since the call, cut short by an
+/// abort or by the last other incarnation returning (each moves the
+/// notify generation through `wake_all`). True once the next
+/// incarnation is counted in `in_body`, which is raised only from above
+/// zero: a rank revived after everyone else returned would have nobody
+/// left to talk to.
+fn await_revival(shared: &Shared, me: WorldRank, after: Duration, in_body: &AtomicUsize) -> bool {
+    let until = Instant::now() + after;
+    loop {
+        // Taken before the checks, so a wake after them ends the park.
+        let token = shared.fabric.token(me, shared.registry.epoch());
+        if shared.registry.aborted().is_some() || in_body.load(Ordering::Acquire) == 0 {
+            return false;
+        }
+        let left = until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            let raise = |k: usize| (k > 0).then_some(k + 1);
+            return in_body.fetch_update(Ordering::AcqRel, Ordering::Acquire, raise).is_ok();
+        }
+        shared.fabric.park(me, token, || shared.registry.epoch(), left);
     }
 }
 
@@ -169,7 +217,7 @@ fn no_wakeup_preemption() {}
 /// The wall-clock executor: `n` worker threads, a job queue each, and
 /// the run state they share with the caller.
 struct Workers {
-    jobs: Vec<Sender<Job>>,
+    jobs: Vec<Sender<Job<'static>>>,
     handles: Vec<JoinHandle<()>>,
     run: Arc<RunState>,
     done: Receiver<()>,
@@ -430,10 +478,13 @@ impl UniversePool {
         allocstats::snapshot().since(&before)
     }
 
-    /// The wall-clock executor: one job per rank incarnation on the
-    /// worker threads, supervised from this thread for the watchdog and
-    /// the respawn extension. Returns whether the watchdog fired, and
-    /// the job bodies' heap traffic summed over the workers.
+    /// The wall-clock executor: one job per rank on the worker threads,
+    /// running that rank's incarnations in turn. A failed incarnation
+    /// with respawn budget left waits out `after` from its return
+    /// (`await_revival`), and the job loops with the next generation.
+    /// This thread only waits for the run, and aborts it at the
+    /// watchdog's deadline. Returns whether the watchdog fired, and the
+    /// job bodies' heap traffic summed over the workers.
     fn run_threads(
         &mut self,
         shared: &Shared,
@@ -446,75 +497,35 @@ impl UniversePool {
         let workers = &*self.workers.get_or_insert_with(|| Workers::spawn(n));
         // The last run ended at zero with every worker idle.
         workers.run.pending.store(n, Ordering::Relaxed);
-
-        let submit = |me: usize, gen: u32| {
-            let job: Box<dyn FnOnce(&mut Process) + Send + '_> =
-                Box::new(move |proc: &mut Process| rank_body(gen, proc));
+        // Incarnations inside their rank body.
+        let in_body = &AtomicUsize::new(n);
+        for me in 0..n {
+            let job: Job<'_> =
+                Box::new(move |proc| incarnations(me, proc, shared, respawn, in_body, rank_body));
             // SAFETY: the job borrows `rank_body` (and through it `f`,
-            // `outcomes` and the stack frame of `run`), which the
-            // 'static `Job` type erases. Sound because `run` does not
-            // return (or unwind past the borrows — nothing below
-            // panics before the wait) until the run's completion
-            // message arrived, and a worker counts a job finished only
-            // after the job closure (and thus every use of those
-            // borrows) returned. A job whose worker is gone comes back
-            // in the error and is dropped here, counted as finished.
-            let job: Job = unsafe {
-                std::mem::transmute::<Box<dyn FnOnce(&mut Process) + Send + '_>, Job>(job)
-            };
+            // `outcomes` and the stack frame of `run`), `shared` and
+            // `in_body`, which the 'static `Job` type erases. Sound
+            // because `run` does not return (or unwind past the borrows
+            // — nothing below panics before the wait) until the run's
+            // completion message arrived, and a worker counts a job
+            // finished only after the job closure (and thus every use
+            // of those borrows) returned. A job whose worker is gone
+            // comes back in the error and is dropped here, counted as
+            // finished.
+            let job = unsafe { std::mem::transmute::<Job<'_>, Job<'static>>(job) };
             if workers.jobs[me].send(job).is_err() {
                 workers.run.finish(&AllocStats::default());
             }
-        };
-        for me in 0..n {
-            submit(me, 0);
         }
 
-        // The supervisor: wait for the run to end, waking at the
-        // watchdog's deadline and every 1 ms while a respawn may fall
-        // due (a death sends no message).
-        let mut budget: Vec<u32> = vec![respawn.map_or(0, |p| p.max_per_rank); n];
-        let mut death_seen: Vec<Option<Instant>> = vec![None; n];
-        let hung = loop {
-            let respawn_may_fall_due = respawn.is_some()
-                && shared.registry.aborted().is_none()
-                && budget.iter().any(|&b| b > 0);
-            let poll = respawn_may_fall_due.then(|| Instant::now() + Duration::from_millis(1));
-            if workers.wait_done(deadline.into_iter().chain(poll).min()) {
-                break false;
-            }
-            if deadline.is_some_and(|at| Instant::now() >= at) {
-                shared.abort(WATCHDOG_ABORT_CODE);
-                // The aborted ranks still unwind; their jobs must
-                // finish before the borrows are released.
-                workers.wait_done(None);
-                break true;
-            }
-            let Some(policy) = respawn.filter(|_| shared.registry.aborted().is_none()) else {
-                continue;
-            };
-            for r in 0..n {
-                if !shared.registry.is_failed(r) || budget[r] == 0 {
-                    death_seen[r] = None;
-                    continue;
-                }
-                let seen = *death_seen[r].get_or_insert_with(Instant::now);
-                if seen.elapsed() >= policy.after {
-                    budget[r] -= 1;
-                    death_seen[r] = None;
-                    // Revive only while some incarnation still runs:
-                    // a rank revived after everyone else finished
-                    // would have nobody left to talk to.
-                    if !workers.run.add_if_running() {
-                        break;
-                    }
-                    match shared.respawn(r) {
-                        Some(gen) => submit(r, gen),
-                        None => workers.run.finish(&AllocStats::default()),
-                    }
-                }
-            }
-        };
+        let hung = !workers.wait_done(deadline);
+        if hung {
+            shared.abort(WATCHDOG_ABORT_CODE);
+            // The aborted ranks still unwind, and an abort ends every
+            // revival wait; their jobs must finish before the borrows
+            // are released.
+            workers.wait_done(None);
+        }
         (hung, std::mem::take(&mut *unpoisoned(workers.run.alloc.lock())))
     }
 }

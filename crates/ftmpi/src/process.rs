@@ -51,6 +51,7 @@ use crate::request::{CollKind, Completion, ReqBody, ReqState, ReqTable, Request}
 use crate::status::Status;
 use crate::tag::{check_user_tag, Tag, TagSel};
 use crate::trace::Event;
+use crate::transport::PARK_SAFETY;
 use crate::universe::{Shared, WORLD_CTX};
 
 /// Receive source selector.
@@ -130,10 +131,11 @@ impl std::ops::Deref for Attached {
 }
 
 /// What the failure detector says about a receive or probe from `src`
-/// that no message has matched: `None` while the peer is alive, a
-/// PROC_NULL status once it is a recognized failure, `RankFailStop`
-/// while it is an unrecognized one. `ANY_SOURCE` names the lowest
-/// unrecognized failure in the communicator.
+/// that no message has matched: `None` while the incarnation it was
+/// posted on is alive, and once that one has failed or been replaced by
+/// a respawn, a PROC_NULL status if its failure is recognized,
+/// `RankFailStop` if not. `ANY_SOURCE` names no incarnation: it names
+/// the lowest unrecognized failure in the communicator.
 #[inline]
 fn unmatched_verdict(
     comm: &CommData,
@@ -141,7 +143,7 @@ fn unmatched_verdict(
     registry: &FailureRegistry,
 ) -> Option<Result<Status>> {
     match src {
-        SrcSel::Exact(s) => match comm.state_of(s, registry) {
+        SrcSel::Exact(s, gen) => match comm.incarnation_state(s, gen, registry) {
             RankState::Ok => None,
             RankState::Null => Some(Ok(Status::proc_null())),
             RankState::Failed => Some(Err(Error::RankFailStop { rank: s })),
@@ -319,7 +321,7 @@ impl Process {
                 on: crate::trace::BlockedOn::Recv {
                     context: spec.context,
                     src: match spec.src {
-                        SrcSel::Exact(s) => Some(s),
+                        SrcSel::Exact(s, _) => Some(s),
                         SrcSel::Any => None,
                     },
                     tag: match spec.tag {
@@ -553,7 +555,7 @@ impl Process {
             }
             if !self.shared.sim {
                 let shared = &*self.shared;
-                shared.fabric.park(self.me, token, || shared.registry.epoch());
+                shared.fabric.park(self.me, token, || shared.registry.epoch(), PARK_SAFETY);
             } else {
                 // Parking the one thread every rank shares would stop
                 // them all; this rank suspends in `sched_step` instead.
@@ -671,8 +673,9 @@ impl Process {
 
     /// Resolve what a receive or probe on `comm` names into the
     /// matcher's terms. A named source must be a member of `comm`; its
-    /// world rank comes back too (`None` for [`Src::Any`]) for the
-    /// injector's receive hooks.
+    /// current generation is the incarnation the failure verdict
+    /// watches, and its world rank comes back too (`None` for
+    /// [`Src::Any`]) for the injector's receive hooks.
     fn match_spec(
         &self,
         comm: Comm,
@@ -684,7 +687,7 @@ impl Process {
             Src::Rank(s) => {
                 let world =
                     c.group.world_rank(s).ok_or(Error::InvalidRank { rank: s as isize })?;
-                (SrcSel::Exact(s), Some(world))
+                (SrcSel::Exact(s, self.shared.registry.generation(world)), Some(world))
             }
             Src::Any => (SrcSel::Any, None),
         };
@@ -1428,27 +1431,25 @@ mod tests {
 
     /// A respawn moves the epoch like a kill does: a receive posted on
     /// the new incarnation is watched again, and errors when that
-    /// incarnation dies in turn.
+    /// incarnation dies in turn. Each death is ordered by a message
+    /// from rank 0, so each receive is posted on the incarnation it
+    /// watches.
     #[test]
     fn respawn_rearms_the_failure_scan() {
         use crate::universe::RespawnPolicy;
-        let plan = faultsim::FaultPlan::none().kill_at(1, faultsim::HookKind::Tick, 1);
-        let cfg = UniverseConfig::with_plan(plan)
+        let cfg = UniverseConfig::default()
             .watchdog(Duration::from_secs(60))
             .respawning(RespawnPolicy { after: Duration::from_millis(5), max_per_rank: 1 });
         let report = crate::universe::run(2, cfg, |p| {
             p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
             if p.world_rank() == 1 {
-                if p.generation() == 0 {
-                    let req = p.irecv(WORLD, Src::Rank(0), 99)?;
-                    let _ = p.wait(req)?;
-                    unreachable!("killed by the tick");
-                }
-                // Second incarnation: die once rank 0 is watching.
-                p.recv::<()>(WORLD, Src::Rank(0), 3)?;
+                // Each incarnation dies once rank 0 is watching it.
+                let tag = if p.generation() == 0 { 2 } else { 3 };
+                p.recv::<()>(WORLD, Src::Rank(0), tag)?;
                 return Err(p.fail_now());
             }
             let first = p.irecv(WORLD, Src::Rank(1), TAG)?;
+            p.send(WORLD, 1, 2, &())?;
             assert_eq!(p.wait(first), Err(Error::RankFailStop { rank: 1 }));
             while p.comm_validate_rank(WORLD, 1)?.state != RankState::Ok {
                 std::thread::yield_now();

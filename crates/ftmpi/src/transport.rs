@@ -73,7 +73,7 @@ use crate::unpoisoned;
 
 /// Safety-net park timeout. All wake paths notify explicitly; this only
 /// bounds the damage of a hypothetical missed notification.
-const PARK_SAFETY: Duration = Duration::from_millis(50);
+pub(crate) const PARK_SAFETY: Duration = Duration::from_millis(50);
 
 struct Mailbox {
     /// Ring buffer so draining a prefix shifts head indices, not
@@ -293,11 +293,19 @@ impl Fabric {
 
     /// Block `me` until something plausibly happened since `token` was
     /// taken: a delivery to `me`, a global wake, or a failure-epoch
-    /// change. Returns immediately if any is already the case.
+    /// change. Returns immediately if any is already the case, and
+    /// after `timeout` at the latest: `PARK_SAFETY` in a wait loop,
+    /// what is left of the respawn delay for a failed rank.
     /// Wall-clock mode only: a simulated rank asks
     /// [`Fabric::would_park`] and suspends at its scheduling point
     /// instead (`Process::wait_loop`).
-    pub fn park(&self, me: WorldRank, token: ParkToken, current_epoch: impl Fn() -> u64) {
+    pub fn park(
+        &self,
+        me: WorldRank,
+        token: ParkToken,
+        current_epoch: impl Fn() -> u64,
+        timeout: Duration,
+    ) {
         let slot = &self.slots[me];
         let mut mb = unpoisoned(slot.mb.lock());
         if !self.unchanged(slot, token, current_epoch()) {
@@ -305,14 +313,15 @@ impl Fabric {
         }
         mb.parked = true;
         self.sleeps.fetch_add(1, Ordering::Relaxed);
-        let (mut mb, wait) = unpoisoned(slot.cv.wait_timeout(mb, PARK_SAFETY));
+        let (mut mb, wait) = unpoisoned(slot.cv.wait_timeout(mb, timeout));
         // Already false if a notifier took it; not if the wait timed
         // out or woke spuriously.
         mb.parked = false;
         if wait.timed_out() {
             // Bounded wait as a safety net; all real wake paths notify.
             // Count firings so callers can tell backstop-driven
-            // progress from explicit wakes.
+            // progress from explicit wakes (a respawn delay that runs
+            // its course counts one too).
             self.park_timeouts.fetch_add(1, Ordering::AcqRel);
         }
     }
@@ -396,7 +405,7 @@ mod tests {
         let f = Fabric::new(1);
         let token = f.token(0, 0);
         f.deliver(0, env(0, 0));
-        f.park(0, token, || 0);
+        f.park(0, token, || 0, PARK_SAFETY);
         assert_eq!(f.park_timeouts(), 0);
     }
 
@@ -406,7 +415,7 @@ mod tests {
         let f = Fabric::new(1);
         let token = f.token(0, 0);
         f.wake_all();
-        f.park(0, token, || 0);
+        f.park(0, token, || 0, PARK_SAFETY);
         assert_eq!(f.park_timeouts(), 0);
     }
 
@@ -419,7 +428,7 @@ mod tests {
         std::thread::scope(|s| {
             let parker = s.spawn(|| {
                 let token = f.token(0, 0);
-                f.park(0, token, || 0);
+                f.park(0, token, || 0, PARK_SAFETY);
             });
             while !unpoisoned(f.slots[0].mb.lock()).parked {
                 assert!(!parker.is_finished(), "timed out before it was seen parked");
@@ -437,7 +446,7 @@ mod tests {
         std::thread::scope(|s| {
             let parker = s.spawn(|| {
                 let token = f.token(0, 0);
-                f.park(0, token, || 0);
+                f.park(0, token, || 0, PARK_SAFETY);
             });
             while !unpoisoned(f.slots[0].mb.lock()).parked {
                 assert!(!parker.is_finished(), "timed out before it was seen parked");
@@ -484,7 +493,7 @@ mod tests {
         let f = Fabric::new(1);
         let token = f.token(0, 0);
         let t0 = std::time::Instant::now();
-        f.park(0, token, || 1); // epoch moved under us
+        f.park(0, token, || 1, PARK_SAFETY); // epoch moved under us
         assert!(t0.elapsed() < Duration::from_millis(40));
     }
 
@@ -543,7 +552,7 @@ mod tests {
                 let token = f.token(0, 0);
                 f.drain_into(0, |n| n, &mut buf);
                 if buf.is_empty() {
-                    f.park(0, token, || 0);
+                    f.park(0, token, || 0, PARK_SAFETY);
                 }
                 got.append(&mut buf);
             }
@@ -569,7 +578,7 @@ mod tests {
             // wake_all must make this loop terminate promptly.
             let t0 = std::time::Instant::now();
             loop {
-                f2.park(0, token, || 0);
+                f2.park(0, token, || 0, PARK_SAFETY);
                 let woke = f2.token(0, 0);
                 if woke.notify_gen != token.notify_gen {
                     return t0.elapsed();
@@ -592,7 +601,7 @@ mod tests {
         // Park with a token nothing will move: the only way out is the
         // safety timeout, which must be counted.
         let token = f.token(0, 0);
-        f.park(0, token, || 0);
+        f.park(0, token, || 0, PARK_SAFETY);
         assert_eq!(f.park_timeouts(), 1);
 
         f.reset();

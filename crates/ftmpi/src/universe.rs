@@ -161,8 +161,9 @@ impl Shared {
     /// The mailbox is emptied first, while `rank` still reads failed
     /// (messages to the dead incarnation are lost, per fail-stop), and
     /// only then is it revived: a peer that sees the new incarnation
-    /// alive and sends to it must find its envelope kept. The supervisor
-    /// is the one caller, so nothing revives `rank` in between.
+    /// alive and sends to it must find its envelope kept. The one caller
+    /// is `rank`'s own worker, between two of its incarnations, so
+    /// nothing drains or revives `rank` in between.
     pub(crate) fn respawn(&self, rank: WorldRank) -> Option<u32> {
         if !self.registry.is_failed(rank) {
             return None;
@@ -211,10 +212,17 @@ pub struct UniverseConfig<'s> {
     pub sched: Option<&'s mut dyn SchedHook>,
 }
 
-/// How failed ranks are brought back (recovery extension).
+/// How failed ranks are brought back (the recovery extension of
+/// DESIGN.md §7). A rank's worker runs its incarnations in turn: when
+/// an incarnation returns failed with budget left, the worker waits
+/// `after` and starts the next generation, provided another rank's
+/// incarnation is still inside its body. A simulated run refuses a
+/// policy.
 #[derive(Debug, Clone, Copy)]
 pub struct RespawnPolicy {
-    /// Delay between observing a death and respawning the rank.
+    /// Delay from the dead incarnation's return (its body unwound) to
+    /// the start of the next one. An abort, or the last other
+    /// incarnation returning, ends the wait without a respawn.
     pub after: Duration,
     /// Respawn budget per rank (further deaths stay dead).
     pub max_per_rank: u32,
