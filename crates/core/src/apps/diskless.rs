@@ -94,7 +94,7 @@ fn reply_restore(
     store: &mut Option<(u64, Vec<u64>)>,
     served: &mut u64,
 ) -> Result<()> {
-    absorb_checkpoints(p, comm, left, store)?;
+    absorb_checkpoints(p, comm, store)?;
     let reply = match store {
         Some((it, block)) => (true, *it, block.clone()),
         None => (false, 0u64, Vec::new()),
@@ -127,14 +127,20 @@ fn serve_restore(
 
 /// Drain any checkpoint messages from the left neighbour into `store`
 /// (keep the newest).
+///
+/// Only the left neighbour sends `CKPT_TAG` here, so they are taken
+/// from `ANY_SOURCE`: a receive naming `left` matches only the
+/// incarnation it was posted on (DESIGN.md §7), and a checkpoint the
+/// dead incarnation left queued is exactly what its successor asks for.
+/// A queued message completes the receive at once, so an unrecognized
+/// failure in `comm` does not fail it.
 fn absorb_checkpoints(
     p: &mut Process,
     comm: Comm,
-    left: usize,
     store: &mut Option<(u64, Vec<u64>)>,
 ) -> Result<()> {
-    while p.iprobe(comm, Src::Rank(left), CKPT_TAG)?.is_some() {
-        let ((it, block), _) = p.recv::<(u64, Vec<u64>)>(comm, Src::Rank(left), CKPT_TAG)?;
+    while p.iprobe(comm, Src::Any, CKPT_TAG)?.is_some() {
+        let ((it, block), _) = p.recv::<(u64, Vec<u64>)>(comm, Src::Any, CKPT_TAG)?;
         if store.as_ref().map(|(i, _)| *i <= it).unwrap_or(true) {
             *store = Some((it, block));
         }
@@ -201,7 +207,7 @@ pub fn run_diskless(p: &mut Process, comm: Comm, cfg: &DisklessConfig) -> Result
             }
         }
         if n > 1 {
-            absorb_checkpoints(p, comm, left, &mut store)?;
+            absorb_checkpoints(p, comm, &mut store)?;
             serve_restore(p, comm, left, &mut store, &mut served)?;
         }
     }
@@ -235,7 +241,7 @@ pub fn run_diskless(p: &mut Process, comm: Comm, cfg: &DisklessConfig) -> Result
             if all {
                 break;
             }
-            absorb_checkpoints(p, comm, left, &mut store)?;
+            absorb_checkpoints(p, comm, &mut store)?;
             if done_slot.is_none() {
                 done_slot = Some(p.irecv(comm, Src::Any, DONE_TAG)?);
             }
@@ -303,7 +309,7 @@ pub fn run_diskless(p: &mut Process, comm: Comm, cfg: &DisklessConfig) -> Result
         // Lame-duck phase: keep serving restores until EXIT.
         let exit_slot = p.irecv(comm, Src::Rank(0), EXIT_TAG)?;
         loop {
-            absorb_checkpoints(p, comm, left, &mut store)?;
+            absorb_checkpoints(p, comm, &mut store)?;
             if restore_slot.is_none() {
                 restore_slot = Some(p.irecv(comm, Src::Rank(left), RESTORE_REQ_TAG)?);
             }

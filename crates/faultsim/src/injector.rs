@@ -1,8 +1,15 @@
 //! The armed, shared form of a fault plan.
 //!
-//! The runtime holds an `Arc<Injector>` and calls [`Injector::observe`]
-//! at every protocol point. `observe` is called *very* often on hot
-//! paths, so the empty-plan case is a single relaxed atomic load.
+//! The runtime holds an `Arc<Injector>` and reports protocol points to
+//! [`Injector::observe`]. A plan holds a handful of rules, each
+//! watching one hook kind of one rank, while every rank reaches a
+//! protocol point at each wait-loop pass, send and receive. So a rank
+//! asks [`Injector::watched`] once which kinds its own unfired rules
+//! watch, and reports only hooks of those kinds: a hook no rule
+//! watches costs the caller one bit test. The mask stays exact
+//! because a rule is counted and fired only by its observer's own
+//! `observe`; it changes only when that call returns something other
+//! than [`Decision::Continue`], and the caller asks again then.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -41,8 +48,6 @@ struct ArmedRule {
 /// Thread-safe armed fault plan consulted by the runtime.
 pub struct Injector {
     rules: Vec<ArmedRule>,
-    /// Fast path: true when there are no rules at all.
-    empty: bool,
     /// Whether some rule has fired.
     killed: AtomicBool,
 }
@@ -51,7 +56,7 @@ impl Injector {
     /// Arm a plan.
     pub fn new(plan: &FaultPlan) -> Self {
         let killed = AtomicBool::new(false);
-        let mut injector = Injector { rules: Vec::new(), empty: true, killed };
+        let mut injector = Injector { rules: Vec::new(), killed };
         injector.rearm(plan);
         injector
     }
@@ -70,7 +75,6 @@ impl Injector {
         };
         self.rules.clear();
         self.rules.extend(plan.rules().iter().map(armed));
-        self.empty = self.rules.is_empty();
         *self.killed.get_mut() = false;
     }
 
@@ -78,10 +82,9 @@ impl Injector {
     ///
     /// Counts occurrences per rule and returns the combined decision.
     /// If several rules fire on the same hook, `KillSelf` dominates.
+    /// A hook whose kind is not in [`Injector::watched`]`(rank)`
+    /// matches no rule: leaving it unreported changes nothing.
     pub fn observe(&self, rank: Rank, hook: &Hook) -> Decision {
-        if self.empty {
-            return Decision::Continue;
-        }
         let mut kill_self = false;
         let mut others: KillList = [None, None];
         let mut n_others = 0usize;
@@ -123,17 +126,18 @@ impl Injector {
         }
     }
 
-    /// Whether some rule observing `rank`'s `kind` hooks has yet to
-    /// fire. A simulated rank with an unfired [`HookKind::Tick`] rule
-    /// must keep taking wait-loop passes even when it has nothing to
-    /// wait for, or the rule's occurrence count would never be reached.
+    /// The hook kinds that `rank`'s unfired rules watch, one
+    /// [`HookKind::bit`] each; 0 when no rule of `rank` is left to
+    /// fire. It changes only when one of those rules fires, which only
+    /// `rank`'s own [`Injector::observe`] does and reports as a
+    /// decision other than [`Decision::Continue`].
     ///
-    /// [`HookKind::Tick`]: crate::trigger::HookKind::Tick
-    pub fn pending(&self, rank: Rank, kind: crate::trigger::HookKind) -> bool {
-        !self.empty
-            && self.rules.iter().any(|r| {
-                r.observer == rank && r.trigger.kind == kind && !r.fired.load(Ordering::Acquire)
-            })
+    /// [`HookKind::bit`]: crate::trigger::HookKind::bit
+    pub fn watched(&self, rank: Rank) -> u16 {
+        self.rules
+            .iter()
+            .filter(|r| r.observer == rank && !r.fired.load(Ordering::Acquire))
+            .fold(0, |mask, r| mask | r.trigger.kind.bit())
     }
 
     /// Per rule, in plan order: the hooks it matched until it fired (all of them, for a rule
@@ -191,17 +195,23 @@ mod tests {
     }
 
     #[test]
-    fn pending_names_the_observer_and_kind_until_the_rule_fires() {
-        let inj = Injector::new(&FaultPlan::none().kill_at(1, HookKind::Tick, 2));
-        assert!(inj.pending(1, HookKind::Tick));
-        assert!(!inj.pending(0, HookKind::Tick), "another rank's rule");
-        assert!(!inj.pending(1, HookKind::AfterSend), "another kind");
-        let tick = Hook::bare(HookKind::Tick);
-        assert_eq!(inj.observe(1, &tick), Decision::Continue);
-        assert!(inj.pending(1, HookKind::Tick), "counted once, fires on the second");
-        assert_eq!(inj.observe(1, &tick), Decision::KillSelf);
-        assert!(!inj.pending(1, HookKind::Tick));
-        assert!(!Injector::new(&FaultPlan::none()).pending(0, HookKind::Tick));
+    fn watched_names_the_observers_kinds_until_their_rules_fire() {
+        let plan = FaultPlan::none()
+            .kill_at(1, HookKind::Tick, 2)
+            .kill_at(1, HookKind::AfterSend, 1)
+            .kill_at(2, HookKind::BeforeSend, 1);
+        let inj = Injector::new(&plan);
+        let (tick, after_send) = (HookKind::Tick.bit(), HookKind::AfterSend.bit());
+        assert_eq!(inj.watched(1), tick | after_send);
+        assert_eq!(inj.watched(2), HookKind::BeforeSend.bit());
+        assert_eq!(inj.watched(0), 0, "no rule of rank 0");
+        let hook = Hook::bare(HookKind::Tick);
+        assert_eq!(inj.observe(1, &hook), Decision::Continue);
+        assert_eq!(inj.watched(1), tick | after_send, "counted once, fires on the second");
+        assert_eq!(inj.observe(1, &hook), Decision::KillSelf);
+        assert_eq!(inj.watched(1), after_send);
+        assert_eq!(inj.watched(2), HookKind::BeforeSend.bit(), "another rank's rules stay");
+        assert_eq!(Injector::new(&FaultPlan::none()).watched(0), 0);
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //!
 //! The crate is runtime-agnostic: it knows nothing about the `ftmpi`
 //! runtime beyond plain ranks, tags, and hook descriptions. The runtime
-//! calls [`Injector::observe`] and honours the returned [`Decision`].
+//! calls [`Injector::observe`] and honours the returned [`Decision`];
+//! it reports only the hook kinds that [`Injector::watched`] names for
+//! the observing rank, so a protocol point no rule watches costs it one
+//! bit test.
 //!
 //! Three layers:
 //!

@@ -32,6 +32,15 @@ pub enum HookKind {
     Tick,
 }
 
+impl HookKind {
+    /// This kind's bit in an [`Injector::watched`] mask.
+    ///
+    /// [`Injector::watched`]: crate::Injector::watched
+    pub const fn bit(self) -> u16 {
+        1 << self as u16
+    }
+}
+
 /// A fully-parameterised protocol point observed at runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hook {

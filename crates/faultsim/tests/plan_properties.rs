@@ -1,10 +1,57 @@
 //! Property tests for the fault-injection machinery itself: rules fire
 //! exactly once, exactly at their occurrence, and only for matching
-//! hooks — under arbitrary hook streams.
+//! hooks — under arbitrary hook streams; and a rank that reports only
+//! the hook kinds its [`Injector::watched`] mask names sees the same
+//! decisions and leaves the same counts as one that reports them all.
 
 use proptest::prelude::*;
 
 use faultsim::{Decision, FaultPlan, FaultRule, Hook, HookKind, Injector, Trigger};
+
+/// Every hook kind, for the watch-mask property.
+const ALL_KINDS: [HookKind; 9] = [
+    HookKind::BeforeSend,
+    HookKind::AfterSend,
+    HookKind::BeforeRecvPost,
+    HookKind::AfterRecvComplete,
+    HookKind::BeforeCollective,
+    HookKind::AfterCollective,
+    HookKind::BeforeValidate,
+    HookKind::AfterValidate,
+    HookKind::Tick,
+];
+
+/// A rule of any kind, observer, peer and tag filter and action, at an
+/// occurrence of 1–3 or out of reach (`u64::MAX`: it counts forever).
+fn rule_strategy() -> impl Strategy<Value = FaultRule> {
+    (
+        0usize..4,
+        0usize..ALL_KINDS.len(),
+        prop::option::of(0usize..4),
+        prop::option::of(0i32..3),
+        0u8..4,
+        prop::option::of(0usize..4),
+    )
+        .prop_map(|(observer, k, peer, tag, occ, victim)| {
+            let mut trigger = Trigger::on(ALL_KINDS[k]);
+            trigger.occurrence = if occ == 3 { u64::MAX } else { u64::from(occ) + 1 };
+            if let Some(peer) = peer {
+                trigger = trigger.peer(peer);
+            }
+            if let Some(tag) = tag {
+                trigger = trigger.tag(tag);
+            }
+            match victim {
+                Some(victim) => FaultRule::kill_other(observer, victim, trigger),
+                None => FaultRule::kill(observer, trigger),
+            }
+        })
+}
+
+fn any_hook_strategy() -> impl Strategy<Value = (usize, Hook)> {
+    (0usize..4, 0usize..ALL_KINDS.len(), prop::option::of(0usize..4), prop::option::of(0i32..3))
+        .prop_map(|(rank, k, peer, tag)| (rank, Hook { kind: ALL_KINDS[k], peer, tag }))
+}
 
 const KINDS: [HookKind; 6] = [
     HookKind::BeforeSend,
@@ -119,5 +166,36 @@ proptest! {
         prop_assert_eq!(fired[0], occ_a.min(n_ticks));
         prop_assert_eq!(fired[1], occ_b.min(n_ticks));
         prop_assert!(fired.iter().all(|&at| at > 0), "both rules fired");
+    }
+
+    /// The watch mask is exact: reporting a hook only when the
+    /// observer's mask has its kind's bit, and taking the mask again
+    /// after a decision other than `Continue`, returns the decision
+    /// reporting every hook does, leaves the same `counts()`, and
+    /// keeps each rank's mask equal to what `watched` reads.
+    #[test]
+    fn a_masked_observer_decides_and_counts_as_a_full_one(
+        rules in prop::collection::vec(rule_strategy(), 0..5),
+        stream in prop::collection::vec(any_hook_strategy(), 1..160),
+    ) {
+        let plan = FaultPlan::new(rules);
+        let (masked, full) = (Injector::new(&plan), Injector::new(&plan));
+        let mut watch: Vec<u16> = (0..4).map(|r| masked.watched(r)).collect();
+        for (rank, hook) in &stream {
+            let got = if watch[*rank] & hook.kind.bit() == 0 {
+                Decision::Continue
+            } else {
+                let d = masked.observe(*rank, hook);
+                if d != Decision::Continue {
+                    watch[*rank] = masked.watched(*rank);
+                }
+                d
+            };
+            prop_assert_eq!(got, full.observe(*rank, hook), "decision for {:?}", (rank, hook));
+            for (r, mask) in watch.iter().enumerate() {
+                prop_assert_eq!(*mask, masked.watched(r), "rank {}'s mask went stale", r);
+            }
+        }
+        prop_assert!(masked.counts().eq(full.counts()), "counts diverged");
     }
 }

@@ -66,20 +66,22 @@ use crate::tag::{Tag, TagSel};
 /// Source selector for a receive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SrcSel {
-    /// Match this communicator rank only. The `u32` is the generation
-    /// the rank had when the receive was posted: the failure verdict
-    /// watches that incarnation (`CommData::incarnation_state`), and
-    /// matching ignores it. It sits in the padding beside the rank, so
-    /// a [`Posted`] stays 48 bytes.
+    /// Match this communicator rank only, and only messages its
+    /// incarnation of this `u32` generation sent: the one it had when
+    /// the receive was posted, which the failure verdict watches too
+    /// (`CommData::incarnation_state`). A message a dead incarnation
+    /// left queued never completes a receive posted on its successor.
+    /// The generation sits in the padding beside the rank, so a
+    /// [`Posted`] stays 48 bytes.
     Exact(CommRank, u32),
-    /// `MPI_ANY_SOURCE`.
+    /// `MPI_ANY_SOURCE`: any sender, any generation.
     Any,
 }
 
 impl SrcSel {
-    pub(crate) fn matches(self, src: CommRank) -> bool {
+    pub(crate) fn matches(self, src: CommRank, gen: u32) -> bool {
         match self {
-            SrcSel::Exact(s, _) => s == src,
+            SrcSel::Exact(s, g) => s == src && g == gen,
             SrcSel::Any => true,
         }
     }
@@ -95,7 +97,9 @@ pub(crate) struct MatchSpec {
 
 impl MatchSpec {
     pub(crate) fn matches(&self, env: &Envelope) -> bool {
-        self.context == env.context && self.src.matches(env.src_comm) && self.tag.matches(env.tag)
+        self.context == env.context
+            && self.tag.matches(env.tag)
+            && self.src.matches(env.src_comm, env.gen)
     }
 }
 
@@ -118,7 +122,7 @@ pub(crate) struct TakenMeta {
     pub src: CommRank,
     pub context: ContextId,
     pub tag: crate::tag::Tag,
-    pub seq: u64,
+    pub seq: u32,
 }
 
 /// One posted receive as the engine holds it.
@@ -142,19 +146,20 @@ struct BinKey {
     context: ContextId,
     src: CommRank,
     tag: Tag,
+    gen: u32,
 }
 
 impl BinKey {
     /// The one key `env` can match a binned receive under.
     fn of(env: &Envelope) -> Self {
-        BinKey { context: env.context, src: env.src_comm, tag: env.tag }
+        BinKey { context: env.context, src: env.src_comm, tag: env.tag, gen: env.gen }
     }
 
     /// The key of an exact receive; `None` for a wildcard.
     fn exact(spec: &MatchSpec) -> Option<Self> {
         match (spec.src, spec.tag) {
-            (SrcSel::Exact(src, _), TagSel::Exact(tag)) => {
-                Some(BinKey { context: spec.context, src, tag })
+            (SrcSel::Exact(src, gen), TagSel::Exact(tag)) => {
+                Some(BinKey { context: spec.context, src, tag, gen })
             }
             _ => None,
         }
@@ -187,6 +192,9 @@ impl Hasher for KeyHasher {
     }
     fn write_usize(&mut self, w: usize) {
         self.word(w as u64);
+    }
+    fn write_u32(&mut self, w: u32) {
+        self.word(u64::from(w));
     }
     fn write_i32(&mut self, w: i32) {
         self.word(w as u32 as u64);
@@ -491,6 +499,7 @@ mod tests {
             tag,
             payload: Bytes::from_static(payload),
             seq: 0,
+            gen: 0,
             poison: false,
         }
     }
@@ -506,6 +515,52 @@ mod tests {
     fn a_posted_receive_stays_48_bytes() {
         assert_eq!(std::mem::size_of::<SrcSel>(), 16);
         assert_eq!(std::mem::size_of::<Posted>(), 48);
+    }
+
+    /// Envelopes queue by the hundred in mailboxes and the unexpected
+    /// queue: the sender's generation fits beside a 32-bit `seq`.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn an_envelope_stays_72_bytes() {
+        assert_eq!(std::mem::size_of::<Envelope>(), 72);
+    }
+
+    /// A receive naming its source matches only the generation it was
+    /// posted for, whether the older generation's message waits in the
+    /// unexpected queue or arrives at a receive in the list or in a
+    /// bin; `ANY_SOURCE` takes either.
+    #[test]
+    fn an_exact_receive_skips_an_older_generations_message() {
+        let from = |gen: u32, payload: &'static [u8]| Envelope { gen, ..env(1, 0, 5, payload) };
+        let successor = spec(0, SrcSel::Exact(1, 1), TagSel::Exact(5));
+        let mut eng = MatchEngine::default();
+        let mut table = ReqTable::default();
+        eng.ingest(&mut table, from(0, b"stale"));
+        assert!(eng.take_unexpected(&successor).is_none(), "queued stale message taken");
+        for depth in [0, SHORT_LIST] {
+            let mut reqs = Vec::new();
+            for tag in 100..100 + depth as i32 {
+                let s = spec(0, SrcSel::Exact(2, 0), TagSel::Exact(tag));
+                let r = table.insert(ReqBody::Recv(s), ReqState::Pending);
+                eng.register(r, s);
+                reqs.push((r, s));
+            }
+            let r = table.insert(ReqBody::Recv(successor), ReqState::Pending);
+            eng.register(r, successor);
+            assert_eq!(eng.binned, usize::from(depth > 0), "posted where the depth puts it");
+            assert_eq!(eng.ingest(&mut table, from(0, b"stale")), None, "depth {depth}");
+            assert_eq!(eng.ingest(&mut table, from(1, b"fresh")), Some(r), "depth {depth}");
+            let c = table.take(r).unwrap().unwrap();
+            assert_eq!(&c.data[..], b"fresh");
+            for (r, s) in reqs {
+                eng.unregister(r, &s);
+                table.remove(r).unwrap();
+            }
+        }
+        assert_eq!(eng.unexpected.len(), 3, "every stale message stays queued");
+        let any = spec(0, SrcSel::Any, TagSel::Exact(5));
+        let c = eng.take_unexpected(&any).unwrap().unwrap();
+        assert_eq!(&c.data[..], b"stale");
     }
 
     #[test]
@@ -700,13 +755,20 @@ mod tests {
         /// One step of a random matching workload.
         #[derive(Debug, Clone)]
         enum Op {
-            /// Post a receive (`None` = ANY_SOURCE / ANY_TAG).
-            Post { ctx: ContextId, src: Option<CommRank>, tag: Option<i32> },
-            /// Deliver an envelope.
-            Ingest { ctx: ContextId, src: CommRank, tag: i32 },
+            /// Post a receive (`None` = ANY_SOURCE / ANY_TAG); an
+            /// exact source names generation `gen` of its rank.
+            Post { ctx: ContextId, src: Option<CommRank>, gen: u32, tag: Option<i32> },
+            /// Deliver an envelope generation `gen` of `src` sent.
+            Ingest { ctx: ContextId, src: CommRank, gen: u32, tag: i32 },
             /// Try to consume from the unexpected queue; `pick` seeds
             /// the ANY_SOURCE sender choice.
-            Take { ctx: ContextId, src: Option<CommRank>, tag: Option<i32>, pick: usize },
+            Take {
+                ctx: ContextId,
+                src: Option<CommRank>,
+                gen: u32,
+                tag: Option<i32>,
+                pick: usize,
+            },
             /// Cancel the `nth` posted receive (modulo how many there
             /// are): `unregister` + drop the request.
             Cancel { nth: usize },
@@ -720,16 +782,19 @@ mod tests {
 
         /// Posts outnumber arrivals so the list outgrows `SHORT_LIST`
         /// and the 40 keys' bins hold several entries each; five posts
-        /// in eight are exact.
+        /// in eight are exact. Senders come in two generations, one in
+        /// four messages from the older, as a respawned rank's
+        /// predecessor leaves them.
         fn op_strategy() -> impl Strategy<Value = Op> {
-            (0u8..16, 0u64..2, 0usize..5, 0i32..4, 0u8..8, 0usize..64).prop_map(
-                |(kind, ctx, src, tag, wild, n)| {
+            (0u8..16, 0u64..2, 0usize..5, 0i32..4, 0u8..8, 0usize..64, 0u8..4).prop_map(
+                |(kind, ctx, src, tag, wild, n, g)| {
                     let src_sel = (wild != 0 && wild != 2).then_some(src);
                     let tag_sel = (wild != 1 && wild != 2).then_some(tag);
+                    let gen = u32::from(g != 0);
                     match kind {
-                        0..=6 => Op::Post { ctx, src: src_sel, tag: tag_sel },
-                        7..=11 => Op::Ingest { ctx, src, tag },
-                        12 => Op::Take { ctx, src: src_sel, tag: tag_sel, pick: n },
+                        0..=6 => Op::Post { ctx, src: src_sel, gen, tag: tag_sel },
+                        7..=11 => Op::Ingest { ctx, src, gen, tag },
+                        12 => Op::Take { ctx, src: src_sel, gen, tag: tag_sel, pick: n },
                         13 => Op::Cancel { nth: n },
                         14 => Op::CompleteElsewhere { nth: n },
                         _ => Op::Prune,
@@ -738,29 +803,36 @@ mod tests {
             )
         }
 
-        fn to_spec(ctx: ContextId, src: Option<CommRank>, tag: Option<i32>) -> MatchSpec {
+        fn to_spec(
+            ctx: ContextId,
+            src: Option<CommRank>,
+            gen: u32,
+            tag: Option<i32>,
+        ) -> MatchSpec {
             MatchSpec {
                 context: ctx,
-                src: src.map_or(SrcSel::Any, |s| SrcSel::Exact(s, 0)),
+                src: src.map_or(SrcSel::Any, |s| SrcSel::Exact(s, gen)),
                 tag: tag.map_or(TagSel::Any, TagSel::Exact),
             }
         }
 
         /// Matching-relevant projection of an [`Envelope`]. The
-        /// reference model only ever looks at these four fields, so it
+        /// reference model only ever looks at these five fields, so it
         /// tracks this `Copy` header instead of cloning whole
         /// envelopes (payload allocation and all) on every ingest.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         struct RefEnv {
             src_comm: CommRank,
+            gen: u32,
             context: ContextId,
             tag: i32,
-            seq: u64,
+            seq: u32,
         }
 
         impl RefEnv {
             fn of(e: &Envelope) -> Self {
-                RefEnv { src_comm: e.src_comm, context: e.context, tag: e.tag, seq: e.seq }
+                let (src_comm, gen, context, tag, seq) = (e.src_comm, e.gen, e.context, e.tag, e.seq);
+                RefEnv { src_comm, gen, context, tag, seq }
             }
 
             /// Same predicate as `MatchSpec::matches`, composed from
@@ -768,7 +840,7 @@ mod tests {
             /// drift from the engine's match semantics.
             fn matched_by(self, spec: &MatchSpec) -> bool {
                 spec.context == self.context
-                    && spec.src.matches(self.src_comm)
+                    && spec.src.matches(self.src_comm, self.gen)
                     && spec.tag.matches(self.tag)
             }
         }
@@ -832,23 +904,24 @@ mod tests {
                 let mut table = ReqTable::default();
                 let mut ref_posted: Vec<(Request, MatchSpec)> = Vec::new();
                 let mut ref_unexpected: Vec<RefEnv> = Vec::new();
-                let mut seq = 0u64;
+                let mut seq = 0u32;
                 let mut deepest_bin = 0;
 
                 for op in ops {
                     match op {
-                        Op::Post { ctx, src, tag } => {
-                            let spec = to_spec(ctx, src, tag);
+                        Op::Post { ctx, src, gen, tag } => {
+                            let spec = to_spec(ctx, src, gen, tag);
                             let req = table.insert(ReqBody::Recv(spec), ReqState::Pending);
                             eng.register(req, spec);
                             ref_posted.push((req, spec));
                             deepest_bin = deepest_bin
                                 .max(eng.bins.values().map(VecDeque::len).max().unwrap_or(0));
                         }
-                        Op::Ingest { ctx, src, tag } => {
+                        Op::Ingest { ctx, src, gen, tag } => {
                             seq += 1;
                             let mut e = env(src, ctx, tag, b"");
                             e.seq = seq;
+                            e.gen = gen;
                             // Reference first, on the Copy header; then
                             // the envelope moves into the engine —
                             // zero clones per delivery.
@@ -860,8 +933,8 @@ mod tests {
                             let got = eng.ingest(&mut table, e);
                             prop_assert_eq!(got, want, "ingest completed a different request");
                         }
-                        Op::Take { ctx, src, tag, pick } => {
-                            let spec = to_spec(ctx, src, tag);
+                        Op::Take { ctx, src, gen, tag, pick } => {
+                            let spec = to_spec(ctx, src, gen, tag);
                             let got = eng.take_unexpected_with(&spec, |_| pick);
                             let want = reference_take(&mut ref_unexpected, &spec, pick);
                             match (got, want) {
@@ -906,8 +979,8 @@ mod tests {
                     .collect();
                 let right: Vec<Request> = ref_posted.iter().map(|(r, _)| *r).collect();
                 prop_assert_eq!(left, right, "residual posted queues diverged");
-                let left: Vec<u64> = eng.unexpected.iter().map(|e| e.seq).collect();
-                let right: Vec<u64> = ref_unexpected.iter().map(|e| e.seq).collect();
+                let left: Vec<u32> = eng.unexpected.iter().map(|e| e.seq).collect();
+                let right: Vec<u32> = ref_unexpected.iter().map(|e| e.seq).collect();
                 prop_assert_eq!(left, right, "residual unexpected queues diverged");
                 prop_assert!(eng.bins.values().all(|bin| !bin.is_empty()), "empty bin kept");
                 // The generator reaches what the test is for.

@@ -25,9 +25,15 @@ pub struct Envelope {
     pub tag: Tag,
     /// Payload bytes.
     pub payload: Bytes,
-    /// Per (sender, receiver) sequence number; diagnostic only (FIFO is
-    /// provided by the transport, this lets tests assert it).
-    pub seq: u64,
+    /// Per (sender, receiver) sequence number within one run, wrapping
+    /// at 2^32; diagnostic only (FIFO is provided by the transport,
+    /// this lets tests assert it).
+    pub seq: u32,
+    /// The sender's generation (`Process::generation`): a receive that
+    /// names its source matches only envelopes from the incarnation it
+    /// was posted on (DESIGN.md §7). `seq` is 32 bits wide so that
+    /// this field costs no space: an envelope stays 72 bytes.
+    pub gen: u32,
     /// Poison marker: this envelope is not data but an error
     /// notification from a peer abandoning a collective (see
     /// `collective` module docs). Poisoned envelopes complete matching

@@ -89,12 +89,19 @@ pub struct WaitAny {
 pub struct Process {
     me: WorldRank,
     gen: u32,
+    /// The hook kinds this rank's unfired fault rules watch
+    /// ([`Injector::watched`]): a hook of any other kind is not
+    /// reported. Taken at attach, and again after a decision that fired
+    /// a rule, the only thing that changes it.
+    ///
+    /// [`Injector::watched`]: faultsim::Injector::watched
+    watch: u16,
     pub(crate) shared: Attached,
     pub(crate) comms: Vec<CommData>,
     ctx_map: HashMap<ContextId, usize, BuildHasherDefault<KeyHasher>>,
     pub(crate) reqs: ReqTable,
     engine: MatchEngine,
-    send_seq: Vec<u64>,
+    send_seq: Vec<u32>,
     /// Reusable drain buffer for [`Fabric::drain_into`]: one mailbox
     /// drain per progress pass, zero steady-state allocations.
     drain_buf: Vec<Envelope>,
@@ -160,6 +167,7 @@ impl Process {
         Process {
             me,
             gen: 0,
+            watch: 0,
             shared: Attached(None),
             comms: Vec::new(),
             ctx_map: HashMap::default(),
@@ -186,6 +194,7 @@ impl Process {
             self.send_seq.resize(shared.size, 0);
         }
         self.gen = gen;
+        self.watch = shared.injector.watched(self.me);
         self.shared.0 = Some(shared);
     }
 
@@ -343,9 +352,22 @@ impl Process {
         }
     }
 
-    /// Consult the fault injector at a protocol point.
+    /// Consult the fault injector at a protocol point: one bit test
+    /// unless one of this rank's unfired rules watches `h`'s kind.
+    #[inline]
     pub(crate) fn hook(&mut self, h: Hook) -> Result<()> {
-        match self.shared.injector.observe(self.me, &h) {
+        if self.watch & h.kind.bit() == 0 {
+            return Ok(());
+        }
+        self.observe(h)
+    }
+
+    fn observe(&mut self, h: Hook) -> Result<()> {
+        let decision = self.shared.injector.observe(self.me, &h);
+        if decision != Decision::Continue {
+            self.watch = self.shared.injector.watched(self.me);
+        }
+        match decision {
             Decision::Continue => Ok(()),
             Decision::KillSelf => {
                 self.shared.kill(self.me);
@@ -416,7 +438,7 @@ impl Process {
         }
         let tracing = self.shared.trace.enabled();
         for env in msgs.drain(..) {
-            let (src, ctx, tag, seq) = (env.src_comm, env.context, env.tag, env.seq);
+            let (src, ctx, tag, seq) = (env.src_comm, env.context, env.tag, u64::from(env.seq));
             let matched = self.engine.ingest(&mut self.reqs, env);
             if tracing && matched.is_some() {
                 self.shared
@@ -563,7 +585,7 @@ impl Process {
                 // ticking, or the occurrence would never come up.
                 let shared = &self.shared;
                 let sleeps = shared.fabric.would_park(self.me, token, shared.registry.epoch())
-                    && !shared.injector.pending(self.me, HookKind::Tick);
+                    && self.watch & HookKind::Tick.bit() == 0;
                 point = if sleeps { SchedPoint::Blocked } else { SchedPoint::Tick };
             }
         }
@@ -601,7 +623,7 @@ impl Process {
             RankState::Ok => {}
         }
         let seq = self.send_seq[world_dst];
-        self.send_seq[world_dst] += 1;
+        self.send_seq[world_dst] = seq.wrapping_add(1);
         if self.shared.trace.enabled() {
             self.shared.trace.record(Event::Send {
                 src: self.me,
@@ -613,7 +635,7 @@ impl Process {
         }
         self.shared.deliver(
             world_dst,
-            Envelope { src_comm: my_rank, context: ctx, tag, payload, seq, poison },
+            Envelope { src_comm: my_rank, context: ctx, tag, payload, seq, gen: self.gen, poison },
         );
         self.hook(Hook::send(HookKind::AfterSend, world_dst, tag))?;
         Ok(())
@@ -712,7 +734,7 @@ impl Process {
                     src: meta.src,
                     context: meta.context,
                     tag: meta.tag,
-                    seq: meta.seq,
+                    seq: u64::from(meta.seq),
                 });
             }
             return self.reqs.insert(ReqBody::Recv(spec), ReqState::Done(result));

@@ -372,13 +372,14 @@ mod tests {
     use super::*;
     use bytes::Bytes;
 
-    fn env(src: WorldRank, seq: u64) -> Envelope {
+    fn env(src: WorldRank, seq: u32) -> Envelope {
         Envelope {
             src_comm: src,
             context: 0,
             tag: 0,
             payload: Bytes::new(),
             seq,
+            gen: 0,
             poison: false,
         }
     }
@@ -532,7 +533,7 @@ mod tests {
     /// read and `park` would show as one.
     #[test]
     fn an_owner_reading_without_the_lock_misses_no_delivery() {
-        const PER_SENDER: u64 = 20_000;
+        const PER_SENDER: u32 = 20_000;
         let f = Fabric::new(3);
         let got = std::thread::scope(|s| {
             for src in 1..3 {
@@ -559,7 +560,7 @@ mod tests {
             got
         });
         for src in 1..3 {
-            let seqs: Vec<u64> = got.iter().filter(|e| e.src_comm == src).map(|e| e.seq).collect();
+            let seqs: Vec<u32> = got.iter().filter(|e| e.src_comm == src).map(|e| e.seq).collect();
             assert_eq!(seqs, (0..PER_SENDER).collect::<Vec<_>>(), "sender {src}");
         }
         assert!(f.wakes() <= f.sleeps(), "{} wakes for {} sleeps", f.wakes(), f.sleeps());
@@ -634,7 +635,7 @@ mod tests {
                 let senders = counts.len();
                 let dst = senders; // receiver rank, past all senders
                 let f = Fabric::new(senders + 1);
-                let mut next_seq = vec![0u64; senders];
+                let mut next_seq = vec![0u32; senders];
                 let mut got: Vec<Envelope> = Vec::new();
 
                 for op in ops {
@@ -664,12 +665,12 @@ mod tests {
 
                 prop_assert_eq!(got.len(), counts.iter().sum::<usize>());
                 for (s, &count) in counts.iter().enumerate() {
-                    let seqs: Vec<u64> = got
+                    let seqs: Vec<u32> = got
                         .iter()
                         .filter(|e| e.src_comm == s)
                         .map(|e| e.seq)
                         .collect();
-                    prop_assert_eq!(seqs, (0..count as u64).collect::<Vec<_>>());
+                    prop_assert_eq!(seqs, (0..count as u32).collect::<Vec<_>>());
                 }
             }
         }
@@ -695,7 +696,7 @@ mod tests {
         assert_eq!(msgs.len(), 200);
         // Per-sender FIFO holds even under interleaving.
         for src in 0..2 {
-            let seqs: Vec<u64> =
+            let seqs: Vec<u32> =
                 msgs.iter().filter(|e| e.src_comm == src).map(|e| e.seq).collect();
             assert_eq!(seqs, (0..100).collect::<Vec<_>>());
         }

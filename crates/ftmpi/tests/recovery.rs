@@ -316,13 +316,15 @@ fn a_rank_that_dies_after_every_other_rank_returned_is_not_revived() {
     assert_eq!(report.generations, vec![0, 0]);
 }
 
-/// Envelopes carry no generation, and a respawn empties only the
-/// revived rank's own mailbox: a message incarnation 0 sent, still
-/// queued at rank 0, matches a receive rank 0 posts once incarnation 1
-/// runs. Pinned as it stands; a fix would stamp envelopes with the
-/// sender's generation.
+/// A respawn empties only the revived rank's own mailbox, so a message
+/// incarnation 0 sent is still queued at rank 0 when incarnation 1
+/// runs. Envelopes carry their sender's generation and a receive naming
+/// rank 1 matches only the incarnation it was posted on (DESIGN.md §7):
+/// rank 0's receive takes generation 1's value, and generation 0's
+/// message stays queued, where only an `ANY_SOURCE` receive could take
+/// it.
 #[test]
-fn a_message_from_a_dead_incarnation_matches_a_receive_on_its_successor() {
+fn a_message_from_a_dead_incarnation_never_matches_a_receive_on_its_successor() {
     let report = run(2, immediate(), |p| {
         p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
         let me = p.world_rank();
@@ -330,7 +332,7 @@ fn a_message_from_a_dead_incarnation_matches_a_receive_on_its_successor() {
             p.send(WORLD, 0, 1, &p.generation())?;
             return match p.generation() {
                 0 => Err(p.fail_now()),
-                _ => Ok((0, 0)),
+                _ => Ok((0, false, None)),
             };
         }
         loop {
@@ -340,11 +342,15 @@ fn a_message_from_a_dead_incarnation_matches_a_receive_on_its_successor() {
             }
             std::thread::yield_now();
         }
-        let (first, _) = p.recv::<u32>(WORLD, Src::Rank(1), 1)?;
-        let (second, _) = p.recv::<u32>(WORLD, Src::Rank(1), 1)?;
-        Ok((first, second))
+        let (got, _) = p.recv::<u32>(WORLD, Src::Rank(1), 1)?;
+        let exact = p.iprobe(WORLD, Src::Rank(1), 1)?;
+        let any = p.iprobe(WORLD, Src::Any, 1)?;
+        Ok((got, exact.is_some(), any.and_then(|s| s.source)))
     });
     assert!(!report.hung);
     assert_eq!(report.generations, vec![0, 1]);
-    assert_eq!(report.outcomes[0].as_ok(), Some(&(0, 1)), "generation 0's message is taken first");
+    let (got, exact, any) = *report.outcomes[0].as_ok().expect("rank 0 returns");
+    assert_eq!(got, 1, "rank 0's receive took generation 1's value");
+    assert!(!exact, "generation 0's message matches a receive naming rank 1");
+    assert_eq!(any, Some(1), "generation 0's message is no longer queued");
 }
