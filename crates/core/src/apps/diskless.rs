@@ -350,15 +350,8 @@ pub fn run_diskless(p: &mut Process, comm: Comm, cfg: &DisklessConfig) -> Result
 mod tests {
     use super::*;
     use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
-    use ftmpi::{run, RespawnPolicy, UniverseConfig, WORLD};
+    use ftmpi::{run, UniverseConfig, WORLD};
     use std::time::Duration;
-
-    fn respawn() -> RespawnPolicy {
-        // Immediate respawn, as soon as the dead incarnation's body has
-        // returned: the workloads here are milliseconds long, so a
-        // delay would outlive the run.
-        RespawnPolicy { after: Duration::ZERO, max_per_rank: 1 }
-    }
 
     #[test]
     fn failure_free_matches_reference() {
@@ -392,7 +385,7 @@ mod tests {
             4,
             UniverseConfig::with_plan(plan)
                 .watchdog(Duration::from_secs(120))
-                .respawning(respawn()),
+                .respawning(1),
             move |p| run_diskless(p, WORLD, &cfg2),
         );
         assert!(!report.hung);

@@ -299,16 +299,15 @@ mod tests {
 
     #[test]
     fn worker_death_mid_task_requeues_and_completes() {
-        // Worker 2 dies right after receiving its 2nd task (the task is
-        // lost with it and must be re-queued). Enough tasks that the
-        // kill is certain to fire: on an over-contended runner a small
-        // queue can drain through the other workers before worker 2 is
-        // ever scheduled for its 2nd receive, leaving it alive and the
-        // assertions spuriously red (same reasoning as the respawn
-        // test's 4000-task queue).
+        // Worker 2 dies right after receiving its 1st task (the task is
+        // lost with it and must be re-queued). `STOP` travels on
+        // `TASK_TAG` too, so only the 1st is certain to be a task: the
+        // manager's first dispatch hands every worker one before any
+        // `STOP`, while the other workers may drain the whole queue
+        // before worker 2 receives a 2nd.
         let plan = FaultPlan::none().with(FaultRule::kill(
             2,
-            Trigger::on(HookKind::AfterRecvComplete).tag(TASK_TAG).nth(2),
+            Trigger::on(HookKind::AfterRecvComplete).tag(TASK_TAG).nth(1),
         ));
         let t = tasks(400);
         let (m, _) = farm_manager_result(4, plan, t.clone());
@@ -372,7 +371,7 @@ mod tests {
 mod recovery_tests {
     use super::*;
     use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
-    use ftmpi::{run, RespawnPolicy, UniverseConfig, WORLD};
+    use ftmpi::{run, UniverseConfig, WORLD};
     use std::time::Duration;
 
     /// The recovery extension on the farm: a worker dies holding a
@@ -380,27 +379,23 @@ mod recovery_tests {
     /// more tasks. Every task still completes exactly once.
     #[test]
     fn respawned_worker_rejoins_the_farm() {
-        // Enough tasks that the farm is still draining when the 2ms
-        // respawn timer fires: an idle machine churns a few hundred
-        // trivial tasks per millisecond, and a queue that empties
-        // before the respawn leaves generation 1 nothing to rejoin
-        // (the assertion below then fails spuriously).
+        // Enough tasks that the farm is still draining when worker 2's
+        // dead body has returned and revived it: a queue that empties
+        // first leaves generation 1 nothing to rejoin (the assertion
+        // below then fails spuriously). The kill lands on worker 2's
+        // 1st receipt, which the manager's first dispatch makes a task,
+        // never the `STOP` that shares its tag.
         let tasks: Vec<u64> = (0..4000u64).map(|i| i * 7 + 1).collect();
         let plan = FaultPlan::none().with(FaultRule::kill(
             2,
-            Trigger::on(HookKind::AfterRecvComplete).tag(TASK_TAG).nth(2),
+            Trigger::on(HookKind::AfterRecvComplete).tag(TASK_TAG).nth(1),
         ));
         let expect = expected_results(&tasks);
         let t2 = tasks.clone();
         let report = run(
             3, // manager + 2 workers: losing one halves throughput, so
                // the recovered worker demonstrably matters
-            UniverseConfig::with_plan(plan)
-                .watchdog(Duration::from_secs(120))
-                .respawning(RespawnPolicy {
-                    after: Duration::from_millis(2),
-                    max_per_rank: 1,
-                }),
+            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(120)).respawning(1),
             move |p| run_farm(p, WORLD, &t2),
         );
         assert!(!report.hung);
@@ -423,7 +418,10 @@ mod recovery_tests {
     }
 
     /// Crash-looping worker: dies, recovers, dies again (budget 2),
-    /// recovers again, and still contributes.
+    /// recovers again, and still contributes. Each of the first two
+    /// incarnations dies on its 1st receipt, not a later one that a
+    /// `STOP` could be: generation 0's is the first dispatch, and
+    /// generation 1's comes while thousands of tasks are queued.
     #[test]
     fn double_recovery_still_completes() {
         let tasks: Vec<u64> = (0..2000u64).map(|i| i + 100).collect();
@@ -434,18 +432,13 @@ mod recovery_tests {
             ))
             .with(FaultRule::kill(
                 1,
-                Trigger::on(HookKind::AfterRecvComplete).tag(TASK_TAG).nth(3),
+                Trigger::on(HookKind::AfterRecvComplete).tag(TASK_TAG).nth(2),
             ));
         let expect = expected_results(&tasks);
         let t2 = tasks.clone();
         let report = run(
             3,
-            UniverseConfig::with_plan(plan)
-                .watchdog(Duration::from_secs(120))
-                .respawning(RespawnPolicy {
-                    after: Duration::from_millis(2),
-                    max_per_rank: 2,
-                }),
+            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(120)).respawning(2),
             move |p| run_farm(p, WORLD, &t2),
         );
         assert!(!report.hung);

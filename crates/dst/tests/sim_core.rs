@@ -17,8 +17,8 @@ use std::time::Duration;
 
 use dst::{triage_trace, ScenarioCfg, Scheduler, SeedRunner, WaitKind};
 use ftmpi::{
-    ErrorHandler, Process, RankOutcome, RespawnPolicy, Src, UniverseConfig, UniversePool,
-    WATCHDOG_ABORT_CODE, WORLD,
+    ErrorHandler, Process, RankOutcome, Src, UniverseConfig, UniversePool, WATCHDOG_ABORT_CODE,
+    WORLD,
 };
 
 const N: usize = 4;
@@ -175,17 +175,8 @@ fn budget_ends_a_livelock_of_self_grants() {
     assert!(sched.budget_exhausted() && sched.deadlock_at().is_none());
 }
 
-/// A scheduler's verdicts are a simulated run's only hang backstop and
-/// its ranks are never respawned: the thread executor's two options are
-/// refused beside one.
-#[test]
-#[should_panic(expected = "incompatible with the respawn extension")]
-fn a_scheduler_refuses_respawn() {
-    let mut sched = Scheduler::new(N, 7, 500);
-    let policy = RespawnPolicy { after: Duration::from_millis(1), max_per_rank: 1 };
-    ftmpi::run(N, UniverseConfig::default().sim(&mut sched).respawning(policy), ring_once);
-}
-
+/// A scheduler's verdicts are a simulated run's only hang backstop:
+/// the wall-clock watchdog is refused beside one.
 #[test]
 #[should_panic(expected = "incompatible with the wall-clock watchdog")]
 fn a_scheduler_refuses_the_watchdog() {

@@ -100,9 +100,7 @@ pub use request::{Completion, Request};
 pub use status::Status;
 pub use tag::{check_user_tag, Tag, TagSel, TAG_UB};
 pub use trace::{BlockedOn, Event, TimedEvent, Trace};
-pub use universe::{
-    run, run_default, ReportBuffers, RespawnPolicy, RunReport, UniverseConfig, WATCHDOG_ABORT_CODE,
-};
+pub use universe::{run, run_default, ReportBuffers, RunReport, UniverseConfig, WATCHDOG_ABORT_CODE};
 
 // Re-export the fault-injection vocabulary (and the payload byte
 // type) so applications need only one import path.

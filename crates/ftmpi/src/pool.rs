@@ -13,9 +13,8 @@
 //! * **wall-clock** (`cfg.sched == None`): `n` long-lived worker
 //!   threads named `rank-{i}`, each handed one job per run, and on
 //!   Linux each under `SCHED_BATCH`, so a woken rank never preempts the
-//!   rank that woke it. The job runs its rank's incarnations in turn
-//!   (the respawn extension revives a rank on its own worker), and the
-//!   caller only waits for the run's completion message;
+//!   rank that woke it. The caller only waits for the run's completion
+//!   message;
 //! * **simulation** (`UniverseConfig::sim`): `n` coroutine stacks
 //!   ([`crate::coro`]) and a driver loop on the *calling* thread, which
 //!   lends the scheduler to `coro::drive_with` for the run. A rank's
@@ -27,6 +26,14 @@
 //!   lock; the driver resumes ranks only after their `Enter` arrival
 //!   and after one returns, and a pool that only simulates never
 //!   spawns a thread.
+//!
+//! Both run one rank body, which loops over the rank's incarnations
+//! (the respawn extension, DESIGN.md §7): when one returns with the
+//! rank failed and respawn budget left, a thread revives the rank at
+//! once, and a simulated rank arrives at `SchedPoint::Enter` again, so
+//! the scheduler's grant is the revival. Either way the same test then
+//! decides: the run is not aborted, and another rank's incarnation is
+//! still inside its body.
 //!
 //! [`crate::run`] is a one-shot pool: build, run once, drop.
 //!
@@ -75,13 +82,13 @@ use crate::rank::WorldRank;
 use crate::universe::{ReportBuffers, RunReport, Shared, UniverseConfig, WATCHDOG_ABORT_CODE};
 use crate::unpoisoned;
 
-/// One unit of work: every incarnation of one rank in one run, on the
-/// worker-owned [`Process`] of that rank. A queued job is `'static`.
+/// One unit of work: one rank's part of one run, on the worker-owned
+/// [`Process`] of that rank. A queued job is `'static`.
 type Job<'a> = Box<dyn FnOnce(&mut Process) + Send + 'a>;
 
-/// One rank incarnation of one run: its generation, on its rank's
+/// One rank's part of one run, every incarnation in turn, on its rank's
 /// [`Process`]. Both executors run this same body.
-type RankBody<'a> = dyn Fn(u32, &mut Process) + Sync + 'a;
+type RankBody<'a> = dyn Fn(&mut Process) + Sync + 'a;
 
 /// What the caller and the workers share about the current run.
 struct RunState {
@@ -112,9 +119,7 @@ impl RunState {
 }
 
 /// A worker's life: run the jobs of its queue in order until the pool
-/// closes the queue. A run hands each worker one job, which runs every
-/// incarnation of the worker's rank in turn (`run_threads`), so the
-/// last incarnation's outcome is the rank's.
+/// closes the queue. A run hands each worker one job: its rank's body.
 fn worker_loop(jobs: Receiver<Job<'static>>, run: Arc<RunState>, idx: usize) {
     no_wakeup_preemption();
     // This rank's process, lent to every job this worker runs and
@@ -132,60 +137,6 @@ fn worker_loop(jobs: Receiver<Job<'static>>, run: Arc<RunState>, idx: usize) {
         let before = allocstats::snapshot();
         let _ = std::panic::catch_unwind(AssertUnwindSafe(|| job(&mut proc)));
         run.finish(&allocstats::snapshot().since(&before));
-    }
-}
-
-/// Every incarnation of rank `me` in one run, in turn, on its worker's
-/// `proc`: a failed one with respawn budget left is followed by the
-/// next generation if `await_revival` says so. `in_body` counts the
-/// incarnations inside their rank body.
-fn incarnations(
-    me: WorldRank,
-    proc: &mut Process,
-    shared: &Shared,
-    respawn: Option<crate::universe::RespawnPolicy>,
-    in_body: &AtomicUsize,
-    rank_body: &RankBody<'_>,
-) {
-    let (mut gen, mut budget) = (0, respawn.map_or(0, |p| p.max_per_rank));
-    loop {
-        rank_body(gen, proc);
-        if in_body.fetch_sub(1, Ordering::AcqRel) == 1 && respawn.is_some() {
-            // End the revival waits: nobody is left to revive for.
-            shared.wake_all();
-        }
-        let Some(policy) = respawn.filter(|_| budget > 0 && shared.registry.is_failed(me)) else {
-            return;
-        };
-        budget -= 1;
-        if !await_revival(shared, me, policy.after, in_body) {
-            return;
-        }
-        gen = shared.respawn(me).expect("only its own worker revives a failed rank");
-    }
-}
-
-/// A failed rank's wait for its next incarnation, parked on its own
-/// mailbox: until `after` has passed since the call, cut short by an
-/// abort or by the last other incarnation returning (each moves the
-/// notify generation through `wake_all`). True once the next
-/// incarnation is counted in `in_body`, which is raised only from above
-/// zero: a rank revived after everyone else returned would have nobody
-/// left to talk to.
-fn await_revival(shared: &Shared, me: WorldRank, after: Duration, in_body: &AtomicUsize) -> bool {
-    let until = Instant::now() + after;
-    loop {
-        // Taken before the checks, so a wake after them ends the park.
-        let token = shared.fabric.token(me, shared.registry.epoch());
-        if shared.registry.aborted().is_some() || in_body.load(Ordering::Acquire) == 0 {
-            return false;
-        }
-        let left = until.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            let raise = |k: usize| (k > 0).then_some(k + 1);
-            return in_body.fetch_update(Ordering::AcqRel, Ordering::Acquire, raise).is_ok();
-        }
-        shared.fabric.park(me, token, || shared.registry.epoch(), left);
     }
 }
 
@@ -337,10 +288,6 @@ impl UniversePool {
         let UniverseConfig { plan, watchdog, trace, respawn, sched } = cfg;
         let sim = sched.is_some();
         assert!(
-            !sim || respawn.is_none(),
-            "a deterministic-simulation scheduler is incompatible with the respawn extension"
-        );
-        assert!(
             !sim || watchdog.is_none(),
             "a deterministic-simulation scheduler is incompatible with the wall-clock watchdog"
         );
@@ -364,45 +311,82 @@ impl UniversePool {
         let mut slots: Vec<Option<RankOutcome<T>>> = outcomes.into_iter().map(Some).collect();
         slots.resize_with(n, || None);
         let outcomes = Mutex::new(slots);
-        let rank_body = |gen: u32, proc: &mut Process| {
+        // Incarnations inside their rank body. A revival raises it only
+        // from above zero: a rank revived after everyone else returned
+        // would have nobody left to talk to.
+        let in_body = AtomicUsize::new(n);
+        // A simulated rank's arrival at `SchedPoint::Enter`. True if
+        // the scheduler handed it `Abort`: its hang verdict, which
+        // aborts the run.
+        let enter = |me: WorldRank| {
+            with_sched(|s| s.arrive(me, SchedPoint::Enter));
+            let abort = crate::coro::suspend() == StepOutcome::Abort;
+            if abort {
+                shared.abort(WATCHDOG_ABORT_CODE);
+            }
+            abort
+        };
+        let rank_body = |proc: &mut Process| {
             let me = proc.world_rank();
             if sim {
                 // First scheduling point: every rank stops here before
                 // any user code runs, so the schedule's first decision
                 // picks among all of them.
-                with_sched(|s| s.arrive(me, SchedPoint::Enter));
-                if crate::coro::suspend() == StepOutcome::Abort {
-                    shared.abort(WATCHDOG_ABORT_CODE);
-                }
+                enter(me);
             }
-            // Detached when the body returns — before the rank counts
-            // as finished, which the next run's reset relies on.
-            proc.attach(Arc::clone(&shared), gen);
-            let res = std::panic::catch_unwind(AssertUnwindSafe(|| f(proc)));
-            proc.detach();
+            let (mut gen, mut budget) = (0, respawn);
+            loop {
+                // Detached when the body returns — before the rank
+                // counts as finished, which the next run's reset relies
+                // on.
+                proc.attach(Arc::clone(&shared), gen);
+                let res = std::panic::catch_unwind(AssertUnwindSafe(|| f(proc)));
+                proc.detach();
+                let outcome = match res {
+                    Ok(Ok(v)) => RankOutcome::Ok(v),
+                    Ok(Err(Error::SelfFailed)) => RankOutcome::Failed,
+                    Ok(Err(Error::Aborted { code })) => RankOutcome::Aborted { code },
+                    Ok(Err(e)) => RankOutcome::Err(e),
+                    Err(p) => {
+                        let msg = p
+                            .downcast_ref::<&str>()
+                            .map(|s| s.to_string())
+                            .or_else(|| p.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "opaque panic".to_string());
+                        RankOutcome::Panicked(msg)
+                    }
+                };
+                // Later incarnations overwrite: the rank's reported
+                // outcome is its final incarnation's.
+                unpoisoned(outcomes.lock())[me] = Some(outcome);
+                // Only a run that respawns reads the count; the one
+                // atomic per body is ≈ 1 % of a simulated schedule.
+                if respawn > 0 {
+                    in_body.fetch_sub(1, Ordering::AcqRel);
+                }
+                if budget == 0 || !shared.registry.is_failed(me) {
+                    break;
+                }
+                // The revival. A thread revives at once; a simulated
+                // rank arrives at `Enter` again, so the grant that
+                // resumes it is the respawn, drawn like any other.
+                if sim && enter(me) {
+                    break;
+                }
+                let raise = |k: usize| (k > 0).then_some(k + 1);
+                if shared.registry.aborted().is_some()
+                    || in_body.fetch_update(Ordering::AcqRel, Ordering::Acquire, raise).is_err()
+                {
+                    break;
+                }
+                budget -= 1;
+                gen = shared.respawn(me).expect("only its own body revives a failed rank");
+            }
             if sim {
                 // The rank is done scheduling-wise whatever the
                 // outcome (including panics).
                 with_sched(|s| s.on_exit(me));
             }
-            let outcome = match res {
-                Ok(Ok(v)) => RankOutcome::Ok(v),
-                Ok(Err(Error::SelfFailed)) => RankOutcome::Failed,
-                Ok(Err(Error::Aborted { code })) => RankOutcome::Aborted { code },
-                Ok(Err(e)) => RankOutcome::Err(e),
-                Err(p) => {
-                    let msg = p
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| p.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "opaque panic".to_string());
-                    RankOutcome::Panicked(msg)
-                }
-            };
-            // Later incarnations overwrite: the rank's reported
-            // outcome is its final incarnation's (incarnations of one
-            // rank run in order on its worker).
-            unpoisoned(outcomes.lock())[me] = Some(outcome);
         };
 
         let ((mut hung, alloc), mut stats) = match sched {
@@ -410,7 +394,7 @@ impl UniversePool {
                 let alloc = crate::coro::drive_with(&mut *sched, || self.drive_sim(&rank_body));
                 ((false, alloc), sched.run_stats())
             }
-            None => (self.run_threads(&shared, watchdog, respawn, &rank_body), RunStats::default()),
+            None => (self.run_threads(&shared, watchdog, &rank_body), RunStats::default()),
         };
 
         // A simulation scheduler's hang verdict (deadlock, or its step
@@ -452,7 +436,7 @@ impl UniversePool {
         });
         let before = allocstats::snapshot();
         let procs = &sim.procs;
-        let body = |me: usize| rank_body(0, &mut procs[me].borrow_mut());
+        let body = |me: usize| rank_body(&mut procs[me].borrow_mut());
         let mut group = Group::new(&mut sim.coros, &body);
         // Each rank runs up to its `Enter` arrival and suspends there.
         for me in 0..n {
@@ -479,17 +463,13 @@ impl UniversePool {
     }
 
     /// The wall-clock executor: one job per rank on the worker threads,
-    /// running that rank's incarnations in turn. A failed incarnation
-    /// with respawn budget left waits out `after` from its return
-    /// (`await_revival`), and the job loops with the next generation.
-    /// This thread only waits for the run, and aborts it at the
-    /// watchdog's deadline. Returns whether the watchdog fired, and the
-    /// job bodies' heap traffic summed over the workers.
+    /// the rank's body. This thread only waits for the run, and aborts
+    /// it at the watchdog's deadline. Returns whether the watchdog
+    /// fired, and the job bodies' heap traffic summed over the workers.
     fn run_threads(
         &mut self,
         shared: &Shared,
         watchdog: Option<Duration>,
-        respawn: Option<crate::universe::RespawnPolicy>,
         rank_body: &RankBody<'_>,
     ) -> (bool, AllocStats) {
         let n = self.size;
@@ -497,14 +477,11 @@ impl UniversePool {
         let workers = &*self.workers.get_or_insert_with(|| Workers::spawn(n));
         // The last run ended at zero with every worker idle.
         workers.run.pending.store(n, Ordering::Relaxed);
-        // Incarnations inside their rank body.
-        let in_body = &AtomicUsize::new(n);
         for me in 0..n {
-            let job: Job<'_> =
-                Box::new(move |proc| incarnations(me, proc, shared, respawn, in_body, rank_body));
+            let job: Job<'_> = Box::new(rank_body);
             // SAFETY: the job borrows `rank_body` (and through it `f`,
-            // `outcomes` and the stack frame of `run`), `shared` and
-            // `in_body`, which the 'static `Job` type erases. Sound
+            // `shared`, `outcomes`, `in_body` and the stack frame of
+            // `run`), which the 'static `Job` type erases. Sound
             // because `run` does not return (or unwind past the borrows
             // — nothing below panics before the wait) until the run's
             // completion message arrived, and a worker counts a job
@@ -521,9 +498,9 @@ impl UniversePool {
         let hung = !workers.wait_done(deadline);
         if hung {
             shared.abort(WATCHDOG_ABORT_CODE);
-            // The aborted ranks still unwind, and an abort ends every
-            // revival wait; their jobs must finish before the borrows
-            // are released.
+            // The aborted ranks still unwind, and an aborted run revives
+            // nobody; their jobs must finish before the borrows are
+            // released.
             workers.wait_done(None);
         }
         (hung, std::mem::take(&mut *unpoisoned(workers.run.alloc.lock())))

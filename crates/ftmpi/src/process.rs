@@ -51,7 +51,6 @@ use crate::request::{CollKind, Completion, ReqBody, ReqState, ReqTable, Request}
 use crate::status::Status;
 use crate::tag::{check_user_tag, Tag, TagSel};
 use crate::trace::Event;
-use crate::transport::PARK_SAFETY;
 use crate::universe::{Shared, WORLD_CTX};
 
 /// Receive source selector.
@@ -577,7 +576,7 @@ impl Process {
             }
             if !self.shared.sim {
                 let shared = &*self.shared;
-                shared.fabric.park(self.me, token, || shared.registry.epoch(), PARK_SAFETY);
+                shared.fabric.park(self.me, token, || shared.registry.epoch());
             } else {
                 // Parking the one thread every rank shares would stop
                 // them all; this rank suspends in `sched_step` instead.
@@ -1458,10 +1457,7 @@ mod tests {
     /// watches.
     #[test]
     fn respawn_rearms_the_failure_scan() {
-        use crate::universe::RespawnPolicy;
-        let cfg = UniverseConfig::default()
-            .watchdog(Duration::from_secs(60))
-            .respawning(RespawnPolicy { after: Duration::from_millis(5), max_per_rank: 1 });
+        let cfg = UniverseConfig::default().watchdog(Duration::from_secs(60)).respawning(1);
         let report = crate::universe::run(2, cfg, |p| {
             p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
             if p.world_rank() == 1 {

@@ -73,7 +73,7 @@ use crate::unpoisoned;
 
 /// Safety-net park timeout. All wake paths notify explicitly; this only
 /// bounds the damage of a hypothetical missed notification.
-pub(crate) const PARK_SAFETY: Duration = Duration::from_millis(50);
+const PARK_SAFETY: Duration = Duration::from_millis(50);
 
 struct Mailbox {
     /// Ring buffer so draining a prefix shifts head indices, not
@@ -113,8 +113,8 @@ pub struct Fabric {
     /// Global notify generation: bumped by [`Fabric::wake_all`].
     notify_gen: AtomicU64,
     /// How often the wall-clock safety timeout cut a park short.
-    /// Nonzero is expected when a run is legitimately idle (respawn
-    /// delays, hangs waiting for the watchdog); a count growing during
+    /// Nonzero is expected when a run is legitimately idle (a hang
+    /// waiting for the watchdog); a count growing during
     /// steady message flow would indicate a missed-notification bug.
     /// Surfaced as `RunReport::stats.handoff.park_safety_timeouts`.
     park_timeouts: AtomicU64,
@@ -293,19 +293,11 @@ impl Fabric {
 
     /// Block `me` until something plausibly happened since `token` was
     /// taken: a delivery to `me`, a global wake, or a failure-epoch
-    /// change. Returns immediately if any is already the case, and
-    /// after `timeout` at the latest: `PARK_SAFETY` in a wait loop,
-    /// what is left of the respawn delay for a failed rank.
+    /// change. Returns immediately if any is already the case.
     /// Wall-clock mode only: a simulated rank asks
     /// [`Fabric::would_park`] and suspends at its scheduling point
     /// instead (`Process::wait_loop`).
-    pub fn park(
-        &self,
-        me: WorldRank,
-        token: ParkToken,
-        current_epoch: impl Fn() -> u64,
-        timeout: Duration,
-    ) {
+    pub fn park(&self, me: WorldRank, token: ParkToken, current_epoch: impl Fn() -> u64) {
         let slot = &self.slots[me];
         let mut mb = unpoisoned(slot.mb.lock());
         if !self.unchanged(slot, token, current_epoch()) {
@@ -313,15 +305,14 @@ impl Fabric {
         }
         mb.parked = true;
         self.sleeps.fetch_add(1, Ordering::Relaxed);
-        let (mut mb, wait) = unpoisoned(slot.cv.wait_timeout(mb, timeout));
+        let (mut mb, wait) = unpoisoned(slot.cv.wait_timeout(mb, PARK_SAFETY));
         // Already false if a notifier took it; not if the wait timed
         // out or woke spuriously.
         mb.parked = false;
         if wait.timed_out() {
             // Bounded wait as a safety net; all real wake paths notify.
             // Count firings so callers can tell backstop-driven
-            // progress from explicit wakes (a respawn delay that runs
-            // its course counts one too).
+            // progress from explicit wakes.
             self.park_timeouts.fetch_add(1, Ordering::AcqRel);
         }
     }
@@ -406,7 +397,7 @@ mod tests {
         let f = Fabric::new(1);
         let token = f.token(0, 0);
         f.deliver(0, env(0, 0));
-        f.park(0, token, || 0, PARK_SAFETY);
+        f.park(0, token, || 0);
         assert_eq!(f.park_timeouts(), 0);
     }
 
@@ -416,7 +407,7 @@ mod tests {
         let f = Fabric::new(1);
         let token = f.token(0, 0);
         f.wake_all();
-        f.park(0, token, || 0, PARK_SAFETY);
+        f.park(0, token, || 0);
         assert_eq!(f.park_timeouts(), 0);
     }
 
@@ -429,7 +420,7 @@ mod tests {
         std::thread::scope(|s| {
             let parker = s.spawn(|| {
                 let token = f.token(0, 0);
-                f.park(0, token, || 0, PARK_SAFETY);
+                f.park(0, token, || 0);
             });
             while !unpoisoned(f.slots[0].mb.lock()).parked {
                 assert!(!parker.is_finished(), "timed out before it was seen parked");
@@ -447,7 +438,7 @@ mod tests {
         std::thread::scope(|s| {
             let parker = s.spawn(|| {
                 let token = f.token(0, 0);
-                f.park(0, token, || 0, PARK_SAFETY);
+                f.park(0, token, || 0);
             });
             while !unpoisoned(f.slots[0].mb.lock()).parked {
                 assert!(!parker.is_finished(), "timed out before it was seen parked");
@@ -494,7 +485,7 @@ mod tests {
         let f = Fabric::new(1);
         let token = f.token(0, 0);
         let t0 = std::time::Instant::now();
-        f.park(0, token, || 1, PARK_SAFETY); // epoch moved under us
+        f.park(0, token, || 1); // epoch moved under us
         assert!(t0.elapsed() < Duration::from_millis(40));
     }
 
@@ -553,7 +544,7 @@ mod tests {
                 let token = f.token(0, 0);
                 f.drain_into(0, |n| n, &mut buf);
                 if buf.is_empty() {
-                    f.park(0, token, || 0, PARK_SAFETY);
+                    f.park(0, token, || 0);
                 }
                 got.append(&mut buf);
             }
@@ -579,7 +570,7 @@ mod tests {
             // wake_all must make this loop terminate promptly.
             let t0 = std::time::Instant::now();
             loop {
-                f2.park(0, token, || 0, PARK_SAFETY);
+                f2.park(0, token, || 0);
                 let woke = f2.token(0, 0);
                 if woke.notify_gen != token.notify_gen {
                     return t0.elapsed();
@@ -602,7 +593,7 @@ mod tests {
         // Park with a token nothing will move: the only way out is the
         // safety timeout, which must be counted.
         let token = f.token(0, 0);
-        f.park(0, token, || 0, PARK_SAFETY);
+        f.park(0, token, || 0);
         assert_eq!(f.park_timeouts(), 1);
 
         f.reset();

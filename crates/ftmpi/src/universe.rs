@@ -162,7 +162,7 @@ impl Shared {
     /// (messages to the dead incarnation are lost, per fail-stop), and
     /// only then is it revived: a peer that sees the new incarnation
     /// alive and sends to it must find its envelope kept. The one caller
-    /// is `rank`'s own worker, between two of its incarnations, so
+    /// is `rank`'s own body, between two of its incarnations, so
     /// nothing drains or revives `rank` in between.
     pub(crate) fn respawn(&self, rank: WorldRank) -> Option<u32> {
         if !self.registry.is_failed(rank) {
@@ -197,35 +197,24 @@ pub struct UniverseConfig<'s> {
     pub watchdog: Option<Duration>,
     /// Record protocol events.
     pub trace: bool,
-    /// Recovery extension: respawn failed ranks (the paper's declared
-    /// future-work direction; see DESIGN.md for the supported scope —
+    /// Recovery extension (DESIGN.md §7): how often each rank may be
+    /// revived; 0 never revives. When an incarnation's body returns with
+    /// its rank failed and budget left, the rank is revived as the next
+    /// generation, provided the run is not aborted and another rank's
+    /// incarnation is still inside its body. A thread revives at once;
+    /// a simulated rank arrives at `SchedPoint::Enter` again, and the
+    /// scheduler's grant is the revival. Supported scope:
     /// point-to-point protocols like the task farm, not rings or
-    /// in-flight collectives/validates).
-    pub respawn: Option<RespawnPolicy>,
+    /// in-flight collectives/validates.
+    pub respawn: u32,
     /// Deterministic-simulation scheduler. When set, the runtime
     /// serializes every rank through the hook's scheduling points and
     /// routes every nondeterministic choice through it; the hook's own
     /// verdicts (deadlock when no suspended rank is enabled, a logical
     /// step budget against livelock) take the place of the wall-clock
-    /// `watchdog`. Incompatible with `watchdog` and `respawn`. Borrowed
-    /// for the run: the caller reads the scheduler's log afterwards.
+    /// `watchdog`. Incompatible with `watchdog`. Borrowed for the run:
+    /// the caller reads the scheduler's log afterwards.
     pub sched: Option<&'s mut dyn SchedHook>,
-}
-
-/// How failed ranks are brought back (the recovery extension of
-/// DESIGN.md §7). A rank's worker runs its incarnations in turn: when
-/// an incarnation returns failed with budget left, the worker waits
-/// `after` and starts the next generation, provided another rank's
-/// incarnation is still inside its body. A simulated run refuses a
-/// policy.
-#[derive(Debug, Clone, Copy)]
-pub struct RespawnPolicy {
-    /// Delay from the dead incarnation's return (its body unwound) to
-    /// the start of the next one. An abort, or the last other
-    /// incarnation returning, ends the wait without a respawn.
-    pub after: Duration,
-    /// Respawn budget per rank (further deaths stay dead).
-    pub max_per_rank: u32,
 }
 
 impl<'s> UniverseConfig<'s> {
@@ -246,9 +235,10 @@ impl<'s> UniverseConfig<'s> {
         self
     }
 
-    /// Builder-style: enable the recovery extension.
-    pub fn respawning(mut self, policy: RespawnPolicy) -> Self {
-        self.respawn = Some(policy);
+    /// Builder-style: enable the recovery extension, reviving each
+    /// rank up to `max_per_rank` times (further deaths stay dead).
+    pub fn respawning(mut self, max_per_rank: u32) -> Self {
+        self.respawn = max_per_rank;
         self
     }
 
@@ -286,8 +276,7 @@ pub struct RunReport<T> {
     /// safety-net park timeout fired; in wall-clock mode a nonzero
     /// count during steady message flow would mean a rank made
     /// progress only because of the backstop — a missed-notification
-    /// bug; idle waits (respawn delays, watchdog hangs) fire it
-    /// benignly.
+    /// bug; an idle wait (a watchdog hang) fires it benignly.
     /// `alloc` is the heap traffic of the rank bodies: in wall-clock
     /// mode summed over the worker threads (the caller thread's share
     /// is the caller's to measure), under a simulation scheduler the

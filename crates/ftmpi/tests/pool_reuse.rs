@@ -14,8 +14,7 @@ use std::time::Duration;
 
 use faultsim::{FaultPlan, HookKind};
 use ftmpi::{
-    run, ErrorHandler, Process, RankOutcome, RankState, RespawnPolicy, Result, Src,
-    UniverseConfig, UniversePool, WORLD,
+    run, ErrorHandler, Process, RankOutcome, Result, Src, UniverseConfig, UniversePool, WORLD,
 };
 
 const N: usize = 4;
@@ -119,14 +118,14 @@ fn reused_processes_match_fresh_ones_after_a_failing_run() {
 /// next run instead of carrying the revived incarnation forward. The
 /// scenario is the recovery suite's deterministic two-rank shape —
 /// rank 0 holds the universe open until rank 1's revival, so the
-/// respawn always happens.
+/// respawn always happens. Rank 1 is revived as soon as its dead body
+/// returns, so rank 0 waits on its generation: it may never see it
+/// failed.
 #[test]
 fn respawn_generations_do_not_leak_into_the_next_run() {
     let mk_cfg = || {
         let plan = FaultPlan::none().kill_at(1, HookKind::Tick, 1);
-        UniverseConfig::with_plan(plan)
-            .watchdog(wd())
-            .respawning(RespawnPolicy { after: Duration::from_millis(5), max_per_rank: 1 })
+        UniverseConfig::with_plan(plan).watchdog(wd()).respawning(1)
     };
     let body = |p: &mut Process| -> Result<u32> {
         p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
@@ -142,12 +141,9 @@ fn respawn_generations_do_not_leak_into_the_next_run() {
             p.send(WORLD, 0, 2, &(v + 1))?;
             return Ok(p.generation());
         }
-        // Rank 0: observe death, then recovery, then talk to the new
+        // Rank 0: wait for the recovery, then talk to the new
         // incarnation.
-        while p.comm_validate_rank(WORLD, 1)?.state == RankState::Ok {
-            std::thread::yield_now();
-        }
-        while p.comm_validate_rank(WORLD, 1)?.state != RankState::Ok {
+        while p.comm_validate_rank(WORLD, 1)?.generation == 0 {
             std::thread::yield_now();
         }
         p.send(WORLD, 1, 1, &41u32)?;

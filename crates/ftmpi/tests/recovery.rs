@@ -11,12 +11,26 @@ use std::time::{Duration, Instant};
 
 use faultsim::{FaultPlan, HookKind};
 use ftmpi::{
-    run, Error, ErrorHandler, Event, RankOutcome, RankState, RespawnPolicy, Src, UniverseConfig,
+    run, Error, ErrorHandler, Event, Process, RankOutcome, RankState, Src, UniverseConfig,
     WATCHDOG_ABORT_CODE, WORLD,
 };
 
-fn policy() -> RespawnPolicy {
-    RespawnPolicy { after: Duration::from_millis(5), max_per_rank: 1 }
+/// Spin until rank `peer`'s generation `gen` runs. A rank is revived as
+/// soon as its dead body returns, so a survivor may never see it
+/// failed: only its generation tells that the revival happened.
+fn await_generation(p: &mut Process, peer: usize, gen: u32) -> ftmpi::Result<()> {
+    while p.comm_validate_rank(WORLD, peer)?.generation < gen {
+        std::thread::yield_now();
+    }
+    Ok(())
+}
+
+/// Spin until `flag` is set: a dead body holding its return, which
+/// revives its rank, until the survivor has done what it must first.
+fn await_flag(flag: &AtomicBool) {
+    while !flag.load(Ordering::Acquire) {
+        std::thread::yield_now();
+    }
 }
 
 #[test]
@@ -26,7 +40,7 @@ fn respawned_rank_reports_generation_one() {
         2,
         UniverseConfig::with_plan(plan)
             .watchdog(Duration::from_secs(60))
-            .respawning(policy()),
+            .respawning(1),
         |p| {
             p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
             if p.world_rank() == 1 {
@@ -41,14 +55,9 @@ fn respawned_rank_reports_generation_one() {
                 p.send(WORLD, 0, 2, &(v + 1))?;
                 return Ok(p.generation() as i32);
             }
-            // Rank 0: observe death, then recovery, then talk to the
-            // new incarnation.
-            while p.comm_validate_rank(WORLD, 1)?.state == RankState::Ok {
-                std::thread::yield_now();
-            }
-            while p.comm_validate_rank(WORLD, 1)?.state != RankState::Ok {
-                std::thread::yield_now();
-            }
+            // Rank 0: wait for the recovery, then talk to the new
+            // incarnation.
+            await_generation(p, 1, 1)?;
             let info = p.comm_validate_rank(WORLD, 1)?;
             assert_eq!(info.generation, 1, "recovered incarnation is generation 1");
             assert_eq!(info.state, RankState::Ok);
@@ -68,18 +77,21 @@ fn respawned_rank_reports_generation_one() {
 #[test]
 fn recognition_clears_for_the_new_incarnation() {
     let plan = FaultPlan::none().kill_at(1, HookKind::Tick, 1);
+    let recognized = AtomicBool::new(false);
     let report = run(
         2,
         UniverseConfig::with_plan(plan)
             .watchdog(Duration::from_secs(60))
-            .respawning(policy()),
+            .respawning(1),
         |p| {
             p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
             if p.world_rank() == 1 {
                 if p.generation() == 0 {
                     let req = p.irecv(WORLD, Src::Rank(0), 9)?;
-                    let _ = p.wait(req)?;
-                    unreachable!();
+                    let died = p.wait(req).expect_err("killed by the tick");
+                    // Dead until rank 0 has recognized the death.
+                    await_flag(&recognized);
+                    return Err(died);
                 }
                 // New incarnation idles until rank 0 finishes its
                 // checks, then receives the close message.
@@ -92,12 +104,11 @@ fn recognition_clears_for_the_new_incarnation() {
             }
             p.comm_validate_clear(WORLD, &[1])?;
             assert_eq!(p.comm_validate_rank(WORLD, 1)?.state, RankState::Null);
+            recognized.store(true, Ordering::Release);
             // After the respawn, the rank is Ok again — the old
             // recognition applies to the dead incarnation only.
-            while p.comm_validate_rank(WORLD, 1)?.state != RankState::Ok {
-                std::thread::yield_now();
-            }
-            assert_eq!(p.comm_validate_rank(WORLD, 1)?.generation, 1);
+            await_generation(p, 1, 1)?;
+            assert_eq!(p.comm_validate_rank(WORLD, 1)?.state, RankState::Ok);
             p.send(WORLD, 1, 3, &())?;
             Ok(())
         },
@@ -111,22 +122,25 @@ fn recognition_clears_for_the_new_incarnation() {
 fn messages_to_the_dead_incarnation_are_lost() {
     // Rank 0 sends to rank 1 while it is down (between death and
     // respawn the send errors; right after respawn the new incarnation
-    // must NOT see pre-death messages).
+    // must NOT see pre-death messages). The dead incarnation holds its
+    // return, which revives it, until rank 0's second send is done.
     let plan = FaultPlan::none().kill_at(1, HookKind::AfterRecvComplete, 1);
+    let sent = AtomicBool::new(false);
     let report = run(
         2,
         UniverseConfig::with_plan(plan)
             .watchdog(Duration::from_secs(60))
-            .respawning(policy()),
+            .respawning(1),
         |p| {
             p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
             if p.world_rank() == 1 {
                 if p.generation() == 0 {
                     // Receives the doomed message and dies on its
                     // completion hook; the SECOND message (sent before
-                    // our death was visible) is lost with us.
-                    let (_, _) = p.recv::<i32>(WORLD, Src::Rank(0), 1)?;
-                    unreachable!();
+                    // our revival) is lost with us.
+                    let died = p.recv::<i32>(WORLD, Src::Rank(0), 1).expect_err("killed");
+                    await_flag(&sent);
+                    return Err(died);
                 }
                 // New incarnation: the only message we see is the
                 // post-recovery one.
@@ -136,14 +150,10 @@ fn messages_to_the_dead_incarnation_are_lost() {
             } else {
                 p.send(WORLD, 1, 1, &1i32)?; // consumed by gen 0, kills it
                 let _ = p.send(WORLD, 1, 1, &2i32); // racing the death: lost either way
+                sent.store(true, Ordering::Release);
                 // Wait for recovery, then send the message that must
                 // be the first thing generation 1 sees.
-                while p.comm_validate_rank(WORLD, 1)?.state == RankState::Ok {
-                    std::thread::yield_now();
-                }
-                while p.comm_validate_rank(WORLD, 1)?.state != RankState::Ok {
-                    std::thread::yield_now();
-                }
+                await_generation(p, 1, 1)?;
                 p.send(WORLD, 1, 1, &3i32)?;
                 Ok(0)
             }
@@ -165,7 +175,7 @@ fn respawn_budget_is_respected() {
         2,
         UniverseConfig::with_plan(plan)
             .watchdog(Duration::from_secs(60))
-            .respawning(policy()),
+            .respawning(1),
         |p| {
             p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
             if p.world_rank() == 1 {
@@ -197,7 +207,7 @@ fn respawn_is_traced() {
         2,
         UniverseConfig::with_plan(plan)
             .watchdog(Duration::from_secs(60))
-            .respawning(policy())
+            .respawning(1)
             .traced(),
         |p| {
             p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
@@ -209,10 +219,7 @@ fn respawn_is_traced() {
                 }
                 return Ok(());
             }
-            while p.comm_validate_rank(WORLD, 1)?.generation == 0 {
-                std::thread::yield_now();
-            }
-            Ok(())
+            await_generation(p, 1, 1)
         },
     );
     let respawns: Vec<_> = report
@@ -223,27 +230,23 @@ fn respawn_is_traced() {
     assert_eq!(respawns.len(), 1);
 }
 
-/// The watchdog ends a run while a respawn is still owed: the abort
-/// ends the dead rank's wait for its next incarnation, and an aborted
-/// run revives nobody.
+/// An aborted run revives nobody: rank 1 dies with respawn budget left
+/// once the watchdog has aborted a run in which nobody ever sends, and
+/// stays dead.
 #[test]
-fn the_watchdog_fires_while_a_respawn_is_owed() {
-    let plan = FaultPlan::none().kill_at(1, HookKind::BeforeSend, 1);
+fn a_rank_that_dies_after_an_abort_is_not_revived() {
     let began = Instant::now();
     let report = run(
         2,
-        UniverseConfig::with_plan(plan)
-            .watchdog(Duration::from_millis(300))
-            .respawning(RespawnPolicy { after: Duration::from_secs(3600), max_per_rank: 1 }),
+        UniverseConfig::default().watchdog(Duration::from_millis(300)).respawning(1),
         |p| {
             p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+            // Nobody ever sends this: the watchdog aborts both receives.
+            let aborted = p.recv::<i32>(WORLD, Src::Rank(1 - p.world_rank()), 1);
             if p.world_rank() == 1 {
-                p.send(WORLD, 0, 1, &1i32)?;
-                unreachable!("killed before its first send");
+                return Err(p.fail_now());
             }
-            // Nobody ever sends this.
-            let (v, _) = p.recv::<i32>(WORLD, Src::Rank(0), 1)?;
-            Ok(v)
+            Ok(aborted?.0)
         },
     );
     assert!(began.elapsed() < Duration::from_secs(5), "took {:?}", began.elapsed());
@@ -253,10 +256,8 @@ fn the_watchdog_fires_while_a_respawn_is_owed() {
     assert_eq!(report.generations, vec![0, 0]);
 }
 
-fn immediate() -> UniverseConfig<'static> {
-    UniverseConfig::default()
-        .watchdog(Duration::from_secs(10))
-        .respawning(RespawnPolicy { after: Duration::ZERO, max_per_rank: 1 })
+fn respawning_once() -> UniverseConfig<'static> {
+    UniverseConfig::default().watchdog(Duration::from_secs(10)).respawning(1)
 }
 
 /// A receive watches the incarnation it was posted on (DESIGN.md §7).
@@ -268,7 +269,7 @@ fn immediate() -> UniverseConfig<'static> {
 /// wait for generation 1, which never sends.
 #[test]
 fn a_receive_posted_on_a_replaced_incarnation_errors() {
-    let report = run(2, immediate(), |p| {
+    let report = run(2, respawning_once(), |p| {
         p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
         if p.world_rank() == 1 {
             if p.generation() == 0 {
@@ -291,13 +292,13 @@ fn a_receive_posted_on_a_replaced_incarnation_errors() {
 
 /// A rank is revived only while another rank's incarnation is inside
 /// its body: rank 1 dies 50 ms after rank 0 began to return, and stays
-/// dead. It dies 10 ms before its body returns, and `after` counts from
-/// the return, so the dying rank's own unwind does not count as
-/// "another".
+/// dead. It dies 10 ms before its body returns, and the revival is
+/// decided at the return, so the dying rank's own unwind does not count
+/// as "another".
 #[test]
 fn a_rank_that_dies_after_every_other_rank_returned_is_not_revived() {
     let returning = AtomicBool::new(false);
-    let report = run(2, immediate(), |p| {
+    let report = run(2, respawning_once(), |p| {
         if p.world_rank() == 0 {
             returning.store(true, Ordering::Release);
             return Ok(());
@@ -325,7 +326,7 @@ fn a_rank_that_dies_after_every_other_rank_returned_is_not_revived() {
 /// it.
 #[test]
 fn a_message_from_a_dead_incarnation_never_matches_a_receive_on_its_successor() {
-    let report = run(2, immediate(), |p| {
+    let report = run(2, respawning_once(), |p| {
         p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
         let me = p.world_rank();
         if me == 1 {

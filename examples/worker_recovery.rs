@@ -1,5 +1,7 @@
 //! The recovery extension, live: a crash-looping worker is respawned
-//! (generation 1, then 2) and rejoins the task farm each time.
+//! (generation 1, then 2) as soon as its dead incarnation's body
+//! returns, and rejoins the task farm each time. `.respawning(2)` is
+//! the whole configuration: a budget of two revivals per rank.
 //!
 //! The paper stops at run-through stabilization ("Process recovery is
 //! not addressed in this paper") but defines the `generation` field
@@ -14,7 +16,7 @@
 
 use std::time::Duration;
 
-use ftmpi::{faultsim, run, RespawnPolicy, UniverseConfig, WORLD};
+use ftmpi::{faultsim, run, UniverseConfig, WORLD};
 use ftring::apps::{expected_results, run_farm, FarmOutcome};
 
 fn main() {
@@ -44,7 +46,7 @@ fn main() {
         ranks,
         UniverseConfig::with_plan(plan)
             .watchdog(Duration::from_secs(120))
-            .respawning(RespawnPolicy { after: Duration::from_millis(2), max_per_rank: 2 }),
+            .respawning(2),
         move |p| run_farm(p, WORLD, &t),
     );
     assert!(!report.hung);
