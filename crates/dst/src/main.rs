@@ -299,6 +299,23 @@ fn print_failure(what: &str, f: &Failure, shrunk: Option<&Shrunk>) {
     }
 }
 
+/// Fail before the first schedule runs when `--corpus` names a file
+/// that could not be written once the campaign is over. An existing
+/// file is opened for appending and left as it was; a missing one is
+/// created and removed again, so a missing file stays a valid corpus.
+fn check_corpus_writable(corpus: Option<&PathBuf>) -> Result<(), String> {
+    let Some(path) = corpus else { return Ok(()) };
+    let opened = if path.exists() {
+        std::fs::OpenOptions::new().append(true).open(path).map(drop)
+    } else {
+        std::fs::File::create_new(path).and_then(|f| {
+            drop(f);
+            std::fs::remove_file(path)
+        })
+    };
+    opened.map_err(|e| format!("cannot write corpus {}: {e}", path.display()))
+}
+
 fn cmd_explore(args: &Args) -> Result<ExitCode, String> {
     let sweep_cfg = SweepCfg::builder()
         .start(args.start)
@@ -308,6 +325,7 @@ fn cmd_explore(args: &Args) -> Result<ExitCode, String> {
         .shrink_failures(args.shrink_failures)
         .build()
         .map_err(|e| e.to_string())?;
+    check_corpus_writable(args.corpus.as_ref())?;
 
     let mut total_failing = 0u64;
     let mut sweeps = Vec::new();
@@ -396,6 +414,7 @@ fn cmd_fuzz(args: &Args) -> Result<ExitCode, String> {
         max_failures: args.max_failures,
         corpus: args.corpus.clone(),
     };
+    check_corpus_writable(args.corpus.as_ref())?;
     let report = fuzz(&fuzz_cfg, &scenario).map_err(|e| e.to_string())?;
 
     for (i, f) in report.failures.iter().enumerate() {

@@ -324,6 +324,33 @@ fn explore_corpus_write_summary() {
     let _ = std::fs::remove_file(&failing);
 }
 
+/// A `--corpus` path that cannot be written fails both engines before
+/// their first schedule, not after the campaign; a file that does not
+/// exist yet in a writable directory is a valid corpus, and checking
+/// it leaves nothing behind.
+#[test]
+fn an_unwritable_corpus_fails_before_the_campaign() {
+    let dir = std::env::temp_dir().join("dst_cli_no_such_dir");
+    let _ = std::fs::remove_dir_all(&dir);
+    let file = dir.join("x.corpus");
+    let file = file.to_str().unwrap();
+    for args in [
+        ["fuzz", "--budget", "100000", "--corpus", file],
+        ["explore", "--seeds", "100000", "--corpus", file],
+    ] {
+        let out = dst(&args);
+        assert!(!out.status.success(), "{args:?} accepted an unwritable corpus");
+        let err = stderr(&out);
+        assert!(err.contains("cannot write corpus") && err.contains(file), "{args:?}: {err}");
+        assert_eq!(stdout(&out), "", "{args:?} ran schedules first");
+    }
+    let fresh = std::env::temp_dir().join("dst_cli_corpus_not_yet.txt");
+    let _ = std::fs::remove_file(&fresh);
+    let out = dst(&["explore", "--seeds", "2", "--corpus", fresh.to_str().unwrap()]);
+    assert!(out.status.success(), "a corpus that does not exist yet was refused: {}", stderr(&out));
+    assert!(!fresh.exists(), "the check left a file behind");
+}
+
 /// One corpus grammar: the failure corpus `explore` writes parses back,
 /// line by line, to the schedule each seed derives, and `fuzz` loads it
 /// as seed schedules and says how many.

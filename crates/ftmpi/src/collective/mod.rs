@@ -254,7 +254,7 @@ impl Process {
     /// (collective-internal).
     pub(crate) fn sys_wait(&mut self, req: crate::request::Request) -> Result<Completion> {
         self.wait_loop(move |p| Ok(if p.reqs.is_done(req)? { Some(()) } else { None }))?;
-        self.reqs.take(req)?
+        self.reqs.take(req)?.1.into_result()
     }
 
     /// Leave a collective successfully.

@@ -16,10 +16,11 @@
 //!
 //! * the **post-ordered list** holds every wildcard receive
 //!   (`ANY_SOURCE` and / or `ANY_TAG`), scanned front to back;
-//! * the **bins**, a hash map from an exact `(context, source, tag)`
-//!   to the FIFO of receives posted for exactly that key. An arriving
-//!   envelope names one key, so its bin is one lookup however many
-//!   other receives are posted.
+//! * the **bins** ([`Bins`]), an open-addressed table holding each
+//!   exact `(context, source, tag)` receive under its key's hash, the
+//!   receives of one key in post order along its probe sequence. An
+//!   arriving envelope names one key, so its bin's head is one probe
+//!   however many other receives are posted.
 //!
 //! [`MatchEngine::ingest`] always consults both and completes the
 //! *lower sequence number* of {live head of the envelope's bin, first
@@ -32,35 +33,37 @@
 //! stands is a cost question, never a correctness one. It joins the
 //! list instead of a bin while the list is shorter than
 //! [`SHORT_LIST`]. Measured with the benchmark's
-//! `ftmpi.matching.posted_d16_ns` probe, a message pays ≈ 5 ns per
-//! list entry it passes and ≈ 50 ns flat for the bin route (hash, map
-//! insert and remove, the bin's own push and pop): scanning sixteen
-//! entries and going through a bin read the same. Eight, half that
-//! break-even, keeps the codes that hold one to four receives posted —
-//! the ring, the stencil, the consensus protocols — off the map
-//! altogether; and because a message passes the list's older entries
-//! before its bin can win, eight also caps what a deep queue pays for
-//! the list at ≈ 40 ns a message.
+//! `ftmpi.matching.posted_d16_ns` / `posted_d256_ns` probes against
+//! `ftmpi.pt2pt.self_roundtrip_ns`, in builds that put every exact
+//! receive in the list and in the bins, a message pays ≈ 1 ns per list
+//! entry it passes and ≈ 7 ns for the bin route (a hash, one probe at
+//! post and one at match): break-even near seven entries. Eight sits
+//! there, within the probes' ±10 ns spread, and keeps the codes that
+//! hold one to four receives posted — the ring, the stencil, the
+//! consensus protocols — off the bins altogether; because a message
+//! passes the list's older entries before its bin can win, eight also
+//! caps what a deep queue pays for the list at ≈ 8 ns a message. At
+//! depth 16 and 256 a round trip reads the same, ≈ 15–20 ns above the
+//! empty queue's.
 //!
 //! Entries whose request was completed or dropped elsewhere (the
-//! failure scan completes through the request table) are skipped where
-//! they are met and removed by [`MatchEngine::prune`]. Emptied bins
-//! are taken out of the map and kept for reuse, so a steady post /
-//! match cycle allocates nothing once the structures have grown to the
-//! workload.
+//! failure scan completes through the request table) are skipped or
+//! dropped where they are met and removed by [`MatchEngine::prune`].
+//! The bins hold receives, never keys: what they keep is bounded by the
+//! receives binned, and their table, once grown to the workload, is
+//! reused, so a steady post / match cycle allocates nothing.
 //!
 //! Poisoned envelopes (collective-abandonment notifications, see the
 //! `collective` module) match like data but complete the receive with
 //! `RankFailStop`.
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
+use std::hash::Hasher;
 
 use crate::error::Error;
 use crate::message::{ContextId, Envelope};
 use crate::rank::CommRank;
-use crate::request::{Completion, ReqTable, Request};
-use crate::status::Status;
+use crate::request::{ReqState, ReqTable, Request};
 use crate::tag::{Tag, TagSel};
 
 /// Source selector for a receive.
@@ -103,15 +106,13 @@ impl MatchSpec {
     }
 }
 
-/// Turn a matched envelope into a receive completion.
-fn completion_for(env: Envelope) -> crate::error::Result<Completion> {
+/// What a matched envelope completes its receive with.
+fn completion_for(env: Envelope) -> ReqState {
     if env.poison {
-        Err(Error::RankFailStop { rank: env.src_comm })
+        ReqState::Failed(Error::RankFailStop { rank: env.src_comm })
     } else {
-        Ok(Completion {
-            status: Status::new(env.src_comm, env.tag, env.payload.len()),
-            data: env.payload,
-        })
+        let src = u32::try_from(env.src_comm).expect("communicator rank fits 32 bits");
+        ReqState::Received { src, tag: env.tag, data: env.payload }
     }
 }
 
@@ -141,7 +142,7 @@ pub(crate) struct Posted {
 const SHORT_LIST: usize = 8;
 
 /// What an exact receive is binned under, and what an envelope names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BinKey {
     context: ContextId,
     src: CommRank,
@@ -164,14 +165,173 @@ impl BinKey {
             _ => None,
         }
     }
+
+    /// The key's hash as [`Bins`] stores it: never zero, which marks
+    /// an empty slot.
+    fn hash(&self) -> u32 {
+        let mut h = KeyHasher::default();
+        h.word(self.context);
+        h.word(self.src as u64 | u64::from(self.gen) << 32);
+        h.word(u64::from(self.tag as u32));
+        h.finish() as u32 | 1 << 31
+    }
 }
 
-/// Hasher for [`BinKey`], `Process`'s context map, the rendezvous
-/// board's rounds and a communicator's recognized ranks: one
-/// multiply-rotate per fixed-width field (the Fx scheme), against
-/// SipHash's per-byte rounds. The keys are this program's own contexts,
-/// ranks and tags, not outside input, so collision resistance buys
-/// nothing here.
+/// The exact receives past the short list: one entry per receive in an
+/// open-addressed table, probed linearly from its key's hash. An entry
+/// is the [`Posted`] itself, so posting one probes once and writes
+/// once, and matching one probes once and removes it where it was
+/// found: no per-key container is made, emptied or kept.
+///
+/// Receives of one key share a home slot, so they stand in post order
+/// along its probe sequence: an insert goes to the first free slot past
+/// every entry already there, and removal shifts later entries back
+/// without reordering them (backward-shift deletion, no tombstones).
+/// Growth re-inserts from a free slot onwards, which walks each run of
+/// occupied slots from its start and keeps that order too. So the first
+/// entry of a key met on a probe is its oldest receive: a bin's head.
+///
+/// What the table holds is the receives themselves; its capacity
+/// doubles while more than half is occupied and is kept across
+/// rounds, so a steady post / match cycle allocates nothing.
+#[derive(Default)]
+struct Bins {
+    /// Per slot: the stored [`BinKey::hash`], or 0 if empty. A probe
+    /// reads these and touches an entry only on an equal hash.
+    hashes: Vec<u32>,
+    /// Per slot: the receive, meaningful where `hashes` is not 0.
+    entries: Vec<Posted>,
+    /// Occupied slots.
+    len: usize,
+}
+
+/// What an empty slot of [`Bins::entries`] holds.
+const VACANT: Posted = Posted {
+    seq: 0,
+    req: Request { idx: 0, gen: 0 },
+    spec: MatchSpec { context: 0, src: SrcSel::Any, tag: TagSel::Any },
+};
+
+impl Bins {
+    /// Smallest table the first binned receive makes.
+    const MIN_SLOTS: usize = 16;
+
+    fn mask(&self) -> usize {
+        self.hashes.len() - 1
+    }
+
+    fn clear(&mut self) {
+        if self.len > 0 {
+            self.hashes.fill(0);
+            self.len = 0;
+        }
+    }
+
+    /// Bin `p` under `key` behind every receive of that key already
+    /// binned.
+    fn insert(&mut self, key: &BinKey, p: Posted) {
+        if 2 * (self.len + 1) > self.hashes.len() {
+            self.grow();
+        }
+        self.place(key.hash(), p);
+    }
+
+    fn place(&mut self, hash: u32, p: Posted) {
+        let mask = self.mask();
+        let mut i = hash as usize & mask;
+        while self.hashes[i] != 0 {
+            i = (i + 1) & mask;
+        }
+        self.hashes[i] = hash;
+        self.entries[i] = p;
+        self.len += 1;
+    }
+
+    /// Double the table (to [`Bins::MIN_SLOTS`] from nothing),
+    /// re-inserting every entry in probe order.
+    fn grow(&mut self) {
+        let slots = (2 * self.hashes.len()).max(Self::MIN_SLOTS);
+        let hashes = std::mem::replace(&mut self.hashes, vec![0; slots]);
+        let entries = std::mem::replace(&mut self.entries, vec![VACANT; slots]);
+        self.len = 0;
+        // Start past a free slot, so each run is walked from its start.
+        let start = hashes.iter().position(|&h| h == 0).unwrap_or(0);
+        for k in 0..hashes.len() {
+            let i = (start + k) % hashes.len();
+            if hashes[i] != 0 {
+                self.place(hashes[i], entries[i]);
+            }
+        }
+    }
+
+    /// Slot of the first entry on `key`'s probe sequence that `hit`
+    /// accepts, walking the entries stored under `key`'s hash.
+    fn find(&self, key: &BinKey, mut hit: impl FnMut(&Posted) -> bool) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        let (hash, mask) = (key.hash(), self.mask());
+        let mut i = hash as usize & mask;
+        while self.hashes[i] != 0 {
+            if self.hashes[i] == hash && hit(&self.entries[i]) {
+                return Some(i);
+            }
+            i = (i + 1) & mask;
+        }
+        None
+    }
+
+    /// Take the entry in slot `hole` out, shifting the rest of its run
+    /// back into the gap where their home slots allow.
+    fn remove(&mut self, mut hole: usize) -> Posted {
+        let out = self.entries[hole];
+        self.hashes[hole] = 0;
+        self.len -= 1;
+        let mask = self.mask();
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let hash = self.hashes[j];
+            if hash == 0 {
+                return out;
+            }
+            // The entry at `j` may move back to `hole` unless its home
+            // lies cyclically in (hole, j].
+            let home = hash as usize & mask;
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.hashes[hole] = hash;
+                self.entries[hole] = self.entries[j];
+                self.hashes[j] = 0;
+                hole = j;
+            }
+        }
+    }
+
+    /// Every binned receive, in slot order.
+    fn iter(&self) -> impl Iterator<Item = &Posted> {
+        self.hashes.iter().zip(&self.entries).filter(|(&h, _)| h != 0).map(|(_, p)| p)
+    }
+
+    /// Remove every entry `keep` rejects.
+    fn retain(&mut self, mut keep: impl FnMut(&Posted) -> bool) {
+        let mut i = 0;
+        while i < self.hashes.len() {
+            // A removal shifts a later entry into `i`: look again. No
+            // entry not yet looked at moves below `i`.
+            if self.hashes[i] != 0 && !keep(&self.entries[i]) {
+                self.remove(i);
+            } else {
+                i += 1;
+            }
+        }
+    }
+}
+
+/// Hasher for [`BinKey`], the rendezvous board's rounds and a
+/// communicator's recognized ranks: one multiply-rotate per fixed-width
+/// field (the Fx scheme), against SipHash's per-byte rounds. The keys
+/// are this program's own contexts, ranks and tags, not outside input,
+/// so collision resistance buys nothing here.
 #[derive(Default)]
 pub(crate) struct KeyHasher(u64);
 
@@ -215,12 +375,8 @@ pub(crate) struct MatchEngine {
     /// The post-ordered list: every pending wildcard receive, and the
     /// exact ones posted while it was short.
     ordered: Vec<Posted>,
-    /// Pending exact receives past the short list, one FIFO per key.
-    bins: HashMap<BinKey, VecDeque<Posted>, BuildHasherDefault<KeyHasher>>,
-    /// Entries across all `bins`; zero lets `ingest` skip the hash.
-    binned: usize,
-    /// Emptied bins, kept for their capacity.
-    spare_bins: Vec<VecDeque<Posted>>,
+    /// Pending exact receives past the short list.
+    bins: Bins,
     /// Sequence number the next registered receive takes.
     next_seq: u64,
     /// Receives registered since [`MatchEngine::clear_fresh`], in post
@@ -244,11 +400,7 @@ impl MatchEngine {
     pub(crate) fn reset(&mut self) {
         self.unexpected.clear();
         self.ordered.clear();
-        for (_, mut bin) in self.bins.drain() {
-            bin.clear();
-            self.spare_bins.push(bin);
-        }
-        self.binned = 0;
+        self.bins.clear();
         self.next_seq = 0;
         self.fresh.clear();
         self.scratch_posted.clear();
@@ -261,14 +413,14 @@ impl MatchEngine {
     pub(crate) fn take_unexpected(
         &mut self,
         spec: &MatchSpec,
-    ) -> Option<crate::error::Result<Completion>> {
-        self.take_unexpected_with(spec, |_| 0).map(|(result, _)| result)
+    ) -> Option<crate::error::Result<crate::request::Completion>> {
+        self.take_unexpected_with(spec, |_| 0).map(|(state, _)| state.into_result())
     }
 
     /// Try to satisfy a new receive from the unexpected queue. If a
-    /// message matches, it is removed and the completion returned;
-    /// otherwise the caller must insert a pending request and register
-    /// it via [`MatchEngine::register`].
+    /// message matches, it is removed and the receive's final state
+    /// returned; otherwise the caller must insert a pending request and
+    /// register it via [`MatchEngine::register`].
     ///
     /// When several senders have a matching message queued, `pick(n)`
     /// selects among the *earliest matching envelope of each sender*.
@@ -279,7 +431,7 @@ impl MatchEngine {
         &mut self,
         spec: &MatchSpec,
         pick: impl FnOnce(usize) -> usize,
-    ) -> Option<(crate::error::Result<Completion>, TakenMeta)> {
+    ) -> Option<(ReqState, TakenMeta)> {
         let pos = match spec.src {
             // Exact-source receive: every matching envelope shares one
             // sender, so the per-sender-head rule collapses to "earliest
@@ -324,12 +476,7 @@ impl MatchEngine {
         self.next_seq += 1;
         self.fresh.push(posted);
         match BinKey::exact(&spec) {
-            Some(key) if self.ordered.len() >= SHORT_LIST => {
-                let spare = &mut self.spare_bins;
-                let bin = self.bins.entry(key).or_insert_with(|| spare.pop().unwrap_or_default());
-                bin.push_back(posted);
-                self.binned += 1;
-            }
+            Some(key) if self.ordered.len() >= SHORT_LIST => self.bins.insert(&key, posted),
             _ => self.ordered.push(posted),
         }
     }
@@ -338,54 +485,25 @@ impl MatchEngine {
     /// (cancel).
     pub(crate) fn unregister(&mut self, req: Request, spec: &MatchSpec) {
         self.fresh.retain(|p| p.req != req);
-        if let Some(key) = BinKey::exact(spec) {
-            if let Some(bin) = self.bins.get_mut(&key) {
-                if let Some(i) = bin.iter().position(|p| p.req == req) {
-                    bin.remove(i);
-                    self.binned -= 1;
-                    if bin.is_empty() {
-                        self.retire(&key);
-                    }
-                    return;
-                }
-            }
+        let binned = BinKey::exact(spec).and_then(|key| self.bins.find(&key, |p| p.req == req));
+        if let Some(i) = binned {
+            self.bins.remove(i);
+            return;
         }
         self.ordered.retain(|p| p.req != req);
     }
 
-    /// Take `key`'s emptied bin out of the map, keeping the allocation
-    /// for the next key that needs one.
-    fn retire(&mut self, key: &BinKey) {
-        self.spare_bins.extend(self.bins.remove(key));
-    }
-
-    /// Sequence number of the oldest pending receive binned under
-    /// `key`, dropping heads completed elsewhere on the way.
-    fn bin_head(&mut self, table: &ReqTable, key: &BinKey) -> Option<u64> {
-        if self.binned == 0 {
-            return None;
-        }
-        let bin = self.bins.get_mut(key)?;
-        while let Some(head) = bin.front() {
-            if table.is_pending(head.req) {
-                return Some(head.seq);
+    /// Slot of the oldest pending receive binned under `env`'s key,
+    /// dropping receives of that key completed elsewhere on the way.
+    fn bin_head(&mut self, table: &ReqTable, env: &Envelope) -> Option<usize> {
+        let key = BinKey::of(env);
+        loop {
+            let i = self.bins.find(&key, |p| p.spec.matches(env))?;
+            if table.is_pending(self.bins.entries[i].req) {
+                return Some(i);
             }
-            bin.pop_front();
-            self.binned -= 1;
+            self.bins.remove(i);
         }
-        self.retire(key);
-        None
-    }
-
-    /// Pop the receive [`MatchEngine::bin_head`] found.
-    fn pop_bin_head(&mut self, key: &BinKey) -> Posted {
-        let bin = self.bins.get_mut(key).expect("bin_head found the bin");
-        let head = bin.pop_front().expect("bin_head found its head");
-        self.binned -= 1;
-        if bin.is_empty() {
-            self.retire(key);
-        }
-        head
     }
 
     /// Ingest one arriving envelope: complete the earliest-posted
@@ -395,22 +513,21 @@ impl MatchEngine {
     pub(crate) fn ingest(&mut self, table: &mut ReqTable, env: Envelope) -> Option<Request> {
         // Fast path: nothing posted (the common case while draining a
         // burst) — straight to the unexpected queue, no table traffic.
-        if self.ordered.is_empty() && self.binned == 0 {
+        if self.ordered.is_empty() && self.bins.len == 0 {
             self.unexpected.push_back(env);
             return None;
         }
-        let key = BinKey::of(&env);
-        let bin_seq = self.bin_head(table, &key);
+        let head = self.bin_head(table, &env);
         // A list entry posted after the bin's head cannot win.
-        let older = bin_seq.unwrap_or(u64::MAX);
+        let older = head.map_or(u64::MAX, |i| self.bins.entries[i].seq);
         let in_list = self
             .ordered
             .iter()
             .take_while(|p| p.seq < older)
             .position(|p| p.spec.matches(&env) && table.is_pending(p.req));
-        let req = match (in_list, bin_seq) {
+        let req = match (in_list, head) {
             (Some(i), _) => self.ordered.remove(i).req,
-            (None, Some(_)) => self.pop_bin_head(&key).req,
+            (None, Some(i)) => self.bins.remove(i).req,
             (None, None) => {
                 self.unexpected.push_back(env);
                 return None;
@@ -424,29 +541,19 @@ impl MatchEngine {
     /// the failure scan, cancelled, or consumed).
     pub(crate) fn prune(&mut self, table: &ReqTable) {
         self.ordered.retain(|p| table.is_pending(p.req));
-        let (binned, spare) = (&mut self.binned, &mut self.spare_bins);
-        self.bins.retain(|_, bin| {
-            let before = bin.len();
-            bin.retain(|p| table.is_pending(p.req));
-            *binned -= before - bin.len();
-            let emptied = bin.is_empty();
-            if emptied {
-                spare.push(std::mem::take(bin));
-            }
-            !emptied
-        });
+        self.bins.retain(|p| table.is_pending(p.req));
     }
 
     /// Every posted receive, in post order. With nothing binned that
     /// is the list as it stands; otherwise list and bins are merged by
     /// sequence number into a buffer kept on the engine, so the order
-    /// never depends on how the map happens to be laid out.
+    /// never depends on how the table happens to be laid out.
     pub(crate) fn posted_in_order(&mut self) -> &[Posted] {
-        if self.binned == 0 {
+        if self.bins.len == 0 {
             return &self.ordered;
         }
         self.scratch_posted.clear();
-        self.scratch_posted.extend(self.ordered.iter().chain(self.bins.values().flatten()));
+        self.scratch_posted.extend(self.ordered.iter().chain(self.bins.iter()));
         self.scratch_posted.sort_unstable_by_key(|p| p.seq);
         &self.scratch_posted
     }
@@ -489,8 +596,13 @@ impl MatchEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{ReqBody, ReqState};
+    use crate::request::Completion;
     use bytes::Bytes;
+
+    /// Consume `r`, which must be done, as `Process::consume` does.
+    fn taken(table: &mut ReqTable, r: Request) -> crate::error::Result<Completion> {
+        table.take(r).unwrap().1.into_result()
+    }
 
     fn env(src: CommRank, ctx: ContextId, tag: i32, payload: &'static [u8]) -> Envelope {
         Envelope {
@@ -506,6 +618,11 @@ mod tests {
 
     fn spec(ctx: ContextId, src: SrcSel, tag: TagSel) -> MatchSpec {
         MatchSpec { context: ctx, src, tag }
+    }
+
+    /// Binned receives that are still pending.
+    fn live_binned(eng: &MatchEngine, table: &ReqTable) -> usize {
+        eng.bins.iter().filter(|p| table.is_pending(p.req)).count()
     }
 
     /// The posted list is scanned at depth: the peer's generation rides
@@ -541,16 +658,16 @@ mod tests {
             let mut reqs = Vec::new();
             for tag in 100..100 + depth as i32 {
                 let s = spec(0, SrcSel::Exact(2, 0), TagSel::Exact(tag));
-                let r = table.insert(ReqBody::Recv(s), ReqState::Pending);
+                let r = table.insert(Some(0), ReqState::Posted(s));
                 eng.register(r, s);
                 reqs.push((r, s));
             }
-            let r = table.insert(ReqBody::Recv(successor), ReqState::Pending);
+            let r = table.insert(Some(0), ReqState::Posted(successor));
             eng.register(r, successor);
-            assert_eq!(eng.binned, usize::from(depth > 0), "posted where the depth puts it");
+            assert_eq!(eng.bins.len, usize::from(depth > 0), "posted where the depth puts it");
             assert_eq!(eng.ingest(&mut table, from(0, b"stale")), None, "depth {depth}");
             assert_eq!(eng.ingest(&mut table, from(1, b"fresh")), Some(r), "depth {depth}");
-            let c = table.take(r).unwrap().unwrap();
+            let c = taken(&mut table, r).unwrap();
             assert_eq!(&c.data[..], b"fresh");
             for (r, s) in reqs {
                 eng.unregister(r, &s);
@@ -584,17 +701,17 @@ mod tests {
         let mut eng = MatchEngine::default();
         let mut table = ReqTable::default();
         let s = spec(0, SrcSel::Exact(2, 0), TagSel::Exact(1));
-        let r1 = table.insert(ReqBody::Recv(s), ReqState::Pending);
+        let r1 = table.insert(Some(0), ReqState::Posted(s));
         eng.register(r1, s);
-        let r2 = table.insert(ReqBody::Recv(s), ReqState::Pending);
+        let r2 = table.insert(Some(0), ReqState::Posted(s));
         eng.register(r2, s);
 
         let hit = eng.ingest(&mut table, env(2, 0, 1, b"a")).unwrap();
         assert_eq!(hit, r1, "earliest posted receive matches first");
         let hit = eng.ingest(&mut table, env(2, 0, 1, b"b")).unwrap();
         assert_eq!(hit, r2);
-        assert_eq!(&table.take(r1).unwrap().unwrap().data[..], b"a");
-        assert_eq!(&table.take(r2).unwrap().unwrap().data[..], b"b");
+        assert_eq!(&taken(&mut table, r1).unwrap().data[..], b"a");
+        assert_eq!(&taken(&mut table, r2).unwrap().data[..], b"b");
     }
 
     #[test]
@@ -602,7 +719,7 @@ mod tests {
         let mut eng = MatchEngine::default();
         let mut table = ReqTable::default();
         let s = spec(7, SrcSel::Any, TagSel::Any);
-        let r = table.insert(ReqBody::Recv(s), ReqState::Pending);
+        let r = table.insert(Some(0), ReqState::Posted(s));
         eng.register(r, s);
         assert!(eng.ingest(&mut table, env(0, 8, 0, b"x")).is_none());
         assert_eq!(eng.unexpected.len(), 1);
@@ -614,10 +731,10 @@ mod tests {
         let mut eng = MatchEngine::default();
         let mut table = ReqTable::default();
         let s = spec(0, SrcSel::Any, TagSel::Any);
-        let r = table.insert(ReqBody::Recv(s), ReqState::Pending);
+        let r = table.insert(Some(0), ReqState::Posted(s));
         eng.register(r, s);
         assert_eq!(eng.ingest(&mut table, env(9, 0, 1234, b"z")), Some(r));
-        let c = table.take(r).unwrap().unwrap();
+        let c = taken(&mut table, r).unwrap();
         assert_eq!(c.status.source, Some(9));
         assert_eq!(c.status.tag, 1234);
     }
@@ -627,12 +744,12 @@ mod tests {
         let mut eng = MatchEngine::default();
         let mut table = ReqTable::default();
         let s = spec(0, SrcSel::Exact(3, 0), TagSel::Exact(0));
-        let r = table.insert(ReqBody::Recv(s), ReqState::Pending);
+        let r = table.insert(Some(0), ReqState::Posted(s));
         eng.register(r, s);
         let mut e = env(3, 0, 0, b"");
         e.poison = true;
         eng.ingest(&mut table, e);
-        match table.take(r).unwrap() {
+        match taken(&mut table, r) {
             Err(Error::RankFailStop { rank }) => assert_eq!(rank, 3),
             other => panic!("expected RankFailStop, got {other:?}"),
         }
@@ -668,10 +785,10 @@ mod tests {
         let s = spec(0, SrcSel::Exact(1, 0), TagSel::Exact(0));
         let c = eng.take_unexpected(&s).unwrap().unwrap();
         assert_eq!(&c.data[..], b"a");
-        let r = table.insert(ReqBody::Recv(s), ReqState::Pending);
+        let r = table.insert(Some(0), ReqState::Posted(s));
         eng.register(r, s);
         eng.ingest(&mut table, env(1, 0, 0, b"b"));
-        assert_eq!(&table.take(r).unwrap().unwrap().data[..], b"b");
+        assert_eq!(&taken(&mut table, r).unwrap().data[..], b"b");
     }
 
     /// A wildcard posted between two exact receives of one key takes
@@ -685,7 +802,7 @@ mod tests {
             let mut eng = MatchEngine::default();
             let mut table = ReqTable::default();
             let mut post = |eng: &mut MatchEngine, s: MatchSpec| {
-                let r = table.insert(ReqBody::Recv(s), ReqState::Pending);
+                let r = table.insert(Some(0), ReqState::Posted(s));
                 eng.register(r, s);
                 r
             };
@@ -696,18 +813,21 @@ mod tests {
             let first = post(&mut eng, exact);
             let wild = post(&mut eng, spec(0, SrcSel::Any, TagSel::Exact(5)));
             let second = post(&mut eng, exact);
-            assert_eq!(eng.binned, if fillers == 0 { 0 } else { 2 });
+            assert_eq!(eng.bins.len, if fillers == 0 { 0 } else { 2 });
             let hits: Vec<_> =
                 (0..3).map(|_| eng.ingest(&mut table, env(1, 0, 5, b"")).unwrap()).collect();
             assert_eq!(hits, vec![first, wild, second], "behind {fillers} fillers");
             assert!(eng.ingest(&mut table, env(1, 0, 5, b"")).is_none());
-            assert!(eng.bins.is_empty(), "emptied bins leave the map");
+            // Retained bin state: no more than the live binned
+            // receives, none here, in a table of the smallest size.
+            assert!(eng.bins.len <= live_binned(&eng, &table), "a matched receive kept");
+            assert!(eng.bins.hashes.len() <= Bins::MIN_SLOTS);
         }
     }
 
     /// The fan-in shape at depth: 768 exact receives posted in reverse
     /// tag order, matched in ascending order, round after round. Once
-    /// the first round has grown the list, the map, the bins and the
+    /// the first round has grown the list, the bins' table and the
     /// request table, a round allocates nothing.
     #[test]
     fn steady_state_at_depth_768_allocates_nothing() {
@@ -719,7 +839,7 @@ mod tests {
             for tag in (0..256).rev() {
                 for src in 1..4 {
                     let s = spec(0, SrcSel::Exact(src, 0), TagSel::Exact(tag));
-                    let r = table.insert(ReqBody::Recv(s), ReqState::Pending);
+                    let r = table.insert(Some(0), ReqState::Posted(s));
                     eng.register(r, s);
                     reqs.push(r);
                 }
@@ -731,9 +851,9 @@ mod tests {
                 }
             }
             for r in &reqs {
-                table.take(*r).unwrap().unwrap();
+                taken(&mut table, *r).unwrap();
             }
-            assert_eq!((eng.binned, eng.ordered.len(), eng.unexpected.len()), (0, 0, 0));
+            assert_eq!((eng.bins.len, eng.ordered.len(), eng.unexpected.len()), (0, 0, 0));
         };
         round(&mut eng);
         let before = allocstats::snapshot();
@@ -748,9 +868,50 @@ mod tests {
         assert!(allocstats::snapshot().since(&before).allocs > 0);
     }
 
+    /// Ten thousand distinct keys pass through the bins, each posted
+    /// and matched while a few others are live: the bins hold the live
+    /// receives and nothing per key they have seen, so the table never
+    /// grows past its first size and the run allocates nothing.
+    #[test]
+    fn ten_thousand_distinct_keys_leave_no_state_behind() {
+        const LIVE: i32 = 4;
+        let mut eng = MatchEngine::default();
+        let mut table = ReqTable::default();
+        let filler = spec(9, SrcSel::Any, TagSel::Any);
+        for _ in 0..SHORT_LIST {
+            let r = table.insert(Some(0), ReqState::Posted(filler));
+            eng.register(r, filler);
+        }
+        let post = |eng: &mut MatchEngine, table: &mut ReqTable, tag: i32| {
+            let s = spec(0, SrcSel::Exact(1, 0), TagSel::Exact(tag));
+            let r = table.insert(Some(0), ReqState::Posted(s));
+            eng.register(r, s);
+            eng.clear_fresh();
+        };
+        for tag in 0..LIVE {
+            post(&mut eng, &mut table, tag);
+        }
+        let mut cycle = |eng: &mut MatchEngine, tag: i32| {
+            post(eng, &mut table, tag + LIVE);
+            let r = eng.ingest(&mut table, env(1, 0, tag, b"")).expect("binned receive matched");
+            taken(&mut table, r).unwrap();
+            assert_eq!(eng.bins.len, LIVE as usize);
+        };
+        // The first cycle grows the request table by its one slot.
+        cycle(&mut eng, 0);
+        let (slots, before) = (eng.bins.hashes.len(), allocstats::snapshot());
+        for tag in 1..10_000 {
+            cycle(&mut eng, tag);
+        }
+        assert_eq!(allocstats::snapshot().since(&before).allocs, 0, "the bins grew with the keys");
+        assert_eq!(eng.bins.hashes.len(), slots);
+        assert_eq!(slots, Bins::MIN_SLOTS);
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
+        use proptest::test_runner::TestCaseError;
 
         /// One step of a random matching workload.
         #[derive(Debug, Clone)]
@@ -778,6 +939,9 @@ mod tests {
             CompleteElsewhere { nth: usize },
             /// `prune`, as the failure scan does after completing.
             Prune,
+            /// `reset` engine and table, as a pooled worker does
+            /// between runs.
+            Reset,
         }
 
         /// Posts outnumber arrivals so the list outgrows `SHORT_LIST`
@@ -886,6 +1050,235 @@ mod tests {
             }
         }
 
+        /// The engine and the linear-scan reference, driven op by op.
+        #[derive(Default)]
+        struct Harness {
+            eng: MatchEngine,
+            table: ReqTable,
+            ref_posted: Vec<(Request, MatchSpec)>,
+            ref_unexpected: Vec<RefEnv>,
+            seq: u32,
+            /// Receives completed behind the engine's back since the
+            /// last prune or reset: the stale entries it may still hold.
+            behind_back: usize,
+            /// Most receives of one key binned at once.
+            deepest_bin: usize,
+            /// Cancels and completions elsewhere that hit a binned
+            /// receive.
+            binned_cancels: usize,
+            binned_completions: usize,
+        }
+
+        impl Harness {
+            fn is_binned(&self, req: Request) -> bool {
+                self.eng.bins.iter().any(|p| p.req == req)
+            }
+
+            fn apply(&mut self, op: Op) -> Result<(), TestCaseError> {
+                match op {
+                    Op::Post { ctx, src, gen, tag } => {
+                        let spec = to_spec(ctx, src, gen, tag);
+                        let req = self.table.insert(Some(0), ReqState::Posted(spec));
+                        self.eng.register(req, spec);
+                        self.ref_posted.push((req, spec));
+                        if let Some(key) = BinKey::exact(&spec) {
+                            let same = |p: &&Posted| BinKey::exact(&p.spec) == Some(key);
+                            let depth = self.eng.bins.iter().filter(same).count();
+                            self.deepest_bin = self.deepest_bin.max(depth);
+                        }
+                    }
+                    Op::Ingest { ctx, src, gen, tag } => {
+                        self.seq += 1;
+                        let mut e = env(src, ctx, tag, b"");
+                        e.seq = self.seq;
+                        e.gen = gen;
+                        // Reference first, on the Copy header; then
+                        // the envelope moves into the engine —
+                        // zero clones per delivery.
+                        let want = reference_ingest(
+                            &mut self.ref_posted,
+                            &mut self.ref_unexpected,
+                            RefEnv::of(&e),
+                        );
+                        let got = self.eng.ingest(&mut self.table, e);
+                        prop_assert_eq!(got, want, "ingest completed a different request");
+                    }
+                    Op::Take { ctx, src, gen, tag, pick } => {
+                        let spec = to_spec(ctx, src, gen, tag);
+                        let got = self.eng.take_unexpected_with(&spec, |_| pick);
+                        let want = reference_take(&mut self.ref_unexpected, &spec, pick);
+                        match (got, want) {
+                            (None, None) => {}
+                            (Some((_, meta)), Some(e)) => {
+                                prop_assert_eq!(meta.seq, e.seq, "took a different envelope");
+                                prop_assert_eq!(meta.src, e.src_comm);
+                                prop_assert_eq!(meta.tag, e.tag);
+                            }
+                            (got, want) => prop_assert!(
+                                false,
+                                "take diverged: engine {:?}, reference {:?}",
+                                got.map(|(_, m)| m.seq),
+                                want.map(|e| e.seq)
+                            ),
+                        }
+                    }
+                    Op::Cancel { nth } if !self.ref_posted.is_empty() => {
+                        let (req, spec) = self.ref_posted.remove(nth % self.ref_posted.len());
+                        self.binned_cancels += usize::from(self.is_binned(req));
+                        self.eng.unregister(req, &spec);
+                        self.table.remove(req).unwrap();
+                    }
+                    Op::CompleteElsewhere { nth } if !self.ref_posted.is_empty() => {
+                        let (req, _) = self.ref_posted.remove(nth % self.ref_posted.len());
+                        self.binned_completions += usize::from(self.is_binned(req));
+                        let failed = ReqState::Failed(Error::RankFailStop { rank: 0 });
+                        self.table.complete_if_pending(req, failed);
+                        self.behind_back += 1;
+                    }
+                    Op::Cancel { .. } | Op::CompleteElsewhere { .. } => {}
+                    Op::Prune => {
+                        self.eng.prune(&self.table);
+                        self.behind_back = 0;
+                    }
+                    Op::Reset => {
+                        self.eng.reset();
+                        self.table.reset();
+                        self.ref_posted.clear();
+                        self.ref_unexpected.clear();
+                        self.behind_back = 0;
+                    }
+                }
+                let bins = &self.eng.bins;
+                prop_assert_eq!(bins.len, bins.iter().count(), "bin count drifted");
+                // Retained bin state is bounded by the live binned
+                // receives plus those completed behind the engine's back
+                // since it last pruned: nothing is kept for a receive
+                // matched, cancelled or pruned, nor for a key.
+                let live = live_binned(&self.eng, &self.table);
+                prop_assert!(
+                    bins.len <= live + self.behind_back,
+                    "bins retain {} entries for {} live receives",
+                    bins.len,
+                    live
+                );
+                Ok(())
+            }
+
+            /// Residual queues identical, element for element: the
+            /// pending receives in post order, the unexpected messages
+            /// in arrival order.
+            fn residuals_agree(&mut self) -> Result<(), TestCaseError> {
+                let table = &self.table;
+                let left: Vec<Request> = self
+                    .eng
+                    .posted_in_order()
+                    .iter()
+                    .filter(|p| table.is_pending(p.req))
+                    .map(|p| p.req)
+                    .collect();
+                let right: Vec<Request> = self.ref_posted.iter().map(|(r, _)| *r).collect();
+                prop_assert_eq!(left, right, "residual posted queues diverged");
+                let left: Vec<u32> = self.eng.unexpected.iter().map(|e| e.seq).collect();
+                let right: Vec<u32> = self.ref_unexpected.iter().map(|e| e.seq).collect();
+                prop_assert_eq!(left, right, "residual unexpected queues diverged");
+                Ok(())
+            }
+        }
+
+        /// One round of the fan-in shape: `keys` tags from each of
+        /// three senders, `copies` receives per key posted in reverse
+        /// tag order, then every sender's messages in ascending tag
+        /// order, interleaved by `turns`. `cancels` and `completions`
+        /// disturb it: `(back, at)` takes the `back`-th newest receive
+        /// after `at` arrivals (modulo the round's; the first of each
+        /// before any, when the newest receives are binned). `reset`
+        /// empties everything first.
+        #[derive(Debug, Clone)]
+        struct Round {
+            reset: bool,
+            keys: i32,
+            copies: usize,
+            turns: Vec<usize>,
+            cancels: Vec<(usize, usize)>,
+            completions: Vec<(usize, usize)>,
+            prune_at: Option<usize>,
+        }
+
+        const SENDERS: CommRank = 3;
+
+        fn round_strategy() -> impl Strategy<Value = Round> {
+            let disturb = || prop::collection::vec((0usize..12, any::<usize>()), 1..4);
+            (
+                any::<bool>(),
+                SHORT_LIST as i32..24,
+                1usize..3,
+                prop::collection::vec(0..SENDERS, 192..193),
+                disturb(),
+                disturb(),
+                prop::option::of(any::<usize>()),
+            )
+                .prop_map(|(reset, keys, copies, turns, cancels, completions, prune_at)| Round {
+                    reset,
+                    keys,
+                    copies,
+                    turns,
+                    cancels,
+                    completions,
+                    prune_at,
+                })
+        }
+
+        impl Harness {
+            fn round(&mut self, r: &Round) -> Result<(), TestCaseError> {
+                if r.reset {
+                    self.apply(Op::Reset)?;
+                }
+                for tag in (0..r.keys).rev() {
+                    for src in 0..SENDERS {
+                        for _ in 0..r.copies {
+                            let (src, tag) = (Some(src), Some(tag));
+                            self.apply(Op::Post { ctx: 0, src, gen: 0, tag })?;
+                        }
+                    }
+                }
+                // What each sender sends next, in ascending tag order;
+                // one message per receive, and one more to queue.
+                let mut next = [0usize; SENDERS];
+                let per_sender = r.keys as usize * r.copies + 1;
+                let arrivals = SENDERS * per_sender;
+                let when = |i: usize, at: usize| if i == 0 { 0 } else { at % arrivals };
+                let newest = |h: &Self, back: usize| h.ref_posted.len().saturating_sub(1 + back);
+                let mut turns = r.turns.iter().copied();
+                for arrival in 0.. {
+                    for (i, &(back, at)) in r.cancels.iter().enumerate() {
+                        if when(i, at) == arrival {
+                            self.apply(Op::Cancel { nth: newest(self, back) })?;
+                        }
+                    }
+                    for (i, &(back, at)) in r.completions.iter().enumerate() {
+                        if when(i, at) == arrival {
+                            self.apply(Op::CompleteElsewhere { nth: newest(self, back) })?;
+                        }
+                    }
+                    if r.prune_at.map(|at| when(1, at)) == Some(arrival) {
+                        self.apply(Op::Prune)?;
+                    }
+                    let pending = (0..SENDERS).filter(|&s| next[s] < per_sender);
+                    let Some(src) = turns
+                        .next()
+                        .and_then(|t| pending.clone().find(|&s| s >= t))
+                        .or_else(|| pending.clone().next())
+                    else {
+                        break;
+                    };
+                    let tag = (next[src] / r.copies) as i32;
+                    next[src] += 1;
+                    self.apply(Op::Ingest { ctx: 0, src, gen: 0, tag })?;
+                }
+                self.residuals_agree()
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
@@ -900,91 +1293,30 @@ mod tests {
             fn optimized_matching_equals_linear_scan_reference(
                 ops in prop::collection::vec(op_strategy(), 256usize..512),
             ) {
-                let mut eng = MatchEngine::default();
-                let mut table = ReqTable::default();
-                let mut ref_posted: Vec<(Request, MatchSpec)> = Vec::new();
-                let mut ref_unexpected: Vec<RefEnv> = Vec::new();
-                let mut seq = 0u32;
-                let mut deepest_bin = 0;
-
+                let mut h = Harness::default();
                 for op in ops {
-                    match op {
-                        Op::Post { ctx, src, gen, tag } => {
-                            let spec = to_spec(ctx, src, gen, tag);
-                            let req = table.insert(ReqBody::Recv(spec), ReqState::Pending);
-                            eng.register(req, spec);
-                            ref_posted.push((req, spec));
-                            deepest_bin = deepest_bin
-                                .max(eng.bins.values().map(VecDeque::len).max().unwrap_or(0));
-                        }
-                        Op::Ingest { ctx, src, gen, tag } => {
-                            seq += 1;
-                            let mut e = env(src, ctx, tag, b"");
-                            e.seq = seq;
-                            e.gen = gen;
-                            // Reference first, on the Copy header; then
-                            // the envelope moves into the engine —
-                            // zero clones per delivery.
-                            let want = reference_ingest(
-                                &mut ref_posted,
-                                &mut ref_unexpected,
-                                RefEnv::of(&e),
-                            );
-                            let got = eng.ingest(&mut table, e);
-                            prop_assert_eq!(got, want, "ingest completed a different request");
-                        }
-                        Op::Take { ctx, src, gen, tag, pick } => {
-                            let spec = to_spec(ctx, src, gen, tag);
-                            let got = eng.take_unexpected_with(&spec, |_| pick);
-                            let want = reference_take(&mut ref_unexpected, &spec, pick);
-                            match (got, want) {
-                                (None, None) => {}
-                                (Some((_, meta)), Some(e)) => {
-                                    prop_assert_eq!(meta.seq, e.seq, "took a different envelope");
-                                    prop_assert_eq!(meta.src, e.src_comm);
-                                    prop_assert_eq!(meta.tag, e.tag);
-                                }
-                                (got, want) => prop_assert!(
-                                    false,
-                                    "take diverged: engine {:?}, reference {:?}",
-                                    got.map(|(_, m)| m.seq),
-                                    want.map(|e| e.seq)
-                                ),
-                            }
-                        }
-                        Op::Cancel { nth } if !ref_posted.is_empty() => {
-                            let (req, spec) = ref_posted.remove(nth % ref_posted.len());
-                            eng.unregister(req, &spec);
-                            table.remove(req).unwrap();
-                        }
-                        Op::CompleteElsewhere { nth } if !ref_posted.is_empty() => {
-                            let (req, _) = ref_posted.remove(nth % ref_posted.len());
-                            table.complete_if_pending(req, Err(Error::RankFailStop { rank: 0 }));
-                        }
-                        Op::Cancel { .. } | Op::CompleteElsewhere { .. } => {}
-                        Op::Prune => eng.prune(&table),
-                    }
-                    let binned: usize = eng.bins.values().map(VecDeque::len).sum();
-                    prop_assert_eq!(eng.binned, binned, "bin count drifted");
+                    h.apply(op)?;
                 }
-
-                // Residual queues identical, element for element: the
-                // pending receives in post order, the unexpected
-                // messages in arrival order.
-                let left: Vec<Request> = eng
-                    .posted_in_order()
-                    .iter()
-                    .filter(|p| table.is_pending(p.req))
-                    .map(|p| p.req)
-                    .collect();
-                let right: Vec<Request> = ref_posted.iter().map(|(r, _)| *r).collect();
-                prop_assert_eq!(left, right, "residual posted queues diverged");
-                let left: Vec<u32> = eng.unexpected.iter().map(|e| e.seq).collect();
-                let right: Vec<u32> = ref_unexpected.iter().map(|e| e.seq).collect();
-                prop_assert_eq!(left, right, "residual unexpected queues diverged");
-                prop_assert!(eng.bins.values().all(|bin| !bin.is_empty()), "empty bin kept");
+                h.residuals_agree()?;
                 // The generator reaches what the test is for.
-                prop_assert!(deepest_bin >= 2, "no bin ever held two receives");
+                prop_assert!(h.deepest_bin >= 2, "no bin ever held two receives");
+            }
+
+            /// The fan-in shape, round after round on one engine: the
+            /// same exact keys re-posted past the short list, matched
+            /// while binned receives are cancelled and bin heads are
+            /// completed behind the engine's back, with or without a
+            /// reset between rounds — equal to the reference throughout.
+            #[test]
+            fn reposted_keys_match_like_the_reference_round_after_round(
+                rounds in prop::collection::vec(round_strategy(), 2..5),
+            ) {
+                let mut h = Harness::default();
+                for r in &rounds {
+                    h.round(r)?;
+                }
+                prop_assert!(h.binned_cancels > 0, "no cancel hit a binned receive");
+                prop_assert!(h.binned_completions > 0, "no completion hit a binned receive");
             }
         }
     }
@@ -994,9 +1326,9 @@ mod tests {
         let mut eng = MatchEngine::default();
         let mut table = ReqTable::default();
         let s = spec(0, SrcSel::Any, TagSel::Any);
-        let r = table.insert(ReqBody::Recv(s), ReqState::Pending);
+        let r = table.insert(Some(0), ReqState::Posted(s));
         eng.register(r, s);
-        table.complete_if_pending(r, Ok(Completion::send()));
+        table.complete_if_pending(r, ReqState::sent());
         eng.prune(&table);
         assert!(eng.posted_in_order().is_empty());
     }

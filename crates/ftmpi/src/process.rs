@@ -30,8 +30,6 @@
 //!   must install [`ErrorHandler::ErrorsReturn`] first (paper Fig. 3
 //!   line 10).
 
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
@@ -44,10 +42,10 @@ use crate::datatype::Datatype;
 use crate::detector::FailureRegistry;
 use crate::error::{Error, ErrorHandler, Result};
 use crate::group::Group;
-use crate::matching::{KeyHasher, MatchEngine, MatchSpec, Posted, SrcSel};
-use crate::message::{ContextId, Envelope};
+use crate::matching::{MatchEngine, MatchSpec, Posted, SrcSel};
+use crate::message::Envelope;
 use crate::rank::{CommRank, RankInfo, RankState, WorldRank};
-use crate::request::{CollKind, Completion, ReqBody, ReqState, ReqTable, Request};
+use crate::request::{CollKind, Completion, ReqState, ReqTable, Request};
 use crate::status::Status;
 use crate::tag::{check_user_tag, Tag, TagSel};
 use crate::trace::Event;
@@ -97,7 +95,6 @@ pub struct Process {
     watch: u16,
     pub(crate) shared: Attached,
     pub(crate) comms: Vec<CommData>,
-    ctx_map: HashMap<ContextId, usize, BuildHasherDefault<KeyHasher>>,
     pub(crate) reqs: ReqTable,
     engine: MatchEngine,
     send_seq: Vec<u32>,
@@ -169,7 +166,6 @@ impl Process {
             watch: 0,
             shared: Attached(None),
             comms: Vec::new(),
-            ctx_map: HashMap::default(),
             reqs: ReqTable::default(),
             engine: MatchEngine::default(),
             send_seq: Vec::new(),
@@ -189,7 +185,6 @@ impl Process {
             // The world group is shared universe state (an `Arc`
             // clone), not rebuilt per rank.
             self.comms.push(CommData::new(WORLD_CTX, shared.world_group.clone(), self.me));
-            self.ctx_map.insert(WORLD_CTX, 0);
             self.send_seq.resize(shared.size, 0);
         }
         self.gen = gen;
@@ -211,9 +206,6 @@ impl Process {
         self.encode_buf.clear();
         self.comms.truncate(1);
         self.comms[WORLD.0].reset();
-        if self.ctx_map.len() > 1 {
-            self.ctx_map.retain(|&ctx, _| ctx == WORLD_CTX);
-        }
         self.blocked_dumped = false;
         self.recognitions = 0;
         self.scanned_under = None;
@@ -471,7 +463,7 @@ impl Process {
         let mut completed = false;
         let posted = if full { self.engine.posted_in_order() } else { self.engine.fresh() };
         for p in posted {
-            let Some(&ci) = self.ctx_map.get(&p.spec.context) else { continue };
+            let Some((ci, _)) = self.reqs.posted(p.req) else { continue };
             let Some(verdict) =
                 unmatched_verdict(&self.comms[ci], p.spec.src, &self.shared.registry)
             else {
@@ -481,8 +473,7 @@ impl Process {
                 Err(Error::RankFailStop { rank }) => Some(rank),
                 _ => None,
             };
-            let result = verdict.map(|status| Completion { status, data: Bytes::new() });
-            if self.reqs.complete_if_pending(p.req, result) {
+            if self.reqs.complete_if_pending(p.req, ReqState::done(verdict)) {
                 completed = true;
                 if let Some(peer) = failed_peer {
                     self.shared.trace.record(Event::RecvFailure { rank: self.me, peer });
@@ -526,7 +517,7 @@ impl Process {
                     if min_instance < (1 << 20) {
                         self.engine.purge_system(ctx, min_instance);
                     }
-                    self.reqs.complete_if_pending(req, Ok(Completion::validate(count)));
+                    self.reqs.complete_if_pending(req, ReqState::validated(count));
                     // AfterValidate injection point.
                     self.hook(Hook::bare(HookKind::AfterValidate))?;
                 }
@@ -534,10 +525,11 @@ impl Process {
                 // the lowest of them, unless there are none.
                 CollKind::Barrier => {
                     let result = match gone.is_empty() {
-                        true => Ok(Completion::send()),
+                        true => ReqState::sent(),
                         false => {
                             let gone_comm = gone.iter().filter_map(|w| comm.group.rank_of(*w));
-                            Err(Error::RankFailStop { rank: gone_comm.min().unwrap_or(0) })
+                            let rank = gone_comm.min().unwrap_or(0);
+                            ReqState::Failed(Error::RankFailStop { rank })
                         }
                     };
                     self.reqs.complete_if_pending(req, result);
@@ -675,8 +667,11 @@ impl Process {
         tag: Tag,
         value: &T,
     ) -> Result<Request> {
-        let result = self.send(comm, dst, tag, value).map(|()| Completion::send());
-        Ok(self.reqs.insert(ReqBody::Send, ReqState::Done(result)))
+        let state = match self.send(comm, dst, tag, value) {
+            Ok(()) => ReqState::sent(),
+            Err(e) => ReqState::Failed(e),
+        };
+        Ok(self.reqs.insert(None, state))
     }
 
     /// Internal send used by collective algorithms: system tags
@@ -715,7 +710,9 @@ impl Process {
         Ok((MatchSpec { context: c.ctx, src, tag }, world))
     }
 
-    fn post_recv(&mut self, spec: MatchSpec) -> Request {
+    /// Post a receive on `comm`: complete it from the unexpected queue,
+    /// or register it with the matching engine.
+    fn post_recv(&mut self, comm: Comm, spec: MatchSpec) -> Request {
         let (sim, me) = (self.shared.sim, self.me);
         let taken = self.engine.take_unexpected_with(&spec, |n| {
             // Which sender an ANY_SOURCE receive matches is a scheduler
@@ -736,9 +733,9 @@ impl Process {
                     seq: u64::from(meta.seq),
                 });
             }
-            return self.reqs.insert(ReqBody::Recv(spec), ReqState::Done(result));
+            return self.reqs.insert(Some(comm.0), result);
         }
-        let req = self.reqs.insert(ReqBody::Recv(spec), ReqState::Pending);
+        let req = self.reqs.insert(Some(comm.0), ReqState::Posted(spec));
         self.engine.register(req, spec);
         req
     }
@@ -759,14 +756,14 @@ impl Process {
             TagSel::Any => -1,
         };
         self.hook(Hook::recv(HookKind::BeforeRecvPost, world_src, hook_tag))?;
-        Ok(self.post_recv(spec))
+        Ok(self.post_recv(comm, spec))
     }
 
     /// Internal receive-post for collective algorithms (system tags).
     pub(crate) fn sys_irecv(&mut self, comm: Comm, src: CommRank, tag: Tag) -> Result<Request> {
         self.ensure_alive()?;
         let (spec, _) = self.match_spec(comm, Src::Rank(src), TagSel::Exact(tag))?;
-        Ok(self.post_recv(spec))
+        Ok(self.post_recv(comm, spec))
     }
 
     /// Blocking receive of raw bytes: `(payload, status)`.
@@ -859,28 +856,17 @@ impl Process {
     /// Consume a completed request: fire the after-receive injection
     /// point and apply the communicator's error handler.
     fn consume(&mut self, req: Request) -> Result<Completion> {
-        let (is_recv, comm_idx) = match self.reqs.body(req)? {
-            ReqBody::Recv(spec) => {
-                (true, self.ctx_map.get(&spec.context).copied())
-            }
-            ReqBody::Collective { comm_idx, .. } => (false, Some(*comm_idx)),
-            ReqBody::Send => (false, None),
-        };
-        let result = self.reqs.take(req)?;
-        match result {
-            Ok(c) => {
-                if is_recv && !c.status.is_proc_null() {
-                    let world = comm_idx.and_then(|i| {
-                        self.comms[i].group.world_rank(c.status.source.expect("non-null"))
-                    });
-                    // May kill this process *after* the message was
-                    // consumed — exactly the Fig. 6 fault position.
-                    self.hook(Hook::recv(HookKind::AfterRecvComplete, world, c.status.tag))?;
-                }
-                Ok(c)
-            }
+        let (comm_idx, state) = self.reqs.take(req)?;
+        if let ReqState::Received { src, tag, .. } = state {
+            let world = comm_idx.and_then(|i| self.comms[i].group.world_rank(src as CommRank));
+            // May kill this process *after* the message was consumed —
+            // exactly the Fig. 6 fault position.
+            self.hook(Hook::recv(HookKind::AfterRecvComplete, world, tag))?;
+        }
+        match state.into_result() {
             Err(e) if e.is_terminal() => Err(e),
             Err(e) => Err(self.fail_op(comm_idx, e)),
+            ok => ok,
         }
     }
 
@@ -982,7 +968,7 @@ impl Process {
 
     /// Cancel a pending request (frees the slot regardless of state).
     pub fn cancel(&mut self, req: Request) -> Result<()> {
-        if let ReqBody::Recv(spec) = self.reqs.body(req)? {
+        if let Some((_, spec)) = self.reqs.posted(req) {
             self.engine.unregister(req, spec);
         }
         self.reqs.remove(req)
@@ -1072,8 +1058,8 @@ impl Process {
             (c.ctx, round, c.group.clone())
         };
         self.shared.board.validate_join((ctx, round), self.me, &group);
-        let body = ReqBody::Collective { kind: CollKind::Validate, comm_idx: comm.0, round };
-        let req = self.reqs.insert(body, ReqState::Pending);
+        let state = ReqState::Joined { kind: CollKind::Validate, round };
+        let req = self.reqs.insert(Some(comm.0), state);
         // Our join may have been the last: poll immediately so the
         // decision is made (and everyone woken) without waiting.
         self.poll_collectives(CollKind::Validate)?;
@@ -1116,8 +1102,8 @@ impl Process {
             (c.ctx, round, active)
         };
         self.shared.board.barrier_join((ctx, round), self.me, &active_world);
-        let body = ReqBody::Collective { kind: CollKind::Barrier, comm_idx: comm.0, round };
-        let req = self.reqs.insert(body, ReqState::Pending);
+        let state = ReqState::Joined { kind: CollKind::Barrier, round };
+        let req = self.reqs.insert(Some(comm.0), state);
         // Our arrival may have completed the round.
         self.poll_collectives(CollKind::Barrier)?;
         Ok(req)
@@ -1140,7 +1126,6 @@ impl Process {
         let ctx = self.shared.board.dup((parent_ctx, n), self.me, &self.shared.registry);
         let idx = self.comms.len();
         self.comms.push(CommData::new(ctx, group, my_rank));
-        self.ctx_map.insert(ctx, idx);
         Ok(Comm(idx))
     }
 
@@ -1178,7 +1163,6 @@ impl Process {
                     .expect("splitter is a member of its color");
                 let idx = self.comms.len();
                 self.comms.push(CommData::new(ctx, Group::new(members), my_rank));
-                self.ctx_map.insert(ctx, idx);
                 Ok(Some(Comm(idx)))
             }
         }
