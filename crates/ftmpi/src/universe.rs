@@ -168,11 +168,22 @@ impl Shared {
         if !self.registry.is_failed(rank) {
             return None;
         }
-        self.fabric.clear(rank);
+        self.bury_mail(rank);
         let gen = self.registry.respawn(rank)?;
         self.trace.record(Event::Respawned { rank, generation: gen });
         self.wake_all();
         Some(gen)
+    }
+
+    /// Empty dead `rank`'s mailbox. Nothing yields between this and the
+    /// revival, so no simulated run can show them swapped; the assertion
+    /// makes every revival in a debug build fail if they are.
+    fn bury_mail(&self, rank: WorldRank) {
+        debug_assert!(
+            self.registry.is_failed(rank),
+            "rank {rank}'s mailbox emptied after its revival"
+        );
+        self.fabric.clear(rank);
     }
 
     /// Abort the job: registry transition + trace + wake everyone.
