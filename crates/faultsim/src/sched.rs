@@ -136,7 +136,7 @@ pub struct HandoffStats {
     /// its `parked` flag and notifies, later ones do not, so
     /// `wakes <= parks` (filled in by the runtime, not the scheduler).
     pub wakes: u64,
-    /// Wall-clock park-safety timeouts observed by the transport
+    /// Wall-clock sleeps the executor's lost-wakeup backstop cut short
     /// (filled in by the runtime, not the scheduler).
     pub park_safety_timeouts: u64,
 }

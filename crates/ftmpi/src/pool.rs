@@ -13,8 +13,9 @@
 //! * **wall-clock** (`cfg.sched == None`): `n` long-lived worker
 //!   threads named `rank-{i}`, each handed one job per run, and on
 //!   Linux each under `SCHED_BATCH`, so a woken rank never preempts the
-//!   rank that woke it. The caller only waits for the run's completion
-//!   message;
+//!   rank that woke it. The caller waits for the run's completion
+//!   message in slices of `PARK_SAFETY`, and between two it nudges the
+//!   fabric: the lost-wakeup backstop (`Fabric::nudge`);
 //! * **simulation** (`UniverseConfig::sim`): `n` coroutine stacks
 //!   ([`crate::coro`]) and a driver loop on the *calling* thread, which
 //!   lends the scheduler to `coro::drive_with` for the run. A rank's
@@ -79,6 +80,7 @@ use crate::coro::{with_sched, Coroutine, Group};
 use crate::error::{Error, RankOutcome, Result};
 use crate::process::Process;
 use crate::rank::WorldRank;
+use crate::transport::PARK_SAFETY;
 use crate::universe::{ReportBuffers, RunReport, Shared, UniverseConfig, WATCHDOG_ABORT_CODE};
 use crate::unpoisoned;
 
@@ -193,12 +195,10 @@ impl Workers {
         Workers { jobs, handles, run, done: done_rx }
     }
 
-    /// Wait for the run's completion message until `until` (`None`: for
-    /// as long as it takes, which `recv_timeout` hands to `recv`). True
-    /// once the run is over.
-    fn wait_done(&self, until: Option<Instant>) -> bool {
-        let timeout =
-            until.map_or(Duration::MAX, |at| at.saturating_duration_since(Instant::now()));
+    /// Wait for the run's completion message until `until`. True once
+    /// the run is over.
+    fn wait_done(&self, until: Instant) -> bool {
+        let timeout = until.saturating_duration_since(Instant::now());
         self.done.recv_timeout(timeout) != Err(RecvTimeoutError::Timeout)
     }
 }
@@ -463,9 +463,10 @@ impl UniversePool {
     }
 
     /// The wall-clock executor: one job per rank on the worker threads,
-    /// the rank's body. This thread only waits for the run, and aborts
-    /// it at the watchdog's deadline. Returns whether the watchdog
-    /// fired, and the job bodies' heap traffic summed over the workers.
+    /// the rank's body. This thread waits for the run, nudges the
+    /// fabric every `PARK_SAFETY` while it goes on, and aborts it at the
+    /// watchdog's deadline. Returns whether the watchdog fired, and the
+    /// job bodies' heap traffic summed over the workers.
     fn run_threads(
         &mut self,
         shared: &Shared,
@@ -473,7 +474,7 @@ impl UniversePool {
         rank_body: &RankBody<'_>,
     ) -> (bool, AllocStats) {
         let n = self.size;
-        let deadline = watchdog.map(|limit| Instant::now() + limit);
+        let mut deadline = watchdog.map(|limit| Instant::now() + limit);
         let workers = &*self.workers.get_or_insert_with(|| Workers::spawn(n));
         // The last run ended at zero with every worker idle.
         workers.run.pending.store(n, Ordering::Relaxed);
@@ -495,13 +496,29 @@ impl UniversePool {
             }
         }
 
-        let hung = !workers.wait_done(deadline);
-        if hung {
-            shared.abort(WATCHDOG_ABORT_CODE);
-            // The aborted ranks still unwind, and an aborted run revives
-            // nobody; their jobs must finish before the borrows are
-            // released.
-            workers.wait_done(None);
+        // Wait in slices of `PARK_SAFETY`, none past the watchdog's
+        // deadline. A slice that ends with the run going on is the
+        // lost-wakeup backstop: it nudges the fabric, so a rank no
+        // notifier woke sleeps one to two slices, not forever, and is
+        // counted. One timer per slice on this thread stands in for one
+        // per sleep on the ranks'.
+        let mut hung = false;
+        loop {
+            let slice = Instant::now() + PARK_SAFETY;
+            let until = deadline.map_or(slice, |at| at.min(slice));
+            if workers.wait_done(until) {
+                break;
+            }
+            if deadline == Some(until) {
+                // The aborted ranks still unwind, and an aborted run
+                // revives nobody; their jobs must finish before the
+                // borrows are released, so the wait goes on.
+                hung = true;
+                deadline = None;
+                shared.abort(WATCHDOG_ABORT_CODE);
+            } else {
+                shared.fabric.nudge();
+            }
         }
         (hung, std::mem::take(&mut *unpoisoned(workers.run.alloc.lock())))
     }
@@ -607,6 +624,42 @@ mod tests {
         let cfg = UniverseConfig::default().sim(&mut sched);
         let report = UniversePool::new(3).run(cfg, |_| Ok(policy()));
         assert!(report.outcomes.iter().all(|o| o.as_ok() == Some(&0)), "{:?}", report.outcomes);
+    }
+
+    /// The backstop on a legitimately idle run: rank 1 waits for a
+    /// message rank 0 sends only after three slices, so a nudge finds
+    /// its sleep, a later one wakes it and counts, and it parks again
+    /// until the message lands.
+    #[test]
+    fn an_idle_rank_is_nudged_and_its_run_completes() {
+        let report = UniversePool::new(2).run(UniverseConfig::default(), |p| {
+            if p.world_rank() == 0 {
+                std::thread::sleep(3 * PARK_SAFETY);
+                p.send(WORLD, 1, 0, &1u64)?;
+            } else {
+                p.recv::<u64>(WORLD, Src::Rank(0), 0)?;
+            }
+            Ok(())
+        });
+        assert!(report.all_ok(), "{:?}", report.outcomes);
+        assert!(report.stats.handoff.park_safety_timeouts >= 1);
+    }
+
+    /// The caller's wait is cut into slices; the watchdog still fires at
+    /// its own deadline, 120 ms being no multiple of the 50 ms slice.
+    #[test]
+    fn a_hung_run_ends_at_a_deadline_between_two_slices() {
+        let watchdog = Duration::from_millis(120);
+        let started = Instant::now();
+        let report = UniversePool::new(2).run(UniverseConfig::default().watchdog(watchdog), |p| {
+            // Each waits for the other: nobody sends.
+            p.recv::<u64>(WORLD, Src::Rank(1 - p.world_rank()), 0)?;
+            Ok(())
+        });
+        let took = started.elapsed();
+        assert!(report.hung);
+        assert!(report.outcomes.iter().all(|o| matches!(o, RankOutcome::Aborted { .. })));
+        assert!(took >= watchdog && took < watchdog + Duration::from_secs(1), "took {took:?}");
     }
 
     #[test]

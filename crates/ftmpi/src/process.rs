@@ -902,12 +902,15 @@ impl Process {
 
     /// Block until any of `reqs` completes; consume and return it.
     ///
-    /// Only terminal conditions (self-failure, abort) are returned as
-    /// `Err`; per-operation errors ride inside [`WaitAny::result`] so
-    /// the caller still learns *which* request failed, as the paper's
-    /// receive loop requires.
+    /// Only terminal conditions (self-failure, abort) and an empty
+    /// `reqs` ([`Error::InvalidRequest`]: nothing could complete) are
+    /// returned as `Err`; per-operation errors ride inside
+    /// [`WaitAny::result`] so the caller still learns *which* request
+    /// failed, as the paper's receive loop requires.
     pub fn waitany(&mut self, reqs: &[Request]) -> Result<WaitAny> {
-        assert!(!reqs.is_empty(), "waitany needs at least one request");
+        if reqs.is_empty() {
+            return Err(Error::InvalidRequest);
+        }
         let index = self.wait_loop(move |p| {
             let pick = match p.ready_count(reqs)? {
                 0 => return Ok(None),
@@ -944,9 +947,12 @@ impl Process {
     }
 
     /// Block until at least one request completes; returns every
-    /// completed `(index, result)`.
+    /// completed `(index, result)`. An empty `reqs` is
+    /// [`Error::InvalidRequest`]: nothing could complete.
     pub fn waitsome(&mut self, reqs: &[Request]) -> Result<Vec<(usize, Result<Completion>)>> {
-        assert!(!reqs.is_empty(), "waitsome needs at least one request");
+        if reqs.is_empty() {
+            return Err(Error::InvalidRequest);
+        }
         self.wait_loop(move |p| Ok((p.ready_count(reqs)? > 0).then_some(())))?;
         let ready: Vec<usize> = self.ready(reqs).collect();
         let mut out = Vec::with_capacity(ready.len());
@@ -1642,6 +1648,8 @@ mod tests {
                 p.comm_validate_rank(WORLD, 9),
                 Err(Error::InvalidRank { .. })
             ));
+            assert!(matches!(p.waitany(&[]), Err(Error::InvalidRequest)));
+            assert!(matches!(p.waitsome(&[]), Err(Error::InvalidRequest)));
             Ok(())
         });
         assert!(report.all_ok());

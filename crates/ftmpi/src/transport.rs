@@ -6,8 +6,8 @@
 //! Delivery pushes to the destination mailbox and notifies the owner
 //! if it is parked; a blocked rank parks on its own condvar until
 //! either its mailbox version changes, the global notify generation
-//! changes (failures, aborts, validate decisions), or a short safety
-//! timeout elapses. A simulated rank has no thread to park: the same
+//! changes (failures, aborts, validate decisions), or the executor's
+//! backstop nudges it. A simulated rank has no thread to park: the same
 //! [`ParkToken`] comparison ([`Fabric::would_park`]) decides whether it
 //! suspends *disabled* under the scheduler, and the same events
 //! re-enable it.
@@ -37,15 +37,20 @@
 //!   `SCHED_BATCH` on Linux (`pool.rs`), so on a shared core the woken
 //!   owner does not preempt its notifier inside `notify_one`: the
 //!   notifier runs on to its own park, and a hop is one context
-//!   switch. A bounded timed wait backstops any future bug in the
-//!   protocol, and counts its firings. The wake is a condvar plus the
-//!   flag, not the thread parker (`std::thread::park` / `unpark`): an
-//!   idle pool worker waits on its `mpsc` job queue on that same
-//!   per-thread parker, so unparks meant for ranks (each `wake_all`, a
-//!   delivery to a finished rank) woke idle threads; on 2 vCPUs, the
-//!   benchmark pinned to one, the parker raised `ring_recovery_8` from
-//!   171.6 to 181.2 context switches per run and cost it 6.2 % of its
-//!   runs per second (6 of 6 alternating pairs).
+//!   switch. The condvar wait has no timeout: a timed wait reads the
+//!   clock and arms and cancels a kernel timer on every sleep. The
+//!   backstop against any future bug in the protocol is one timer per
+//!   run instead: the thread that waits for a wall-clock run calls
+//!   [`Fabric::nudge`] every [`PARK_SAFETY`] (`pool.rs`), which wakes
+//!   each rank whose sleep outlasted a whole period and counts it.
+//!   The wake is a condvar plus the flag, not the thread parker
+//!   (`std::thread::park` / `unpark`): an idle pool worker waits on its
+//!   `mpsc` job queue on that same per-thread parker, so unparks meant
+//!   for ranks (each `wake_all`, a delivery to a finished rank) woke
+//!   idle threads; on 2 vCPUs, the benchmark pinned to one, the parker
+//!   raised `ring_recovery_8` from 171.6 to 181.2 context switches per
+//!   run and cost it 6.2 % of its runs per second (6 of 6 alternating
+//!   pairs).
 //! * **Single parker per slot** — only the owning rank ever waits on
 //!   its slot's condvar ([`Fabric::park`] is called with `me` by `me`'s
 //!   own thread), so one flag per slot says all there is to say and
@@ -71,19 +76,36 @@ use crate::message::Envelope;
 use crate::rank::WorldRank;
 use crate::unpoisoned;
 
-/// Safety-net park timeout. All wake paths notify explicitly; this only
-/// bounds the damage of a hypothetical missed notification.
-const PARK_SAFETY: Duration = Duration::from_millis(50);
+/// The period of the lost-wakeup backstop: the wall-clock executor's
+/// wait for a run calls [`Fabric::nudge`] this often. All wake paths
+/// notify explicitly; this only bounds the damage of a hypothetical
+/// missed notification to one to two periods of sleep.
+pub(crate) const PARK_SAFETY: Duration = Duration::from_millis(50);
 
 struct Mailbox {
     /// Ring buffer so draining a prefix shifts head indices, not
     /// envelopes.
     queue: VecDeque<Envelope>,
-    /// The owner is inside `cv.wait_timeout` and nobody has notified it
-    /// yet. Set by the owner in `park`; cleared by the first notifier
-    /// (`deliver` / `wake_all`), which is the one that calls
+    /// The owner is inside `cv.wait` and nobody has notified it yet.
+    /// Set by the owner in `park`; cleared by the first notifier
+    /// (`deliver` / `wake_all` / `nudge`), which is the one that calls
     /// `notify_one`, or by the owner on its way out of the wait.
     parked: bool,
+    /// The owner's sleep as the backstop sees it. Unlike `parked`, no
+    /// notifier clears it, so a notifier that took the flag and lost
+    /// the notify still leaves a sleep for `nudge` to end.
+    sleep: Sleep,
+}
+
+/// Where a mailbox owner's sleep stands with [`Fabric::nudge`].
+enum Sleep {
+    /// Not inside `cv.wait`.
+    Awake,
+    /// Inside `cv.wait`; no nudge has found it there yet. Set by
+    /// `park` as it begins to wait, and by the nudge that woke it.
+    Asleep,
+    /// A nudge found this sleep: the next one wakes it.
+    Seen,
 }
 
 struct Slot {
@@ -112,8 +134,8 @@ pub struct Fabric {
     slots: Vec<Slot>,
     /// Global notify generation: bumped by [`Fabric::wake_all`].
     notify_gen: AtomicU64,
-    /// How often the wall-clock safety timeout cut a park short.
-    /// Nonzero is expected when a run is legitimately idle (a hang
+    /// How often [`Fabric::nudge`], the wall-clock backstop, cut a park
+    /// short. Nonzero is expected when a run is legitimately idle (a hang
     /// waiting for the watchdog); a count growing during
     /// steady message flow would indicate a missed-notification bug.
     /// Surfaced as `RunReport::stats.handoff.park_safety_timeouts`.
@@ -141,7 +163,7 @@ impl Fabric {
         Fabric {
             slots: (0..n)
                 .map(|_| Slot {
-                    mb: Mutex::new(Mailbox { queue: VecDeque::new(), parked: false }),
+                    mb: Mutex::new(Mailbox { queue: VecDeque::new(), parked: false, sleep: Sleep::Awake }),
                     cv: Condvar::new(),
                     version: AtomicU64::new(0),
                     queued: AtomicUsize::new(0),
@@ -154,8 +176,8 @@ impl Fabric {
         }
     }
 
-    /// How often the safety timeout fired since construction or the
-    /// last [`Fabric::reset`].
+    /// How many sleeps [`Fabric::nudge`] cut short since construction
+    /// or the last [`Fabric::reset`].
     pub fn park_timeouts(&self) -> u64 {
         self.park_timeouts.load(Ordering::Acquire)
     }
@@ -293,7 +315,9 @@ impl Fabric {
 
     /// Block `me` until something plausibly happened since `token` was
     /// taken: a delivery to `me`, a global wake, or a failure-epoch
-    /// change. Returns immediately if any is already the case.
+    /// change. Returns immediately if any is already the case. The wait
+    /// has no timeout; a sleep no notifier ends is ended by the
+    /// executor's [`Fabric::nudge`].
     /// Wall-clock mode only: a simulated rank asks
     /// [`Fabric::would_park`] and suspends at its scheduling point
     /// instead (`Process::wait_loop`).
@@ -304,16 +328,47 @@ impl Fabric {
             return;
         }
         mb.parked = true;
+        mb.sleep = Sleep::Asleep;
         self.sleeps.fetch_add(1, Ordering::Relaxed);
-        let (mut mb, wait) = unpoisoned(slot.cv.wait_timeout(mb, PARK_SAFETY));
-        // Already false if a notifier took it; not if the wait timed
-        // out or woke spuriously.
+        let mut mb = unpoisoned(slot.cv.wait(mb));
+        // Already false if a notifier took it; not if the wait woke
+        // spuriously.
         mb.parked = false;
-        if wait.timed_out() {
-            // Bounded wait as a safety net; all real wake paths notify.
-            // Count firings so callers can tell backstop-driven
-            // progress from explicit wakes.
-            self.park_timeouts.fetch_add(1, Ordering::AcqRel);
+        mb.sleep = Sleep::Awake;
+    }
+
+    /// The lost-wakeup backstop, called every [`PARK_SAFETY`] by the
+    /// thread that waits for a wall-clock run: wake each rank that was
+    /// already asleep at the previous call and still is, so a sleep
+    /// nobody ends lasts one to two periods. The first call to find a
+    /// sleep only marks it: a rank that parked a moment before is no
+    /// lost wake, and a run with steady message flow counts none. It
+    /// goes by the owner's own record of its sleep, not by `parked`,
+    /// which a notifier may have taken without notifying. Each rank
+    /// woken counts in [`Fabric::park_timeouts`]; it re-runs its pass
+    /// and parks again if nothing moved. Neither `wakes` nor the notify
+    /// generation moves.
+    pub fn nudge(&self) {
+        for slot in &self.slots {
+            let woke = {
+                let mut mb = unpoisoned(slot.mb.lock());
+                match mb.sleep {
+                    Sleep::Awake => false,
+                    Sleep::Asleep => {
+                        mb.sleep = Sleep::Seen;
+                        false
+                    }
+                    Sleep::Seen => {
+                        mb.sleep = Sleep::Asleep;
+                        mb.parked = false;
+                        true
+                    }
+                }
+            };
+            if woke {
+                self.park_timeouts.fetch_add(1, Ordering::Relaxed);
+                slot.cv.notify_one();
+            }
         }
     }
 
@@ -391,7 +446,7 @@ mod tests {
 
     /// A delivery between `token()` and `park()` finds the rank not
     /// parked, so it notifies nobody — and `park` must not sleep on
-    /// it: it returns on the re-check, not on the safety timeout.
+    /// it: it returns on the re-check, or this test never returns.
     #[test]
     fn park_returns_immediately_when_version_moved() {
         let f = Fabric::new(1);
@@ -423,12 +478,11 @@ mod tests {
                 f.park(0, token, || 0);
             });
             while !unpoisoned(f.slots[0].mb.lock()).parked {
-                assert!(!parker.is_finished(), "timed out before it was seen parked");
+                assert!(!parker.is_finished(), "returned before it was seen parked");
                 std::thread::yield_now();
             }
             f.deliver(0, env(0, 0));
         });
-        assert_eq!(f.park_timeouts(), 0, "woken by the delivery, not the timeout");
         assert!(!unpoisoned(f.slots[0].mb.lock()).parked, "the flag is cleared on the way out");
     }
 
@@ -441,7 +495,7 @@ mod tests {
                 f.park(0, token, || 0);
             });
             while !unpoisoned(f.slots[0].mb.lock()).parked {
-                assert!(!parker.is_finished(), "timed out before it was seen parked");
+                assert!(!parker.is_finished(), "returned before it was seen parked");
                 std::thread::yield_now();
             }
             notify();
@@ -456,7 +510,6 @@ mod tests {
         let f = Fabric::new(2);
         park_once_then(&f, || (0..256).for_each(|i| f.deliver(0, env(1, i))));
         assert_eq!((f.sleeps(), f.wakes()), (1, 1));
-        assert_eq!(f.park_timeouts(), 0, "woken by the first delivery");
         assert_eq!(f.drain(0).0.len(), 256);
     }
 
@@ -468,7 +521,6 @@ mod tests {
             f.wake_all();
         });
         assert_eq!((f.sleeps(), f.wakes()), (1, 1));
-        assert_eq!(f.park_timeouts(), 0);
     }
 
     #[test]
@@ -520,12 +572,13 @@ mod tests {
     /// `token` → `drain_into` → `park`, the wall-clock wait loop, while
     /// two threads deliver to it. Every envelope arrives, in order per
     /// sender; the owner is woken at most once per sleep; and no sleep
-    /// needs the safety timeout — a wake-up lost between an unlocked
-    /// read and `park` would show as one.
+    /// needs the backstop — a wake-up lost between an unlocked read
+    /// and `park` would show as a counted nudge.
     #[test]
     fn an_owner_reading_without_the_lock_misses_no_delivery() {
         const PER_SENDER: u32 = 20_000;
         let f = Fabric::new(3);
+        let done = std::sync::atomic::AtomicBool::new(false);
         let got = std::thread::scope(|s| {
             for src in 1..3 {
                 let f = &f;
@@ -538,6 +591,14 @@ mod tests {
                     }
                 });
             }
+            // The executor's backstop: a lost wake-up is a counted
+            // nudge, not a hang.
+            s.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    std::thread::sleep(PARK_SAFETY);
+                    f.nudge();
+                }
+            });
             let mut got: Vec<Envelope> = Vec::new();
             let mut buf = Vec::new();
             while got.len() < 2 * PER_SENDER as usize {
@@ -548,6 +609,7 @@ mod tests {
                 }
                 got.append(&mut buf);
             }
+            done.store(true, Ordering::Release);
             got
         });
         for src in 1..3 {
@@ -555,7 +617,7 @@ mod tests {
             assert_eq!(seqs, (0..PER_SENDER).collect::<Vec<_>>(), "sender {src}");
         }
         assert!(f.wakes() <= f.sleeps(), "{} wakes for {} sleeps", f.wakes(), f.sleeps());
-        assert_eq!(f.park_timeouts(), 0, "a sleep ended on the safety timeout");
+        assert_eq!(f.park_timeouts(), 0, "a sleep ended on the backstop");
     }
 
     #[test]
@@ -566,8 +628,8 @@ mod tests {
         let h = std::thread::spawn(move || {
             let token = f2.token(0, 0);
             // Park repeatedly until the notify generation moves; a
-            // single park may be cut short by the safety timeout, but
-            // wake_all must make this loop terminate promptly.
+            // park may return spuriously, but wake_all must make this
+            // loop terminate promptly.
             let t0 = std::time::Instant::now();
             loop {
                 f2.park(0, token, || 0);
@@ -584,17 +646,23 @@ mod tests {
         assert!(waited >= Duration::from_millis(5));
     }
 
+    /// Park with a token nothing will move: the only way out is the
+    /// backstop. The first nudge to find the sleep only marks it, the
+    /// second wakes it and is counted, as one timeout and nothing else.
     #[test]
     fn safety_timeout_is_counted_and_reset_restores_fresh_state() {
         let mut f = Fabric::new(2);
         f.deliver(1, env(0, 0));
         f.wake_all();
         assert_eq!(f.park_timeouts(), 0);
-        // Park with a token nothing will move: the only way out is the
-        // safety timeout, which must be counted.
-        let token = f.token(0, 0);
-        f.park(0, token, || 0);
+        park_once_then(&f, || {
+            f.nudge();
+            assert_eq!(f.park_timeouts(), 0, "the first nudge only marks the sleep");
+            f.nudge();
+        });
         assert_eq!(f.park_timeouts(), 1);
+        assert_eq!((f.sleeps(), f.wakes()), (1, 0), "a nudge is not a wake");
+        assert_eq!(f.token(0, 0).notify_gen, 1, "nor does it move the notify generation");
 
         f.reset();
         assert_eq!(f.park_timeouts(), 0, "reset clears the timeout count");
@@ -604,6 +672,47 @@ mod tests {
         let t = f.token(0, 0);
         assert_eq!(t.mailbox_version, 0);
         assert_eq!(t.notify_gen, 0, "reset rewinds the notify generation");
+    }
+
+    #[test]
+    fn a_nudge_with_nobody_parked_changes_no_counter() {
+        let f = Fabric::new(2);
+        let token = f.token(0, 0);
+        f.nudge();
+        f.nudge();
+        assert_eq!((f.sleeps(), f.wakes(), f.park_timeouts()), (0, 0, 0));
+        assert!(f.would_park(0, token, 0), "the token has not moved");
+    }
+
+    /// The backstop does not trust the flag: a notifier that took it
+    /// and lost its notify leaves the owner asleep, and the nudges end
+    /// that sleep all the same.
+    #[test]
+    fn a_notify_lost_after_the_flag_was_taken_is_ended_by_a_nudge() {
+        let f = Fabric::new(1);
+        park_once_then(&f, || {
+            unpoisoned(f.slots[0].mb.lock()).parked = false;
+            f.nudge();
+            f.nudge();
+        });
+        assert_eq!((f.sleeps(), f.wakes(), f.park_timeouts()), (1, 0, 1));
+    }
+
+    /// A mark belongs to one sleep: a rank that a nudge saw asleep,
+    /// woken by a delivery and asleep again, is not woken by the next
+    /// nudge, which only marks the new sleep.
+    #[test]
+    fn a_nudge_mark_does_not_outlive_its_sleep() {
+        let f = Fabric::new(1);
+        park_once_then(&f, || {
+            f.nudge();
+            f.deliver(0, env(0, 0));
+        });
+        park_once_then(&f, || {
+            f.nudge();
+            f.deliver(0, env(0, 1));
+        });
+        assert_eq!((f.sleeps(), f.wakes(), f.park_timeouts()), (2, 2, 0));
     }
 
     mod properties {

@@ -283,8 +283,8 @@ pub struct RunReport<T> {
     /// mailbox's `parked` flag). `handoff.wakes`: how many
     /// `notify_one`s woke one — the first delivery or global wake to
     /// find the flag takes (clears) it and notifies, so `wakes <=
-    /// parks`. `handoff.park_safety_timeouts`: how often the
-    /// safety-net park timeout fired; in wall-clock mode a nonzero
+    /// parks`. `handoff.park_safety_timeouts`: how many sleeps the
+    /// executor's backstop (`Fabric::nudge`) cut short; a nonzero
     /// count during steady message flow would mean a rank made
     /// progress only because of the backstop — a missed-notification
     /// bug; an idle wait (a watchdog hang) fires it benignly.

@@ -139,13 +139,14 @@ fn padded_tokens_with_failures() {
 
 /// The lost-wake-up tripwire. A notifier skips a rank that is not
 /// parked (`ftmpi::transport`), so a wake rule that skipped one that
-/// *is* would leave it asleep until the 50 ms safety timeout — counted
-/// in `stats.handoff.park_safety_timeouts`. Message flow in both
-/// workloads is continuous, so a correct rule never needs the timeout;
-/// a broken one needs it in every run. (A peer the OS keeps off the
-/// CPU for 50 ms makes the others time out legitimately, hence the
-/// best of three.) Every run also wakes a sleeper once per sleep, not
-/// once per message: `wakes <= parks`.
+/// *is* would leave it asleep until the executor's backstop nudges it,
+/// one to two 50 ms slices later — counted in
+/// `stats.handoff.park_safety_timeouts`. Message flow in both workloads
+/// is continuous, so a correct rule never needs the backstop; a broken
+/// one needs it in every run. (A peer the OS keeps off the CPU for a
+/// slice or more gets the others nudged legitimately, hence the best
+/// of three.) Every run also wakes a sleeper once per sleep, not once
+/// per message: `wakes <= parks`.
 fn never_needs_the_safety_timeout(stats_of_one_run: impl Fn() -> HandoffStats) {
     let fewest = (0..3)
         .map(|_| {
@@ -154,7 +155,7 @@ fn never_needs_the_safety_timeout(stats_of_one_run: impl Fn() -> HandoffStats) {
             h.park_safety_timeouts
         })
         .min();
-    assert_eq!(fewest, Some(0), "every run fell back on the park safety timeout");
+    assert_eq!(fewest, Some(0), "every run fell back on the backstop's nudge");
 }
 
 #[test]
