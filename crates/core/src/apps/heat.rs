@@ -15,6 +15,12 @@ use crate::neighbors::{to_left_of, to_right_of};
 
 const HEAT_TAG: Tag = 11;
 
+/// Diffusion coefficient (`alpha * dt / dx^2`), stable for < 0.5.
+const NU: f64 = 0.25;
+
+/// Fixed temperatures at the rod's ends, `[LEFT, RIGHT]`.
+const BOUNDARY: [f64; 2] = [1.0, 0.0];
+
 /// Configuration of a heat-diffusion run.
 #[derive(Debug, Clone)]
 pub struct HeatConfig {
@@ -22,16 +28,6 @@ pub struct HeatConfig {
     pub cells_per_rank: usize,
     /// Jacobi steps.
     pub steps: u64,
-    /// Diffusion coefficient (`alpha * dt / dx^2`), stable for < 0.5.
-    pub nu: f64,
-    /// Fixed temperatures at the rod's ends.
-    pub boundary: (f64, f64),
-}
-
-impl Default for HeatConfig {
-    fn default() -> Self {
-        HeatConfig { cells_per_rank: 32, steps: 100, nu: 0.25, boundary: (1.0, 0.0) }
-    }
 }
 
 /// Per-rank result.
@@ -120,7 +116,7 @@ pub fn run_heat(p: &mut Process, comm: Comm, cfg: &HeatConfig) -> Result<HeatRes
     let mut cells: Vec<f64> = (0..n)
         .map(|i| {
             let x = (me * n + i) as f64 / (global - 1.0);
-            cfg.boundary.0 + (cfg.boundary.1 - cfg.boundary.0) * x
+            BOUNDARY[LEFT] + (BOUNDARY[RIGHT] - BOUNDARY[LEFT]) * x
         })
         .collect();
 
@@ -177,13 +173,13 @@ pub fn run_heat(p: &mut Process, comm: Comm, cfg: &HeatConfig) -> Result<HeatRes
 
         // Jacobi update. Missing halos become fixed boundaries (global
         // ends) — or reflective walls where a neighbour died.
-        let lh = halo[LEFT].unwrap_or(if me == 0 { cfg.boundary.0 } else { cells[0] });
-        let rh = halo[RIGHT].unwrap_or(if me + 1 == size { cfg.boundary.1 } else { cells[n - 1] });
+        let lh = halo[LEFT].unwrap_or(if me == 0 { BOUNDARY[LEFT] } else { cells[0] });
+        let rh = halo[RIGHT].unwrap_or(if me + 1 == size { BOUNDARY[RIGHT] } else { cells[n - 1] });
         let mut next = cells.clone();
         for i in 0..n {
             let l = if i == 0 { lh } else { cells[i - 1] };
             let r = if i == n - 1 { rh } else { cells[i + 1] };
-            next[i] = cells[i] + cfg.nu * (l - 2.0 * cells[i] + r);
+            next[i] = cells[i] + NU * (l - 2.0 * cells[i] + r);
         }
         cells = next;
     }
@@ -210,15 +206,15 @@ pub fn serial_reference(ranks: usize, cfg: &HeatConfig) -> Vec<f64> {
     let mut cells: Vec<f64> = (0..n)
         .map(|i| {
             let x = i as f64 / (n as f64 - 1.0);
-            cfg.boundary.0 + (cfg.boundary.1 - cfg.boundary.0) * x
+            BOUNDARY[LEFT] + (BOUNDARY[RIGHT] - BOUNDARY[LEFT]) * x
         })
         .collect();
     for _ in 0..cfg.steps {
         let mut next = cells.clone();
         for i in 0..n {
-            let l = if i == 0 { cfg.boundary.0 } else { cells[i - 1] };
-            let r = if i == n - 1 { cfg.boundary.1 } else { cells[i + 1] };
-            next[i] = cells[i] + cfg.nu * (l - 2.0 * cells[i] + r);
+            let l = if i == 0 { BOUNDARY[LEFT] } else { cells[i - 1] };
+            let r = if i == n - 1 { BOUNDARY[RIGHT] } else { cells[i + 1] };
+            next[i] = cells[i] + NU * (l - 2.0 * cells[i] + r);
         }
         cells = next;
     }
@@ -233,7 +229,7 @@ mod tests {
 
     #[test]
     fn failure_free_matches_serial_reference() {
-        let cfg = HeatConfig { cells_per_rank: 8, steps: 50, ..Default::default() };
+        let cfg = HeatConfig { cells_per_rank: 8, steps: 50 };
         let ranks = 4;
         let cfg2 = cfg.clone();
         let report = run_default(ranks, move |p| run_heat(p, WORLD, &cfg2));
@@ -253,7 +249,7 @@ mod tests {
 
     #[test]
     fn survivors_run_through_a_mid_run_failure() {
-        let cfg = HeatConfig { cells_per_rank: 8, steps: 60, ..Default::default() };
+        let cfg = HeatConfig { cells_per_rank: 8, steps: 60 };
         // Rank 1 dies after its 10th halo receive.
         let plan = faultsim::FaultPlan::none().kill_at(
             1,
@@ -285,7 +281,7 @@ mod tests {
 
     #[test]
     fn single_rank_runs_standalone() {
-        let cfg = HeatConfig { cells_per_rank: 16, steps: 20, ..Default::default() };
+        let cfg = HeatConfig { cells_per_rank: 16, steps: 20 };
         let report = run_default(1, move |p| run_heat(p, WORLD, &cfg));
         assert!(report.all_ok());
     }

@@ -17,30 +17,18 @@ use ftmpi::{Event, TimedEvent};
 
 use crate::msg::{T_D, T_N, T_R};
 
-/// Options for rendering.
-#[derive(Debug, Clone)]
-pub struct DiagramOptions {
-    /// Column width per rank lane.
-    pub lane_width: usize,
-    /// Render only events whose tag passes this filter (`None` keeps
-    /// everything, including system traffic).
-    pub user_tags_only: bool,
-    /// Cap on rendered rows (long runs are elided in the middle).
-    pub max_rows: usize,
-}
+/// Column width per rank lane.
+const LANE_WIDTH: usize = 12;
 
-impl Default for DiagramOptions {
-    fn default() -> Self {
-        DiagramOptions { lane_width: 12, user_tags_only: true, max_rows: 60 }
-    }
-}
+/// Cap on rendered rows: a longer chart keeps its first and last rows
+/// and elides the middle.
+const MAX_ROWS: usize = 60;
 
 fn tag_label(tag: i32) -> String {
     match tag {
         T_N => "T_N".to_string(),
         T_D => "T_D".to_string(),
         T_R => "T_R".to_string(),
-        t if t < 0 => "sys".to_string(),
         t => format!("t{t}"),
     }
 }
@@ -55,17 +43,14 @@ enum Row {
     Note(String),
 }
 
-/// Render the trace for `ranks` lanes.
-pub fn render_sequence_diagram(
-    trace: &[TimedEvent],
-    ranks: usize,
-    opts: &DiagramOptions,
-) -> String {
+/// Render the trace for `ranks` lanes. Only user traffic is drawn: a
+/// send on a system tag (`tag < 0`) is left out.
+pub fn render_sequence_diagram(trace: &[TimedEvent], ranks: usize) -> String {
     let mut rows: Vec<Row> = Vec::new();
     for te in trace {
         match &te.event {
             Event::Send { src, dst, tag, .. } => {
-                if opts.user_tags_only && *tag < 0 {
+                if *tag < 0 {
                     continue;
                 }
                 rows.push(Row::Arrow { src: *src, dst: *dst, label: tag_label(*tag) });
@@ -79,7 +64,7 @@ pub fn render_sequence_diagram(
         }
     }
 
-    let w = opts.lane_width;
+    let w = LANE_WIDTH;
     let line_len = ranks * w;
     let mut out = String::new();
 
@@ -132,16 +117,16 @@ pub fn render_sequence_diagram(
         }
     };
 
-    if rows.len() > opts.max_rows {
-        let head = opts.max_rows / 2;
-        let tail = opts.max_rows - head;
+    if rows.len() > MAX_ROWS {
+        let head = MAX_ROWS / 2;
+        let tail = MAX_ROWS - head;
         for row in &rows[..head] {
             out.push_str(&render_row(row));
             out.push('\n');
         }
         out.push_str(&format!(
             "{:^width$}\n",
-            format!("... {} rows elided ...", rows.len() - opts.max_rows),
+            format!("... {} rows elided ...", rows.len() - MAX_ROWS),
             width = line_len
         ));
         for row in &rows[rows.len() - tail..] {
@@ -176,7 +161,7 @@ mod tests {
             move |p| crate::run_ring(p, WORLD, &cfg),
         );
         assert!(!report.hung);
-        let diagram = render_sequence_diagram(&report.trace, 4, &DiagramOptions::default());
+        let diagram = render_sequence_diagram(&report.trace, 4);
         // Lanes present.
         assert!(diagram.contains("P0") && diagram.contains("P3"));
         // The death marker and at least one arrow.
@@ -196,10 +181,10 @@ mod tests {
                 .traced(),
             move |p| crate::run_ring(p, WORLD, &cfg),
         );
-        let opts = DiagramOptions { max_rows: 10, ..Default::default() };
-        let diagram = render_sequence_diagram(&report.trace, 3, &opts);
+        let diagram = render_sequence_diagram(&report.trace, 3);
         assert!(diagram.contains("rows elided"), "{diagram}");
-        assert!(diagram.lines().count() <= 14);
+        // The lane header, the kept rows and the elision line.
+        assert_eq!(diagram.lines().count(), 1 + MAX_ROWS + 1, "{diagram}");
     }
 
     #[test]
@@ -208,8 +193,20 @@ mod tests {
         let trace = vec![
             TimedEvent { at_us: 0, event: Event::Send { src: 2, dst: 0, context: 0, tag: T_N, len: 0 } },
         ];
-        let d = render_sequence_diagram(&trace, 3, &DiagramOptions::default());
+        let d = render_sequence_diagram(&trace, 3);
         assert!(d.contains('<'), "{d}");
+    }
+
+    #[test]
+    fn system_tag_sends_are_not_drawn() {
+        let send = |tag| {
+            let event = Event::Send { src: 0, dst: 1, context: 0, tag, len: 0 };
+            TimedEvent { at_us: 0, event }
+        };
+        let d = render_sequence_diagram(&[send(-3), send(T_N), send(-1)], 2);
+        // The lane header and the one user send.
+        assert_eq!(d.lines().count(), 2, "{d}");
+        assert!(d.contains("T_N"), "{d}");
     }
 
     #[test]
@@ -218,6 +215,5 @@ mod tests {
         assert_eq!(tag_label(T_D), "T_D");
         assert_eq!(tag_label(T_R), "T_R");
         assert_eq!(tag_label(9), "t9");
-        assert_eq!(tag_label(-5), "sys");
     }
 }

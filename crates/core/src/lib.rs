@@ -63,7 +63,7 @@ mod termination;
 pub use baseline::{run_baseline_ring, BaselineStats};
 pub use msg::{RingMsg, T_D, T_N, T_R};
 pub use neighbors::{get_current_root, to_left_of, to_right_of};
-pub use diagram::{render_sequence_diagram, DiagramOptions};
+pub use diagram::render_sequence_diagram;
 pub use report::{summarize, RingRunSummary};
 pub use ring::{
     run_ring, DedupStrategy, RecvStrategy, RingConfig, RingStats, TerminationMode,

@@ -33,7 +33,7 @@ use ftring::{
     run_ring, DedupStrategy, RecvStrategy, RingConfig, RingStats, TerminationMode, T_D, T_N,
 };
 
-use crate::{referee, reports, Kills, Retention::Full, RingRun, SeedRunner, Workload};
+use crate::{referee, reports, Kills, RingRun, SeedRunner, Workload};
 
 /// The seeds every figure runs over.
 pub const SEEDS: Range<u64> = 0..32;
@@ -262,7 +262,7 @@ fn hangs(f: &Figure) -> Counts {
     let mut steps = 0;
     for seed in SEEDS {
         let at = format!("{}: {} ranks, seed {seed}", f.id, f.ranks);
-        let (report, sched) = runner.run_workload(f, &f.plan, seed, 100_000, Full, None);
+        let (report, sched) = runner.run_workload(f, &f.plan, seed);
         let deadlocked = sched.deadlock_at().is_some() && !sched.budget_exhausted();
         assert!(deadlocked, "{at}: no deadlock: {:?}", report.outcomes);
         let failed = (0..f.ranks).filter(|&rank| report.outcomes[rank].is_failed());

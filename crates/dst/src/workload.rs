@@ -10,6 +10,9 @@ use ftmpi::{Process, RankOutcome, ReportBuffers, RunReport, UniverseConfig};
 use crate::scenario::{plan, Kill, HOOKS, KILL_SALT};
 use crate::{Retention, Retention::Full, Scheduler, SeedRunner, SplitMix64};
 
+/// The steps after which a workload run is a livelock.
+const BUDGET: u64 = 100_000;
+
 /// A protocol the simulator runs: one body per rank, its kills per seed.
 pub trait Workload: Sync {
     /// What one rank returns.
@@ -32,18 +35,15 @@ pub enum Kills {
 
 impl SeedRunner {
     /// The one simulated-run executor: `w` under `plan` and a scheduler drawn from `seed` that
-    /// calls a livelock after `budget` steps and pins delays to `mask` if given. The scheduler
-    /// is the runner's, to read until its next run.
+    /// calls a livelock after `BUDGET` steps. The scheduler is the runner's, to read until its
+    /// next run.
     pub fn run_workload<W: Workload>(
         &mut self,
         w: &W,
         plan: &FaultPlan,
         seed: u64,
-        budget: u64,
-        retention: Retention,
-        mask: Option<&[u64]>,
     ) -> (RunReport<W::Report>, &Scheduler) {
-        self.arm(seed, budget, retention, mask);
+        self.arm(seed, BUDGET, Full, None);
         (self.run_in(w, plan, ReportBuffers::default()), &self.sched)
     }
 
@@ -84,7 +84,7 @@ const NEVER: u64 = u64::MAX;
 type Reach = Vec<(HookKind, u64, u64)>;
 
 /// Run `w` per seed at each world size and judge the runs. Every run ends with no deadlock,
-/// budget (100 000 steps) or hang verdict. In the planned run the plan's victims and no one
+/// budget (`BUDGET` steps) or hang verdict. In the planned run the plan's victims and no one
 /// else end `Failed`; its log equals, up to the first `kill` line, that of the seed's twin,
 /// which runs with no kill armed; and a second run leaves the same log and outcomes. `check`
 /// sees the plan, the report and the twin's report: the failure-free answer. Returns FNV-1a
@@ -154,7 +154,7 @@ impl<W: Workload> Seed<'_, W> {
     /// One run under `plan`, with no deadlock, budget or hang verdict.
     fn run(&mut self, plan: FaultPlan) -> Trial<W::Report> {
         let (w, seed, at) = (self.w, self.seed, self.at);
-        let (report, sched) = self.runner.run_workload(w, &plan, seed, 100_000, Full, None);
+        let (report, sched) = self.runner.run_workload(w, &plan, seed);
         assert_eq!(sched.deadlock_at(), None, "{at}: deadlock\n{}", sched.log_text());
         assert!(!sched.budget_exhausted() && !report.hung, "{at}: budget spent or hung");
         let mut text = sched.log_text();

@@ -19,7 +19,7 @@
 //! `dst::referee` draws each kill from the hooks the seed's clean twin
 //! reached, runs the schedules and checks all but the answers.
 
-use dst::{referee, reports, Kills, Retention::Full, SeedRunner, Workload};
+use dst::{referee, reports, Kills, SeedRunner, Workload};
 use faultsim::{FaultPlan, HookKind};
 use ftmpi::{Process, WORLD};
 use ftring::apps::{
@@ -34,7 +34,7 @@ impl Workload for Heat {
     type Report = HeatResult;
 
     fn body(&self, p: &mut Process) -> ftmpi::Result<HeatResult> {
-        run_heat(p, WORLD, &HeatConfig { cells_per_rank: 6, steps: 50, ..HeatConfig::default() })
+        run_heat(p, WORLD, &HeatConfig { cells_per_rank: 6, steps: 50 })
     }
 
     /// An interior rank.
@@ -74,7 +74,7 @@ fn heat_survives_a_death_after_its_neighbour_finished() {
     let plan = FaultPlan::none().kill_at(1, HookKind::BeforeRecvPost, 100);
     let mut runner = SeedRunner::new(5);
     for seed in [1, 2] {
-        let run = runner.run_workload(&Heat, &plan, seed, 100_000, Full, None);
+        let run = runner.run_workload(&Heat, &plan, seed);
         let reports = reports(&format!("seed {seed}"), &run.0);
         let steps: Vec<_> = reports.iter().map(|r| r.map(|r| r.steps)).collect();
         assert_eq!(steps, [Some(50), None, Some(50), Some(50), Some(50)], "seed {seed}");

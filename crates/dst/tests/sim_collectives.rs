@@ -21,7 +21,7 @@
 
 use std::fmt::Debug;
 
-use dst::{referee, reports, Kills, Retention::Full, SeedRunner, Workload};
+use dst::{referee, reports, Kills, SeedRunner, Workload};
 use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
 use ftmpi::{Error, ErrorHandler, Process, RankState, Src, WorldRank, WORLD};
 
@@ -142,7 +142,7 @@ fn board_collectives_are_deadlock_free_uniform_and_pinned() {
 /// reports on `warm` as on a fresh runner.
 fn as_fresh<W: Workload>(warm: &mut SeedRunner, w: &W, plan: &FaultPlan, seed: u64) {
     let run = |runner: &mut SeedRunner| {
-        let (report, sched) = runner.run_workload(w, plan, seed, 100_000, Full, None);
+        let (report, sched) = runner.run_workload(w, plan, seed);
         (sched.log_text(), format!("{:?} {:?}", report.trace, report.outcomes))
     };
     let fresh = run(&mut SeedRunner::new(warm.ranks()));
@@ -192,7 +192,7 @@ fn a_warm_runner_runs_as_a_fresh_one() {
         let Kills::Plan(plan) = Board.kills(seed, 4) else { unreachable!("a plan per seed") };
         as_fresh(&mut warm, &Board, &plan, seed);
         as_fresh(&mut warm, &exchange, &exchange.plan, seed);
-        let (report, _) = warm.run_workload(&litter, &litter.plan, seed, 100_000, Full, None);
+        let (report, _) = warm.run_workload(&litter, &litter.plan, seed);
         assert!(report.outcomes[3].is_failed(), "seed {seed}: {:?}", report.outcomes);
     }
 }

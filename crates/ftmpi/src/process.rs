@@ -22,7 +22,9 @@
 //!   error when the peer fails — this is what makes the paper's
 //!   "`MPI_Irecv` as a failure detector" idiom (Fig. 9) work.
 //! * `ANY_SOURCE` receives raise `RankFailStop` while any unrecognized
-//!   failure exists in the communicator.
+//!   failure exists in the communicator. A death that a revival ends
+//!   before an `ANY_SOURCE` receiver looks is never reported to it, so
+//!   the run can deadlock (DESIGN.md §7; ROADMAP item 18 is the fix).
 //! * Recognized ranks have `MPI_PROC_NULL` semantics: sends are
 //!   dropped, receives complete immediately with
 //!   [`Status::proc_null`].

@@ -8,8 +8,8 @@
 //! ```
 
 use dst::figures::{figure, run, Expect, SEEDS};
-use dst::{Retention, SeedRunner};
-use ftring::{render_sequence_diagram, DiagramOptions};
+use dst::SeedRunner;
+use ftring::render_sequence_diagram;
 
 fn main() {
     let seeds = SEEDS.end - SEEDS.start;
@@ -29,8 +29,8 @@ fn main() {
     // The Fig. 7 run of seed 0, in the visual language of the paper's figures.
     let f = figure("F7");
     let mut runner = SeedRunner::new(f.ranks);
-    let (report, _) = runner.run_workload(&f, &f.plan, 0, 100_000, Retention::Full, None);
-    let chart = render_sequence_diagram(&report.trace, f.ranks, &DiagramOptions::default());
+    let (report, _) = runner.run_workload(&f, &f.plan, 0);
+    let chart = render_sequence_diagram(&report.trace, f.ranks);
     assert!(chart.contains("(P2 killed)"), "{chart}");
     println!("=== the Fig. 7 run of seed 0, as the scheduler ran it ===\n\n{chart}");
     println!("All four scenarios reproduced the paper's figures.");

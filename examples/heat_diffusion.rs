@@ -14,7 +14,7 @@ use ftring::apps::{run_heat, serial_reference, HeatConfig};
 
 fn main() {
     let ranks = 6;
-    let cfg = HeatConfig { cells_per_rank: 16, steps: 120, ..Default::default() };
+    let cfg = HeatConfig { cells_per_rank: 16, steps: 120 };
 
     // First: failure-free, checked against the serial reference.
     let cfg1 = cfg.clone();
