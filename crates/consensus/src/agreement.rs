@@ -306,67 +306,63 @@ pub fn agree_on_failed_set(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seeded::{idle, refereed, seeded};
     use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
-    use ftmpi::{run, run_default, ErrorHandler, UniverseConfig, WORLD};
-    use std::time::Duration;
+    use ftmpi::{ErrorHandler, WORLD};
 
+    /// A rank's body: agree on the failed set, errors returned.
+    fn agree(p: &mut Process) -> Result<Vec<usize>> {
+        p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+        agree_on_failed_set(p, WORLD, AgreementConfig::default())
+    }
+
+    /// The agreement on `n` ranks, `victims` idling until their `Tick` kills end them: `check`
+    /// sees each seed's per-rank sets, `None` for a rank that did not return.
     fn agree_test(
         n: usize,
         plan: FaultPlan,
         victims: &[usize],
-    ) -> Vec<Option<Vec<usize>>> {
-        let victims = victims.to_vec();
-        let report = run(
-            n,
-            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(30)),
-            move |p| {
-                p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-                if victims.contains(&p.world_rank()) {
-                    // Victims idle until their trigger kills them; the
-                    // Tick in this wait fires BeforeSend-free kills.
-                    let req = p.irecv(WORLD, Src::Rank((p.world_rank() + 1) % p.world_size()), 99)?;
-                    let _ = p.wait(req)?;
-                    return Ok(vec![]);
-                }
-                agree_on_failed_set(p, WORLD, AgreementConfig::default())
-            },
-        );
-        assert!(!report.hung, "agreement must not hang");
-        report
-            .outcomes
-            .iter()
-            .map(|o| o.as_ok().cloned())
-            .collect()
+        mut check: impl FnMut(&str, Vec<Option<Vec<usize>>>),
+    ) {
+        let body = |p: &mut Process| {
+            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+            if victims.contains(&p.world_rank()) {
+                return idle(p);
+            }
+            agree_on_failed_set(p, WORLD, AgreementConfig::default())
+        };
+        seeded(n, plan, body, |at, report| {
+            check(at, report.outcomes.iter().map(|o| o.as_ok().cloned()).collect())
+        });
     }
 
     #[test]
     fn no_failures_agrees_on_empty_set() {
-        let report = run_default(4, |p| {
-            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-            agree_on_failed_set(p, WORLD, AgreementConfig::default())
+        refereed(4, FaultPlan::none(), agree, |at, report| {
+            assert!(report.all_ok(), "{at}");
+            for o in &report.outcomes {
+                assert_eq!(o.as_ok(), Some(&vec![]), "{at}");
+            }
         });
-        assert!(report.all_ok());
-        for o in &report.outcomes {
-            assert_eq!(o.as_ok(), Some(&vec![]));
-        }
     }
 
     #[test]
     fn singleton_trivially_agrees() {
-        let report = run_default(1, |p| {
-            agree_on_failed_set(p, WORLD, AgreementConfig::default())
+        let body = |p: &mut Process| agree_on_failed_set(p, WORLD, AgreementConfig::default());
+        refereed(1, FaultPlan::none(), body, |at, report| {
+            assert_eq!(report.outcomes[0].as_ok(), Some(&vec![]), "{at}");
         });
-        assert_eq!(report.outcomes[0].as_ok(), Some(&vec![]));
     }
 
     #[test]
     fn survivors_agree_on_prior_failure() {
         let plan = FaultPlan::none().kill_at(2, HookKind::Tick, 1);
-        let sets = agree_test(5, plan, &[2]);
-        let expected = Some(vec![2usize]);
-        for r in [0usize, 1, 3, 4] {
-            assert_eq!(sets[r], expected, "rank {r}");
-        }
+        agree_test(5, plan, &[2], |at, sets| {
+            let expected = Some(vec![2usize]);
+            for r in [0usize, 1, 3, 4] {
+                assert_eq!(sets[r], expected, "{at}: rank {r}");
+            }
+        });
     }
 
     #[test]
@@ -377,20 +373,13 @@ mod tests {
             0,
             Trigger::on(HookKind::AfterRecvComplete).nth(1),
         ));
-        let report = run(
-            4,
-            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(30)),
-            |p| {
-                p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-                agree_on_failed_set(p, WORLD, AgreementConfig::default())
-            },
-        );
-        assert!(!report.hung);
-        assert!(report.outcomes[0].is_failed());
-        let sets: Vec<_> = (1..4).map(|r| report.outcomes[r].as_ok().unwrap()).collect();
-        assert_eq!(sets[0], sets[1]);
-        assert_eq!(sets[1], sets[2]);
-        assert!(sets[0].contains(&0), "the dead coordinator must be in the agreed set");
+        // The referee holds rank 0 failed and nobody else.
+        refereed(4, plan, agree, |at, report| {
+            let sets: Vec<_> = (1..4).map(|r| report.outcomes[r].as_ok().unwrap()).collect();
+            assert_eq!(sets[0], sets[1], "{at}");
+            assert_eq!(sets[1], sets[2], "{at}");
+            assert!(sets[0].contains(&0), "{at}: the dead coordinator must be in the agreed set");
+        });
     }
 
     #[test]
@@ -407,20 +396,12 @@ mod tests {
             0,
             Trigger::on(HookKind::AfterSend).tag(tag).nth(1),
         ));
-        let report = run(
-            5,
-            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(30)),
-            |p| {
-                p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-                agree_on_failed_set(p, WORLD, AgreementConfig::default())
-            },
-        );
-        assert!(!report.hung);
-        assert!(report.outcomes[0].is_failed());
-        let sets: Vec<_> = (1..5).map(|r| report.outcomes[r].as_ok().unwrap()).collect();
-        for w in sets.windows(2) {
-            assert_eq!(w[0], w[1], "uniform agreement violated: {sets:?}");
-        }
+        refereed(5, plan, agree, |at, report| {
+            let sets: Vec<_> = (1..5).map(|r| report.outcomes[r].as_ok().unwrap()).collect();
+            for w in sets.windows(2) {
+                assert_eq!(w[0], w[1], "{at}: uniform agreement violated: {sets:?}");
+            }
+        });
         // Note: the agreed set may or may not contain rank 0 — it died
         // *during* the protocol, possibly after committing an
         // empty-set decision. Uniformity is the guarantee, membership
@@ -434,22 +415,13 @@ mod tests {
         let plan = FaultPlan::none()
             .with(FaultRule::kill(0, Trigger::on(HookKind::AfterRecvComplete).nth(1)))
             .with(FaultRule::kill(1, Trigger::on(HookKind::AfterRecvComplete).nth(2)));
-        let report = run(
-            5,
-            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(30)),
-            |p| {
-                p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-                agree_on_failed_set(p, WORLD, AgreementConfig::default())
-            },
-        );
-        assert!(!report.hung);
-        let survivors: Vec<_> = (0..5)
-            .filter(|&r| report.outcomes[r].is_ok())
-            .collect();
-        assert!(survivors.len() >= 3, "ranks 2..5 must survive");
-        let first = report.outcomes[survivors[0]].as_ok().unwrap();
-        for &r in &survivors {
-            assert_eq!(report.outcomes[r].as_ok().unwrap(), first, "rank {r} disagrees");
-        }
+        refereed(5, plan, agree, |at, report| {
+            let survivors: Vec<_> = (0..5).filter(|&r| report.outcomes[r].is_ok()).collect();
+            assert!(survivors.len() >= 3, "{at}: ranks 2..5 must survive");
+            let first = report.outcomes[survivors[0]].as_ok().unwrap();
+            for &r in &survivors {
+                assert_eq!(report.outcomes[r].as_ok().unwrap(), first, "{at}: rank {r} disagrees");
+            }
+        });
     }
 }

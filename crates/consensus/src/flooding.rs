@@ -96,53 +96,49 @@ pub fn flooding_failed_set(p: &mut Process, comm: Comm, tag: Tag) -> Result<Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seeded::{await_death, idle, refereed, seeded};
     use faultsim::{FaultPlan, HookKind};
-    use ftmpi::{run, run_default, ErrorHandler, UniverseConfig, WORLD};
-    use std::time::Duration;
+    use ftmpi::{ErrorHandler, WORLD};
 
     const TAG: Tag = 0x00F7_0003;
 
     #[test]
     fn quiescent_no_failures_agrees_empty() {
-        let report = run_default(4, |p| {
+        let body = |p: &mut Process| {
             p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
             flooding_failed_set(p, WORLD, TAG)
+        };
+        refereed(4, FaultPlan::none(), body, |at, report| {
+            assert!(report.all_ok(), "{at}");
+            for o in &report.outcomes {
+                assert_eq!(o.as_ok(), Some(&vec![]), "{at}");
+            }
         });
-        assert!(report.all_ok());
-        for o in &report.outcomes {
-            assert_eq!(o.as_ok(), Some(&vec![]));
-        }
     }
 
     #[test]
     fn quiescent_prior_failure_agrees() {
         let plan = FaultPlan::none().kill_at(1, HookKind::Tick, 1);
-        let report = run(
-            4,
-            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(30)),
-            |p| {
-                p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-                if p.world_rank() == 1 {
-                    let req = p.irecv(WORLD, Src::Rank(0), 99)?;
-                    let _ = p.wait(req)?;
-                    return Ok(vec![]);
-                }
-                // Quiesce: wait for the failure to be visible first.
-                while p.comm_validate_rank(WORLD, 1)?.state == RankState::Ok {
-                    std::thread::yield_now();
-                }
-                flooding_failed_set(p, WORLD, TAG)
-            },
-        );
-        assert!(!report.hung);
-        for r in [0usize, 2, 3] {
-            assert_eq!(report.outcomes[r].as_ok(), Some(&vec![1]), "rank {r}");
-        }
+        let body = |p: &mut Process| {
+            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+            if p.world_rank() == 1 {
+                return idle(p);
+            }
+            // Quiesce: wait for the failure to be visible first.
+            await_death(p, 1)?;
+            flooding_failed_set(p, WORLD, TAG)
+        };
+        seeded(4, plan, body, |at, report| {
+            for r in [0usize, 2, 3] {
+                assert_eq!(report.outcomes[r].as_ok(), Some(&vec![1]), "{at}: rank {r}");
+            }
+        });
     }
 
     #[test]
     fn singleton_returns_empty() {
-        let report = run_default(1, |p| flooding_failed_set(p, WORLD, TAG));
-        assert_eq!(report.outcomes[0].as_ok(), Some(&vec![]));
+        refereed(1, FaultPlan::none(), |p| flooding_failed_set(p, WORLD, TAG), |at, report| {
+            assert_eq!(report.outcomes[0].as_ok(), Some(&vec![]), "{at}");
+        });
     }
 }

@@ -349,26 +349,21 @@ pub fn run_diskless(p: &mut Process, comm: Comm, cfg: &DisklessConfig) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seeded::refereed;
     use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
-    use ftmpi::{run, UniverseConfig, WORLD};
-    use std::time::Duration;
+    use ftmpi::{UniverseConfig, WORLD};
 
     #[test]
     fn failure_free_matches_reference() {
         let cfg = DisklessConfig { block: 8, iterations: 60, checkpoint_every: 10 };
-        let cfg2 = cfg.clone();
-        let report = run(
-            4,
-            UniverseConfig::default().watchdog(Duration::from_secs(60)),
-            move |p| run_diskless(p, WORLD, &cfg2),
-        );
-        assert!(!report.hung);
-        for (r, o) in report.outcomes.iter().enumerate() {
-            let res = o.as_ok().unwrap_or_else(|| panic!("rank {r}: {o:?}"));
-            assert_eq!(res.block, reference_block(r, &cfg), "rank {r}");
-            assert_eq!(res.recomputed, 0);
-            assert!(!res.restored_from_checkpoint);
-        }
+        refereed(4, FaultPlan::none(), |p| run_diskless(p, WORLD, &cfg), |at, report| {
+            for (r, o) in report.outcomes.iter().enumerate() {
+                let res = o.as_ok().unwrap_or_else(|| panic!("{at}: rank {r}: {o:?}"));
+                assert_eq!(res.block, reference_block(r, &cfg), "{at}: rank {r}");
+                assert_eq!(res.recomputed, 0);
+                assert!(!res.restored_from_checkpoint);
+            }
+        });
     }
 
     #[test]
@@ -381,10 +376,10 @@ mod tests {
             Trigger::on(HookKind::AfterSend).tag(CKPT_TAG).nth(40),
         ));
         let cfg2 = cfg.clone();
-        let report = run(
+        let report = ftmpi::run(
             4,
             UniverseConfig::with_plan(plan)
-                .watchdog(Duration::from_secs(120))
+                .watchdog(std::time::Duration::from_secs(120))
                 .respawning(1),
             move |p| run_diskless(p, WORLD, &cfg2),
         );
@@ -413,15 +408,10 @@ mod tests {
     #[test]
     fn single_rank_needs_no_protocol() {
         let cfg = DisklessConfig { block: 4, iterations: 30, checkpoint_every: 7 };
-        let cfg2 = cfg.clone();
-        let report = run(1, UniverseConfig::default().watchdog(Duration::from_secs(30)), move |p| {
-            run_diskless(p, WORLD, &cfg2)
+        refereed(1, FaultPlan::none(), |p| run_diskless(p, WORLD, &cfg), |at, report| {
+            assert!(report.all_ok(), "{at}");
+            assert_eq!(report.outcomes[0].as_ok().unwrap().block, reference_block(0, &cfg));
         });
-        assert!(report.all_ok());
-        assert_eq!(
-            report.outcomes[0].as_ok().unwrap().block,
-            reference_block(0, &cfg)
-        );
     }
 
     #[test]

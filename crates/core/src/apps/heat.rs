@@ -224,65 +224,58 @@ pub fn serial_reference(ranks: usize, cfg: &HeatConfig) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftmpi::{run, run_default, UniverseConfig, WORLD};
-    use std::time::Duration;
+    use crate::seeded::refereed;
+    use faultsim::{FaultPlan, HookKind};
+    use ftmpi::WORLD;
 
     #[test]
     fn failure_free_matches_serial_reference() {
         let cfg = HeatConfig { cells_per_rank: 8, steps: 50 };
         let ranks = 4;
-        let cfg2 = cfg.clone();
-        let report = run_default(ranks, move |p| run_heat(p, WORLD, &cfg2));
-        assert!(report.all_ok());
         let reference = serial_reference(ranks, &cfg);
-        for (rank, o) in report.outcomes.iter().enumerate() {
-            let r = o.as_ok().unwrap();
-            for (i, &v) in r.cells.iter().enumerate() {
-                let expected = reference[rank * cfg.cells_per_rank + i];
-                assert!(
-                    (v - expected).abs() < 1e-9,
-                    "rank {rank} cell {i}: {v} vs {expected}"
-                );
+        refereed(ranks, FaultPlan::none(), |p| run_heat(p, WORLD, &cfg), |at, report| {
+            assert!(report.all_ok(), "{at}");
+            for (rank, o) in report.outcomes.iter().enumerate() {
+                let r = o.as_ok().unwrap();
+                for (i, &v) in r.cells.iter().enumerate() {
+                    let expected = reference[rank * cfg.cells_per_rank + i];
+                    assert!(
+                        (v - expected).abs() < 1e-9,
+                        "{at}: rank {rank} cell {i}: {v} vs {expected}"
+                    );
+                }
             }
-        }
+        });
     }
 
     #[test]
     fn survivors_run_through_a_mid_run_failure() {
         let cfg = HeatConfig { cells_per_rank: 8, steps: 60 };
         // Rank 1 dies after its 10th halo receive.
-        let plan = faultsim::FaultPlan::none().kill_at(
-            1,
-            faultsim::HookKind::AfterRecvComplete,
-            10,
-        );
-        let report = run(
-            4,
-            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(60)),
-            move |p| run_heat(p, WORLD, &cfg),
-        );
-        assert!(!report.hung, "heat exchange must run through the failure");
-        assert!(report.outcomes[1].is_failed());
-        for r in [0usize, 2, 3] {
-            let res = report.outcomes[r].as_ok().unwrap_or_else(|| {
-                panic!("rank {r} did not survive: {:?}", report.outcomes[r])
-            });
-            assert_eq!(res.steps, 60);
-            assert!(res.cells.iter().all(|v| v.is_finite()));
-        }
-        // Someone adjacent to rank 1 must have re-knit the rod.
-        let switches: u64 = [0usize, 2, 3]
-            .iter()
-            .filter_map(|&r| report.outcomes[r].as_ok())
-            .map(|res| res.neighbor_switches)
-            .sum();
-        assert!(switches >= 1, "no survivor re-knit around the failure");
+        let plan = FaultPlan::none().kill_at(1, HookKind::AfterRecvComplete, 10);
+        refereed(4, plan, |p| run_heat(p, WORLD, &cfg), |at, report| {
+            for r in [0usize, 2, 3] {
+                let res = report.outcomes[r].as_ok().unwrap_or_else(|| {
+                    panic!("{at}: rank {r} did not survive: {:?}", report.outcomes[r])
+                });
+                assert_eq!(res.steps, 60, "{at}");
+                assert!(res.cells.iter().all(|v| v.is_finite()), "{at}");
+            }
+            // Someone adjacent to rank 1 must have re-knit the rod.
+            let switches: u64 = [0usize, 2, 3]
+                .iter()
+                .filter_map(|&r| report.outcomes[r].as_ok())
+                .map(|res| res.neighbor_switches)
+                .sum();
+            assert!(switches >= 1, "{at}: no survivor re-knit around the failure");
+        });
     }
 
     #[test]
     fn single_rank_runs_standalone() {
         let cfg = HeatConfig { cells_per_rank: 16, steps: 20 };
-        let report = run_default(1, move |p| run_heat(p, WORLD, &cfg));
-        assert!(report.all_ok());
+        refereed(1, FaultPlan::none(), |p| run_heat(p, WORLD, &cfg), |at, report| {
+            assert!(report.all_ok(), "{at}");
+        });
     }
 }

@@ -252,49 +252,47 @@ pub fn expected_results(tasks: &[u64]) -> Vec<(u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seeded::refereed;
     use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
-    use ftmpi::{run, UniverseConfig, WORLD};
-    use std::time::Duration;
+    use ftmpi::{RankOutcome, WORLD};
 
     fn tasks(n: usize) -> Vec<u64> {
         (0..n as u64).map(|i| i * 37 + 5).collect()
     }
 
-    fn farm_manager_result(
+    /// The farm of `tasks` on `ranks` ranks under `plan`, once per seed: `check` sees the
+    /// manager's result and every rank's outcome.
+    fn farm(
         ranks: usize,
         plan: FaultPlan,
-        task_list: Vec<u64>,
-    ) -> (FarmResult, Vec<ftmpi::RankOutcome<FarmOutcome>>) {
-        let tl = task_list.clone();
-        let report = run(
-            ranks,
-            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(60)),
-            move |p| run_farm(p, WORLD, &tl),
-        );
-        assert!(!report.hung, "farm must not hang");
-        let m = match report.outcomes[0].as_ok() {
-            Some(FarmOutcome::Manager(m)) => m.clone(),
-            other => panic!("manager outcome: {other:?}"),
-        };
-        (m, report.outcomes)
+        tasks: &[u64],
+        mut check: impl FnMut(&str, &FarmResult, &[RankOutcome<FarmOutcome>]),
+    ) {
+        refereed(ranks, plan, |p| run_farm(p, WORLD, tasks), |at, report| {
+            match report.outcomes[0].as_ok() {
+                Some(FarmOutcome::Manager(m)) => check(at, m, &report.outcomes),
+                other => panic!("{at}: manager outcome: {other:?}"),
+            }
+        });
     }
 
     #[test]
     fn failure_free_farm_completes_all_tasks() {
         let t = tasks(20);
-        let (m, outcomes) = farm_manager_result(4, FaultPlan::none(), t.clone());
-        assert_eq!(m.results, expected_results(&t));
-        assert_eq!(m.requeued, 0);
-        assert!(m.workers_lost.is_empty());
-        // Work was actually distributed.
-        let worker_total: u64 = outcomes[1..]
-            .iter()
-            .map(|o| match o.as_ok() {
-                Some(FarmOutcome::Worker(w)) => w.tasks_done,
-                _ => 0,
-            })
-            .sum();
-        assert_eq!(worker_total, 20);
+        farm(4, FaultPlan::none(), &t, |at, m, outcomes| {
+            assert_eq!(m.results, expected_results(&t), "{at}");
+            assert_eq!(m.requeued, 0, "{at}");
+            assert!(m.workers_lost.is_empty(), "{at}");
+            // Work was actually distributed.
+            let worker_total: u64 = outcomes[1..]
+                .iter()
+                .map(|o| match o.as_ok() {
+                    Some(FarmOutcome::Worker(w)) => w.tasks_done,
+                    _ => 0,
+                })
+                .sum();
+            assert_eq!(worker_total, 20, "{at}");
+        });
     }
 
     #[test]
@@ -310,10 +308,11 @@ mod tests {
             Trigger::on(HookKind::AfterRecvComplete).tag(TASK_TAG).nth(1),
         ));
         let t = tasks(400);
-        let (m, _) = farm_manager_result(4, plan, t.clone());
-        assert_eq!(m.results, expected_results(&t), "all tasks exactly once");
-        assert!(m.workers_lost.contains(&2));
-        assert!(m.requeued >= 1, "the in-flight task must be re-queued");
+        farm(4, plan, &t, |at, m, _| {
+            assert_eq!(m.results, expected_results(&t), "{at}: all tasks exactly once");
+            assert!(m.workers_lost.contains(&2), "{at}");
+            assert!(m.requeued >= 1, "{at}: the in-flight task must be re-queued");
+        });
     }
 
     #[test]
@@ -325,8 +324,9 @@ mod tests {
             Trigger::on(HookKind::AfterSend).tag(RESULT_TAG).nth(2),
         ));
         let t = tasks(12);
-        let (m, _) = farm_manager_result(3, plan, t.clone());
-        assert_eq!(m.results, expected_results(&t));
+        farm(3, plan, &t, |at, m, _| {
+            assert_eq!(m.results, expected_results(&t), "{at}");
+        });
         // The manager may or may not *observe* this death: if the
         // remaining results drain before it touches the dead worker
         // again, run-through means it never needs to notice. Either
@@ -345,18 +345,20 @@ mod tests {
                 Trigger::on(HookKind::AfterRecvComplete).tag(TASK_TAG).nth(1),
             ));
         let t = tasks(10);
-        let (m, _) = farm_manager_result(3, plan, t.clone());
-        assert_eq!(m.results, expected_results(&t));
-        assert_eq!(m.workers_lost, vec![1, 2]);
-        assert!(m.computed_locally >= 1, "the manager must finish the job alone");
+        farm(3, plan, &t, |at, m, _| {
+            assert_eq!(m.results, expected_results(&t), "{at}");
+            assert_eq!(m.workers_lost, vec![1, 2], "{at}");
+            assert!(m.computed_locally >= 1, "{at}: the manager must finish the job alone");
+        });
     }
 
     #[test]
     fn single_rank_farm_is_all_local() {
         let t = tasks(5);
-        let (m, _) = farm_manager_result(1, FaultPlan::none(), t.clone());
-        assert_eq!(m.results, expected_results(&t));
-        assert_eq!(m.computed_locally, 5);
+        farm(1, FaultPlan::none(), &t, |at, m, _| {
+            assert_eq!(m.results, expected_results(&t), "{at}");
+            assert_eq!(m.computed_locally, 5, "{at}");
+        });
     }
 
     #[test]
@@ -371,7 +373,7 @@ mod tests {
 mod recovery_tests {
     use super::*;
     use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
-    use ftmpi::{run, UniverseConfig, WORLD};
+    use ftmpi::{UniverseConfig, WORLD};
     use std::time::Duration;
 
     /// The recovery extension on the farm: a worker dies holding a
@@ -392,7 +394,7 @@ mod recovery_tests {
         ));
         let expect = expected_results(&tasks);
         let t2 = tasks.clone();
-        let report = run(
+        let report = ftmpi::run(
             3, // manager + 2 workers: losing one halves throughput, so
                // the recovered worker demonstrably matters
             UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(120)).respawning(1),
@@ -436,7 +438,7 @@ mod recovery_tests {
             ));
         let expect = expected_results(&tasks);
         let t2 = tasks.clone();
-        let report = run(
+        let report = ftmpi::run(
             3,
             UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(120)).respawning(2),
             move |p| run_farm(p, WORLD, &t2),

@@ -189,80 +189,77 @@ pub fn run_pipeline(p: &mut Process, comm: Comm, vector: &[f64]) -> Result<Pipel
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftmpi::{run, run_default, UniverseConfig, WORLD};
-    use std::time::Duration;
+    use crate::seeded::refereed;
+    use faultsim::{FaultPlan, HookKind};
+    use ftmpi::WORLD;
 
     #[test]
     fn failure_free_allreduce_matches_sum() {
         for n in [1usize, 2, 3, 5] {
-            let report = run_default(n, move |p| {
+            let body = |p: &mut Process| {
                 let me = p.world_rank() as f64;
                 let vector: Vec<f64> = (0..20).map(|i| me * 100.0 + i as f64).collect();
                 run_pipeline(p, WORLD, &vector)
-            });
-            assert!(report.all_ok(), "n={n}");
-            for o in &report.outcomes {
-                let r = o.as_ok().unwrap();
-                assert_eq!(r.attempts, 1);
-                for (i, &v) in r.reduced.iter().enumerate() {
-                    let expected: f64 =
-                        (0..n).map(|rank| rank as f64 * 100.0 + i as f64).sum();
-                    assert!((v - expected).abs() < 1e-9, "n={n} i={i}: {v} vs {expected}");
+            };
+            refereed(n, FaultPlan::none(), body, |at, report| {
+                assert!(report.all_ok(), "{at}");
+                for o in &report.outcomes {
+                    let r = o.as_ok().unwrap();
+                    assert_eq!(r.attempts, 1, "{at}");
+                    for (i, &v) in r.reduced.iter().enumerate() {
+                        let expected: f64 =
+                            (0..n).map(|rank| rank as f64 * 100.0 + i as f64).sum();
+                        assert!((v - expected).abs() < 1e-9, "{at} i={i}: {v} vs {expected}");
+                    }
                 }
-            }
+            });
         }
     }
 
     #[test]
     fn uneven_vector_length_is_handled() {
         // 3 ranks, 7 elements: chunks of 3/3/1.
-        let report = run_default(3, |p| {
+        let body = |p: &mut Process| {
             let vector: Vec<f64> = (0..7).map(|i| (p.world_rank() + i) as f64).collect();
             run_pipeline(p, WORLD, &vector)
-        });
-        assert!(report.all_ok());
-        for o in &report.outcomes {
-            let r = o.as_ok().unwrap();
-            for (i, &v) in r.reduced.iter().enumerate() {
-                let expected: f64 = (0..3).map(|rank| (rank + i) as f64).sum();
-                assert!((v - expected).abs() < 1e-9);
+        };
+        refereed(3, FaultPlan::none(), body, |at, report| {
+            assert!(report.all_ok(), "{at}");
+            for o in &report.outcomes {
+                let r = o.as_ok().unwrap();
+                for (i, &v) in r.reduced.iter().enumerate() {
+                    let expected: f64 = (0..3).map(|rank| (rank + i) as f64).sum();
+                    assert!((v - expected).abs() < 1e-9, "{at}");
+                }
             }
-        }
+        });
     }
 
     #[test]
     fn recovery_block_restarts_after_mid_flight_failure() {
         // Rank 2 dies on its second pipeline receive; survivors must
         // retry and produce the sum over {0, 1, 3}.
-        let plan = faultsim::FaultPlan::none().kill_at(
-            2,
-            faultsim::HookKind::AfterRecvComplete,
-            2,
-        );
-        let report = run(
-            4,
-            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(60)),
-            |p| {
-                let me = p.world_rank() as f64;
-                let vector: Vec<f64> = (0..12).map(|i| me * 10.0 + i as f64).collect();
-                run_pipeline(p, WORLD, &vector)
-            },
-        );
-        assert!(!report.hung);
-        assert!(report.outcomes[2].is_failed());
-        for r in [0usize, 1, 3] {
-            let res = report.outcomes[r]
-                .as_ok()
-                .unwrap_or_else(|| panic!("rank {r}: {:?}", report.outcomes[r]));
-            assert!(res.attempts >= 2, "rank {r} should have retried");
-            assert_eq!(res.contributors, vec![0, 1, 3]);
-            for (i, &v) in res.reduced.iter().enumerate() {
-                let expected: f64 = [0.0f64, 1.0, 3.0]
-                    .iter()
-                    .map(|&rank| rank * 10.0 + i as f64)
-                    .sum();
-                assert!((v - expected).abs() < 1e-9, "rank {r} i={i}");
+        let plan = FaultPlan::none().kill_at(2, HookKind::AfterRecvComplete, 2);
+        let body = |p: &mut Process| {
+            let me = p.world_rank() as f64;
+            let vector: Vec<f64> = (0..12).map(|i| me * 10.0 + i as f64).collect();
+            run_pipeline(p, WORLD, &vector)
+        };
+        refereed(4, plan, body, |at, report| {
+            for r in [0usize, 1, 3] {
+                let res = report.outcomes[r]
+                    .as_ok()
+                    .unwrap_or_else(|| panic!("{at}: rank {r}: {:?}", report.outcomes[r]));
+                assert!(res.attempts >= 2, "{at}: rank {r} should have retried");
+                assert_eq!(res.contributors, vec![0, 1, 3], "{at}");
+                for (i, &v) in res.reduced.iter().enumerate() {
+                    let expected: f64 = [0.0f64, 1.0, 3.0]
+                        .iter()
+                        .map(|&rank| rank * 10.0 + i as f64)
+                        .sum();
+                    assert!((v - expected).abs() < 1e-9, "{at}: rank {r} i={i}");
+                }
             }
-        }
+        });
     }
 }

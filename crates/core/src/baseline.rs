@@ -55,47 +55,40 @@ pub fn run_baseline_ring(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftmpi::{run, run_default, UniverseConfig, WORLD};
-    use std::time::Duration;
+    use crate::seeded::refereed;
+    use faultsim::{FaultPlan, HookKind};
+    use ftmpi::{RankOutcome, WORLD};
 
     #[test]
     fn value_accumulates_once_per_rank() {
         for n in [1usize, 2, 4, 7] {
-            let report = run_default(n, move |p| run_baseline_ring(p, WORLD, 5, 0));
-            assert!(report.all_ok(), "n={n}");
-            let root_stats = report.outcomes[0].as_ok().unwrap();
-            assert_eq!(root_stats.iterations, 5);
-            assert_eq!(root_stats.last_value, n as i64, "value counts every rank once");
+            let body = |p: &mut Process| run_baseline_ring(p, WORLD, 5, 0);
+            refereed(n, FaultPlan::none(), body, |at, report| {
+                assert!(report.all_ok(), "{at}");
+                let root_stats = report.outcomes[0].as_ok().unwrap();
+                assert_eq!(root_stats.iterations, 5);
+                assert_eq!(root_stats.last_value, n as i64, "{at}: value counts every rank once");
+            });
         }
     }
 
     #[test]
     fn padding_travels_unmangled() {
-        let report = run_default(3, |p| run_baseline_ring(p, WORLD, 2, 64));
-        assert!(report.all_ok());
+        let body = |p: &mut Process| run_baseline_ring(p, WORLD, 2, 64);
+        refereed(3, FaultPlan::none(), body, |at, report| assert!(report.all_ok(), "{at}"));
     }
 
     #[test]
     fn failure_aborts_the_job_with_default_handler() {
         // The motivating failure mode: one rank dies, the fault-unaware
         // ring cannot continue, and MPI_ERRORS_ARE_FATAL kills the job.
-        let plan = faultsim::FaultPlan::none().kill_at(
-            2,
-            faultsim::HookKind::AfterRecvComplete,
-            2,
-        );
-        let report = run(
-            4,
-            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(30)),
-            |p| run_baseline_ring(p, WORLD, 10, 0),
-        );
-        assert!(!report.hung);
-        assert!(report.outcomes[2].is_failed());
-        let aborted = report
-            .outcomes
-            .iter()
-            .filter(|o| matches!(o, ftmpi::RankOutcome::Aborted { .. }))
-            .count();
-        assert!(aborted >= 1, "survivors must observe the job abort");
+        let plan = FaultPlan::none().kill_at(2, HookKind::AfterRecvComplete, 2);
+        let body = |p: &mut Process| run_baseline_ring(p, WORLD, 10, 0);
+        // The referee holds rank 2 failed and nobody else.
+        refereed(4, plan, body, |at, report| {
+            let aborted = |o: &&RankOutcome<_>| matches!(o, RankOutcome::Aborted { .. });
+            let aborted = report.outcomes.iter().filter(aborted).count();
+            assert!(aborted >= 1, "{at}: survivors must observe the job abort");
+        });
     }
 }

@@ -145,46 +145,35 @@ pub fn render_sequence_diagram(trace: &[TimedEvent], ranks: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultsim::scenario::kill_after_recv;
-    use ftmpi::{run, UniverseConfig, WORLD};
-    use std::time::Duration;
+    use crate::seeded::refereed;
+    use faultsim::{scenario::kill_after_recv, FaultPlan};
+    use ftmpi::WORLD;
 
     #[test]
     fn renders_fig7_style_diagram() {
         let plan = kill_after_recv(2, 1, T_N, 2);
         let cfg = crate::RingConfig::paper(3);
-        let report = run(
-            4,
-            UniverseConfig::with_plan(plan)
-                .watchdog(Duration::from_secs(60))
-                .traced(),
-            move |p| crate::run_ring(p, WORLD, &cfg),
-        );
-        assert!(!report.hung);
-        let diagram = render_sequence_diagram(&report.trace, 4);
-        // Lanes present.
-        assert!(diagram.contains("P0") && diagram.contains("P3"));
-        // The death marker and at least one arrow.
-        assert!(diagram.contains("(P2 killed)"), "{diagram}");
-        assert!(diagram.contains("T_N"), "{diagram}");
-        // Line discipline: every body line is non-empty.
-        assert!(diagram.lines().count() >= 4);
+        refereed(4, plan, |p| crate::run_ring(p, WORLD, &cfg), |at, report| {
+            let diagram = render_sequence_diagram(&report.trace, 4);
+            // Lanes present.
+            assert!(diagram.contains("P0") && diagram.contains("P3"), "{at}");
+            // The death marker and at least one arrow.
+            assert!(diagram.contains("(P2 killed)"), "{at}\n{diagram}");
+            assert!(diagram.contains("T_N"), "{at}\n{diagram}");
+            // Line discipline: every body line is non-empty.
+            assert!(diagram.lines().count() >= 4, "{at}");
+        });
     }
 
     #[test]
     fn elides_long_traces() {
         let cfg = crate::RingConfig::paper(40);
-        let report = run(
-            3,
-            UniverseConfig::default()
-                .watchdog(Duration::from_secs(60))
-                .traced(),
-            move |p| crate::run_ring(p, WORLD, &cfg),
-        );
-        let diagram = render_sequence_diagram(&report.trace, 3);
-        assert!(diagram.contains("rows elided"), "{diagram}");
-        // The lane header, the kept rows and the elision line.
-        assert_eq!(diagram.lines().count(), 1 + MAX_ROWS + 1, "{diagram}");
+        refereed(3, FaultPlan::none(), |p| crate::run_ring(p, WORLD, &cfg), |at, report| {
+            let diagram = render_sequence_diagram(&report.trace, 3);
+            assert!(diagram.contains("rows elided"), "{at}\n{diagram}");
+            // The lane header, the kept rows and the elision line.
+            assert_eq!(diagram.lines().count(), 1 + MAX_ROWS + 1, "{at}\n{diagram}");
+        });
     }
 
     #[test]

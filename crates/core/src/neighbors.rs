@@ -64,21 +64,23 @@ pub fn get_current_root(p: &Process, comm: Comm) -> Result<CommRank> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seeded::{await_death, idle, refereed, seeded};
     use faultsim::{FaultPlan, HookKind};
-    use ftmpi::{run, run_default, ErrorHandler, Src, UniverseConfig, WORLD};
-    use std::time::Duration;
+    use ftmpi::{ErrorHandler, WORLD};
 
     #[test]
     fn failure_free_neighbors_match_fig2() {
-        let report = run_default(5, |p| {
+        let body = |p: &mut Process| {
             let me = p.world_rank();
-            let l = to_left_of(p, WORLD, me)?;
-            let r = to_right_of(p, WORLD, me)?;
-            assert_eq!(r, (me + 1) % 5);
-            assert_eq!(l, if me == 0 { 4 } else { me - 1 });
-            Ok(())
+            Ok((to_right_of(p, WORLD, me)?, to_left_of(p, WORLD, me)?))
+        };
+        refereed(5, FaultPlan::none(), body, |at, report| {
+            for (me, o) in report.outcomes.iter().enumerate() {
+                let (r, l) = *o.as_ok().unwrap();
+                assert_eq!(r, (me + 1) % 5, "{at}");
+                assert_eq!(l, if me == 0 { 4 } else { me - 1 }, "{at}");
+            }
         });
-        assert!(report.all_ok());
     }
 
     #[test]
@@ -86,119 +88,87 @@ mod tests {
         let plan = FaultPlan::none()
             .kill_at(1, HookKind::Tick, 1)
             .kill_at(2, HookKind::Tick, 1);
-        let report = run(
-            5,
-            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(20)),
-            |p| {
-                p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-                if p.world_rank() == 1 || p.world_rank() == 2 {
-                    let req = p.irecv(WORLD, Src::Rank(0), 9)?;
-                    let _ = p.wait(req)?;
-                    return Ok((0, 0));
-                }
-                loop {
-                    let s1 = p.comm_validate_rank(WORLD, 1)?.state;
-                    let s2 = p.comm_validate_rank(WORLD, 2)?.state;
-                    if s1 != RankState::Ok && s2 != RankState::Ok {
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
-                // Each rank asks about its OWN neighbour chain (the
-                // paper's aloneness check makes other chains invalid).
-                match p.world_rank() {
-                    0 => Ok((to_right_of(p, WORLD, 0)?, to_left_of(p, WORLD, 0)?)),
-                    3 => Ok((to_right_of(p, WORLD, 3)?, to_left_of(p, WORLD, 3)?)),
-                    _ => Ok((to_right_of(p, WORLD, 4)?, to_left_of(p, WORLD, 4)?)),
-                }
-            },
-        );
-        // 0 <-> 3 <-> 4 is the re-knit ring.
-        assert_eq!(report.outcomes[0].as_ok(), Some(&(3, 4)));
-        assert_eq!(report.outcomes[3].as_ok(), Some(&(4, 0)));
-        assert_eq!(report.outcomes[4].as_ok(), Some(&(0, 3)));
+        let body = |p: &mut Process| {
+            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+            if p.world_rank() == 1 || p.world_rank() == 2 {
+                return idle(p);
+            }
+            await_death(p, 1)?;
+            await_death(p, 2)?;
+            // Each rank asks about its OWN neighbour chain (the
+            // paper's aloneness check makes other chains invalid).
+            let me = p.world_rank();
+            Ok((to_right_of(p, WORLD, me)?, to_left_of(p, WORLD, me)?))
+        };
+        seeded(5, plan, body, |at, report| {
+            // 0 <-> 3 <-> 4 is the re-knit ring.
+            assert_eq!(report.outcomes[0].as_ok(), Some(&(3, 4)), "{at}");
+            assert_eq!(report.outcomes[3].as_ok(), Some(&(4, 0)), "{at}");
+            assert_eq!(report.outcomes[4].as_ok(), Some(&(0, 3)), "{at}");
+        });
     }
 
     #[test]
     fn wrapping_works_both_ways() {
-        let report = run_default(3, |p| {
-            let me = p.world_rank();
+        let body = |p: &mut Process| {
             // Wrap-around on the caller's own chain.
-            if me == 2 {
-                assert_eq!(to_right_of(p, WORLD, 2)?, 0);
-            }
-            if me == 0 {
-                assert_eq!(to_left_of(p, WORLD, 0)?, 2);
+            match p.world_rank() {
+                2 => assert_eq!(to_right_of(p, WORLD, 2)?, 0),
+                0 => assert_eq!(to_left_of(p, WORLD, 0)?, 2),
+                _ => {}
             }
             Ok(())
-        });
-        assert!(report.all_ok());
+        };
+        refereed(3, FaultPlan::none(), body, |at, report| assert!(report.all_ok(), "{at}"));
     }
 
     #[test]
     fn alone_is_detected() {
         let plan = FaultPlan::none().kill_at(1, HookKind::Tick, 1);
-        let report = run(
-            2,
-            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(20)),
-            |p| {
-                p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-                if p.world_rank() == 1 {
-                    let req = p.irecv(WORLD, Src::Rank(0), 9)?;
-                    let _ = p.wait(req)?;
-                    return Ok(());
-                }
-                while p.comm_validate_rank(WORLD, 1)?.state == RankState::Ok {
-                    std::thread::yield_now();
-                }
-                assert!(matches!(
-                    to_right_of(p, WORLD, 0),
-                    Err(Error::InvalidState(_))
-                ));
-                assert!(matches!(to_left_of(p, WORLD, 0), Err(Error::InvalidState(_))));
-                Ok(())
-            },
-        );
-        assert!(report.outcomes[0].is_ok());
+        let body = |p: &mut Process| {
+            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+            if p.world_rank() == 1 {
+                return idle(p);
+            }
+            await_death(p, 1)?;
+            assert!(matches!(to_right_of(p, WORLD, 0), Err(Error::InvalidState(_))));
+            assert!(matches!(to_left_of(p, WORLD, 0), Err(Error::InvalidState(_))));
+            Ok(())
+        };
+        seeded(2, plan, body, |at, report| assert!(report.outcomes[0].is_ok(), "{at}"));
     }
 
     #[test]
     fn recognized_ranks_are_also_skipped() {
         // `MPI_RANK_OK != rs.state` covers both Failed and Null.
         let plan = FaultPlan::none().kill_at(1, HookKind::Tick, 1);
-        let report = run(
-            3,
-            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(20)),
-            |p| {
-                p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-                if p.world_rank() == 1 {
-                    let req = p.irecv(WORLD, Src::Rank(0), 9)?;
-                    let _ = p.wait(req)?;
-                    return Ok(0);
-                }
-                while p.comm_validate_rank(WORLD, 1)?.state == RankState::Ok {
-                    std::thread::yield_now();
-                }
-                p.comm_validate_clear(WORLD, &[1])?;
-                // Rank 0's right chain must skip the recognized rank 1.
-                if p.world_rank() == 0 {
-                    to_right_of(p, WORLD, 0)
-                } else {
-                    to_left_of(p, WORLD, 2)
-                }
-            },
-        );
-        assert_eq!(report.outcomes[0].as_ok(), Some(&2));
-        assert_eq!(report.outcomes[2].as_ok(), Some(&0));
+        let body = |p: &mut Process| {
+            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+            if p.world_rank() == 1 {
+                return idle(p);
+            }
+            await_death(p, 1)?;
+            p.comm_validate_clear(WORLD, &[1])?;
+            // Rank 0's right chain must skip the recognized rank 1.
+            if p.world_rank() == 0 {
+                to_right_of(p, WORLD, 0)
+            } else {
+                to_left_of(p, WORLD, 2)
+            }
+        };
+        seeded(3, plan, body, |at, report| {
+            assert_eq!(report.outcomes[0].as_ok(), Some(&2), "{at}");
+            assert_eq!(report.outcomes[2].as_ok(), Some(&0), "{at}");
+        });
     }
 
     #[test]
     fn all_alive_elects_rank_zero() {
-        let report = run_default(4, |p| get_current_root(p, WORLD));
-        assert!(report.all_ok());
-        for o in &report.outcomes {
-            assert_eq!(o.as_ok(), Some(&0));
-        }
+        refereed(4, FaultPlan::none(), |p| get_current_root(p, WORLD), |at, report| {
+            for o in &report.outcomes {
+                assert_eq!(o.as_ok(), Some(&0), "{at}");
+            }
+        });
     }
 
     #[test]
@@ -206,56 +176,40 @@ mod tests {
         let plan = FaultPlan::none()
             .kill_at(0, HookKind::Tick, 1)
             .kill_at(1, HookKind::Tick, 1);
-        let report = run(
-            5,
-            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(20)),
-            |p| {
-                p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-                if p.world_rank() <= 1 {
-                    let req = p.irecv(WORLD, Src::Rank(4), 9)?;
-                    let _ = p.wait(req)?;
-                    return Ok(usize::MAX);
-                }
-                // Wait until both failures are visible, then elect.
-                loop {
-                    let s0 = p.comm_validate_rank(WORLD, 0)?.state;
-                    let s1 = p.comm_validate_rank(WORLD, 1)?.state;
-                    if s0 != RankState::Ok && s1 != RankState::Ok {
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
-                get_current_root(p, WORLD)
-            },
-        );
-        for r in 2..5 {
-            assert_eq!(report.outcomes[r].as_ok(), Some(&2), "rank {r}");
-        }
+        let body = |p: &mut Process| {
+            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+            if p.world_rank() <= 1 {
+                return idle(p);
+            }
+            // Wait until both failures are visible, then elect.
+            await_death(p, 0)?;
+            await_death(p, 1)?;
+            get_current_root(p, WORLD)
+        };
+        seeded(5, plan, body, |at, report| {
+            for r in 2..5 {
+                assert_eq!(report.outcomes[r].as_ok(), Some(&2), "{at}: rank {r}");
+            }
+        });
     }
 
     #[test]
     fn election_ignores_recognition_state() {
         // A recognized (Null) rank is still failed: never electable.
         let plan = FaultPlan::none().kill_at(0, HookKind::Tick, 1);
-        let report = run(
-            3,
-            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(20)),
-            |p| {
-                p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-                if p.world_rank() == 0 {
-                    let req = p.irecv(WORLD, Src::Rank(1), 9)?;
-                    let _ = p.wait(req)?;
-                    return Ok(usize::MAX);
-                }
-                while p.comm_validate_rank(WORLD, 0)?.state == RankState::Ok {
-                    std::thread::yield_now();
-                }
-                p.comm_validate_clear(WORLD, &[0])?;
-                get_current_root(p, WORLD)
-            },
-        );
-        for r in 1..3 {
-            assert_eq!(report.outcomes[r].as_ok(), Some(&1), "rank {r}");
-        }
+        let body = |p: &mut Process| {
+            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+            if p.world_rank() == 0 {
+                return idle(p);
+            }
+            await_death(p, 0)?;
+            p.comm_validate_clear(WORLD, &[0])?;
+            get_current_root(p, WORLD)
+        };
+        seeded(3, plan, body, |at, report| {
+            for r in 1..3 {
+                assert_eq!(report.outcomes[r].as_ok(), Some(&1), "{at}: rank {r}");
+            }
+        });
     }
 }

@@ -245,13 +245,13 @@ impl Ctx<'_> {
 mod tests {
     use crate::msg::{RingMsg, T_N};
     use crate::ring::{Ctx, RingConfig};
+    use crate::seeded::{refereed, seeded};
     use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
-    use ftmpi::{run, run_default, ErrorHandler, UniverseConfig, WORLD};
-    use std::time::Duration;
+    use ftmpi::{ErrorHandler, Process, RankOutcome, Src, WORLD};
 
     #[test]
     fn recv_token_gets_a_normal_token() {
-        let report = run_default(3, |p| {
+        let body = |p: &mut Process| {
             p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
             if p.world_rank() == 1 {
                 let mut ctx = Ctx::new(p, WORLD, RingConfig::paper(1))?;
@@ -263,8 +263,10 @@ mod tests {
             } else {
                 Ok(0)
             }
+        };
+        refereed(3, FaultPlan::none(), body, |at, report| {
+            assert_eq!(report.outcomes[1].as_ok(), Some(&1), "{at}");
         });
-        assert_eq!(report.outcomes[1].as_ok(), Some(&1));
     }
 
     #[test]
@@ -277,60 +279,54 @@ mod tests {
             2,
             Trigger::on(HookKind::AfterRecvComplete).tag(T_N).nth(1),
         ));
-        let report = run(
-            4,
-            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(20)),
-            |p| {
-                p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-                match p.world_rank() {
-                    1 => {
-                        let mut ctx = Ctx::new(p, WORLD, RingConfig::paper(8))?;
-                        // Send the iteration-0 token to rank 2 (which
-                        // dies on receipt, taking the token with it).
-                        ctx.ft_send_right(RingMsg { value: 5, marker: 0, origin: 0, pad: vec![] }, false)?;
-                        // Now wait for the next token; instead the
-                        // detector fires and we resend to rank 3.
-                        match ctx.recv_token() {
-                            // No token will ever arrive in this test;
-                            // we exit via the watchdog-free path below.
-                            Ok(_) => Ok((0, 0)),
-                            Err(e) if e.is_terminal() => {
-                                // Universe shut down by rank 3's probe
-                                // completing the assertion first.
-                                Ok((ctx.stats.detector_fires, ctx.stats.resends))
-                            }
-                            Err(e) => Err(e),
+        let body = |p: &mut Process| {
+            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+            match p.world_rank() {
+                1 => {
+                    let mut ctx = Ctx::new(p, WORLD, RingConfig::paper(8))?;
+                    // Send the iteration-0 token to rank 2 (which
+                    // dies on receipt, taking the token with it).
+                    let token = RingMsg { value: 5, marker: 0, origin: 0, pad: vec![] };
+                    ctx.ft_send_right(token, false)?;
+                    // Now wait for the next token; instead the
+                    // detector fires and we resend to rank 3.
+                    match ctx.recv_token() {
+                        // No token will ever arrive in this test.
+                        Ok(_) => Ok((0, 0)),
+                        Err(e) if e.is_terminal() => {
+                            // Universe shut down by rank 3's probe
+                            // completing the assertion first.
+                            Ok((ctx.stats.detector_fires, ctx.stats.resends))
                         }
-                    }
-                    2 => {
-                        let (_, _) = p.recv::<RingMsg>(WORLD, ftmpi::Src::Rank(1), T_N)?;
-                        unreachable!("killed on receive completion");
-                    }
-                    3 => {
-                        // The resent token must arrive from rank 1.
-                        let (m, st) = p.recv::<RingMsg>(WORLD, ftmpi::Src::Rank(1), T_N)?;
-                        assert_eq!(st.source, Some(1));
-                        assert_eq!((m.value, m.marker), (5, 0));
-                        // Success: end the run so rank 1 unblocks.
-                        let _ = p.abort(WORLD, 42);
-                        Ok((1, 1))
-                    }
-                    _ => {
-                        // Rank 0 idles until the abort.
-                        let req = p.irecv(WORLD, ftmpi::Src::Rank(3), 99)?;
-                        match p.wait(req) {
-                            Err(e) if e.is_terminal() => Ok((0, 0)),
-                            other => panic!("unexpected {other:?}"),
-                        }
+                        Err(e) => Err(e),
                     }
                 }
-            },
-        );
-        assert!(!report.hung);
-        assert!(matches!(
-            report.outcomes[3],
-            ftmpi::RankOutcome::Ok((1, 1))
-        ));
+                2 => {
+                    let (_, _) = p.recv::<RingMsg>(WORLD, Src::Rank(1), T_N)?;
+                    unreachable!("killed on receive completion");
+                }
+                3 => {
+                    // The resent token must arrive from rank 1.
+                    let (m, st) = p.recv::<RingMsg>(WORLD, Src::Rank(1), T_N)?;
+                    assert_eq!(st.source, Some(1));
+                    assert_eq!((m.value, m.marker), (5, 0));
+                    // Success: end the run so rank 1 unblocks.
+                    let _ = p.abort(WORLD, 42);
+                    Ok((1, 1))
+                }
+                _ => {
+                    // Rank 0 idles until the abort.
+                    let req = p.irecv(WORLD, Src::Rank(3), 99)?;
+                    match p.wait(req) {
+                        Err(e) if e.is_terminal() => Ok((0, 0)),
+                        other => panic!("unexpected {other:?}"),
+                    }
+                }
+            }
+        };
+        seeded(4, plan, body, |at, report| {
+            assert!(matches!(report.outcomes[3], RankOutcome::Ok((1, 1))), "{at}");
+        });
     }
 
     #[test]
@@ -338,7 +334,7 @@ mod tests {
         // With two ranks, right == left, so the detector receive can
         // legitimately complete with data; it must be treated as a
         // token, not a failure.
-        let report = run_default(2, |p| {
+        let body = |p: &mut Process| {
             p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
             if p.world_rank() == 0 {
                 p.send(WORLD, 1, T_N, &RingMsg::originate(3, 0, 0))?;
@@ -348,7 +344,9 @@ mod tests {
                 let t = ctx.recv_token()?;
                 Ok(t.marker as i64)
             }
+        };
+        refereed(2, FaultPlan::none(), body, |at, report| {
+            assert_eq!(report.outcomes[1].as_ok(), Some(&3), "{at}");
         });
-        assert_eq!(report.outcomes[1].as_ok(), Some(&3));
     }
 }

@@ -59,57 +59,47 @@ impl Ctx<'_> {
 #[cfg(test)]
 mod tests {
     use crate::ring::{Ctx, RingConfig};
+    use crate::seeded::{await_death, idle, refereed, seeded};
     use faultsim::{FaultPlan, HookKind};
-    use ftmpi::{run, ErrorHandler, RankState, Src, UniverseConfig, WORLD};
-    use std::time::Duration;
+    use ftmpi::{ErrorHandler, Process, WORLD};
 
     #[test]
     fn lowest_survivor_takes_over() {
         let plan = FaultPlan::none().kill_at(0, HookKind::Tick, 1);
-        let report = run(
-            3,
-            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(20)),
-            |p| {
-                p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-                if p.world_rank() == 0 {
-                    let req = p.irecv(WORLD, Src::Rank(1), 99)?;
-                    let _ = p.wait(req)?;
-                    return Ok((false, false));
-                }
-                while p.comm_validate_rank(WORLD, 0)?.state == RankState::Ok {
-                    std::thread::yield_now();
-                }
-                // max_iter > 0 so the cur==0 takeover originates; use a
-                // 2-iteration config but don't run the loop here.
-                let mut ctx = Ctx::new(p, WORLD, RingConfig::with_root_failover(2))?;
-                // Ctx::new already elected rank 1 as root; emulate the
-                // mid-run discovery instead.
-                ctx.root = 0;
-                ctx.is_root = false;
-                ctx.check_root_change()?;
-                Ok((ctx.is_root, ctx.stats.became_root))
-            },
-        );
-        assert_eq!(report.outcomes[1].as_ok(), Some(&(true, true)));
-        assert_eq!(report.outcomes[2].as_ok(), Some(&(false, false)));
+        let body = |p: &mut Process| {
+            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+            if p.world_rank() == 0 {
+                return idle(p);
+            }
+            await_death(p, 0)?;
+            // max_iter > 0 so the cur==0 takeover originates; use a
+            // 2-iteration config but don't run the loop here.
+            let mut ctx = Ctx::new(p, WORLD, RingConfig::with_root_failover(2))?;
+            // Ctx::new already elected rank 1 as root; emulate the
+            // mid-run discovery instead.
+            ctx.root = 0;
+            ctx.is_root = false;
+            ctx.check_root_change()?;
+            Ok((ctx.is_root, ctx.stats.became_root))
+        };
+        seeded(3, plan, body, |at, report| {
+            assert_eq!(report.outcomes[1].as_ok(), Some(&(true, true)), "{at}");
+            assert_eq!(report.outcomes[2].as_ok(), Some(&(false, false)), "{at}");
+        });
     }
 
     #[test]
     fn no_change_while_root_is_alive() {
-        let report = run(
-            2,
-            UniverseConfig::default().watchdog(Duration::from_secs(20)),
-            |p| {
-                p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-                if p.world_rank() == 1 {
-                    let mut ctx = Ctx::new(p, WORLD, RingConfig::with_root_failover(2))?;
-                    ctx.check_root_change()?;
-                    assert!(!ctx.is_root);
-                    assert_eq!(ctx.root, 0);
-                }
-                Ok(())
-            },
-        );
-        assert!(report.all_ok());
+        let body = |p: &mut Process| {
+            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+            if p.world_rank() == 1 {
+                let mut ctx = Ctx::new(p, WORLD, RingConfig::with_root_failover(2))?;
+                ctx.check_root_change()?;
+                assert!(!ctx.is_root);
+                assert_eq!(ctx.root, 0);
+            }
+            Ok(())
+        };
+        refereed(2, FaultPlan::none(), body, |at, report| assert!(report.all_ok(), "{at}"));
     }
 }

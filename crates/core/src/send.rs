@@ -63,96 +63,81 @@ impl Ctx<'_> {
 
 #[cfg(test)]
 mod tests {
-    use crate::msg::RingMsg;
+    use crate::msg::{RingMsg, T_N};
     use crate::ring::{Ctx, RingConfig};
+    use crate::seeded::{await_death, idle, refereed, seeded};
     use faultsim::{FaultPlan, HookKind};
-    use ftmpi::{run, run_default, ErrorHandler, Src, UniverseConfig, WORLD};
-    use std::time::Duration;
+    use ftmpi::{Error, ErrorHandler, Process, RankOutcome, Src, WORLD};
 
     #[test]
     fn send_right_reaches_immediate_neighbor() {
-        let report = run_default(3, |p| {
+        let body = |p: &mut Process| {
             p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
             if p.world_rank() == 0 {
                 let mut ctx = Ctx::new(p, WORLD, RingConfig::paper(1))?;
                 ctx.ft_send_right(RingMsg::originate(0, 0, 0), false)?;
                 Ok(0)
             } else if p.world_rank() == 1 {
-                let (m, st) = p.recv::<RingMsg>(WORLD, Src::Rank(0), crate::msg::T_N)?;
+                let (m, st) = p.recv::<RingMsg>(WORLD, Src::Rank(0), T_N)?;
                 assert_eq!(st.source, Some(0));
                 Ok(m.value as usize)
             } else {
                 Ok(9)
             }
+        };
+        refereed(3, FaultPlan::none(), body, |at, report| {
+            assert_eq!(report.outcomes[1].as_ok(), Some(&1), "{at}");
         });
-        assert_eq!(report.outcomes[1].as_ok(), Some(&1));
     }
 
     #[test]
     fn send_right_skips_a_dead_neighbor() {
         // Rank 1 dies before rank 0 sends; the send must land at 2.
         let plan = FaultPlan::none().kill_at(1, HookKind::Tick, 1);
-        let report = run(
-            3,
-            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(20)),
-            |p| {
-                p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-                match p.world_rank() {
-                    0 => {
-                        while p.comm_validate_rank(WORLD, 1)?.state == ftmpi::RankState::Ok {
-                            std::thread::yield_now();
-                        }
-                        let mut ctx = Ctx::new(p, WORLD, RingConfig::paper(1))?;
-                        // Neighbour scan already skips rank 1 at ctx
-                        // creation; force the Fig. 5 resend path by
-                        // aiming at the dead rank explicitly.
-                        ctx.right = 1;
-                        ctx.ft_send_right(RingMsg::originate(7, 0, 0), false)?;
-                        assert_eq!(ctx.right, 2, "send walked past the failure");
-                        assert_eq!(ctx.stats.right_switches, 1);
-                        Ok(0)
-                    }
-                    1 => {
-                        let req = p.irecv(WORLD, Src::Rank(0), 99)?;
-                        let _ = p.wait(req)?;
-                        Ok(0)
-                    }
-                    _ => {
-                        let (m, _) = p.recv::<RingMsg>(WORLD, Src::Rank(0), crate::msg::T_N)?;
-                        Ok(m.marker as usize)
-                    }
+        let body = |p: &mut Process| {
+            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+            match p.world_rank() {
+                0 => {
+                    await_death(p, 1)?;
+                    let mut ctx = Ctx::new(p, WORLD, RingConfig::paper(1))?;
+                    // Neighbour scan already skips rank 1 at ctx
+                    // creation; force the Fig. 5 resend path by
+                    // aiming at the dead rank explicitly.
+                    ctx.right = 1;
+                    ctx.ft_send_right(RingMsg::originate(7, 0, 0), false)?;
+                    assert_eq!(ctx.right, 2, "send walked past the failure");
+                    assert_eq!(ctx.stats.right_switches, 1);
+                    Ok(0)
                 }
-            },
-        );
-        assert_eq!(report.outcomes[2].as_ok(), Some(&7));
+                1 => idle(p),
+                _ => {
+                    let (m, _) = p.recv::<RingMsg>(WORLD, Src::Rank(0), T_N)?;
+                    Ok(m.marker as usize)
+                }
+            }
+        };
+        seeded(3, plan, body, |at, report| {
+            assert_eq!(report.outcomes[2].as_ok(), Some(&7), "{at}");
+        });
     }
 
     #[test]
     fn alone_sender_aborts_per_fig5() {
         let plan = FaultPlan::none().kill_at(1, HookKind::Tick, 1);
-        let report = run(
-            2,
-            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(20)),
-            |p| {
-                p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-                if p.world_rank() == 1 {
-                    let req = p.irecv(WORLD, Src::Rank(0), 99)?;
-                    let _ = p.wait(req)?;
-                    return Ok(());
-                }
-                while p.comm_validate_rank(WORLD, 1)?.state == ftmpi::RankState::Ok {
-                    std::thread::yield_now();
-                }
-                let mut ctx = Ctx::new(p, WORLD, RingConfig::paper(1))?;
-                ctx.right = 1;
-                let err = ctx.ft_send_right(RingMsg::originate(0, 0, 0), false).unwrap_err();
-                assert!(matches!(err, ftmpi::Error::Aborted { code: -1 }));
-                Err(err)
-            },
-        );
-        assert!(matches!(
-            report.outcomes[0],
-            ftmpi::RankOutcome::Aborted { code: -1 }
-        ));
+        let body = |p: &mut Process| {
+            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+            if p.world_rank() == 1 {
+                return idle(p);
+            }
+            await_death(p, 1)?;
+            let mut ctx = Ctx::new(p, WORLD, RingConfig::paper(1))?;
+            ctx.right = 1;
+            let err = ctx.ft_send_right(RingMsg::originate(0, 0, 0), false).unwrap_err();
+            assert!(matches!(err, Error::Aborted { code: -1 }));
+            Err::<(), _>(err)
+        };
+        seeded(2, plan, body, |at, report| {
+            assert!(matches!(report.outcomes[0], RankOutcome::Aborted { code: -1 }), "{at}");
+        });
     }
 }
