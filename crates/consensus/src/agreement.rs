@@ -306,7 +306,7 @@ pub fn agree_on_failed_set(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seeded::{idle, refereed, seeded};
+    use dst::{idle, refereed, seeded};
     use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
     use ftmpi::{ErrorHandler, WORLD};
 

@@ -96,7 +96,7 @@ pub fn flooding_failed_set(p: &mut Process, comm: Comm, tag: Tag) -> Result<Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seeded::{await_death, idle, refereed, seeded};
+    use dst::{await_death, idle, refereed, seeded};
     use faultsim::{FaultPlan, HookKind};
     use ftmpi::{ErrorHandler, WORLD};
 

@@ -349,7 +349,7 @@ pub fn run_diskless(p: &mut Process, comm: Comm, cfg: &DisklessConfig) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seeded::refereed;
+    use dst::refereed;
     use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
     use ftmpi::{UniverseConfig, WORLD};
 

@@ -224,7 +224,7 @@ pub fn serial_reference(ranks: usize, cfg: &HeatConfig) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seeded::refereed;
+    use dst::refereed;
     use faultsim::{FaultPlan, HookKind};
     use ftmpi::WORLD;
 

@@ -252,7 +252,7 @@ pub fn expected_results(tasks: &[u64]) -> Vec<(u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seeded::refereed;
+    use dst::refereed;
     use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
     use ftmpi::{RankOutcome, WORLD};
 

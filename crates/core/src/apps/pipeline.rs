@@ -189,7 +189,7 @@ pub fn run_pipeline(p: &mut Process, comm: Comm, vector: &[f64]) -> Result<Pipel
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seeded::refereed;
+    use dst::refereed;
     use faultsim::{FaultPlan, HookKind};
     use ftmpi::WORLD;
 

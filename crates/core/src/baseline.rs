@@ -55,7 +55,7 @@ pub fn run_baseline_ring(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seeded::refereed;
+    use dst::refereed;
     use faultsim::{FaultPlan, HookKind};
     use ftmpi::{RankOutcome, WORLD};
 

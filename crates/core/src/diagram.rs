@@ -145,7 +145,7 @@ pub fn render_sequence_diagram(trace: &[TimedEvent], ranks: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seeded::refereed;
+    use dst::refereed;
     use faultsim::{scenario::kill_after_recv, FaultPlan};
     use ftmpi::WORLD;
 

@@ -64,7 +64,7 @@ pub fn get_current_root(p: &Process, comm: Comm) -> Result<CommRank> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seeded::{await_death, idle, refereed, seeded};
+    use dst::{await_death, idle, refereed, seeded};
     use faultsim::{FaultPlan, HookKind};
     use ftmpi::{ErrorHandler, WORLD};
 

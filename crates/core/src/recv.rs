@@ -245,7 +245,7 @@ impl Ctx<'_> {
 mod tests {
     use crate::msg::{RingMsg, T_N};
     use crate::ring::{Ctx, RingConfig};
-    use crate::seeded::{refereed, seeded};
+    use dst::{refereed, seeded};
     use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
     use ftmpi::{ErrorHandler, Process, RankOutcome, Src, WORLD};
 

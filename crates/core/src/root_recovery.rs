@@ -59,7 +59,7 @@ impl Ctx<'_> {
 #[cfg(test)]
 mod tests {
     use crate::ring::{Ctx, RingConfig};
-    use crate::seeded::{await_death, idle, refereed, seeded};
+    use dst::{await_death, idle, refereed, seeded};
     use faultsim::{FaultPlan, HookKind};
     use ftmpi::{ErrorHandler, Process, WORLD};
 

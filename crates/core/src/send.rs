@@ -65,7 +65,7 @@ impl Ctx<'_> {
 mod tests {
     use crate::msg::{RingMsg, T_N};
     use crate::ring::{Ctx, RingConfig};
-    use crate::seeded::{await_death, idle, refereed, seeded};
+    use dst::{await_death, idle, refereed, seeded};
     use faultsim::{FaultPlan, HookKind};
     use ftmpi::{Error, ErrorHandler, Process, RankOutcome, Src, WORLD};
 

@@ -63,7 +63,7 @@ pub use shrink::{shrink, shrink_schedule, Ev, Shrunk};
 pub use sweep::{sweep, CorpusWrite, SweepCfg, SweepError, SweepReport};
 pub use triage::{triage, triage_trace, Hang, TriageReport, WaitEdge, WaitKind};
 pub use verdict::{judge, Failure, Tally};
-pub use workload::{referee, reports, Kills, Workload};
+pub use workload::{await_death, idle, referee, refereed, reports, seeded, Body, Kills, Workload};
 
 /// Run `count` seeds starting at `start` serially, with full decision
 /// logs, and judge each one: the reference [`sweep`] is checked

@@ -5,8 +5,9 @@ use std::fmt::{Debug, Write as _};
 use std::ops::Range;
 
 use faultsim::{FaultPlan, FaultRule, HookKind};
-use ftmpi::{Process, RankOutcome, ReportBuffers, RunReport, UniverseConfig};
+use ftmpi::{Error, Process, RankOutcome, ReportBuffers, RunReport, Src, UniverseConfig, WORLD};
 
+use crate::figures::SEEDS;
 use crate::scenario::{plan, Kill, HOOKS, KILL_SALT};
 use crate::{Retention, Retention::Full, Scheduler, SeedRunner, SplitMix64};
 
@@ -21,6 +22,10 @@ pub trait Workload: Sync {
     fn body(&self, p: &mut Process) -> ftmpi::Result<Self::Report>;
     /// The fail-stops `seed` injects into a world of `ranks`.
     fn kills(&self, seed: u64, ranks: usize) -> Kills;
+    /// How many times each rank may be revived (DESIGN.md §7).
+    fn respawn(&self) -> u32 {
+        0
+    }
 }
 
 /// The fail-stops of one seed.
@@ -72,7 +77,7 @@ impl SeedRunner {
         reports: ReportBuffers<W::Report>,
     ) -> RunReport<W::Report> {
         let cfg = UniverseConfig { plan: Cow::Borrowed(plan), ..UniverseConfig::default() };
-        let cfg = cfg.traced().sim(&mut self.sched);
+        let cfg = cfg.traced().respawning(w.respawn()).sim(&mut self.sched);
         self.pool.run_in(cfg, reports, |p: &mut Process| w.body(p))
     }
 }
@@ -133,6 +138,79 @@ pub fn reports<'r, R: Debug>(at: &str, report: &'r RunReport<R>) -> Vec<Option<&
         other => panic!("{at}: rank {rank} ended as {other:?}"),
     };
     report.outcomes.iter().enumerate().map(end).collect()
+}
+
+/// One rank body under one plan, whatever the seed: a protocol test's workload.
+pub struct Body<F> {
+    plan: FaultPlan,
+    respawn: u32,
+    body: F,
+}
+
+impl<F> Body<F> {
+    /// `body` on every rank under `plan`, no rank revived.
+    pub fn new(plan: FaultPlan, body: F) -> Self {
+        Body { plan, respawn: 0, body }
+    }
+
+    /// The same, each rank revivable `respawn` times.
+    pub fn respawning(self, respawn: u32) -> Self {
+        Body { respawn, ..self }
+    }
+}
+
+impl<R: Debug + Send, F: Fn(&mut Process) -> ftmpi::Result<R> + Sync> Workload for Body<F> {
+    type Report = R;
+    fn body(&self, p: &mut Process) -> ftmpi::Result<R> {
+        (self.body)(p)
+    }
+    fn kills(&self, _seed: u64, _ranks: usize) -> Kills {
+        Kills::Plan(self.plan.clone())
+    }
+    fn respawn(&self) -> u32 {
+        self.respawn
+    }
+}
+
+/// `body` on `n` ranks under `plan` through [`referee`] over [`SEEDS`]: each seed's twin runs
+/// with the kills disarmed and must finish too; `check` judges each planned run.
+pub fn refereed<R: Debug + Send>(
+    n: usize,
+    plan: FaultPlan,
+    body: impl Fn(&mut Process) -> ftmpi::Result<R> + Sync,
+    mut check: impl FnMut(&str, &RunReport<R>),
+) {
+    referee(&Body::new(plan, body), &[n], SEEDS, |at, _, report, _| check(at, report));
+}
+
+/// `body` on `n` ranks under `plan` over [`SEEDS`], for a body that waits for a death and so
+/// has no twin: no seed may end in a deadlock or budget verdict; `check` judges each run.
+pub fn seeded<R: Debug + Send>(
+    n: usize,
+    plan: FaultPlan,
+    body: impl Fn(&mut Process) -> ftmpi::Result<R> + Sync,
+    mut check: impl FnMut(&str, &RunReport<R>),
+) {
+    let (w, mut runner) = (Body::new(plan, body), SeedRunner::new(n));
+    for seed in SEEDS {
+        let at = format!("{n} ranks, seed {seed}");
+        let run = Seed { runner: &mut runner, w: &w, seed, at: &at }.run(w.plan.clone());
+        check(&at, &run.report);
+    }
+}
+
+/// Wait until `victim` has died: a receive naming it ends in its `RankFailStop` (Fig. 9).
+pub fn await_death(p: &mut Process, victim: usize) -> ftmpi::Result<()> {
+    match p.recv::<()>(WORLD, Src::Rank(victim), 9) {
+        Err(Error::RankFailStop { rank }) if rank == victim => Ok(()),
+        other => panic!("rank {victim} did not die: {other:?}"),
+    }
+}
+
+/// Wait for a message that never comes, until a `Tick` kill ends this rank.
+pub fn idle<R>(p: &mut Process) -> ftmpi::Result<R> {
+    p.recv::<()>(WORLD, Src::Rank(0), 9)?;
+    unreachable!("an idle rank is killed at its first Tick")
 }
 
 /// One run: its report, its decision log followed by one line per rank's outcome, its steps.
@@ -246,7 +324,7 @@ fn before_kill(text: &str) -> &str {
 mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    use ftmpi::{ErrorHandler, Src, WORLD};
+    use ftmpi::ErrorHandler;
 
     use super::*;
 

@@ -21,7 +21,7 @@
 
 use std::fmt::Debug;
 
-use dst::{referee, reports, Kills, SeedRunner, Workload};
+use dst::{referee, refereed, reports, Body, Kills, SeedRunner, Workload};
 use faultsim::{FaultPlan, FaultRule, HookKind, Trigger};
 use ftmpi::{Error, ErrorHandler, Process, RankState, Src, WorldRank, WORLD};
 
@@ -159,59 +159,35 @@ fn as_fresh<W: Workload>(warm: &mut SeedRunner, w: &W, plan: &FaultPlan, seed: u
 #[test]
 fn a_warm_runner_runs_as_a_fresh_one() {
     let kill_3 = FaultPlan::none().kill_at(3, HookKind::BeforeSend, 1);
-    let litter = Contract {
-        plan: kill_3.clone(),
-        body: |p: &mut Process| {
-            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-            let dup = p.comm_dup(WORLD)?;
-            if p.world_rank() == 3 {
-                announce(p, &[0])?;
-            }
-            let me = p.world_rank();
-            p.irecv(dup, Src::Rank(3), 5)?;
-            p.irecv(WORLD, Src::Rank((me + 2) % 4), 6)?;
-            // Rank 0's left is the victim.
-            let _ = p.send(WORLD, (me + 3) % 4, 6, &(100 + me));
-            // Drains every message sent before it into its receiver.
-            p.comm_validate_all(WORLD)
-        },
-    };
-    let exchange = Contract {
-        plan: kill_3,
-        body: |p: &mut Process| {
-            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-            let (me, dup) = (p.world_rank(), p.comm_dup(WORLD)?);
-            let (left, right) = ((me + 3) % 4, Src::Rank((me + 1) % 4));
-            let got = p.sendrecv::<usize, usize>(WORLD, left, 6, &me, right, 6);
-            let got = got.map(|(v, _)| v).map_err(|e| e.to_string());
-            Ok((format!("{dup:?}"), got, p.comm_validate_rank(WORLD, 3)?.state))
-        },
-    };
+    let litter = Body::new(kill_3.clone(), |p: &mut Process| {
+        p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+        let dup = p.comm_dup(WORLD)?;
+        if p.world_rank() == 3 {
+            announce(p, &[0])?;
+        }
+        let me = p.world_rank();
+        p.irecv(dup, Src::Rank(3), 5)?;
+        p.irecv(WORLD, Src::Rank((me + 2) % 4), 6)?;
+        // Rank 0's left is the victim.
+        let _ = p.send(WORLD, (me + 3) % 4, 6, &(100 + me));
+        // Drains every message sent before it into its receiver.
+        p.comm_validate_all(WORLD)
+    });
+    let exchange = Body::new(kill_3.clone(), |p: &mut Process| {
+        p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
+        let (me, dup) = (p.world_rank(), p.comm_dup(WORLD)?);
+        let (left, right) = ((me + 3) % 4, Src::Rank((me + 1) % 4));
+        let got = p.sendrecv::<usize, usize>(WORLD, left, 6, &me, right, 6);
+        let got = got.map(|(v, _)| v).map_err(|e| e.to_string());
+        Ok((format!("{dup:?}"), got, p.comm_validate_rank(WORLD, 3)?.state))
+    });
     let mut warm = SeedRunner::new(4);
     for seed in SEEDS {
         let Kills::Plan(plan) = Board.kills(seed, 4) else { unreachable!("a plan per seed") };
         as_fresh(&mut warm, &Board, &plan, seed);
-        as_fresh(&mut warm, &exchange, &exchange.plan, seed);
-        let (report, _) = warm.run_workload(&litter, &litter.plan, seed);
+        as_fresh(&mut warm, &exchange, &kill_3, seed);
+        let (report, _) = warm.run_workload(&litter, &kill_3, seed);
         assert!(report.outcomes[3].is_failed(), "seed {seed}: {:?}", report.outcomes);
-    }
-}
-
-/// One rank body under one plan, whatever the seed.
-struct Contract<F> {
-    plan: FaultPlan,
-    body: F,
-}
-
-impl<R: Debug + Send, F: Fn(&mut Process) -> ftmpi::Result<R> + Sync> Workload for Contract<F> {
-    type Report = R;
-
-    fn body(&self, p: &mut Process) -> ftmpi::Result<R> {
-        (self.body)(p)
-    }
-
-    fn kills(&self, _seed: u64, _ranks: usize) -> Kills {
-        Kills::Plan(self.plan.clone())
     }
 }
 
@@ -223,9 +199,10 @@ fn contract<R: Debug + Send + PartialEq>(
     expect: R,
     body: impl Fn(&mut Process) -> ftmpi::Result<R> + Sync,
 ) {
-    referee(&Contract { plan, body }, &[ranks], 0..32, |at, plan, report, _| {
+    let victims = plan.victims();
+    refereed(ranks, plan, body, |at, report| {
         for (rank, r) in reports(at, report).into_iter().enumerate() {
-            assert!(plan.victims().contains(&rank) || r == Some(&expect), "{at}: rank {rank}");
+            assert!(victims.contains(&rank) || r == Some(&expect), "{at}: rank {rank}");
         }
     });
 }

@@ -31,10 +31,9 @@
 //! failed): nothing yields in between. A `debug_assert!` there makes
 //! every revival here fail if the order is reversed.
 
-use std::borrow::Cow;
 use std::fmt::Debug;
 
-use dst::Scheduler;
+use dst::{Body, Scheduler, SeedRunner};
 use faultsim::{FaultPlan, HookKind};
 use ftmpi::{
     Error, ErrorHandler, Event, Process, RankInfo, RankState, RunReport, Src, Tag, TimedEvent,
@@ -44,8 +43,8 @@ use ftring::apps::{expected_results, run_farm, FarmOutcome, FarmResult};
 
 const SEEDS: u64 = 500;
 
-/// Logical steps before the scheduler's budget verdict; far above what
-/// any body takes.
+/// Logical steps before the scheduler's budget verdict in the budget
+/// test; far above what any body takes.
 const BUDGET: u64 = 10_000;
 
 /// FNV-1a offset basis: every digest below starts here.
@@ -265,19 +264,6 @@ fn rearm(p: &mut Process) -> ftmpi::Result<Option<Rearm>> {
     Ok(Some(Rearm { first, recognized, pending, second }))
 }
 
-/// Run `body` on `ranks` ranks under `sched` and `plan`, each rank
-/// revivable `respawn` times.
-fn run<T: Send>(
-    pool: &mut UniversePool,
-    sched: &mut Scheduler,
-    plan: &FaultPlan,
-    respawn: u32,
-    body: &(impl Fn(&mut Process) -> ftmpi::Result<T> + Sync),
-) -> RunReport<T> {
-    let cfg = UniverseConfig { plan: Cow::Borrowed(plan), ..UniverseConfig::default() };
-    pool.run(cfg.sim(sched).respawning(respawn).traced(), body)
-}
-
 /// Sweep `body` over the seeds on `ranks` ranks under `plan`, each rank
 /// revivable `respawn` times, twice each: every seed's two logs are
 /// equal, no run hangs, and `outcome` (which panics unless the race's
@@ -292,15 +278,13 @@ fn sweep<T: Send + Debug>(
     digest: &mut u64,
     outcome: impl Fn(u64, &RunReport<T>) -> bool,
 ) {
-    let mut pool = UniversePool::new(ranks);
-    let mut sched = Scheduler::new(ranks, 0, BUDGET);
+    let race = Body::new(plan.clone(), body).respawning(respawn);
+    let mut runner = SeedRunner::new(ranks);
     let mut reached = [0u64; 2];
     for seed in 0..SEEDS {
-        sched.reset(ranks, seed, BUDGET);
-        let first = run(&mut pool, &mut sched, plan, respawn, &body);
+        let (first, sched) = runner.run_workload(&race, plan, seed);
         let log = sched.log_text();
-        sched.reset(ranks, seed, BUDGET);
-        let second = run(&mut pool, &mut sched, plan, respawn, &body);
+        let (second, sched) = runner.run_workload(&race, plan, seed);
         assert_eq!(log, sched.log_text(), "seed {seed}: the two runs' logs differ");
         let seen = format!("{:?} {:?}", first.outcomes, first.generations);
         assert_eq!(seen, format!("{:?} {:?}", second.outcomes, second.generations), "seed {seed}");
@@ -512,13 +496,16 @@ fn the_farm_requeues_both_tasks_of_a_crash_looping_worker() {
 #[test]
 fn a_budget_verdict_at_a_revival_hangs_the_run() {
     let mut pool = UniversePool::new(2);
-    let none = FaultPlan::none();
+    let mut run = |sched: &mut Scheduler| {
+        let cfg = UniverseConfig::default().sim(sched).respawning(1).traced();
+        pool.run(cfg, replaced_incarnation)
+    };
     for seed in 0..40 {
         let mut sched = Scheduler::new(2, seed, BUDGET);
-        run(&mut pool, &mut sched, &none, 1, &replaced_incarnation);
+        run(&mut sched);
         for budget in 0..sched.steps() {
             let mut short = Scheduler::new(2, seed, budget);
-            let report = run(&mut pool, &mut short, &none, 1, &replaced_incarnation);
+            let report = run(&mut short);
             assert!(report.hung, "seed {seed}, budget {budget}: {:?}", report.outcomes);
             assert!(short.budget_exhausted(), "seed {seed}, budget {budget}");
         }

@@ -1,10 +1,14 @@
 //! Property tests for point-to-point semantics: MPI matching rules
 //! (non-overtaking, tag/context selectivity) and datatype round-trips
-//! across the wire, under randomized message mixes.
+//! across the wire, under randomized message mixes. Each case runs
+//! every seed of `dst::figures::SEEDS` under the scheduler, one
+//! interleaving of the streams per seed (DESIGN.md §6).
 
 use proptest::prelude::*;
 
-use ftmpi::{run_default, Datatype, Src, TagSel, WORLD};
+use dst::refereed;
+use faultsim::FaultPlan;
+use ftmpi::{Datatype, Process, Src, TagSel, WORLD};
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -21,18 +25,16 @@ proptest! {
         msgs_a in prop::collection::vec((0i32..3, any::<u32>()), 1..20),
         msgs_b in prop::collection::vec((0i32..3, any::<u32>()), 1..20),
     ) {
-        let msgs_a2 = msgs_a.clone();
-        let msgs_b2 = msgs_b.clone();
-        let report = run_default(3, move |p| {
+        let body = |p: &mut Process| {
             match p.world_rank() {
                 1 => {
-                    for (tag, v) in &msgs_a2 {
+                    for (tag, v) in &msgs_a {
                         p.send(WORLD, 0, *tag, v)?;
                     }
                     Ok(vec![])
                 }
                 2 => {
-                    for (tag, v) in &msgs_b2 {
+                    for (tag, v) in &msgs_b {
                         p.send(WORLD, 0, *tag, v)?;
                     }
                     Ok(vec![])
@@ -43,7 +45,7 @@ proptest! {
                     // deliberately scrambled (stream-major) to stress
                     // the unexpected queue.
                     let mut got = Vec::new();
-                    for (src, msgs) in [(1usize, &msgs_a2), (2usize, &msgs_b2)] {
+                    for (src, msgs) in [(1usize, &msgs_a), (2usize, &msgs_b)] {
                         for tag in 0..3i32 {
                             for (t, v) in msgs.iter().filter(|(t, _)| *t == tag) {
                                 let (r, st) = p.recv::<u32>(WORLD, Src::Rank(src), *t)?;
@@ -56,10 +58,12 @@ proptest! {
                     Ok(got)
                 }
             }
+        };
+        refereed(3, FaultPlan::none(), body, |at, report| {
+            assert!(report.all_ok(), "{at}");
+            let got = report.outcomes[0].as_ok().unwrap();
+            assert_eq!(got.len(), msgs_a.len() + msgs_b.len(), "{at}");
         });
-        prop_assert!(report.all_ok());
-        let got = report.outcomes[0].as_ok().unwrap();
-        prop_assert_eq!(got.len(), msgs_a.len() + msgs_b.len());
     }
 
     /// ANY_TAG receives drain a single sender's stream in exact send
@@ -68,24 +72,25 @@ proptest! {
     fn any_tag_preserves_pair_order(
         msgs in prop::collection::vec((0i32..5, any::<i64>()), 1..25),
     ) {
-        let msgs2 = msgs.clone();
-        let report = run_default(2, move |p| {
+        let body = |p: &mut Process| {
             if p.world_rank() == 1 {
-                for (tag, v) in &msgs2 {
+                for (tag, v) in &msgs {
                     p.send(WORLD, 0, *tag, v)?;
                 }
                 Ok(vec![])
             } else {
                 let mut got = Vec::new();
-                for _ in 0..msgs2.len() {
+                for _ in 0..msgs.len() {
                     let (data, st) = p.recv_bytes(WORLD, Src::Rank(1), TagSel::Any)?;
                     got.push((st.tag, i64::from_bytes(&data).unwrap()));
                 }
                 Ok(got)
             }
+        };
+        refereed(2, FaultPlan::none(), body, |at, report| {
+            assert!(report.all_ok(), "{at}");
+            assert_eq!(report.outcomes[0].as_ok().unwrap(), &msgs, "{at}");
         });
-        prop_assert!(report.all_ok());
-        prop_assert_eq!(report.outcomes[0].as_ok().unwrap(), &msgs);
     }
 
     /// Wire round-trip: arbitrary nested payloads survive send/recv.
@@ -94,31 +99,32 @@ proptest! {
         payload in prop::collection::vec((any::<u64>(), any::<f64>()), 0..50),
         scalar in any::<i64>(),
     ) {
-        let p2 = payload.clone();
-        let report = run_default(2, move |proc_| {
+        let body = |proc_: &mut Process| {
             if proc_.world_rank() == 0 {
-                proc_.send(WORLD, 1, 1, &(scalar, p2.clone()))?;
+                proc_.send(WORLD, 1, 1, &(scalar, payload.clone()))?;
                 Ok((0, vec![]))
             } else {
                 let ((s, v), _) = proc_.recv::<(i64, Vec<(u64, f64)>)>(WORLD, Src::Rank(0), 1)?;
                 Ok((s, v))
             }
+        };
+        refereed(2, FaultPlan::none(), body, |at, report| {
+            assert!(report.all_ok(), "{at}");
+            let (s, v) = report.outcomes[1].as_ok().unwrap();
+            assert_eq!(*s, scalar, "{at}");
+            assert_eq!(v.len(), payload.len(), "{at}");
+            for ((ga, gb), (ea, eb)) in v.iter().zip(&payload) {
+                assert_eq!(ga, ea, "{at}");
+                assert!((gb == eb) || (gb.is_nan() && eb.is_nan()), "{at}");
+            }
         });
-        prop_assert!(report.all_ok());
-        let (s, v) = report.outcomes[1].as_ok().unwrap();
-        prop_assert_eq!(*s, scalar);
-        prop_assert_eq!(v.len(), payload.len());
-        for ((ga, gb), (ea, eb)) in v.iter().zip(&payload) {
-            prop_assert_eq!(ga, ea);
-            prop_assert!((gb == eb) || (gb.is_nan() && eb.is_nan()));
-        }
     }
 
     /// Posted-receive order is respected: when several identical
     /// receives are posted, completions happen in post order.
     #[test]
     fn posted_receives_complete_in_post_order(count in 1usize..12) {
-        let report = run_default(2, move |p| {
+        let body = |p: &mut Process| {
             if p.world_rank() == 1 {
                 for i in 0..count as u64 {
                     p.send(WORLD, 0, 2, &i)?;
@@ -135,9 +141,11 @@ proptest! {
                     .collect();
                 Ok(values)
             }
+        };
+        refereed(2, FaultPlan::none(), body, |at, report| {
+            assert!(report.all_ok(), "{at}");
+            let got = report.outcomes[0].as_ok().unwrap();
+            assert_eq!(got, &(0..count as u64).collect::<Vec<_>>(), "{at}");
         });
-        prop_assert!(report.all_ok());
-        let got = report.outcomes[0].as_ok().unwrap();
-        prop_assert_eq!(got, &(0..count as u64).collect::<Vec<_>>());
     }
 }
