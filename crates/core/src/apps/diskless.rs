@@ -301,11 +301,7 @@ pub fn run_diskless(p: &mut Process, comm: Comm, cfg: &DisklessConfig) -> Result
             }
         }
     } else {
-        match p.send(comm, 0, DONE_TAG, &(me as u64)) {
-            Ok(()) => {}
-            Err(e) if e.is_terminal() => return Err(e),
-            Err(e) => return Err(e),
-        }
+        p.send(comm, 0, DONE_TAG, &(me as u64))?;
         // Lame-duck phase: keep serving restores until EXIT.
         let exit_slot = p.irecv(comm, Src::Rank(0), EXIT_TAG)?;
         loop {

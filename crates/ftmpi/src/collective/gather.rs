@@ -76,97 +76,3 @@ impl Process {
         })
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use crate::comm::WORLD;
-    use crate::error::{Error, ErrorHandler};
-    use crate::universe::{run, run_default, UniverseConfig};
-    use std::time::Duration;
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let report = run_default(5, |p| {
-            let mine = (p.world_rank() * 10) as u32;
-            p.gather(WORLD, 2, &mine)
-        });
-        assert!(report.all_ok());
-        let at_root = report.outcomes[2].as_ok().unwrap().as_ref().unwrap();
-        assert_eq!(
-            at_root,
-            &vec![(0usize, 0u32), (1, 10), (2, 20), (3, 30), (4, 40)]
-        );
-        for r in [0usize, 1, 3, 4] {
-            assert_eq!(report.outcomes[r].as_ok(), Some(&None));
-        }
-    }
-
-    #[test]
-    fn scatter_distributes_in_rank_order() {
-        let report = run_default(4, |p| {
-            let values: Option<Vec<i64>> =
-                (p.world_rank() == 0).then(|| vec![100, 101, 102, 103]);
-            p.scatter(WORLD, 0, values.as_deref())
-        });
-        assert!(report.all_ok());
-        for (r, o) in report.outcomes.iter().enumerate() {
-            assert_eq!(o.as_ok(), Some(&(100 + r as i64)));
-        }
-    }
-
-    #[test]
-    fn scatter_wrong_count_is_invalid_state() {
-        let report = run_default(1, |p| {
-            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-            match p.scatter::<i64>(WORLD, 0, Some(&[1, 2])) {
-                Err(Error::InvalidState(_)) => Ok(()),
-                other => panic!("expected InvalidState, got {other:?}"),
-            }
-        });
-        assert!(report.all_ok());
-    }
-
-    #[test]
-    fn gather_with_dead_leaf_errors_at_root_not_hangs() {
-        let plan = faultsim::FaultPlan::none()
-            .kill_at(1, faultsim::HookKind::BeforeCollective, 1);
-        let report = run(
-            4,
-            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(20)),
-            |p| {
-                p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-                match p.gather(WORLD, 0, &1u8) {
-                    Ok(_) => Ok(true),
-                    Err(Error::RankFailStop { .. }) => Ok(false),
-                    Err(e) => Err(e),
-                }
-            },
-        );
-        assert!(!report.hung);
-        assert_eq!(report.outcomes[0].as_ok(), Some(&false), "root must observe the failure");
-    }
-
-    #[test]
-    fn scatter_from_dead_root_errors_not_hangs() {
-        let plan = faultsim::FaultPlan::none()
-            .kill_at(0, faultsim::HookKind::BeforeCollective, 1);
-        let report = run(
-            3,
-            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(20)),
-            |p| {
-                p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-                let values: Option<Vec<i64>> = (p.world_rank() == 0).then(|| vec![1, 2, 3]);
-                match p.scatter(WORLD, 0, values.as_deref()) {
-                    Ok(_) => Ok(true),
-                    Err(Error::RankFailStop { .. }) => Ok(false),
-                    Err(e) => Err(e),
-                }
-            },
-        );
-        assert!(!report.hung);
-        assert!(report.outcomes[0].is_failed());
-        for r in 1..3 {
-            assert_eq!(report.outcomes[r].as_ok(), Some(&false), "rank {r}");
-        }
-    }
-}

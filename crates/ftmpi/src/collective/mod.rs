@@ -341,121 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn collective_enter_traces_the_instance_on_the_communicator() {
-        let cfg = crate::UniverseConfig::default().traced();
-        let report = crate::run(3, cfg, |p| {
-            let dup = p.comm_dup(crate::WORLD)?;
-            for v in [7u32, 8] {
-                p.bcast(dup, 0, (p.world_rank() == 0).then_some(&v))?;
-            }
-            // Instances count per communicator, not per process.
-            p.bcast(crate::WORLD, 0, (p.world_rank() == 0).then_some(&9u32))
-        });
-        assert!(report.all_ok(), "{:?}", report.outcomes);
-        for rank in 0..3 {
-            let instances: Vec<u64> = report
-                .trace
-                .iter()
-                .filter_map(|e| match e.event {
-                    Event::CollectiveEnter { rank: r, instance, .. } if r == rank => Some(instance),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(instances, vec![0, 1, 0], "rank {rank}");
-        }
-    }
-
-    /// An alive rank that leaves with a *local* error — a payload that
-    /// does not decode, a root without a value, a wrong count — owes
-    /// its peers the same poison as one that leaves on a failure.
-    #[test]
-    fn a_local_error_poisons_the_peers_left_waiting() {
-        use crate::{Process, WORLD};
-        type Body = fn(&mut Process) -> Result<()>;
-        let poisoned_by = |rank| Err(Error::RankFailStop { rank });
-        let cases: [(&str, Body, Vec<Result<()>>); 4] = [
-            (
-                // 3 → 2 → 0 ← 1: rank 2 cannot decode rank 3's byte.
-                "reduce, one contributor of another type",
-                |p| {
-                    if p.world_rank() == 3 {
-                        p.reduce(WORLD, 0, &1u8, |a, b| a + b).map(|_| ())
-                    } else {
-                        p.reduce(WORLD, 0, &1u64, |a, b| a + b).map(|_| ())
-                    }
-                },
-                vec![poisoned_by(2), Ok(()), Err(Error::TypeMismatch), Ok(())],
-            ),
-            (
-                "bcast, root without a value",
-                |p| p.bcast::<u64>(WORLD, 0, None).map(|_| ()),
-                vec![
-                    Err(Error::InvalidState("bcast root must supply a value")),
-                    poisoned_by(0),
-                    poisoned_by(0),
-                ],
-            ),
-            (
-                "scatter, root one value short",
-                |p| p.scatter(WORLD, 0, Some(&[1u64, 2][..])).map(|_| ()),
-                vec![
-                    Err(Error::InvalidState("scatter root must supply one value per active rank")),
-                    poisoned_by(0),
-                    poisoned_by(0),
-                ],
-            ),
-            (
-                // The control: everyone is owed, nothing was sent yet.
-                "alltoall, one caller one value short",
-                |p| {
-                    let values = vec![0u64; if p.world_rank() == 1 { 2 } else { 3 }];
-                    p.alltoall(WORLD, &values).map(|_| ())
-                },
-                vec![
-                    poisoned_by(1),
-                    Err(Error::InvalidState("alltoall needs one value per active rank")),
-                    poisoned_by(1),
-                ],
-            ),
-        ];
-        let mut hung = Vec::new();
-        for (name, body, expected) in cases {
-            let cfg = crate::UniverseConfig::default().watchdog(std::time::Duration::from_secs(2));
-            let report = crate::run(expected.len(), cfg, move |p| {
-                p.set_errhandler(WORLD, crate::ErrorHandler::ErrorsReturn)?;
-                Ok(body(p))
-            });
-            if report.hung {
-                hung.push(name);
-                continue;
-            }
-            for (rank, want) in expected.iter().enumerate() {
-                assert_eq!(report.outcomes[rank].as_ok(), Some(want), "{name}: rank {rank}");
-            }
-        }
-        assert!(hung.is_empty(), "an alive peer was left blocked until the watchdog in {hung:?}");
-    }
-
-    /// The frame has one error exit, so no error inside a collective
-    /// slips past the communicator's handler — a payload that does not
-    /// decode at the `gather` root included.
-    #[test]
-    fn a_decode_error_is_fatal_under_errors_are_fatal() {
-        let report = crate::run_default(2, |p| {
-            if p.world_rank() == 1 {
-                p.gather(crate::WORLD, 0, &1u8).map(|_| ())
-            } else {
-                p.gather(crate::WORLD, 0, &1u64).map(|_| ())
-            }
-        });
-        assert!(
-            matches!(report.outcomes[0], crate::RankOutcome::Aborted { code: 1 }),
-            "{:?}",
-            report.outcomes[0]
-        );
-    }
-
-    #[test]
     fn binomial_singleton() {
         assert_eq!(binomial_parent(0, 1), None);
         assert!(binomial_children(0, 1).is_empty());

@@ -37,65 +37,3 @@ impl Process {
         })
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use crate::comm::WORLD;
-    use crate::error::{Error, ErrorHandler};
-    use crate::universe::{run, run_default, UniverseConfig};
-    use std::time::Duration;
-
-    #[test]
-    fn scan_computes_inclusive_prefixes() {
-        let n = 6;
-        let report = run_default(n, |p| {
-            let mine = (p.world_rank() + 1) as i64;
-            p.scan(WORLD, &mine, |a, b| a + b)
-        });
-        assert!(report.all_ok());
-        for (r, o) in report.outcomes.iter().enumerate() {
-            let expected: i64 = (1..=(r as i64 + 1)).sum();
-            assert_eq!(o.as_ok(), Some(&expected), "rank {r}");
-        }
-    }
-
-    #[test]
-    fn scan_of_one() {
-        let report = run_default(1, |p| p.scan(WORLD, &41i32, |a, b| a + b));
-        assert_eq!(report.outcomes[0].as_ok(), Some(&41));
-    }
-
-    #[test]
-    fn scan_with_dead_middle_errors_downstream_not_hangs() {
-        let plan = faultsim::FaultPlan::none()
-            .kill_at(2, faultsim::HookKind::BeforeCollective, 1);
-        let report = run(
-            5,
-            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(20)),
-            |p| {
-                p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-                match p.scan(WORLD, &1i64, |a, b| a + b) {
-                    Ok(v) => Ok(Some(v)),
-                    Err(Error::RankFailStop { .. }) => Ok(None),
-                    Err(e) => Err(e),
-                }
-            },
-        );
-        assert!(!report.hung);
-        // Ranks upstream of the failure may succeed with correct
-        // prefixes; everyone downstream must error.
-        if let Some(Some(v)) = report.outcomes[0].as_ok() {
-            assert_eq!(*v, 1);
-        }
-        if let Some(Some(v)) = report.outcomes[1].as_ok() {
-            assert_eq!(*v, 2);
-        }
-        for r in 3..5 {
-            assert_eq!(
-                report.outcomes[r].as_ok(),
-                Some(&None),
-                "rank {r} is downstream of the failure"
-            );
-        }
-    }
-}

@@ -1184,46 +1184,20 @@ impl Process {
 
 #[cfg(test)]
 mod tests {
+    //! The tests that read private state or test the watchdog itself;
+    //! every other protocol test runs under the scheduler in
+    //! `tests/runtime.rs` (DESIGN.md §6).
+
     use super::*;
     use crate::comm::WORLD;
-    use crate::universe::{run_default, UniverseConfig};
+    use crate::universe::UniverseConfig;
     use std::time::Duration;
 
     const TAG: Tag = 1;
 
     #[test]
-    fn two_rank_roundtrip() {
-        let report = run_default(2, |p| {
-            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-            if p.world_rank() == 0 {
-                p.send(WORLD, 1, TAG, &42i32)?;
-                let (v, st) = p.recv::<i32>(WORLD, Src::Rank(1), TAG)?;
-                assert_eq!(st.source, Some(1));
-                Ok(v)
-            } else {
-                let (v, _) = p.recv::<i32>(WORLD, Src::Rank(0), TAG)?;
-                p.send(WORLD, 0, TAG, &(v + 1))?;
-                Ok(v)
-            }
-        });
-        assert!(report.all_ok());
-        assert_eq!(report.outcomes[0].as_ok(), Some(&43));
-        assert_eq!(report.outcomes[1].as_ok(), Some(&42));
-    }
-
-    #[test]
-    fn self_send_works() {
-        let report = run_default(1, |p| {
-            p.send(WORLD, 0, TAG, &7u64)?;
-            let (v, _) = p.recv::<u64>(WORLD, Src::Rank(0), TAG)?;
-            Ok(v)
-        });
-        assert_eq!(report.outcomes[0].as_ok(), Some(&7));
-    }
-
-    #[test]
     fn a_long_payload_is_the_encode_buffers_own_allocation() {
-        let report = run_default(1, |p| {
+        let report = crate::run_default(1, |p| {
             // The first send leaves a pooled 64-byte vector behind, so
             // the second encodes without growing it.
             for fill in [1u8, 2] {
@@ -1243,7 +1217,7 @@ mod tests {
 
     #[test]
     fn mixed_send_sizes_on_a_warm_pool_allocate_nothing() {
-        let report = run_default(1, |p| {
+        let report = crate::run_default(1, |p| {
             let (big, small) = (vec![0xA5u8; 16 * 1024], vec![0x5Au8; 32]);
             let mut buf = vec![0u8; 8 + big.len()];
             let mut round = |p: &mut Process| -> Result<()> {
@@ -1266,138 +1240,6 @@ mod tests {
         assert_eq!(report.outcomes[0].as_ok(), Some(&0), "16 KiB and 40-byte sends allocated");
     }
 
-    #[test]
-    fn any_source_matches_and_reports_sender() {
-        let report = run_default(3, |p| {
-            if p.world_rank() == 0 {
-                let mut seen = vec![];
-                for _ in 0..2 {
-                    let (v, st) = p.recv::<usize>(WORLD, Src::Any, TAG)?;
-                    assert_eq!(Some(v), st.source);
-                    seen.push(v);
-                }
-                seen.sort_unstable();
-                assert_eq!(seen, vec![1, 2]);
-                Ok(0)
-            } else {
-                p.send(WORLD, 0, TAG, &p.world_rank())?;
-                Ok(0)
-            }
-        });
-        assert!(report.all_ok());
-    }
-
-    #[test]
-    fn non_overtaking_same_pair() {
-        let report = run_default(2, |p| {
-            if p.world_rank() == 0 {
-                for i in 0..100i64 {
-                    p.send(WORLD, 1, TAG, &i)?;
-                }
-            } else {
-                for i in 0..100i64 {
-                    let (v, _) = p.recv::<i64>(WORLD, Src::Rank(0), TAG)?;
-                    assert_eq!(v, i);
-                }
-            }
-            Ok(())
-        });
-        assert!(report.all_ok());
-    }
-
-    #[test]
-    fn tag_isolation() {
-        let report = run_default(2, |p| {
-            if p.world_rank() == 0 {
-                p.send(WORLD, 1, 5, &5i32)?;
-                p.send(WORLD, 1, 6, &6i32)?;
-            } else {
-                // Receive tag 6 first even though 5 arrived first.
-                let (v6, _) = p.recv::<i32>(WORLD, Src::Rank(0), 6)?;
-                let (v5, _) = p.recv::<i32>(WORLD, Src::Rank(0), 5)?;
-                assert_eq!((v5, v6), (5, 6));
-            }
-            Ok(())
-        });
-        assert!(report.all_ok());
-    }
-
-    #[test]
-    fn default_error_handler_aborts_job() {
-        // Rank 1 dies; rank 0 sends to it with ERRORS_ARE_FATAL.
-        let plan = faultsim::FaultPlan::none().kill_at(1, faultsim::HookKind::Tick, 1);
-        let report: crate::universe::RunReport<()> = crate::universe::run(
-            2,
-            UniverseConfig::with_plan(plan).watchdog(Duration::from_secs(10)),
-            |p| {
-                if p.world_rank() == 0 {
-                    loop {
-                        // Eventually notices rank 1 failed; fatal handler
-                        // must turn that into a job abort.
-                        p.send(WORLD, 1, TAG, &0i32)?;
-                        std::thread::yield_now();
-                    }
-                } else {
-                    // Block forever; the Tick hook kills us.
-                    let req = p.irecv(WORLD, Src::Rank(0), 99)?;
-                    let _ = p.wait(req)?;
-                    Ok(())
-                }
-            },
-        );
-        assert!(matches!(report.outcomes[0], crate::error::RankOutcome::Aborted { code: 1 }));
-        assert!(report.outcomes[1].is_failed());
-    }
-
-    #[test]
-    fn send_to_failed_rank_errors_with_errors_return() {
-        let plan = faultsim::FaultPlan::none().kill_at(1, faultsim::HookKind::Tick, 1);
-        let report = crate::universe::run(2, UniverseConfig::with_plan(plan), |p| {
-            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-            if p.world_rank() == 0 {
-                loop {
-                    match p.send(WORLD, 1, TAG, &0i32) {
-                        Err(Error::RankFailStop { rank }) => return Ok(rank),
-                        Err(e) => return Err(e),
-                        Ok(()) => std::thread::yield_now(),
-                    }
-                }
-            } else {
-                let req = p.irecv(WORLD, Src::Rank(0), 99)?;
-                let _ = p.wait(req)?;
-                Ok(0)
-            }
-        });
-        assert_eq!(report.outcomes[0].as_ok(), Some(&1));
-        assert!(report.outcomes[1].is_failed());
-    }
-
-    #[test]
-    fn posted_irecv_completes_in_error_on_peer_failure() {
-        // The failure-detector idiom: rank 0 posts a receive that rank 1
-        // will never satisfy; rank 1 is killed; the receive must error.
-        let plan = faultsim::FaultPlan::none().kill_at(1, faultsim::HookKind::AfterSend, 1);
-        let report = crate::universe::run(2, UniverseConfig::with_plan(plan), |p| {
-            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-            if p.world_rank() == 0 {
-                let detector = p.irecv(WORLD, Src::Rank(1), TAG)?;
-                // Handshake so rank 1 only dies after we've posted.
-                p.send(WORLD, 1, 2, &())?;
-                match p.wait(detector) {
-                    Err(Error::RankFailStop { rank }) => Ok(rank),
-                    other => panic!("expected failure detection, got {other:?}"),
-                }
-            } else {
-                let (_, _) = p.recv::<()>(WORLD, Src::Rank(0), 2)?;
-                // AfterSend hook fires on this send and kills us.
-                p.send(WORLD, 0, 3, &())?;
-                Ok(usize::MAX)
-            }
-        });
-        assert_eq!(report.outcomes[0].as_ok(), Some(&1));
-        assert!(report.outcomes[1].is_failed());
-    }
-
     /// The failure scan looks at everything only when the epoch or
     /// this rank's recognitions moved; a receive posted on a peer that
     /// was dead all along must still complete on the next pass — in
@@ -1405,16 +1247,15 @@ mod tests {
     #[test]
     fn receives_posted_after_the_death_complete_on_the_next_pass() {
         let plan = faultsim::FaultPlan::none().kill_at(1, faultsim::HookKind::Tick, 1);
-        let report = crate::universe::run(2, UniverseConfig::with_plan(plan), |p| {
+        let report = crate::run(2, UniverseConfig::with_plan(plan), |p| {
             p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
             if p.world_rank() == 1 {
                 let req = p.irecv(WORLD, Src::Rank(0), 99)?;
                 let _ = p.wait(req)?;
                 return Ok(());
             }
-            while p.comm_validate_rank(WORLD, 1)?.state == RankState::Ok {
-                std::thread::yield_now();
-            }
+            // A receive naming rank 1 returns once it has died.
+            assert_eq!(p.recv::<()>(WORLD, Src::Rank(1), 9), Err(Error::RankFailStop { rank: 1 }));
             // One pass under the kill's epoch, with a receive posted
             // that stays pending: the full scan has come and gone.
             let idle = p.irecv(WORLD, Src::Rank(0), 98)?;
@@ -1442,233 +1283,15 @@ mod tests {
         assert!(report.outcomes[1].is_failed());
     }
 
-    /// A respawn moves the epoch like a kill does: a receive posted on
-    /// the new incarnation is watched again, and errors when that
-    /// incarnation dies in turn. Each death is ordered by a message
-    /// from rank 0, so each receive is posted on the incarnation it
-    /// watches.
-    #[test]
-    fn respawn_rearms_the_failure_scan() {
-        let cfg = UniverseConfig::default().watchdog(Duration::from_secs(60)).respawning(1);
-        let report = crate::universe::run(2, cfg, |p| {
-            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-            if p.world_rank() == 1 {
-                // Each incarnation dies once rank 0 is watching it.
-                let tag = if p.generation() == 0 { 2 } else { 3 };
-                p.recv::<()>(WORLD, Src::Rank(0), tag)?;
-                return Err(p.fail_now());
-            }
-            let first = p.irecv(WORLD, Src::Rank(1), TAG)?;
-            p.send(WORLD, 1, 2, &())?;
-            assert_eq!(p.wait(first), Err(Error::RankFailStop { rank: 1 }));
-            while p.comm_validate_rank(WORLD, 1)?.state != RankState::Ok {
-                std::thread::yield_now();
-            }
-            let watch = p.irecv(WORLD, Src::Rank(1), TAG)?;
-            assert!(p.test(watch)?.is_none(), "generation 1 is alive");
-            p.send(WORLD, 1, 3, &())?;
-            assert_eq!(p.wait(watch), Err(Error::RankFailStop { rank: 1 }));
-            Ok(())
-        });
-        assert!(!report.hung);
-        assert!(report.outcomes[0].is_ok(), "{:?}", report.outcomes[0]);
-        assert_eq!(report.generations, vec![0, 1]);
-    }
-
-    #[test]
-    fn any_source_recv_errors_on_unrecognized_failure() {
-        let plan = faultsim::FaultPlan::none().kill_at(1, faultsim::HookKind::Tick, 1);
-        let report = crate::universe::run(3, UniverseConfig::with_plan(plan), |p| {
-            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-            match p.world_rank() {
-                0 => {
-                    let req = p.irecv(WORLD, Src::Any, TAG)?;
-                    match p.wait(req) {
-                        Err(Error::RankFailStop { rank }) => Ok(rank),
-                        other => panic!("expected RankFailStop, got {other:?}"),
-                    }
-                }
-                1 => {
-                    let req = p.irecv(WORLD, Src::Rank(0), 99)?;
-                    let _ = p.wait(req)?;
-                    Ok(0)
-                }
-                _ => Ok(0),
-            }
-        });
-        assert_eq!(report.outcomes[0].as_ok(), Some(&1));
-    }
-
-    #[test]
-    fn recognized_rank_has_proc_null_semantics() {
-        let plan = faultsim::FaultPlan::none().kill_at(1, faultsim::HookKind::Tick, 1);
-        let report = crate::universe::run(2, UniverseConfig::with_plan(plan), |p| {
-            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-            if p.world_rank() == 0 {
-                // Wait for rank 1 to die, then recognize it.
-                while p.comm_validate_rank(WORLD, 1)?.state == RankState::Ok {
-                    std::thread::yield_now();
-                }
-                let n = p.comm_validate_clear(WORLD, &[1])?;
-                assert_eq!(n, 1);
-                assert_eq!(p.comm_validate_rank(WORLD, 1)?.state, RankState::Null);
-                // Send is dropped, receive completes immediately.
-                p.send(WORLD, 1, TAG, &1i32)?;
-                let (data, st) = p.recv_bytes(WORLD, Src::Rank(1), TAG)?;
-                assert!(st.is_proc_null());
-                assert!(data.is_empty());
-                Ok(())
-            } else {
-                let req = p.irecv(WORLD, Src::Rank(0), 99)?;
-                let _ = p.wait(req)?;
-                Ok(())
-            }
-        });
-        assert!(report.outcomes[0].is_ok());
-    }
-
-    #[test]
-    fn validate_all_agrees_everywhere() {
-        let plan = faultsim::FaultPlan::none().kill_at(2, faultsim::HookKind::Tick, 1);
-        let report = crate::universe::run(4, UniverseConfig::with_plan(plan), |p| {
-            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-            if p.world_rank() == 2 {
-                let req = p.irecv(WORLD, Src::Rank(0), 99)?;
-                let _ = p.wait(req)?;
-                return Ok(usize::MAX);
-            }
-            // Ensure the failure happened before validating so the
-            // agreed count is deterministic for the assertion.
-            while p.comm_validate_rank(WORLD, 2)?.state == RankState::Ok {
-                std::thread::yield_now();
-            }
-            let count = p.comm_validate_all(WORLD)?;
-            assert_eq!(p.comm_validate_rank(WORLD, 2)?.state, RankState::Null);
-            Ok(count)
-        });
-        for r in [0usize, 1, 3] {
-            assert_eq!(report.outcomes[r].as_ok(), Some(&1), "rank {r}");
-        }
-        assert!(report.outcomes[2].is_failed());
-    }
-
-    #[test]
-    fn icomm_validate_all_completes_via_waitany() {
-        let report = run_default(3, |p| {
-            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-            let req = p.icomm_validate_all(WORLD)?;
-            let out = p.waitany(&[req])?;
-            assert_eq!(out.index, 0);
-            Ok(out.result.expect("validate succeeds").validate_count())
-        });
-        assert!(report.all_ok());
-        for o in &report.outcomes {
-            assert_eq!(o.as_ok(), Some(&0));
-        }
-    }
-
-    #[test]
-    fn comm_dup_isolates_contexts() {
-        let report = run_default(2, |p| {
-            let dup = p.comm_dup(WORLD)?;
-            if p.world_rank() == 0 {
-                p.send(WORLD, 1, TAG, &1i32)?;
-                p.send(dup, 1, TAG, &2i32)?;
-            } else {
-                // Receive from the dup first: context isolation means
-                // the WORLD message (sent first) cannot match.
-                let (vd, _) = p.recv::<i32>(dup, Src::Rank(0), TAG)?;
-                let (vw, _) = p.recv::<i32>(WORLD, Src::Rank(0), TAG)?;
-                assert_eq!((vd, vw), (2, 1));
-            }
-            Ok(())
-        });
-        assert!(report.all_ok());
-    }
-
-    #[test]
-    fn comm_split_by_parity() {
-        let report = run_default(4, |p| {
-            let color = (p.world_rank() % 2) as i64;
-            let sub = p.comm_split(WORLD, Some(color), 0)?.expect("joined a color");
-            let size = p.comm_size(sub)?;
-            let rank = p.comm_rank(sub)?;
-            assert_eq!(size, 2);
-            // Exchange inside the split comm.
-            let peer = 1 - rank;
-            let (v, _): (usize, _) =
-                p.sendrecv(sub, peer, TAG, &p.world_rank(), Src::Rank(peer), TAG)?;
-            assert_eq!(v % 2, p.world_rank() % 2, "peer shares parity");
-            Ok(())
-        });
-        assert!(report.all_ok());
-    }
-
-    #[test]
-    fn probe_sees_message_without_consuming() {
-        let report = run_default(2, |p| {
-            if p.world_rank() == 0 {
-                p.send(WORLD, 1, 7, &123i32)?;
-            } else {
-                let st = p.probe(WORLD, Src::Rank(0), 7)?;
-                assert_eq!(st.len, 4);
-                assert_eq!(st.source, Some(0));
-                let (v, _) = p.recv::<i32>(WORLD, Src::Rank(0), 7)?;
-                assert_eq!(v, 123);
-            }
-            Ok(())
-        });
-        assert!(report.all_ok());
-    }
-
-    #[test]
-    fn cancel_frees_pending_request() {
-        let report = run_default(1, |p| {
-            let req = p.irecv(WORLD, Src::Rank(0), TAG)?;
-            assert_eq!(p.live_requests(), 1);
-            p.cancel(req)?;
-            assert_eq!(p.live_requests(), 0);
-            Ok(())
-        });
-        assert!(report.all_ok());
-    }
-
-    #[test]
-    fn invalid_args_rejected() {
-        let report = run_default(1, |p| {
-            p.set_errhandler(WORLD, ErrorHandler::ErrorsReturn)?;
-            assert!(matches!(
-                p.send(WORLD, 5, TAG, &0i32),
-                Err(Error::InvalidRank { rank: 5 })
-            ));
-            assert!(matches!(p.send(WORLD, 0, -3, &0i32), Err(Error::InvalidTag { tag: -3 })));
-            assert!(matches!(
-                p.iprobe(WORLD, Src::Rank(5), TAG),
-                Err(Error::InvalidRank { rank: 5 })
-            ));
-            assert!(matches!(
-                p.comm_validate_rank(WORLD, 9),
-                Err(Error::InvalidRank { .. })
-            ));
-            assert!(matches!(p.waitany(&[]), Err(Error::InvalidRequest)));
-            assert!(matches!(p.waitsome(&[]), Err(Error::InvalidRequest)));
-            Ok(())
-        });
-        assert!(report.all_ok());
-    }
-
     #[test]
     fn watchdog_converts_hang_into_abort_report() {
-        let report: crate::universe::RunReport<()> = crate::universe::run(
-            2,
-            UniverseConfig::default().watchdog(Duration::from_millis(300)),
-            |p| {
-                // Everyone waits for a message that never comes.
-                let req = p.irecv(WORLD, Src::Rank((p.world_rank() + 1) % 2), TAG)?;
-                let _ = p.wait(req)?;
-                Ok(())
-            },
-        );
+        let cfg = UniverseConfig::default().watchdog(Duration::from_millis(300));
+        let report: crate::RunReport<()> = crate::run(2, cfg, |p| {
+            // Everyone waits for a message that never comes.
+            let req = p.irecv(WORLD, Src::Rank((p.world_rank() + 1) % 2), TAG)?;
+            let _ = p.wait(req)?;
+            Ok(())
+        });
         assert!(report.hung);
         for o in &report.outcomes {
             assert!(matches!(o, crate::error::RankOutcome::Aborted { .. }));
